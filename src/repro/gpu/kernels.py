@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_BATCH_PAIRS",
     "MIN_BATCH_PAIRS",
     "iter_position_batches",
+    "iter_class_pairs",
     "NeighborPairs",
     "neighbor_pairs",
     "CSRNeighborhoods",
@@ -217,6 +218,47 @@ def iter_position_batches(
             keep = ~dm | (u <= v)
             u, v = u[keep], v[keep]
         yield u, v
+
+
+def iter_class_pairs(
+    tree: FlatTree,
+    row_mask: np.ndarray,
+    col_mask: np.ndarray,
+    *,
+    batch_pairs: int = DEFAULT_BATCH_PAIRS,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Candidate ``(row point, column point)`` index pairs, in batches.
+
+    Rows are the points of ``row_mask``, columns those of ``col_mask``
+    (where a point is in both, it is a column); a pair is a candidate when
+    the two points' leaf boxes interact, i.e. the 3×3 Eps-cell stencil for
+    a tree built with the default radius.  Within each leaf box the two
+    classes are grouped contiguously, so every interacting box pair is one
+    rows×columns quad for :func:`iter_position_batches`; points of neither
+    class are never expanded.  Yields original point indices.
+    """
+    n_boxes = tree.n_leaf_boxes
+    order = tree.order
+    # Three classes per box: 0 rows, 1 columns, 2 everything else.
+    cls = np.full(tree.n_points, 2, dtype=np.int64)
+    cls[row_mask] = 0
+    cls[col_mask] = 1
+    key = tree.point_leaf[order] * 3 + cls[order]
+    ord3 = order[np.argsort(key, kind="stable")]
+    cnt3 = np.bincount(key, minlength=3 * n_boxes)
+    st3 = np.zeros(3 * n_boxes, dtype=np.int64)
+    np.cumsum(cnt3[:-1], out=st3[1:])
+    r_start, r_count = st3[0::3], cnt3[0::3]
+    c_start, c_count = st3[1::3], cnt3[1::3]
+
+    a, b = tree.leaf_pairs()
+    off = a != b
+    qa = np.concatenate((a, b[off]))
+    qb = np.concatenate((b, a[off]))
+    for u, v in iter_position_batches(
+        r_start[qa], r_count[qa], c_start[qb], c_count[qb], batch_pairs=batch_pairs
+    ):
+        yield ord3[u], ord3[v]
 
 
 @dataclass

@@ -64,6 +64,7 @@ from .kernels import (
     candidate_counts,
     charge_pass,
     expected_scan_ops,
+    iter_class_pairs,
     iter_position_batches,
 )
 from .treeindex import FlatTree
@@ -248,14 +249,20 @@ def _csr_counts(
     off = a != b
     qa = np.concatenate((a, b[off]))  # row side: non-box members of qa
     qb = np.concatenate((b, a[off]))  # column side: all members of qb
+    # A quad whose row cell is all dense-box members counts nothing: drop
+    # it before any per-quad work (with most points in boxes, most quads).
+    has_rows = nb_count[qa] > 0
+    qa, qb = qa[has_rows], qb[has_rows]
     bx, by = tree.box_cells(tree.n_levels - 1)
     ddx = (np.abs(bx[qa] - bx[qb]) + 1).astype(np.float64) * w
     ddy = (np.abs(by[qa] - by[qb]) + 1).astype(np.float64) * w
     full = ddx * ddx + ddy * ddy <= eps2
 
-    # Bulk credit: every non-box row of cell qa counts all of qb at once.
-    cell_bulk = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(cell_bulk, qa[full], count[qb[full]])
+    # Bulk credit: every non-box row of cell qa counts all of qb at once
+    # (float weights are exact at these magnitudes).
+    cell_bulk = np.bincount(
+        qa[full], weights=count[qb[full]], minlength=n_cells
+    ).astype(np.int64)
 
     # Annulus of partially-covered cell pairs: evaluate point-by-point in
     # position space (row coords gather sequentially from the class-grouped
@@ -403,35 +410,15 @@ def _csr_assign_borders(
     border = ~core_mask
     if not border.any() or not claim_mask.any():
         return []
-    n_boxes = ftree.n_leaf_boxes
-    order = ftree.order
-    # Three classes per Eps-cell: 0 border rows, 1 claimable-core columns,
-    # 2 everything else (unclaimable cores are invisible to borders).
-    cls = np.full(n, 2, dtype=np.int64)
-    cls[border] = 0
-    cls[claim_mask] = 1
-    key = ftree.point_leaf[order] * 3 + cls[order]
-    ord3 = order[np.argsort(key, kind="stable")]
-    cnt3 = np.bincount(key, minlength=3 * n_boxes)
-    st3 = np.zeros(3 * n_boxes, dtype=np.int64)
-    np.cumsum(cnt3[:-1], out=st3[1:])
-    b_start, b_count = st3[0::3], cnt3[0::3]
-    c_start, c_count = st3[1::3], cnt3[1::3]
-
-    a, b = ftree.leaf_pairs()
-    off = a != b
-    qa = np.concatenate((a, b[off]))
-    qb = np.concatenate((b, a[off]))
+    # Border rows against claimable-core columns; unclaimable cores are
+    # invisible to borders.
     x, y = coords[:, 0], coords[:, 1]
     eps2 = float(eps) * float(eps)
     best_d2 = np.full(n, np.inf)
     best_c = np.full(n, n, dtype=np.int64)  # n = "no claimable core" sentinel
     batches: list[int] = []
-    for u, v in iter_position_batches(
-        b_start[qa], b_count[qa], c_start[qb], c_count[qb], batch_pairs=batch_pairs
-    ):
-        batches.append(len(u))
-        r, c = ord3[u], ord3[v]
+    for r, c in iter_class_pairs(ftree, border, claim_mask, batch_pairs=batch_pairs):
+        batches.append(len(r))
         dx = x[r] - x[c]
         dy = y[r] - y[c]
         d2 = dx * dx + dy * dy

@@ -277,10 +277,10 @@ class FlatTree:
             return np.empty(0, dtype=np.int64)
         a, b = self.leaf_pairs()
         cnt = self.level_count[-1]
-        stencil = np.zeros(self.n_leaf_boxes, dtype=np.int64)
         off = a != b
-        np.add.at(stencil, a[off], cnt[b[off]])
-        np.add.at(stencil, b[off], cnt[a[off]])
-        diag = a[~off]
-        np.add.at(stencil, diag, cnt[diag])
-        return stencil[self.point_leaf]
+        # Each box sees its partner's population; a diagonal pair (a == b)
+        # is the box's own, counted once.  Float weights are exact here.
+        n_boxes = self.n_leaf_boxes
+        stencil = np.bincount(a, weights=cnt[b], minlength=n_boxes)
+        stencil += np.bincount(b[off], weights=cnt[a[off]], minlength=n_boxes)
+        return stencil.astype(np.int64)[self.point_leaf]

@@ -13,6 +13,11 @@ a cell, each cluster's representative set contains a point within Eps of
 it — a merge is always detectable from representatives alone.
 
 ``tests/merge/test_representatives.py`` checks this lemma property-based.
+
+Two forms select the same points: :func:`select_representatives` for one
+cell (the merge tree re-selects per merged cell) and
+:func:`select_representatives_batch` for every ``(cluster, cell)`` segment
+of a leaf in eight whole-leaf passes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,12 @@ import numpy as np
 
 from ..errors import MergeError
 
-__all__ = ["representative_targets", "select_representatives", "N_REPRESENTATIVES"]
+__all__ = [
+    "representative_targets",
+    "select_representatives",
+    "select_representatives_batch",
+    "N_REPRESENTATIVES",
+]
 
 #: The paper's bound: eight points represent a grid cell of any density.
 N_REPRESENTATIVES: int = 8
@@ -32,7 +42,9 @@ def representative_targets(
 ) -> np.ndarray:
     """The 8 anchor locations of a cell: 4 corners + 4 side midpoints.
 
-    Order: corners (SW, SE, NW, NE) then midpoints (S, N, W, E).
+    Order: corners (SW, SE, NW, NE) then midpoints (S, N, W, E).  The
+    four bounds may be arrays of one shape ``s`` (one entry per cell); the
+    result is then ``(8, 2) + s``.
     """
     xmin, ymin, xmax, ymax = bounds
     xm = 0.5 * (xmin + xmax)
@@ -74,3 +86,46 @@ def select_representatives(
     )
     chosen = np.argmin(d2, axis=0)
     return np.unique(chosen.astype(np.int64))
+
+
+def select_representatives_batch(
+    coords: np.ndarray, starts: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Representatives of many cells at once, as one segmented argmin per target.
+
+    ``coords`` holds the candidate points of all cells, grouped: segment
+    ``i`` is rows ``starts[i]:starts[i + 1]`` (the last runs to the end),
+    none empty, and ``bounds[i]`` is its cell's ``(xmin, ymin, xmax,
+    ymax)``.  Returns an ``(n_segments, 8)`` array: the row closest to each
+    of the segment's eight targets, the lowest row winning ties — the
+    distances, the comparison and the tie-break of
+    :func:`select_representatives`, whose result for one segment is the
+    sorted unique entries of that segment's row (offset by its start).
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise MergeError(f"coords must be (n, 2), got {coords.shape}")
+    starts = np.asarray(starts, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 4)
+    n, m = len(coords), len(starts)
+    if len(bounds) != m:
+        raise MergeError(f"{m} segments but {len(bounds)} cell bounds")
+    sizes = np.diff(np.append(starts, n))
+    if m and (starts[0] != 0 or sizes.min() <= 0):
+        raise MergeError("segments must be non-empty and cover coords from row 0")
+    chosen = np.empty((m, N_REPRESENTATIVES), dtype=np.int64)
+    if m == 0:
+        return chosen
+    segment = np.repeat(np.arange(m), sizes)
+    targets = representative_targets(tuple(bounds.T))
+    rows = np.arange(n, dtype=np.int64)
+    x, y = coords[:, 0], coords[:, 1]
+    for t in range(N_REPRESENTATIVES):
+        dx = x - targets[t, 0][segment]
+        dy = y - targets[t, 1][segment]
+        d2 = dx * dx + dy * dy
+        nearest = np.minimum.reduceat(d2, starts)
+        chosen[:, t] = np.minimum.reduceat(
+            np.where(d2 == nearest[segment], rows, n), starts
+        )
+    return chosen

@@ -10,6 +10,14 @@ classification of its own cells is authoritative).
 Summaries are the only thing transmitted upstream — never whole clusters —
 which is what bounds merge traffic ("a small, bounded number of
 representative points per cluster", §1).
+
+:func:`summarize_leaf` builds a summary as whole-leaf segment passes: one
+Eps-stencil pair expansion for the non-core claims, one sort of cores and
+claims by ``(cluster, cell)``, eight segmented argmins for all the
+representatives, and per-cell fields cut as slices of four flat arrays
+(DESIGN.md §2b).  The per-cell loop it
+replaced lives on in ``tests/merge/summary_reference.py`` as the oracle
+the differential tests hold it to.
 """
 
 from __future__ import annotations
@@ -19,8 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MergeError
+from ..gpu.kernels import iter_class_pairs
+from ..gpu.treeindex import FlatTree
 from ..points import NOISE, PointSet
-from .representatives import select_representatives
+from .representatives import select_representatives_batch
 
 __all__ = ["CellSummary", "ClusterSummary", "LeafSummary", "summarize_leaf", "cell_bounds"]
 
@@ -102,10 +112,21 @@ class LeafSummary:
         return total + 64
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal ``keys`` tuples in sorted rows."""
+    n = len(keys[0])
+    change = np.zeros(n, dtype=bool)
+    if n:
+        change[0] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
+
+
 def _noncore_claims(
-    points: PointSet, labels: np.ndarray, core_mask: np.ndarray, eps: float
-) -> dict[int, list[int]]:
-    """Map cluster label -> indices of non-core points claimed by it.
+    coords: np.ndarray, labels: np.ndarray, core_mask: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cluster label, non-core point index)`` claim pairs of a leaf.
 
     A cluster *claims* every non-core point within Eps of one of its core
     points — the multi-membership the paper's expansion pass creates
@@ -115,34 +136,49 @@ def _noncore_claims(
     local cluster and a remote one is evidence the type-2 rule differences
     against, and it must not vanish because the point's output label chose
     a different adjacent cluster.
-    """
-    from ..dbscan.grid_index import GridIndex
 
-    claims: dict[int, set[int]] = {}
-    if not len(points):
-        return {}
-    index = GridIndex(points, eps)
+    One pair expansion over the leaf's Eps-cell tree: non-core rows
+    against clustered-core columns.  A pair recurs once per claiming core;
+    the caller's sort drops the repeats.
+    """
+    clustered_core = core_mask & (labels != NOISE)
+    x, y = coords[:, 0], coords[:, 1]
     eps2 = eps * eps
-    coords = points.coords
-    for cell in index.cell_counts():
-        members = index.cell_members(cell)
-        members = members[~core_mask[members]]
-        if len(members) == 0:
-            continue
-        cand = index.candidate_indices(cell)
-        cand = cand[core_mask[cand]]
-        if len(cand) == 0:
-            continue
-        d2 = (
-            (coords[members, 0][:, None] - coords[cand, 0][None, :]) ** 2
-            + (coords[members, 1][:, None] - coords[cand, 1][None, :]) ** 2
-        )
-        within = d2 <= eps2
-        rows, cols = np.nonzero(within)
-        for r, c in zip(rows, cols):
-            lab = int(labels[cand[c]])
-            claims.setdefault(lab, set()).add(int(members[r]))
-    return {lab: sorted(idx) for lab, idx in claims.items()}
+    claim_labels, claim_points = [], []
+    for r, c in iter_class_pairs(FlatTree(coords, eps), ~core_mask, clustered_core):
+        dx = x[r] - x[c]
+        dy = y[r] - y[c]
+        within = dx * dx + dy * dy <= eps2
+        claim_labels.append(labels[c[within]])
+        claim_points.append(r[within])
+    if not claim_points:
+        return np.empty(0, dtype=labels.dtype), np.empty(0, dtype=np.int64)
+    return np.concatenate(claim_labels), np.concatenate(claim_points)
+
+
+def _owner_noncore_ids(
+    cells: np.ndarray, ids: np.ndarray, core_mask: np.ndarray, owned_cells: set[Cell]
+) -> dict[Cell, np.ndarray]:
+    """Per owned cell, the sorted ids of the points its owner found non-core.
+
+    Every owned cell gets an entry — an *empty* one means "the owner says
+    all points here are core", which makes the type-2 difference the full
+    remote non-core list.  Omitting the entry would instead read as "owner
+    not in this subtree", silently skipping the check (a missed
+    cross-boundary merge the property tests caught).
+    """
+    noncore = np.flatnonzero(~core_mask)
+    cx, cy = cells[noncore, 0], cells[noncore, 1]
+    order = np.lexsort((ids[noncore], cy, cx))
+    cx, cy = cx[order], cy[order]
+    sorted_ids = ids[noncore[order]]
+    starts = _run_starts(cx, cy)
+    ends = np.append(starts[1:], len(sorted_ids))
+    runs = dict(
+        zip(zip(cx[starts].tolist(), cy[starts].tolist()), zip(starts.tolist(), ends.tolist()))
+    )
+    no_run = (0, 0)
+    return {cell: sorted_ids[slice(*runs.get(cell, no_run))] for cell in owned_cells}
 
 
 def summarize_leaf(
@@ -158,6 +194,8 @@ def summarize_leaf(
     ``points`` is the leaf's full view (partition + shadow points);
     ``labels``/``core_mask`` are the GPU DBSCAN output over that view;
     ``owned_cells`` are the cells of the leaf's partition (not shadow).
+    A cluster is its core points: a label no core point carries gets no
+    entry, and core points labelled ``NOISE`` belong to none.
     """
     labels = np.asarray(labels)
     core_mask = np.asarray(core_mask, dtype=bool)
@@ -166,68 +204,66 @@ def summarize_leaf(
             f"points ({len(points)}), labels ({len(labels)}) and core_mask "
             f"({len(core_mask)}) disagree"
         )
-
-    cells = (
-        np.floor(points.coords / eps).astype(np.int64)
-        if len(points)
-        else np.empty((0, 2), np.int64)
-    )
-
     summary = LeafSummary(eps=eps, source_leaves=frozenset([leaf_id]))
+    if not len(points):
+        return summary
+    coords, ids = points.coords, points.ids
+    cells = np.floor(coords / eps).astype(np.int64)
+    summary.owner_noncore_ids = _owner_noncore_ids(cells, ids, core_mask, owned_cells)
 
-    # Per-owned-cell non-core ids (authoritative classification).  Every
-    # owned cell gets an entry — an *empty* one means "the owner says all
-    # points here are core", which makes the type-2 difference the full
-    # remote non-core list.  Omitting the entry would instead read as
-    # "owner not in this subtree", silently skipping the check (a missed
-    # cross-boundary merge the property tests caught).
-    if len(points):
-        owner_lists: dict[Cell, list[int]] = {cell: [] for cell in owned_cells}
-        for i in np.flatnonzero(~core_mask):
-            cell = (int(cells[i, 0]), int(cells[i, 1]))
-            if cell in owned_cells:
-                owner_lists[cell].append(int(points.ids[i]))
-        summary.owner_noncore_ids = {
-            cell: np.asarray(sorted(ids), dtype=np.int64)
-            for cell, ids in owner_lists.items()
-        }
+    # One row per (cluster, member): the cluster's cores, then its claims.
+    cores = np.flatnonzero(core_mask & (labels != NOISE))
+    claim_labels, claim_points = _noncore_claims(coords, labels, core_mask, eps)
+    point = np.concatenate((cores, claim_points))
+    label = np.concatenate((labels[cores], claim_labels))
+    is_claim = np.arange(len(point)) >= len(cores)
+    cx, cy = cells[point, 0], cells[point, 1]
 
-    claims = _noncore_claims(points, labels, core_mask, eps)
+    # Sort by (cluster, cell), cores before claims, then point index: runs
+    # of equal (cluster, cell) are the CellSummary segments, in the order
+    # the dicts list them.  Repeated claims land next to each other.
+    order = np.lexsort((point, is_claim, cy, cx, label))
+    order = order[_run_starts(label[order], point[order])]
+    point, label, is_claim, cx, cy = (
+        rows[order] for rows in (point, label, is_claim, cx, cy)
+    )
+    seg_starts = _run_starts(label, cx, cy)
+    n_segs = len(seg_starts)
+    segment = np.cumsum(np.bincount(seg_starts, minlength=len(point))) - 1
 
-    # Per-cluster, per-cell summaries.
-    for lab in np.unique(labels[labels != NOISE]):
-        lab = int(lab)
-        core_members = np.flatnonzero((labels == lab) & core_mask)
-        noncore_members = np.asarray(claims.get(lab, []), dtype=np.int64)
-        member_idx = np.concatenate([core_members, noncore_members])
-        key: ClusterKey = (leaf_id, lab)
-        cluster = ClusterSummary(key=key)
-        member_cells = cells[member_idx]
-        order = np.lexsort((member_cells[:, 1], member_cells[:, 0]))
-        sorted_idx = member_idx[order]
-        sc = member_cells[order]
-        change = np.empty(len(sc), dtype=bool)
-        change[0] = True
-        change[1:] = np.any(sc[1:] != sc[:-1], axis=1)
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(sc))
-        for (cx, cy), s, e in zip(sc[starts], starts, ends):
-            cell = (int(cx), int(cy))
-            idx = sorted_idx[s:e]
-            core_idx = idx[core_mask[idx]]
-            nc_idx2 = idx[~core_mask[idx]]
-            if len(core_idx):
-                rel = select_representatives(
-                    points.coords[core_idx], cell_bounds(cell, eps)
-                )
-                rep_idx = core_idx[rel]
-            else:
-                rep_idx = np.empty(0, dtype=np.int64)
-            cluster.cells[cell] = CellSummary(
-                rep_ids=points.ids[rep_idx].copy(),
-                rep_coords=points.coords[rep_idx].copy(),
-                noncore_ids=points.ids[nc_idx2].copy(),
-                noncore_coords=points.coords[nc_idx2].copy(),
-            )
-        summary.clusters[key] = cluster
+    # Representatives of every segment that has a core point.  Within a
+    # segment rows ascend by point index, so "lowest row wins ties" is the
+    # per-cell argmin's "lowest index wins".
+    core_rows = np.flatnonzero(~is_claim)
+    rep_starts = _run_starts(segment[core_rows])
+    first = core_rows[rep_starts]
+    rep_cells = np.stack((cx[first], cy[first]), axis=1)
+    bounds = np.concatenate((rep_cells * eps, (rep_cells + 1) * eps), axis=1)
+    chosen = select_representatives_batch(coords[point[core_rows]], rep_starts, bounds)
+    is_rep = np.zeros(len(core_rows), dtype=bool)
+    is_rep[chosen.ravel()] = True
+    rep_rows = core_rows[is_rep]
+    claim_rows = np.flatnonzero(is_claim)
+
+    # CellSummary fields are slices of four flat arrays, cut at the
+    # per-segment counts.
+    rep_ids, rep_coords = ids[point[rep_rows]], coords[point[rep_rows]]
+    claim_ids, claim_coords = ids[point[claim_rows]], coords[point[claim_rows]]
+    rep_ends = np.cumsum(np.bincount(segment[rep_rows], minlength=n_segs)).tolist()
+    claim_ends = np.cumsum(np.bincount(segment[claim_rows], minlength=n_segs)).tolist()
+    seg_labels = label[seg_starts].tolist()
+    seg_cells = zip(cx[seg_starts].tolist(), cy[seg_starts].tolist())
+    cluster = None
+    r0 = c0 = 0
+    for lab, cell, r1, c1 in zip(seg_labels, seg_cells, rep_ends, claim_ends):
+        if cluster is None or cluster.key[1] != lab:
+            cluster = ClusterSummary(key=(leaf_id, lab))
+            summary.clusters[cluster.key] = cluster
+        cluster.cells[cell] = CellSummary(
+            rep_ids=rep_ids[r0:r1],
+            rep_coords=rep_coords[r0:r1],
+            noncore_ids=claim_ids[c0:c1],
+            noncore_coords=claim_coords[c0:c1],
+        )
+        r0, c0 = r1, c1
     return summary

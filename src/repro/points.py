@@ -147,8 +147,15 @@ class PointSet:
         return self.nbytes()
 
     def validate_unique_ids(self) -> None:
-        """Raise :class:`FormatError` if any point ID repeats."""
-        if len(self) != len(np.unique(self.ids)):
+        """Raise :class:`FormatError` if any point ID repeats.
+
+        Strictly increasing ids (every generated set: an ``arange``) are
+        unique by one linear pass; anything else is sorted and compared.
+        """
+        ids = self.ids
+        if np.all(ids[1:] > ids[:-1]):
+            return
+        if len(ids) != len(np.unique(ids)):
             raise FormatError("point IDs are not unique")
 
     def finite_mask(self) -> np.ndarray:

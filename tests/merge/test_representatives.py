@@ -11,6 +11,7 @@ from repro.merge.representatives import (
     N_REPRESENTATIVES,
     representative_targets,
     select_representatives,
+    select_representatives_batch,
 )
 
 
@@ -83,6 +84,40 @@ def test_property_fig5_lemma(data, eps, n_a, n_b):
         + (rep_a[:, 1][:, None] - rep_b[:, 1][None, :]) ** 2
     )
     assert np.min(d2) <= eps * eps + 1e-9, "Fig 5 lemma violated"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+    eps=st.sampled_from([0.5, 0.3, 1e-3, 7.0]),
+    lattice=st.booleans(),
+)
+def test_property_batch_equals_scalar_per_segment(seed, sizes, eps, lattice):
+    """All segments in eight passes pick exactly what one call per cell
+    picks — ties (common on the lattice draws) included."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(-4, 5, size=(len(sizes), 2))
+    bounds = np.concatenate((cells * eps, (cells + 1) * eps), axis=1)
+    unit = rng.integers(0, 5, size=(sum(sizes), 2)) / 4 if lattice else rng.random((sum(sizes), 2))
+    coords = (np.repeat(cells, sizes, axis=0) + unit) * eps
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    chosen = select_representatives_batch(coords, starts, bounds)
+    assert chosen.shape == (len(sizes), N_REPRESENTATIVES) and chosen.dtype == np.int64
+    for row, s, size, b in zip(chosen, starts, sizes, bounds):
+        want = select_representatives(coords[s : s + size], tuple(b))
+        assert np.array_equal(np.unique(row) - s, want)
+
+
+def test_batch_selection_degenerate_inputs():
+    none = select_representatives_batch(np.empty((0, 2)), [], np.empty((0, 4)))
+    assert none.shape == (0, N_REPRESENTATIVES)
+    with pytest.raises(MergeError):
+        select_representatives_batch(np.zeros((3, 3)), [0], [(0, 0, 1, 1)])
+    with pytest.raises(MergeError):  # an empty segment has no nearest point
+        select_representatives_batch(np.zeros((3, 2)), [0, 2, 2], [(0, 0, 1, 1)] * 3)
+    with pytest.raises(MergeError):
+        select_representatives_batch(np.zeros((3, 2)), [0, 2], [(0, 0, 1, 1)])
 
 
 @settings(max_examples=60, deadline=None)

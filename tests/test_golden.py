@@ -8,6 +8,8 @@ retune), update the constants deliberately — the diff is the review.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,44 @@ def test_sdss_clustering_golden():
     res = mrscan(pts, 0.00015, 5, n_leaves=4)
     assert res.n_clusters == 679
     assert res.n_noise == 428
+
+
+# Output contract of the whole pipeline, pinned at the commit before the
+# leaf summary became segment passes (and `_csr_counts` began dropping
+# all-box row cells): byte-level labels and core masks, the bytes the
+# leaf summaries put on the merge tree, and each leaf's modelled ops.
+_CONTRACT = {
+    "twitter": dict(
+        make=lambda: generate_twitter(12_000, seed=2013), eps=0.1, minpts=10, n_leaves=6,
+        labels="bdf8f74d1931b260559166f916de7f19246801c8",
+        core_mask="2fe0103820baa09423e9f96117cd3b89ca5e508d",
+        merge_bytes=293944,
+        leaf_ops=[
+            (35573, 38104), (30626, 27098), (34526, 27942),
+            (36591, 40449), (38858, 48571), (39239, 45072),
+        ],
+    ),
+    "sdss": dict(
+        make=lambda: generate_sdss(8_000, seed=2013), eps=0.00015, minpts=5, n_leaves=4,
+        labels="027e2b83b2245fa8c56394d05398d066faf2fa04",
+        core_mask="2e84f6a317319a0a0eb69820cd038c536a4bcc1e",
+        merge_bytes=216096,
+        leaf_ops=[(9841, 32065), (9818, 33219), (9916, 39239), (9789, 35005)],
+    ),
+}
+
+
+@pytest.mark.parametrize("transport", ["local", "shm"])
+@pytest.mark.parametrize("fixture", sorted(_CONTRACT))
+def test_pipeline_output_contract_golden(fixture, transport):
+    """Over ``shm`` the summaries come back pickled from worker processes,
+    so this also holds their sliced arrays to the same bytes on the wire."""
+    want = _CONTRACT[fixture]
+    res = mrscan(
+        want["make"](), want["eps"], want["minpts"], n_leaves=want["n_leaves"],
+        transport=transport, transport_workers=2,
+    )
+    assert hashlib.sha1(res.labels.tobytes()).hexdigest() == want["labels"]
+    assert hashlib.sha1(res.core_mask.tobytes()).hexdigest() == want["core_mask"]
+    assert res.network_traces["merge_reduce"].total_bytes == want["merge_bytes"]
+    assert [(s.pass1_ops, s.pass2_ops) for s in res.gpu_stats] == want["leaf_ops"]

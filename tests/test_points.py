@@ -124,6 +124,27 @@ def test_validate_unique_ids():
     PointSet.from_coords(np.zeros((4, 2))).validate_unique_ids()
 
 
+@pytest.mark.parametrize(
+    "ids, unique",
+    [
+        (np.arange(1000), True),  # sorted: the linear fast path
+        (np.arange(1000)[::-1], True),  # unique but not increasing: fallback
+        (np.random.default_rng(0).permutation(1000), True),
+        (np.array([0, 1, 2, 2, 3]), False),  # sorted with an adjacent repeat
+        (np.array([5, 3, 9, 3]), False),  # repeat only the fallback can see
+        (np.array([7]), True),
+        (np.empty(0, dtype=np.int64), True),
+    ],
+)
+def test_validate_unique_ids_sorted_shuffled_duplicated(ids, unique):
+    ps = PointSet(ids=ids, coords=np.zeros((len(ids), 2)))
+    if unique:
+        ps.validate_unique_ids()
+    else:
+        with pytest.raises(FormatError, match="not unique"):
+            ps.validate_unique_ids()
+
+
 def test_noise_constant_is_negative():
     assert NOISE == -1
 

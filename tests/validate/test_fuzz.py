@@ -186,7 +186,11 @@ def test_harness_catches_representative_selection_defect(monkeypatch, tmp_path):
     # The seeded bug is a driver-process monkeypatch; a process-based
     # transport would run the leaves (unpatched) in workers: pin local.
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    monkeypatch.setattr(summary_mod, "select_representatives", no_reps)
+    monkeypatch.setattr(
+        summary_mod,
+        "select_representatives_batch",
+        lambda coords, starts, bounds: np.empty((len(starts), 0), dtype=np.int64),
+    )
     monkeypatch.setattr(merger_mod, "select_representatives", no_reps)
 
     case = FuzzCase(

@@ -94,12 +94,12 @@ def test_injected_representative_defect_is_caught(blobs_with_noise, monkeypatch)
     # Injected-defect tests patch driver-process collaborators, which a
     # process-based transport would run (unpatched) in workers: pin local.
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    real = summary_mod.select_representatives
+    real = summary_mod.select_representatives_batch
 
-    def truncated(coords, bounds):
-        return real(coords, bounds)[:1]
+    def truncated(coords, starts, bounds):
+        return real(coords, starts, bounds)[:, :1]
 
-    monkeypatch.setattr(summary_mod, "select_representatives", truncated)
+    monkeypatch.setattr(summary_mod, "select_representatives_batch", truncated)
     with pytest.raises(ValidationError) as exc_info:
         run_pipeline(blobs_with_noise, _config(validate="full"))
     invariants = {v.invariant for v in exc_info.value.violations}
@@ -151,11 +151,11 @@ def test_cheap_level_skips_expensive_checker(blobs_with_noise, monkeypatch):
     from repro.merge import summary as summary_mod
 
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    real = summary_mod.select_representatives
+    real = summary_mod.select_representatives_batch
     monkeypatch.setattr(
         summary_mod,
-        "select_representatives",
-        lambda coords, bounds: real(coords, bounds)[:1],
+        "select_representatives_batch",
+        lambda coords, starts, bounds: real(coords, starts, bounds)[:, :1],
     )
     result = run_pipeline(blobs_with_noise, _config(validate="cheap"))
     assert result.validation.ok  # bound (≤8) still holds; coverage not run
