@@ -62,7 +62,7 @@ class PhaseCheckpointStore:
     def save(self, phase: str, payload: Any) -> Path:
         """Persist one phase's payload atomically; returns the data path."""
         self._check_phase(phase)
-        blob = pickle.dumps(payload)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data_path = self._data_path(phase)
         tmp = data_path.with_suffix(f".tmp.{os.getpid()}")
         try:

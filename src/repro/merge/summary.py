@@ -111,6 +111,115 @@ class LeafSummary:
         total += sum(a.nbytes for a in self.owner_noncore_ids.values())
         return total + 64
 
+    def __reduce__(self):
+        """Pickle as sixteen flat columns, not as an object graph.
+
+        Every process boundary a summary crosses (pool pickles, tcp
+        frames, checkpoint blobs) comes through here.  Rows follow the
+        dict orders; a leaf cluster's constituents are just its own key,
+        so only merged clusters ship theirs, sorted.  Blobs written before
+        this layout existed are plain dataclass state and load without
+        :func:`_unpack_summary` (DESIGN.md §2b).
+        """
+        clusters = list(self.clusters.values())
+        cells = [cs for c in clusters for cs in c.cells.values()]
+        constituents = [
+            sorted(c.constituents) if c.constituents != {c.key} else [] for c in clusters
+        ]
+        owner_ids = list(self.owner_noncore_ids.values())
+        no_ids, no_coords = np.empty(0, dtype=np.int64), np.empty((0, 2))
+        columns = (
+            self.eps,
+            tuple(sorted(self.source_leaves)),
+            _pairs([c.key for c in clusters]),
+            _counts([c.cells for c in clusters]),
+            _counts(constituents),
+            _pairs([key for keys in constituents for key in keys]),
+            _pairs([cell for c in clusters for cell in c.cells]),
+            _counts([cs.rep_ids for cs in cells]),
+            _counts([cs.noncore_ids for cs in cells]),
+            _concat([cs.rep_ids for cs in cells], no_ids),
+            _concat([cs.rep_coords for cs in cells], no_coords),
+            _concat([cs.noncore_ids for cs in cells], no_ids),
+            _concat([cs.noncore_coords for cs in cells], no_coords),
+            _pairs(list(self.owner_noncore_ids)),
+            _counts(owner_ids),
+            _concat(owner_ids, no_ids),
+        )
+        return _unpack_summary, (columns,)
+
+
+def _pairs(rows: list[tuple[int, int]]) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _counts(items: list) -> np.ndarray:
+    return np.array([len(item) for item in items], dtype=np.int64)
+
+
+def _concat(arrays: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else empty
+
+
+def _ends(counts: np.ndarray, *columns: np.ndarray) -> list[int]:
+    """End offsets of the slices ``counts`` cuts each of ``columns`` into."""
+    total = int(counts.sum())
+    if (counts < 0).any() or any(len(column) != total for column in columns):
+        raise MergeError(
+            f"summary columns disagree: counts cover {total} rows, the columns "
+            f"they cut have {[len(column) for column in columns]}"
+        )
+    return np.cumsum(counts).tolist()
+
+
+def _unpack_summary(columns: tuple) -> LeafSummary:
+    """Rebuild the summary :meth:`LeafSummary.__reduce__` flattened.
+
+    The inverse, field for field: dict orders, plain-int tuple keys,
+    dtypes, ``(0,)`` / ``(0, 2)`` empties, every array again a slice of
+    its flat column.  The columns' lengths are checked against each other
+    first, so a damaged blob is a :class:`MergeError` here and not an
+    ``IndexError`` deep inside the merge.
+    """
+    if len(columns) != 16:
+        raise MergeError(f"summary has {len(columns)} columns, expected 16")
+    (
+        eps, source_leaves, keys, n_cells, n_constituents, constituent_keys,
+        cell_xy, n_rep, n_noncore, rep_ids, rep_coords, noncore_ids, noncore_coords,
+        owner_cells, owner_lens, owner_ids,
+    ) = columns
+    if not len(keys) == len(n_cells) == len(n_constituents):
+        raise MergeError("summary columns disagree on the number of clusters")
+    if len(owner_cells) != len(owner_lens):
+        raise MergeError("summary columns disagree on the number of owned cells")
+    cell_ends = _ends(n_cells, cell_xy, n_rep, n_noncore)
+    constituent_ends = _ends(n_constituents, constituent_keys)
+    rep_ends = _ends(n_rep, rep_ids, rep_coords)
+    noncore_ends = _ends(n_noncore, noncore_ids, noncore_coords)
+    owner_ends = _ends(owner_lens, owner_ids)
+
+    summary = LeafSummary(eps=eps, source_leaves=frozenset(source_leaves))
+    cells = list(map(tuple, cell_xy.tolist()))
+    constituent_keys = list(map(tuple, constituent_keys.tolist()))
+    i0 = k0 = r0 = c0 = 0
+    for key, i1, k1 in zip(map(tuple, keys.tolist()), cell_ends, constituent_ends):
+        cluster = ClusterSummary(key=key, constituents=frozenset(constituent_keys[k0:k1]))
+        for cell, r1, c1 in zip(cells[i0:i1], rep_ends[i0:i1], noncore_ends[i0:i1]):
+            cluster.cells[cell] = CellSummary(
+                rep_ids=rep_ids[r0:r1],
+                rep_coords=rep_coords[r0:r1],
+                noncore_ids=noncore_ids[c0:c1],
+                noncore_coords=noncore_coords[c0:c1],
+            )
+            r0, c0 = r1, c1
+        summary.clusters[key] = cluster
+        i0, k0 = i1, k1
+    o0 = 0
+    for cell, o1 in zip(map(tuple, owner_cells.tolist()), owner_ends):
+        summary.owner_noncore_ids[cell] = owner_ids[o0:o1]
+        o0 = o1
+    return summary
+
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
     """Start offsets of the runs of equal ``keys`` tuples in sorted rows."""

@@ -72,7 +72,8 @@ logger = logging.getLogger(__name__)
 #: cooperative (and more informative) timeout itself.
 TIMEOUT_GRACE = 0.25
 
-#: Seconds between result-handle polls in the healing batch loop.
+#: Longest the healing batch loop waits on a result handle between its
+#: worker-death, deadline and cancel checks.
 POOL_POLL_SECONDS = 0.02
 
 #: Pool deaths a task may witness while outstanding before it is presumed
@@ -316,7 +317,10 @@ def run_batch_healing(
             transport._abandoned = True
             break
         if not progressed:
-            time.sleep(POOL_POLL_SECONDS)
+            # Sleep on the oldest handle, not on the clock: the batch
+            # returns when its last result lands, and the timeout keeps
+            # the checks above on their cadence when nothing does.
+            pending[min(pending)].wait(POOL_POLL_SECONDS)
     return results
 
 

@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, MergeError
 
 __all__ = ["CheckpointedLeaf", "LeafCheckpointStore", "CORRUPT_CHECKPOINT_ERRORS"]
 
@@ -46,7 +46,9 @@ logger = logging.getLogger(__name__)
 #: on a torn npz raises :class:`zipfile.BadZipFile` (npz *is* a zip) or
 #: ``EOFError``, and a damaged pickle blob raises ``UnpicklingError`` —
 #: none of which are ``OSError``/``ValueError``, so the obvious catch
-#: tuple lets corruption escape as a crash instead of a cache miss.
+#: tuple lets corruption escape as a crash instead of a cache miss.  A
+#: blob that unpickles into summary columns of inconsistent lengths
+#: raises :class:`~repro.errors.MergeError` (``merge.summary``).
 CORRUPT_CHECKPOINT_ERRORS: tuple[type[BaseException], ...] = (
     OSError,
     ValueError,
@@ -55,6 +57,7 @@ CORRUPT_CHECKPOINT_ERRORS: tuple[type[BaseException], ...] = (
     json.JSONDecodeError,
     zipfile.BadZipFile,
     pickle.UnpicklingError,
+    MergeError,
 )
 
 
@@ -127,7 +130,9 @@ class LeafCheckpointStore:
         later run under a different engine refuses to replay it (see
         :meth:`load`).
         """
-        blob = pickle.dumps({"summary": summary, "stats": stats})
+        blob = pickle.dumps(
+            {"summary": summary, "stats": stats}, protocol=pickle.HIGHEST_PROTOCOL
+        )
         data_path = self._data_path(leaf_id)
         meta_path = self._meta_path(leaf_id)
         tmp = data_path.with_suffix(f".tmp.{os.getpid()}")

@@ -15,10 +15,11 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.core import mrscan
-from repro.durability import replay_journal
-from repro.errors import DurabilityError, ValidationError
+from repro.durability import PhaseCheckpointStore, replay_journal
+from repro.errors import CheckpointError, DurabilityError, ValidationError
+from repro.merge.summary import LeafSummary, _unpack_summary
 from repro.points import PointSet
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience import FaultPlan, FaultSpec, LeafCheckpointStore
 from repro.validate import assert_resume_equivalent
 
 
@@ -293,3 +294,105 @@ def test_assert_resume_equivalent_rejects_divergence(tmp_path):
     c.labels[0] = 10_000
     with pytest.raises(ValidationError):
         assert_resume_equivalent(a, c)
+
+
+# --------------------------------------------------------------------- #
+# The summary's two pickle layouts (DESIGN.md §2b, "On the wire"): blobs
+# from before ``LeafSummary`` pickled as flat columns are object graphs
+# and must keep resuming to the same bytes; a columnar blob whose columns
+# disagree is a miss that recomputes, never an ``IndexError`` out of the
+# merge.
+# --------------------------------------------------------------------- #
+
+
+def _crash_in(monkeypatch, name, points, run_dir):
+    """A durable run whose driver dies entering pipeline function ``name``."""
+
+    def boom(*args, **kwargs):
+        raise RuntimeError(f"injected driver crash in {name}")
+
+    with monkeypatch.context() as crash:
+        crash.setattr(pipeline_mod, name, boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            _run(points, run_dir=run_dir)
+
+
+class _DamagedSummary:
+    """Pickles as ``summary`` with the last representative id missing."""
+
+    def __init__(self, summary: LeafSummary) -> None:
+        (columns,) = summary.__reduce__()[1]
+        self.columns = (*columns[:9], columns[9][:-1], *columns[10:])
+
+    def __reduce__(self):
+        return _unpack_summary, (self.columns,)
+
+
+def test_run_dir_in_the_old_layout_resumes_byte_identically(tmp_path, monkeypatch):
+    """With ``__reduce__`` gone, ``object.__reduce_ex__`` writes what the
+    commit before the columnar layout wrote: leaf checkpoints and the
+    merge checkpoint as object graphs.  Both restore under the new code."""
+    points = _points()
+    baseline = _run(points)
+    with monkeypatch.context() as legacy:
+        legacy.delattr(LeafSummary, "__reduce__")
+        _crash_in(monkeypatch, "sweep_leaf", points, tmp_path)
+    ckpt = tmp_path / "checkpoints"
+    assert b"_unpack_summary" not in (ckpt / "merge.bin").read_bytes()
+    assert b"CellSummary" in (ckpt / "merge.bin").read_bytes()
+    leaf = LeafCheckpointStore(ckpt / "leaves").load(0)
+    assert isinstance(leaf.summary, LeafSummary) and leaf.summary.n_clusters
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert set(resumed.phases_restored) == {"partition", "merge"}
+    assert resumed.checkpoint_hits == LEAVES
+    assert_resume_equivalent(baseline, resumed)
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
+
+
+def test_old_layout_leaf_checkpoints_feed_the_merge(tmp_path, monkeypatch):
+    points = _points()
+    baseline = _run(points)
+    with monkeypatch.context() as legacy:
+        legacy.delattr(LeafSummary, "__reduce__")
+        _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]
+    assert resumed.checkpoint_hits == LEAVES
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+
+
+def test_leaf_checkpoint_with_inconsistent_columns_is_a_miss(tmp_path, monkeypatch):
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+    store = LeafCheckpointStore(tmp_path / "checkpoints" / "leaves")
+    good = store.load(1)
+    store.save(
+        1, labels=good.labels, core_mask=good.core_mask, n_owned=good.n_owned,
+        summary=_DamagedSummary(good.summary), stats=good.stats, engine=good.engine,
+    )
+    with pytest.raises(CheckpointError, match="columns disagree"):
+        store.load(1)  # the digest is fine: only the columns are not
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.checkpoint_hits == LEAVES - 1  # leaf 1 re-clustered
+    assert_resume_equivalent(baseline, resumed)
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+
+
+def test_merge_checkpoint_with_inconsistent_columns_reruns_the_merge(tmp_path, monkeypatch):
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "sweep_leaf", points, tmp_path)
+    phases = PhaseCheckpointStore(tmp_path / "checkpoints")
+    root_summary, assignment = phases.load("merge")
+    phases.save("merge", (_DamagedSummary(root_summary), assignment))
+    with pytest.raises(CheckpointError, match="columns disagree"):
+        phases.load("merge")
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]  # merge re-ran
+    assert_resume_equivalent(baseline, resumed)
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()

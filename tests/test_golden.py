@@ -84,11 +84,12 @@ _CONTRACT = {
 }
 
 
-@pytest.mark.parametrize("transport", ["local", "shm"])
+@pytest.mark.parametrize("transport", ["local", "process", "shm", "tcp"])
 @pytest.mark.parametrize("fixture", sorted(_CONTRACT))
 def test_pipeline_output_contract_golden(fixture, transport):
-    """Over ``shm`` the summaries come back pickled from worker processes,
-    so this also holds their sliced arrays to the same bytes on the wire."""
+    """Every transport but ``local`` pickles the summaries — back from the
+    leaf tasks, out to the reduce task, back merged — so this also holds
+    their columnar wire form to the same bytes."""
     want = _CONTRACT[fixture]
     res = mrscan(
         want["make"](), want["eps"], want["minpts"], n_leaves=want["n_leaves"],
