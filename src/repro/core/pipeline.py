@@ -179,6 +179,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             algorithm=cfg.leaf_algorithm,
             n_points=len(view),
         ) as leaf_span:
+            eps_tree = None  # the csr engine's Eps-cell tree, when it built one
             if cfg.leaf_algorithm == "cuda-dclust":
                 from ..gpu.cuda_dclust import cuda_dclust
                 from ..gpu.mrscan_gpu import MrScanGPUStats
@@ -225,10 +226,11 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                             tid=task.leaf_id,
                             memory_chunks=chunks,
                         )
-                labels, core_mask, stats = (
+                labels, core_mask, stats, eps_tree = (
                     result.labels,
                     result.core_mask,
                     result.stats,
+                    result.tree,
                 )
             leaf_span.set(
                 n_core=stats.n_core,
@@ -245,6 +247,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                 core_mask,
                 cfg.eps,
                 set(task.owned_cells),
+                tree=eps_tree,
             )
     finally:
         # Never leak device allocations, whatever path exits the leaf —

@@ -4,8 +4,8 @@ The paper's strong-scaling experiment starts "at the number of leaf nodes
 that had sufficient memory to support their partition size" (§4) — 256
 leaves for 6.5 B points on 6 GB K20s.  These helpers answer the same
 question for the simulated device, using the same allocation layout
-:func:`repro.gpu.mrscan_gpu` actually makes (input coordinates, region
-KD-tree nodes, per-point state), so a plan that passes here will not trip
+:func:`repro.gpu.mrscan_gpu` actually makes (input coordinates, box-tree
+nodes, per-point state), so a plan that passes here will not trip
 :class:`repro.errors.DeviceMemoryError` at run time.
 """
 
@@ -19,7 +19,9 @@ from ..gpu.device import DeviceConfig
 __all__ = ["leaf_memory_bytes", "minimum_leaves"]
 
 #: Device bytes per resident point: 16 (coords) + 17 (labels/flags/queue
-#: state) + ~6 (KD-tree nodes amortised at leaf_size >= 16).
+#: state) + ~6 for the dense-box tree (32 per node of every level; data
+#: with many points per eps/√2 cell stays under that, sparse data on a
+#: deep tree — one point per cell, SDSS-like — can reach several times it).
 BYTES_PER_POINT: float = 39.0
 
 

@@ -3,16 +3,15 @@
 The paper's GPU algorithm uses "a modified KD-tree [where] a leaf
 represents a region of points instead of a single point" (§3.2.1): neighbor
 search only has to test the points of the leaves intersecting the query
-disk, and the same space subdivision feeds the dense-box optimization
-(§3.2.3), which marks every point of a sufficiently small, sufficiently
-populated subdivision as cluster members without expansion.
+disk.  It serves the CUDA-DClust baseline (:mod:`repro.gpu.cuda_dclust`);
+Mr. Scan's own leaf path, dense box included, runs on
+:class:`repro.gpu.treeindex.FlatTree`.
 
 The tree recursively halves the wider dimension at the median until a node
 holds at most ``leaf_size`` points (or ``max_depth`` is hit, which guards
 against pathological duplicate-heavy inputs).  Node *regions* are the
 axis-aligned boxes induced by the splitting planes, so sibling regions tile
-their parent exactly — the property dense box needs to mark disjoint
-subsets.
+their parent exactly.
 """
 
 from __future__ import annotations
@@ -55,18 +54,6 @@ class KDNode:
     def n_points(self) -> int:
         return self.end - self.start
 
-    @property
-    def dims(self) -> tuple[float, float]:
-        """(width, height) of the node region."""
-        xmin, ymin, xmax, ymax = self.bounds
-        return (xmax - xmin, ymax - ymin)
-
-    @property
-    def max_dim(self) -> float:
-        """The paper's "dimension size": the larger region edge."""
-        w, h = self.dims
-        return max(w, h)
-
 
 class RegionKDTree:
     """Region KD-tree over a :class:`PointSet`.
@@ -77,10 +64,6 @@ class RegionKDTree:
         Split nodes holding more points than this.
     max_depth:
         Hard depth cap (duplicate-point safety valve).
-    min_dim:
-        Stop splitting once the region's larger edge is at or below this —
-        the dense-box granularity knob; pass ``eps / (2 * sqrt(2))`` to
-        stop exactly at dense-box scale, or 0.0 to split purely by count.
     """
 
     def __init__(
@@ -89,7 +72,6 @@ class RegionKDTree:
         *,
         leaf_size: int = 64,
         max_depth: int = 40,
-        min_dim: float = 0.0,
     ) -> None:
         if leaf_size < 1:
             raise ConfigError("leaf_size must be >= 1")
@@ -98,7 +80,6 @@ class RegionKDTree:
         self.points = points
         self.leaf_size = int(leaf_size)
         self.max_depth = int(max_depth)
-        self.min_dim = float(min_dim)
         n = len(points)
         self.perm = np.arange(n, dtype=np.int64)
         self.nodes: list[KDNode] = []
@@ -119,12 +100,7 @@ class RegionKDTree:
         node_id = len(self.nodes)
         xmin, ymin, xmax, ymax = bounds
         count = end - start
-        splittable = (
-            count > self.leaf_size
-            and depth < self.max_depth
-            and max(xmax - xmin, ymax - ymin) > self.min_dim
-        )
-        if not splittable:
+        if count <= self.leaf_size or depth >= self.max_depth:
             self.nodes.append(
                 KDNode(node_id=node_id, start=start, end=end, bounds=bounds, depth=depth)
             )
@@ -143,8 +119,8 @@ class RegionKDTree:
         lo = xmin if dim == 0 else ymin
         hi = xmax if dim == 0 else ymax
         if not (lo < split_val < hi):
-            # Degenerate split (all values equal): fall back to bisecting
-            # the region so min_dim can still terminate the recursion.
+            # Degenerate split (the median sits on the region's edge):
+            # fall back to bisecting the region.
             split_val = 0.5 * (lo + hi)
             side = self.points.coords[self.perm[start:end], dim] < split_val
             order = np.argsort(~side, kind="stable")

@@ -18,6 +18,10 @@ disagree.  Execution knobs — transport, telemetry, validation level,
 retry budgets, fault plans — are deliberately *outside* the fingerprint:
 resuming a crashed ``local`` run under ``--transport shm`` (or with a
 different fault plan) is legal because none of them can change labels.
+A run with dense box on also records which detector labelled it
+(``densebox_detector``): checkpoints written under another detector — or
+before detectors were recorded — are refused by name rather than spliced
+into this build's labels.
 
 Resume state machine
 --------------------
@@ -51,6 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
+from ..gpu.densebox import DENSEBOX_DETECTOR
 from ..points import PointSet
 from .checkpoints import PhaseCheckpointStore
 from .journal import RunJournal
@@ -198,6 +203,13 @@ class RunDirectory:
                     f"cannot resume {self.path}: dataset fingerprint "
                     "mismatch (different input points)"
                 )
+            detector = begin.payload.get("densebox_detector", "kd-tree")
+            if config.use_densebox and detector != DENSEBOX_DETECTOR:
+                raise DurabilityError(
+                    f"cannot resume {self.path}: its checkpoints were labelled "
+                    f"with dense-box detector {detector!r}, this build's is "
+                    f"{DENSEBOX_DETECTOR!r}; rerun without --resume"
+                )
             self.journal.append("resume_begin", {"n_prior_records": len(self.journal)})
             state.partition_restorable = self.journal.has("partition_done") and (
                 self.phases.has("partition")
@@ -235,6 +247,7 @@ class RunDirectory:
                     "transport": config.resolved_transport(),
                     "transport_workers": config.transport_workers,
                     "cluster_engine": config.resolved_cluster_engine(),
+                    "densebox_detector": DENSEBOX_DETECTOR if config.use_densebox else None,
                     "n_leaves": config.n_leaves,
                     "fanout": config.fanout,
                 },

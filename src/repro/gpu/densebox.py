@@ -7,10 +7,12 @@ members of a cluster" — a box of edge ``eps/√2`` has diagonal exactly
 MinPts of them, every one is a core point and they all belong to one
 cluster, *without expanding any of them individually*.
 
-Detection reuses the existing KD-tree subdivision of the point space
-(worst-case O(l) in the number of subdivisions l, as the paper states):
-a leaf qualifies when its region's larger edge is at most ``eps/√2`` and it
-holds at least MinPts points.
+The sub-divisions are the leaf boxes of a :class:`FlatTree` with cells of
+edge ``eps/√2`` in the global frame (``floor(coord / (eps/√2))``, anchored
+like every other index of the leaf): a box is dense when its point count
+reaches MinPts, which is one comparison on the tree's ``level_count``.  The
+box set is therefore a function of the points and Eps alone — the boxes of
+a subset of the points are a subset of the boxes of the whole.
 """
 
 from __future__ import annotations
@@ -19,11 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dbscan.kdtree import RegionKDTree
 from ..errors import ConfigError
 from ..points import PointSet
+from .treeindex import FlatTree
 
-__all__ = ["DENSEBOX_EDGE_FACTOR", "DenseBoxResult", "densebox_edge", "find_dense_boxes", "build_densebox_tree"]
+__all__ = [
+    "DENSEBOX_DETECTOR",
+    "DENSEBOX_EDGE_FACTOR",
+    "DenseBoxResult",
+    "densebox_edge",
+    "find_dense_boxes",
+    "build_densebox_tree",
+]
+
+#: Names the rule that decides box membership.  Run directories record it:
+#: labels depend on it, so checkpoints from another detector must not be
+#: resumed into this one.  Change it whenever the box set can change.
+DENSEBOX_DETECTOR: str = "global-grid"
 
 #: Maximum box edge as a multiple of eps: 2eps/(2*sqrt(2)) = eps/sqrt(2).
 DENSEBOX_EDGE_FACTOR: float = 1.0 / np.sqrt(2.0)
@@ -60,34 +74,10 @@ class DenseBoxResult:
         return np.flatnonzero(self.box_id == box)
 
 
-def build_densebox_tree(
-    points: PointSet, eps: float, minpts: int = 16, *, leaf_size: int | None = None
-) -> RegionKDTree:
-    """Build the KD-tree whose subdivisions the dense-box pass scans.
-
-    Two knobs make dense regions actually reach qualifying scale:
-
-    * ``leaf_size`` defaults to ``max(minpts, 16)`` — a region keeps
-      splitting while it still holds enough points to qualify as a dense
-      box, so populous areas are driven down to box scale instead of
-      stopping at an arbitrary count;
-    * ``min_dim`` is half the qualifying edge, so splitting stops only
-      once the larger region edge is at or below ``eps/(2·√2)``; leaves in
-      dense areas therefore end up with edges in
-      ``(eps/(2·√2), eps/√2]`` — inside the qualifying window.
-    """
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    if minpts < 1:
-        raise ConfigError(f"minpts must be >= 1, got {minpts}")
-    if leaf_size is None:
-        leaf_size = max(minpts, 16)
-    return RegionKDTree(
-        points,
-        leaf_size=leaf_size,
-        min_dim=densebox_edge(eps) / 2.0,
-        max_depth=64,
-    )
+def build_densebox_tree(points: PointSet, eps: float, minpts: int = 16) -> FlatTree:
+    """Build the tree whose leaf boxes the dense-box pass scans (the same
+    for every ``minpts``; a non-positive ``eps`` is a ``ConfigError``)."""
+    return FlatTree(points.coords, densebox_edge(eps))
 
 
 def find_dense_boxes(
@@ -95,25 +85,31 @@ def find_dense_boxes(
     eps: float,
     minpts: int,
     *,
-    tree: RegionKDTree | None = None,
+    tree: FlatTree | None = None,
 ) -> DenseBoxResult:
-    """Mark every qualifying KD-tree subdivision as a dense box.
+    """Mark every leaf box holding at least MinPts points as a dense box.
 
-    Complexity is O(l) over the tree's leaves; each qualifying leaf's
-    members get a fresh box id.  Pass ``tree`` to reuse the subdivision an
-    earlier step already built (the GPU algorithm shares one tree between
-    neighbor search and dense box, as CUDA-DClust's design intends).
+    "Every pair in a box is within Eps" is checked, not inferred from the
+    cell geometry: a populous box qualifies only if the tight extent of its
+    members passes the engines' own ``dx*dx + dy*dy <= eps*eps`` in float64
+    (``floor(coord / edge)`` rounds, so a cell can be an ulp wider than
+    ``eps/√2``).  Boxes are numbered in Morton order.  Pass ``tree`` to
+    reuse one :func:`build_densebox_tree` already built.
     """
     if minpts < 1:
         raise ConfigError(f"minpts must be >= 1, got {minpts}")
     if tree is None:
         tree = build_densebox_tree(points, eps, minpts)
-    box_id = np.full(len(points), -1, dtype=np.int64)
-    edge = densebox_edge(eps)
-    n_boxes = 0
-    leaves = tree.leaves()
-    for leaf in leaves:
-        if leaf.n_points >= minpts and leaf.max_dim <= edge + 1e-12:
-            box_id[tree.leaf_members(leaf)] = n_boxes
-            n_boxes += 1
-    return DenseBoxResult(box_id=box_id, n_boxes=n_boxes, n_subdivisions=len(leaves))
+    n_cells = tree.n_leaf_boxes
+    box_of_cell = np.full(n_cells, -1, dtype=np.int64)
+    dense = np.empty(0, dtype=np.int64)
+    if n_cells and (populous := tree.level_count[-1] >= minpts).any():
+        start = tree.level_start[-1]
+        x, y = points.coords[tree.order, 0], points.coords[tree.order, 1]
+        dx = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+        dy = np.maximum.reduceat(y, start) - np.minimum.reduceat(y, start)
+        dense = np.flatnonzero(populous & (dx * dx + dy * dy <= eps * eps))
+        box_of_cell[dense] = np.arange(len(dense))
+    return DenseBoxResult(
+        box_id=box_of_cell[tree.point_leaf], n_boxes=len(dense), n_subdivisions=n_cells
+    )

@@ -13,7 +13,7 @@ The extensions over CUDA-DClust:
    of its cluster, and cluster collisions are rectified on the CPU after
    all points are classified.
 
-3. **Dense box** (§3.2.3).  KD-tree subdivisions of edge ≤ eps/√2 holding
+3. **Dense box** (§3.2.3).  Cells of the global eps/√2 grid holding
    ≥ MinPts points are marked as cluster members up front; their points
    are never individually expanded.  Their mutual distances are ≤ eps by
    construction, so they are all genuine core points and box-level
@@ -133,13 +133,16 @@ class GPUClusterResult:
     """Labels + provenance from one leaf's GPU clustering.
 
     ``labels`` are local cluster ids (``NOISE`` = -1) over the leaf's
-    partition-plus-shadow points, in input order.
+    partition-plus-shadow points, in input order.  ``tree`` is the
+    Eps-cell tree the csr engine built over them (``None`` under
+    ``block``), for :func:`repro.merge.summarize_leaf` to reuse.
     """
 
     labels: np.ndarray
     core_mask: np.ndarray
     densebox: DenseBoxResult
     stats: MrScanGPUStats
+    tree: FlatTree | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -453,8 +456,9 @@ def _cluster_csr(
     claim_box_borders: bool,
     batch_pairs: int,
     stats: MrScanGPUStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-leaf vectorised cluster phase (labels pre-remap + core mask)."""
+) -> tuple[np.ndarray, np.ndarray, FlatTree]:
+    """Whole-leaf vectorised cluster phase: labels pre-remap, core mask and
+    the Eps-cell tree both passes walked."""
     coords = points.coords
     n = len(coords)
     ftree = FlatTree(coords, eps)
@@ -493,7 +497,7 @@ def _cluster_csr(
         stats.csr_batches += len(border_batches)
         for m in border_batches:
             device.launch(blocks=_batch_blocks(device, m))
-    return labels, core_mask
+    return labels, core_mask, ftree
 
 
 def mrscan_gpu(
@@ -557,17 +561,18 @@ def mrscan_gpu(
     # --- host->device copy of the raw input (round trip 1 of 2) ---------
     # With memory_chunks == 1 this is Mr. Scan's single bulk copy; with
     # more chunks only one slice of the per-point buffers is resident at a
-    # time (the kd-tree stays resident throughout), trading extra
+    # time (the box tree stays resident throughout), trading extra
     # transfers/round trips for a smaller device footprint.
     tree = build_densebox_tree(points, eps, minpts)
+    tree_bytes = 32 * sum(len(keys) for keys in tree.level_keys)
     k = int(memory_chunks)
-    device.alloc("kdtree", 32 * max(len(tree.nodes), 1))
+    device.alloc("boxtree", tree_bytes)
     points_slices = _chunk_sizes(points.coords.nbytes, k)
     state_slices = _chunk_sizes(17 * n, k)  # labels + core flags + queue bitmap
     for c in range(k):
         device.alloc("points", points_slices[c])
         device.alloc("state", state_slices[c])
-        device.h2d(points_slices[c] + (32 * len(tree.nodes) if c == 0 else 0))
+        device.h2d(points_slices[c] + (tree_bytes if c == 0 else 0))
         if c < k - 1:
             device.free("points")
             device.free("state")
@@ -584,14 +589,15 @@ def mrscan_gpu(
         densebox = find_dense_boxes(points, eps, minpts, tree=tree)
     else:
         densebox = DenseBoxResult(
-            box_id=np.full(n, -1, dtype=np.int64), n_boxes=0, n_subdivisions=len(tree.leaves())
+            box_id=np.full(n, -1, dtype=np.int64), n_boxes=0, n_subdivisions=tree.n_leaf_boxes
         )
     in_box = densebox.box_id >= 0
     stats.n_boxes = densebox.n_boxes
     stats.n_eliminated = densebox.n_eliminated
 
+    ftree = None
     if engine == "csr":
-        labels, core_mask = _cluster_csr(
+        labels, core_mask, ftree = _cluster_csr(
             points,
             eps,
             minpts,
@@ -647,5 +653,5 @@ def mrscan_gpu(
     stats.sync_round_trips = device.stats.sync_points
     stats.device = device.stats.as_dict()
     return GPUClusterResult(
-        labels=labels, core_mask=core_mask, densebox=densebox, stats=stats
+        labels=labels, core_mask=core_mask, densebox=densebox, stats=stats, tree=ftree
     )

@@ -111,6 +111,7 @@ class FlatTree:
             self.level_count: list[np.ndarray] = []
             self.child_start: list[np.ndarray] = []
             self.child_end: list[np.ndarray] = []
+            self._level_cells: list[tuple[np.ndarray, np.ndarray]] = []
             self._leaf_pairs: tuple[np.ndarray, np.ndarray] | None = None
             return
 
@@ -145,9 +146,10 @@ class FlatTree:
         self.level_keys.append(keys)
         self.level_start.append(start)
         self.level_count.append(count)
-        while len(self.level_keys[-1]) > 1 or len(self.level_keys) <= self.leaf_bits:
-            if len(self.level_keys) > self.leaf_bits:
-                break
+        # Integer box coordinates per level, decoded once for the leaves; a
+        # parent's are its first child's with the low bit dropped.
+        self._level_cells = [morton_decode(keys)]
+        for _ in range(self.leaf_bits):
             parent = self.level_keys[-1] >> np.uint64(2)
             keys, box_start, _ = self._unique_runs(parent)
             # Aggregate child point slices into the parent's slice.
@@ -156,9 +158,12 @@ class FlatTree:
             self.level_keys.append(keys)
             self.level_start.append(p_start)
             self.level_count.append(p_count)
+            bx, by = self._level_cells[-1]
+            self._level_cells.append((bx[box_start] >> 1, by[box_start] >> 1))
         self.level_keys.reverse()
         self.level_start.reverse()
         self.level_count.reverse()
+        self._level_cells.reverse()
         self.n_levels = len(self.level_keys)
 
         # Parent→child ranges: children of box k at level l are the boxes
@@ -208,7 +213,7 @@ class FlatTree:
 
     def box_cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-box ``(bx, by)`` integer box coordinates at ``level``."""
-        return morton_decode(self.level_keys[level])
+        return self._level_cells[level]
 
     def leaf_members(self, box: int) -> np.ndarray:
         """Original point indices of one leaf box (input order)."""

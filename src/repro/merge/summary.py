@@ -233,7 +233,7 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def _noncore_claims(
-    coords: np.ndarray, labels: np.ndarray, core_mask: np.ndarray, eps: float
+    coords: np.ndarray, labels: np.ndarray, core_mask: np.ndarray, eps: float, tree: FlatTree
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(cluster label, non-core point index)`` claim pairs of a leaf.
 
@@ -246,7 +246,7 @@ def _noncore_claims(
     against, and it must not vanish because the point's output label chose
     a different adjacent cluster.
 
-    One pair expansion over the leaf's Eps-cell tree: non-core rows
+    One pair expansion over the leaf's Eps-cell ``tree``: non-core rows
     against clustered-core columns.  A pair recurs once per claiming core;
     the caller's sort drops the repeats.
     """
@@ -254,7 +254,7 @@ def _noncore_claims(
     x, y = coords[:, 0], coords[:, 1]
     eps2 = eps * eps
     claim_labels, claim_points = [], []
-    for r, c in iter_class_pairs(FlatTree(coords, eps), ~core_mask, clustered_core):
+    for r, c in iter_class_pairs(tree, ~core_mask, clustered_core):
         dx = x[r] - x[c]
         dy = y[r] - y[c]
         within = dx * dx + dy * dy <= eps2
@@ -297,12 +297,16 @@ def summarize_leaf(
     core_mask: np.ndarray,
     eps: float,
     owned_cells: set[Cell],
+    *,
+    tree: FlatTree | None = None,
 ) -> LeafSummary:
     """Build the upstream summary from one leaf's clustering output.
 
     ``points`` is the leaf's full view (partition + shadow points);
     ``labels``/``core_mask`` are the GPU DBSCAN output over that view;
     ``owned_cells`` are the cells of the leaf's partition (not shadow).
+    Pass ``tree`` to reuse the ``FlatTree(points.coords, eps)`` the cluster
+    engine already built (``GPUClusterResult.tree``).
     A cluster is its core points: a label no core point carries gets no
     entry, and core points labelled ``NOISE`` belong to none.
     """
@@ -322,7 +326,9 @@ def summarize_leaf(
 
     # One row per (cluster, member): the cluster's cores, then its claims.
     cores = np.flatnonzero(core_mask & (labels != NOISE))
-    claim_labels, claim_points = _noncore_claims(coords, labels, core_mask, eps)
+    if tree is None:
+        tree = FlatTree(coords, eps)
+    claim_labels, claim_points = _noncore_claims(coords, labels, core_mask, eps, tree)
     point = np.concatenate((cores, claim_points))
     label = np.concatenate((labels[cores], claim_labels))
     is_claim = np.arange(len(point)) >= len(cores)

@@ -17,8 +17,8 @@ runs (``repro.gpu.kernels``):
   points (MinPts-capped early termination) and everything for non-cores;
 * the core fraction is Poissonian: ``P[Poisson(neighbors) >= minpts]``;
 * dense box eliminates a cell fraction that ramps from 0 when the cell
-  holds ``minpts`` points to 1 when it holds ``8 × minpts`` (a cell is
-  2–8 box subdivisions deep, so by then every subdivision clears MinPts);
+  holds ``minpts`` points to 1 when it holds ``2.5 × minpts`` (a cell
+  covers two eps/√2 boxes; fitted, see ``DENSEBOX_FULL_FACTOR``);
 * pass 2 expands surviving cores at full stencil cost.
 
 ``tests/perf/test_workload.py`` validates this law against the operation
@@ -32,21 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ..data.density import profile_density
+from ..data.density import DENSEBOX_FULL_FACTOR, densebox_ramp
 from ..errors import SimulationError
 from ..partition.grid import GridHistogram
 from ..partition.partitioner import form_partitions
 from ..partition.plan import PartitionPlan
 from ..points import PointSet
 
-__all__ = ["ScaledWorkload", "LeafWork", "leaf_gpu_work", "cell_gpu_work"]
+__all__ = ["DENSEBOX_FULL_FACTOR", "ScaledWorkload", "LeafWork", "leaf_gpu_work", "cell_gpu_work"]
 
 #: Ratio of the Eps-disk area to the 3x3 stencil area.
 DISK_STENCIL_RATIO: float = np.pi / 9.0
-
-#: Dense-box ramp: cells at minpts points start eliminating; at
-#: ``DENSEBOX_FULL_FACTOR * minpts`` the whole cell is eliminated.
-DENSEBOX_FULL_FACTOR: float = 8.0
 
 
 @dataclass
@@ -69,23 +65,11 @@ def cell_gpu_work(
     count: float, stencil: float, minpts: int, *, use_densebox: bool = True
 ) -> tuple[float, float, float]:
     """Work law for one Eps cell: ``(pass1_ops, pass2_ops, eliminated)``."""
-    if count <= 0:
-        return 0.0, 0.0, 0.0
-    neighbors = max(DISK_STENCIL_RATIO * stencil, 1.0)
-    if use_densebox:
-        lo = float(minpts)
-        hi = DENSEBOX_FULL_FACTOR * minpts
-        elim_frac = min(max((count - lo) / max(hi - lo, 1.0), 0.0), 1.0)
-    else:
-        elim_frac = 0.0
-    survivors = count * (1.0 - elim_frac)
-
-    core_frac = float(special.gammainc(minpts, neighbors))  # P[Poisson >= m]
-    capped = stencil * minpts / (neighbors + 1.0)
-    per_point_pass1 = core_frac * min(capped, stencil) + (1.0 - core_frac) * stencil
-    pass1 = survivors * per_point_pass1
-    pass2 = survivors * core_frac * stencil
-    return pass1, pass2, count * elim_frac
+    work = _vector_cell_work(
+        np.array([count], dtype=np.float64), np.array([stencil], dtype=np.float64),
+        minpts, use_densebox,
+    )
+    return tuple(float(v[0]) for v in work)
 
 
 @dataclass
@@ -160,16 +144,11 @@ class ScaledWorkload:
 def _vector_cell_work(
     counts: np.ndarray, stencils: np.ndarray, minpts: int, use_densebox: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :func:`cell_gpu_work` over all cells at once."""
+    """The work law of the module docstring, over all cells at once."""
     neighbors = np.maximum(DISK_STENCIL_RATIO * stencils, 1.0)
-    if use_densebox:
-        lo = float(minpts)
-        hi = DENSEBOX_FULL_FACTOR * minpts
-        elim_frac = np.clip((counts - lo) / max(hi - lo, 1.0), 0.0, 1.0)
-    else:
-        elim_frac = np.zeros_like(counts, dtype=np.float64)
+    elim_frac = densebox_ramp(counts, minpts) if use_densebox else np.zeros_like(counts)
     survivors = counts * (1.0 - elim_frac)
-    core_frac = special.gammainc(minpts, neighbors)
+    core_frac = special.gammainc(minpts, neighbors)  # P[Poisson >= m]
     capped = np.minimum(stencils * minpts / (neighbors + 1.0), stencils)
     per_point_pass1 = core_frac * capped + (1.0 - core_frac) * stencils
     pass1 = survivors * per_point_pass1

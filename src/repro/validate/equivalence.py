@@ -13,7 +13,9 @@ against the sequential reference therefore needs three tiers:
    sanctioned exception is Mr. Scan's dense-box fidelity trade-off
    (§3.2.3: dense-box members are not expanded, so a border point
    adjacent only to box cores may stay noise) — opt-in via
-   ``allow_densebox_noise`` and bounded by the paper's ≥ 0.995 quality;
+   ``allow_densebox_noise``; with ``minpts=`` each such point needs a
+   witness (every core within Eps of it sits in a populous eps/√2 cell),
+   without it the count is bounded by the paper's ≥ 0.995 quality;
 3. **border** — a clustered non-core point whose candidate label maps to
    a different reference cluster is accepted iff its candidate cluster
    really does contain a core point within Eps of it (a legal tie-break),
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dbscan.grid_index import GridIndex
+from ..gpu.densebox import densebox_edge
 from ..points import NOISE, PointSet
 
 __all__ = ["EquivalenceReport", "labels_equivalent", "assert_resume_equivalent"]
@@ -125,12 +128,17 @@ def labels_equivalent(
     *,
     allow_densebox_noise: bool = False,
     max_densebox_noise: int | None = None,
+    minpts: int | None = None,
 ) -> EquivalenceReport:
     """Compare ``cand`` against the reference clustering of ``points``.
 
-    ``max_densebox_noise`` caps the allowed ref-clustered→cand-noise
-    border count when ``allow_densebox_noise`` is set; defaults to the
-    repo's long-standing tolerance ``max(2, 0.005 * n)``.
+    With ``allow_densebox_noise`` a ref-clustered→cand-noise border is
+    tolerated.  Given ``minpts`` each one must have a witness — every
+    reference core within Eps of it lies in a cell of the global eps/√2
+    grid holding ≥ ``minpts`` of ``points`` (a superset of the boxes any
+    leaf can form over a subset of them) — and any number with one pass.
+    Without ``minpts`` nobody asks why: ``max_densebox_noise`` caps the
+    count, defaulting to the long-standing ``max(2, 0.005 * n)``.
     """
     ref_labels = np.asarray(ref_labels)
     cand_labels = np.asarray(cand_labels)
@@ -192,23 +200,23 @@ def labels_equivalent(
             "the candidate"
         )
 
-    dropped = noncore & ~ref_noise & cand_noise
-    n_dropped = int(np.count_nonzero(dropped))
-    if n_dropped:
-        if allow_densebox_noise and n_dropped <= max_densebox_noise:
-            report.n_densebox_noise = n_dropped
-        else:
-            report.n_noise_mismatch += n_dropped
-            report.ok = False
-            report.failures.append(
-                f"{n_dropped} reference-clustered border point(s) are noise "
-                "in the candidate"
-                + (
-                    f" (> densebox tolerance {max_densebox_noise})"
-                    if allow_densebox_noise
-                    else ""
-                )
-            )
+    dropped = np.flatnonzero(noncore & ~ref_noise & cand_noise)
+    unexplained, why = dropped, ""
+    if allow_densebox_noise and minpts is not None:
+        unexplained = _without_densebox_witness(points, eps, minpts, ref_core, dropped)
+        why = f" with a core neighbour outside every dense box (e.g. {unexplained[:5]})"
+    elif allow_densebox_noise:
+        if len(dropped) <= max_densebox_noise:
+            unexplained = dropped[:0]
+        why = f" (> densebox tolerance {max_densebox_noise})"
+    report.n_densebox_noise = len(dropped) - len(unexplained)
+    if len(unexplained):
+        report.n_noise_mismatch += len(unexplained)
+        report.ok = False
+        report.failures.append(
+            f"{len(unexplained)} reference-clustered border point(s) are noise "
+            f"in the candidate{why}"
+        )
 
     # ---- tier 3: border tie-breaks ------------------------------------ #
     both = noncore & ~ref_noise & ~cand_noise
@@ -241,3 +249,25 @@ def labels_equivalent(
                     f"no core point within Eps (e.g. {samples})"
                 )
     return report
+
+
+def _without_densebox_witness(
+    points: PointSet, eps: float, minpts: int, ref_core: np.ndarray, dropped: np.ndarray
+) -> list[int]:
+    """The ``dropped`` borders that dense box cannot explain.
+
+    Box members are the only cores that do not claim their borders, so a
+    border can go unclaimed only if *every* core within Eps of it is one.
+    Counted here independently of the detector: a plain cell histogram of
+    the whole input.
+    """
+    cells = np.floor(points.coords / densebox_edge(eps)).astype(np.int64)
+    _, cell_of, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    boxed = (counts >= minpts)[cell_of.ravel()]
+    index = GridIndex(points, eps)
+    unwitnessed = []
+    for i in dropped.tolist():
+        neigh = index.neighbors_of(i)
+        if not np.all(boxed[neigh[ref_core[neigh]]]):
+            unwitnessed.append(i)
+    return unwitnessed

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import MrScanError
 from ..points import PointSet
-from .equivalence import labels_equivalent
+from .equivalence import EquivalenceReport, labels_equivalent
 
 __all__ = [
     "DATASETS",
@@ -250,6 +250,15 @@ class CaseOutcome:
         return f"{self.case.describe()} -> {state}"
 
 
+def _compare(case: FuzzCase, points: PointSet, eps: float, ref, labels, core) -> EquivalenceReport:
+    """A pipeline labelling against the reference, with the one deviation
+    the case's config allows: dense-box noise, each point witness-checked."""
+    return labels_equivalent(
+        points, eps, ref.labels, ref.core_mask, np.asarray(labels), np.asarray(core),
+        allow_densebox_noise=case.use_densebox, minpts=case.minpts,
+    )
+
+
 def _unpermute(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     out[perm] = values
@@ -273,15 +282,7 @@ def _check_permutation(case: FuzzCase, points: PointSet, ref, validate: str) -> 
         return f"pipeline failed on permuted input: {type(exc).__name__}: {exc}"
     labels = _unpermute(np.asarray(res.labels), perm)
     core = _unpermute(np.asarray(res.core_mask), perm)
-    eq = labels_equivalent(
-        points,
-        case.eps,
-        ref.labels,
-        ref.core_mask,
-        labels,
-        core,
-        allow_densebox_noise=case.use_densebox,
-    )
+    eq = _compare(case, points, case.eps, ref, labels, core)
     return "ok" if eq.ok else "; ".join(eq.failures)
 
 
@@ -312,15 +313,7 @@ def _check_transform(case: FuzzCase, points: PointSet, ref, validate: str) -> st
         res = run_pipeline(moved, case.config(validate, eps=eps))
     except MrScanError as exc:
         return f"pipeline failed on transformed input: {type(exc).__name__}: {exc}"
-    eq = labels_equivalent(
-        moved,
-        eps,
-        ref2.labels,
-        ref2.core_mask,
-        np.asarray(res.labels),
-        np.asarray(res.core_mask),
-        allow_densebox_noise=case.use_densebox,
-    )
+    eq = _compare(case, moved, eps, ref2, res.labels, res.core_mask)
     return "ok" if eq.ok else "; ".join(eq.failures)
 
 
@@ -378,15 +371,7 @@ def run_case(
             n_clusters_ref=ref.n_clusters,
             error=f"{type(exc).__name__}: {exc}",
         )
-    eq = labels_equivalent(
-        points,
-        case.eps,
-        ref.labels,
-        ref.core_mask,
-        np.asarray(result.labels),
-        np.asarray(result.core_mask),
-        allow_densebox_noise=case.use_densebox,
-    )
+    eq = _compare(case, points, case.eps, ref, result.labels, result.core_mask)
     failures = [f"differential: {f}" for f in eq.failures]
     meta: dict[str, str] = {}
     if metamorphic:

@@ -21,6 +21,7 @@ from repro.io.formats import read_points_binary, write_points_binary
 from repro.io.partition_files import PartitionFileSet
 from repro.points import NOISE, PointSet
 from repro.quality import dbdc_quality_score
+from repro.validate import labels_equivalent
 
 
 def test_file_roundtrip_end_to_end(tmp_path):
@@ -65,7 +66,16 @@ def test_mixed_shapes_across_boundaries():
     ref = dbscan_reference(points, eps, minpts)
     res = mrscan(points, eps, minpts, n_leaves=9)
     assert res.n_clusters == ref.n_clusters >= 4  # ring + 2 moons + blob
-    assert clustering_signature(res.labels) == clustering_signature(ref.labels)
+    # Dense box is on: a border whose every core neighbour is a box member
+    # stays noise (the paper's deviation), so the comparison is the
+    # witness-checked comparator, not exact signature equality.
+    report = labels_equivalent(
+        points, eps, ref.labels, ref.core_mask, res.labels, res.core_mask,
+        allow_densebox_noise=True, minpts=minpts,
+    )
+    assert report.ok, report.summary()
+    exact = mrscan(points, eps, minpts, n_leaves=9, claim_box_borders=True)
+    assert clustering_signature(exact.labels) == clustering_signature(ref.labels)
 
 
 def test_two_datasets_same_pipeline():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,35 @@ def test_twitter_end_to_end(small_twitter):
 def test_sdss_end_to_end(small_sdss):
     res = mrscan(small_sdss, 0.00015, 5, n_leaves=8)
     _assert_matches_reference(small_sdss, 0.00015, 5, res)
+
+
+def test_one_eps_cell_tree_per_leaf(small_twitter, monkeypatch):
+    """The leaf's Eps-cell ``FlatTree`` is built once — by the cluster
+    engine — and handed to the summariser."""
+    from repro.gpu.treeindex import FlatTree
+
+    eps, built = 0.1, []
+    init = FlatTree.__init__
+
+    def counting_init(self, coords, cell, **kw):
+        built.append(cell)
+        init(self, coords, cell, **kw)
+
+    monkeypatch.setattr(FlatTree, "__init__", counting_init)
+    res = mrscan(small_twitter, eps, 10, n_leaves=5, transport="local")
+    assert built.count(eps) == res.n_leaves == 5
+
+
+def test_no_kdtree_on_the_leaf_path():
+    """``RegionKDTree`` serves the CUDA-DClust baseline only."""
+    import repro
+
+    src = Path(repro.__file__).parent
+    leaf_path = [src / "gpu" / "densebox.py", src / "gpu" / "mrscan_gpu.py"]
+    for package in ("core", "merge", "serve"):
+        leaf_path += sorted((src / package).glob("*.py"))
+    assert len(leaf_path) > 10
+    assert [p.name for p in leaf_path if "kdtree" in p.read_text(encoding="utf-8").lower()] == []
 
 
 def test_empty_input_rejected():

@@ -82,14 +82,6 @@ def test_duplicate_points_terminate():
     assert len(members) == 500
 
 
-def test_min_dim_stops_splitting():
-    ps = _random_points(2000, seed=5, scale=0.01)
-    tree = RegionKDTree(ps, leaf_size=1, min_dim=0.5)
-    # The whole cloud fits in one 0.5-wide region: no splits possible below
-    # min_dim, so a single (huge) leaf remains.
-    assert all(l.max_dim <= max(tree.root.max_dim, 0.5) for l in tree.leaves())
-
-
 def test_leaf_of_point_consistent_with_membership():
     ps = _random_points(300, seed=6)
     tree = RegionKDTree(ps, leaf_size=16)

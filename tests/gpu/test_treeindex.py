@@ -107,6 +107,21 @@ def test_child_ranges_partition_each_level(kind):
         np.testing.assert_array_equal(agg, tree.level_count[lvl])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_box_cells_at_every_level_are_the_decoded_keys(kind):
+    """Box coordinates are kept from the build (leaves decoded once, each
+    parent its children's shifted down), not decoded per query."""
+    rng = np.random.default_rng(12)
+    tree = FlatTree(_coords(rng, 500, kind), 0.17)
+    assert tree.n_levels == tree.leaf_bits + 1
+    for lvl in range(tree.n_levels):
+        bx, by = tree.box_cells(lvl)
+        want_x, want_y = morton_decode(tree.level_keys[lvl])
+        np.testing.assert_array_equal(bx, want_x)
+        np.testing.assert_array_equal(by, want_y)
+        assert tree.box_cells(lvl)[0] is bx
+
+
 def test_leaf_boxes_are_eps_cells():
     """Leaf level == GridIndex's non-empty Eps-cells, same geometry."""
     rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from summary_reference import assert_summaries_identical, reference_summarize_le
 
 from repro.data import generate_sdss, generate_twitter
 from repro.gpu.mrscan_gpu import mrscan_gpu
+from repro.gpu.treeindex import FlatTree
 from repro.merge.summary import summarize_leaf
 from repro.partition.grid import cell_of_coords
 from repro.points import NOISE, PointSet
@@ -28,6 +29,11 @@ def _check(points, labels, core_mask, eps, owned, leaf_id=3):
     got = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned)
     want = reference_summarize_leaf(leaf_id, points, labels, core_mask, eps, owned)
     assert_summaries_identical(got, want)
+    # Handed the cluster engine's Eps-cell tree, it builds none of its own
+    # and says the same thing.
+    tree = FlatTree(points.coords, eps)
+    shared = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned, tree=tree)
+    assert_summaries_identical(shared, want)
     return got
 
 
@@ -83,6 +89,9 @@ def test_clustered_leaf_matches_reference(make, eps, minpts):
     owned = set(sorted(_cells(points, eps))[::2])
     summary = _check(points, out.labels, out.core_mask, eps, owned)
     assert summary.n_clusters == out.n_clusters > 1
+    # The tree the engine hands over has already cached its leaf pairs.
+    handed = summarize_leaf(3, points, out.labels, out.core_mask, eps, owned, tree=out.tree)
+    assert_summaries_identical(handed, summary)
 
 
 # ------------------------- pinned adversarial cases -------------------- #

@@ -112,6 +112,52 @@ def test_densebox_noise_tolerated_only_when_allowed(clustered):
     assert not capped.ok
 
 
+@pytest.fixture
+def boxed_and_unboxed():
+    """eps 1, MinPts 4.  Points 0-3 fill one eps/√2 cell (a dense box) and
+    4-7 are borders that each see exactly one of them; 8-9 are cores in
+    cells of their own and 10-11 their borders."""
+    coords = np.array([
+        [0.05, 0.05], [0.65, 0.05], [0.05, 0.65], [0.65, 0.65],
+        [1.6, 0.05], [-0.9, 0.05], [0.05, -0.9], [0.65, 1.6],
+        [4.9, 5.0], [5.7, 5.0], [5.3, 5.6], [5.3, 4.4],
+    ])
+    points = PointSet.from_coords(coords)
+    ref = dbscan_reference(points, 1.0, 4)
+    assert ref.core_mask.tolist() == [True] * 4 + [False] * 4 + [True] * 2 + [False] * 2
+    assert np.all(ref.labels != NOISE)
+    return points, ref
+
+
+def test_witnessed_densebox_noise_passes_at_any_count(boxed_and_unboxed):
+    """The real engine drops all four borders of the box: over the count
+    cap, but each one has its witness."""
+    from repro.gpu import mrscan_gpu
+
+    points, ref = boxed_and_unboxed
+    got = mrscan_gpu(points, 1.0, 4)
+    assert np.flatnonzero(got.labels == NOISE).tolist() == [4, 5, 6, 7]
+    args = (points, 1.0, ref.labels, ref.core_mask, got.labels, got.core_mask)
+    capped = labels_equivalent(*args, allow_densebox_noise=True)
+    assert not capped.ok and "> densebox tolerance 2" in capped.failures[0]
+    witnessed = labels_equivalent(*args, allow_densebox_noise=True, minpts=4)
+    assert witnessed.ok and witnessed.n_densebox_noise == 4
+    assert not labels_equivalent(*args, minpts=4).ok  # still opt-in
+
+
+def test_unwitnessed_noise_fails_under_the_count_cap(boxed_and_unboxed):
+    """One dropped border whose core neighbours are in no dense box: the
+    bare cap lets it through, the witness names it."""
+    points, ref = boxed_and_unboxed
+    cand = ref.labels.copy()
+    cand[10] = NOISE
+    args = (points, 1.0, ref.labels, ref.core_mask, cand, ref.core_mask)
+    assert labels_equivalent(*args, allow_densebox_noise=True).ok
+    report = labels_equivalent(*args, allow_densebox_noise=True, minpts=4)
+    assert not report.ok and report.n_noise_mismatch == 1
+    assert "outside every dense box (e.g. [10])" in report.failures[0]
+
+
 def test_legal_border_tiebreak_accepted():
     """A border point equidistant from two clusters may land in either."""
     # Two dense 4-point runs with a lone point (index 4) exactly Eps from

@@ -111,6 +111,19 @@ def test_run_case_with_faults_still_equivalent():
     assert outcome.ok, outcome.failures
 
 
+def test_seed_197_dense_box_drops_are_witnessed_not_counted():
+    """Regression: 1138 tight sdss points, MinPts 12.  The translate-scale
+    leg legally leaves 9 borders of box-only cores as noise — over the
+    0.5 % cap (5) the comparator used before it asked for witnesses."""
+    case = generate_case(197)
+    assert (case.dataset, case.n_points, case.minpts, case.use_densebox) == (
+        "sdss", 1138, 12, True
+    )
+    outcome = run_case(case)
+    assert outcome.ok, outcome.failures
+    assert outcome.metamorphic["transform"] == "ok"
+
+
 def test_small_sweep_smoke():
     seen = []
     report = run_sweep(
