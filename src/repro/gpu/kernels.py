@@ -5,7 +5,10 @@ The numerical work of the clustering algorithms is vectorised numpy (the
 CUDA kernel would do: how many candidate distances each thread evaluates,
 how many blocks a bulk launch covers.  The accounting is what makes the
 reproduced GPU-time figures (Fig 9c, Fig 10) derive from real operation
-counts instead of Python wall-clock.
+counts instead of Python wall-clock.  Pass 1 is charged from each point's
+candidate count and core flag alone (:func:`expected_scan_ops`): the csr
+engine stops counting at MinPts, so nothing here asks for a core point's
+exact neighbour count.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .treeindex import FlatTree
 
 __all__ = [
     "candidate_counts",
+    "DISK_STENCIL_RATIO",
     "expected_scan_ops",
     "bulk_launches",
     "charge_pass",
@@ -67,8 +71,13 @@ def candidate_counts(index: GridIndex) -> np.ndarray:
     return counts
 
 
+#: Ratio of the Eps-disk area to the 3×3 stencil area: the expected share
+#: of a point's candidates that are true neighbors.
+DISK_STENCIL_RATIO: float = np.pi / 9.0
+
+
 def expected_scan_ops(
-    candidates: np.ndarray, neighbor_counts: np.ndarray, minpts: int
+    candidates: np.ndarray, is_core: np.ndarray | bool, minpts: int
 ) -> np.ndarray:
     """Expected distance evaluations with MinPts-capped early termination.
 
@@ -76,14 +85,15 @@ def expected_scan_ops(
     reached" (§3.2.2).  Scanning candidates in arbitrary order, the
     expected number examined before seeing ``minpts`` of the point's
     ``k`` true neighbors among ``c`` candidates is ``c * minpts / (k + 1)``
-    (negative-hypergeometric mean); points with fewer than MinPts
-    neighbors scan everything.
+    (negative-hypergeometric mean); non-core points scan everything.
+    ``k`` is modelled as the disk share of the stencil, ``max(π/9·c, 1)``,
+    rather than taken from the run: a pass 1 that really stops at MinPts
+    never learns a core point's exact count, and the paper-scale work law
+    (``repro.perf.workload``) has only the histogram to go on.
     """
-    candidates = np.asarray(candidates, dtype=np.float64)
-    k = np.asarray(neighbor_counts, dtype=np.float64)
-    full = candidates.copy()
-    capped = candidates * (float(minpts) / (k + 1.0))
-    return np.where(k >= minpts, np.minimum(capped, full), full)
+    c = np.asarray(candidates, dtype=np.float64)
+    k = np.maximum(DISK_STENCIL_RATIO * c, 1.0)
+    return np.where(is_core, np.minimum(c * minpts / (k + 1.0), c), c)
 
 
 def bulk_launches(n_seeds: int, n_blocks: int) -> int:

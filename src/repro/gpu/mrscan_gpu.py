@@ -32,15 +32,21 @@ Two interchangeable **cluster engines** implement the passes:
 ``csr``
     Whole-leaf vectorised kernels (the default): a flattened Morton tree
     (`repro.gpu.treeindex`) yields interacting Eps-cell pairs, batched
-    position expansion evaluates all candidate distances in a handful of
+    position expansion evaluates candidate distances in a handful of
     numpy passes (`repro.gpu.kernels`), and core collisions are resolved
     with data-parallel union-find (`repro.dbscan.disjoint_set`) — the
     tree-based formulation of Prokopenko et al. (*Fast tree-based
-    algorithms for DBSCAN on GPUs*).
+    algorithms for DBSCAN on GPUs*).  Its pass 1 really does stop at
+    MinPts: a saturating dual traversal of an eps/6 tree credits whole
+    box pairs inside Eps, retires cells whose credit reaches MinPts, and
+    evaluates distances only around the rows still open — so a core
+    point's count is a lower bound, never its exact neighbourhood size.
 
 Both engines produce byte-identical labels, core masks, and modeled
-pass-1/pass-2 operation counts; they differ only in launch/occupancy
-accounting (the csr engine launches per batch) and wall-clock speed.
+pass-1/pass-2 operation counts (the pass-1 model charges a core row from
+its candidate count alone, which both engines know exactly); they differ
+only in launch/occupancy accounting (the csr engine launches per batch)
+and wall-clock speed.
 """
 
 from __future__ import annotations
@@ -211,28 +217,34 @@ def _count_tree(coords: np.ndarray, eps: float) -> FlatTree:
 def _csr_counts(
     coords: np.ndarray,
     eps: float,
+    minpts: int,
     in_box: np.ndarray,
     batch_pairs: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """Exact neighbor counts (self included) for every non-box point.
+    """Neighbor-count *evidence* (self included) for every non-box point.
 
-    Dense-box members are provably core, so their exact counts are never
-    consulted; skipping their rows is the csr engine's realisation of the
-    dense-box elimination (the block engine models the same skip in its
-    pass-1 ops but still scans every cell on the host).
+    Pass 1 only asks ``count >= minpts``, so counting stops there: the
+    returned count is exact when below MinPts and otherwise a lower bound
+    that already reaches MinPts (§3.2.2's early exit; dense box is its
+    one-cell case).  Dense-box members are provably core, so their rows
+    are never counted at all — the csr engine's realisation of the
+    dense-box elimination.
 
-    Counting runs on a grid finer than Eps: cell pairs whose regions are
-    entirely within Eps of each other contribute their full population
-    without a single distance evaluation (cells are half-open, so the
-    ``(|Δ| + 1)·w`` per-axis bound is exact), and only the annulus of
-    partially-covered cells is expanded point-by-point.
+    Counting runs on a grid finer than Eps, walked by
+    :meth:`FlatTree.saturating_pairs`: box pairs wholly within Eps of each
+    other credit their full population without a single distance
+    evaluation, at the coarsest tree level that proves it; cells whose
+    credit alone reaches MinPts are retired; and only the annulus of
+    partially-covered cells around the remaining rows is expanded
+    point-by-point.
 
-    Returns ``(counts, batch_candidates)`` where ``counts`` is exact on
-    ``~in_box`` rows and zero elsewhere.
+    Returns ``(counts, batch_candidates)`` where ``counts`` is that
+    evidence on ``~in_box`` rows and zero elsewhere.
     """
     n = len(coords)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), []
     tree = _count_tree(coords, eps)
-    w = tree.cell_width
     order = tree.order
     start, count = tree.level_start[-1], tree.level_count[-1]
     n_cells = tree.n_leaf_boxes
@@ -248,29 +260,12 @@ def _csr_counts(
     np.cumsum(cnt2[:-1], out=st2[1:])
     nb_start, nb_count = st2[0::2], cnt2[0::2]
 
-    a, b = tree.leaf_pairs()
-    off = a != b
-    qa = np.concatenate((a, b[off]))  # row side: non-box members of qa
-    qb = np.concatenate((b, a[off]))  # column side: all members of qb
-    # A quad whose row cell is all dense-box members counts nothing: drop
-    # it before any per-quad work (with most points in boxes, most quads).
-    has_rows = nb_count[qa] > 0
-    qa, qb = qa[has_rows], qb[has_rows]
-    bx, by = tree.box_cells(tree.n_levels - 1)
-    ddx = (np.abs(bx[qa] - bx[qb]) + 1).astype(np.float64) * w
-    ddy = (np.abs(by[qa] - by[qb]) + 1).astype(np.float64) * w
-    full = ddx * ddx + ddy * ddy <= eps2
-
-    # Bulk credit: every non-box row of cell qa counts all of qb at once
-    # (float weights are exact at these magnitudes).
-    cell_bulk = np.bincount(
-        qa[full], weights=count[qb[full]], minlength=n_cells
-    ).astype(np.int64)
+    # Row side: non-box members of pa; column side: all members of pb.
+    credit, pa, pb = tree.saturating_pairs(nb_count > 0, minpts)
 
     # Annulus of partially-covered cell pairs: evaluate point-by-point in
     # position space (row coords gather sequentially from the class-grouped
     # permutation, column coords from the tree permutation).
-    pa, pb = qa[~full], qb[~full]
     xr, yr = coords[ord2, 0].copy(), coords[ord2, 1].copy()
     xc, yc = coords[order, 0].copy(), coords[order, 1].copy()
 
@@ -282,12 +277,8 @@ def _csr_counts(
     # the rest with eps), so classification is bit-identical to the pure
     # float64 path.  Data spread too wide for a useful band (span/eps
     # beyond ~2^15) falls back to float64 throughout.
-    if n:
-        origin = coords.min(axis=0)
-        span = float((coords.max(axis=0) - origin).max())
-    else:
-        origin = np.zeros(2, dtype=np.float64)
-        span = 0.0
+    origin = coords.min(axis=0)
+    span = float((coords.max(axis=0) - origin).max())
     band = (eps * span + eps2) * 2.0**-18
     use32 = band * 8.0 < eps2
     if use32:
@@ -325,7 +316,7 @@ def _csr_counts(
     counts = np.zeros(n, dtype=np.int64)
     counts[ord2] = counts_pos
     nb_ids = np.flatnonzero(~in_box)
-    counts[nb_ids] += cell_bulk[tree.point_leaf[nb_ids]]
+    counts[nb_ids] += credit[tree.point_leaf[nb_ids]]
     return counts, batches
 
 
@@ -464,11 +455,11 @@ def _cluster_csr(
     ftree = FlatTree(coords, eps)
     nonbox = ~in_box
 
-    # --- pass 1: exact counts for candidate-core rows -------------------
-    counts, count_batches = _csr_counts(coords, eps, in_box, batch_pairs)
+    # --- pass 1: counts up to MinPts for candidate-core rows ------------
+    counts, count_batches = _csr_counts(coords, eps, minpts, in_box, batch_pairs)
     core_mask = in_box | (counts >= minpts)
     cand = ftree.interaction_counts()
-    ops1 = int(expected_scan_ops(cand[nonbox], counts[nonbox], minpts).sum())
+    ops1 = int(expected_scan_ops(cand[nonbox], core_mask[nonbox], minpts).sum())
     stats.pass1_ops = ops1
     stats.csr_batches += len(count_batches)
     _charge_batches(device, count_batches, ops1)
@@ -618,7 +609,7 @@ def mrscan_gpu(
 
         cand = candidate_counts(index)
         nonbox = ~in_box
-        ops1 = int(expected_scan_ops(cand[nonbox], counts[nonbox], minpts).sum())
+        ops1 = int(expected_scan_ops(cand[nonbox], core_mask[nonbox], minpts).sum())
         stats.pass1_ops = ops1
         charge_pass(device, n_seeds=int(nonbox.sum()), distance_ops=ops1)
 

@@ -68,6 +68,12 @@ def morton_decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _exclusive_cumsum(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(v), dtype=np.int64)
+    np.cumsum(v[:-1], out=out[1:])
+    return out
+
+
 class FlatTree:
     """Flattened Morton quadtree over 2-D coordinates with Eps-cell leaves.
 
@@ -102,17 +108,17 @@ class FlatTree:
         self.radius = float(cell if radius is None else radius)
         n = len(coords)
         self.n_points = n
-        if n == 0:
-            self.order = np.empty(0, dtype=np.int64)
-            self.point_leaf = np.empty(0, dtype=np.int64)
-            self.n_levels = 0
-            self.level_keys: list[np.ndarray] = []
-            self.level_start: list[np.ndarray] = []
-            self.level_count: list[np.ndarray] = []
-            self.child_start: list[np.ndarray] = []
-            self.child_end: list[np.ndarray] = []
+        self.level_keys: list[np.ndarray] = []
+        self.level_start: list[np.ndarray] = []
+        self.level_count: list[np.ndarray] = []
+        self.child_start: list[np.ndarray] = []
+        self.child_end: list[np.ndarray] = []
+        self._leaf_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        if n == 0:  # no levels at all, but every attribute a caller may read
+            self.order = self.point_leaf = np.empty(0, dtype=np.int64)
+            self.cell_origin = np.zeros(2, dtype=np.int64)
+            self.leaf_bits = self.n_levels = 0
             self._level_cells: list[tuple[np.ndarray, np.ndarray]] = []
-            self._leaf_pairs: tuple[np.ndarray, np.ndarray] | None = None
             return
 
         # Same global cell frame as GridIndex: floor(coord / eps).  The
@@ -139,9 +145,6 @@ class FlatTree:
         # Leaf level from the sorted keys, coarser levels by shifting out
         # 2 bits per step — a Morton prefix is the parent's key, so each
         # level stays sorted and child runs stay contiguous.
-        self.level_keys = []
-        self.level_start = []
-        self.level_count = []
         keys, start, count = self._unique_runs(sorted_keys)
         self.level_keys.append(keys)
         self.level_start.append(start)
@@ -168,8 +171,6 @@ class FlatTree:
 
         # Parent→child ranges: children of box k at level l are the boxes
         # at level l+1 whose key >> 2 equals k — one searchsorted pair.
-        self.child_start = []
-        self.child_end = []
         for lvl in range(self.n_levels - 1):
             child_parent = self.level_keys[lvl + 1] >> np.uint64(2)
             self.child_start.append(
@@ -186,7 +187,6 @@ class FlatTree:
         )
         self.point_leaf = np.empty(n, dtype=np.int64)
         self.point_leaf[self.order] = point_leaf_sorted
-        self._leaf_pairs = None
 
     @staticmethod
     def _unique_runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,6 +213,8 @@ class FlatTree:
 
     def box_cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-box ``(bx, by)`` integer box coordinates at ``level``."""
+        if not self.n_levels:  # the empty tree has no boxes at any level
+            return self.order, self.order
         return self._level_cells[level]
 
     def leaf_members(self, box: int) -> np.ndarray:
@@ -223,6 +225,33 @@ class FlatTree:
     # ------------------------------------------------------------------ #
     # Dual traversal
     # ------------------------------------------------------------------ #
+
+    def _child_pairs(
+        self, lvl: int, a: np.ndarray, b: np.ndarray, r2: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Child pairs (level ``lvl + 1``, ``a <= b``) of box pairs at
+        ``lvl`` whose regions lie strictly within ``sqrt(r2)`` of each other."""
+        cs = self.child_start[lvl]
+        n_children = self.child_end[lvl] - cs
+        # Two-stage repeat expansion (one row per child of ``a``, then that
+        # row against every child of ``b``): no integer division, and the
+        # cumulative offsets are folded in before the large gathers.
+        na = n_children[a]
+        row_pair = np.repeat(np.arange(len(a), dtype=np.int64), na)
+        row_ca = (cs[a] - _exclusive_cumsum(na))[row_pair]
+        row_ca += np.arange(len(row_pair), dtype=np.int64)
+        per_row = n_children[b][row_pair]
+        cand_row = np.repeat(np.arange(len(row_pair), dtype=np.int64), per_row)
+        ca = row_ca[cand_row]
+        cb = (cs[b][row_pair] - _exclusive_cumsum(per_row))[cand_row]
+        cb += np.arange(len(cand_row), dtype=np.int64)
+        bx, by = self.box_cells(lvl + 1)
+        edge = self.box_edge(lvl + 1)
+        gapx = (np.abs(bx[ca] - bx[cb]) - 1).clip(min=0) * edge
+        gapy = (np.abs(by[ca] - by[cb]) - 1).clip(min=0) * edge
+        keep = gapx * gapx + gapy * gapy < r2
+        keep &= ca <= cb  # diagonal parents expand to an unordered triangle
+        return ca[keep], cb[keep]
 
     def leaf_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All interacting leaf-box pairs ``(a, b)`` with ``a <= b``.
@@ -238,36 +267,77 @@ class FlatTree:
         refines level by level, pruning with the box mindist — the
         vectorised form of a dual-tree walk.
         """
-        if self._leaf_pairs is not None:
-            return self._leaf_pairs
-        if self.n_levels == 0:
-            empty = np.empty(0, dtype=np.int64)
-            self._leaf_pairs = (empty, empty)
-            return self._leaf_pairs
-        r2 = self.radius * self.radius
-        a = np.zeros(1, dtype=np.int64)
-        b = np.zeros(1, dtype=np.int64)
-        for lvl in range(self.n_levels - 1):
-            cs, ce = self.child_start[lvl], self.child_end[lvl]
-            na = (ce - cs)[a]
-            nb = (ce - cs)[b]
-            tot = na * nb
-            offsets = np.concatenate(([0], np.cumsum(tot)[:-1]))
-            pair_id = np.repeat(np.arange(len(tot)), tot)
-            within = np.arange(int(tot.sum()), dtype=np.int64) - offsets[pair_id]
-            ca = cs[a][pair_id] + within // nb[pair_id]
-            cb = cs[b][pair_id] + within % nb[pair_id]
-            # Diagonal parents expand to an unordered triangle.
-            keep = ca <= cb
-            a, b = ca[keep], cb[keep]
-            bx, by = self.box_cells(lvl + 1)
-            edge = self.box_edge(lvl + 1)
-            gapx = (np.abs(bx[a] - bx[b]) - 1).clip(min=0) * edge
-            gapy = (np.abs(by[a] - by[b]) - 1).clip(min=0) * edge
-            keep = gapx * gapx + gapy * gapy < r2
-            a, b = a[keep], b[keep]
-        self._leaf_pairs = (a, b)
+        if self._leaf_pairs is None:
+            a = b = np.zeros(1 if self.n_levels else 0, dtype=np.int64)  # root pair
+            for lvl in range(self.n_levels - 1):
+                a, b = self._child_pairs(lvl, a, b, self.radius * self.radius)
+            self._leaf_pairs = (a, b)
         return self._leaf_pairs
+
+    def saturating_pairs(
+        self, active: np.ndarray, need: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dual traversal for range *counting* that stops at ``need``.
+
+        ``active`` flags the leaf boxes holding rows whose neighbours are
+        being counted.  A box pair whose regions lie wholly within the
+        radius of each other (cells are half-open, so the per-axis
+        ``(|Δ| + 1)·edge`` bound is exact) is *credited* — each side gains
+        the other's population — at the coarsest level that proves it and
+        is never descended; credit is inherited by children.  A box is
+        *done* once it has no active leaf below it or its credit reaches
+        ``need``, and a pair straddling the radius is kept only while
+        either side is not done.
+
+        Returns ``(credit, rows, cols)``: per-leaf-box credit, and the
+        directed straddling leaf pairs whose row box is not done.  For
+        those boxes ``credit`` plus the in-radius points of their column
+        boxes is the exact neighbour count; for a done active box
+        ``credit`` alone is a lower bound that already reaches ``need``.
+        """
+        empty = np.empty(0, dtype=np.int64)
+        if self.n_levels == 0:
+            return empty, empty, empty
+        # Boxes with an active leaf below them, per level.
+        live = [np.asarray(active, dtype=bool)]
+        for cs in reversed(self.child_start):
+            live.append(np.logical_or.reduceat(live[-1], cs))
+        live.reverse()
+        r2 = self.radius * self.radius
+        # ``floor(coord / cell)`` is a float division (a quotient of size q
+        # is off by up to q * 2^-53 cells), so two points exactly ``radius``
+        # apart can land in boxes whose nominal gap *is* ``radius``.
+        # Counting has no stencil to reproduce: the far prune gives way by
+        # that much and leaves the tie to the caller's distance test (the
+        # full test has percents of margin).
+        q = np.abs(self.cell_origin).max() + 2.0**self.leaf_bits
+        far2 = r2 * (1.0 + 2.0**-48 + q * 2.0**-50)
+        a = b = np.zeros(1, dtype=np.int64)
+        credit = np.zeros(1, dtype=np.int64)
+        for lvl in range(self.n_levels):
+            bx, by = self.box_cells(lvl)
+            edge = self.box_edge(lvl)
+            cnt = self.level_count[lvl]
+            fx = (np.abs(bx[a] - bx[b]) + 1) * edge
+            fy = (np.abs(by[a] - by[b]) + 1) * edge
+            full = fx * fx + fy * fy <= r2
+            # Both directions, a diagonal pair once (float weights are
+            # exact at these magnitudes).
+            fa, fb = a[full], b[full]
+            off = fa != fb
+            credit += np.bincount(
+                np.concatenate((fa, fb[off])),
+                weights=cnt[np.concatenate((fb, fa[off]))],
+                minlength=len(cnt),
+            ).astype(np.int64)
+            done = ~live[lvl] | (credit >= need)
+            keep = ~full & ~(done[a] & done[b])
+            a, b = a[keep], b[keep]
+            if lvl < self.n_levels - 1:
+                credit = np.repeat(credit, self.child_end[lvl] - self.child_start[lvl])
+                a, b = self._child_pairs(lvl, a, b, far2)
+        fwd, rev = ~done[a], ~done[b] & (a != b)
+        return credit, np.concatenate((a[fwd], b[rev])), np.concatenate((b[fwd], a[rev]))
 
     def interaction_counts(self) -> np.ndarray:
         """Per-point candidate-set size under the leaf interaction lists.

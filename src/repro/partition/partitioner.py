@@ -267,6 +267,41 @@ def _rebalance(
             refresh_shadow(prev, histogram)
 
 
+def _cell_table(cell_lists: list) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-partition cell collections: one key per cell (see
+    :func:`_cell_keys`) and the index of the partition that listed it."""
+    cells = np.array([c for cells in cell_lists for c in cells], dtype=np.int64)
+    parts = np.repeat(np.arange(len(cell_lists)), [len(c) for c in cell_lists])
+    return _cell_keys(cells.reshape(-1, 2)), parts
+
+
+def _cell_keys(cells: np.ndarray) -> np.ndarray:
+    """One sortable key per ``(x, y)`` cell: ``x + iy``.  Complex values
+    order lexicographically, and the conversion is exact because Eps-cell
+    coordinates are floors of float64 values — so no packing, no bounding
+    box and nothing to overflow."""
+    return cells[:, 0] + 1j * cells[:, 1]
+
+
+def _ids_by_partition(
+    point_cell: np.ndarray, cell_ids: np.ndarray, cell_parts: np.ndarray, n_cells: int, n_parts: int
+) -> list[np.ndarray]:
+    """Ascending point ids per partition, from ``(cell, partition)``
+    listings and each point's cell id."""
+    cell_parts = cell_parts[np.argsort(cell_ids, kind="stable")]
+    listed = np.bincount(cell_ids, minlength=n_cells)
+    first = np.cumsum(listed) - listed
+    reps = listed[point_cell]
+    ids = np.repeat(np.arange(len(point_cell), dtype=np.int64), reps)
+    slot = np.repeat(first[point_cell] - (np.cumsum(reps) - reps), reps)
+    slot += np.arange(len(ids), dtype=np.int64)
+    # The narrowest dtype gets numpy's radix sort; stable either way, so
+    # ids stay ascending inside each partition's run.
+    parts = cell_parts[slot].astype(np.min_scalar_type(n_parts))
+    ids = ids[np.argsort(parts, kind="stable")]
+    return np.split(ids, np.cumsum(np.bincount(parts, minlength=n_parts))[:-1])
+
+
 def partition_points(
     points: PointSet, plan: PartitionPlan
 ) -> list[tuple[PointSet, PointSet]]:
@@ -275,42 +310,32 @@ def partition_points(
     Partition points are those whose Eps-cell the partition owns; shadow
     points are those in the partition's shadow cells (they are partition
     points of a neighboring partition — the duplication is the §3.1.1
-    correctness mechanism).
+    correctness mechanism).  Both come out in ascending input order.
     """
     n = len(points)
     cells = cell_of_coords(points.coords, plan.eps) if n else np.empty((0, 2), np.int64)
-    owner_of_cell = plan.cell_owner()
-
-    # Group point indices by cell once (sparse dict of arrays).
-    members: dict[tuple[int, int], np.ndarray] = {}
-    if n:
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sc = cells[order]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = np.any(sc[1:] != sc[:-1], axis=1)
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        for (cx, cy), s, e in zip(sc[starts], starts, ends):
-            members[(int(cx), int(cy))] = order[s:e]
-
-    unowned = [c for c in members if c not in owner_of_cell]
-    if unowned:
+    specs = plan.partitions
+    own_keys, own_parts = _cell_table([spec.cells for spec in specs])
+    shadow_keys, shadow_parts = _cell_table([spec.shadow_cells for spec in specs])
+    # Every cell the plan mentions gets an id, its rank among their sorted
+    # keys (the infinite sentinel takes every miss): one binary search per
+    # point, and everything after that is per-cell tables.
+    plan_keys = np.append(np.unique(np.concatenate((own_keys, shadow_keys))), np.inf)
+    own_ids = np.searchsorted(plan_keys, own_keys)
+    if len(np.unique(own_ids)) != len(own_ids):
+        plan.cell_owner()  # raises, naming the doubly-owned cell
+    point_keys = _cell_keys(cells)
+    point_cell = np.searchsorted(plan_keys, point_keys)
+    owned = np.zeros(len(plan_keys), dtype=bool)
+    owned[own_ids] = True
+    covered = owned[point_cell] & (plan_keys[point_cell] == point_keys)
+    if not np.all(covered):
+        unowned = sorted(set(map(tuple, cells[~covered].tolist())))
         raise PartitionError(
             f"{len(unowned)} non-empty cells not covered by the plan, e.g. {unowned[:3]}"
         )
-
-    out: list[tuple[PointSet, PointSet]] = []
-    for spec in plan.partitions:
-        own_chunks = [members[c] for c in spec.cells if c in members]
-        own_idx = (
-            np.sort(np.concatenate(own_chunks)) if own_chunks else np.empty(0, np.int64)
-        )
-        shadow_chunks = [members[c] for c in sorted(spec.shadow_cells) if c in members]
-        shadow_idx = (
-            np.sort(np.concatenate(shadow_chunks))
-            if shadow_chunks
-            else np.empty(0, np.int64)
-        )
-        out.append((points.take(own_idx), points.take(shadow_idx)))
-    return out
+    shadow_ids = np.searchsorted(plan_keys, shadow_keys)
+    sizes = (len(plan_keys), len(specs))
+    own = _ids_by_partition(point_cell, own_ids, own_parts, *sizes)
+    shadow = _ids_by_partition(point_cell, shadow_ids, shadow_parts, *sizes)
+    return [(points.take(o), points.take(s)) for o, s in zip(own, shadow)]

@@ -14,7 +14,9 @@ runs (``repro.gpu.kernels``):
 * expected true neighbors ≈ (π/9) × stencil (area ratio of the Eps disk
   to the stencil);
 * pass 1 scans ``stencil × minpts/(neighbors+1)`` candidates for core
-  points (MinPts-capped early termination) and everything for non-cores;
+  points (MinPts-capped early termination) and everything for non-cores —
+  :func:`repro.gpu.kernels.expected_scan_ops`, the very function real
+  runs are charged by;
 * the core fraction is Poissonian: ``P[Poisson(neighbors) >= minpts]``;
 * dense box eliminates a cell fraction that ramps from 0 when the cell
   holds ``minpts`` points to 1 when it holds ``2.5 × minpts`` (a cell
@@ -34,15 +36,13 @@ from scipy import special
 
 from ..data.density import DENSEBOX_FULL_FACTOR, densebox_ramp
 from ..errors import SimulationError
+from ..gpu.kernels import DISK_STENCIL_RATIO, expected_scan_ops
 from ..partition.grid import GridHistogram
 from ..partition.partitioner import form_partitions
 from ..partition.plan import PartitionPlan
 from ..points import PointSet
 
 __all__ = ["DENSEBOX_FULL_FACTOR", "ScaledWorkload", "LeafWork", "leaf_gpu_work", "cell_gpu_work"]
-
-#: Ratio of the Eps-disk area to the 3x3 stencil area.
-DISK_STENCIL_RATIO: float = np.pi / 9.0
 
 
 @dataclass
@@ -149,7 +149,7 @@ def _vector_cell_work(
     elim_frac = densebox_ramp(counts, minpts) if use_densebox else np.zeros_like(counts)
     survivors = counts * (1.0 - elim_frac)
     core_frac = special.gammainc(minpts, neighbors)  # P[Poisson >= m]
-    capped = np.minimum(stencils * minpts / (neighbors + 1.0), stencils)
+    capped = expected_scan_ops(stencils, True, minpts)
     per_point_pass1 = core_frac * capped + (1.0 - core_frac) * stencils
     pass1 = survivors * per_point_pass1
     pass2 = survivors * core_frac * stencils

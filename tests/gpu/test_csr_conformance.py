@@ -67,7 +67,7 @@ def _assert_identical(res_block, res_csr) -> None:
     assert res_block.stats.n_eliminated == res_csr.stats.n_eliminated
 
 
-@pytest.mark.parametrize("trial", range(12))
+@pytest.mark.parametrize("trial", range(20))
 def test_direct_parity_randomized(trial):
     """mrscan_gpu(engine=csr) == mrscan_gpu(engine=block), bit for bit."""
     rng = np.random.default_rng(1000 + trial)
@@ -76,6 +76,14 @@ def test_direct_parity_randomized(trial):
     minpts = int(rng.integers(2, 12))
     use_densebox = bool(rng.random() < 0.7)
     claim = bool(rng.random() < 0.3)
+    if trial >= 12:
+        # Saturation-heavy: tight blobs, a low MinPts and no dense boxes,
+        # so most rows (95-100 % over these draws) are retired by bulk
+        # credit in the counting walk and pass 1 never learns their count.
+        points = _random_points(rng, int(rng.integers(300, 900)), 1)
+        eps = float(rng.uniform(0.03, 0.12))
+        minpts = int(rng.integers(2, 5))
+        use_densebox = False
     res_block = mrscan_gpu(
         points, eps, minpts, engine="block",
         use_densebox=use_densebox, claim_box_borders=claim,

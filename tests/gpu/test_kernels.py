@@ -33,21 +33,25 @@ def test_candidate_counts_total_equals_pairwise_work():
 
 
 def test_expected_scan_ops_cap_behaviour():
-    cand = np.array([100.0, 100.0, 100.0])
-    counts = np.array([5, 50, 99])  # true neighbors
-    ops = expected_scan_ops(cand, counts, minpts=10)
-    assert ops[0] == 100.0  # fewer than minpts neighbors: full scan
-    assert ops[1] < 100.0  # early termination kicks in
-    assert ops[2] < ops[1]  # denser point terminates sooner
+    cand = np.array([100.0, 100.0, 400.0, 3.0])
+    is_core = np.array([False, True, True, True])
+    ops = expected_scan_ops(cand, is_core, minpts=10)
+    assert ops[0] == 100.0  # non-core: full scan
+    # Core: c * minpts / (pi/9 * c + 1), the disk share of the stencil
+    # standing in for the neighbor count a saturating pass 1 never learns.
+    assert ops[1] == 100.0 * 10 / (np.pi / 9.0 * 100.0 + 1.0) < 100.0
+    assert ops[2] / 400.0 < ops[1] / 100.0  # denser stencil terminates sooner
+    assert ops[3] == 3.0  # the cap never exceeds the candidates there are
 
 
 def test_expected_scan_ops_never_exceed_full_scan():
     rng = np.random.default_rng(0)
     cand = rng.integers(1, 1000, 50).astype(float)
-    counts = rng.integers(0, 1000, 50)
-    ops = expected_scan_ops(cand, counts, minpts=40)
+    is_core = rng.random(50) < 0.5
+    ops = expected_scan_ops(cand, is_core, minpts=40)
     assert np.all(ops <= cand + 1e-9)
     assert np.all(ops >= 0)
+    np.testing.assert_array_equal(ops[~is_core], cand[~is_core])
 
 
 def test_bulk_launches():

@@ -6,6 +6,9 @@ engine's byte-identical-labels guarantee rests on:
 * every point lives in exactly one leaf box at every level;
 * the dual traversal's leaf pairs equal the brute-force set of box pairs
   within the interaction radius (mindist prune is exact, never lossy);
+* the saturating traversal's credit plus the annulus it hands back is the
+  exact neighbour count of every row it did not retire, and a lower bound
+  that reaches the threshold on every row it did;
 * ``csr_neighborhoods`` equals a brute-force O(n^2) eps-neighborhood
   scan, including on degenerate inputs (duplicates, collinear, empty).
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dbscan.grid_index import GridIndex
 from repro.errors import ConfigError
@@ -217,6 +221,120 @@ def test_interaction_counts_match_grid_stencil():
 
 
 # ---------------------------------------------------------------------- #
+# Saturating traversal (the counting walk)
+# ---------------------------------------------------------------------- #
+
+
+def _brute_counts(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    d = coords[:, None, :] - coords[None, :, :]
+    within = d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius
+    return within, within.sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 220),
+    radius=st.floats(0.05, 0.9),
+    divisor=st.sampled_from([1, 2, 3, 6]),
+    need=st.integers(0, 14),
+    active_share=st.sampled_from([0.0, 0.4, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_saturating_pairs_evidence(kind, n, radius, divisor, need, active_share, seed):
+    rng = np.random.default_rng(seed)
+    coords = _coords(rng, n, kind)
+    tree = FlatTree(coords, radius / divisor, radius=radius)
+    active = rng.random(tree.n_leaf_boxes) < active_share
+    credit, rows, cols = tree.saturating_pairs(active, need)
+    within, brute = _brute_counts(coords, radius)
+
+    assert len(credit) == tree.n_leaf_boxes and len(rows) == len(cols)
+    quads = list(zip(rows.tolist(), cols.tolist()))
+    assert len(set(quads)) == len(quads)  # each directed pair once, diagonal once
+    hits = np.zeros(n, dtype=np.int64)
+    for r, c in quads:
+        mr, mc = tree.leaf_members(r), tree.leaf_members(c)
+        hits[mr] += within[np.ix_(mr, mc)].sum(axis=1)
+
+    retired = ~active | (credit >= need)
+    assert not retired[rows].any()  # (iv) a done box is never a row
+    box = tree.point_leaf
+    open_rows = ~retired[box]
+    # (i) rows still open: credit + annulus hits is the exact count.
+    np.testing.assert_array_equal((credit[box] + hits)[open_rows], brute[open_rows])
+    # (ii) every box's credit is sound, so a saturated row really has
+    # >= need neighbours.
+    assert np.all(credit[box] <= brute)
+    saturated = active[box] & (credit[box] >= need)
+    assert np.all(brute[saturated] >= need)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("divisor", [1, 3, 6])
+def test_saturating_pairs_without_saturation_is_leaf_pairs(kind, divisor):
+    """(iii) With an unreachable threshold and every box active, credited
+    pairs and annulus pairs partition ``leaf_pairs()`` exactly: a leaf pair
+    is credited iff some ancestor pair (itself included) is wholly inside
+    the radius, and handed back iff none is.  The one thing the walk adds
+    is box pairs whose nominal gap *ties* the radius, which ``leaf_pairs``
+    prunes and counting must leave to the distance test."""
+    rng = np.random.default_rng(13)
+    coords = _coords(rng, 300, kind)
+    radius = 0.45
+    tree = FlatTree(coords, radius / divisor, radius=radius)
+    n_boxes = tree.n_leaf_boxes
+    credit, rows, cols = tree.saturating_pairs(np.ones(n_boxes, dtype=bool), len(coords) + 1)
+
+    a, b = tree.leaf_pairs()
+    off = a != b
+    directed = set(zip(np.concatenate((a, b[off])).tolist(), np.concatenate((b, a[off])).tolist()))
+    annulus = set(zip(rows.tolist(), cols.tolist()))
+    bx, by = tree.box_cells(tree.n_levels - 1)
+    for p, q in annulus - directed:
+        gx = max(abs(int(bx[p] - bx[q])) - 1, 0) * tree.cell_width
+        gy = max(abs(int(by[p] - by[q])) - 1, 0) * tree.cell_width
+        assert 1.0 <= (gx * gx + gy * gy) / (radius * radius) < 1.0 + 1e-9
+        assert (q, p) in annulus
+    if divisor == 1:  # radius == cell width: axis-aligned ties exist
+        assert annulus - directed
+    annulus &= directed
+
+    def full_at_some_level(p: int, q: int) -> bool:
+        for up in range(tree.n_levels):
+            edge = tree.cell_width * 2**up
+            fx = (abs(int(bx[p] >> up) - int(bx[q] >> up)) + 1) * edge
+            fy = (abs(int(by[p] >> up) - int(by[q] >> up)) + 1) * edge
+            if fx * fx + fy * fy <= radius * radius:
+                return True
+        return False
+
+    want_credit = np.zeros(n_boxes, dtype=np.int64)
+    count = tree.level_count[-1]
+    for p, q in directed:
+        covered = full_at_some_level(p, q)
+        assert covered != ((p, q) in annulus)
+        if covered:
+            want_credit[p] += count[q]
+    np.testing.assert_array_equal(credit, want_credit)
+
+
+def test_saturating_pairs_all_rows_done():
+    """(iv) Nothing to count — no active box, or a threshold already met —
+    means nothing handed back, whatever the geometry."""
+    rng = np.random.default_rng(14)
+    tree = FlatTree(_coords(rng, 400, "clustered"), 0.05, radius=0.3)
+    nobody = np.zeros(tree.n_leaf_boxes, dtype=bool)
+    everybody = ~nobody
+    for active, need in ((nobody, 5), (everybody, 0), (everybody, 1)):
+        credit, rows, cols = tree.saturating_pairs(active, need)
+        assert len(rows) == len(cols) == 0
+        assert len(credit) == tree.n_leaf_boxes
+    # need=1: every leaf box is wholly inside the radius of itself here.
+    assert np.all(credit >= tree.level_count[-1])
+
+
+# ---------------------------------------------------------------------- #
 # CSR neighborhoods vs brute force
 # ---------------------------------------------------------------------- #
 
@@ -305,3 +423,17 @@ def test_empty_tree():
     a, b = tree.leaf_pairs()
     assert len(a) == len(b) == 0
     assert len(tree.interaction_counts()) == 0
+
+
+def test_empty_tree_has_the_full_attribute_set():
+    """An empty tree used to lack ``cell_origin`` / ``leaf_bits`` and raise
+    ``IndexError`` from ``box_cells(0)``."""
+    tree = FlatTree(np.empty((0, 2)), 1.0)
+    full = FlatTree(np.zeros((1, 2)), 1.0)
+    assert set(vars(full)) == set(vars(tree))
+    assert tree.leaf_bits == 0
+    np.testing.assert_array_equal(tree.cell_origin, [0, 0])
+    bx, by = tree.box_cells(0)
+    assert len(bx) == len(by) == 0
+    credit, rows, cols = tree.saturating_pairs(np.zeros(0, dtype=bool), 3)
+    assert len(credit) == len(rows) == len(cols) == 0

@@ -172,3 +172,96 @@ def test_property_plan_valid_for_random_data(n, n_parts, minpts, seed):
     parts = partition_points(ps, plan)
     all_ids = np.concatenate([own.ids for own, _ in parts])
     assert len(np.unique(all_ids)) == n
+
+
+# ---------------------------------------------------------------------- #
+# partition_points: grouping pass == the per-cell-dict reference
+# ---------------------------------------------------------------------- #
+
+
+def _assert_same_materialisation(points, plan):
+    from partition_reference import partition_points_reference
+
+    got = partition_points(points, plan)
+    want = partition_points_reference(points, plan)
+    assert len(got) == len(want) == len(plan.partitions)
+    for pair_got, pair_want in zip(got, want):
+        for g, w in zip(pair_got, pair_want):
+            np.testing.assert_array_equal(g.ids, w.ids)  # same points, same order
+            np.testing.assert_array_equal(g.coords, w.coords)
+            np.testing.assert_array_equal(g.weights, w.weights)
+            assert (g.ids.dtype, g.coords.dtype, g.weights.dtype) == (
+                w.ids.dtype, w.coords.dtype, w.weights.dtype,
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 500),
+    n_parts=st.integers(1, 40),
+    minpts=st.integers(1, 6),
+    eps=st.sampled_from([0.25, 1.0, 3.0]),
+    offset=st.sampled_from([0.0, -7.5, 1e6]),
+    seed=st.integers(0, 9999),
+)
+def test_partition_points_matches_reference(n, n_parts, minpts, eps, offset, seed):
+    """Ids, order and weights equal the old implementation, for points in
+    no spatial order with non-trivial ids and weights; the sweep reaches
+    empty partitions (more partitions than cells) and cells shadowed by
+    several partitions (thin partitions on a coarse grid), which the fixed
+    case below also pins."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 6.0, size=(n, 2)) + offset
+    points = PointSet(
+        ids=rng.permutation(n).astype(np.int64) + 17,
+        coords=coords,
+        weights=rng.uniform(0.5, 2.0, size=n),
+    )
+    plan = form_partitions(_hist_from_points(points, eps), n_parts, minpts)
+    _assert_same_materialisation(points, plan)
+
+
+def test_partition_points_multiply_shadowed_cells_and_empty_partitions():
+    ps = uniform_noise(600, box=(0, 0, 4, 4), seed=21)
+    plan = form_partitions(_hist_from_points(ps, 1.0), 24, 1)  # 16 cells, 24 partitions
+    assert any(not spec.cells for spec in plan.partitions)
+    counts: dict[tuple[int, int], int] = {}
+    for spec in plan.partitions:
+        for cell in spec.shadow_cells:
+            counts[cell] = counts.get(cell, 0) + 1
+    assert max(counts.values()) >= 3  # one cell in several shadows
+    _assert_same_materialisation(ps, plan)
+
+
+def test_partition_points_subset_of_the_plan():
+    """The distributed partitioner materialises *slices*: most plan cells
+    hold no point of the slice."""
+    ps = generate_twitter(3000, seed=5)
+    plan = form_partitions(_hist_from_points(ps, 0.1), 6, 10)
+    _assert_same_materialisation(ps.take(np.arange(0, 3000, 7)), plan)
+    _assert_same_materialisation(ps.take(np.empty(0, dtype=np.int64)), plan)
+
+
+def test_partition_points_rejects_uncovered_cells():
+    from partition_reference import partition_points_reference
+
+    ps = uniform_noise(300, box=(0, 0, 5, 5), seed=3)
+    plan = form_partitions(_hist_from_points(ps.take(ps.coords[:, 0] < 3.0), 1.0), 3, 2)
+    with pytest.raises(PartitionError) as new:
+        partition_points(ps, plan)
+    with pytest.raises(PartitionError) as old:
+        partition_points_reference(ps, plan)
+    assert str(new.value) == str(old.value)
+    assert "not covered by the plan" in str(new.value)
+
+
+def test_partition_points_rejects_double_ownership():
+    from repro.partition.plan import PartitionPlan, PartitionSpec
+
+    plan = PartitionPlan(
+        eps=1.0,
+        partitions=[PartitionSpec(0, cells=[(0, 0)]), PartitionSpec(1, cells=[(0, 0)])],
+        target_size=1,
+    )
+    with pytest.raises(PartitionError, match="owned by partitions 0 and 1"):
+        partition_points(PointSet.from_coords(np.array([[0.5, 0.5]])), plan)
