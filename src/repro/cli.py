@@ -6,14 +6,10 @@ Subcommands
 ``cluster``   run the full Mr. Scan pipeline over a point file
 ``quality``   compare a clustering against single-CPU reference DBSCAN
 ``fuzz``      differential/metamorphic fuzzing against reference DBSCAN
-``bench-transport``  benchmark the local/process/shm execution backends
-``bench-durability``  measure the journal+checkpoint overhead of durable runs
 ``serve``     long-lived clustering daemon with incremental batch ingest
-``bench-serve``  load-generate against a live serve daemon
 ``worker``    TCP worker agent: dial a coordinator and execute leaf tasks
 ``simulate``  reproduce a paper figure through the performance model
 ``tune``      recommend transport/topology/partition config from history
-``bench-tune``  benchmark planner-tuned configs against fixed defaults
 """
 
 from __future__ import annotations
@@ -56,15 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--no-densebox", action="store_true")
     clu.add_argument(
         "--algorithm", choices=["mrscan", "cuda-dclust"], default="mrscan"
-    )
-    clu.add_argument(
-        "--cluster-engine",
-        choices=["block", "csr"],
-        default=None,
-        help="cluster-phase kernel implementation: 'csr' (vectorised "
-        "whole-leaf kernels, the default) or 'block' (per-cell loops, "
-        "the differential oracle); labels are byte-identical "
-        "(default: $MRSCAN_CLUSTER_ENGINE, then csr)",
     )
     clu.add_argument(
         "--partition-output", choices=["lustre", "network"], default="lustre"
@@ -182,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-tune",
         action="store_true",
         help="let the tune planner (repro.tune) fill the label-neutral "
-        "knobs left unset (--transport/--workers/--cluster-engine) from "
+        "knobs left unset (--transport/--workers) from "
         "calibrated run history; labels are unaffected by construction",
     )
     clu.add_argument(
@@ -266,73 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fz.add_argument("--json", action="store_true", help="print a JSON report")
 
-    bt = sub.add_parser(
-        "bench-transport",
-        help="benchmark the local/process/shm transports (repro.runtime)",
-    )
-    bt.add_argument(
-        "--points", type=int, default=1_000_000, help="data-plane dataset size"
-    )
-    bt.add_argument(
-        "--pipeline-points",
-        type=int,
-        default=None,
-        help="end-to-end dataset size (default: --points)",
-    )
-    bt.add_argument("--tasks", type=int, default=64, help="slices per round")
-    bt.add_argument("--leaves", type=int, default=8)
-    bt.add_argument("--workers", type=int, default=None, metavar="N")
-    bt.add_argument("--repeats", type=int, default=3, help="timed rounds, best kept")
-    bt.add_argument("--seed", type=int, default=0)
-    bt.add_argument(
-        "--transports",
-        default="local,process,shm",
-        help="comma-separated subset to run (default: local,process,shm; "
-        "add 'tcp' to measure the socket boundary)",
-    )
-    bt.add_argument(
-        "--skip-pipeline",
-        action="store_true",
-        help="only run the data-plane dispatch section",
-    )
-    bt.add_argument(
-        "--skip-engines",
-        action="store_true",
-        help="skip the cluster-engine (block vs csr) shootout section",
-    )
-    bt.add_argument(
-        "--engine-points",
-        type=int,
-        default=100_000,
-        help="dataset size for the cluster-engine shootout",
-    )
-    bt.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_PR8.json"),
-        help="JSON report path (default BENCH_PR8.json)",
-    )
-    bt.add_argument("--json", action="store_true", help="also print the report")
-
-    bd = sub.add_parser(
-        "bench-durability",
-        help="measure journal+checkpoint overhead of durable runs "
-        "(repro.durability)",
-    )
-    bd.add_argument(
-        "--points", type=int, default=1_000_000, help="dataset size (default 1M)"
-    )
-    bd.add_argument("--leaves", type=int, default=8)
-    bd.add_argument("--repeats", type=int, default=3, help="runs per mode, best kept")
-    bd.add_argument("--seed", type=int, default=0)
-    bd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_PR5.json"),
-        help="JSON report path (default BENCH_PR5.json)",
-    )
-    bd.add_argument("--json", action="store_true", help="also print the report")
-
     srv = sub.add_parser(
         "serve",
         help="run the long-lived clustering daemon (repro.serve): async "
@@ -409,58 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before cancelling it (default 10)",
     )
     srv.add_argument("--verbose", action="store_true")
-
-    bs = sub.add_parser(
-        "bench-serve",
-        help="load-generate against a live serve daemon (repro.serve.loadgen)",
-    )
-    bs.add_argument(
-        "--points", type=int, default=100_000,
-        help="resident dataset size (default 100k)",
-    )
-    bs.add_argument(
-        "--large", action="store_true",
-        help="also run the 1M-resident-points size",
-    )
-    bs.add_argument("--batches", type=int, default=10, help="ingest batches")
-    bs.add_argument("--batch-size", type=int, default=500)
-    bs.add_argument("--query-clients", type=int, default=2)
-    bs.add_argument("--queries-per-client", type=int, default=50)
-    bs.add_argument("--eps", type=float, default=0.08)
-    bs.add_argument("--minpts", type=int, default=8)
-    bs.add_argument("--leaves", type=int, default=16)
-    bs.add_argument(
-        "--transport", choices=["local", "process", "shm", "tcp"], default="local"
-    )
-    bs.add_argument("--seed", type=int, default=0)
-    bs.add_argument(
-        "--skip-full", action="store_true",
-        help="skip the from-scratch anchor run (no speedup/equivalence)",
-    )
-    bs.add_argument(
-        "--overload", action="store_true",
-        help="run the overload chaos scenario instead: flood a tiny-queue "
-        "daemon with concurrent ingests + a stalled client; exits non-zero "
-        "on any hang, unbounded queue, malformed shed, slow query p99, or "
-        "label divergence",
-    )
-    bs.add_argument(
-        "--flood-clients", type=int, default=6,
-        help="concurrent ingest streams in --overload (default 6)",
-    )
-    bs.add_argument(
-        "--max-queued-ingests", type=int, default=2,
-        help="daemon queue bound in --overload (default 2, to force sheds)",
-    )
-    bs.add_argument(
-        "--query-p99-budget", type=float, default=0.05, metavar="SECONDS",
-        help="--overload gate on query p99 during the flood (default 0.05)",
-    )
-    bs.add_argument(
-        "--output", type=Path, default=Path("BENCH_PR6.json"),
-        help="JSON report path (default BENCH_PR6.json)",
-    )
-    bs.add_argument("--json", action="store_true", help="also print the report")
 
     wrk = sub.add_parser(
         "worker",
@@ -562,31 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the evidence behind each recommendation",
     )
     tun.add_argument("--json", action="store_true", help="print the plan as JSON")
-
-    btu = sub.add_parser(
-        "bench-tune",
-        help="benchmark planner-tuned configs against fixed defaults "
-        "(repro.tune.bench)",
-    )
-    btu.add_argument(
-        "--repeats", type=int, default=2, help="timed runs per config, best kept"
-    )
-    btu.add_argument("--seed", type=int, default=0)
-    btu.add_argument(
-        "--tune-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="profile store for the history pass (default: a throwaway "
-        "temp dir, so the bench is hermetic)",
-    )
-    btu.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_PR9.json"),
-        help="JSON report path (default BENCH_PR9.json)",
-    )
-    btu.add_argument("--json", action="store_true", help="also print the report")
     return parser
 
 
@@ -669,7 +512,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     fanout = args.fanout
     transport = args.transport
     workers = args.workers
-    cluster_engine = args.cluster_engine
     partition_hints = None
     if args.tune_plan is not None:
         from .errors import TuneError
@@ -688,8 +530,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             transport = tplan.apply.get("transport")
             if workers is None:
                 workers = tplan.apply.get("transport_workers")
-        if cluster_engine is None:
-            cluster_engine = tplan.apply.get("cluster_engine")
         n_leaves = int(tplan.advise.get("n_leaves", n_leaves))
         fanout = int(tplan.advise.get("fanout", fanout))
         hints_doc = tplan.advise.get("partition_hints")
@@ -697,8 +537,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             partition_hints = PartitionHints.from_dict(hints_doc)
         print(
             f"tune plan applied: transport={transport or 'local'} "
-            f"engine={cluster_engine or 'csr'} leaves={n_leaves} "
-            f"fanout={fanout}"
+            f"leaves={n_leaves} fanout={fanout}"
             + (" + partition split hints" if partition_hints else "")
         )
 
@@ -712,7 +551,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             n_partition_nodes=args.partition_nodes,
             use_densebox=not args.no_densebox,
             leaf_algorithm=args.algorithm,
-            cluster_engine=cluster_engine,
             partition_output=args.partition_output,
             telemetry=trace_enabled,
             fault_plan=fault_plan,
@@ -921,100 +759,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_transport(args: argparse.Namespace) -> int:
-    from .runtime.bench import run_transport_bench
-
-    transports = tuple(
-        name.strip() for name in args.transports.split(",") if name.strip()
-    )
-    try:
-        report = run_transport_bench(
-            n_points=args.points,
-            pipeline_points=args.pipeline_points,
-            n_tasks=args.tasks,
-            n_leaves=args.leaves,
-            n_workers=args.workers,
-            repeats=args.repeats,
-            seed=args.seed,
-            transports=transports,
-            skip_pipeline=args.skip_pipeline,
-            skip_engines=args.skip_engines,
-            engine_points=args.engine_points,
-            output=args.output,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        dp = report["dataplane"]
-        print(
-            f"data plane: {dp['n_points']:,} points x {dp['n_tasks']} tasks, "
-            f"{report['n_workers']} workers"
-        )
-        for name, row in dp["results"].items():
-            print(
-                f"  {name:>8}: {row['round_seconds']*1e3:8.1f} ms/round "
-                f"({row['points_per_sec']:,.0f} points/sec)"
-            )
-        if "speedup_shm_vs_process" in dp:
-            print(f"  shm vs process: {dp['speedup_shm_vs_process']:.2f}x")
-        if "pipeline" in report:
-            pl = report["pipeline"]
-            print(f"pipeline: {pl['n_points']:,} points, {pl['n_leaves']} leaves")
-            for name, row in pl["results"].items():
-                print(
-                    f"  {name:>8}: {row['wall_seconds']:7.2f} s "
-                    f"({row['points_per_sec']:,.0f} points/sec)"
-                )
-        if "cluster_engines" in report:
-            ce = report["cluster_engines"]
-            print(
-                f"cluster engines: {ce['n_points']:,} points, "
-                f"eps={ce['eps']} minpts={ce['minpts']}"
-            )
-            for name, row in ce["results"].items():
-                print(
-                    f"  {name:>8}: {row['cluster_seconds']:7.2f} s "
-                    f"({row['points_per_sec']:,.0f} points/sec)"
-                )
-            if "speedup_csr_vs_block" in ce:
-                print(f"  csr vs block: {ce['speedup_csr_vs_block']:.2f}x")
-    print(f"report written to {args.output}")
-    return 0
-
-
-def _cmd_bench_durability(args: argparse.Namespace) -> int:
-    from .durability.bench import run_durability_bench
-
-    report = run_durability_bench(
-        n_points=args.points,
-        n_leaves=args.leaves,
-        repeats=args.repeats,
-        seed=args.seed,
-        output=args.output,
-    )
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        base = report["baseline"]["wall_seconds"]
-        dur = report["durable"]["wall_seconds"]
-        print(
-            f"durability bench: {report['n_points']:,} points, "
-            f"{report['n_leaves']} leaves"
-        )
-        print(f"  baseline: {base:7.2f} s")
-        print(
-            f"   durable: {dur:7.2f} s "
-            f"({report['durable']['journal_records']} journal records, "
-            f"{report['durable']['checkpoint_bytes']:,} checkpoint bytes)"
-        )
-        print(f"  overhead: {100 * report['overhead_fraction']:+.1f}%")
-    print(f"report written to {args.output}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
@@ -1104,118 +848,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .serve.loadgen import run_serve_bench, write_bench
-
-    if args.overload:
-        return _run_overload_gate(args)
-    sizes = [args.points] + ([1_000_000] if args.large else [])
-    results = []
-    for size in sizes:
-        print(f"bench-serve: {size} resident points ...", flush=True)
-        results.append(
-            run_serve_bench(
-                resident_points=size,
-                n_batches=args.batches,
-                batch_size=args.batch_size,
-                n_query_clients=args.query_clients,
-                queries_per_client=args.queries_per_client,
-                eps=args.eps,
-                minpts=args.minpts,
-                n_leaves=args.leaves,
-                transport=args.transport,
-                seed=args.seed,
-                skip_full=args.skip_full,
-            )
-        )
-        r = results[-1]
-        line = (
-            f"  {r['batches_per_sec']:.2f} batches/s, "
-            f"dirty fraction {r['dirty_leaf_fraction_mean']:.2f}, "
-            f"ingest p50 {r['ingest_seconds']['p50']:.3f}s"
-        )
-        if "speedup_incremental_vs_full" in r and r["speedup_incremental_vs_full"]:
-            line += (
-                f", {r['speedup_incremental_vs_full']:.1f}x vs full "
-                f"({r['equivalence']})"
-            )
-        print(line)
-    config = {
-        "eps": args.eps,
-        "minpts": args.minpts,
-        "n_leaves": args.leaves,
-        "transport": args.transport,
-        "seed": args.seed,
-        "batches": args.batches,
-        "batch_size": args.batch_size,
-    }
-    payload = write_bench(results, config, args.output)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    print(f"report written to {args.output}")
-    return 0
-
-
-def _run_overload_gate(args: argparse.Namespace) -> int:
-    """``bench-serve --overload``: run the flood scenario and gate on
-    its invariants (non-zero exit on any violation)."""
-    from .serve.loadgen import run_overload_bench, write_bench
-
-    print(
-        f"bench-serve --overload: {args.flood_clients} flood clients vs "
-        f"queue bound {args.max_queued_ingests} ...",
-        flush=True,
-    )
-    r = run_overload_bench(
-        flood_clients=args.flood_clients,
-        max_queued_ingests=args.max_queued_ingests,
-        n_query_clients=args.query_clients,
-        eps=args.eps,
-        minpts=args.minpts,
-        n_leaves=args.leaves,
-        transport=args.transport,
-        seed=args.seed,
-        skip_full=args.skip_full,
-    )
-    failures: list[str] = []
-    if r["hangs"]:
-        failures.append(f"{r['hangs']} hang(s): {r['hang_details']}")
-    if r["max_queue_depth_seen"] > r["max_queued_ingests"]:
-        failures.append(
-            f"queue depth {r['max_queue_depth_seen']} exceeded the "
-            f"{r['max_queued_ingests']} bound"
-        )
-    if r["shed_malformed"]:
-        failures.append(f"malformed shed response(s): {r['shed_malformed']}")
-    p99 = r["query_seconds"]["p99"]
-    if p99 is not None and p99 > args.query_p99_budget:
-        failures.append(
-            f"query p99 {p99:.4f}s over the {args.query_p99_budget}s budget"
-        )
-    if not args.skip_full and not r.get("equivalence_ok", False):
-        failures.append(
-            f"labels diverged from clean run: {r.get('equivalence')}"
-        )
-    print(
-        f"  {r['acked_batches']}/{r['expected_batches']} batches acked, "
-        f"{r['shed_total']} shed(s), max queue depth "
-        f"{r['max_queue_depth_seen']}, query p99 "
-        f"{p99 if p99 is not None else float('nan'):.4f}s"
-    )
-    if "equivalence" in r:
-        print(f"  equivalence: {r['equivalence']}")
-    payload = write_bench([r], {"scenario": "overload"}, args.output)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    print(f"report written to {args.output}")
-    if failures:
-        for f in failures:
-            print(f"OVERLOAD GATE FAILED: {f}", file=sys.stderr)
-        return 1
-    print("overload gate passed")
-    return 0
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     import logging
 
@@ -1271,7 +903,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(
             f"recommended: --transport {apply['transport']}"
             + (f" --workers {workers}" if workers is not None else "")
-            + f" --cluster-engine {apply['cluster_engine']}"
         )
         advise = tplan.advise
         print(
@@ -1293,21 +924,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_tune(args: argparse.Namespace) -> int:
-    from .tune import run_tune_bench
-
-    report = run_tune_bench(
-        repeats=args.repeats,
-        seed=args.seed,
-        tune_dir=args.tune_dir,
-        output=args.output,
-    )
-    if args.json:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    print(f"report written to {args.output}")
-    return 0 if report["gates"]["ok"] else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1316,14 +932,10 @@ def main(argv: list[str] | None = None) -> int:
         "quality": _cmd_quality,
         "analyze": _cmd_analyze,
         "fuzz": _cmd_fuzz,
-        "bench-transport": _cmd_bench_transport,
-        "bench-durability": _cmd_bench_durability,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
         "worker": _cmd_worker,
         "simulate": _cmd_simulate,
         "tune": _cmd_tune,
-        "bench-tune": _cmd_bench_tune,
     }
     return handlers[args.command](args)
 

@@ -78,12 +78,6 @@ class MrScanConfig:
     shadow_representatives: bool = False
     partition_output: str = "lustre"  # or "network" (the §6 future-work path)
     leaf_algorithm: str = "mrscan"  # or "cuda-dclust" (the §3.2.1 baseline)
-    #: Cluster-phase kernel dispatch for mrscan leaves: ``csr`` evaluates
-    #: whole-leaf neighborhoods in batched vectorised kernels, ``block``
-    #: walks per-block python loops (the differential oracle; both produce
-    #: byte-identical labels).  ``None`` defers to ``MRSCAN_CLUSTER_ENGINE``
-    #: and then to ``csr``.
-    cluster_engine: str | None = None
     device: DeviceConfig = field(default_factory=DeviceConfig)
     materialize_dir: str | None = None
     #: Collect spans/metrics for this run (repro.telemetry).  Off by
@@ -144,8 +138,8 @@ class MrScanConfig:
     partition_hints: object | None = None
     #: Let the tune planner (repro.tune) fill the *label-neutral*
     #: execution knobs this config leaves unset — transport,
-    #: transport_workers, cluster_engine — from calibrated history before
-    #: the run starts.  Labels are unaffected by construction.
+    #: transport_workers — from calibrated history before the run starts.
+    #: Labels are unaffected by construction.
     auto_tune: bool = False
     #: Profile-store directory for auto_tune (None = ``MRSCAN_TUNE_DIR``
     #: env var, then ``~/.mrscan/profiles``).
@@ -201,11 +195,6 @@ class MrScanConfig:
             )
         if self.transport_workers is not None and self.transport_workers < 1:
             raise ConfigError("transport_workers must be >= 1")
-        if self.cluster_engine is not None and self.cluster_engine not in ("block", "csr"):
-            raise ConfigError(
-                f"cluster_engine must be 'block' or 'csr', got "
-                f"{self.cluster_engine!r}"
-            )
         if self.resume and self.run_dir is None:
             raise ConfigError("resume requires run_dir")
         if self.partition_hints is not None:
@@ -232,14 +221,6 @@ class MrScanConfig:
                 )
             return env
         return "local"
-
-    def resolved_cluster_engine(self) -> str:
-        """The cluster engine mrscan leaves dispatch through: the explicit
-        ``cluster_engine`` field, else ``MRSCAN_CLUSTER_ENGINE`` (the CI
-        matrix hook), else ``csr``."""
-        from ..gpu.mrscan_gpu import resolve_cluster_engine
-
-        return resolve_cluster_engine(self.cluster_engine)
 
     @property
     def partition_nodes(self) -> int:

@@ -135,19 +135,14 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     """
     t_leaf_start = time.perf_counter()
     cfg = task.config
-    engine = (
-        "cuda-dclust"
-        if cfg.leaf_algorithm == "cuda-dclust"
-        else cfg.resolved_cluster_engine()
-    )
+    engine = "cuda-dclust" if cfg.leaf_algorithm == "cuda-dclust" else "csr"
     store = (
         LeafCheckpointStore(task.checkpoint_dir) if task.checkpoint_dir else None
     )
     if store is not None and store.has(task.leaf_id):
         try:
-            # A checkpoint written by a different engine must not replay
-            # into this run (engines are label-identical, but replaying
-            # would silently void the engine the run asked to exercise).
+            # A checkpoint written by a different leaf engine (cuda-dclust
+            # vs mrscan, or a legacy ``block`` run) must not replay here.
             ckpt = store.load(task.leaf_id, expected_engine=engine)
         except CheckpointError:
             pass  # corrupt, torn or foreign-engine checkpoint: recompute
@@ -211,7 +206,6 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                             use_densebox=cfg.use_densebox,
                             claim_box_borders=cfg.claim_box_borders,
                             memory_chunks=chunks,
-                            engine=engine,
                         )
                         break
                     except DeviceMemoryError:
@@ -337,8 +331,8 @@ def run_pipeline(
     tune_store = None
     if config.auto_tune and transport is None:
         # Planner fills only unset label-neutral knobs (transport, pool
-        # size, engine) from recorded history; a tune failure must never
-        # fail the run it was trying to speed up.
+        # size) from recorded history; a tune failure must never fail
+        # the run it was trying to speed up.
         try:
             from ..tune.history import ProfileStore
             from ..tune.planner import auto_tune_config
@@ -346,9 +340,8 @@ def run_pipeline(
             tune_store = ProfileStore(config.tune_dir)
             config, tune_plan = auto_tune_config(config, points, store=tune_store)
             logger.info(
-                "auto-tune: %s / %s (%d history profile(s))",
+                "auto-tune: %s (%d history profile(s))",
                 config.resolved_transport(),
-                config.resolved_cluster_engine(),
                 tune_plan.model_info.get("history_rows", 0),
             )
         except Exception:  # noqa: BLE001 - advisory subsystem, never fatal
@@ -398,10 +391,6 @@ def _run_pipeline(
     transport: Transport,
     telemetry: Telemetry,
 ) -> MrScanResult:
-    # Pin the cluster engine before any config is pickled to workers or
-    # fingerprinted: the env-var default must resolve once, on the
-    # driver, so every leaf (and a later resume) sees the same engine.
-    config = replace(config, cluster_engine=config.resolved_cluster_engine())
     n_dropped_invalid = 0
     if config.drop_invalid:
         points, n_dropped_invalid = points.drop_invalid()
@@ -954,7 +943,6 @@ def cluster_merge_sweep(
     """
     if telemetry is None:
         telemetry = Telemetry.disabled()
-    config = replace(config, cluster_engine=config.resolved_cluster_engine())
     tracer = telemetry.tracer
     n_leaves = len(partitions)
     cached = dict(cached_outputs or {})

@@ -92,16 +92,12 @@ LABEL_FIELDS = (
 
 
 def config_fingerprint(config: MrScanConfig) -> str:
-    """sha256 over the label-affecting config fields.
-
-    The resolved cluster engine is fingerprinted too: engines produce
-    identical labels, but a resume must re-run under the engine the
-    original run recorded rather than silently replay a different one's
-    checkpoints.
-    """
+    """sha256 over the label-affecting config fields."""
     payload = {name: getattr(config, name) for name in LABEL_FIELDS}
     payload["partition_nodes"] = config.partition_nodes
-    payload["cluster_engine"] = config.resolved_cluster_engine()
+    # Format constant from when the ``block`` engine was selectable: run
+    # dirs written under ``csr`` keep resuming, ``block`` ones are refused.
+    payload["cluster_engine"] = "csr"
     # Partition-split hints change the partition plan (and hence label
     # numbering), so a resume under different hints must refuse.
     hints = getattr(config, "partition_hints", None)
@@ -246,7 +242,6 @@ class RunDirectory:
                     "n_points": len(points),
                     "transport": config.resolved_transport(),
                     "transport_workers": config.transport_workers,
-                    "cluster_engine": config.resolved_cluster_engine(),
                     "densebox_detector": DENSEBOX_DETECTOR if config.use_densebox else None,
                     "n_leaves": config.n_leaves,
                     "fanout": config.fanout,

@@ -24,11 +24,14 @@ The extensions over CUDA-DClust:
    not expanded) and so fall out as noise — the "extremely small impact on
    quality" the paper accepts in exchange for the elimination.
 
-Two interchangeable **cluster engines** implement the passes:
+Two **cluster engines** implement the passes; the pipeline always runs
+``csr``, and ``block`` is reachable only through ``mrscan_gpu``'s
+``engine=`` keyword:
 
 ``block``
     The original per-cell python expansion loop over the Eps grid —
-    retained as the differential oracle for conformance testing.
+    retained as the differential oracle the conformance tests compare
+    against.
 ``csr``
     Whole-leaf vectorised kernels (the default): a flattened Morton tree
     (`repro.gpu.treeindex`) yields interacting Eps-cell pairs, batched
@@ -52,7 +55,6 @@ and wall-clock speed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,37 +78,10 @@ from .kernels import (
 from .treeindex import FlatTree
 
 __all__ = [
-    "CLUSTER_ENGINES",
-    "DEFAULT_CLUSTER_ENGINE",
-    "CLUSTER_ENGINE_ENV",
-    "resolve_cluster_engine",
     "MrScanGPUStats",
     "GPUClusterResult",
     "mrscan_gpu",
 ]
-
-#: The two interchangeable cluster-phase implementations.
-CLUSTER_ENGINES = ("block", "csr")
-
-#: Engine used when neither the call nor the environment picks one.
-DEFAULT_CLUSTER_ENGINE = "csr"
-
-#: Environment override consulted when no engine is passed explicitly.
-CLUSTER_ENGINE_ENV = "MRSCAN_CLUSTER_ENGINE"
-
-
-def resolve_cluster_engine(engine: str | None = None) -> str:
-    """Resolve an engine name: explicit value → env override → default."""
-    if engine is None:
-        engine = os.environ.get(CLUSTER_ENGINE_ENV) or None
-    if engine is None:
-        return DEFAULT_CLUSTER_ENGINE
-    if engine not in CLUSTER_ENGINES:
-        raise ConfigError(
-            f"unknown cluster engine {engine!r}; expected one of {CLUSTER_ENGINES}"
-        )
-    return engine
-
 
 @dataclass
 class MrScanGPUStats:
@@ -500,7 +475,7 @@ def mrscan_gpu(
     use_densebox: bool = True,
     claim_box_borders: bool = False,
     memory_chunks: int = 1,
-    engine: str | None = None,
+    engine: str = "csr",
 ) -> GPUClusterResult:
     """Cluster one partition with Mr. Scan's GPU DBSCAN.
 
@@ -525,10 +500,10 @@ def mrscan_gpu(
         bit-identical regardless of chunking.
     engine:
         Cluster-phase implementation: ``"csr"`` (vectorised whole-leaf
-        kernels, the default) or ``"block"`` (the per-cell python loop,
-        kept as the differential oracle).  ``None`` consults the
-        ``MRSCAN_CLUSTER_ENGINE`` environment variable, then the default.
-        Both engines produce byte-identical labels and pass-op totals.
+        kernels, the default and the only one the pipeline runs) or
+        ``"block"`` (the per-cell python loop, kept as the differential
+        oracle for tests).  Both engines produce byte-identical labels
+        and pass-op totals.
     """
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
@@ -536,7 +511,10 @@ def mrscan_gpu(
         raise ConfigError(f"minpts must be >= 1, got {minpts}")
     if memory_chunks < 1:
         raise ConfigError(f"memory_chunks must be >= 1, got {memory_chunks}")
-    engine = resolve_cluster_engine(engine)
+    if engine not in ("block", "csr"):
+        raise ConfigError(
+            f"unknown cluster engine {engine!r}; expected 'block' or 'csr'"
+        )
     device = device or SimulatedDevice()
     n = len(points)
     stats = MrScanGPUStats(n_points=n, memory_chunks=int(memory_chunks), engine=engine)

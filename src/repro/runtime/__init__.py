@@ -20,9 +20,7 @@ Layers:
   (:func:`acquire_device`, pre-attached segments);
 * :mod:`~repro.runtime.executor` — :class:`ShmTransport` implementing
   the :class:`~repro.mrnet.transport.Transport` protocol, so Network
-  retries, preemptive timeouts and failover work unchanged;
-* :mod:`~repro.runtime.bench` — the ``mrscan bench-transport`` harness
-  comparing the three transports (``BENCH_PR4.json``).
+  retries, preemptive timeouts and failover work unchanged.
 """
 
 from .arena import (

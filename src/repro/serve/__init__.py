@@ -36,8 +36,7 @@ snapshot, and SIGTERM/``drain`` exits gracefully — see
 Layers: :mod:`.state` (resident state + the incremental ingest
 transaction), :mod:`.protocol` (wire format), :mod:`.overload`
 (admission control + circuit breaker), :mod:`.server` (asyncio daemon),
-:mod:`.client` (blocking client), :mod:`.loadgen`
-(``mrscan bench-serve``).
+:mod:`.client` (blocking client).
 """
 
 from .client import ServeClient, ServeOverloadedError, ServeRequestError

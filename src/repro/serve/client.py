@@ -1,8 +1,7 @@
 """Blocking client for the serve daemon's NDJSON protocol.
 
 The client is deliberately synchronous — callers that need concurrency
-open one client per thread (the loadgen does exactly that); the daemon
-multiplexes them server-side.
+open one client per thread; the daemon multiplexes them server-side.
 
 Overload-aware (protocol v2): an error response carrying a retryable
 ``code`` (``overloaded``/``degraded``) raises

@@ -12,12 +12,10 @@ the configuration space turns the model into a plan
 below the break-even size and skew-aware partition splitting of the
 recorded slowest leaf.
 
-Surfaces: ``mrscan tune`` (recommend / ``--apply`` / ``--explain``),
-``MrScanConfig.auto_tune`` / ``mrscan cluster --auto-tune``, and
-``mrscan bench-tune`` (:mod:`~repro.tune.bench`).
+Surfaces: ``mrscan tune`` (recommend / ``--apply`` / ``--explain``) and
+``MrScanConfig.auto_tune`` / ``mrscan cluster --auto-tune``.
 """
 
-from .bench import BENCH_SCHEMA, run_tune_bench
 from .history import (
     PROFILE_SCHEMA,
     ProfileStore,
@@ -39,7 +37,6 @@ from .planner import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
     "MIN_FIT_ROWS",
     "PLAN_SCHEMA",
     "PROFILE_SCHEMA",
@@ -57,6 +54,5 @@ __all__ = [
     "profile_from_result",
     "profile_from_run_dir",
     "profile_from_summary_json",
-    "run_tune_bench",
     "suggest_partition_hints",
 ]

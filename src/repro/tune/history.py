@@ -61,7 +61,6 @@ class RunProfile:
     # --- knobs the run executed under ---------------------------------- #
     transport: str = "local"
     transport_workers: int | None = None
-    cluster_engine: str = "csr"
     n_leaves: int = 0
     fanout: int = 0
     # --- measured phase walls (seconds; 0.0 = not recorded) ------------ #
@@ -130,7 +129,6 @@ def profile_from_result(
         dataset_fingerprint=fingerprint,
         transport=config.resolved_transport(),
         transport_workers=config.transport_workers,
-        cluster_engine=config.resolved_cluster_engine(),
         n_leaves=result.n_leaves,
         fanout=config.fanout,
         partition_seconds=result.timings.partition,
@@ -185,7 +183,6 @@ def profile_from_run_dir(path: str | Path) -> RunProfile:
         dataset_fingerprint=begin.get("dataset_fingerprint"),
         transport=begin.get("transport", "local"),
         transport_workers=begin.get("transport_workers"),
-        cluster_engine=begin.get("cluster_engine", "csr"),
         n_leaves=int(
             begin.get("n_leaves", config_doc.get("n_leaves", 0)) or 0
         ),
@@ -209,7 +206,6 @@ def profile_from_summary_json(
     n_points: int,
     transport: str = "local",
     transport_workers: int | None = None,
-    cluster_engine: str = "csr",
     n_leaves: int = 0,
     fanout: int = 0,
     dataset_fingerprint: str | None = None,
@@ -231,7 +227,6 @@ def profile_from_summary_json(
         dataset_fingerprint=dataset_fingerprint,
         transport=transport,
         transport_workers=transport_workers,
-        cluster_engine=cluster_engine,
         n_leaves=int(n_leaves),
         fanout=int(fanout),
         partition_seconds=float(phases.get("partition", 0.0)),
@@ -268,7 +263,9 @@ class ProfileStore:
             self.append(p)
 
     def load(self) -> list[RunProfile]:
-        """Every readable profile, oldest first (corrupt lines skipped)."""
+        """Every readable profile, oldest first (corrupt lines skipped,
+        and so are records of the retired ``block`` engine: their cluster
+        walls say nothing about the engine that runs today)."""
         if not self.path.exists():
             return []
         out: list[RunProfile] = []
@@ -281,6 +278,8 @@ class ProfileStore:
             except json.JSONDecodeError:
                 continue  # torn tail or garbage: skip, never fail
             if payload.get("schema") != PROFILE_SCHEMA:
+                continue
+            if payload.get("cluster_engine", "csr") != "csr":
                 continue
             try:
                 out.append(RunProfile.from_dict(payload))

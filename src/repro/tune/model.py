@@ -11,14 +11,14 @@ model ⇒ byte-identical plans).
 
 When history is too thin to fit a phase (< :data:`MIN_FIT_ROWS` usable
 rows, or a degenerate fit), that phase falls back to priors measured on
-the repo's own benchmarks (BENCH_PR4/PR8 scale), recorded per
+the repo's own benchmarks, recorded per
 coefficient in ``calibrated`` so ``mrscan tune --explain`` can say which
 numbers are evidence and which are defaults.
 
 The model's makespan law for the cluster phase with ``W`` effective
 workers over ``L`` leaves::
 
-    compute  = leaf_overhead·L + rate(engine)·max(max_leaf_points, n/W)
+    compute  = leaf_overhead·L + rate·max(max_leaf_points, n/W)
     overhead = 0                          (local)
              = pool_spawn + per_task·L + per_byte·dispatch_bytes  (pools)
 
@@ -44,13 +44,13 @@ MIN_FIT_ROWS = 2
 #: Phase priors measured on this repo's benchmarks (seconds).
 PRIOR_PARTITION = (5e-3, 1.2e-6)  # base, per point
 PRIOR_LEAF_OVERHEAD = 2e-3  # per leaf
-PRIOR_CLUSTER_RATE = {"csr": 2.5e-5, "block": 1.8e-4}  # per point (BENCH_PR8 ~7x)
+PRIOR_CLUSTER_RATE = 2.5e-5  # per point
 PRIOR_MERGE = (1e-3, 2.5e-3)  # base, per leaf
 PRIOR_SWEEP = (1e-3, 2e-7)  # base, per point
 
 #: Transport overhead priors: (pool spawn s, per dispatched task s,
 #: per dispatched byte s).  local is the zero by definition; the pool
-#: spawns are BENCH_PR4's warm-up cost, per-byte from its dataplane rows.
+#: spawns are a measured warm-up cost, per-byte from data-plane dispatch rounds.
 PRIOR_TRANSPORT = {
     "local": (0.0, 0.0, 0.0),
     "process": (0.5, 0.02, 4e-8),
@@ -106,9 +106,7 @@ class PlannerCostModel:
 
     partition: tuple[float, float] = PRIOR_PARTITION
     leaf_overhead: float = PRIOR_LEAF_OVERHEAD
-    cluster_rate: dict[str, float] = field(
-        default_factory=lambda: dict(PRIOR_CLUSTER_RATE)
-    )
+    cluster_rate: float = PRIOR_CLUSTER_RATE
     merge: tuple[float, float] = PRIOR_MERGE
     sweep: tuple[float, float] = PRIOR_SWEEP
     transport: dict[str, tuple[float, float, float]] = field(
@@ -136,7 +134,6 @@ class PlannerCostModel:
         n_leaves: int,
         transport: str,
         workers: int | None = None,
-        cluster_engine: str = "csr",
         max_leaf_points: int | None = None,
         dispatch_bytes: int | None = None,
     ) -> PredictedWalls:
@@ -152,7 +149,6 @@ class PlannerCostModel:
         nbytes = float(
             dispatch_bytes if dispatch_bytes is not None else 40.0 * n
         )
-        rate = self.cluster_rate.get(cluster_engine, self.cluster_rate["csr"])
         w_eff = self.effective_workers(transport, workers)
         p0, p1 = self.partition
         m0, m1 = self.merge
@@ -160,7 +156,9 @@ class PlannerCostModel:
         spawn, per_task, per_byte = self.transport.get(
             transport, PRIOR_TRANSPORT["process"]
         )
-        compute = self.leaf_overhead * leaves + rate * max(max_leaf, n / w_eff)
+        compute = self.leaf_overhead * leaves + self.cluster_rate * max(
+            max_leaf, n / w_eff
+        )
         overhead = 0.0
         if transport != "local":
             overhead = spawn + per_task * leaves + per_byte * nbytes
@@ -178,7 +176,6 @@ class PlannerCostModel:
         transport: str,
         workers: int | None = None,
         n_leaves: int = 8,
-        cluster_engine: str = "csr",
         max_points: int = 100_000_000,
     ) -> int | None:
         """Smallest dataset size where ``transport`` beats ``local``.
@@ -193,11 +190,10 @@ class PlannerCostModel:
         while n <= max_points:
             par = self.predict(
                 n_points=n, n_leaves=n_leaves, transport=transport,
-                workers=workers, cluster_engine=cluster_engine,
+                workers=workers,
             ).total
             loc = self.predict(
-                n_points=n, n_leaves=n_leaves, transport="local",
-                cluster_engine=cluster_engine,
+                n_points=n, n_leaves=n_leaves, transport="local"
             ).total
             if par < loc:
                 return n
@@ -227,26 +223,20 @@ def calibrate(profiles: list[RunProfile]) -> PlannerCostModel:
         model.partition = fit
 
     # Cluster rate: local rows are serial, so cluster_seconds ≈
-    # leaf_overhead·L + rate·n.  Fit per engine; fold the leaf term into
-    # the intercept by fitting against n with the prior L-term removed.
-    for engine in sorted({p.cluster_engine for p in profiles} | {"csr"}):
-        rows = [
-            (
-                float(p.n_points),
-                p.cluster_seconds - PRIOR_LEAF_OVERHEAD * max(p.n_leaves, 1),
-            )
-            for p in profiles
-            if (
-                p.transport == "local"
-                and p.cluster_engine == engine
-                and p.cluster_seconds > 0
-                and p.n_points > 0
-            )
-        ]
-        fit = _fit_line(rows)
-        model.calibrated[f"cluster_rate.{engine}"] = fit is not None
-        if fit is not None:
-            model.cluster_rate[engine] = fit[1]
+    # leaf_overhead·L + rate·n.  Fold the leaf term into the intercept
+    # by fitting against n with the prior L-term removed.
+    rows = [
+        (
+            float(p.n_points),
+            p.cluster_seconds - PRIOR_LEAF_OVERHEAD * max(p.n_leaves, 1),
+        )
+        for p in profiles
+        if p.transport == "local" and p.cluster_seconds > 0 and p.n_points > 0
+    ]
+    fit = _fit_line(rows)
+    model.calibrated["cluster_rate"] = fit is not None
+    if fit is not None:
+        model.cluster_rate = fit[1]
 
     merge_rows = [
         (float(max(p.n_leaves, 1)), p.merge_seconds)
@@ -280,15 +270,13 @@ def calibrate(profiles: list[RunProfile]) -> PlannerCostModel:
                 n_points=p.n_points,
                 n_leaves=max(p.n_leaves, 1),
                 transport="local",
-                cluster_engine=p.cluster_engine,
                 max_leaf_points=p.max_leaf_points or None,
                 dispatch_bytes=p.dispatch_bytes or None,
             )
             w_eff = model.effective_workers(name, p.transport_workers)
-            rate = model.cluster_rate.get(
-                p.cluster_engine, model.cluster_rate["csr"]
-            )
-            parallel_compute = model.leaf_overhead * max(p.n_leaves, 1) + rate * max(
+            parallel_compute = model.leaf_overhead * max(
+                p.n_leaves, 1
+            ) + model.cluster_rate * max(
                 float(p.max_leaf_points or 0), p.n_points / w_eff
             )
             expected = base.total - base.cluster + parallel_compute

@@ -10,10 +10,9 @@ flaps between configs on identical evidence is worse than no planner.
 
 Two tiers of output, split by label safety:
 
-* ``apply`` — transport, workers, cluster engine.  Provably
-  label-neutral (transports move bytes, engines are conformance-gated to
-  byte-identical labels), so ``MrScanConfig.auto_tune`` fills them
-  silently for any knob the user left unset.
+* ``apply`` — transport, workers.  Provably label-neutral (transports
+  move bytes), so ``MrScanConfig.auto_tune`` fills them silently for any
+  knob the user left unset.
 * ``advise`` — leaf count, fanout, partition-split hints.  These change
   partition boundaries and hence label *numbering* (clusterings stay
   DBSCAN-equivalent), so they are only applied by an explicit
@@ -21,8 +20,8 @@ Two tiers of output, split by label safety:
 
 The "don't parallelize at all" crossover falls out of the model: below
 the break-even size the pool's spawn+dispatch overhead exceeds the
-compute it saves, and the planner picks ``local`` — BENCH_PR4's finding,
-now a decision instead of a footnote.
+compute it saves, and the planner picks ``local`` — a decision instead
+of a footnote.
 """
 
 from __future__ import annotations
@@ -140,7 +139,10 @@ class TunePlan:
             )
         return cls(
             fingerprint=WorkloadFingerprint(**payload.get("fingerprint", {})),
-            apply=dict(payload.get("apply", {})),
+            # Plans written while ``block`` was selectable also name an engine.
+            apply={
+                k: v for k, v in payload.get("apply", {}).items() if k != "cluster_engine"
+            },
             advise=dict(payload.get("advise", {})),
             predicted=dict(payload.get("predicted", {})),
             break_even=dict(payload.get("break_even", {})),
@@ -182,19 +184,15 @@ def plan(
     """Choose a configuration for ``fingerprint`` from measured history.
 
     ``baseline`` names the config the run would use without tuning
-    (``{"transport", "transport_workers", "cluster_engine"}``) — the
-    comparison column of ``--explain``.  Defaults to the fixed scale-out
-    default (shm + full pool), the configuration BENCH_PR4 measured.
+    (``{"transport", "transport_workers"}``) — the comparison column of
+    ``--explain``.  Defaults to the fixed scale-out default (shm + full
+    pool).
     """
     if hasattr(profiles, "load"):  # a ProfileStore (or anything store-shaped)
         profiles = profiles.load()
     model = calibrate(profiles)
     if baseline is None:
-        baseline = {
-            "transport": "shm",
-            "transport_workers": model.cpu_count,
-            "cluster_engine": "csr",
-        }
+        baseline = {"transport": "shm", "transport_workers": model.cpu_count}
 
     n = fingerprint.n_points
     # Expected slowest-leaf size under the Fig-2 balanced partitioner:
@@ -205,30 +203,26 @@ def plan(
         int(fingerprint.max_cell_fraction * n),
     )
 
-    def predict(transport: str, workers: int | None, engine: str):
+    def predict(transport: str, workers: int | None):
         return model.predict(
             n_points=n,
             n_leaves=n_leaves,
             transport=transport,
             workers=workers,
-            cluster_engine=engine,
             max_leaf_points=max_leaf,
         )
 
     best = None
     for transport, workers in _candidate_grid(model, allow_tcp=allow_tcp):
-        for engine in ("csr", "block"):
-            walls = predict(transport, workers, engine)
-            key = walls.total
-            if best is None or key < best[0] - 1e-12:
-                best = (key, transport, workers, engine, walls)
+        walls = predict(transport, workers)
+        key = walls.total
+        if best is None or key < best[0] - 1e-12:
+            best = (key, transport, workers, walls)
     assert best is not None
-    _, transport, workers, engine, walls = best
+    _, transport, workers, walls = best
 
     base_walls = predict(
-        baseline.get("transport", "shm"),
-        baseline.get("transport_workers"),
-        baseline.get("cluster_engine", "csr"),
+        baseline.get("transport", "shm"), baseline.get("transport_workers")
     )
 
     # Advisory leaf count: smallest candidate that keeps every effective
@@ -243,7 +237,6 @@ def plan(
                 n_leaves=leaves,
                 transport=transport,
                 workers=workers,
-                cluster_engine=engine,
                 max_leaf_points=max(
                     int(n / max(leaves, 1)),
                     int(fingerprint.max_cell_fraction * n),
@@ -255,8 +248,7 @@ def plan(
 
     break_even = {
         t: model.break_even_points(
-            transport=t, workers=model.cpu_count, n_leaves=n_leaves,
-            cluster_engine=engine,
+            transport=t, workers=model.cpu_count, n_leaves=n_leaves
         )
         for t in (["process", "shm"] + (["tcp"] if allow_tcp else []))
     }
@@ -276,7 +268,7 @@ def plan(
         f"of points",
         f"chosen {transport}"
         + (f" x{workers}" if workers is not None else "")
-        + f" / {engine}: predicted {walls.total:.3f}s vs baseline "
+        + f": predicted {walls.total:.3f}s vs baseline "
         f"{baseline.get('transport')}: {base_walls.total:.3f}s",
     ]
     for t, be in sorted(break_even.items()):
@@ -298,11 +290,7 @@ def plan(
 
     return TunePlan(
         fingerprint=fingerprint,
-        apply={
-            "transport": transport,
-            "transport_workers": workers,
-            "cluster_engine": engine,
-        },
+        apply={"transport": transport, "transport_workers": workers},
         advise=advise,
         predicted={
             "chosen": walls.as_dict(),
@@ -359,9 +347,9 @@ def auto_tune_config(
 ) -> tuple["MrScanConfig", TunePlan]:
     """Fill the label-neutral knobs ``config`` left unset from a plan.
 
-    Only ``transport``, ``transport_workers``, and ``cluster_engine`` are
-    ever touched, and each only when neither the config field nor its
-    environment override was set — an explicit user choice always wins.
+    Only ``transport`` and ``transport_workers`` are ever touched, and
+    only when neither the config field nor its environment override was
+    set — an explicit user choice always wins.
     Advisory (label-affecting) recommendations are returned on the plan
     but never applied here.
     """
@@ -378,7 +366,6 @@ def auto_tune_config(
         baseline={
             "transport": config.resolved_transport(),
             "transport_workers": config.transport_workers,
-            "cluster_engine": config.resolved_cluster_engine(),
         },
     )
     updates: dict = {}
@@ -386,9 +373,4 @@ def auto_tune_config(
         updates["transport"] = tplan.apply["transport"]
         if config.transport_workers is None:
             updates["transport_workers"] = tplan.apply["transport_workers"]
-    if (
-        config.cluster_engine is None
-        and not os.environ.get("MRSCAN_CLUSTER_ENGINE", "").strip()
-    ):
-        updates["cluster_engine"] = tplan.apply["cluster_engine"]
     return (replace(config, **updates) if updates else config), tplan

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import gaussian_blobs, generate_sdss, generate_twitter, uniform_noise
 from repro.points import PointSet
+
+# Tier-1 draws the same hypothesis examples on every checkout, so a red run
+# reproduces from the commit alone; the nightly fuzz job (MRSCAN_FUZZ=1)
+# keeps the random draws.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("fuzz" if os.environ.get("MRSCAN_FUZZ") == "1" else "tier1")
 
 
 @pytest.fixture

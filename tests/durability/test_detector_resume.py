@@ -125,7 +125,7 @@ def test_config_fingerprint_is_the_one_old_wals_hold():
     """``serve_begin`` stores this digest and a resume compares it, so the
     detector must stay out of it.  The literal is what the commit before
     the detector change computed for this config."""
-    config = MrScanConfig(eps=0.08, minpts=8, n_leaves=8, cluster_engine="csr")
+    config = MrScanConfig(eps=0.08, minpts=8, n_leaves=8)
     assert config_fingerprint(config) == (
         "d866b4ce6a0decc63ed31fa4a16517c4dfc08c3dbd90a3f30f13c17b6b8adbef"
     )

@@ -1,15 +1,15 @@
 """Engine identity gates resume: no cross-engine checkpoint replay.
 
-The cluster engines are label-identical, but a resume must re-run under
-the engine the original run recorded — silently replaying a block-engine
-leaf checkpoint into a csr run would skip the engine the run was asked
-to exercise (and vice versa).  Two enforcement layers:
+The pipeline runs one cluster engine (``csr``; ``cuda-dclust`` is the
+other leaf algorithm), but run directories and leaf checkpoints written
+while ``block`` was selectable are still on disks.  Two enforcement
+layers keep them from being spliced into a run:
 
 * ``LeafCheckpointStore.load(expected_engine=...)`` treats a foreign or
   legacy (engine-less) checkpoint as a miss (``CheckpointError``);
-* the run-directory config fingerprint includes the *resolved* engine,
-  so a whole-run resume under a different engine fails up front with
-  ``DurabilityError``.
+* the run-directory config fingerprint still hashes the engine name as
+  the constant ``"csr"``, so a ``csr`` run dir resumes and a ``block``
+  one fails up front with ``DurabilityError``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.durability.rundir as rundir_mod
 from repro.core import mrscan
 from repro.errors import CheckpointError, DurabilityError
-from repro.gpu.mrscan_gpu import CLUSTER_ENGINE_ENV
 from repro.points import PointSet
 from repro.resilience import LeafCheckpointStore
 
@@ -98,33 +98,27 @@ def _run(points, run_dir, *, resume=False, **kw):
     )
 
 
-def test_resume_under_different_engine_refused(tmp_path):
+#: ``config_fingerprint`` of ``_run``'s config at the last commit that had
+#: ``MrScanConfig(cluster_engine="block")`` — what a ``block`` run dir holds.
+#: (The ``csr`` digest is pinned in test_resume.py.)
+BLOCK_RUN_FINGERPRINT = "d4d3e5e077c9f9cc9f652405355c09766b1715dc5c060865d52a2b0332d1856c"
+
+
+def test_resume_under_different_engine_refused(tmp_path, monkeypatch):
+    """A run dir recorded under ``block`` is refused, not replayed."""
     points = _points()
-    _run(points, tmp_path, cluster_engine="block")
-    with pytest.raises(DurabilityError, match="different label-affecting"):
-        _run(points, tmp_path, resume=True, cluster_engine="csr")
-    # The original engine resumes fine and short-circuits to the labels.
-    resumed = _run(points, tmp_path, resume=True, cluster_engine="block")
-    assert resumed.resumed
-
-
-def test_env_default_is_pinned_into_fingerprint(tmp_path, monkeypatch):
-    """A run started under MRSCAN_CLUSTER_ENGINE=block cannot resume
-    after the environment flips to csr: the *resolved* engine is what
-    the fingerprint records, not the unset config field."""
-    points = _points(seed=1)
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "block")
-    _run(points, tmp_path)
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "csr")
+    with monkeypatch.context() as block_era:
+        block_era.setattr(
+            rundir_mod, "config_fingerprint", lambda config: BLOCK_RUN_FINGERPRINT
+        )
+        _run(points, tmp_path)
     with pytest.raises(DurabilityError, match="different label-affecting"):
         _run(points, tmp_path, resume=True)
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "block")
-    assert _run(points, tmp_path, resume=True).resumed
 
 
 def test_same_engine_resume_replays_leaf_checkpoints(tmp_path):
     points = _points(seed=2)
-    first = _run(points, tmp_path, cluster_engine="csr")
-    resumed = _run(points, tmp_path, resume=True, cluster_engine="csr")
+    first = _run(points, tmp_path)
+    resumed = _run(points, tmp_path, resume=True)
     assert resumed.resumed
     np.testing.assert_array_equal(first.labels, resumed.labels)

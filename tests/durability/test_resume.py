@@ -15,7 +15,8 @@ import pytest
 
 import repro.core.pipeline as pipeline_mod
 from repro.core import mrscan
-from repro.durability import PhaseCheckpointStore, replay_journal
+from repro.core.config import MrScanConfig
+from repro.durability import PhaseCheckpointStore, config_fingerprint, replay_journal
 from repro.errors import CheckpointError, DurabilityError, ValidationError
 from repro.merge.summary import LeafSummary, _unpack_summary
 from repro.points import PointSet
@@ -204,6 +205,17 @@ def test_resume_rejects_label_affecting_config_change(tmp_path):
     with pytest.raises(DurabilityError):
         mrscan(points, EPS * 2, MINPTS, n_leaves=LEAVES,
                run_dir=str(tmp_path), resume=True)
+
+
+def test_config_fingerprint_is_the_one_csr_run_dirs_hold():
+    """``run_begin`` stores this digest and a resume compares it.  The
+    literal is what the last commit with a selectable cluster engine
+    returned for this config under ``csr``, its default — so run dirs it
+    wrote keep resuming (a ``block`` one: test_engine_resume.py)."""
+    config = MrScanConfig(eps=EPS, minpts=MINPTS, n_leaves=LEAVES)
+    assert config_fingerprint(config) == (
+        "d3e1311669639d799a2fed73c611b0b96bd1a7be259301152b6c6cc21dc15b53"
+    )
 
 
 def test_resume_rejects_different_dataset(tmp_path):

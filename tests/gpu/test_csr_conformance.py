@@ -3,34 +3,33 @@
 The csr engine replaces the block engine's per-cell python loops with
 batched vectorised kernels, but the contract is stronger than "same
 clustering": labels, core masks and the modeled operation counts must be
-*byte-identical*, so the block engine stays usable as a differential
-oracle and checkpoints/resumes can gate on engine identity alone.
+*byte-identical*.  The pipeline only ever runs csr; block is the
+differential oracle, reachable through ``mrscan_gpu(engine="block")``.
 
 Three layers of evidence:
 
 1. direct ``mrscan_gpu`` parity over a randomized parameter sweep
    (densebox on/off, border claiming, OOM chunking, tiny devices);
-2. end-to-end pipeline parity over the seeded fuzz corpus — same seed
-   derivation as ``mrscan fuzz`` — including cases with fault plans;
-3. pipeline parity across every transport (local/process/shm/tcp).
+2. parity on every leaf view of the seeded fuzz corpus — same seed
+   derivation as ``mrscan fuzz``, partitioned as the pipeline would;
+3. the pipeline under every transport (local/process/shm/tcp) and under
+   seeded fault plans against an in-process run whose leaves call the
+   block oracle.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.core.config import MrScanConfig
+import repro.core.pipeline as pipeline_mod
 from repro.core.pipeline import run_pipeline
 from repro.errors import ConfigError
 from repro.gpu.device import DeviceConfig, SimulatedDevice
-from repro.gpu.mrscan_gpu import (
-    CLUSTER_ENGINE_ENV,
-    CLUSTER_ENGINES,
-    DEFAULT_CLUSTER_ENGINE,
-    mrscan_gpu,
-    resolve_cluster_engine,
-)
+from repro.gpu.mrscan_gpu import mrscan_gpu
+from repro.partition import GridHistogram, form_partitions, partition_points
 from repro.points import PointSet
 from repro.validate.fuzz import generate_case
 
@@ -137,92 +136,81 @@ def test_direct_parity_degenerate_sizes(n):
 
 
 def test_engine_resolution_chain(monkeypatch):
-    monkeypatch.delenv(CLUSTER_ENGINE_ENV, raising=False)
-    assert set(CLUSTER_ENGINES) == {"block", "csr"}
-    assert DEFAULT_CLUSTER_ENGINE in CLUSTER_ENGINES
-    assert resolve_cluster_engine(None) == DEFAULT_CLUSTER_ENGINE
-    assert resolve_cluster_engine("block") == "block"
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "block")
-    assert resolve_cluster_engine(None) == "block"
-    # Explicit beats env.
-    assert resolve_cluster_engine("csr") == "csr"
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "")
-    assert resolve_cluster_engine(None) == DEFAULT_CLUSTER_ENGINE
+    """Explicit keyword, else csr — the environment is not consulted."""
+    points = _random_points(np.random.default_rng(3), 200, 1)
+    assert mrscan_gpu(points, 0.15, 4).stats.engine == "csr"
+    assert mrscan_gpu(points, 0.15, 4, engine="block").stats.engine == "block"
+    monkeypatch.setenv("MRSCAN_CLUSTER_ENGINE", "block")
+    assert mrscan_gpu(points, 0.15, 4).stats.engine == "csr"
 
 
-def test_unknown_engine_rejected(monkeypatch):
-    with pytest.raises(ConfigError, match="unknown cluster engine"):
-        resolve_cluster_engine("simd")
-    with pytest.raises(ConfigError, match="cluster_engine"):
-        MrScanConfig(eps=0.1, minpts=3, n_leaves=2, cluster_engine="simd")
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "warp")
-    with pytest.raises(ConfigError, match="unknown cluster engine"):
-        resolve_cluster_engine(None)
-
-
-def test_config_resolves_engine(monkeypatch):
-    monkeypatch.delenv(CLUSTER_ENGINE_ENV, raising=False)
-    assert MrScanConfig(eps=0.1, minpts=3, n_leaves=2).resolved_cluster_engine() == (
-        DEFAULT_CLUSTER_ENGINE
-    )
-    cfg = MrScanConfig(eps=0.1, minpts=3, n_leaves=2, cluster_engine="block")
-    assert cfg.resolved_cluster_engine() == "block"
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "block")
-    assert MrScanConfig(eps=0.1, minpts=3, n_leaves=2).resolved_cluster_engine() == "block"
-
-
-def test_env_var_steers_pipeline(monkeypatch):
-    """MRSCAN_CLUSTER_ENGINE selects the engine for a whole run."""
-    rng = np.random.default_rng(3)
-    points = _random_points(rng, 300, 1)
-    config = MrScanConfig(eps=0.15, minpts=4, n_leaves=2)
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "block")
-    res_block = run_pipeline(points, config)
-    assert all(s.engine == "block" for s in res_block.gpu_stats)
-    monkeypatch.setenv(CLUSTER_ENGINE_ENV, "csr")
-    res_csr = run_pipeline(points, config)
-    assert all(s.engine == "csr" for s in res_csr.gpu_stats)
-    np.testing.assert_array_equal(res_block.labels, res_csr.labels)
+def test_unknown_engine_rejected():
+    points = _random_points(np.random.default_rng(3), 50, 0)
+    for engine in ("simd", None):  # None is not "look it up somewhere"
+        with pytest.raises(ConfigError, match="unknown cluster engine"):
+            mrscan_gpu(points, 0.15, 4, engine=engine)
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end pipeline parity over the fuzz corpus
+# Parity over the fuzz corpus
 # ---------------------------------------------------------------------- #
-
-
-def _case_labels(case, engine, **overrides):
-    config = case.config(validate="off", cluster_engine=engine, **overrides)
-    return run_pipeline(case.points(), config).labels
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_corpus_parity(seed):
-    """Same seed derivation as ``mrscan fuzz``: labels byte-identical.
-
-    About half the generated cases carry a seeded fault plan, so this
-    also covers retry/failover paths re-clustering leaves under csr.
-    """
+    """Same seed derivation as ``mrscan fuzz``, one leaf view at a time:
+    the views are the ones the pipeline's leaves would be handed."""
     case = generate_case(seed, max_points=700)
-    labels_block = _case_labels(case, "block")
-    labels_csr = _case_labels(case, "csr")
-    np.testing.assert_array_equal(labels_block, labels_csr)
+    points = case.points()
+    plan = form_partitions(
+        GridHistogram.from_points(points, case.eps), case.n_leaves, case.minpts
+    )
+    for own, shadow in partition_points(points, plan):
+        view = own.concat(shadow)
+        if len(view) == 0:
+            continue
+        res_block, res_csr = (
+            mrscan_gpu(
+                view, case.eps, case.minpts, engine=e, use_densebox=case.use_densebox
+            )
+            for e in ("block", "csr")
+        )
+        _assert_identical(res_block, res_csr)
+
+
+def _case_labels(case, **overrides):
+    config = case.config(validate="off", **overrides)
+    return run_pipeline(case.points(), config).labels
+
+
+def _block_oracle_labels(case, monkeypatch):
+    """The pipeline's labels with every leaf clustered by the block
+    oracle — in-process, so the patched name is the one the leaves call."""
+    with monkeypatch.context() as oracle:
+        oracle.setattr(pipeline_mod, "mrscan_gpu", partial(mrscan_gpu, engine="block"))
+        result = run_pipeline(
+            case.points(), case.config(validate="off", transport="local")
+        )
+    assert all(s.engine == "block" for s in result.gpu_stats)
+    return result.labels
 
 
 @pytest.mark.parametrize("transport", ["local", "process", "shm", "tcp"])
-def test_parity_across_transports(transport):
+def test_parity_across_transports(transport, monkeypatch):
     """One fuzz case, every transport: csr matches the block baseline."""
     case = generate_case(42, max_points=500, fault_fraction=0.0)
-    baseline = _case_labels(case, "block")
-    got = _case_labels(case, "csr", transport=transport, transport_workers=2)
+    baseline = _block_oracle_labels(case, monkeypatch)
+    got = _case_labels(case, transport=transport, transport_workers=2)
     np.testing.assert_array_equal(baseline, got)
 
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", [5, 17])
-def test_parity_under_fault_plans(seed):
-    """Seeded fault plans (crash/delay/failover) with each engine agree."""
+def test_parity_under_fault_plans(seed, monkeypatch):
+    """Seeded fault plans (crash/delay/failover): the recovered csr run
+    agrees with the recovered block-oracle run."""
     case = generate_case(seed, fault_fraction=1.0, max_points=600)
     assert case.fault_seed is not None
-    labels_block = _case_labels(case, "block")
-    labels_csr = _case_labels(case, "csr")
+    labels_block = _block_oracle_labels(case, monkeypatch)
+    labels_csr = _case_labels(case)
     np.testing.assert_array_equal(labels_block, labels_csr)

@@ -177,3 +177,44 @@ def test_analyze_missing_point_id(tmp_path):
     partial.write_text("0 1\n")  # only one of fifty points
     with pytest.raises(FormatError, match="missing point id"):
         main(["analyze", str(data), str(partial)])
+
+
+# ---------------------------------------------------------------------- #
+# One harness, one engine: the retired surfaces are gone, not hidden
+# ---------------------------------------------------------------------- #
+
+
+def test_subcommand_set_is_exactly_the_nine():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {
+        "generate", "cluster", "analyze", "quality", "fuzz",
+        "serve", "worker", "simulate", "tune",
+    }
+
+
+def test_cluster_engine_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", str(tmp_path / "pts.bin"), "--eps", "0.5", "--minpts", "5",
+              "--cluster-engine", "csr"])
+    assert exc.value.code == 2
+    assert "--cluster-engine" in capsys.readouterr().err
+
+
+def test_config_has_no_cluster_engine_field():
+    from repro.core.config import MrScanConfig
+
+    with pytest.raises(TypeError):
+        MrScanConfig(eps=0.5, minpts=5, n_leaves=2, cluster_engine="block")
+
+
+def test_cluster_engine_env_var_is_not_read(monkeypatch):
+    from repro.core import mrscan
+    from repro.data import gaussian_blobs
+
+    points = gaussian_blobs(600, centers=3, spread=0.2, seed=4)
+    monkeypatch.delenv("MRSCAN_CLUSTER_ENGINE", raising=False)
+    want = mrscan(points, 0.2, 5, n_leaves=3)
+    monkeypatch.setenv("MRSCAN_CLUSTER_ENGINE", "block")
+    got = mrscan(points, 0.2, 5, n_leaves=3)
+    assert [s.engine for s in got.gpu_stats] == ["csr"] * 3
+    assert got.labels.tobytes() == want.labels.tobytes()

@@ -38,7 +38,6 @@ def history() -> list[RunProfile]:
                 n_points=n,
                 dataset_fingerprint="f" * 64 if n == 50_000 else None,
                 transport="local",
-                cluster_engine="csr",
                 n_leaves=8,
                 partition_seconds=0.01 + 1.5e-6 * n,
                 cluster_seconds=0.016 + 3e-5 * n,
@@ -57,7 +56,6 @@ def history() -> list[RunProfile]:
                 dataset_fingerprint="f" * 64 if n == 50_000 else None,
                 transport="shm",
                 transport_workers=1,
-                cluster_engine="csr",
                 n_leaves=8,
                 partition_seconds=0.01 + 1.5e-6 * n,
                 cluster_seconds=0.8 + 0.016 + 3e-5 * n,

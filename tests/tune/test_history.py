@@ -14,6 +14,7 @@ from repro.tune import (
     PROFILE_SCHEMA,
     ProfileStore,
     RunProfile,
+    calibrate,
     profile_from_result,
     profile_from_run_dir,
     profile_from_summary_json,
@@ -32,7 +33,6 @@ def test_profile_from_result_records_knobs_and_walls(small_run):
     prof = profile_from_result(result, config, points=points)
     assert prof.n_points == 1500
     assert prof.transport == "local"
-    assert prof.cluster_engine == "csr"
     assert prof.n_leaves == result.n_leaves
     assert prof.partition_seconds > 0
     assert prof.cluster_seconds > 0
@@ -65,6 +65,25 @@ def test_store_skips_corrupt_and_foreign_lines(tmp_path):
         fh.write(json.dumps({"schema": PROFILE_SCHEMA, "n_points": 7}) + "\n")
     loaded = store.load()
     assert [p.n_points for p in loaded] == [10, 7]
+
+
+def test_history_written_when_engines_were_selectable(tmp_path):
+    """Records carrying ``cluster_engine`` still load; the ``block``
+    ones are skipped, so their (≈ 7× slower) cluster walls cannot move
+    the one remaining rate."""
+    store = ProfileStore(tmp_path)
+    rows = [
+        RunProfile(n_points=n, n_leaves=8, cluster_seconds=0.016 + 3e-5 * n)
+        for n in (10_000, 50_000, 200_000)
+    ]
+    with open(store.path, "w", encoding="utf-8") as fh:
+        for p in rows:
+            fh.write(json.dumps({**p.as_dict(), "cluster_engine": "csr"}) + "\n")
+            slow = {**p.as_dict(), "cluster_seconds": 7 * p.cluster_seconds}
+            fh.write(json.dumps({**slow, "cluster_engine": "block"}) + "\n")
+    loaded = store.load()
+    assert [p.as_dict() for p in loaded] == [p.as_dict() for p in rows]
+    assert calibrate(loaded).cluster_rate == calibrate(rows).cluster_rate
 
 
 def test_from_dict_ignores_unknown_keys():

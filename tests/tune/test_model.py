@@ -14,7 +14,6 @@ def _synthetic_profiles(*, rate=4e-5, part=(0.01, 2e-6)) -> list[RunProfile]:
             RunProfile(
                 n_points=n,
                 transport="local",
-                cluster_engine="csr",
                 n_leaves=8,
                 partition_seconds=part[0] + part[1] * n,
                 cluster_seconds=2e-3 * 8 + rate * n,
@@ -30,11 +29,11 @@ def _synthetic_profiles(*, rate=4e-5, part=(0.01, 2e-6)) -> list[RunProfile]:
 def test_calibration_recovers_linear_coefficients():
     model = calibrate(_synthetic_profiles())
     assert model.calibrated["partition"]
-    assert model.calibrated["cluster_rate.csr"]
+    assert model.calibrated["cluster_rate"]
     assert model.calibrated["sweep"]
     a, b = model.partition
     assert abs(a - 0.01) < 1e-6 and abs(b - 2e-6) < 1e-9
-    assert abs(model.cluster_rate["csr"] - 4e-5) < 1e-9
+    assert abs(model.cluster_rate - 4e-5) < 1e-9
     # merge rows all share n_leaves=8 (zero spread) -> prior fallback.
     assert not model.calibrated["merge"]
 
@@ -101,7 +100,6 @@ def test_transport_overhead_calibrates_from_residuals():
         n_points=base.n_points,
         transport="shm",
         transport_workers=1,
-        cluster_engine="csr",
         n_leaves=8,
         partition_seconds=base.partition_seconds,
         cluster_seconds=base.cluster_seconds + 3.0,

@@ -42,7 +42,6 @@ def _history() -> list[RunProfile]:
             RunProfile(
                 n_points=n,
                 transport="local",
-                cluster_engine="csr",
                 n_leaves=8,
                 partition_seconds=0.01 + 1.5e-6 * n,
                 cluster_seconds=0.016 + 3e-5 * n,
@@ -56,7 +55,6 @@ def _history() -> list[RunProfile]:
                 n_points=n,
                 transport="shm",
                 transport_workers=1,
-                cluster_engine="csr",
                 n_leaves=8,
                 partition_seconds=0.01 + 1.5e-6 * n,
                 cluster_seconds=0.8 + 0.016 + 3e-5 * n,
@@ -81,7 +79,6 @@ def test_plan_picks_local_below_crossover(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     tplan = plan(_fp(), _history(), n_leaves=8)
     assert tplan.apply["transport"] == "local"
-    assert tplan.apply["cluster_engine"] == "csr"
     assert tplan.break_even["shm"] is None
     assert tplan.break_even["process"] is None
 
@@ -106,6 +103,17 @@ def test_plan_round_trips_through_json(tmp_path):
     assert TunePlan.load(path).to_json() == tplan.to_json()
     with pytest.raises(TuneError):
         TunePlan.from_dict({"schema": "wrong/1"})
+
+
+def test_plan_written_when_engines_were_selectable_still_loads(tmp_path):
+    """``apply.cluster_engine`` (written until ``block`` left production)
+    is dropped on load: the plan reads as the one written today."""
+    tplan = plan(_fp(), _history())
+    legacy = tplan.as_dict()
+    legacy["apply"] = {**legacy["apply"], "cluster_engine": "block"}
+    path = tmp_path / "legacy_plan.json"
+    path.write_text(json.dumps(legacy))
+    assert TunePlan.load(path).to_json() == tplan.to_json()
 
 
 def test_skew_hints_split_recorded_slowest_leaf():
@@ -151,25 +159,22 @@ def test_skew_hints_land_in_advise_not_apply():
     tplan = plan(_fp(), _history() + [skewed])
     assert "partition_hints" in tplan.advise
     assert tplan.advise["partition_hints"]["split"] == {"2": 4}
-    assert set(tplan.apply) == {"transport", "transport_workers", "cluster_engine"}
+    assert set(tplan.apply) == {"transport", "transport_workers"}
 
 
 def test_auto_tune_touches_only_label_neutral_unset_knobs(monkeypatch):
     monkeypatch.delenv("MRSCAN_TRANSPORT", raising=False)
-    monkeypatch.delenv("MRSCAN_CLUSTER_ENGINE", raising=False)
     points = gaussian_blobs(500, centers=2, seed=5)
     config = MrScanConfig(eps=0.2, minpts=5, n_leaves=4)
     tuned, tplan = auto_tune_config(config, points, store=_StubStore(_history()))
     assert tuned.transport == tplan.apply["transport"]
-    assert tuned.cluster_engine == tplan.apply["cluster_engine"]
     # Label-affecting fields are untouched even when the plan advises.
     assert tuned.n_leaves == config.n_leaves
     assert tuned.fanout == config.fanout
     assert tuned.partition_hints is None
 
 
-def test_auto_tune_respects_explicit_choices(monkeypatch):
-    monkeypatch.delenv("MRSCAN_CLUSTER_ENGINE", raising=False)
+def test_auto_tune_respects_explicit_choices():
     points = gaussian_blobs(500, centers=2, seed=5)
     config = MrScanConfig(
         eps=0.2, minpts=5, n_leaves=4, transport="shm", transport_workers=3
