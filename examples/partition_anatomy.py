@@ -24,11 +24,7 @@ MINPTS = 40
 
 def ascii_map(plan, histogram, width=76, height=24) -> str:
     """Coarse ASCII rendering of which partition owns each region."""
-    cells = list(histogram.counts)
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    (xmin, ymin), (xmax, ymax) = histogram.cells.min(axis=0), histogram.cells.max(axis=0)
     owner = plan.cell_owner()
     glyphs = "0123456789abcdefghijklmnopqrstuvwxyz"
     grid = [[" "] * width for _ in range(height)]

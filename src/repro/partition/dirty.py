@@ -52,17 +52,12 @@ def dirty_partitions(
     """
     if owner is None:
         owner = plan.cell_owner()
-    dirty: set[int] = set()
-    for cell in touched:
-        pid = owner.get(cell)
-        if pid is not None:
-            dirty.add(pid)
-        cx, cy = cell
-        for dx, dy in GRID_NEIGHBOR_OFFSETS:
-            pid = owner.get((cx + dx, cy + dy))
-            if pid is not None:
-                dirty.add(pid)
-    return dirty
+    return {
+        owner[(cx + dx, cy + dy)]
+        for cx, cy in touched
+        for dx, dy in ((0, 0), *GRID_NEIGHBOR_OFFSETS)
+        if (cx + dx, cy + dy) in owner
+    }
 
 
 def adopt_cells(
@@ -94,8 +89,7 @@ def adopt_cells(
         if neighbor_owners:
             pid = min(neighbor_owners)
         else:
-            nonempty = plan.nonempty()
-            pool = nonempty if nonempty else plan.partitions
+            pool = plan.nonempty() or plan.partitions
             pid = min(pool, key=lambda s: (s.total_count, s.partition_id)).partition_id
         plan.partitions[pid].cells.append(cell)
         owner[cell] = pid

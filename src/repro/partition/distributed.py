@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -50,10 +51,7 @@ def _merge_histograms(payloads: Sequence[GridHistogram]) -> GridHistogram:
     """Histogram-reduction filter body (module-level for pickling)."""
     if not payloads:
         raise PartitionError("histogram reduction with no children")
-    merged = payloads[0]
-    for other in payloads[1:]:
-        merged = merged.merge(other)
-    return merged
+    return reduce(GridHistogram.merge, payloads)
 
 
 @dataclass
@@ -328,9 +326,10 @@ class DistributedPartitioner:
                             leaf, "write", len(part) * RECORD_BYTES, sequential=False
                         )
                     parts_list.append(part)
-            own_all = _concat(own_parts)
-            shadow_all = _concat(shadow_parts)
-            partitions.append((own_all, shadow_all))
+            partitions.append((
+                reduce(PointSet.concat, own_parts, PointSet.empty()),
+                reduce(PointSet.concat, shadow_parts, PointSet.empty()),
+            ))
 
         if distribute is None:
             # Root writes the metadata file.
@@ -373,35 +372,15 @@ class DistributedPartitioner:
         combine clusters" — hence default-off.
         """
         cells = cell_of_coords(shadow.coords, self.eps)
+        order = np.lexsort((cells[:, 1], cells[:, 0]))
+        starts = np.flatnonzero(np.any(np.diff(cells[order], axis=0) != 0, axis=1)) + 1
         keep: list[np.ndarray] = []
         saved = 0
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sc = cells[order]
-        change = np.empty(len(sc), dtype=bool)
-        change[0] = True
-        change[1:] = np.any(sc[1:] != sc[:-1], axis=1)
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(sc))
-        for (cx, cy), s, e in zip(sc[starts], starts, ends):
-            idx = order[s:e]
-            if len(idx) <= self.shadow_rep_threshold:
-                keep.append(idx)
-                continue
-            rel = select_representatives(
-                shadow.coords[idx], cell_bounds((int(cx), int(cy)), self.eps)
-            )
-            keep.append(idx[rel])
-            saved += len(idx) - len(rel)
-        if not keep:
-            return shadow, 0
-        kept = np.sort(np.concatenate(keep))
-        return shadow.take(kept), saved
-
-
-def _concat(parts: list[PointSet]) -> PointSet:
-    if not parts:
-        return PointSet.empty()
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.concat(p)
-    return out
+        for idx in np.split(order, starts):
+            if len(idx) > self.shadow_rep_threshold:
+                bounds = cell_bounds(tuple(cells[idx[0]].tolist()), self.eps)
+                rel = select_representatives(shadow.coords[idx], bounds)
+                saved += len(idx) - len(rel)
+                idx = idx[rel]
+            keep.append(idx)
+        return shadow.take(np.sort(np.concatenate(keep))), saved

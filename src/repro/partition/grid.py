@@ -4,26 +4,34 @@ The partitioning algorithm "does not use information about each individual
 point.  The only information needed is a grid of Eps x Eps cells and the
 point count for each cell" — which is why the distributed partitioner only
 reduces per-cell counts to the root.  :class:`GridHistogram` is that
-reduced object: a sparse map from global cell coordinates to counts, with
-the column-major traversal order the forming algorithm iterates in
-("first along the y axis, and then along the x axis").
+reduced object: the non-empty cells as one array, already in the
+column-major order the forming algorithm iterates in ("first along the y
+axis, and then along the x axis"), and their counts beside it.  Every
+structure built on it comes from one sort of packed cell keys plus scans
+and binary searches (:class:`CellFrame`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, PartitionError
 from ..points import PointSet
 
-__all__ = ["GridHistogram", "cell_of_coords", "GRID_NEIGHBOR_OFFSETS"]
+__all__ = [
+    "GridHistogram", "CellFrame", "cell_array", "cell_of_coords", "key_rows",
+    "GRID_NEIGHBOR_OFFSETS",
+]
 
 #: The 8-neighborhood used for shadow regions and merge adjacency.
 GRID_NEIGHBOR_OFFSETS: tuple[tuple[int, int], ...] = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
 )
+_STENCIL = np.array(GRID_NEIGHBOR_OFFSETS, dtype=np.int64)
 
 
 def cell_of_coords(coords: np.ndarray, eps: float) -> np.ndarray:
@@ -38,39 +46,90 @@ def cell_of_coords(coords: np.ndarray, eps: float) -> np.ndarray:
     return np.floor(np.asarray(coords, dtype=np.float64) / eps).astype(np.int64)
 
 
-@dataclass
+def cell_array(cells) -> np.ndarray:
+    """``(n, 2)`` int64 array of an iterable of ``(x, y)`` cell tuples."""
+    return np.fromiter(chain.from_iterable(cells), dtype=np.int64).reshape(-1, 2)
+
+
+class CellFrame:
+    """One int64 key per cell of a bounding box.
+
+    ``key = (x - x0) * height + (y - y0)``: keys ascend in column-major
+    order (x, then y — the forming order), are exact, and decode back to
+    the cell.  A cell outside the box keys to -1.  The box is that of the
+    ``(n, 2)`` cells it is built from (no cells: an empty box); one whose
+    cell count does not fit int64 is refused.
+    """
+
+    def __init__(self, cells: np.ndarray) -> None:
+        self.x0, self.y0, self.x1, self.y1 = 0, 0, -1, -1
+        if len(cells):  # per column: numpy's axis-0 reduction is ~20x slower
+            x, y = cells[:, 0], cells[:, 1]
+            self.x0, self.x1 = int(x.min()), int(x.max())
+            self.y0, self.y1 = int(y.min()), int(y.max())
+        self.height = self.y1 - self.y0 + 1
+        if (self.x1 - self.x0 + 1) * self.height >= 2**63:
+            raise PartitionError(
+                f"the Eps grid spans {self.x1 - self.x0 + 1} x {self.height} cells, "
+                "too many for int64 cell keys"
+            )
+
+    def keys(self, cells: np.ndarray) -> np.ndarray:
+        x, y = cells[..., 0], cells[..., 1]
+        inside = (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
+        return np.where(inside, (x - self.x0) * self.height + (y - self.y0), -1)
+
+    def cells(self, keys: np.ndarray) -> np.ndarray:
+        x, y = np.divmod(keys, self.height)
+        return np.stack((x + self.x0, y + self.y0), axis=-1)
+
+
+def key_rows(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the ascending non-empty key ``table``, -1
+    where the key is absent (every -1 key is)."""
+    if not len(table):
+        return np.full(np.shape(keys), -1, dtype=np.int64)
+    rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return np.where(table[rows] == keys, rows, -1)
+
+
+@dataclass(eq=False)
 class GridHistogram:
-    """Sparse per-cell point counts over the Eps grid."""
+    """Per-cell point counts over the Eps grid, as two aligned arrays.
+
+    ``cells`` is ``(n, 2)`` int64, unique, in column-major order (x, then
+    y) — which :meth:`from_cells` guarantees; ``counts`` is ``(n,)`` int64.
+    Row ``i`` of one is row ``i`` of the other: the *cell index* every
+    partition structure is built on.
+    """
 
     eps: float
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    cells: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
 
-    # ------------------------------------------------------------------ #
-    # Construction / reduction
-    # ------------------------------------------------------------------ #
-
     @classmethod
     def from_points(cls, points: PointSet, eps: float) -> "GridHistogram":
-        """Histogram one (local) point set."""
-        hist = cls(eps=eps)
-        if len(points) == 0:
-            return hist
-        cells = cell_of_coords(points.coords, eps)
-        # Vectorised group-count via lexicographic unique.
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sc = cells[order]
-        change = np.empty(len(sc), dtype=bool)
-        change[0] = True
-        change[1:] = np.any(sc[1:] != sc[:-1], axis=1)
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(sc))
-        for (cx, cy), s, e in zip(sc[starts], starts, ends):
-            hist.counts[(int(cx), int(cy))] = int(e - s)
-        return hist
+        """Histogram one (local) point set: one sort of cell keys."""
+        return cls.from_cells(eps, cell_of_coords(points.coords, eps))
+
+    @classmethod
+    def from_cells(
+        cls, eps: float, cells: np.ndarray, counts: np.ndarray | None = None
+    ) -> "GridHistogram":
+        """Histogram of cell listings in any order, repeats adding up; each
+        listing weighs its entry of ``counts`` (one when omitted)."""
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        frame = CellFrame(cells)
+        if counts is None:
+            keys, counts = np.unique(frame.keys(cells), return_counts=True)
+        else:  # sums of point counts: exact in float64
+            keys, inverse = np.unique(frame.keys(cells), return_inverse=True)
+            counts = np.bincount(inverse, weights=counts, minlength=len(keys)).astype(np.int64)
+        return cls(eps=eps, cells=frame.cells(keys), counts=counts)
 
     def merge(self, other: "GridHistogram") -> "GridHistogram":
         """Reduce two histograms (the MRNet filter operation).
@@ -79,39 +138,44 @@ class GridHistogram:
         """
         if other.eps != self.eps:
             raise ConfigError(f"cannot merge histograms with eps {self.eps} and {other.eps}")
-        merged = GridHistogram(eps=self.eps, counts=dict(self.counts))
-        for cell, count in other.counts.items():
-            merged.counts[cell] = merged.counts.get(cell, 0) + count
-        return merged
-
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
+        return GridHistogram.from_cells(
+            self.eps,
+            np.concatenate((self.cells, other.cells)),
+            np.concatenate((self.counts, other.counts)),
+        )
 
     @property
     def total_points(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def n_cells(self) -> int:
         return len(self.counts)
 
-    def column_major_cells(self) -> list[tuple[int, int]]:
-        """Non-empty cells in forming order: y fastest, then x (§3.1.2)."""
-        return sorted(self.counts, key=lambda c: (c[0], c[1]))
+    @cached_property
+    def _table(self) -> tuple[CellFrame, np.ndarray]:
+        """The frame around the cells and their keys, ascending like the
+        rows (built on first lookup; the arrays are never edited)."""
+        frame = CellFrame(self.cells)
+        return frame, frame.keys(self.cells)
+
+    def rows_of(self, cells) -> np.ndarray:
+        """Row of each queried cell (array of any shape ``(..., 2)``), -1
+        where the cell is empty."""
+        frame, table = self._table
+        return key_rows(table, frame.keys(np.asarray(cells, dtype=np.int64)))
+
+    def neighbor_rows(self, cells=None) -> np.ndarray:
+        """``(n, 8)`` rows of the 8-neighbors of ``cells`` (default: every
+        non-empty cell, in row order), -1 where a neighbor is empty — the
+        stencil table shadows are read from."""
+        cells = self.cells if cells is None else np.asarray(cells, dtype=np.int64)
+        return self.rows_of(cells.reshape(-1, 1, 2) + _STENCIL)
 
     def count(self, cell: tuple[int, int]) -> int:
         """Count of one cell (0 when empty)."""
-        return self.counts.get(cell, 0)
-
-    def nonempty_neighbors(self, cell: tuple[int, int]) -> list[tuple[int, int]]:
-        """Non-empty grid neighbors of ``cell`` (up to 8)."""
-        cx, cy = cell
-        return [
-            (cx + dx, cy + dy)
-            for dx, dy in GRID_NEIGHBOR_OFFSETS
-            if (cx + dx, cy + dy) in self.counts
-        ]
+        row = int(self.rows_of(cell))
+        return int(self.counts[row]) if row >= 0 else 0
 
     def payload_bytes(self) -> int:
         """Approximate wire size of this histogram (cell coords + count)."""

@@ -21,28 +21,36 @@ The algorithm works purely on the Eps-grid histogram:
    last partition, cells are moved from the front of each partition's run
    to the previous partition until the partition drops below
    ``1.075 × final_target`` (the paper's empirically chosen threshold).
+
+Every partition is a *run*: a half-open range of histogram rows, which
+are already in column-major order.  Forming cuts the cumulative count at
+each partition's target (one binary search per partition), rebalancing
+and split hints only move run boundaries, and the shadows of all
+partitions come from one ``(cells, 8)`` table of neighbor rows.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from ..errors import PartitionError
 from ..points import PointSet
-from .grid import GridHistogram, cell_of_coords
+from .grid import CellFrame, GridHistogram, cell_array, cell_of_coords, key_rows
 from .plan import PartitionHints, PartitionPlan, PartitionSpec
-from .shadow import add_shadow_regions, refresh_shadow
 
 __all__ = [
     "form_partitions",
     "partition_points",
-    "apply_partition_hints",
     "REBALANCE_THRESHOLD_FACTOR",
 ]
 
 #: "The threshold is set to 1.075 × finaltargetsize because it worked well
 #: in practice on our datasets."
 REBALANCE_THRESHOLD_FACTOR: float = 1.075
+
+Run = tuple[int, int]  # [start, end) histogram rows
 
 
 def form_partitions(
@@ -66,139 +74,95 @@ def form_partitions(
     if minpts < 1:
         raise PartitionError(f"minpts must be >= 1, got {minpts}")
 
-    cells = histogram.column_major_cells()
-    total = histogram.total_points
-    target = total / n_partitions if n_partitions else 0.0
+    cum = np.concatenate(([0], np.cumsum(histogram.counts)))
+    target = int(cum[-1]) / n_partitions
+    runs = _form_runs(cum, n_partitions, minpts, target)
+    cum = cum.tolist()
+    neighbors = histogram.neighbor_rows()
+    final_target = 0.0
+    if rebalance:
+        final_target = _rebalance(runs, cum, histogram.counts, neighbors, minpts, threshold_factor)
+    if hints is not None:
+        _split_runs(runs, histogram.counts, minpts, hints)
 
-    specs: list[PartitionSpec] = []
-    current = PartitionSpec(partition_id=0)
-    running_diff = 0.0
-    effective_target = target
+    part, rows, shadow_sums = _shadows(runs, neighbors, histogram.counts)
+    shadow_rows = np.split(rows, np.cumsum(np.bincount(part, minlength=len(runs)))[:-1])
+    cells = list(zip(*histogram.cells.T.tolist()))
+    specs = [
+        PartitionSpec(
+            partition_id=pid,
+            cells=cells[start:end],
+            point_count=cum[end] - cum[start],
+            shadow_cells={cells[r] for r in srows.tolist()},
+            shadow_count=int(ssum),
+        )
+        for pid, ((start, end), srows, ssum) in enumerate(zip(runs, shadow_rows, shadow_sums))
+    ]
+    return PartitionPlan(histogram.eps, specs, target_size=target, final_target_size=final_target)
 
-    for cell in cells:
-        c = histogram.count(cell)
-        is_final = len(specs) == n_partitions - 1
-        if (
-            current.cells
-            and not is_final
-            and current.point_count + c > effective_target
-        ):
-            running_diff += current.point_count - target
-            specs.append(current)
-            current = PartitionSpec(partition_id=len(specs))
+
+def _form_runs(cum: np.ndarray, n_partitions: int, minpts: int, target: float) -> list[Run]:
+    """§3.1.2's forming pass as cuts of the cumulative count ``cum``.
+
+    A partition closes before the first cell that would carry it past its
+    effective target; a binary search over ``cum`` finds that cell, and
+    the exact integer-vs-float test settles the last step (``base +
+    effective`` may round).  Empty partitions pad the tail.
+    """
+    n = len(cum) - 1
+    cum_f = cum.astype(np.float64)
+    runs: list[Run] = []
+    start, running_diff, effective = 0, 0.0, target
+    while start < n:
+        end = n  # the final partition absorbs the remainder
+        if len(runs) < n_partitions - 1:
+            base = int(cum[start])
+            end = max(int(np.searchsorted(cum_f, base + effective, side="right")) - 1, start + 1)
+            while end > start + 1 and int(cum[end]) - base > effective:
+                end -= 1
+            while end < n and int(cum[end + 1]) - base <= effective:
+                end += 1
+            running_diff += int(cum[end]) - base - target
             # Shrink the next target while we are ahead of schedule, with
             # MinPts as the floor (§3.1.2's second profitability rule).
-            effective_target = max(target - max(running_diff, 0.0), float(minpts))
-        current.cells.append(cell)
-        current.point_count += c
-    specs.append(current)
-    while len(specs) < n_partitions:
-        specs.append(PartitionSpec(partition_id=len(specs)))
-
-    plan = PartitionPlan(eps=histogram.eps, partitions=specs, target_size=target)
-    add_shadow_regions(plan, histogram)
-
-    if rebalance:
-        _rebalance(plan, histogram, minpts, threshold_factor)
-
-    if hints is not None:
-        apply_partition_hints(plan, histogram, minpts, hints)
-
-    return plan
+            effective = max(target - max(running_diff, 0.0), float(minpts))
+        runs.append((start, end))
+        start = end
+    return runs + [(n, n)] * (n_partitions - len(runs))
 
 
-def apply_partition_hints(
-    plan: PartitionPlan,
-    histogram: GridHistogram,
-    minpts: int,
-    hints: PartitionHints,
-) -> None:
-    """Apply tune-planner split hints to a formed plan (in place).
-
-    Each hinted partition's contiguous cell run is cut into chunks
-    balanced by cumulative point count; the first chunk keeps the
-    partition's id and the rest append to the plan (the partition count
-    grows).  Infeasible splits degrade: the chunk count drops until every
-    chunk holds at least MinPts points and one cell, and a partition that
-    cannot split at all is left alone.  Shadows are recomputed from
-    scratch afterwards — split boundaries create new partition frontiers.
-    """
-    split_any = False
-    for pid, k in sorted(hints.split_map().items()):
-        if not 0 <= pid < len(plan.partitions):
-            continue
-        spec = plan.partitions[pid]
-        chunks = _split_spec_cells(spec, histogram, minpts, k)
-        if chunks is None:
-            continue
-        split_any = True
-        head, *rest = chunks
-        spec.cells = head
-        spec.point_count = sum(histogram.count(c) for c in head)
-        for cells in rest:
-            plan.partitions.append(
-                PartitionSpec(
-                    partition_id=len(plan.partitions),
-                    cells=cells,
-                    point_count=sum(histogram.count(c) for c in cells),
-                )
-            )
-    if split_any:
-        add_shadow_regions(plan, histogram)
-
-
-def _split_spec_cells(
-    spec: PartitionSpec,
-    histogram: GridHistogram,
-    minpts: int,
-    k: int,
-) -> list[list[tuple[int, int]]] | None:
-    """Cut a spec's cell run into <= k point-balanced chunks, each with
-    >= MinPts points; None when no split (k >= 2) is feasible."""
-    counts = [histogram.count(c) for c in spec.cells]
-    total = sum(counts)
-    k = min(k, len(spec.cells), total // max(minpts, 1))
-    while k >= 2:
-        target = total / k
-        chunks: list[list[tuple[int, int]]] = []
-        acc: list[tuple[int, int]] = []
-        acc_count = 0
-        for cell, count in zip(spec.cells, counts):
-            remaining_chunks = k - len(chunks)
-            remaining_cells = len(spec.cells) - sum(len(c) for c in chunks) - len(acc)
-            if (
-                acc
-                and remaining_chunks > 1
-                and acc_count >= max(target, float(minpts))
-                and remaining_cells >= remaining_chunks - 1
-            ):
-                chunks.append(acc)
-                acc, acc_count = [], 0
-            acc.append(cell)
-            acc_count += count
-        chunks.append(acc)
-        if len(chunks) == k and all(
-            sum(histogram.count(c) for c in chunk) >= minpts for chunk in chunks
-        ):
-            return chunks
-        k -= 1
-    return None
+def _shadows(runs: list[Run], neighbors: np.ndarray, counts: np.ndarray) -> tuple:
+    """Every ``(partition, row)`` shadow pair, sorted by partition then
+    row — ``row`` neighbors a cell the partition owns, and another
+    partition owns it — and each partition's shadow point count."""
+    n = len(neighbors)
+    owner = np.empty(n, dtype=np.int64)
+    for pid, (start, end) in enumerate(runs):
+        owner[start:end] = pid
+    part = np.repeat(owner, neighbors.shape[1])
+    rows = neighbors.ravel()
+    hit = rows >= 0
+    part, rows = part[hit], rows[hit]
+    hit = owner[rows] != part
+    part, rows = np.divmod(np.unique(part[hit] * n + rows[hit]), max(n, 1))
+    return part, rows, np.bincount(part, weights=counts[rows], minlength=len(runs))
 
 
 def _rebalance(
-    plan: PartitionPlan,
-    histogram: GridHistogram,
-    minpts: int,
-    threshold_factor: float,
-) -> None:
-    """Fig 2c: move cells backward-to-forward until below the threshold."""
-    nonempty = plan.nonempty()
-    if len(nonempty) < 2:
-        plan.final_target_size = nonempty[0].total_count if nonempty else 0.0
-        return
-    final_target = sum(p.total_count for p in nonempty) / len(nonempty)
+    runs: list[Run], cum: list[int], counts: np.ndarray, neighbors: np.ndarray,
+    minpts: int, threshold_factor: float,
+) -> float:
+    """Fig 2c: move cells backward-to-forward until below the threshold.
+
+    Moves run boundaries in place and returns the final target size.
+    """
+    m = sum(1 for start, end in runs if end > start)  # non-empty runs lead
+    shadow = _shadows(runs, neighbors, counts)[2]
+    totals = [cum[e] - cum[s] + int(shadow[pid]) for pid, (s, e) in enumerate(runs[:m])]
+    if m < 2:
+        return totals[0] if m else 0.0
+    final_target = sum(totals) / m
     threshold = threshold_factor * final_target
-    plan.final_target_size = final_target
 
     # "Starting at the last partition formed we remove a grid cell, update
     # the shadow region, and repeat until a specified threshold size is
@@ -206,81 +170,107 @@ def _rebalance(
     # partition ... repeated for each partition, working sequentially
     # backward through the partitions until we reach the first."
     #
-    # The shadow region is maintained *incrementally* per removal (O(1)
+    # The shadow count is maintained *incrementally* per removal (O(1)
     # neighborhood work instead of a full recomputation), which keeps
-    # rebalancing O(cells) overall — equivalent to refreshing after every
-    # move, just not quadratic.
-    from collections import deque
-
-    from .grid import GRID_NEIGHBOR_OFFSETS
-
-    for i in range(len(nonempty) - 1, 0, -1):
-        spec = nonempty[i]
-        prev = nonempty[i - 1]
-        cells = deque(spec.cells)
-        cell_set = set(cells)
-        shadow = set(spec.shadow_cells)
-        shadow_count = spec.shadow_count
-        moved = False
-        while len(cells) > 1 and spec.point_count + shadow_count > threshold:
-            head = cells[0]
-            head_count = histogram.count(head)
-            if spec.point_count - head_count < minpts:
+    # rebalancing O(cells) overall.  A partition that received cells from
+    # its successor starts from its recomputed shadow.
+    received = False
+    for pid in range(m - 1, 0, -1):
+        start, end = runs[pid]
+        first = start
+        size = cum[end] - cum[start]
+        shadow_count = _run_shadow(start, end, counts, neighbors) if received else int(shadow[pid])
+        while end - start > 1 and size + shadow_count > threshold:
+            head = int(counts[start])
+            if size - head < minpts:
                 break  # never shrink a partition below MinPts points
-            if spec.point_count - head_count < 0.5 * threshold:
+            if size - head < 0.5 * threshold:
                 # Shadow regions alone can exceed the threshold for thin
                 # partitions abutting dense areas; draining such a
                 # partition would just snowball its points backward (all
                 # the way to partition 0, which has nowhere to shed).
                 # Keep at least half a target of own points instead.
                 break
-            cells.popleft()
-            cell_set.remove(head)
-            spec.point_count -= head_count
-            prev.cells.append(head)
-            prev.point_count += head_count
-            moved = True
-            # Incremental shadow update around the removed cell: the cell
-            # itself may become shadow, and its shadow neighbors may stop
-            # being shadow if it was their only partition contact.
-            hx, hy = head
-            if any(
-                (hx + dx, hy + dy) in cell_set for dx, dy in GRID_NEIGHBOR_OFFSETS
+            size -= head
+            start += 1
+            shadow_count += _shed_delta(start - 1, start, end, counts, neighbors)
+        received = start > first
+        runs[pid] = (start, end)
+        runs[pid - 1] = (runs[pid - 1][0], start)
+    return final_target
+
+
+def _run_shadow(start: int, end: int, counts: np.ndarray, neighbors: np.ndarray) -> int:
+    """Point count of the shadow of the run ``[start, end)``."""
+    rows = neighbors[start:end].ravel()
+    rows = np.unique(rows[(rows >= 0) & ((rows < start) | (rows >= end))])
+    return int(counts[rows].sum())
+
+
+def _shed_delta(
+    head: int, start: int, end: int, counts: np.ndarray, neighbors: np.ndarray
+) -> int:
+    """Change of the shadow count of the run ``[start, end)`` that ``head``
+    just left: the head becomes shadow if it touches the run, and each of
+    its neighbors outside the run stops being shadow unless something in
+    the run still touches it."""
+    around = [row for row in neighbors[head].tolist() if row >= 0]
+    delta = int(counts[head]) if any(start <= row < end for row in around) else 0
+    for row in around:
+        if not start <= row < end and not any(start <= r < end for r in neighbors[row].tolist()):
+            delta -= int(counts[row])
+    return delta
+
+
+def _split_runs(runs: list[Run], counts: np.ndarray, minpts: int, hints: PartitionHints) -> None:
+    """Apply tune-planner split hints to the formed runs (in place).
+
+    Each hinted partition's run is cut into chunks balanced by cumulative
+    point count; the first chunk keeps the partition's id and the rest
+    append to the plan (the partition count grows).  Infeasible splits
+    degrade: the chunk count drops until every chunk holds at least MinPts
+    points and one cell, and a partition that cannot split at all is left
+    alone.
+    """
+    for pid, k in sorted(hints.split_map().items()):
+        if not 0 <= pid < len(runs):
+            continue
+        start, end = runs[pid]
+        cuts = _split_cuts(counts[start:end].tolist(), minpts, k)
+        if cuts is None:
+            continue
+        bounds = [start, *(start + cut for cut in cuts), end]
+        runs[pid] = (bounds[0], bounds[1])
+        runs.extend(zip(bounds[1:-1], bounds[2:]))
+
+
+def _split_cuts(counts: list[int], minpts: int, k: int) -> list[int] | None:
+    """Offsets cutting a run's cells into <= k point-balanced chunks, each
+    with >= MinPts points; None when no split (k >= 2) is feasible."""
+    total, n = sum(counts), len(counts)
+    k = min(k, n, total // max(minpts, 1))
+    while k >= 2:
+        target = total / k
+        cuts: list[int] = []
+        acc = 0  # points in the open chunk; reaching MinPts >= 1 means it has a cell
+        for i, count in enumerate(counts):
+            chunks_left = k - len(cuts)
+            # ``n - i`` cells are still to place, this one included.
+            if (
+                chunks_left > 1
+                and acc >= max(target, float(minpts))
+                and n - i >= chunks_left - 1
             ):
-                if head not in shadow:
-                    shadow.add(head)
-                    shadow_count += head_count
-            for dx, dy in GRID_NEIGHBOR_OFFSETS:
-                cand = (hx + dx, hy + dy)
-                if cand not in shadow:
-                    continue
-                if not any(
-                    (cand[0] + ddx, cand[1] + ddy) in cell_set
-                    for ddx, ddy in GRID_NEIGHBOR_OFFSETS
-                ):
-                    shadow.remove(cand)
-                    shadow_count -= histogram.count(cand)
-        spec.cells = list(cells)
-        spec.shadow_cells = shadow
-        spec.shadow_count = shadow_count
-        if moved:
-            refresh_shadow(prev, histogram)
-
-
-def _cell_table(cell_lists: list) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-partition cell collections: one key per cell (see
-    :func:`_cell_keys`) and the index of the partition that listed it."""
-    cells = np.array([c for cells in cell_lists for c in cells], dtype=np.int64)
-    parts = np.repeat(np.arange(len(cell_lists)), [len(c) for c in cell_lists])
-    return _cell_keys(cells.reshape(-1, 2)), parts
-
-
-def _cell_keys(cells: np.ndarray) -> np.ndarray:
-    """One sortable key per ``(x, y)`` cell: ``x + iy``.  Complex values
-    order lexicographically, and the conversion is exact because Eps-cell
-    coordinates are floors of float64 values — so no packing, no bounding
-    box and nothing to overflow."""
-    return cells[:, 0] + 1j * cells[:, 1]
+                cuts.append(i)
+                acc = 0
+            acc += count
+        bounds = [0, *cuts, n]
+        if len(cuts) == k - 1 and all(
+            sum(counts[a:b]) >= minpts for a, b in zip(bounds, bounds[1:])
+        ):
+            return cuts
+        k -= 1
+    return None
 
 
 def _ids_by_partition(
@@ -315,27 +305,31 @@ def partition_points(
     n = len(points)
     cells = cell_of_coords(points.coords, plan.eps) if n else np.empty((0, 2), np.int64)
     specs = plan.partitions
-    own_keys, own_parts = _cell_table([spec.cells for spec in specs])
-    shadow_keys, shadow_parts = _cell_table([spec.shadow_cells for spec in specs])
-    # Every cell the plan mentions gets an id, its rank among their sorted
-    # keys (the infinite sentinel takes every miss): one binary search per
-    # point, and everything after that is per-cell tables.
-    plan_keys = np.append(np.unique(np.concatenate((own_keys, shadow_keys))), np.inf)
-    own_ids = np.searchsorted(plan_keys, own_keys)
-    if len(np.unique(own_ids)) != len(own_ids):
+    pids = np.arange(len(specs))
+    own = cell_array(chain.from_iterable(spec.cells for spec in specs))
+    own_parts = np.repeat(pids, [spec.n_cells for spec in specs])
+    shadow = cell_array(chain.from_iterable(spec.shadow_cells for spec in specs))
+    shadow_parts = np.repeat(pids, [len(spec.shadow_cells) for spec in specs])
+    # The sorted keys of the owned cells are the routing table: each
+    # point and each shadow listing finds its cell's row by one binary
+    # search, and everything after that is per-row tables.
+    frame = CellFrame(own)
+    own_keys = frame.keys(own)
+    order = np.argsort(own_keys, kind="stable")
+    table = own_keys[order]
+    if np.any(table[1:] == table[:-1]):
         plan.cell_owner()  # raises, naming the doubly-owned cell
-    point_keys = _cell_keys(cells)
-    point_cell = np.searchsorted(plan_keys, point_keys)
-    owned = np.zeros(len(plan_keys), dtype=bool)
-    owned[own_ids] = True
-    covered = owned[point_cell] & (plan_keys[point_cell] == point_keys)
+    point_cell = key_rows(table, frame.keys(cells))
+    covered = point_cell >= 0
     if not np.all(covered):
         unowned = sorted(set(map(tuple, cells[~covered].tolist())))
         raise PartitionError(
             f"{len(unowned)} non-empty cells not covered by the plan, e.g. {unowned[:3]}"
         )
-    shadow_ids = np.searchsorted(plan_keys, shadow_keys)
-    sizes = (len(plan_keys), len(specs))
-    own = _ids_by_partition(point_cell, own_ids, own_parts, *sizes)
-    shadow = _ids_by_partition(point_cell, shadow_ids, shadow_parts, *sizes)
+    # A shadow cell nobody owns holds no point (it would have raised).
+    shadow_ids = key_rows(table, frame.keys(shadow))
+    listed = shadow_ids >= 0
+    sizes = (len(table), len(specs))
+    own = _ids_by_partition(point_cell, np.arange(len(table)), own_parts[order], *sizes)
+    shadow = _ids_by_partition(point_cell, shadow_ids[listed], shadow_parts[listed], *sizes)
     return [(points.take(o), points.take(s)) for o, s in zip(own, shadow)]

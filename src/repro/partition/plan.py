@@ -121,35 +121,6 @@ class PartitionPlan:
                 owner[cell] = spec.partition_id
         return owner
 
-    def validate(self, all_cells: set[Cell], minpts: int | None = None) -> None:
-        """Check plan invariants against the histogram's non-empty cells.
-
-        * every non-empty cell is owned by exactly one partition;
-        * no partition owns a cell outside the histogram;
-        * shadow cells are never owned by the same partition;
-        * (optional) every non-empty partition holds >= MinPts points or
-          consists of a single cell (the forming algorithm's floor).
-        """
-        owner = self.cell_owner()
-        owned = set(owner)
-        if owned != all_cells:
-            missing = all_cells - owned
-            extra = owned - all_cells
-            raise PartitionError(
-                f"cell coverage mismatch: {len(missing)} unowned, {len(extra)} spurious"
-            )
-        for spec in self.partitions:
-            overlap = spec.shadow_cells & spec.cell_set()
-            if overlap:
-                raise PartitionError(
-                    f"partition {spec.partition_id} shadows its own cells {sorted(overlap)[:3]}"
-                )
-            if minpts is not None and spec.cells and spec.point_count < minpts and spec.n_cells > 1:
-                raise PartitionError(
-                    f"partition {spec.partition_id} has {spec.point_count} < MinPts={minpts} "
-                    f"points across {spec.n_cells} cells"
-                )
-
     def nonempty(self) -> list[PartitionSpec]:
         """Partitions that actually own cells."""
         return [p for p in self.partitions if p.cells]

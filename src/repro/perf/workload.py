@@ -30,6 +30,7 @@ counts of real ``mrscan_gpu`` runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import special
@@ -37,7 +38,7 @@ from scipy import special
 from ..data.density import DENSEBOX_FULL_FACTOR, densebox_ramp
 from ..errors import SimulationError
 from ..gpu.kernels import DISK_STENCIL_RATIO, expected_scan_ops
-from ..partition.grid import GridHistogram
+from ..partition.grid import GridHistogram, cell_array
 from ..partition.partitioner import form_partitions
 from ..partition.plan import PartitionPlan
 from ..points import PointSet
@@ -96,17 +97,15 @@ class ScaledWorkload:
             raise SimulationError("n_target must be positive")
         base = GridHistogram.from_points(sample, eps)
         factor = n_target / len(sample)
-        cells = list(base.counts)
-        raw = np.array([base.counts[c] for c in cells], dtype=np.float64) * factor
+        # Column-major cell order, as the unstable argsort's ties expect.
+        raw = base.counts.astype(np.float64) * factor
         floors = np.floor(raw).astype(np.int64)
         deficit = int(n_target - floors.sum())
         if deficit > 0:
             order = np.argsort(-(raw - floors))
             floors[order[:deficit]] += 1
-        scaled = GridHistogram(
-            eps=eps,
-            counts={c: int(v) for c, v in zip(cells, floors) if v > 0},
-        )
+        kept = floors > 0
+        scaled = GridHistogram(eps=eps, cells=base.cells[kept], counts=floors[kept])
         return cls(
             histogram=scaled,
             n_points=int(scaled.total_points),
@@ -116,24 +115,19 @@ class ScaledWorkload:
 
     # ------------------------------------------------------------------ #
 
-    def stencil_counts(self) -> dict[tuple[int, int], int]:
-        """3×3-neighborhood point counts per non-empty cell."""
-        counts = self.histogram.counts
-        out: dict[tuple[int, int], int] = {}
-        for (cx, cy) in counts:
-            total = 0
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    total += counts.get((cx + dx, cy + dy), 0)
-            out[(cx, cy)] = total
-        return out
+    def stencil_counts(self) -> np.ndarray:
+        """3×3-neighborhood point count of every non-empty cell, aligned
+        with ``histogram.cells``."""
+        hist = self.histogram
+        neighbors = hist.neighbor_rows()
+        return hist.counts + np.where(neighbors >= 0, hist.counts[neighbors], 0).sum(axis=1)
 
     def partition(self, n_leaves: int, minpts: int) -> PartitionPlan:
         """Run the real partitioning algorithm over the scaled histogram."""
         return form_partitions(self.histogram, n_leaves, minpts)
 
     def max_cell_count(self) -> int:
-        return max(self.histogram.counts.values(), default=0)
+        return int(self.histogram.counts.max(initial=0))
 
     def shadow_fraction(self, plan: PartitionPlan) -> float:
         """Shadow points as a fraction of partition points."""
@@ -164,31 +158,33 @@ def leaf_gpu_work(
     use_densebox: bool = True,
     n_blocks: int = 1024,
     record_bytes: int = 32,
-    stencils: dict[tuple[int, int], int] | None = None,
+    stencils: np.ndarray | None = None,
 ) -> list[LeafWork]:
-    """Predict each leaf's GPU work from its partition's cells."""
+    """Predict each leaf's GPU work from its partition's cells.
+
+    ``stencils`` is :meth:`ScaledWorkload.stencil_counts` (computed when
+    omitted)."""
     if stencils is None:
         stencils = workload.stencil_counts()
-    counts = workload.histogram.counts
-    cells = list(counts)
-    cell_index = {c: i for i, c in enumerate(cells)}
-    count_v = np.array([counts[c] for c in cells], dtype=np.float64)
-    stencil_v = np.array([stencils.get(c, counts[c]) for c in cells], dtype=np.float64)
+    hist = workload.histogram
+    count_v = hist.counts.astype(np.float64)
+    stencil_v = np.asarray(stencils, dtype=np.float64)
     pass1_v, pass2_v, elim_v = _vector_cell_work(count_v, stencil_v, minpts, use_densebox)
 
+    # Each leaf sums its cells, then its sorted shadow cells — one lookup
+    # for every partition's listing.
+    listings = [list(spec.cells) + sorted(spec.shadow_cells) for spec in plan.partitions]
+    rows = hist.rows_of(cell_array(chain.from_iterable(listings)))
+    bounds = np.cumsum([len(listing) for listing in listings])[:-1]
+
     out: list[LeafWork] = []
-    for spec in plan.partitions:
-        idx = [
-            cell_index[cell]
-            for cell in list(spec.cells) + sorted(spec.shadow_cells)
-            if cell in cell_index
-        ]
-        if idx:
-            ia = np.asarray(idx, dtype=np.int64)
-            pass1 = float(pass1_v[ia].sum())
-            pass2 = float(pass2_v[ia].sum())
-            elim = float(elim_v[ia].sum())
-            n_pts = float(count_v[ia].sum())
+    for idx in np.split(rows, bounds):
+        idx = idx[idx >= 0]
+        if len(idx):
+            pass1 = float(pass1_v[idx].sum())
+            pass2 = float(pass2_v[idx].sum())
+            elim = float(elim_v[idx].sum())
+            n_pts = float(count_v[idx].sum())
         else:
             pass1 = pass2 = elim = n_pts = 0.0
         launches = max(1.0, 2.0 * n_pts / n_blocks) if n_pts else 0.0

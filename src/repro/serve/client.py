@@ -106,7 +106,12 @@ class ServeClient:
         if timeout is not None:
             self._sock.settimeout(timeout)
         try:
-            self._sock.sendall(encode_message(message))
+            try:
+                self._sock.sendall(encode_message(message))
+            except (BrokenPipeError, ConnectionResetError):
+                # A shed connection is answered and closed before its
+                # request lands; that answer is still there to read.
+                pass
             while b"\n" not in self._buffer:
                 if len(self._buffer) > MAX_LINE_BYTES:
                     raise ServeProtocolError("response line exceeds the size cap")

@@ -13,8 +13,8 @@ state:
 1. sanitize the batch, assign internal ids, compute its touched cells;
 2. adopt cells that were empty at plan time
    (:func:`repro.partition.adopt_cells` on a *copied* plan);
-3. fold the batch into a copied histogram and refresh the shadow sets of
-   every affected partition;
+3. merge the batch's histogram into a new one and refresh the shadow
+   sets of every affected partition;
 4. map touched cells to dirty partitions
    (:func:`repro.partition.dirty_partitions`);
 5. re-materialize partitions on the union
@@ -36,12 +36,11 @@ is rejected without poisoning the resident state.
 
 from __future__ import annotations
 
-import copy
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -322,15 +321,21 @@ class ServeState:
 
         # ---- plan the incremental run over candidate copies ----------- #
         touched = touched_cells_of(cell_of_coords(coords, cfg.eps))
-        plan = copy.deepcopy(self.plan)
+        # Adoption appends to cell lists and refreshing replaces shadow
+        # sets: copying those per spec is a deep enough copy.
+        plan = replace(
+            self.plan,
+            partitions=[
+                replace(spec, cells=list(spec.cells), shadow_cells=set(spec.shadow_cells))
+                for spec in self.plan.partitions
+            ],
+        )
         owner = plan.cell_owner()
         new_cells = {c for c in touched if c not in owner}
         adopt_cells(plan, new_cells, owner=owner)
-        histogram = GridHistogram(eps=cfg.eps, counts=dict(self.histogram.counts))
-        batch_hist = GridHistogram.from_points(
-            PointSet(ids=ids, coords=coords), cfg.eps
+        histogram = self.histogram.merge(
+            GridHistogram.from_points(PointSet(ids=ids, coords=coords), cfg.eps)
         )
-        histogram = histogram.merge(batch_hist)
         dirty = dirty_partitions(plan, touched, owner=owner)
         # Newly non-empty cells change their neighbors' shadow sets; every
         # such partition is in ``dirty`` by construction, so refreshing

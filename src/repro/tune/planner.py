@@ -88,14 +88,13 @@ def fingerprint_workload(points: "PointSet", eps: float) -> WorkloadFingerprint:
     from ..partition.grid import GridHistogram
 
     hist = GridHistogram.from_points(points, eps)
-    counts = list(hist.counts.values())
     total = max(hist.total_points, 1)
     return WorkloadFingerprint(
         n_points=len(points),
         eps=float(eps),
         dataset_fingerprint=dataset_fingerprint(points),
-        nonempty_cells=len(counts),
-        max_cell_fraction=(max(counts) / total) if counts else 0.0,
+        nonempty_cells=hist.n_cells,
+        max_cell_fraction=int(hist.counts.max(initial=0)) / total,
     )
 
 

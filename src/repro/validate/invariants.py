@@ -310,11 +310,10 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
     * every owned point falls inside one of its partition's cells;
     * no partition shadows a cell it owns.
     """
+    from ..partition.grid import CellFrame, GridHistogram, cell_array, key_rows
+
     out: list[Violation] = []
     plan = ctx.phase1.plan
-    cells = ctx.point_cells()
-    all_cells = {(int(cx), int(cy)) for cx, cy in np.unique(cells, axis=0)}
-
     owner: dict[tuple[int, int], int] = {}
     for spec in plan.partitions:
         for cell in spec.cells:
@@ -340,24 +339,36 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
                     {"partition": spec.partition_id, "n_overlap": len(overlap)},
                 )
             )
-    missing = all_cells - set(owner)
-    spurious = set(owner) - all_cells
-    if missing:
+    # The owned cells' keys, sorted, with the partition that owns each: a
+    # binary search tells any cell's owner (row -1: nobody's).
+    owned = cell_array(owner)
+    frame = CellFrame(owned)
+    keys = frame.keys(owned)
+    order = np.argsort(keys)
+    owned, table = owned[order], keys[order]
+    table_owner = np.fromiter(owner.values(), dtype=np.int64, count=len(owner))[order]
+    nonempty = GridHistogram.from_points(ctx.points, ctx.eps).cells  # sorted
+    rows = key_rows(table, frame.keys(nonempty))
+    missing = nonempty[rows < 0]
+    held = np.zeros(len(table), dtype=bool)
+    held[rows[rows >= 0]] = True
+    spurious = owned[~held]
+    if len(missing):
         out.append(
             Violation(
                 "partition.cover",
                 "partition",
                 f"{len(missing)} non-empty cell(s) owned by no partition",
-                {"n_missing": len(missing), "sample": sorted(missing)[:3]},
+                {"n_missing": len(missing), "sample": list(map(tuple, missing[:3].tolist()))},
             )
         )
-    if spurious:
+    if len(spurious):
         out.append(
             Violation(
                 "partition.cover",
                 "partition",
                 f"{len(spurious)} owned cell(s) hold no points",
-                {"n_spurious": len(spurious), "sample": sorted(spurious)[:3]},
+                {"n_spurious": len(spurious), "sample": list(map(tuple, spurious[:3].tolist()))},
             )
         )
 
@@ -378,21 +389,16 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
             )
             continue
         np.add.at(seen, ids, 1)
-        own_cells = np.floor(own.coords / ctx.eps).astype(np.int64)
-        cell_set = {c for c, p in owner.items() if p == pid}
-        outside = [
-            int(i)
-            for i, (cx, cy) in zip(ids, own_cells)
-            if (int(cx), int(cy)) not in cell_set
-        ]
-        if outside:
+        rows = key_rows(table, frame.keys(np.floor(own.coords / ctx.eps).astype(np.int64)))
+        outside = ids[(rows < 0) | (table_owner[rows] != pid)]
+        if len(outside):
             out.append(
                 Violation(
                     "partition.cover",
                     "partition",
                     f"partition {pid} owns {len(outside)} point(s) outside "
                     "its cells",
-                    {"partition": pid, "sample_ids": outside[:5]},
+                    {"partition": pid, "sample_ids": outside[:5].tolist()},
                 )
             )
     dup = int(np.count_nonzero(seen > 1))
@@ -424,20 +430,21 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
 def check_partition_shadow_cells(ctx: ValidationContext) -> list[Violation]:
     """Each partition's shadow is exactly the non-empty grid neighbors.
 
-    Recomputes ``shadow_cells_of`` from scratch and compares against the
-    plan, then checks the materialised shadow *points* are exactly the
-    points of those cells.
+    Recomputes the shadow from scratch and compares against the plan,
+    then checks the materialised shadow *points* are exactly the points of
+    those cells.
     """
     from ..partition.grid import GridHistogram
-    from ..partition.shadow import shadow_cells_of
+    from ..partition.shadow import shadow_rows
 
     out: list[Violation] = []
     histogram = GridHistogram.from_points(ctx.points, ctx.eps)
     plan = ctx.phase1.plan
-    cells = ctx.point_cells()
+    point_rows = histogram.rows_of(ctx.point_cells())
     for pid, _own, shadow in ctx.leaf_views():
         spec = plan.partitions[pid]
-        expected = shadow_cells_of(spec.cell_set(), histogram)
+        rows = shadow_rows(spec.cells, histogram)
+        expected = set(map(tuple, histogram.cells[rows].tolist()))
         if expected != spec.shadow_cells:
             out.append(
                 Violation(
@@ -449,24 +456,19 @@ def check_partition_shadow_cells(ctx: ValidationContext) -> list[Violation]:
                 )
             )
         # Shadow *points* must be exactly the points of the shadow cells.
-        want_ids: set[int] = set()
-        if expected:
-            exp = expected
-            mask = np.fromiter(
-                ((int(cx), int(cy)) in exp for cx, cy in cells),
-                dtype=bool,
-                count=ctx.n,
-            )
-            want_ids = set(np.flatnonzero(mask).tolist())
-        got_ids = set(int(i) for i in shadow.ids)
-        if got_ids != want_ids:
+        in_shadow = np.zeros(histogram.n_cells, dtype=bool)
+        in_shadow[rows] = True
+        want_ids = np.flatnonzero(in_shadow[point_rows])
+        got_ids = np.unique(shadow.ids)
+        missing = np.setdiff1d(want_ids, got_ids, assume_unique=True)
+        extra = np.setdiff1d(got_ids, want_ids, assume_unique=True)
+        if len(missing) or len(extra):
             out.append(
                 Violation(
                     "partition.shadow_cells",
                     "partition",
                     f"partition {pid} shadow points diverge: "
-                    f"{len(want_ids - got_ids)} missing, "
-                    f"{len(got_ids - want_ids)} extra",
+                    f"{len(missing)} missing, {len(extra)} extra",
                     {"partition": pid},
                 )
             )

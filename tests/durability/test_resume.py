@@ -9,6 +9,8 @@ leaves behind), then a fresh ``resume=True`` run reconstructs state.
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.core.config import MrScanConfig
 from repro.durability import PhaseCheckpointStore, config_fingerprint, replay_journal
 from repro.errors import CheckpointError, DurabilityError, ValidationError
 from repro.merge.summary import LeafSummary, _unpack_summary
+from repro.partition import PartitionPhaseResult, PartitionPlan, PartitionSpec
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec, LeafCheckpointStore
 from repro.validate import assert_resume_equivalent
@@ -408,3 +411,33 @@ def test_merge_checkpoint_with_inconsistent_columns_reruns_the_merge(tmp_path, m
     assert resumed.phases_restored == ["partition"]  # merge re-ran
     assert_resume_equivalent(baseline, resumed)
     assert resumed.labels.tobytes() == baseline.labels.tobytes()
+
+
+def test_partition_checkpoint_keeps_the_layout_old_run_dirs_hold(tmp_path, monkeypatch):
+    """The partition checkpoint pickles the same three dataclasses, with the
+    same fields, as run dirs written before the partition phase became
+    array passes — and a plan of plain Python values (tuples of ints, no
+    numpy scalar anywhere).  A run that crashed right after partition
+    resumes from it to byte-identical labels."""
+    assert [f.name for f in fields(PartitionPlan)] == [
+        "eps", "partitions", "target_size", "final_target_size",
+    ]
+    assert [f.name for f in fields(PartitionSpec)] == [
+        "partition_id", "cells", "point_count", "shadow_cells", "shadow_count",
+    ]
+    assert [f.name for f in fields(PartitionPhaseResult)] == [
+        "plan", "partitions", "io_trace", "reduce_trace", "multicast_trace",
+        "map_trace", "n_partition_nodes", "file_set", "n_shadow_points_saved",
+        "distribute_trace", "root_form_seconds", "route_seconds", "fault_events",
+    ]
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "_stage_partitions", points, tmp_path)
+    phase1 = PhaseCheckpointStore(tmp_path / "checkpoints").load("partition")
+    assert b"numpy" not in pickle.dumps(phase1.plan)
+    assert any(spec.shadow_cells for spec in phase1.plan.partitions)
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()

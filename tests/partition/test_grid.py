@@ -39,9 +39,13 @@ def test_from_points_empty():
     assert hist.n_cells == 0
 
 
+def _hist(eps, counts: dict) -> GridHistogram:
+    return GridHistogram.from_cells(eps, list(counts), list(counts.values()))
+
+
 def test_merge_adds_counts():
-    a = GridHistogram(eps=1.0, counts={(0, 0): 2, (1, 1): 3})
-    b = GridHistogram(eps=1.0, counts={(0, 0): 5, (2, 2): 1})
+    a = _hist(1.0, {(0, 0): 2, (1, 1): 3})
+    b = _hist(1.0, {(0, 0): 5, (2, 2): 1})
     m = a.merge(b)
     assert m.count((0, 0)) == 7
     assert m.count((1, 1)) == 3
@@ -67,18 +71,37 @@ def test_merge_is_reduction_equivalent():
     merged = parts[0]
     for p in parts[1:]:
         merged = merged.merge(p)
-    assert merged.counts == full.counts
+    np.testing.assert_array_equal(merged.cells, full.cells)
+    np.testing.assert_array_equal(merged.counts, full.counts)
 
 
 def test_column_major_order():
-    hist = GridHistogram(eps=1.0, counts={(1, 0): 1, (0, 1): 1, (0, 0): 1, (1, -1): 1})
-    assert hist.column_major_cells() == [(0, 0), (0, 1), (1, -1), (1, 0)]
+    hist = _hist(1.0, {(1, 0): 1, (0, 1): 1, (0, 0): 1, (1, -1): 1})
+    assert hist.cells.tolist() == [[0, 0], [0, 1], [1, -1], [1, 0]]
 
 
-def test_nonempty_neighbors():
-    hist = GridHistogram(eps=1.0, counts={(0, 0): 1, (1, 1): 1, (5, 5): 1})
-    assert hist.nonempty_neighbors((0, 0)) == [(1, 1)]
-    assert hist.nonempty_neighbors((5, 5)) == []
+def test_from_cells_adds_repeated_listings():
+    hist = GridHistogram.from_cells(1.0, [(3, 1), (0, 2), (3, 1), (-4, 0)], [2, 5, 7, 1])
+    assert hist.cells.tolist() == [[-4, 0], [0, 2], [3, 1]]
+    assert hist.counts.tolist() == [1, 5, 9]
+    assert hist.cells.dtype == hist.counts.dtype == np.int64
+
+
+def test_neighbor_rows_table():
+    hist = _hist(1.0, {(0, 0): 1, (1, 1): 1, (5, 5): 1, (0, 1): 4})
+    rows = hist.neighbor_rows()  # rows: (0,0) (0,1) (1,1) (5,5)
+    assert rows.shape == (4, 8)
+    assert sorted(rows[0][rows[0] >= 0].tolist()) == [1, 2]
+    assert sorted(rows[2][rows[2] >= 0].tolist()) == [0, 1]
+    assert (rows[3] == -1).all()
+    assert hist.rows_of([[5, 5], [5, 6], [-9, 0]]).tolist() == [3, -1, -1]
+
+
+def test_cell_frame_refuses_a_grid_too_wide_for_int64_keys():
+    from repro.errors import PartitionError
+
+    with pytest.raises(PartitionError, match="too many for int64"):
+        GridHistogram.from_cells(1.0, [(-(2**40), -(2**40)), (2**40, 2**40)])
 
 
 def test_neighbor_offsets_exclude_self():
@@ -87,6 +110,6 @@ def test_neighbor_offsets_exclude_self():
 
 
 def test_payload_bytes_scales_with_cells():
-    a = GridHistogram(eps=1.0, counts={(0, 0): 1})
-    b = GridHistogram(eps=1.0, counts={(i, 0): 1 for i in range(10)})
+    a = _hist(1.0, {(0, 0): 1})
+    b = _hist(1.0, {(i, 0): 1 for i in range(10)})
     assert b.payload_bytes() == 10 * a.payload_bytes()

@@ -17,8 +17,20 @@ def _hist_from_points(points, eps):
     return GridHistogram.from_points(points, eps)
 
 
+def _assert_valid_plan(plan, hist, minpts=None):
+    """Every non-empty cell owned exactly once, nothing else owned, no
+    partition shadowing its own cells, and (given MinPts) every non-empty
+    partition holding >= MinPts points unless it is a single cell."""
+    owned = set(plan.cell_owner())  # raises on a doubly-owned cell
+    assert owned == set(map(tuple, hist.cells.tolist()))
+    for spec in plan.partitions:
+        assert not spec.shadow_cells & spec.cell_set()
+        if minpts is not None and spec.n_cells > 1:
+            assert spec.point_count >= minpts
+
+
 def test_rejects_bad_args():
-    hist = GridHistogram(eps=1.0, counts={(0, 0): 10})
+    hist = GridHistogram.from_cells(1.0, [(0, 0)], [10])
     with pytest.raises(PartitionError):
         form_partitions(hist, 0, 5)
     with pytest.raises(PartitionError):
@@ -38,7 +50,7 @@ def test_partitions_cover_all_cells_exactly_once():
     ps = generate_twitter(10000, seed=1)
     hist = _hist_from_points(ps, 0.1)
     plan = form_partitions(hist, 8, 4)
-    plan.validate(set(hist.counts), minpts=4)
+    _assert_valid_plan(plan, hist, minpts=4)
 
 
 def test_point_counts_conserved():
@@ -55,7 +67,7 @@ def test_more_partitions_than_cells():
     assert len(plan) == 5
     nonempty = plan.nonempty()
     assert len(nonempty) == 2
-    plan.validate(set(hist.counts))
+    _assert_valid_plan(plan, hist)
 
 
 def test_shadow_regions_are_grid_neighbors():
@@ -167,7 +179,7 @@ def test_property_plan_valid_for_random_data(n, n_parts, minpts, seed):
     ps = PointSet.from_coords(rng.uniform(0, 8, size=(n, 2)))
     hist = _hist_from_points(ps, 1.0)
     plan = form_partitions(hist, n_parts, minpts)
-    plan.validate(set(hist.counts))
+    _assert_valid_plan(plan, hist)
     assert sum(p.point_count for p in plan.partitions) == n
     parts = partition_points(ps, plan)
     all_ids = np.concatenate([own.ids for own, _ in parts])

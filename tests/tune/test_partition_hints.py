@@ -44,7 +44,7 @@ def test_split_grows_partition_count_and_conserves_cells():
     assert owned(split) == owned(base)
     # Every split chunk still meets the minpts floor.
     for spec in split.partitions:
-        assert sum(hist.counts[c] for c in spec.cells) >= 8
+        assert sum(hist.count(c) for c in spec.cells) >= 8
 
 
 def test_infeasible_split_degrades_gracefully():

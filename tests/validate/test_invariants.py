@@ -21,6 +21,7 @@ from repro.validate import (
 from repro.validate.invariants import (
     check_owner_precedence,
     check_partition_cover,
+    check_partition_shadow_cells,
     check_sweep_ownership,
 )
 
@@ -203,6 +204,43 @@ def test_partition_cover_detects_shadowed_own_cell():
     assert any(
         "shadows" in v.message for v in check_partition_cover(ctx)
     )
+
+
+def _real_partition_ctx(points, eps=0.3, minpts=5, n_partitions=4):
+    """A context over a real partition phase, for plan surgery."""
+    from repro.partition import DistributedPartitioner
+
+    internal = PointSet(
+        ids=np.arange(len(points)), coords=points.coords, weights=points.weights
+    )
+    ctx = ValidationContext(points=internal, eps=eps, minpts=minpts)
+    ctx.phase1 = DistributedPartitioner(eps, minpts, 2).run(internal, n_partitions)
+    assert check_partition_cover(ctx) == []
+    assert check_partition_shadow_cells(ctx) == []
+    return ctx
+
+
+def test_partition_shadow_cells_detects_a_missing_shadow_cell(blobs_with_noise):
+    ctx = _real_partition_ctx(blobs_with_noise)
+    spec = next(s for s in ctx.phase1.plan.partitions if s.shadow_cells)
+    spec.shadow_cells.remove(min(spec.shadow_cells))
+    messages = [v.message for v in check_partition_shadow_cells(ctx)]
+    assert messages == [
+        f"partition {spec.partition_id} shadow cells diverge from the grid "
+        "neighbors (1 cell(s))"
+    ]
+
+
+def test_partition_cover_detects_a_cell_owned_twice(blobs_with_noise):
+    ctx = _real_partition_ctx(blobs_with_noise)
+    first, second = ctx.phase1.plan.partitions[:2]
+    cell = first.cells[0]
+    second.cells.append(cell)
+    messages = [v.message for v in check_partition_cover(ctx)]
+    assert f"cell {cell} owned by partitions 0 and 1" in messages
+    # The later listing wins the cell, so the first partition's points in
+    # it now lie outside its cells.
+    assert any(m.startswith("partition 0 owns") and "outside its cells" in m for m in messages)
 
 
 # ----------------------- sweep checker corruption ---------------------- #
