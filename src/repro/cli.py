@@ -5,7 +5,6 @@ Subcommands
 ``generate``  write a synthetic dataset (twitter / sdss / blobs) to a file
 ``cluster``   run the full Mr. Scan pipeline over a point file
 ``quality``   compare a clustering against single-CPU reference DBSCAN
-``fuzz``      differential/metamorphic fuzzing against reference DBSCAN
 ``serve``     long-lived clustering daemon with incremental batch ingest
 ``worker``    TCP worker agent: dial a coordinator and execute leaf tasks
 ``simulate``  reproduce a paper figure through the performance model
@@ -208,50 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     qua.add_argument("--eps", type=float, required=True)
     qua.add_argument("--minpts", type=int, required=True)
     qua.add_argument("--leaves", type=int, default=4)
-
-    fz = sub.add_parser(
-        "fuzz",
-        help="seeded differential + metamorphic fuzzing vs reference DBSCAN",
-    )
-    fz.add_argument(
-        "--cases", type=int, default=25, help="number of seeded cases (default 25)"
-    )
-    fz.add_argument("--seed", type=int, default=0, help="first case seed")
-    fz.add_argument(
-        "--validate",
-        choices=["off", "cheap", "full"],
-        default="full",
-        help="invariant-checking level for every pipeline run (default full)",
-    )
-    fz.add_argument(
-        "--max-points", type=int, default=1200, help="dataset size cap per case"
-    )
-    fz.add_argument(
-        "--fault-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of cases that inject a seeded fault plan (default 0.5)",
-    )
-    fz.add_argument(
-        "--no-metamorphic",
-        action="store_true",
-        help="skip the permutation/transform/duplicate metamorphic checks",
-    )
-    fz.add_argument(
-        "--artifact-dir",
-        type=Path,
-        default=Path("fuzz-artifacts"),
-        metavar="DIR",
-        help="where minimized failing-case repro artifacts are written",
-    )
-    fz.add_argument(
-        "--replay",
-        type=Path,
-        default=None,
-        metavar="ARTIFACT",
-        help="re-run the minimized case of a repro artifact instead of sweeping",
-    )
-    fz.add_argument("--json", action="store_true", help="print a JSON report")
 
     srv = sub.add_parser(
         "serve",
@@ -710,55 +665,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .validate import load_case, minimize_failures, run_case, run_sweep
-
-    metamorphic = not args.no_metamorphic
-    if args.replay is not None:
-        if not args.replay.exists():
-            print(f"error: --replay {args.replay} does not exist", file=sys.stderr)
-            return 2
-        case = load_case(args.replay)
-        outcome = run_case(case, validate=args.validate, metamorphic=metamorphic)
-        if args.json:
-            print(json.dumps(outcome.as_dict(), indent=1))
-        else:
-            print(outcome.describe())
-        return 0 if outcome.ok else 1
-
-    report = run_sweep(
-        args.cases,
-        seed=args.seed,
-        validate=args.validate,
-        metamorphic=metamorphic,
-        max_points=args.max_points,
-        fault_fraction=args.fault_fraction,
-        on_case=(
-            None if args.json else lambda o: print(o.describe(), flush=True)
-        ),
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n_cases": report.n_cases,
-                    "n_failed": report.n_failed,
-                    "failures": [o.as_dict() for o in report.failed()],
-                },
-                indent=1,
-            )
-        )
-    else:
-        print(report.describe().splitlines()[-1])
-    if not report.ok:
-        for path in minimize_failures(
-            report, args.artifact_dir, validate=args.validate, metamorphic=metamorphic
-        ):
-            print(f"minimized repro written to {path}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
@@ -931,7 +837,6 @@ def main(argv: list[str] | None = None) -> int:
         "cluster": _cmd_cluster,
         "quality": _cmd_quality,
         "analyze": _cmd_analyze,
-        "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "worker": _cmd_worker,
         "simulate": _cmd_simulate,

@@ -148,8 +148,8 @@ class ValidationError(MrScanError):
     """A runtime phase-boundary invariant check failed (repro.validate).
 
     Carries the structured :class:`repro.validate.Violation` records on
-    ``violations`` so callers (and the fuzz harness) can report *which*
-    paper invariant broke, not just that one did.
+    ``violations`` so callers can report *which* paper invariant broke,
+    not just that one did.
     """
 
     def __init__(self, message: str, violations: list | None = None) -> None:

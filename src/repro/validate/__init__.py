@@ -1,6 +1,6 @@
-"""Runtime invariant checking + differential/metamorphic fuzzing.
+"""Runtime invariant checking + labelling equivalence.
 
-Two halves, both oracles for the distributed pipeline:
+Two oracles for the distributed pipeline:
 
 - :mod:`repro.validate.invariants` — a registry of phase-boundary
   checkers for the invariants the paper states (§3.1–§3.3.2): disjoint
@@ -8,30 +8,16 @@ Two halves, both oracles for the distributed pipeline:
   representative bound and Fig-5 reachability lemma, global-ID
   bijection, and sweep owner-precedence.  Wired into ``run_pipeline``
   behind ``MrScanConfig.validate`` (``off`` / ``cheap`` / ``full``).
-- :mod:`repro.validate.fuzz` — a seeded differential + metamorphic
-  harness that sweeps randomized datasets × topologies × configs ×
-  fault plans against the exact sequential DBSCAN, using the
-  tie-break-aware comparator in :mod:`repro.validate.equivalence`, and
-  shrinks failures to minimal JSON repro artifacts.
+- :mod:`repro.validate.equivalence` — the relabeling- and
+  tie-break-aware comparator that holds a labelling to exact sequential
+  DBSCAN; the differential and metamorphic hypothesis properties
+  (``pytest -m fuzz``) run it on every drawn case.
 """
 
 from .equivalence import (
     EquivalenceReport,
     assert_resume_equivalent,
     labels_equivalent,
-)
-from .fuzz import (
-    DATASETS,
-    CaseOutcome,
-    FuzzCase,
-    SweepReport,
-    generate_case,
-    load_case,
-    minimize_failures,
-    run_case,
-    run_sweep,
-    shrink_case,
-    write_repro_artifact,
 )
 from .invariants import (
     LEVELS,
@@ -62,15 +48,4 @@ __all__ = [
     "EquivalenceReport",
     "labels_equivalent",
     "assert_resume_equivalent",
-    "DATASETS",
-    "FuzzCase",
-    "CaseOutcome",
-    "SweepReport",
-    "generate_case",
-    "run_case",
-    "run_sweep",
-    "shrink_case",
-    "write_repro_artifact",
-    "load_case",
-    "minimize_failures",
 ]

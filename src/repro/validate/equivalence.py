@@ -21,8 +21,8 @@ against the sequential reference therefore needs three tiers:
    really does contain a core point within Eps of it (a legal tie-break),
    and rejected otherwise.
 
-This is the comparator the differential fuzz harness
-(:mod:`repro.validate.fuzz`) runs on every case, equivalent in spirit to
+This is the comparator the differential and metamorphic fuzz properties
+(``pytest -m fuzz``) run on every drawn case, equivalent in spirit to
 the "cluster-structure equality" oracles used to validate parallel
 DBSCAN implementations against a sequential baseline.
 """
@@ -51,17 +51,6 @@ class EquivalenceReport:
     n_noise_mismatch: int = 0  # disallowed noise/clustered flips
     n_densebox_noise: int = 0  # allowed densebox border noise
     n_tiebreak: int = 0  # legal border tie-break differences
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "n_core_mismatch": self.n_core_mismatch,
-            "n_partition_mismatch": self.n_partition_mismatch,
-            "n_noise_mismatch": self.n_noise_mismatch,
-            "n_densebox_noise": self.n_densebox_noise,
-            "n_tiebreak": self.n_tiebreak,
-        }
 
     def summary(self) -> str:
         if self.ok:

@@ -10,7 +10,7 @@ from repro.core import MrScanConfig
 from repro.core.pipeline import run_pipeline
 from repro.data import generate_twitter
 from repro.dbscan import dbscan_reference
-from repro.dbscan.labels import clustering_signature
+from repro.dbscan.labels import clustering_signature, core_sets_equal
 from repro.mrnet import LocalTransport, ProcessTransport
 from repro.points import NOISE
 
@@ -74,12 +74,7 @@ def test_all_knobs_consistent(dataset):
     base_leaf = run_pipeline(
         dataset, _config(leaf_algorithm="cuda-dclust", n_leaves=9, fanout=3)
     )
-    assert np.array_equal(base_leaf.core_mask, baseline.core_mask)
+    assert core_sets_equal(
+        base_leaf.labels, baseline.labels, base_leaf.core_mask, baseline.core_mask
+    )
     assert np.array_equal(base_leaf.labels == NOISE, baseline.labels == NOISE)
-    core_sig_a = clustering_signature(
-        np.where(baseline.core_mask, baseline.labels, NOISE)
-    )
-    core_sig_b = clustering_signature(
-        np.where(base_leaf.core_mask, base_leaf.labels, NOISE)
-    )
-    assert core_sig_a == core_sig_b

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from fuzz_cases import assert_exact_dbscan
 
 from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
@@ -21,7 +22,6 @@ from repro.io.formats import read_points_binary, write_points_binary
 from repro.io.partition_files import PartitionFileSet
 from repro.points import NOISE, PointSet
 from repro.quality import dbdc_quality_score
-from repro.validate import labels_equivalent
 
 
 def test_file_roundtrip_end_to_end(tmp_path):
@@ -69,11 +69,7 @@ def test_mixed_shapes_across_boundaries():
     # Dense box is on: a border whose every core neighbour is a box member
     # stays noise (the paper's deviation), so the comparison is the
     # witness-checked comparator, not exact signature equality.
-    report = labels_equivalent(
-        points, eps, ref.labels, ref.core_mask, res.labels, res.core_mask,
-        allow_densebox_noise=True, minpts=minpts,
-    )
-    assert report.ok, report.summary()
+    assert_exact_dbscan(points, eps, minpts, res.labels, res.core_mask)
     exact = mrscan(points, eps, minpts, n_leaves=9, claim_box_borders=True)
     assert clustering_signature(exact.labels) == clustering_signature(ref.labels)
 

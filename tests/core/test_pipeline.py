@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuzz_cases import assert_exact_dbscan
+
 from repro.core import MrScanConfig, mrscan, run_pipeline
 from repro.data import gaussian_blobs, generate_sdss, generate_twitter, uniform_noise
 from repro.dbscan import dbscan_reference
@@ -15,41 +17,20 @@ from repro.mrnet import ProcessTransport
 from repro.points import NOISE, PointSet
 
 
-def _core_partition(labels, core_mask):
-    groups = {}
-    for i in np.flatnonzero(core_mask):
-        groups.setdefault(int(labels[i]), set()).add(int(i))
-    assert NOISE not in groups
-    return {frozenset(v) for v in groups.values()}
-
-
-def _assert_matches_reference(points, eps, minpts, result):
-    ref = dbscan_reference(points, eps, minpts)
-    assert result.n_clusters == ref.n_clusters
-    assert _core_partition(ref.labels, ref.core_mask) == _core_partition(
-        result.labels, ref.core_mask
-    )
-    # Border/noise deviations can only come from the dense-box fidelity
-    # trade-off and must stay tiny (the paper's >= 0.995 quality).
-    diffs = np.count_nonzero((ref.labels == NOISE) != (result.labels == NOISE))
-    assert diffs <= max(2, 0.005 * len(points))
-    return ref
-
-
 def test_blobs_multiple_leaf_counts(blobs_with_noise):
     for n_leaves in (1, 2, 5, 13):
         res = mrscan(blobs_with_noise, 0.25, 8, n_leaves=n_leaves)
-        _assert_matches_reference(blobs_with_noise, 0.25, 8, res)
+        assert_exact_dbscan(blobs_with_noise, 0.25, 8, res.labels, res.core_mask)
 
 
 def test_twitter_end_to_end(small_twitter):
     res = mrscan(small_twitter, 0.1, 10, n_leaves=8)
-    _assert_matches_reference(small_twitter, 0.1, 10, res)
+    assert_exact_dbscan(small_twitter, 0.1, 10, res.labels, res.core_mask)
 
 
 def test_sdss_end_to_end(small_sdss):
     res = mrscan(small_sdss, 0.00015, 5, n_leaves=8)
-    _assert_matches_reference(small_sdss, 0.00015, 5, res)
+    assert_exact_dbscan(small_sdss, 0.00015, 5, res.labels, res.core_mask)
 
 
 def test_one_eps_cell_tree_per_leaf(small_twitter, monkeypatch):
@@ -145,14 +126,14 @@ def test_run_pipeline_with_explicit_config(blobs_with_noise):
         use_densebox=True,
     )
     res = run_pipeline(blobs_with_noise, cfg)
-    _assert_matches_reference(blobs_with_noise, 0.25, 8, res)
+    assert_exact_dbscan(blobs_with_noise, 0.25, 8, res.labels, res.core_mask)
     assert res.n_partition_nodes == 2
 
 
 def test_process_transport_end_to_end(blobs_with_noise):
     with ProcessTransport(n_workers=2) as transport:
         res = mrscan(blobs_with_noise, 0.25, 8, n_leaves=4, transport=transport)
-    _assert_matches_reference(blobs_with_noise, 0.25, 8, res)
+    assert_exact_dbscan(blobs_with_noise, 0.25, 8, res.labels, res.core_mask)
 
 
 def test_materialize_dir_writes_partition_file(tmp_path, small_twitter):

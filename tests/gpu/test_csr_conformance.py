@@ -10,8 +10,8 @@ Three layers of evidence:
 
 1. direct ``mrscan_gpu`` parity over a randomized parameter sweep
    (densebox on/off, border claiming, OOM chunking, tiny devices);
-2. parity on every leaf view of the seeded fuzz corpus — same seed
-   derivation as ``mrscan fuzz``, partitioned as the pipeline would;
+2. parity on every leaf view of the seeded fuzz corpus
+   (``fuzz_cases.generate_case``), partitioned as the pipeline would;
 3. the pipeline under every transport (local/process/shm/tcp) and under
    seeded fault plans against an in-process run whose leaves call the
    block oracle.
@@ -31,7 +31,7 @@ from repro.gpu.device import DeviceConfig, SimulatedDevice
 from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.partition import GridHistogram, form_partitions, partition_points
 from repro.points import PointSet
-from repro.validate.fuzz import generate_case
+from fuzz_cases import generate_case
 
 # ---------------------------------------------------------------------- #
 # Direct kernel-level parity
@@ -158,7 +158,7 @@ def test_unknown_engine_rejected():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_corpus_parity(seed):
-    """Same seed derivation as ``mrscan fuzz``, one leaf view at a time:
+    """The seeded fuzz corpus, one leaf view at a time:
     the views are the ones the pipeline's leaves would be handed."""
     case = generate_case(seed, max_points=700)
     points = case.points()

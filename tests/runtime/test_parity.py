@@ -17,7 +17,7 @@ from repro.core.pipeline import run_pipeline
 from repro.mrnet.tcp import TcpTransport
 from repro.resilience import ChaosRunner, FaultPlan, FaultSpec
 from repro.runtime import active_segment_names
-from repro.validate.fuzz import generate_case
+from fuzz_cases import generate_case
 
 pytestmark = pytest.mark.slow
 

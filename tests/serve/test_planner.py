@@ -13,7 +13,7 @@ from repro.points import PointSet
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
 from repro.validate.equivalence import labels_equivalent
-from repro.validate.fuzz import generate_case
+from fuzz_cases import generate_case
 
 
 def _random_batch(points: PointSet, size: int, rng: np.random.Generator) -> np.ndarray:

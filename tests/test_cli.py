@@ -184,12 +184,18 @@ def test_analyze_missing_point_id(tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-def test_subcommand_set_is_exactly_the_nine():
+def test_subcommand_set_is_exactly_the_eight():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(sub.choices) == {
-        "generate", "cluster", "analyze", "quality", "fuzz",
+        "generate", "cluster", "analyze", "quality",
         "serve", "worker", "simulate", "tune",
     }
+
+
+def test_fuzz_subcommand_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz"])
+    assert exc.value.code == 2
 
 
 def test_cluster_engine_flag_is_gone(tmp_path, capsys):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from fuzz_cases import assert_exact_dbscan
 
 import repro
 from repro.dbscan import dbscan_reference
 from repro.errors import ConfigError
 from repro.estimator import MrScanClusterer
-from repro.validate import labels_equivalent
 
 
 def _blob_data(seed=0):
@@ -30,11 +30,7 @@ def test_fit_predict_matches_reference():
     ref = dbscan_reference(repro.PointSet.from_coords(X), 0.4, 5)
     assert est.n_clusters_ == ref.n_clusters == 2
     # Dense box is on by default: borders of box-only cores may stay noise.
-    report = labels_equivalent(
-        repro.PointSet.from_coords(X), 0.4, ref.labels, ref.core_mask,
-        labels, est.result_.core_mask, allow_densebox_noise=True, minpts=5,
-    )
-    assert report.ok, report.summary()
+    assert_exact_dbscan(repro.PointSet.from_coords(X), 0.4, 5, labels, est.result_.core_mask)
 
 
 def test_core_sample_attributes_match_reference():

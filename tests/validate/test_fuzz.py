@@ -1,24 +1,153 @@
-"""Unit tests for the seeded differential/metamorphic fuzz harness."""
+"""Differential and metamorphic properties of the pipeline vs exact DBSCAN.
+
+Each property draws a :class:`FuzzCase` and holds the pipeline to
+:func:`repro.validate.labels_equivalent`: exact core mask, bijective core
+clusters, legal borders, noise only where a dense box witnesses it.  Tier 1
+runs the ``@example``\\ s and five derandomized draws; ``MRSCAN_FUZZ=1
+pytest -m fuzz --hypothesis-seed=N`` runs 150 draws.  Pin a falsifying
+``FuzzCase(...)`` with ``@example(case=...)`` to replay it.  The
+differential on the ``mixture`` family is
+``core/test_pipeline_property.py::test_property_pipeline_matches_reference``.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from fuzz_cases import (
+    DATASETS, FuzzCase, assert_exact_dbscan, assert_matches_reference, fuzz_cases, generate_case,
+)
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from repro.validate import (
-    DATASETS,
-    FuzzCase,
-    generate_case,
-    load_case,
-    minimize_failures,
-    run_case,
-    run_sweep,
-    shrink_case,
-    write_repro_artifact,
+from repro.core.pipeline import run_pipeline
+from repro.dbscan import dbscan_reference
+from repro.merge import merger as merger_mod, summary as summary_mod
+from repro.points import PointSet
+
+pytestmark = pytest.mark.fuzz
+fuzz_settings = settings(
+    max_examples=150 if os.environ.get("MRSCAN_FUZZ") == "1" else 5,
+    deadline=None, suppress_health_check=[HealthCheck.too_slow],
 )
 
 
-# ----------------------------- generation ------------------------------ #
+def _assert_exact(case, points, eps, labels, core_mask):
+    assert_exact_dbscan(
+        points, eps, case.minpts, labels, core_mask, allow_densebox_noise=case.use_densebox
+    )
+
+
+#: Partitions cut the ring, so merging must find every crossing.
+RING = FuzzCase(
+    7, "ring", 600, 0.4, minpts=4, n_leaves=4, fanout=2, use_densebox=False, validate="off"
+)
+
+
+@fuzz_settings
+@given(case=fuzz_cases(DATASETS))
+@example(case=RING)
+def test_property_matches_reference(case):
+    assert_matches_reference(case)
+
+
+@fuzz_settings
+@given(case=fuzz_cases())
+def test_property_permutation_invariant(case):
+    """Shuffling point order changes no point's clustering."""
+    points = case.points()
+    perm = np.random.default_rng(case.seed + 101).permutation(len(points))
+    res = run_pipeline(points.take(perm), case.config())
+    labels, core = np.empty_like(res.labels), np.empty_like(res.core_mask)
+    labels[perm], core[perm] = res.labels, res.core_mask
+    _assert_exact(case, points, case.eps, labels, core)
+
+
+@fuzz_settings
+@given(case=fuzz_cases())
+# 9 borders of box-only cores legally stay noise after the transform
+@example(case=FuzzCase(
+    197, "sdss", 1138, 0.13358229836043026, minpts=12, n_leaves=6, fanout=3
+))
+def test_property_translate_scale_invariant(case):
+    """Translating and scaling by a power of two (Eps alike: exact in floating
+    point) preserves the clustering, unless it flips a tie in the oracle."""
+    points = case.points()
+    rng = np.random.default_rng(case.seed + 202)
+    scale = float(rng.choice([0.5, 2.0, 4.0]))
+    moved = PointSet.from_coords(points.coords * scale + rng.integers(-64, 65, size=2))
+    eps = case.eps * scale
+    assume(np.array_equal(
+        dbscan_reference(moved, eps, case.minpts).core_mask,
+        dbscan_reference(points, case.eps, case.minpts).core_mask,
+    ))
+    res = run_pipeline(moved, case.config(eps=eps))
+    _assert_exact(case, moved, eps, res.labels, res.core_mask)
+
+
+@fuzz_settings
+@given(case=fuzz_cases())
+def test_property_duplicates_idempotent(case):
+    """Exact copies of points take their twin's label and core status, and
+    only ever promote points to core, never demote them."""
+    points = case.points()
+    n = len(points)
+    rng = np.random.default_rng(case.seed + 303)
+    idx = rng.choice(n, size=min(40, max(1, n // 5)), replace=False)
+    doubled = PointSet.from_coords(np.vstack([points.coords, points.coords[idx]]))
+    res = run_pipeline(doubled, case.config())
+    np.testing.assert_array_equal(res.labels[idx], res.labels[n:])
+    np.testing.assert_array_equal(res.core_mask[idx], res.core_mask[n:])
+    ref = dbscan_reference(points, case.eps, case.minpts)
+    assert not np.any(ref.core_mask & ~res.core_mask[:n]), "a duplicate demoted a core"
+
+
+def test_harness_catches_representative_selection_defect(monkeypatch):
+    """With invariant checking off, the differential property alone catches
+    a merge blinded by empty representative sets: it splits the ring."""
+    differential = test_property_matches_reference.hypothesis.inner_test
+    # The defect patches this process; pool workers would run unpatched.
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
+    differential(RING)
+    monkeypatch.setattr(
+        summary_mod, "select_representatives_batch",
+        lambda coords, starts, bounds: np.empty((len(starts), 0), dtype=np.int64),
+    )
+    monkeypatch.setattr(
+        merger_mod, "select_representatives", lambda coords, bounds: np.empty(0, np.int64)
+    )
+    with pytest.raises(AssertionError, match="do not biject"):
+        differential(RING)
+
+
+def test_run_case_clean_seed_passes():
+    """A clean blobs case passes the differential and every metamorphic
+    property."""
+    case = FuzzCase(5, "blobs", 400, 0.3, minpts=5, n_leaves=4, fanout=2, use_densebox=False)
+    assert dbscan_reference(case.points(), case.eps, case.minpts).n_clusters > 0
+    for prop in (
+        test_property_matches_reference, test_property_permutation_invariant,
+        test_property_translate_scale_invariant, test_property_duplicates_idempotent,
+    ):
+        given(case=st.just(case))(prop.hypothesis.inner_test)()
+
+
+def test_run_case_with_faults_still_equivalent():
+    case = FuzzCase(6, "moons", 350, 0.25, minpts=5, n_leaves=4, fanout=2, fault_seed=123)
+    assert case.config().fault_plan is not None
+    test_property_matches_reference.hypothesis.inner_test(case)
+
+
+# ------------------------ the seed -> case corpus ----------------------- #
+
+
+def test_corpus_derivation_is_pinned():
+    """The seed -> case derivation the corpus tests share has not shifted."""
+    assert generate_case(42, max_points=500, fault_fraction=0.0) == FuzzCase(
+        42, "blobs", 444, 0.487942897948579, minpts=7, n_leaves=8, fanout=2,
+        use_densebox=True, fault_seed=None,
+    )
 
 
 def test_generate_case_is_deterministic():
@@ -45,14 +174,8 @@ def test_generate_case_respects_bounds():
 
 
 def test_fault_plan_only_when_seeded():
-    armed = FuzzCase(
-        seed=1, dataset="blobs", n_points=300, eps=0.3, minpts=5,
-        n_leaves=4, fanout=2, fault_seed=77,
-    )
-    unarmed = FuzzCase(
-        seed=1, dataset="blobs", n_points=300, eps=0.3, minpts=5,
-        n_leaves=4, fanout=2,
-    )
+    armed = FuzzCase(1, "blobs", 300, 0.3, minpts=5, n_leaves=4, fanout=2, fault_seed=77)
+    unarmed = FuzzCase(1, "blobs", 300, 0.3, minpts=5, n_leaves=4, fanout=2)
     plan = armed.fault_plan()
     assert plan is not None and len(plan.faults) > 0
     assert unarmed.fault_plan() is None
@@ -60,169 +183,3 @@ def test_fault_plan_only_when_seeded():
     assert unarmed.config().fault_plan is None
     # same seed -> same plan
     assert repr(armed.fault_plan().faults) == repr(plan.faults)
-
-
-def test_case_dict_round_trip():
-    case = generate_case(9)
-    again = FuzzCase.from_dict(case.as_dict())
-    assert again == case
-    assert "seed=9" in case.describe()
-
-
-def test_repro_artifact_round_trip(tmp_path):
-    case = generate_case(11)
-    outcome = run_case(
-        FuzzCase(seed=11, dataset="blobs", n_points=120, eps=0.4, minpts=4,
-                 n_leaves=2, fanout=2),
-        validate="cheap", metamorphic=False,
-    )
-    path = write_repro_artifact(tmp_path / "repro.json", case, outcome)
-    assert load_case(path) == case
-    text = path.read_text()
-    assert "mrscan-fuzz-repro-v1" in text
-    assert "--replay" in text
-
-
-# ------------------------------ execution ------------------------------ #
-
-
-def test_run_case_clean_seed_passes():
-    case = FuzzCase(
-        seed=5, dataset="blobs", n_points=400, eps=0.3, minpts=5,
-        n_leaves=4, fanout=2, use_densebox=False,
-    )
-    outcome = run_case(case)
-    assert outcome.ok, outcome.failures
-    assert outcome.differential["ok"]
-    assert set(outcome.metamorphic) == {"permutation", "transform", "duplicates"}
-    assert all(
-        v == "ok" or v.startswith("skipped")
-        for v in outcome.metamorphic.values()
-    )
-    assert outcome.n_clusters_ref == outcome.n_clusters_got > 0
-
-
-def test_run_case_with_faults_still_equivalent():
-    case = FuzzCase(
-        seed=6, dataset="moons", n_points=350, eps=0.25, minpts=5,
-        n_leaves=4, fanout=2, fault_seed=123,
-    )
-    outcome = run_case(case, metamorphic=False)
-    assert outcome.ok, outcome.failures
-
-
-def test_seed_197_dense_box_drops_are_witnessed_not_counted():
-    """Regression: 1138 tight sdss points, MinPts 12.  The translate-scale
-    leg legally leaves 9 borders of box-only cores as noise — over the
-    0.5 % cap (5) the comparator used before it asked for witnesses."""
-    case = generate_case(197)
-    assert (case.dataset, case.n_points, case.minpts, case.use_densebox) == (
-        "sdss", 1138, 12, True
-    )
-    outcome = run_case(case)
-    assert outcome.ok, outcome.failures
-    assert outcome.metamorphic["transform"] == "ok"
-
-
-def test_small_sweep_smoke():
-    seen = []
-    report = run_sweep(
-        3, seed=0, metamorphic=False, max_points=400, min_points=250,
-        on_case=seen.append,
-    )
-    assert report.n_cases == 3 and len(seen) == 3
-    assert report.ok, report.describe()
-    assert "3 fuzz case(s): all equivalent" in report.describe()
-    assert report.as_dict()["n_failed"] == 0
-
-
-# ------------------------------ shrinking ------------------------------ #
-
-
-def test_shrink_reaches_fixed_point_on_synthetic_predicate():
-    """A predicate independent of faults/densebox/minpts shrinks all of
-    them away and halves n_points down to the threshold."""
-    case = FuzzCase(
-        seed=1, dataset="uniform", n_points=800, eps=0.5, minpts=10,
-        n_leaves=8, fanout=4, use_densebox=True, fault_seed=55,
-    )
-    evals = []
-
-    def still_failing(c: FuzzCase) -> bool:
-        evals.append(c)
-        return c.n_points > 100
-
-    minimal = shrink_case(case, still_failing)
-    assert minimal.fault_seed is None
-    assert minimal.n_points == 200  # 800 -> 400 -> 200; 100 no longer fails
-    assert minimal.n_leaves == 1
-    assert minimal.fanout == 2
-    assert not minimal.use_densebox
-    assert minimal.minpts == 3
-    assert len(evals) <= 32
-
-
-def test_shrink_keeps_case_when_nothing_reducible():
-    case = FuzzCase(
-        seed=2, dataset="blobs", n_points=64, eps=0.3, minpts=3,
-        n_leaves=1, fanout=2, use_densebox=False,
-    )
-    assert shrink_case(case, lambda c: True) == case
-
-
-def test_shrink_respects_max_steps():
-    case = generate_case(4)
-    count = [0]
-
-    def still_failing(c):
-        count[0] += 1
-        return True
-
-    shrink_case(case, still_failing, max_steps=5)
-    assert count[0] <= 5
-
-
-# --------------------- injected-bug smoke test ------------------------- #
-
-
-def test_harness_catches_representative_selection_defect(monkeypatch, tmp_path):
-    """Acceptance criterion: with invariant checking OFF, the differential
-    comparator alone must catch a seeded representative-selection bug
-    (here: a merge phase blinded by empty representative sets, which
-    splits every cluster that spans a partition boundary)."""
-    from repro.merge import merger as merger_mod
-    from repro.merge import summary as summary_mod
-
-    def no_reps(coords, bounds):
-        return np.empty(0, dtype=np.int64)
-
-    # The seeded bug is a driver-process monkeypatch; a process-based
-    # transport would run the leaves (unpatched) in workers: pin local.
-    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    monkeypatch.setattr(
-        summary_mod,
-        "select_representatives_batch",
-        lambda coords, starts, bounds: np.empty((len(starts), 0), dtype=np.int64),
-    )
-    monkeypatch.setattr(merger_mod, "select_representatives", no_reps)
-
-    case = FuzzCase(
-        seed=7, dataset="ring", n_points=600, eps=0.4, minpts=4,
-        n_leaves=4, fanout=2, use_densebox=False,
-    )
-    outcome = run_case(case, validate="off", metamorphic=False)
-    assert not outcome.ok
-    assert any("do not biject" in f for f in outcome.failures)
-    assert outcome.n_clusters_got > outcome.n_clusters_ref == 1
-
-    # The sweep machinery shrinks it and writes a replayable artifact.
-    from repro.validate.fuzz import SweepReport
-
-    report = SweepReport(outcomes=[outcome])
-    paths = minimize_failures(
-        report, tmp_path, validate="off", metamorphic=False
-    )
-    assert len(paths) == 1
-    minimal = load_case(paths[0])
-    assert minimal.n_points <= case.n_points
-    assert not run_case(minimal, validate="off", metamorphic=False).ok
