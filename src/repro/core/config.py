@@ -73,7 +73,6 @@ class MrScanConfig:
     n_partition_nodes: int | None = None
     fanout: int = PAPER_FANOUT
     use_densebox: bool = True
-    claim_box_borders: bool = False
     rebalance_partitions: bool = True
     shadow_representatives: bool = False
     partition_output: str = "lustre"  # or "network" (the §6 future-work path)

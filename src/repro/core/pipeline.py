@@ -204,7 +204,6 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                             cfg.minpts,
                             device=device,
                             use_densebox=cfg.use_densebox,
-                            claim_box_borders=cfg.claim_box_borders,
                             memory_chunks=chunks,
                         )
                         break

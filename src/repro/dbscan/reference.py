@@ -210,30 +210,25 @@ def assign_border_points(
     index: GridIndex,
     labels: np.ndarray,
     core_mask: np.ndarray,
-    *,
-    claimable_mask: np.ndarray | None = None,
 ) -> None:
-    """Label non-core points from their nearest *claimable* core neighbor.
+    """Label non-core points from their nearest core neighbor.
 
-    Mutates ``labels`` in place.  ``claimable_mask`` restricts which core
-    points may claim borders — exact DBSCAN claims from any core
-    (the default), while Mr. Scan's dense-box variant does not expand
-    dense-box members, so borders adjacent only to box cores stay noise
-    (the paper's "extremely small" quality loss, §2.2/§3.2.3).
+    Mutates ``labels`` in place.  Every core claims, dense-box members
+    included: a border within Eps of any core is never noise, as in exact
+    DBSCAN.
 
     Ties go to the nearest core (then lowest index) — a deterministic
     stand-in for DBSCAN's unspecified visit-order assignment.
     """
     eps2 = index.eps * index.eps
     coords = index.points.coords
-    claim = core_mask if claimable_mask is None else (core_mask & claimable_mask)
     for cell in index.cell_counts():
         members = index.cell_members(cell)
         members = members[~core_mask[members]]
         if len(members) == 0:
             continue
         cand = index.candidate_indices(cell)
-        cand = cand[claim[cand]]
+        cand = cand[core_mask[cand]]
         if len(cand) == 0:
             continue
         cand = np.sort(cand)

@@ -76,14 +76,14 @@ logger = logging.getLogger(__name__)
 #: Config fields that can change the labelling.  Everything else —
 #: transport, telemetry, validate level, retry/timeout/failover budgets,
 #: fault plans, checkpoint locations — only changes *how* the run
-#: executes, so resume accepts any value for them.
+#: executes, so resume accepts any value for them.  ``use_densebox`` no
+#: longer moves a label but stays, so existing digests do not change.
 LABEL_FIELDS = (
     "eps",
     "minpts",
     "n_leaves",
     "fanout",
     "use_densebox",
-    "claim_box_borders",
     "rebalance_partitions",
     "shadow_representatives",
     "partition_output",
@@ -95,9 +95,12 @@ def config_fingerprint(config: MrScanConfig) -> str:
     """sha256 over the label-affecting config fields."""
     payload = {name: getattr(config, name) for name in LABEL_FIELDS}
     payload["partition_nodes"] = config.partition_nodes
-    # Format constant from when the ``block`` engine was selectable: run
-    # dirs written under ``csr`` keep resuming, ``block`` ones are refused.
+    # Format constants from when the ``block`` engine and the border rule
+    # were selectable: run dirs written under ``csr`` with box cores not
+    # claiming keep their digest; the detector record refuses their
+    # dense-box checkpoints (see ``start``).
     payload["cluster_engine"] = "csr"
+    payload["claim_box_borders"] = False
     # Partition-split hints change the partition plan (and hence label
     # numbering), so a resume under different hints must refuse.
     hints = getattr(config, "partition_hints", None)

@@ -34,10 +34,12 @@ __all__ = [
     "build_densebox_tree",
 ]
 
-#: Names the rule that decides box membership.  Run directories record it:
-#: labels depend on it, so checkpoints from another detector must not be
-#: resumed into this one.  Change it whenever the box set can change.
-DENSEBOX_DETECTOR: str = "global-grid"
+#: Names the rules that decide box membership and what box members claim.
+#: Run directories record it: checkpoints labelled under another rule must
+#: not be resumed into this one.  Change it whenever a leaf's output under
+#: dense box can change.  ``global-grid`` leaves left borders of box-only
+#: cores as noise; ``+claims`` has box members claim them.
+DENSEBOX_DETECTOR: str = "global-grid+claims"
 
 #: Maximum box edge as a multiple of eps: 2eps/(2*sqrt(2)) = eps/sqrt(2).
 DENSEBOX_EDGE_FACTOR: float = 1.0 / np.sqrt(2.0)

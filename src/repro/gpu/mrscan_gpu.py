@@ -18,11 +18,11 @@ The extensions over CUDA-DClust:
    are never individually expanded.  Their mutual distances are ≤ eps by
    construction, so they are all genuine core points and box-level
    adjacency (any cross-box pair within eps) is an exact DBSCAN core edge
-   — cores cluster *identically* to exact DBSCAN.  The one observable
-   deviation is faithful to the paper: border points whose only core
-   neighbors live inside dense boxes are never claimed (box members are
-   not expanded) and so fall out as noise — the "extremely small impact on
-   quality" the paper accepts in exchange for the elimination.
+   — cores cluster *identically* to exact DBSCAN.  Box members still
+   claim their borders: the border pass scans every non-core point
+   against every core, box or not, so the paper's "extremely small impact
+   on quality" (borders of box-only cores left as noise) is not paid, and
+   labels do not depend on which cells a leaf happens to see as boxes.
 
 Two **cluster engines** implement the passes; the pipeline always runs
 ``csr``, and ``block`` is reachable only through ``mrscan_gpu``'s
@@ -364,29 +364,26 @@ def _csr_assign_borders(
     ftree: FlatTree,
     labels: np.ndarray,
     core_mask: np.ndarray,
-    claim_mask: np.ndarray,
     eps: float,
     batch_pairs: int,
 ) -> list[int]:
-    """Attach border points to their nearest claimable core, vectorised.
+    """Attach border points to their nearest core, vectorised.
 
     Reproduces ``assign_border_points`` exactly: a border point takes the
-    label of the claimable core within Eps minimising ``(d², index)`` —
-    the same nearest-with-lowest-index-tiebreak the block engine's
-    per-cell argmin applies.
+    label of the core within Eps minimising ``(d², index)`` — the same
+    nearest-with-lowest-index-tiebreak the block engine's per-cell argmin
+    applies.
     """
     n = len(coords)
     border = ~core_mask
-    if not border.any() or not claim_mask.any():
+    if not border.any():
         return []
-    # Border rows against claimable-core columns; unclaimable cores are
-    # invisible to borders.
     x, y = coords[:, 0], coords[:, 1]
     eps2 = float(eps) * float(eps)
     best_d2 = np.full(n, np.inf)
-    best_c = np.full(n, n, dtype=np.int64)  # n = "no claimable core" sentinel
+    best_c = np.full(n, n, dtype=np.int64)  # n = "no core within Eps" sentinel
     batches: list[int] = []
-    for r, c in iter_class_pairs(ftree, border, claim_mask, batch_pairs=batch_pairs):
+    for r, c in iter_class_pairs(ftree, border, core_mask, batch_pairs=batch_pairs):
         batches.append(len(r))
         dx = x[r] - x[c]
         dy = y[r] - y[c]
@@ -419,7 +416,6 @@ def _cluster_csr(
     device: SimulatedDevice,
     densebox: DenseBoxResult,
     in_box: np.ndarray,
-    claim_box_borders: bool,
     batch_pairs: int,
     stats: MrScanGPUStats,
 ) -> tuple[np.ndarray, np.ndarray, FlatTree]:
@@ -456,9 +452,8 @@ def _cluster_csr(
         for _ in range(uf_rounds):
             device.launch(blocks=_batch_blocks(device, len(core_idx)))
 
-        claim_mask = core_mask if claim_box_borders else (core_mask & nonbox)
         border_batches = _csr_assign_borders(
-            coords, ftree, labels, core_mask, claim_mask, eps, batch_pairs
+            coords, ftree, labels, core_mask, eps, batch_pairs
         )
         stats.csr_batches += len(border_batches)
         for m in border_batches:
@@ -473,7 +468,6 @@ def mrscan_gpu(
     *,
     device: SimulatedDevice | None = None,
     use_densebox: bool = True,
-    claim_box_borders: bool = False,
     memory_chunks: int = 1,
     engine: str = "csr",
 ) -> GPUClusterResult:
@@ -486,11 +480,8 @@ def mrscan_gpu(
         device is created when omitted).
     use_densebox:
         Disable to get the pure two-pass algorithm (the dense-box ablation
-        benchmark flips this).
-    claim_box_borders:
-        When True, border points may also be claimed by dense-box cores,
-        which makes the output exactly equal to reference DBSCAN; the
-        paper-faithful default is False (box members are not expanded).
+        benchmark flips this).  Labels do not depend on it: box members
+        are not expanded, but like every core they claim their borders.
     memory_chunks:
         Stream the per-point device buffers in this many slices instead of
         resident all at once — graceful degradation for partitions that do
@@ -573,7 +564,6 @@ def mrscan_gpu(
             device=device,
             densebox=densebox,
             in_box=in_box,
-            claim_box_borders=claim_box_borders,
             batch_pairs=batch_pairs,
             stats=stats,
         )
@@ -603,9 +593,7 @@ def mrscan_gpu(
             ops2 = int(cand[expand_mask].sum()) + densebox.n_boxes * max(minpts, 8)
             stats.pass2_ops = ops2
             charge_pass(device, n_seeds=int(expand_mask.sum()), distance_ops=ops2)
-
-            claimable = None if claim_box_borders else nonbox
-            assign_border_points(index, labels, core_mask, claimable_mask=claimable)
+            assign_border_points(index, labels, core_mask)
 
     # --- device->host copy of the clustered result (chunked to match) ---
     if engine == "csr":

@@ -63,7 +63,7 @@ from ..errors import (
     TopologyError,
     TransportError,
 )
-from ..resilience.faults import FaultEvent, FaultLog, as_injector
+from ..resilience.faults import NET_FAULT_KINDS, FaultEvent, FaultLog, as_injector
 from ..resilience.policy import ResiliencePolicy
 from ..telemetry.tracer import NOOP_TRACER, PID_TREE
 from .filters import Filter
@@ -124,7 +124,7 @@ def _guarded_apply(
                     import signal as _signal
 
                     _os.kill(_os.getpid(), _signal.SIGKILL)
-            elif kind in ("disconnect", "drop", "netdelay"):
+            elif kind in NET_FAULT_KINDS:
                 # Network faults are injected at the TCP framing layer by
                 # the transport (repro.mrnet.tcp), which owns the recovery
                 # — in-band they are no-ops, so the same seeded plan is

@@ -87,6 +87,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..errors import FrameError, PoisonTaskWarning, TransportError
+from ..resilience.faults import NET_FAULT_KINDS
 from ..telemetry.metrics import NOOP_METRICS
 from ..telemetry.tracer import NOOP_TRACER
 from .transport import (
@@ -100,7 +101,6 @@ from .transport import (
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "NET_FAULT_KINDS",
     "TcpTransport",
     "run_worker_agent",
     "send_frame",
@@ -130,10 +130,6 @@ RESULT = 5
 ERROR = 6
 HEARTBEAT = 7
 SHUTDOWN = 8
-
-#: Fault kinds the transport injects at the framing layer (the worker's
-#: ``_guarded_apply`` treats them as no-ops — recovery is wire-level).
-NET_FAULT_KINDS = ("disconnect", "drop", "netdelay")
 
 #: Agents send a heartbeat this often (seconds); the coordinator may
 #: override per session via the WELCOME payload.

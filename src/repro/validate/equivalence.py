@@ -9,13 +9,11 @@ against the sequential reference therefore needs three tiers:
 1. **core** — core masks must agree exactly, and the two labelings must
    induce a *bijection* between their cluster ids over core points (same
    partition of the core set, different numbering allowed);
-2. **noise** — a point is noise in both or clustered in both.  The one
-   sanctioned exception is Mr. Scan's dense-box fidelity trade-off
-   (§3.2.3: dense-box members are not expanded, so a border point
-   adjacent only to box cores may stay noise) — opt-in via
-   ``allow_densebox_noise``; with ``minpts=`` each such point needs a
-   witness (every core within Eps of it sits in a populous eps/√2 cell),
-   without it the count is bounded by the paper's ≥ 0.995 quality;
+2. **noise** — a point is noise in both or clustered in both.  The
+   paper's dense-box trade-off (§3.2.3: a border adjacent only to box
+   cores may stay noise) can be tolerated with ``allow_densebox_noise``,
+   up to a count bounded by the paper's ≥ 0.995 quality; this pipeline
+   never needs it, since every core claims its borders;
 3. **border** — a clustered non-core point whose candidate label maps to
    a different reference cluster is accepted iff its candidate cluster
    really does contain a core point within Eps of it (a legal tie-break),
@@ -34,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dbscan.grid_index import GridIndex
-from ..gpu.densebox import densebox_edge
 from ..points import NOISE, PointSet
 
 __all__ = ["EquivalenceReport", "labels_equivalent", "assert_resume_equivalent"]
@@ -117,17 +114,14 @@ def labels_equivalent(
     *,
     allow_densebox_noise: bool = False,
     max_densebox_noise: int | None = None,
-    minpts: int | None = None,
 ) -> EquivalenceReport:
     """Compare ``cand`` against the reference clustering of ``points``.
 
-    With ``allow_densebox_noise`` a ref-clustered→cand-noise border is
-    tolerated.  Given ``minpts`` each one must have a witness — every
-    reference core within Eps of it lies in a cell of the global eps/√2
-    grid holding ≥ ``minpts`` of ``points`` (a superset of the boxes any
-    leaf can form over a subset of them) — and any number with one pass.
-    Without ``minpts`` nobody asks why: ``max_densebox_noise`` caps the
-    count, defaulting to the long-standing ``max(2, 0.005 * n)``.
+    Strict by default: a border the reference clusters must be clustered
+    by the candidate.  With ``allow_densebox_noise`` up to
+    ``max_densebox_noise`` ref-clustered→cand-noise borders are tolerated
+    (default ``max(2, 0.005 * n)``), for implementations that keep the
+    paper's dense-box trade-off.
     """
     ref_labels = np.asarray(ref_labels)
     cand_labels = np.asarray(cand_labels)
@@ -191,10 +185,7 @@ def labels_equivalent(
 
     dropped = np.flatnonzero(noncore & ~ref_noise & cand_noise)
     unexplained, why = dropped, ""
-    if allow_densebox_noise and minpts is not None:
-        unexplained = _without_densebox_witness(points, eps, minpts, ref_core, dropped)
-        why = f" with a core neighbour outside every dense box (e.g. {unexplained[:5]})"
-    elif allow_densebox_noise:
+    if allow_densebox_noise:
         if len(dropped) <= max_densebox_noise:
             unexplained = dropped[:0]
         why = f" (> densebox tolerance {max_densebox_noise})"
@@ -238,25 +229,3 @@ def labels_equivalent(
                     f"no core point within Eps (e.g. {samples})"
                 )
     return report
-
-
-def _without_densebox_witness(
-    points: PointSet, eps: float, minpts: int, ref_core: np.ndarray, dropped: np.ndarray
-) -> list[int]:
-    """The ``dropped`` borders that dense box cannot explain.
-
-    Box members are the only cores that do not claim their borders, so a
-    border can go unclaimed only if *every* core within Eps of it is one.
-    Counted here independently of the detector: a plain cell histogram of
-    the whole input.
-    """
-    cells = np.floor(points.coords / densebox_edge(eps)).astype(np.int64)
-    _, cell_of, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
-    boxed = (counts >= minpts)[cell_of.ravel()]
-    index = GridIndex(points, eps)
-    unwitnessed = []
-    for i in dropped.tolist():
-        neigh = index.neighbors_of(i)
-        if not np.all(boxed[neigh[ref_core[neigh]]]):
-            unwitnessed.append(i)
-    return unwitnessed

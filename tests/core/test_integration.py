@@ -66,12 +66,8 @@ def test_mixed_shapes_across_boundaries():
     ref = dbscan_reference(points, eps, minpts)
     res = mrscan(points, eps, minpts, n_leaves=9)
     assert res.n_clusters == ref.n_clusters >= 4  # ring + 2 moons + blob
-    # Dense box is on: a border whose every core neighbour is a box member
-    # stays noise (the paper's deviation), so the comparison is the
-    # witness-checked comparator, not exact signature equality.
     assert_exact_dbscan(points, eps, minpts, res.labels, res.core_mask)
-    exact = mrscan(points, eps, minpts, n_leaves=9, claim_box_borders=True)
-    assert clustering_signature(exact.labels) == clustering_signature(ref.labels)
+    assert clustering_signature(res.labels) == clustering_signature(ref.labels)
 
 
 def test_two_datasets_same_pipeline():

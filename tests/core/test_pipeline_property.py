@@ -10,7 +10,7 @@ across leaf counts and to a total labelling.
 from __future__ import annotations
 
 import numpy as np
-from fuzz_cases import assert_exact_dbscan, assert_matches_reference, fuzz_cases
+from fuzz_cases import assert_matches_reference, fuzz_cases
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.pipeline import mrscan
@@ -34,13 +34,11 @@ def test_property_pipeline_matches_reference(case):
 @example(seed=785, n_leaves_a=10, n_leaves_b=3)
 @example(seed=87, n_leaves_a=10, n_leaves_b=5)
 def test_property_leaf_count_invariance(seed, n_leaves_a, n_leaves_b):
-    """The clustering must not depend on how many leaves computed it —
-    except for which borders of box-only cores stay noise: a dense box is
-    decided on the eps/√2 cells as each leaf sees them, so a cell cut by
-    a shadow edge is a box in one partitioning and not in another (the
-    three examples).  Both outputs are exact DBSCAN under the witness
-    rule; without dense boxes, or with boxes claiming their borders, the
-    labellings are identical."""
+    """The clustering must not depend on how many leaves computed it.  A
+    dense box is decided on the eps/√2 cells as each leaf sees them, so a
+    cell cut by a shadow edge is a box in one partitioning and not in
+    another (the three examples once dropped a border in one of them);
+    box members claim their borders, so that moves no label."""
     rng = np.random.default_rng(seed)
     points = PointSet.from_coords(
         np.concatenate(
@@ -54,17 +52,9 @@ def test_property_leaf_count_invariance(seed, n_leaves_a, n_leaves_b):
     a = mrscan(points, 0.4, 5, n_leaves=n_leaves_a)
     b = mrscan(points, 0.4, 5, n_leaves=n_leaves_b)
     assert core_sets_equal(a.labels, b.labels, a.core_mask, b.core_mask)
-    # A border one run dropped and the other claimed reads "invented" in
-    # one direction of a run-vs-run comparison, so both are held to the
-    # exact clustering instead.
-    for run in (a, b):
-        assert_exact_dbscan(points, 0.4, 5, run.labels, run.core_mask)
-    for strict in ({"use_densebox": False}, {"claim_box_borders": True}):
-        a = mrscan(points, 0.4, 5, n_leaves=n_leaves_a, **strict)
-        b = mrscan(points, 0.4, 5, n_leaves=n_leaves_b, **strict)
-        # identical labellings up to cluster renumbering
-        assert clustering_signature(a.labels) == clustering_signature(b.labels)
-        assert np.array_equal(a.labels == NOISE, b.labels == NOISE)
+    # identical labellings up to cluster renumbering
+    assert clustering_signature(a.labels) == clustering_signature(b.labels)
+    assert np.array_equal(a.labels == NOISE, b.labels == NOISE)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,16 +1,18 @@
 """Resume across a dense-box detector change never mixes label functions.
 
-The detector decides which border points stay noise, so leaf / merge /
-sweep checkpoints labelled by one detector must not be spliced into a run
-labelled by another.  ``run_begin`` records ``densebox_detector`` when
-dense box is on; a resume under a different (or unrecorded: the kd-tree
-detector predates the record) one is refused by name.  Runs with dense
+Earlier detectors left borders of box-only cores as noise, so leaf /
+merge / sweep checkpoints labelled by one detector must not be spliced
+into a run labelled by another.  ``run_begin`` records
+``densebox_detector`` when dense box is on; a resume under a different
+(or unrecorded: the kd-tree detector predates the record) one is refused
+by name.  Runs with dense
 box off are untouched, and so is the serve WAL: ``serve_begin`` compares
 ``config_fingerprint`` alone, and a daemon resume re-clusters from scratch.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
@@ -91,7 +93,7 @@ def test_unrecorded_detector_is_refused_by_name(
     points = _points()
     _crash_before_sweep(monkeypatch, points, tmp_path)
     assert (tmp_path / "checkpoints" / "merge.bin").exists()
-    with pytest.raises(DurabilityError, match=f"'kd-tree'.*{DENSEBOX_DETECTOR!r}"):
+    with pytest.raises(DurabilityError, match=f"'kd-tree'.*{re.escape(repr(DENSEBOX_DETECTOR))}"):
         _run(points, run_dir=tmp_path, resume=True)
     # Refusing touched nothing: a fresh start over the same directory works.
     fresh = _run(points, run_dir=tmp_path)
@@ -104,6 +106,17 @@ def test_other_detector_is_refused_by_name(tmp_path, monkeypatch):
         other.setattr(rundir_mod, "DENSEBOX_DETECTOR", "some-later-detector")
         _crash_before_sweep(monkeypatch, points, tmp_path)
     with pytest.raises(DurabilityError, match="'some-later-detector'"):
+        _run(points, run_dir=tmp_path, resume=True)
+
+
+def test_run_dirs_whose_box_cores_did_not_claim_are_refused(tmp_path, monkeypatch):
+    """``global-grid`` leaf checkpoints hold borders of box-only cores as
+    noise; splicing them into this build's labels would drop them again."""
+    points = _points(seed=3)
+    with monkeypatch.context() as older:
+        older.setattr(rundir_mod, "DENSEBOX_DETECTOR", "global-grid")
+        _crash_before_sweep(monkeypatch, points, tmp_path)
+    with pytest.raises(DurabilityError, match="'global-grid', this build's"):
         _run(points, run_dir=tmp_path, resume=True)
 
 
@@ -133,15 +146,16 @@ def test_config_fingerprint_is_the_one_old_wals_hold():
 
 def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypatch):
     """The WAL holds batches, not labels: replaying it under this detector
-    gives exactly what a daemon that never stopped would hold."""
-    base = generate_sdss(3000, seed=5)  # dense box leaves two borders unclaimed here
+    gives exactly what a daemon that never stopped would hold — and, since
+    box members claim their borders, what the other detector held too."""
+    base = generate_sdss(3000, seed=5)  # box-only cores here have two borders
     rng = np.random.default_rng(0)
     batches = [base.coords[i] + rng.normal(0, 2e-5, size=(40, 2)) for i in (10, 2000)]
     config = MrScanConfig(eps=0.00015, minpts=5, n_leaves=4)
     transport = make_transport("local")
     try:
         # Written with every point non-box, as a detector that found
-        # nothing would: the spilled leaves and the snapshot differ.
+        # nothing would.
         with monkeypatch.context() as other:
             other.setattr(
                 mrscan_gpu_mod, "find_dense_boxes",
@@ -170,7 +184,7 @@ def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypat
     assert resumed.n_ingests == 2
     np.testing.assert_array_equal(resumed._snap().labels, straight._snap().labels)
     np.testing.assert_array_equal(resumed._snap().core_mask, straight._snap().core_mask)
-    assert written._snap().labels.tobytes() != resumed._snap().labels.tobytes()
+    np.testing.assert_array_equal(written._snap().labels, resumed._snap().labels)
 
 
 def _no_boxes(n):

@@ -57,14 +57,11 @@ def _make_points(dataset: str, n_points: int, seed: int) -> PointSet:
     return main.concat(uniform_noise(n_points - n, box=box, seed=s + 1, id_offset=n))
 
 
-def assert_exact_dbscan(points, eps, minpts, labels, core_mask, *, allow_densebox_noise=True):
-    """Exact DBSCAN up to relabelling, legal border ties and, if allowed,
-    border noise a dense box witnesses (:func:`labels_equivalent`)."""
+def assert_exact_dbscan(points, eps, minpts, labels, core_mask):
+    """Exact DBSCAN up to relabelling and legal border ties
+    (:func:`labels_equivalent`, strict)."""
     ref = dbscan_reference(points, eps, minpts)
-    report = labels_equivalent(
-        points, eps, ref.labels, ref.core_mask, labels, core_mask,
-        allow_densebox_noise=allow_densebox_noise, minpts=minpts,
-    )
+    report = labels_equivalent(points, eps, ref.labels, ref.core_mask, labels, core_mask)
     assert report.ok, report.summary()
 
 
@@ -150,7 +147,4 @@ def assert_matches_reference(case: FuzzCase) -> None:
     """The differential: the pipeline on ``case`` is exact DBSCAN."""
     points = case.points()
     res = run_pipeline(points, case.config())
-    assert_exact_dbscan(
-        points, case.eps, case.minpts, res.labels, res.core_mask,
-        allow_densebox_noise=case.use_densebox,
-    )
+    assert_exact_dbscan(points, case.eps, case.minpts, res.labels, res.core_mask)

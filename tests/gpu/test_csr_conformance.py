@@ -9,7 +9,7 @@ differential oracle, reachable through ``mrscan_gpu(engine="block")``.
 Three layers of evidence:
 
 1. direct ``mrscan_gpu`` parity over a randomized parameter sweep
-   (densebox on/off, border claiming, OOM chunking, tiny devices);
+   (densebox on/off, OOM chunking, tiny devices);
 2. parity on every leaf view of the seeded fuzz corpus
    (``fuzz_cases.generate_case``), partitioned as the pipeline would;
 3. the pipeline under every transport (local/process/shm/tcp) and under
@@ -74,7 +74,7 @@ def test_direct_parity_randomized(trial):
     eps = float(rng.uniform(0.05, 0.4))
     minpts = int(rng.integers(2, 12))
     use_densebox = bool(rng.random() < 0.7)
-    claim = bool(rng.random() < 0.3)
+    rng.random()  # the draw that once chose the border rule; keeps later trials' points
     if trial >= 12:
         # Saturation-heavy: tight blobs, a low MinPts and no dense boxes,
         # so most rows (95-100 % over these draws) are retired by bulk
@@ -83,14 +83,8 @@ def test_direct_parity_randomized(trial):
         eps = float(rng.uniform(0.03, 0.12))
         minpts = int(rng.integers(2, 5))
         use_densebox = False
-    res_block = mrscan_gpu(
-        points, eps, minpts, engine="block",
-        use_densebox=use_densebox, claim_box_borders=claim,
-    )
-    res_csr = mrscan_gpu(
-        points, eps, minpts, engine="csr",
-        use_densebox=use_densebox, claim_box_borders=claim,
-    )
+    res_block = mrscan_gpu(points, eps, minpts, engine="block", use_densebox=use_densebox)
+    res_csr = mrscan_gpu(points, eps, minpts, engine="csr", use_densebox=use_densebox)
     _assert_identical(res_block, res_csr)
     assert res_block.stats.engine == "block"
     assert res_csr.stats.engine == "csr"

@@ -89,9 +89,11 @@ def test_densebox_off_matches_reference_exactly(blobs_with_noise):
     assert np.array_equal(ref.core_mask, got.core_mask)
 
 
-def test_claim_box_borders_restores_exact_noise_set(small_twitter):
+def test_densebox_on_matches_reference_noise_set(small_twitter):
+    """Box members claim their borders, so dense box drops none."""
     ref = dbscan_reference(small_twitter, 0.1, 4)
-    got = mrscan_gpu(small_twitter, 0.1, 4, claim_box_borders=True)
+    got = mrscan_gpu(small_twitter, 0.1, 4)
+    assert got.densebox.n_boxes > 0
     assert np.array_equal(ref.labels == NOISE, got.labels == NOISE)
 
 
@@ -99,14 +101,6 @@ def test_border_assignment_is_valid(blobs_with_noise):
     got = mrscan_gpu(blobs_with_noise, 0.25, 8)
     gi = GridIndex(blobs_with_noise, 0.25)
     assert border_assignment_valid(got.labels, got.core_mask, gi.neighbors_of)
-
-
-def test_box_border_loss_is_small(small_twitter):
-    """Faithful mode may drop borders near boxes — but only a tiny share."""
-    ref = dbscan_reference(small_twitter, 0.1, 4)
-    got = mrscan_gpu(small_twitter, 0.1, 4)
-    diffs = np.count_nonzero((ref.labels == NOISE) != (got.labels == NOISE))
-    assert diffs <= 0.01 * len(small_twitter)
 
 
 def test_stats_populated(small_twitter):

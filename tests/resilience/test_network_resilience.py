@@ -161,9 +161,10 @@ def test_process_transport_preempts_hung_worker():
 @pytest.mark.slow
 def test_network_turns_preempted_worker_into_timeout_error():
     topo = Topology.flat(2)
+    transport = ProcessTransport(n_workers=2)
     net = Network(
         topo,
-        transport=ProcessTransport(n_workers=2),
+        transport=transport,
         resilience=ResiliencePolicy(
             retry=RetryPolicy(max_retries=0, backoff_base=0.0),
             leaf_timeout=0.1,
@@ -175,7 +176,8 @@ def test_network_turns_preempted_worker_into_timeout_error():
             net.map_leaves(_slow_then_fast, ["slow", "fast"])
         assert net.fault_log.by_kind["timeout"] >= 1
     finally:
-        net.close()
+        net.close()  # leaves a caller-owned transport open
+        transport.close()
 
 
 # ----------------------------- failover -------------------------------- #

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import MrScanConfig
+from repro.core.pipeline import mrscan
+from repro.dbscan.labels import clustering_signature
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError
 from repro.points import PointSet
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
 from repro.telemetry import Telemetry
+from repro.validate import labels_equivalent
 
 
 @pytest.fixture
@@ -138,6 +141,32 @@ def test_reopening_log_without_resume_is_rejected(base, config, transport, tmp_p
             base, config, transport=borrow_transport(transport), ingest_log=log2
         )
     log2.close()
+
+
+def test_snapshot_equals_a_from_scratch_run(transport):
+    """The daemon keeps its bootstrap plan, a fresh run plans the union, so
+    their leaves see different eps/√2 cells as dense boxes.  When box
+    members left their borders unclaimed, this draw had the fresh run drop
+    a border the daemon clustered; labels must not depend on the plan."""
+    rng = np.random.default_rng(177)
+    base = PointSet.from_coords(np.concatenate([
+        rng.normal(scale=0.4, size=(150, 2)),
+        rng.normal(loc=4.0, scale=0.4, size=(150, 2)),
+        rng.uniform(-2, 7, size=(40, 2)),
+    ]))
+    batch = base.coords[int(rng.integers(len(base)))] + rng.normal(0, 0.3, size=(40, 2))
+    config = MrScanConfig(eps=0.4, minpts=5, n_leaves=6)
+    state = ServeState(base, config, transport=borrow_transport(transport))
+    state.ingest(batch)
+    snap = state._snap()
+
+    union = PointSet.from_coords(np.vstack([base.coords, batch]))
+    full = mrscan(union, config.eps, config.minpts, n_leaves=config.n_leaves)
+    report = labels_equivalent(
+        union, config.eps, full.labels, full.core_mask, snap.labels, snap.core_mask
+    )
+    assert report.ok, report.summary()
+    assert clustering_signature(snap.labels) == clustering_signature(full.labels)
 
 
 def test_stray_points_in_empty_cells_are_adopted(base, config, transport):

@@ -56,21 +56,22 @@ def test_sdss_clustering_golden():
     pts = generate_sdss(8_000, seed=2013)
     res = mrscan(pts, 0.00015, 5, n_leaves=4)
     assert res.n_clusters == 679
-    # 428 until dense boxes became cells of the global eps/√2 grid: four
-    # borders whose every core neighbour is now a box member stay noise.
-    assert res.n_noise == 432
+    # 432 while box members did not claim their borders: four borders whose
+    # every core neighbour is a box member stayed noise.
+    assert res.n_noise == 428
 
 
 # Output contract of the whole pipeline: byte-level labels and core masks,
 # the bytes the leaf summaries put on the merge tree, and each leaf's
-# modelled ops.  Core masks, merge bytes and ``exact_labels`` (what dense
-# box off, or on with ``claim_box_borders``, must produce) were pinned at
-# the commit before the leaf summary became segment passes.  ``labels`` on
-# sdss and ``leaf_ops`` on both moved once, with the dense-box detector
-# (kd-tree leaves -> cells of the global eps/√2 grid; points eliminated
-# 16 -> 2820 of the 8036 the sdss leaves see, 0 -> 41 on twitter):
-# eliminated points are not scanned, and on sdss four borders of box-only
-# cores stay noise.  The pass-1 halves of ``leaf_ops`` moved once more when
+# modelled ops.  Core masks, merge bytes and the twitter ``labels`` were
+# pinned at the commit before the leaf summary became segment passes.
+# ``leaf_ops`` on both moved once, with the dense-box detector (kd-tree
+# leaves -> cells of the global eps/√2 grid; points eliminated 16 -> 2820
+# of the 8036 the sdss leaves see, 0 -> 41 on twitter): eliminated points
+# are not scanned.  The sdss ``labels`` moved with it (four borders of
+# box-only cores went noise) and back when box members began to claim
+# their borders; they are what dense box off gives.  The pass-1 halves of
+# ``leaf_ops`` moved once more when
 # pass 1 began to stop at MinPts (PR 19): a saturated count no longer knows
 # a core row's exact neighbours, so both engines charge a core row from its
 # candidates alone (``expected_scan_ops``: the disk share of the stencil
@@ -79,7 +80,6 @@ _CONTRACT = {
     "twitter": dict(
         make=lambda: generate_twitter(12_000, seed=2013), eps=0.1, minpts=10, n_leaves=6,
         labels="bdf8f74d1931b260559166f916de7f19246801c8",
-        exact_labels="bdf8f74d1931b260559166f916de7f19246801c8",
         core_mask="2fe0103820baa09423e9f96117cd3b89ca5e508d",
         merge_bytes=293944,
         leaf_ops=[
@@ -89,8 +89,7 @@ _CONTRACT = {
     ),
     "sdss": dict(
         make=lambda: generate_sdss(8_000, seed=2013), eps=0.00015, minpts=5, n_leaves=4,
-        labels="760936fd06749c691bb3317c845532a62f2bb4b1",
-        exact_labels="027e2b83b2245fa8c56394d05398d066faf2fa04",
+        labels="027e2b83b2245fa8c56394d05398d066faf2fa04",
         core_mask="2e84f6a317319a0a0eb69820cd038c536a4bcc1e",
         merge_bytes=216096,
         leaf_ops=[(11292, 14068), (11636, 15022), (11236, 15163), (11291, 13962)],
@@ -115,13 +114,12 @@ def test_pipeline_output_contract_golden(fixture, transport):
     assert [(s.pass1_ops, s.pass2_ops) for s in res.gpu_stats] == want["leaf_ops"]
 
 
-@pytest.mark.parametrize("knob", [{"use_densebox": False}, {"claim_box_borders": True}])
+@pytest.mark.parametrize("knob", [{"use_densebox": False}, {}])
 @pytest.mark.parametrize("fixture", sorted(_CONTRACT))
 def test_labels_without_the_densebox_deviation_golden(fixture, knob):
-    """The detector only decides which borders go unclaimed: with dense box
-    off, or with box members claiming their borders, no detector can move a
-    label."""
+    """Box members claim their borders, so dense box saves work and moves
+    no label: on or off, the labels are the same bytes."""
     want = _CONTRACT[fixture]
     res = mrscan(want["make"](), want["eps"], want["minpts"], n_leaves=want["n_leaves"], **knob)
-    assert hashlib.sha1(res.labels.tobytes()).hexdigest() == want["exact_labels"]
+    assert hashlib.sha1(res.labels.tobytes()).hexdigest() == want["labels"]
     assert hashlib.sha1(res.core_mask.tobytes()).hexdigest() == want["core_mask"]

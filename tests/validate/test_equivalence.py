@@ -129,33 +129,17 @@ def boxed_and_unboxed():
     return points, ref
 
 
-def test_witnessed_densebox_noise_passes_at_any_count(boxed_and_unboxed):
-    """The real engine drops all four borders of the box: over the count
-    cap, but each one has its witness."""
+def test_box_cores_claim_their_borders(boxed_and_unboxed):
+    """The real engine clusters all four borders of the box, which only box
+    members reach: strictly equivalent, nothing tolerated."""
     from repro.gpu import mrscan_gpu
 
     points, ref = boxed_and_unboxed
     got = mrscan_gpu(points, 1.0, 4)
-    assert np.flatnonzero(got.labels == NOISE).tolist() == [4, 5, 6, 7]
-    args = (points, 1.0, ref.labels, ref.core_mask, got.labels, got.core_mask)
-    capped = labels_equivalent(*args, allow_densebox_noise=True)
-    assert not capped.ok and "> densebox tolerance 2" in capped.failures[0]
-    witnessed = labels_equivalent(*args, allow_densebox_noise=True, minpts=4)
-    assert witnessed.ok and witnessed.n_densebox_noise == 4
-    assert not labels_equivalent(*args, minpts=4).ok  # still opt-in
-
-
-def test_unwitnessed_noise_fails_under_the_count_cap(boxed_and_unboxed):
-    """One dropped border whose core neighbours are in no dense box: the
-    bare cap lets it through, the witness names it."""
-    points, ref = boxed_and_unboxed
-    cand = ref.labels.copy()
-    cand[10] = NOISE
-    args = (points, 1.0, ref.labels, ref.core_mask, cand, ref.core_mask)
-    assert labels_equivalent(*args, allow_densebox_noise=True).ok
-    report = labels_equivalent(*args, allow_densebox_noise=True, minpts=4)
-    assert not report.ok and report.n_noise_mismatch == 1
-    assert "outside every dense box (e.g. [10])" in report.failures[0]
+    assert got.densebox.n_boxes == 1
+    assert np.all(got.labels[4:8] == got.labels[0])
+    report = labels_equivalent(points, 1.0, ref.labels, ref.core_mask, got.labels, got.core_mask)
+    assert report.ok and report.n_densebox_noise == 0
 
 
 def test_legal_border_tiebreak_accepted():

@@ -1,8 +1,8 @@
 """Differential and metamorphic properties of the pipeline vs exact DBSCAN.
 
 Each property draws a :class:`FuzzCase` and holds the pipeline to
-:func:`repro.validate.labels_equivalent`: exact core mask, bijective core
-clusters, legal borders, noise only where a dense box witnesses it.  Tier 1
+:func:`repro.validate.labels_equivalent`, strict: exact core mask,
+bijective core clusters, legal borders, the reference's noise set.  Tier 1
 runs the ``@example``\\ s and five derandomized draws; ``MRSCAN_FUZZ=1
 pytest -m fuzz --hypothesis-seed=N`` runs 150 draws.  Pin a falsifying
 ``FuzzCase(...)`` with ``@example(case=...)`` to replay it.  The
@@ -33,11 +33,6 @@ fuzz_settings = settings(
 )
 
 
-def _assert_exact(case, points, eps, labels, core_mask):
-    assert_exact_dbscan(
-        points, eps, case.minpts, labels, core_mask, allow_densebox_noise=case.use_densebox
-    )
-
 
 #: Partitions cut the ring, so merging must find every crossing.
 RING = FuzzCase(
@@ -61,12 +56,13 @@ def test_property_permutation_invariant(case):
     res = run_pipeline(points.take(perm), case.config())
     labels, core = np.empty_like(res.labels), np.empty_like(res.core_mask)
     labels[perm], core[perm] = res.labels, res.core_mask
-    _assert_exact(case, points, case.eps, labels, core)
+    assert_exact_dbscan(points, case.eps, case.minpts, labels, core)
 
 
 @fuzz_settings
 @given(case=fuzz_cases())
-# 9 borders of box-only cores legally stay noise after the transform
+# 9 borders of box-only cores stayed noise after the transform while box
+# members did not claim
 @example(case=FuzzCase(
     197, "sdss", 1138, 0.13358229836043026, minpts=12, n_leaves=6, fanout=3
 ))
@@ -83,7 +79,7 @@ def test_property_translate_scale_invariant(case):
         dbscan_reference(points, case.eps, case.minpts).core_mask,
     ))
     res = run_pipeline(moved, case.config(eps=eps))
-    _assert_exact(case, moved, eps, res.labels, res.core_mask)
+    assert_exact_dbscan(moved, eps, case.minpts, res.labels, res.core_mask)
 
 
 @fuzz_settings
