@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import CheckpointError
-from ..resilience.checkpoint import CORRUPT_CHECKPOINT_ERRORS
+from ..resilience.checkpoint import CORRUPT_CHECKPOINT_ERRORS, loads_blob
 
 __all__ = ["PHASE_NAMES", "PhaseCheckpointStore"]
 
@@ -108,7 +108,7 @@ class PhaseCheckpointStore:
                 raise CheckpointError(
                     f"{phase} checkpoint digest mismatch (corrupt file)"
                 )
-            return pickle.loads(blob)
+            return loads_blob(blob)
         except CheckpointError:
             raise
         except CORRUPT_CHECKPOINT_ERRORS as exc:

@@ -12,15 +12,13 @@ global cluster IDs.
 """
 
 from .representatives import select_representatives, representative_targets
-from .summary import CellSummary, ClusterSummary, LeafSummary, summarize_leaf
+from .summary import LeafSummary, summarize_leaf
 from .merger import merge_summaries, MergeFilter, MergeOutcome
 from .global_ids import GlobalIdAssignment, assign_global_ids
 
 __all__ = [
     "select_representatives",
     "representative_targets",
-    "CellSummary",
-    "ClusterSummary",
     "LeafSummary",
     "summarize_leaf",
     "merge_summaries",

@@ -10,6 +10,9 @@ tree in the sweep so each leaf can relabel its local output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .summary import LeafSummary
 
@@ -29,13 +32,17 @@ class GlobalIdAssignment:
         """Global ID of one leaf-local cluster (raises on unknown keys)."""
         return self.mapping[(leaf_id, int(local_id))]
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mapping as ``(n, 2)`` constituent keys and ``(n,)`` global ids."""
+        n = len(self.mapping)
+        keys = np.fromiter(chain.from_iterable(self.mapping), np.int64, 2 * n).reshape(n, 2)
+        return keys, np.fromiter(self.mapping.values(), np.int64, n)
+
     def for_leaf(self, leaf_id: int) -> dict[int, int]:
         """Local-to-global map restricted to one leaf (sweep splitting)."""
-        return {
-            local: gid
-            for (leaf, local), gid in self.mapping.items()
-            if leaf == leaf_id
-        }
+        keys, gids = self.arrays()
+        mine = keys[:, 0] == leaf_id
+        return dict(zip(keys[mine, 1].tolist(), gids[mine].tolist()))
 
     def payload_bytes(self) -> int:
         return 20 * len(self.mapping) + 16
@@ -47,10 +54,11 @@ def assign_global_ids(root_summary: LeafSummary) -> GlobalIdAssignment:
     Canonical-key ordering makes the numbering deterministic regardless of
     merge order: the group whose smallest constituent is smallest gets 0.
     """
-    assignment = GlobalIdAssignment()
-    for gid, key in enumerate(sorted(root_summary.clusters)):
-        cluster = root_summary.clusters[key]
-        for constituent in cluster.constituents:
-            assignment.mapping[constituent] = gid
-    assignment.n_clusters = len(root_summary.clusters)
-    return assignment
+    s = root_summary
+    gid = np.empty(s.n_clusters, dtype=np.int64)
+    gid[np.lexsort((s.keys[:, 1], s.keys[:, 0]))] = np.arange(s.n_clusters)
+    alone = s.n_constituents == 0  # a leaf cluster is its own constituent
+    keys = np.concatenate((s.keys[alone], s.constituent_keys))
+    gids = np.concatenate((gid[alone], np.repeat(gid, s.n_constituents)))
+    mapping = dict(zip(map(tuple, keys.tolist()), gids.tolist()))
+    return GlobalIdAssignment(mapping=mapping, n_clusters=s.n_clusters)

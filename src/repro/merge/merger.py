@@ -18,28 +18,45 @@ overlap types are evaluated:
 
 The filter is associative: internal nodes apply it level by level, and the
 root's application yields the final cluster groups.
+
+It runs as array passes over the children's concatenated columns — the
+cell-graph connectivity of Wang, Gu & Shun (PAPERS.md): one sort by cell
+yields every cell's candidate clusters, both tests run batched over all
+cross-child candidate pairs, and one vectorised union-find joins the pairs
+that pass.  The per-cell loop it replaced is the oracle in
+``tests/merge/merge_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..dbscan.disjoint_set import union_edges
 from ..errors import MergeError
-from .representatives import select_representatives
-from .summary import CellSummary, ClusterSummary, LeafSummary, cell_bounds
+from .representatives import select_representatives_batch
+from .summary import (
+    LeafSummary, any_within, offsets, row_ranks, rows_in, run_flags, run_starts, starts,
+)
 
 __all__ = ["MergeOutcome", "merge_summaries", "MergeFilter"]
-
-Cell = tuple[int, int]
-ClusterKey = tuple[int, int]
 
 
 @dataclass
 class MergeOutcome:
-    """Statistics from one merge-filter application."""
+    """Statistics from one merge-filter application.
+
+    The counters depend on the children's contents, never on their order:
+    ``n_cell_pairs_checked`` counts the cross-child candidate pairs (two
+    clusters of different children sharing a cell, once per shared cell),
+    ``n_core_merges`` the pairs passing the type-1 test, and
+    ``n_noncore_core_merges`` the pairs failing it and passing type 2 —
+    whether or not other pairs already joined the two clusters.
+    ``n_duplicate_noncore_removed`` counts the repeated non-core rows
+    merged cells drop.
+    """
 
     n_input_clusters: int = 0
     n_output_clusters: int = 0
@@ -49,52 +66,14 @@ class MergeOutcome:
     n_duplicate_noncore_removed: int = 0
 
 
-class _KeyUnionFind:
-    """Union-find keyed by cluster keys (small, dict-based)."""
-
-    def __init__(self, keys: Sequence[ClusterKey]) -> None:
-        self.parent: dict[ClusterKey, ClusterKey] = {k: k for k in keys}
-
-    def find(self, k: ClusterKey) -> ClusterKey:
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a: ClusterKey, b: ClusterKey) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:  # canonical: smallest key wins
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
-def _min_dist_within(a: np.ndarray, b: np.ndarray, eps2: float) -> bool:
-    if len(a) == 0 or len(b) == 0:
-        return False
-    d2 = (
-        (a[:, 0][:, None] - b[:, 0][None, :]) ** 2
-        + (a[:, 1][:, None] - b[:, 1][None, :]) ** 2
-    )
-    return bool(np.any(d2 <= eps2))
-
-
-def _diff_within(
-    cs: CellSummary,
-    owner_noncore: np.ndarray | None,
-    other_reps: np.ndarray,
-    eps2: float,
-) -> bool:
-    """Type-2 check in one direction (cs's non-cores against other's reps)."""
-    if owner_noncore is None or len(cs.noncore_ids) == 0 or len(other_reps) == 0:
-        return False
-    keep = ~np.isin(cs.noncore_ids, owner_noncore)
-    if not np.any(keep):
-        return False
-    return _min_dist_within(cs.noncore_coords[keep], other_reps, eps2)
+def _combined_rows(out_cell: np.ndarray, ids: np.ndarray, multi: np.ndarray) -> np.ndarray:
+    """Input rows in output order: by output cell; a cell merged from
+    several parts lists its rows by id with repeats dropped, a single
+    part's rows pass through as they came."""
+    merged = multi[out_cell]
+    order = np.lexsort((np.where(merged, ids, np.arange(len(ids))), out_cell))
+    repeat = merged[order] & ~run_flags(out_cell[order], ids[order])
+    return order[~repeat]
 
 
 def merge_summaries(
@@ -104,116 +83,130 @@ def merge_summaries(
     outcome = MergeOutcome()
     summaries = [s for s in summaries if s is not None]
     if not summaries:
-        return LeafSummary(eps=eps), outcome
+        return LeafSummary.empty(eps), outcome
     for s in summaries:
         if abs(s.eps - eps) > 1e-12:
             raise MergeError(f"summary eps {s.eps} != merge eps {eps}")
+    child = np.repeat(np.arange(len(summaries)), [s.n_clusters for s in summaries])
+    s = LeafSummary.concat(summaries, eps)
+    n_rows = len(s.cell_xy)
 
-    # Combined owner classification (owned cells are disjoint by design).
-    owner_noncore: dict[Cell, np.ndarray] = {}
-    owner_sources = 0
-    for s in summaries:
-        for cell, ids in s.owner_noncore_ids.items():
-            if cell in owner_noncore:
-                raise MergeError(f"cell {cell} owned by two children")
-            owner_noncore[cell] = ids
-            owner_sources += 1
-
-    all_keys: list[ClusterKey] = []
-    for s in summaries:
-        all_keys.extend(s.clusters.keys())
-    if len(all_keys) != len(set(all_keys)):
+    # Cells as dense ranks, shared by cluster cell rows and owned cells.
+    cell, owner_cell = np.split(row_ranks(np.concatenate((s.cell_xy, s.owner_cells))), [n_rows])
+    owners = np.bincount(owner_cell, minlength=n_rows + len(owner_cell))
+    if (owners > 1).any():
+        twice = s.owner_cells[np.flatnonzero(owners[owner_cell] > 1)[0]]
+        raise MergeError(f"cell {tuple(twice.tolist())} owned by two children")
+    key_rank = row_ranks(s.keys)
+    if key_rank.max(initial=-1) + 1 < len(key_rank):
         raise MergeError("duplicate cluster keys across children")
-    outcome.n_input_clusters = len(all_keys)
-    uf = _KeyUnionFind(all_keys)
+    outcome.n_input_clusters = len(key_rank)
+    row_cluster = np.repeat(np.arange(s.n_clusters), s.n_cells)
 
-    # Cell index: cell -> [(child_index, cluster_key)].
-    cell_index: dict[Cell, list[tuple[int, ClusterKey]]] = {}
-    for child, s in enumerate(summaries):
-        for key, cluster in s.clusters.items():
-            for cell in cluster.cells:
-                cell_index.setdefault(cell, []).append((child, key))
+    # Candidate pairs: every two cell rows of one cell from different
+    # children (same child: already merged at a lower level).
+    by_cell = np.argsort(cell, kind="stable")
+    new_cell = run_flags(cell[by_cell])
+    run_end = np.append(np.flatnonzero(new_cell)[1:], n_rows)[np.cumsum(new_cell) - 1]
+    later = run_end - np.arange(n_rows) - 1
+    i = np.repeat(np.arange(n_rows), later)
+    u, v = by_cell[i], by_cell[i + 1 + offsets(later)]
+    cross = child[row_cluster[u]] != child[row_cluster[v]]
+    u, v = u[cross], v[cross]
+    outcome.n_cell_pairs_checked = len(u)
 
+    # Type 1: representatives within Eps of each other.
     eps2 = eps * eps
-    for cell, entries in cell_index.items():
-        if len(entries) < 2:
-            continue
-        owner_ids = owner_noncore.get(cell)
-        for i in range(len(entries)):
-            child_i, key_i = entries[i]
-            cs_i = summaries[child_i].clusters[key_i].cells[cell]
-            for j in range(i + 1, len(entries)):
-                child_j, key_j = entries[j]
-                if child_i == child_j:
-                    continue  # same child: already merged at a lower level
-                if uf.find(key_i) == uf.find(key_j):
-                    continue
-                cs_j = summaries[child_j].clusters[key_j].cells[cell]
-                outcome.n_cell_pairs_checked += 1
-                # Type 1: core point overlap via representatives.
-                if _min_dist_within(cs_i.rep_coords, cs_j.rep_coords, eps2):
-                    uf.union(key_i, key_j)
-                    outcome.n_core_merges += 1
-                    continue
-                # Type 2: non-core/core overlap, both directions.
-                if _diff_within(cs_i, owner_ids, cs_j.rep_coords, eps2) or _diff_within(
-                    cs_j, owner_ids, cs_i.rep_coords, eps2
-                ):
-                    uf.union(key_i, key_j)
-                    outcome.n_noncore_core_merges += 1
+    rep_first = starts(s.n_rep)
+    core = any_within(
+        rep_first[u], s.n_rep[u], s.rep_coords, rep_first[v], s.n_rep[v], s.rep_coords, eps2
+    )
+    # Type 2: a non-core row is promoted when its cell's owner is in this
+    # subtree and did not list it non-core (an owned cell with an empty
+    # list promotes them all); promoted rows within Eps of the other
+    # side's representatives merge, in either direction.
+    nc_row = np.repeat(np.arange(n_rows), s.n_noncore)
+    listed = rows_in(
+        np.stack((cell[nc_row], s.noncore_ids), axis=1),
+        np.stack((np.repeat(owner_cell, s.owner_lens), s.owner_ids), axis=1),
+    )
+    promoted = (owners[cell[nc_row]] > 0) & ~listed
+    n_prom = np.bincount(nc_row[promoted], minlength=n_rows)
+    prom_first, prom_xy = starts(n_prom), s.noncore_coords[promoted]
+    fu, fv = u[~core], v[~core]
+    noncore = np.zeros(len(u), dtype=bool)
+    noncore[~core] = any_within(
+        prom_first[fu], n_prom[fu], prom_xy, rep_first[fv], s.n_rep[fv], s.rep_coords, eps2
+    ) | any_within(
+        prom_first[fv], n_prom[fv], prom_xy, rep_first[fu], s.n_rep[fu], s.rep_coords, eps2
+    )
+    outcome.n_core_merges = int(core.sum())
+    outcome.n_noncore_core_merges = int(noncore.sum())
 
-    # ------------------------------------------------------------------ #
-    # Build the combined summary.
-    # ------------------------------------------------------------------ #
-    groups: dict[ClusterKey, list[ClusterSummary]] = {}
-    for child, s in enumerate(summaries):
-        for key, cluster in s.clusters.items():
-            groups.setdefault(uf.find(key), []).append(cluster)
+    # Union over clusters ranked by key: min-root is "smallest key wins".
+    joined = core | noncore
+    root, _ = union_edges(
+        np.arange(len(key_rank)),
+        key_rank[row_cluster[u[joined]]],
+        key_rank[row_cluster[v[joined]]],
+    )
+    roots, group = np.unique(root[key_rank], return_inverse=True)
+    n_groups = len(roots)
+    outcome.n_output_clusters = n_groups
 
-    merged = LeafSummary(eps=eps)
-    merged.owner_noncore_ids = owner_noncore
-    merged.source_leaves = frozenset().union(*(s.source_leaves for s in summaries))
+    # Output cells: one per (group, cell), ascending; a cell that only one
+    # cluster of the group has passes through unchanged.
+    row_group = group[row_cluster]
+    order = np.lexsort((cell, row_group))
+    new = run_flags(row_group[order], cell[order])
+    out_cell = np.empty(n_rows, dtype=np.int64)
+    out_cell[order] = np.cumsum(new) - 1
+    cell_rows = order[new]
+    multi = np.bincount(out_cell, minlength=len(cell_rows)) > 1
+    cell_xy = s.cell_xy[cell_rows]
 
-    for root_key, members in groups.items():
-        if len(members) == 1 and members[0].key == root_key:
-            merged.clusters[root_key] = members[0]
-            continue
-        combined = ClusterSummary(
-            key=root_key,
-            constituents=frozenset().union(*(m.constituents for m in members)),
-        )
-        cells: dict[Cell, list[CellSummary]] = {}
-        for m in members:
-            for cell, cs in m.cells.items():
-                cells.setdefault(cell, []).append(cs)
-        for cell, parts in cells.items():
-            if len(parts) == 1:
-                combined.cells[cell] = parts[0]
-                continue
-            rep_ids = np.concatenate([p.rep_ids for p in parts])
-            rep_coords = np.concatenate([p.rep_coords for p in parts])
-            if len(rep_ids):
-                # Re-select: the merged cluster's best representative for
-                # each anchor is among the children's representatives.
-                _, first = np.unique(rep_ids, return_index=True)
-                rep_ids, rep_coords = rep_ids[first], rep_coords[first]
-                rel = select_representatives(rep_coords, cell_bounds(cell, eps))
-                rep_ids, rep_coords = rep_ids[rel], rep_coords[rel]
-            nc_ids = np.concatenate([p.noncore_ids for p in parts])
-            nc_coords = np.concatenate([p.noncore_coords for p in parts])
-            if len(nc_ids):
-                uniq, first = np.unique(nc_ids, return_index=True)
-                outcome.n_duplicate_noncore_removed += len(nc_ids) - len(uniq)
-                nc_ids, nc_coords = nc_ids[first], nc_coords[first]
-            combined.cells[cell] = CellSummary(
-                rep_ids=rep_ids,
-                rep_coords=rep_coords,
-                noncore_ids=nc_ids,
-                noncore_coords=nc_coords,
-            )
-        merged.clusters[root_key] = combined
+    # A merged cell keeps each point once and re-selects representatives
+    # among its parts': the best for each anchor is among the children's.
+    rep_out = out_cell[np.repeat(np.arange(n_rows), s.n_rep)]
+    reps = _combined_rows(rep_out, s.rep_ids, multi)
+    cand = np.flatnonzero(multi[rep_out[reps]])
+    seg = run_starts(rep_out[reps[cand]])
+    xy = cell_xy[rep_out[reps[cand[seg]]]]
+    chosen = select_representatives_batch(
+        s.rep_coords[reps[cand]], seg, np.concatenate((xy * eps, (xy + 1) * eps), axis=1)
+    )
+    keep = np.ones(len(reps), dtype=bool)
+    keep[cand] = False
+    keep[cand[chosen.ravel()]] = True
+    reps = reps[keep]
+    nc_out = out_cell[nc_row]
+    noncores = _combined_rows(nc_out, s.noncore_ids, multi)
+    outcome.n_duplicate_noncore_removed = len(nc_out) - len(noncores)
 
-    outcome.n_output_clusters = len(merged.clusters)
+    # Constituents: a group of several clusters lists all of theirs.
+    size = np.bincount(group, minlength=n_groups)
+    implicit = np.flatnonzero((s.n_constituents == 0) & (size[group] > 1))
+    constituents = np.concatenate((s.constituent_keys, s.keys[implicit]))
+    listed_by = np.repeat(np.arange(s.n_clusters), s.n_constituents)
+    c_group = group[np.concatenate((listed_by, implicit))]
+    c_order = np.lexsort((constituents[:, 1], constituents[:, 0], c_group))
+
+    by_owner = np.argsort(owner_cell)
+    owner_lens = s.owner_lens[by_owner]
+    owner_rows = np.repeat(starts(s.owner_lens)[by_owner], owner_lens) + offsets(owner_lens)
+    merged = LeafSummary(
+        eps, s.source_leaves,
+        s.keys[np.argsort(key_rank)[roots]],
+        np.bincount(row_group[cell_rows], minlength=n_groups),
+        np.bincount(c_group, minlength=n_groups),
+        constituents[c_order],
+        cell_xy,
+        np.bincount(rep_out[reps], minlength=len(cell_rows)),
+        np.bincount(nc_out[noncores], minlength=len(cell_rows)),
+        s.rep_ids[reps], s.rep_coords[reps],
+        s.noncore_ids[noncores], s.noncore_coords[noncores],
+        s.owner_cells[by_owner], owner_lens, s.owner_ids[owner_rows],
+    )
     return merged, outcome
 
 

@@ -15,9 +15,10 @@ it — a merge is always detectable from representatives alone.
 ``tests/merge/test_representatives.py`` checks this lemma property-based.
 
 Two forms select the same points: :func:`select_representatives` for one
-cell (the merge tree re-selects per merged cell) and
-:func:`select_representatives_batch` for every ``(cluster, cell)`` segment
-of a leaf in eight whole-leaf passes.
+cell (the partitioner's optional shadow thinning, §3.1.3) and
+:func:`select_representatives_batch` for many segments in eight passes —
+every ``(cluster, cell)`` of a leaf, or every merged cell of a merge-tree
+node.
 """
 
 from __future__ import annotations

@@ -11,18 +11,21 @@ Summaries are the only thing transmitted upstream — never whole clusters —
 which is what bounds merge traffic ("a small, bounded number of
 representative points per cluster", §1).
 
-:func:`summarize_leaf` builds a summary as whole-leaf segment passes: one
+A summary is sixteen columns, in memory and on the wire (DESIGN.md §2b).
+:func:`summarize_leaf` builds them as whole-leaf segment passes: one
 Eps-stencil pair expansion for the non-core claims, one sort of cores and
 claims by ``(cluster, cell)``, eight segmented argmins for all the
-representatives, and per-cell fields cut as slices of four flat arrays
-(DESIGN.md §2b).  The per-cell loop it
-replaced lives on in ``tests/merge/summary_reference.py`` as the oracle
-the differential tests hold it to.
+representatives.  The per-cell loop it replaced lives on in
+``tests/merge/merge_reference.py`` as the oracle the differential tests
+hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import pickle
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -32,204 +35,202 @@ from ..gpu.treeindex import FlatTree
 from ..points import NOISE, PointSet
 from .representatives import select_representatives_batch
 
-__all__ = ["CellSummary", "ClusterSummary", "LeafSummary", "summarize_leaf", "cell_bounds"]
-
-Cell = tuple[int, int]
-ClusterKey = tuple[int, int]  # (leaf_id, local_cluster_id)
+__all__ = ["LeafSummary", "summarize_leaf", "cell_bounds"]
 
 
-def cell_bounds(cell: Cell, eps: float) -> tuple[float, float, float, float]:
+def cell_bounds(cell: tuple[int, int], eps: float) -> tuple[float, float, float, float]:
     """Coordinate-space bounds of a global Eps-grid cell."""
     cx, cy = cell
     return (cx * eps, cy * eps, (cx + 1) * eps, (cy + 1) * eps)
 
 
-@dataclass
-class CellSummary:
-    """One cluster's footprint inside one grid cell."""
-
-    rep_ids: np.ndarray  # ids of the <=8 representative core points
-    rep_coords: np.ndarray  # (k, 2) coordinates of the representatives
-    noncore_ids: np.ndarray  # ids of the cluster's non-core members here
-    noncore_coords: np.ndarray  # (m, 2) their coordinates
-
-    @property
-    def n_reps(self) -> int:
-        return len(self.rep_ids)
-
-    def payload_bytes(self) -> int:
-        return int(
-            self.rep_ids.nbytes
-            + self.rep_coords.nbytes
-            + self.noncore_ids.nbytes
-            + self.noncore_coords.nbytes
-        )
-
-
-@dataclass
-class ClusterSummary:
-    """A (possibly already-merged) cluster as seen by the merge tree."""
-
-    key: ClusterKey  # canonical key: the smallest constituent key
-    cells: dict[Cell, CellSummary] = field(default_factory=dict)
-    constituents: frozenset[ClusterKey] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not self.constituents:
-            self.constituents = frozenset([self.key])
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    def payload_bytes(self) -> int:
-        return sum(cs.payload_bytes() for cs in self.cells.values()) + 32 * len(self.cells)
-
-
-@dataclass
+@dataclass(eq=False)
 class LeafSummary:
-    """Everything one subtree contributes to the merge.
+    """Everything one subtree contributes to the merge, as columns.
 
-    ``owner_noncore_ids`` maps each *owned* cell to the IDs of the points
-    the owning leaf classified non-core (border or noise) — the
-    authoritative classification the type-2 merge rule differences
-    against.  Owned cells are disjoint across leaves, so merged summaries
-    simply union these maps.
+    Row ``i`` of ``keys`` is a cluster, keyed ``(leaf_id, local_cluster_id)``
+    (a merged cluster by its smallest constituent).  It owns the next
+    ``n_cells[i]`` rows of ``cell_xy``, and cell row ``j`` the next
+    ``n_rep[j]`` representatives (``rep_*``, at most eight core points) and
+    ``n_noncore[j]`` claimed non-core members (``noncore_*``).  A merged
+    cluster lists its leaf clusters in the next ``n_constituents[i]`` rows
+    of ``constituent_keys``, ascending; 0 means "just its own key".
+
+    Owned cell ``m`` has the next ``owner_lens[m]`` rows of ``owner_ids``:
+    the points the owning leaf classified non-core there (border or noise),
+    the authoritative classification the type-2 merge rule differences
+    against.  Every owned cell has a row; an empty list means "all core".
+    Owned cells are disjoint across leaves, so merged summaries
+    concatenate them.
+
+    Readers rely on that contiguity and on nothing else: blobs written by
+    older builds list clusters, cells and owned cells in dict and set
+    orders.
     """
 
     eps: float
-    clusters: dict[ClusterKey, ClusterSummary] = field(default_factory=dict)
-    owner_noncore_ids: dict[Cell, np.ndarray] = field(default_factory=dict)
-    source_leaves: frozenset[int] = frozenset()
+    source_leaves: tuple[int, ...]
+    keys: np.ndarray
+    n_cells: np.ndarray
+    n_constituents: np.ndarray
+    constituent_keys: np.ndarray
+    cell_xy: np.ndarray
+    n_rep: np.ndarray
+    n_noncore: np.ndarray
+    rep_ids: np.ndarray
+    rep_coords: np.ndarray
+    noncore_ids: np.ndarray
+    noncore_coords: np.ndarray
+    owner_cells: np.ndarray
+    owner_lens: np.ndarray
+    owner_ids: np.ndarray
+
+    @classmethod
+    def empty(cls, eps: float, source_leaves: tuple[int, ...] = ()) -> LeafSummary:
+        """No cluster and no owned cell."""
+        ints, pairs, xy = np.empty(0, np.int64), np.empty((0, 2), np.int64), np.empty((0, 2))
+        return cls(eps, source_leaves, pairs, ints, ints, pairs, pairs, ints, ints,
+                   ints, xy, ints, xy, pairs, ints, ints)
+
+    @classmethod
+    def concat(cls, summaries: list[LeafSummary], eps: float) -> LeafSummary:
+        """All rows of ``summaries``, child after child (not merged)."""
+        _, leaves, *arrays = zip(*(s.columns() for s in summaries))
+        source_leaves = tuple(sorted(set().union(*leaves)))
+        return cls(eps, source_leaves, *(np.concatenate(a) for a in arrays))
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.keys)
 
     def payload_bytes(self) -> int:
-        total = sum(c.payload_bytes() for c in self.clusters.values())
-        total += sum(a.nbytes for a in self.owner_noncore_ids.values())
-        return total + 64
+        """Modelled wire size: the point arrays, 32 bytes per cell, 64 more."""
+        points = (self.rep_ids, self.rep_coords, self.noncore_ids, self.noncore_coords)
+        return sum(a.nbytes for a in (*points, self.owner_ids)) + 32 * len(self.cell_xy) + 64
 
     def __reduce__(self):
-        """Pickle as sixteen flat columns, not as an object graph.
+        """Every process boundary a summary crosses (pool pickles, tcp
+        frames, checkpoint blobs) ships the columns as they are."""
+        return _unpack_summary, (self.columns(),)
 
-        Every process boundary a summary crosses (pool pickles, tcp
-        frames, checkpoint blobs) comes through here.  Rows follow the
-        dict orders; a leaf cluster's constituents are just its own key,
-        so only merged clusters ship theirs, sorted.  Blobs written before
-        this layout existed are plain dataclass state and load without
-        :func:`_unpack_summary` (DESIGN.md §2b).
-        """
-        clusters = list(self.clusters.values())
-        cells = [cs for c in clusters for cs in c.cells.values()]
-        constituents = [
-            sorted(c.constituents) if c.constituents != {c.key} else [] for c in clusters
-        ]
-        owner_ids = list(self.owner_noncore_ids.values())
-        no_ids, no_coords = np.empty(0, dtype=np.int64), np.empty((0, 2))
-        columns = (
-            self.eps,
-            tuple(sorted(self.source_leaves)),
-            _pairs([c.key for c in clusters]),
-            _counts([c.cells for c in clusters]),
-            _counts(constituents),
-            _pairs([key for keys in constituents for key in keys]),
-            _pairs([cell for c in clusters for cell in c.cells]),
-            _counts([cs.rep_ids for cs in cells]),
-            _counts([cs.noncore_ids for cs in cells]),
-            _concat([cs.rep_ids for cs in cells], no_ids),
-            _concat([cs.rep_coords for cs in cells], no_coords),
-            _concat([cs.noncore_ids for cs in cells], no_ids),
-            _concat([cs.noncore_coords for cs in cells], no_coords),
-            _pairs(list(self.owner_noncore_ids)),
-            _counts(owner_ids),
-            _concat(owner_ids, no_ids),
-        )
-        return _unpack_summary, (columns,)
+    def __setstate__(self, state) -> None:
+        # Only a blob in the retired object-graph layout carries state;
+        # the checkpoint stores read this error as a miss.
+        raise pickle.UnpicklingError("summary blob in the retired object-graph layout")
 
 
-def _pairs(rows: list[tuple[int, int]]) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
-
-
-def _counts(items: list) -> np.ndarray:
-    return np.array([len(item) for item in items], dtype=np.int64)
-
-
-def _concat(arrays: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else empty
-
-
-def _ends(counts: np.ndarray, *columns: np.ndarray) -> list[int]:
-    """End offsets of the slices ``counts`` cuts each of ``columns`` into."""
+def _check_counts(counts: np.ndarray, *columns: np.ndarray) -> None:
+    """Raise unless ``counts`` cuts each of ``columns`` exactly."""
     total = int(counts.sum())
     if (counts < 0).any() or any(len(column) != total for column in columns):
         raise MergeError(
             f"summary columns disagree: counts cover {total} rows, the columns "
             f"they cut have {[len(column) for column in columns]}"
         )
-    return np.cumsum(counts).tolist()
 
 
 def _unpack_summary(columns: tuple) -> LeafSummary:
-    """Rebuild the summary :meth:`LeafSummary.__reduce__` flattened.
+    """Wrap the columns :meth:`LeafSummary.__reduce__` shipped.
 
-    The inverse, field for field: dict orders, plain-int tuple keys,
-    dtypes, ``(0,)`` / ``(0, 2)`` empties, every array again a slice of
-    its flat column.  The columns' lengths are checked against each other
-    first, so a damaged blob is a :class:`MergeError` here and not an
-    ``IndexError`` deep inside the merge.
+    The columns' lengths are checked against each other first, so a
+    damaged blob is a :class:`MergeError` here and not an ``IndexError``
+    deep inside the merge.
     """
     if len(columns) != 16:
         raise MergeError(f"summary has {len(columns)} columns, expected 16")
-    (
-        eps, source_leaves, keys, n_cells, n_constituents, constituent_keys,
-        cell_xy, n_rep, n_noncore, rep_ids, rep_coords, noncore_ids, noncore_coords,
-        owner_cells, owner_lens, owner_ids,
-    ) = columns
-    if not len(keys) == len(n_cells) == len(n_constituents):
+    s = LeafSummary(*columns)
+    if not len(s.keys) == len(s.n_cells) == len(s.n_constituents):
         raise MergeError("summary columns disagree on the number of clusters")
-    if len(owner_cells) != len(owner_lens):
+    if len(s.owner_cells) != len(s.owner_lens):
         raise MergeError("summary columns disagree on the number of owned cells")
-    cell_ends = _ends(n_cells, cell_xy, n_rep, n_noncore)
-    constituent_ends = _ends(n_constituents, constituent_keys)
-    rep_ends = _ends(n_rep, rep_ids, rep_coords)
-    noncore_ends = _ends(n_noncore, noncore_ids, noncore_coords)
-    owner_ends = _ends(owner_lens, owner_ids)
-
-    summary = LeafSummary(eps=eps, source_leaves=frozenset(source_leaves))
-    cells = list(map(tuple, cell_xy.tolist()))
-    constituent_keys = list(map(tuple, constituent_keys.tolist()))
-    i0 = k0 = r0 = c0 = 0
-    for key, i1, k1 in zip(map(tuple, keys.tolist()), cell_ends, constituent_ends):
-        cluster = ClusterSummary(key=key, constituents=frozenset(constituent_keys[k0:k1]))
-        for cell, r1, c1 in zip(cells[i0:i1], rep_ends[i0:i1], noncore_ends[i0:i1]):
-            cluster.cells[cell] = CellSummary(
-                rep_ids=rep_ids[r0:r1],
-                rep_coords=rep_coords[r0:r1],
-                noncore_ids=noncore_ids[c0:c1],
-                noncore_coords=noncore_coords[c0:c1],
-            )
-            r0, c0 = r1, c1
-        summary.clusters[key] = cluster
-        i0, k0 = i1, k1
-    o0 = 0
-    for cell, o1 in zip(map(tuple, owner_cells.tolist()), owner_ends):
-        summary.owner_noncore_ids[cell] = owner_ids[o0:o1]
-        o0 = o1
-    return summary
+    _check_counts(s.n_cells, s.cell_xy, s.n_rep, s.n_noncore)
+    _check_counts(s.n_constituents, s.constituent_keys)
+    _check_counts(s.n_rep, s.rep_ids, s.rep_coords)
+    _check_counts(s.n_noncore, s.noncore_ids, s.noncore_coords)
+    _check_counts(s.owner_lens, s.owner_ids)
+    return s
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Start offsets of the runs of equal ``keys`` tuples in sorted rows."""
+# ----------------------------------------------------------------------- #
+# Segment helpers shared by the merge and the invariant checkers
+# ----------------------------------------------------------------------- #
+
+
+def run_flags(*keys: np.ndarray) -> np.ndarray:
+    """True at the first row of every run of equal ``keys`` tuples."""
     n = len(keys[0])
     change = np.zeros(n, dtype=bool)
     if n:
         change[0] = True
     for key in keys:
         change[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(change)
+    return change
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal ``keys`` tuples in sorted rows."""
+    return np.flatnonzero(run_flags(*keys))
+
+
+def row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense lexicographic rank of every row of an ``(n, d)`` int array:
+    equal rows share a rank, ranks run ``0..u-1``.
+
+    Rows whose bounding box has < 2⁶² cells are packed into one int64 key
+    (ascending in lexicographic order) and sorted once; wider ones take a
+    ``lexsort``."""
+    if not len(rows):
+        return np.empty(0, dtype=np.int64)
+    lo = rows.min(axis=0).tolist()
+    size = [hi - low + 1 for hi, low in zip(rows.max(axis=0).tolist(), lo)]
+    if math.prod(size) < 2**62:
+        key = np.zeros(len(rows), dtype=np.int64)
+        for column, low, n in zip(rows.T, lo, size):
+            key = key * n + (column - low)
+        return np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
+    order = np.lexsort(rows.T[::-1])
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(run_flags(*rows[order].T)) - 1
+    return ranks
+
+
+def rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which of ``rows`` occur among the rows of ``table``."""
+    rank = row_ranks(np.concatenate((rows, table)))
+    present = np.zeros(len(rank), dtype=bool)
+    present[rank[len(rows) :]] = True
+    return present[rank[: len(rows)]]
+
+
+def starts(counts: np.ndarray) -> np.ndarray:
+    """First row of each segment that ``counts`` cuts."""
+    return np.cumsum(counts) - counts
+
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for every count ``c``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(starts(counts), counts)
+
+
+def any_within(a_first, a_count, a_xy, b_first, b_count, b_xy, eps2: float) -> np.ndarray:
+    """Per pair ``p``: is one of the ``a_count[p]`` rows of ``a_xy`` from
+    ``a_first[p]`` within ``sqrt(eps2)`` of one of the ``b_count[p]`` rows
+    of ``b_xy`` from ``b_first[p]``?  Every pair's row product in one pass."""
+    n = a_count * b_count
+    pair = np.repeat(np.arange(len(n)), n)
+    k = offsets(n)
+    a = a_first[pair] + k // b_count[pair]
+    b = b_first[pair] + k % b_count[pair]
+    d2 = (a_xy[a, 0] - b_xy[b, 0]) ** 2 + (a_xy[a, 1] - b_xy[b, 1]) ** 2
+    return np.bincount(pair[d2 <= eps2], minlength=len(n)) > 0
+
+
+# ----------------------------------------------------------------------- #
+# Building a leaf's summary
+# ----------------------------------------------------------------------- #
 
 
 def _noncore_claims(
@@ -265,29 +266,30 @@ def _noncore_claims(
     return np.concatenate(claim_labels), np.concatenate(claim_points)
 
 
-def _owner_noncore_ids(
-    cells: np.ndarray, ids: np.ndarray, core_mask: np.ndarray, owned_cells: set[Cell]
-) -> dict[Cell, np.ndarray]:
-    """Per owned cell, the sorted ids of the points its owner found non-core.
+def _owner_table(
+    cells: np.ndarray, ids: np.ndarray, core_mask: np.ndarray, owned_cells
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The owned cells, ascending, and the sorted ids of the points the
+    owner found non-core in each: ``(owner_cells, owner_lens, owner_ids)``.
 
-    Every owned cell gets an entry — an *empty* one means "the owner says
+    Every owned cell gets a row — an *empty* one means "the owner says
     all points here are core", which makes the type-2 difference the full
-    remote non-core list.  Omitting the entry would instead read as "owner
+    remote non-core list.  Omitting the row would instead read as "owner
     not in this subtree", silently skipping the check (a missed
     cross-boundary merge the property tests caught).
     """
+    owned = np.fromiter(chain.from_iterable(owned_cells), np.int64).reshape(-1, 2)
     noncore = np.flatnonzero(~core_mask)
-    cx, cy = cells[noncore, 0], cells[noncore, 1]
-    order = np.lexsort((ids[noncore], cy, cx))
-    cx, cy = cx[order], cy[order]
-    sorted_ids = ids[noncore[order]]
-    starts = _run_starts(cx, cy)
-    ends = np.append(starts[1:], len(sorted_ids))
-    runs = dict(
-        zip(zip(cx[starts].tolist(), cy[starts].tolist()), zip(starts.tolist(), ends.tolist()))
-    )
-    no_run = (0, 0)
-    return {cell: sorted_ids[slice(*runs.get(cell, no_run))] for cell in owned_cells}
+    rank = row_ranks(np.concatenate((owned, cells[noncore])))
+    owned_rank, first = np.unique(rank[: len(owned)], return_index=True)
+    noncore_rank = rank[len(owned) :]
+    is_owned = np.zeros(len(rank), dtype=bool)
+    is_owned[owned_rank] = True
+    keep = is_owned[noncore_rank]
+    rows, row_rank = noncore[keep], noncore_rank[keep]
+    order = np.lexsort((ids[rows], row_rank))
+    lens = np.bincount(row_rank, minlength=len(rank))[owned_rank]
+    return owned[first], lens, ids[rows[order]]
 
 
 def summarize_leaf(
@@ -296,7 +298,7 @@ def summarize_leaf(
     labels: np.ndarray,
     core_mask: np.ndarray,
     eps: float,
-    owned_cells: set[Cell],
+    owned_cells,
     *,
     tree: FlatTree | None = None,
 ) -> LeafSummary:
@@ -304,11 +306,12 @@ def summarize_leaf(
 
     ``points`` is the leaf's full view (partition + shadow points);
     ``labels``/``core_mask`` are the GPU DBSCAN output over that view;
-    ``owned_cells`` are the cells of the leaf's partition (not shadow).
+    ``owned_cells`` (any iterable of cells) are the cells of the leaf's
+    partition (not shadow).
     Pass ``tree`` to reuse the ``FlatTree(points.coords, eps)`` the cluster
     engine already built (``GPUClusterResult.tree``).
     A cluster is its core points: a label no core point carries gets no
-    entry, and core points labelled ``NOISE`` belong to none.
+    row, and core points labelled ``NOISE`` belong to none.
     """
     labels = np.asarray(labels)
     core_mask = np.asarray(core_mask, dtype=bool)
@@ -317,12 +320,10 @@ def summarize_leaf(
             f"points ({len(points)}), labels ({len(labels)}) and core_mask "
             f"({len(core_mask)}) disagree"
         )
-    summary = LeafSummary(eps=eps, source_leaves=frozenset([leaf_id]))
     if not len(points):
-        return summary
+        return LeafSummary.empty(eps, (int(leaf_id),))
     coords, ids = points.coords, points.ids
     cells = np.floor(coords / eps).astype(np.int64)
-    summary.owner_noncore_ids = _owner_noncore_ids(cells, ids, core_mask, owned_cells)
 
     # One row per (cluster, member): the cluster's cores, then its claims.
     cores = np.flatnonzero(core_mask & (labels != NOISE))
@@ -335,14 +336,14 @@ def summarize_leaf(
     cx, cy = cells[point, 0], cells[point, 1]
 
     # Sort by (cluster, cell), cores before claims, then point index: runs
-    # of equal (cluster, cell) are the CellSummary segments, in the order
-    # the dicts list them.  Repeated claims land next to each other.
+    # of equal (cluster, cell) are the cell rows, runs of equal cluster the
+    # clusters.  Repeated claims land next to each other.
     order = np.lexsort((point, is_claim, cy, cx, label))
-    order = order[_run_starts(label[order], point[order])]
+    order = order[run_starts(label[order], point[order])]
     point, label, is_claim, cx, cy = (
         rows[order] for rows in (point, label, is_claim, cx, cy)
     )
-    seg_starts = _run_starts(label, cx, cy)
+    seg_starts = run_starts(label, cx, cy)
     n_segs = len(seg_starts)
     segment = np.cumsum(np.bincount(seg_starts, minlength=len(point))) - 1
 
@@ -350,7 +351,7 @@ def summarize_leaf(
     # segment rows ascend by point index, so "lowest row wins ties" is the
     # per-cell argmin's "lowest index wins".
     core_rows = np.flatnonzero(~is_claim)
-    rep_starts = _run_starts(segment[core_rows])
+    rep_starts = run_starts(segment[core_rows])
     first = core_rows[rep_starts]
     rep_cells = np.stack((cx[first], cy[first]), axis=1)
     bounds = np.concatenate((rep_cells * eps, (rep_cells + 1) * eps), axis=1)
@@ -360,25 +361,17 @@ def summarize_leaf(
     rep_rows = core_rows[is_rep]
     claim_rows = np.flatnonzero(is_claim)
 
-    # CellSummary fields are slices of four flat arrays, cut at the
-    # per-segment counts.
-    rep_ids, rep_coords = ids[point[rep_rows]], coords[point[rep_rows]]
-    claim_ids, claim_coords = ids[point[claim_rows]], coords[point[claim_rows]]
-    rep_ends = np.cumsum(np.bincount(segment[rep_rows], minlength=n_segs)).tolist()
-    claim_ends = np.cumsum(np.bincount(segment[claim_rows], minlength=n_segs)).tolist()
-    seg_labels = label[seg_starts].tolist()
-    seg_cells = zip(cx[seg_starts].tolist(), cy[seg_starts].tolist())
-    cluster = None
-    r0 = c0 = 0
-    for lab, cell, r1, c1 in zip(seg_labels, seg_cells, rep_ends, claim_ends):
-        if cluster is None or cluster.key[1] != lab:
-            cluster = ClusterSummary(key=(leaf_id, lab))
-            summary.clusters[cluster.key] = cluster
-        cluster.cells[cell] = CellSummary(
-            rep_ids=rep_ids[r0:r1],
-            rep_coords=rep_coords[r0:r1],
-            noncore_ids=claim_ids[c0:c1],
-            noncore_coords=claim_coords[c0:c1],
-        )
-        r0, c0 = r1, c1
-    return summary
+    cluster_starts = seg_starts[run_starts(label[seg_starts])]
+    n_clusters = len(cluster_starts)
+    return LeafSummary(
+        eps, (int(leaf_id),),
+        np.stack((np.full(n_clusters, leaf_id, dtype=np.int64), label[cluster_starts]), axis=1),
+        np.diff(np.append(segment[cluster_starts], n_segs)),
+        np.zeros(n_clusters, dtype=np.int64), np.empty((0, 2), dtype=np.int64),
+        np.stack((cx[seg_starts], cy[seg_starts]), axis=1),
+        np.bincount(segment[rep_rows], minlength=n_segs),
+        np.bincount(segment[claim_rows], minlength=n_segs),
+        ids[point[rep_rows]], coords[point[rep_rows]],
+        ids[point[claim_rows]], coords[point[claim_rows]],
+        *_owner_table(cells, ids, core_mask, owned_cells),
+    )

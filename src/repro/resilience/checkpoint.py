@@ -25,6 +25,7 @@ digest and can be re-asserted with :meth:`verify`.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..errors import CheckpointError, MergeError
 
-__all__ = ["CheckpointedLeaf", "LeafCheckpointStore", "CORRUPT_CHECKPOINT_ERRORS"]
+__all__ = ["CheckpointedLeaf", "LeafCheckpointStore", "CORRUPT_CHECKPOINT_ERRORS", "loads_blob"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +60,24 @@ CORRUPT_CHECKPOINT_ERRORS: tuple[type[BaseException], ...] = (
     pickle.UnpicklingError,
     MergeError,
 )
+
+
+class _BlobUnpickler(pickle.Unpickler):
+    """An unpickler that reads a blob naming a class this build no longer
+    has (an older layout, e.g. the retired summary object graph) as a
+    damaged blob: ``UnpicklingError``, hence a miss, not an escaping
+    ``AttributeError``."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError) as exc:
+            raise pickle.UnpicklingError(f"blob names {module}.{name}, which is gone") from exc
+
+
+def loads_blob(blob: bytes) -> Any:
+    """``pickle.loads`` for checkpoint blobs (see :class:`_BlobUnpickler`)."""
+    return _BlobUnpickler(io.BytesIO(blob)).load()
 
 
 @dataclass
@@ -211,7 +230,7 @@ class LeafCheckpointStore:
                 raise CheckpointError(
                     f"checkpoint digest mismatch for leaf {leaf_id} (corrupt spill file)"
                 )
-            payload = pickle.loads(blob)
+            payload = loads_blob(blob)
         except CheckpointError:
             raise
         except CORRUPT_CHECKPOINT_ERRORS as exc:

@@ -68,9 +68,11 @@ def sweep_leaf(
     if not 0 <= n_owned <= len(points):
         raise MergeError(f"n_owned {n_owned} out of range for {len(points)} points")
 
-    global_labels = np.full(len(points), NOISE, dtype=np.int64)
-    for local, gid in local_to_global.items():
-        global_labels[local_labels == local] = gid
+    # One lookup array, indexed by local cluster id.
+    local = np.fromiter(local_to_global, np.int64, len(local_to_global))
+    lookup = np.full(max(local_labels.max(initial=0), local.max(initial=0)) + 1, NOISE)
+    lookup[local] = np.fromiter(local_to_global.values(), np.int64, len(local))
+    global_labels = np.where(local_labels >= 0, lookup[local_labels.clip(0)], NOISE)
     unknown = (local_labels != NOISE) & (global_labels == NOISE)
     if np.any(unknown):
         missing = np.unique(local_labels[unknown])

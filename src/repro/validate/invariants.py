@@ -42,6 +42,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..merge.representatives import N_REPRESENTATIVES
+from ..merge.summary import any_within, row_ranks, rows_in, run_flags, starts
 from ..points import NOISE, UNCLASSIFIED, PointSet
 
 __all__ = [
@@ -582,14 +583,13 @@ def check_cluster_labels_sane(ctx: ValidationContext) -> list[Violation]:
                     {"leaf": o.leaf_id},
                 )
             )
-        summary_labels = {local for (_leaf, local) in o.summary.clusters}
-        found = {int(l) for l in np.unique(labels[labels != NOISE])}
-        if not found <= summary_labels:
+        missing = np.setdiff1d(labels[labels != NOISE], o.summary.keys[:, 1])
+        if len(missing):
             out.append(
                 Violation(
                     "cluster.labels_sane",
                     "cluster",
-                    f"leaf {o.leaf_id}: clusters {sorted(found - summary_labels)[:5]} "
+                    f"leaf {o.leaf_id}: clusters {missing[:5].tolist()} "
                     "missing from the upstream summary",
                     {"leaf": o.leaf_id},
                 )
@@ -597,56 +597,51 @@ def check_cluster_labels_sane(ctx: ValidationContext) -> list[Violation]:
     return _cap(out)
 
 
+def _cell_violations(name: str, leaf_id: int, summary, rows: np.ndarray, what) -> list[Violation]:
+    """One violation per flagged cell row of a leaf summary, up to the cap;
+    ``what(row)`` says what is wrong with it."""
+    cluster = np.repeat(np.arange(summary.n_clusters), summary.n_cells)
+    out = []
+    for row in rows[:MAX_VIOLATIONS_PER_CHECK].tolist():
+        key = tuple(summary.keys[cluster[row]].tolist())
+        cell = summary.cell_xy[row].tolist()
+        out.append(
+            Violation(
+                name,
+                "cluster",
+                f"leaf {leaf_id} cluster {key} cell {tuple(cell)}: {what(row)}",
+                {"leaf": leaf_id, "cell": cell},
+            )
+        )
+    return out
+
+
 @register_checker(
     "cluster.representative_bound", "cluster", "cheap", paper="§3.3.1"
 )
 def check_representative_bound(ctx: ValidationContext) -> list[Violation]:
     """≤ 8 unique representatives per (cluster, cell), inside the cell."""
-    from ..merge.summary import cell_bounds
-
+    name = "cluster.representative_bound"
+    tol = ctx.eps * 1e-9
     out: list[Violation] = []
     for o in ctx.outputs or []:
-        for key, cluster in o.summary.clusters.items():
-            for cell, cs in cluster.cells.items():
-                if cs.n_reps > N_REPRESENTATIVES:
-                    out.append(
-                        Violation(
-                            "cluster.representative_bound",
-                            "cluster",
-                            f"leaf {o.leaf_id} cluster {key} cell {cell}: "
-                            f"{cs.n_reps} representatives > {N_REPRESENTATIVES}",
-                            {"leaf": o.leaf_id, "cell": list(cell)},
-                        )
-                    )
-                if len(np.unique(cs.rep_ids)) != len(cs.rep_ids):
-                    out.append(
-                        Violation(
-                            "cluster.representative_bound",
-                            "cluster",
-                            f"leaf {o.leaf_id} cluster {key} cell {cell}: "
-                            "duplicate representative ids",
-                            {"leaf": o.leaf_id, "cell": list(cell)},
-                        )
-                    )
-                if cs.n_reps:
-                    xmin, ymin, xmax, ymax = cell_bounds(cell, ctx.eps)
-                    tol = ctx.eps * 1e-9
-                    inside = (
-                        (cs.rep_coords[:, 0] >= xmin - tol)
-                        & (cs.rep_coords[:, 0] <= xmax + tol)
-                        & (cs.rep_coords[:, 1] >= ymin - tol)
-                        & (cs.rep_coords[:, 1] <= ymax + tol)
-                    )
-                    if not np.all(inside):
-                        out.append(
-                            Violation(
-                                "cluster.representative_bound",
-                                "cluster",
-                                f"leaf {o.leaf_id} cluster {key} cell {cell}: "
-                                "representative outside its cell",
-                                {"leaf": o.leaf_id, "cell": list(cell)},
-                            )
-                        )
+        s = o.summary
+        rep_row = np.repeat(np.arange(len(s.cell_xy)), s.n_rep)
+        order = np.lexsort((s.rep_ids, rep_row))
+        repeated = rep_row[order][~run_flags(rep_row[order], s.rep_ids[order])]
+        xy = s.cell_xy[rep_row]
+        outside = (
+            (s.rep_coords < xy * ctx.eps - tol) | (s.rep_coords > (xy + 1) * ctx.eps + tol)
+        ).any(axis=1)
+        for rows, what in (
+            (
+                np.flatnonzero(s.n_rep > N_REPRESENTATIVES),
+                lambda row: f"{s.n_rep[row]} representatives > {N_REPRESENTATIVES}",
+            ),
+            (np.unique(repeated), lambda row: "duplicate representative ids"),
+            (np.unique(rep_row[outside]), lambda row: "representative outside its cell"),
+        ):
+            out += _cell_violations(name, o.leaf_id, s, rows, what)
     return _cap(out)
 
 
@@ -661,58 +656,41 @@ def check_representative_coverage(ctx: ValidationContext) -> list[Violation]:
     remote cluster reaching any core point of the cell also reaches a
     representative within 2·(eps/2) = Eps.
     """
-    out: list[Violation] = []
+    name = "cluster.representative_coverage"
     eps2 = ctx.eps * ctx.eps
     views = {pid: (own, shadow) for pid, own, shadow in ctx.leaf_views()}
+    out: list[Violation] = []
     for o in ctx.outputs or []:
         own, shadow = views[o.leaf_id]
         view = own.concat(shadow)
-        if not len(view):
-            continue
+        s = o.summary
         labels = np.asarray(o.labels)
-        core = np.asarray(o.core_mask, dtype=bool)
-        cells = np.floor(view.coords / ctx.eps).astype(np.int64)
-        for key, cluster in o.summary.clusters.items():
-            lab = key[1]
-            member = (labels == lab) & core
-            if not np.any(member):
-                continue
-            midx = np.flatnonzero(member)
-            mcells = cells[midx]
-            for cell, cs in cluster.cells.items():
-                sel = (mcells[:, 0] == cell[0]) & (mcells[:, 1] == cell[1])
-                if not np.any(sel):
-                    continue
-                pts = view.coords[midx[sel]]
-                if cs.n_reps == 0:
-                    out.append(
-                        Violation(
-                            "cluster.representative_coverage",
-                            "cluster",
-                            f"leaf {o.leaf_id} cluster {key} cell {cell}: "
-                            f"{len(pts)} core point(s) but no representatives",
-                            {"leaf": o.leaf_id, "cell": list(cell)},
-                        )
-                    )
-                    continue
-                d2 = (
-                    (pts[:, 0][:, None] - cs.rep_coords[:, 0][None, :]) ** 2
-                    + (pts[:, 1][:, None] - cs.rep_coords[:, 1][None, :]) ** 2
-                )
-                uncovered = ~np.any(d2 <= eps2, axis=1)
-                if np.any(uncovered):
-                    out.append(
-                        Violation(
-                            "cluster.representative_coverage",
-                            "cluster",
-                            f"leaf {o.leaf_id} cluster {key} cell {cell}: "
-                            f"{int(uncovered.sum())} core point(s) farther "
-                            "than Eps from every representative",
-                            {"leaf": o.leaf_id, "cell": list(cell)},
-                        )
-                    )
-                if len(out) >= MAX_VIOLATIONS_PER_CHECK:
-                    return _cap(out)
+        member = np.flatnonzero(np.asarray(o.core_mask, dtype=bool) & (labels != NOISE))
+        # Each core member's (cluster, cell) row of the summary, if any.
+        cluster = np.repeat(np.arange(s.n_clusters), s.n_cells)
+        rows = np.column_stack((s.keys[cluster, 1], s.cell_xy))
+        cells = np.floor(view.coords[member] / ctx.eps).astype(np.int64)
+        rank = row_ranks(np.concatenate((rows, np.column_stack((labels[member], cells)))))
+        row_of = np.full(len(rank), -1)
+        row_of[rank[: len(rows)]] = np.arange(len(rows))
+        row = row_of[rank[len(rows) :]]
+        member, row = member[row >= 0], row[row >= 0]
+        covered = any_within(
+            np.arange(len(member)), np.ones(len(member), dtype=np.int64), view.coords[member],
+            starts(s.n_rep)[row], s.n_rep[row], s.rep_coords, eps2,
+        )
+        bare = np.bincount(row, minlength=len(rows)) * (s.n_rep == 0)
+        far = np.bincount(row[~covered & (s.n_rep[row] > 0)], minlength=len(rows))
+        out += _cell_violations(
+            name, o.leaf_id, s, np.flatnonzero(bare),
+            lambda r: f"{bare[r]} core point(s) but no representatives",
+        )
+        out += _cell_violations(
+            name, o.leaf_id, s, np.flatnonzero(far),
+            lambda r: f"{far[r]} core point(s) farther than Eps from every representative",
+        )
+        if len(out) >= MAX_VIOLATIONS_PER_CHECK:
+            break
     return _cap(out)
 
 
@@ -731,97 +709,97 @@ def check_global_id_bijection(ctx: ValidationContext) -> list[Violation]:
     * each root cluster maps to one global ID, distinct clusters to
       distinct IDs, and the IDs used are exactly ``0..k-1``.
     """
+    name = "merge.global_id_bijection"
     out: list[Violation] = []
     assignment = ctx.assignment
     root = ctx.root_summary
-    mapped = set(assignment.mapping)
+    mapped, mapped_gids = assignment.arrays()
+    n_mapped = len(mapped)
 
-    all_constituents: set = set()
-    gid_of_cluster: dict = {}
-    for key, cluster in root.clusters.items():
-        overlap = all_constituents & set(cluster.constituents)
-        if overlap:
-            out.append(
-                Violation(
-                    "merge.global_id_bijection",
-                    "merge",
-                    f"constituents {sorted(overlap)[:3]} appear in multiple "
-                    "root clusters",
-                    {"n_overlap": len(overlap)},
-                )
-            )
-        all_constituents |= set(cluster.constituents)
-        gids = {assignment.mapping.get(c) for c in cluster.constituents}
-        if len(gids) != 1 or None in gids:
-            out.append(
-                Violation(
-                    "merge.global_id_bijection",
-                    "merge",
-                    f"root cluster {key} constituents map to {sorted(map(str, gids))[:4]} "
-                    "(expected exactly one global id)",
-                    {"cluster": list(key)},
-                )
-            )
-        else:
-            gid_of_cluster[key] = gids.pop()
+    # Every root cluster's constituents: its listed ones, or its own key.
+    k = root.n_clusters
+    alone = np.flatnonzero(root.n_constituents == 0)
+    constituents = np.concatenate((root.keys[alone], root.constituent_keys))
+    owner = np.concatenate((alone, np.repeat(np.arange(k), root.n_constituents)))
+    rank = row_ranks(np.concatenate((mapped, constituents)))
+    is_mapped = np.zeros(len(rank), dtype=bool)
+    is_mapped[rank[:n_mapped]] = True
+    gid_of_rank = np.zeros(len(rank), dtype=np.int64)
+    gid_of_rank[rank[:n_mapped]] = mapped_gids
+    c_rank = rank[n_mapped:]
 
-    if mapped != all_constituents:
+    times = np.bincount(c_rank, minlength=len(rank))
+    if (times > 1).any():
+        overlap = np.unique(constituents[times[c_rank] > 1], axis=0)
         out.append(
             Violation(
-                "merge.global_id_bijection",
+                name,
+                "merge",
+                f"constituents {[tuple(c) for c in overlap[:3].tolist()]} appear in "
+                "multiple root clusters",
+                {"n_overlap": len(overlap)},
+            )
+        )
+    # A root cluster must map to exactly one global id.
+    gids = gid_of_rank[c_rank]
+    lo = np.full(k, np.iinfo(np.int64).max)
+    hi = np.full(k, np.iinfo(np.int64).min)
+    np.minimum.at(lo, owner, gids)
+    np.maximum.at(hi, owner, gids)
+    bad = (lo != hi) | (np.bincount(owner[~is_mapped[c_rank]], minlength=k) > 0)
+    for key in root.keys[bad][:MAX_VIOLATIONS_PER_CHECK].tolist():
+        out.append(
+            Violation(
+                name,
+                "merge",
+                f"root cluster {tuple(key)} constituents do not map to exactly one global id",
+                {"cluster": key},
+            )
+        )
+
+    in_root = np.zeros(len(rank), dtype=bool)
+    in_root[c_rank] = True
+    n_unmapped = int((in_root & ~is_mapped).sum())
+    n_spurious = int((is_mapped & ~in_root).sum())
+    if n_unmapped or n_spurious:
+        out.append(
+            Violation(
+                name,
                 "merge",
                 f"mapping keys diverge from root constituents: "
-                f"{len(all_constituents - mapped)} unmapped, "
-                f"{len(mapped - all_constituents)} spurious",
-                {
-                    "n_unmapped": len(all_constituents - mapped),
-                    "n_spurious": len(mapped - all_constituents),
-                },
+                f"{n_unmapped} unmapped, {n_spurious} spurious",
+                {"n_unmapped": n_unmapped, "n_spurious": n_spurious},
             )
         )
-    gid_values = sorted(set(gid_of_cluster.values()))
-    if len(gid_values) != len(gid_of_cluster):
+    gid_values = np.unique(lo[~bad])
+    if len(gid_values) != int((~bad).sum()):
+        out.append(Violation(name, "merge", "distinct root clusters share a global id", {}))
+    if len(gid_values) and not np.array_equal(gid_values, np.arange(k)):
         out.append(
             Violation(
-                "merge.global_id_bijection",
+                name,
                 "merge",
-                "distinct root clusters share a global id",
-                {},
+                f"global ids are not 0..{k - 1}",
+                {"got": gid_values[:10].tolist()},
             )
         )
-    expected_ids = list(range(len(root.clusters)))
-    if gid_of_cluster and gid_values != expected_ids:
+    if assignment.n_clusters != k:
         out.append(
-            Violation(
-                "merge.global_id_bijection",
-                "merge",
-                f"global ids are not 0..{len(root.clusters) - 1}",
-                {"got": gid_values[:10]},
-            )
-        )
-    if assignment.n_clusters != len(root.clusters):
-        out.append(
-            Violation(
-                "merge.global_id_bijection",
-                "merge",
-                f"n_clusters {assignment.n_clusters} != root clusters "
-                f"{len(root.clusters)}",
-                {},
-            )
+            Violation(name, "merge", f"n_clusters {assignment.n_clusters} != root clusters {k}", {})
         )
 
     # Every cluster a leaf reported must be reachable through the mapping
     # (otherwise the sweep would orphan its points).
     for o in ctx.outputs or []:
-        missing = [k for k in o.summary.clusters if k not in mapped]
-        if missing:
+        missing = o.summary.keys[~rows_in(o.summary.keys, mapped)]
+        if len(missing):
             out.append(
                 Violation(
-                    "merge.global_id_bijection",
+                    name,
                     "merge",
                     f"leaf {o.leaf_id}: {len(missing)} reported cluster(s) "
                     "missing from the global-id mapping",
-                    {"leaf": o.leaf_id, "sample": [list(m) for m in missing[:3]]},
+                    {"leaf": o.leaf_id, "sample": missing[:3].tolist()},
                 )
             )
     return _cap(out)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from repro.points import PointSet
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("fuzz", derandomize=False)
 settings.load_profile("fuzz" if os.environ.get("MRSCAN_FUZZ") == "1" else "tier1")
+
+# The merge oracle also writes the older summary blob layouts, which the
+# durability tests resume from.
+sys.path.append(str(Path(__file__).parent / "merge"))
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from merge_reference import write_dict_orders, write_object_graphs
 
 import repro.core.pipeline as pipeline_mod
 from repro.core import mrscan
@@ -312,11 +313,11 @@ def test_assert_resume_equivalent_rejects_divergence(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# The summary's two pickle layouts (DESIGN.md §2b, "On the wire"): blobs
-# from before ``LeafSummary`` pickled as flat columns are object graphs
-# and must keep resuming to the same bytes; a columnar blob whose columns
-# disagree is a miss that recomputes, never an ``IndexError`` out of the
-# merge.
+# Older summary blobs (DESIGN.md §2b, "In memory and on the wire"):
+# columnar blobs in any row order resume to the same bytes; blobs from
+# before the columnar layout are object graphs naming classes that are
+# gone, and are misses that recompute; a columnar blob whose columns
+# disagree is a miss too, never an ``IndexError`` out of the merge.
 # --------------------------------------------------------------------- #
 
 
@@ -343,38 +344,75 @@ class _DamagedSummary:
         return _unpack_summary, (self.columns,)
 
 
+@pytest.mark.parametrize(
+    "crash_in, restored",
+    [("sweep_leaf", ["partition", "merge"]), ("assign_global_ids", ["partition"])],
+)
+def test_columnar_run_dir_in_dict_orders_resumes_byte_identically(
+    tmp_path, monkeypatch, crash_in, restored
+):
+    """Leaf and merge checkpoints whose rows follow some writer's dict and
+    set orders, as a build that kept summaries as dicts wrote them: every
+    one is a hit — the merge checkpoint restored, or the leaf checkpoints
+    merged again — and the run resumes to the same bytes."""
+    # The older layouts are written by patching this process's pickler,
+    # which pool workers would not see: pin local.
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
+    points = _points()
+    baseline = _run(points)
+    with monkeypatch.context() as shuffling:
+        write_dict_orders(shuffling, seed=5)
+        _crash_in(monkeypatch, crash_in, points, tmp_path)
+    written = LeafCheckpointStore(tmp_path / "checkpoints" / "leaves").load(0).summary
+    assert not np.array_equal(written.keys, np.sort(written.keys, axis=0))
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == restored
+    assert resumed.checkpoint_hits == LEAVES
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
+
+
 def test_run_dir_in_the_old_layout_resumes_byte_identically(tmp_path, monkeypatch):
-    """With ``__reduce__`` gone, ``object.__reduce_ex__`` writes what the
-    commit before the columnar layout wrote: leaf checkpoints and the
-    merge checkpoint as object graphs.  Both restore under the new code."""
+    """Leaf checkpoints and the merge checkpoint as the object graphs
+    builds before the columnar layout wrote: every one is a miss, the
+    leaves re-cluster and the merge re-runs, to the same bytes."""
+    # The older layouts are written by patching this process's pickler,
+    # which pool workers would not see: pin local.
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
     points = _points()
     baseline = _run(points)
     with monkeypatch.context() as legacy:
-        legacy.delattr(LeafSummary, "__reduce__")
+        write_object_graphs(legacy)
         _crash_in(monkeypatch, "sweep_leaf", points, tmp_path)
     ckpt = tmp_path / "checkpoints"
     assert b"_unpack_summary" not in (ckpt / "merge.bin").read_bytes()
     assert b"CellSummary" in (ckpt / "merge.bin").read_bytes()
-    leaf = LeafCheckpointStore(ckpt / "leaves").load(0)
-    assert isinstance(leaf.summary, LeafSummary) and leaf.summary.n_clusters
+    with pytest.raises(CheckpointError, match="unreadable"):
+        LeafCheckpointStore(ckpt / "leaves").load(0)
+    with pytest.raises(CheckpointError, match="unreadable"):
+        PhaseCheckpointStore(ckpt).load("merge")
 
     resumed = _run(points, run_dir=tmp_path, resume=True)
-    assert set(resumed.phases_restored) == {"partition", "merge"}
-    assert resumed.checkpoint_hits == LEAVES
+    assert resumed.phases_restored == ["partition"]
+    assert resumed.checkpoint_hits == 0
     assert_resume_equivalent(baseline, resumed)
     assert resumed.labels.tobytes() == baseline.labels.tobytes()
     assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
 
 
-def test_old_layout_leaf_checkpoints_feed_the_merge(tmp_path, monkeypatch):
+def test_old_layout_leaf_checkpoints_are_misses(tmp_path, monkeypatch):
+    # The older layouts are written by patching this process's pickler,
+    # which pool workers would not see: pin local.
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
     points = _points()
     baseline = _run(points)
     with monkeypatch.context() as legacy:
-        legacy.delattr(LeafSummary, "__reduce__")
+        write_object_graphs(legacy)
         _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
     resumed = _run(points, run_dir=tmp_path, resume=True)
     assert resumed.phases_restored == ["partition"]
-    assert resumed.checkpoint_hits == LEAVES
+    assert resumed.checkpoint_hits == 0
     assert resumed.labels.tobytes() == baseline.labels.tobytes()
 
 

@@ -1,9 +1,12 @@
-"""Tests for the merge filter (§3.3.2): the three overlap types."""
+"""Tests for the merge filter (§3.3.2): the three overlap types.
+
+Cluster and cell assertions read the columns through ``as_graph``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from merge_reference import as_graph, assert_columns_identical
 
 from repro.dbscan import dbscan_reference
 from repro.data import gaussian_blobs, generate_twitter, uniform_noise
@@ -36,7 +39,7 @@ def _leaf_summaries(points, eps, minpts, n_leaves, seed_partitions=None):
 
 
 def test_merge_rejects_eps_mismatch():
-    a = LeafSummary(eps=1.0)
+    a = LeafSummary.empty(1.0)
     with pytest.raises(MergeError):
         merge_summaries([a], 2.0)
 
@@ -98,8 +101,8 @@ def test_hierarchical_merge_associative():
     left, _ = merge_summaries(summaries[:2], eps)
     right, _ = merge_summaries(summaries[2:], eps)
     staged, _ = merge_summaries([left, right], eps)
-    flat_groups = {c.constituents for c in flat.clusters.values()}
-    staged_groups = {c.constituents for c in staged.clusters.values()}
+    flat_groups = {c.constituents for c in as_graph(flat).clusters.values()}
+    staged_groups = {c.constituents for c in as_graph(staged).clusters.values()}
     assert flat_groups == staged_groups
 
 
@@ -112,9 +115,10 @@ def test_duplicate_noncore_removed():
     summaries, _, _ = _leaf_summaries(ps, eps, minpts, n_leaves=4)
     merged, outcome = merge_summaries(summaries, eps)
     # cross-leaf duplicates of shared border points must be deduplicated
-    for cluster in merged.clusters.values():
+    for cluster in as_graph(merged).clusters.values():
         for cs in cluster.cells.values():
             assert len(cs.noncore_ids) == len(np.unique(cs.noncore_ids))
+    assert outcome.n_duplicate_noncore_removed > 0
 
 
 def test_merged_reps_still_at_most_eight():
@@ -122,9 +126,7 @@ def test_merged_reps_still_at_most_eight():
     eps, minpts = 0.4, 6
     summaries, _, _ = _leaf_summaries(ps, eps, minpts, n_leaves=4)
     merged, _ = merge_summaries(summaries, eps)
-    for cluster in merged.clusters.values():
-        for cs in cluster.cells.values():
-            assert cs.n_reps <= 8
+    assert merged.n_rep.max() <= 8
 
 
 def test_merge_filter_collects_outcomes():
@@ -155,7 +157,7 @@ def test_global_ids_cover_all_constituents():
     assert assignment.n_clusters == merged.n_clusters
     all_constituents = set()
     for s in summaries:
-        all_constituents.update(s.clusters.keys())
+        all_constituents.update(as_graph(s).clusters.keys())
     assert set(assignment.mapping) == all_constituents
     assert set(assignment.mapping.values()) == set(range(assignment.n_clusters))
 
@@ -195,7 +197,7 @@ def test_owner_entries_exist_for_all_owned_cells():
 
     cells = {tuple(c) for c in cell_of_coords(ps.coords, 0.5)}
     s = summarize_leaf(0, ps, res.labels, res.core_mask, 0.5, cells)
-    assert set(s.owner_noncore_ids) == cells
+    assert set(as_graph(s).owner_noncore_ids) == cells
 
 
 def test_global_ids_deterministic():
@@ -206,3 +208,20 @@ def test_global_ids_deterministic():
     a1 = assign_global_ids(m1)
     a2 = assign_global_ids(m2)
     assert a1.mapping == a2.mapping
+
+
+def test_merge_is_free_of_the_childrens_order():
+    """Merge groups are connected components and every counter counts
+    candidate pairs, not unions: permuting the children changes nothing —
+    not a column, not the assignment, not a counter."""
+    ps = generate_twitter(6000, seed=12)
+    summaries, _, _ = _leaf_summaries(ps, 0.1, 8, n_leaves=6)
+    merged, outcome = merge_summaries(summaries, 0.1)
+    assert outcome.n_core_merges and outcome.n_cell_pairs_checked > outcome.n_core_merges
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        order = rng.permutation(len(summaries))
+        again, again_outcome = merge_summaries([summaries[i] for i in order], 0.1)
+        assert_columns_identical(again, merged)
+        assert again_outcome == outcome
+        assert assign_global_ids(again) == assign_global_ids(merged)

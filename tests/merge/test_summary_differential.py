@@ -1,9 +1,10 @@
 """``summarize_leaf`` (segment passes) vs the per-cell loop it replaced.
 
-The oracle is ``summary_reference.reference_summarize_leaf``; equality is
-field by field — cluster-key order, cell order, every array's values,
-dtype and shape, the owner lists (empty owned cells included) and
-``payload_bytes()``.
+The oracle is ``merge_reference.reference_summarize_leaf``; equality is
+field by field through ``as_graph`` — cluster-key order, cell order, every
+array's values, dtype and shape, the owner lists (empty owned cells
+included; owned cells now come sorted, the loop listed them in set order)
+and ``payload_bytes()``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from summary_reference import assert_summaries_identical, reference_summarize_leaf
+from merge_reference import as_graph, assert_summaries_identical, reference_summarize_leaf
 
 from repro.data import generate_sdss, generate_twitter
 from repro.gpu.mrscan_gpu import mrscan_gpu
@@ -34,7 +35,7 @@ def _check(points, labels, core_mask, eps, owned, leaf_id=3):
     tree = FlatTree(points.coords, eps)
     shared = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned, tree=tree)
     assert_summaries_identical(shared, want)
-    return got
+    return as_graph(got)
 
 
 def _cells(points, eps):
@@ -207,30 +208,24 @@ def test_label_without_a_core_point_gets_no_entry():
     a label carried only by non-core points is not a cluster."""
     points = PointSet.from_coords(np.array([[0.1, 0.1], [0.2, 0.1], [5.0, 5.0]]))
     summary = summarize_leaf(0, points, np.array([0, 0, 9]), np.array([True, False, False]), 1.0, set())
-    assert list(summary.clusters) == [(0, 0)]
+    assert list(as_graph(summary).clusters) == [(0, 0)]
 
 
-# ------------------------- slices of a shared base --------------------- #
+# ------------------------- the columns on the wire --------------------- #
 
 
 def test_pickled_summary_round_trips_without_the_shared_base():
-    """Every CellSummary field is a slice of a leaf-wide array; pickling
-    one must carry the slice's bytes only, and the whole summary must come
-    back identical."""
+    """Every column is an array of its own, not a view of a leaf-wide
+    one: pickling ships the summary's own bytes, and it comes back
+    identical."""
     points = generate_sdss(4000, seed=9)
     out = mrscan_gpu(points, 0.00015, 5)
     summary = summarize_leaf(1, points, out.labels, out.core_mask, 0.00015, _cells(points, 0.00015))
     assert_summaries_identical(pickle.loads(pickle.dumps(summary)), summary)
 
-    cell = next(iter(next(iter(summary.clusters.values())).cells.values()))
-    base = cell.rep_coords.base
-    assert base is not None and base.nbytes > 50 * cell.rep_coords.nbytes
-    assert len(pickle.dumps(cell)) < cell.payload_bytes() + 1024
-    # The wire estimate counts slices, never the base.
-    total = sum(
-        getattr(cs, name).nbytes
-        for cluster in summary.clusters.values()
-        for cs in cluster.cells.values()
-        for name in ("rep_ids", "rep_coords", "noncore_ids", "noncore_coords")
-    )
-    assert len(pickle.dumps(summary)) < 4 * total + 4096 * summary.n_clusters
+    arrays = [c for c in summary.columns() if isinstance(c, np.ndarray)]
+    assert all(a.base is None or a.base.nbytes <= 2 * a.nbytes for a in arrays)
+    total = sum(a.nbytes for a in arrays)
+    assert len(pickle.dumps(summary)) < total + 4096
+    # The wire estimate counts the point arrays, not the count columns.
+    assert summary.payload_bytes() <= total + 32 * len(summary.cell_xy) + 64

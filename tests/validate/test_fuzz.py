@@ -106,13 +106,11 @@ def test_harness_catches_representative_selection_defect(monkeypatch):
     # The defect patches this process; pool workers would run unpatched.
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
     differential(RING)
-    monkeypatch.setattr(
-        summary_mod, "select_representatives_batch",
-        lambda coords, starts, bounds: np.empty((len(starts), 0), dtype=np.int64),
-    )
-    monkeypatch.setattr(
-        merger_mod, "select_representatives", lambda coords, bounds: np.empty(0, np.int64)
-    )
+    for module in (summary_mod, merger_mod):
+        monkeypatch.setattr(
+            module, "select_representatives_batch",
+            lambda coords, starts, bounds: np.empty((len(starts), 0), dtype=np.int64),
+        )
     with pytest.raises(AssertionError, match="do not biject"):
         differential(RING)
 

@@ -22,6 +22,7 @@ from repro.validate.invariants import (
     check_owner_precedence,
     check_partition_cover,
     check_partition_shadow_cells,
+    check_representative_bound,
     check_sweep_ownership,
 )
 
@@ -310,3 +311,34 @@ def test_owner_precedence_detects_core_mask_divergence():
     ctx = _sweep_ctx(results, [0, 0], core=[False, False])
     bad = check_owner_precedence(ctx)
     assert any("core mask" in v.message for v in bad)
+
+
+# ----------------------------- cluster -------------------------------- #
+
+
+def _bound_violations(**columns):
+    """``cluster.representative_bound`` on one leaf summary of a single
+    all-core cluster in cell (0, 0), with ``columns`` replaced."""
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    from repro.merge.summary import summarize_leaf
+
+    points = PointSet.from_coords(np.random.default_rng(0).uniform(0.0, 1.0, (40, 2)))
+    summary = summarize_leaf(0, points, [0] * 40, [True] * 40, 1.0, {(0, 0)})
+    assert summary.n_rep.tolist() == [8]
+    output = SimpleNamespace(leaf_id=0, summary=replace(summary, **columns))
+    ctx = ValidationContext(points=points, eps=1.0, minpts=4, outputs=[output])
+    return [v.message for v in check_representative_bound(ctx)]
+
+
+def test_representative_bound_clean_and_each_defect():
+    assert _bound_violations() == []
+    nine = _bound_violations(
+        n_rep=np.array([9]), rep_ids=np.arange(9), rep_coords=np.full((9, 2), 0.5)
+    )
+    assert nine == ["leaf 0 cluster (0, 0) cell (0, 0): 9 representatives > 8"]
+    twice = _bound_violations(rep_ids=np.array([3, 3, 4, 5, 6, 7, 8, 9]))
+    assert twice == ["leaf 0 cluster (0, 0) cell (0, 0): duplicate representative ids"]
+    outside = _bound_violations(rep_coords=np.vstack([[[1.5, 0.5]], np.full((7, 2), 0.5)]))
+    assert outside == ["leaf 0 cluster (0, 0) cell (0, 0): representative outside its cell"]
