@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sorting import packed_key, stable_order
+
 __all__ = [
     "DisjointSet",
     "union_edges",
@@ -171,16 +173,26 @@ def vectorized_union(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> tuple[
 
 
 def first_appearance_labels(values: np.ndarray) -> np.ndarray:
-    """Dense labels ``0..k-1`` numbered by each value's first appearance."""
+    """Dense labels ``0..k-1`` numbered by each integer value's first
+    appearance."""
     values = np.asarray(values)
-    if not len(values):
+    n = len(values)
+    if not n:
         return np.empty(0, dtype=np.int64)
-    _, first_idx, inverse = np.unique(values, return_index=True, return_inverse=True)
-    # np.unique orders by value; rank the unique values by where each
-    # first appears to recover first-appearance numbering.
-    rank = np.empty(len(first_idx), dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(first_idx), dtype=np.int64)
-    return rank[inverse]
+    packed = packed_key([values])
+    order = stable_order(values, 64) if packed is None else stable_order(*packed)
+    # Runs of equal values in stable order: each run's head is the value's
+    # first appearance, and heads numbered in position order are the labels.
+    ranked = values[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = order[new]
+    head = np.zeros(n, dtype=bool)
+    head[first] = True
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = (np.cumsum(head) - 1)[first][np.cumsum(new) - 1]
+    return labels
 
 
 def vectorized_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:

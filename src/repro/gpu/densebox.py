@@ -78,8 +78,12 @@ class DenseBoxResult:
 
 def build_densebox_tree(points: PointSet, eps: float, minpts: int = 16) -> FlatTree:
     """Build the tree whose leaf boxes the dense-box pass scans (the same
-    for every ``minpts``; a non-positive ``eps`` is a ``ConfigError``)."""
-    return FlatTree(points.coords, densebox_edge(eps))
+    for every ``minpts``; a non-positive ``eps`` is a ``ConfigError``).
+
+    Its interaction radius is Eps, so the csr engine's core components
+    walk the same tree: every eps/√2 cell is a clique, and its leaf pairs
+    are the cells that can hold a core edge."""
+    return FlatTree(points.coords, densebox_edge(eps), radius=eps)
 
 
 def find_dense_boxes(

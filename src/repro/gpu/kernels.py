@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dbscan.grid_index import GridIndex
+from ..sorting import stable_order
 from .device import SimulatedDevice
 from .treeindex import FlatTree
 
@@ -254,7 +255,7 @@ def iter_class_pairs(
     cls[row_mask] = 0
     cls[col_mask] = 1
     key = tree.point_leaf[order] * 3 + cls[order]
-    ord3 = order[np.argsort(key, kind="stable")]
+    ord3 = order[stable_order(key, (3 * n_boxes - 1).bit_length())]
     cnt3 = np.bincount(key, minlength=3 * n_boxes)
     st3 = np.zeros(3 * n_boxes, dtype=np.int64)
     np.cumsum(cnt3[:-1], out=st3[1:])

@@ -40,10 +40,13 @@ Two **cluster engines** implement the passes; the pipeline always runs
     with data-parallel union-find (`repro.dbscan.disjoint_set`) — the
     tree-based formulation of Prokopenko et al. (*Fast tree-based
     algorithms for DBSCAN on GPUs*).  Its pass 1 really does stop at
-    MinPts: a saturating dual traversal of an eps/6 tree credits whole
+    MinPts: a saturating dual traversal of an eps/8 tree credits whole
     box pairs inside Eps, retires cells whose credit reaches MinPts, and
     evaluates distances only around the rows still open — so a core
     point's count is a lower bound, never its exact neighbourhood size.
+    A leaf sorts its points twice: the eps/√2 dense-box tree also yields
+    the core components, and the Eps-cell tree is the eps/8 tree with
+    its three finest levels dropped.
 
 Both engines produce byte-identical labels, core masks, and modeled
 pass-1/pass-2 operation counts (the pass-1 model charges a core row from
@@ -54,7 +57,6 @@ and wall-clock speed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +66,7 @@ from ..dbscan.grid_index import GridIndex
 from ..dbscan.reference import assign_border_points, core_components
 from ..errors import ConfigError
 from ..points import NOISE, PointSet
+from ..sorting import stable_order
 from .densebox import DenseBoxResult, build_densebox_tree, find_dense_boxes
 from .device import SimulatedDevice
 from .kernels import (
@@ -115,8 +118,9 @@ class GPUClusterResult:
 
     ``labels`` are local cluster ids (``NOISE`` = -1) over the leaf's
     partition-plus-shadow points, in input order.  ``tree`` is the
-    Eps-cell tree the csr engine built over them (``None`` under
-    ``block``), for :func:`repro.merge.summarize_leaf` to reuse.
+    Eps-cell tree the csr engine walked over them (a view of its counting
+    tree; ``None`` under ``block``), for :func:`repro.merge.summarize_leaf`
+    to reuse.
     """
 
     labels: np.ndarray
@@ -171,25 +175,34 @@ def _canonical_remap(labels: np.ndarray) -> None:
     labels[mask] = first_appearance_labels(labels[mask])
 
 
-#: The counting grid uses cells this many times finer than Eps: finer
-#: cells tighten the candidate annulus around each point's Eps-disk and
-#: let fully-contained cells be counted in bulk without any distance
-#: evaluations.  6 balances both savings against tree/pair-list size.
-_COUNT_CELL_DIVISOR = 6
+#: The counting grid's cells are ``eps / 2**_COUNT_LEVELS``: finer cells
+#: tighten the candidate annulus around each point's Eps-disk and let
+#: fully-contained cells be counted in bulk without any distance
+#: evaluations.  A power of two makes the Eps-cell tree a coarsened view
+#: of the counting tree instead of a second sort.
+_COUNT_LEVELS = 3
 
 
-def _count_tree(coords: np.ndarray, eps: float) -> FlatTree:
-    """Counting tree at the finest cell width the Morton budget allows."""
-    divisor = _COUNT_CELL_DIVISOR
-    while divisor > 1:
+def _leaf_trees(coords: np.ndarray, eps: float) -> tuple[FlatTree, FlatTree]:
+    """The counting tree and the Eps-cell tree, from one sort.
+
+    The counting cell is eps/8, or eps/4, eps/2, eps when the Morton budget
+    cannot span the leaf that finely; its origin sits on a multiple of the
+    divisor, so the Eps-cell tree is the counting tree with its finest
+    levels dropped (:meth:`FlatTree.coarsened`).
+    """
+    for levels in range(_COUNT_LEVELS, 0, -1):
         try:
-            return FlatTree(coords, eps / divisor, radius=eps)
+            tree = FlatTree(coords, eps / 2**levels, radius=eps, align_levels=levels)
         except ConfigError:
-            divisor //= 2
-    return FlatTree(coords, eps)
+            continue
+        return tree, tree.coarsened(levels)
+    tree = FlatTree(coords, eps)
+    return tree, tree
 
 
 def _csr_counts(
+    tree: FlatTree,
     coords: np.ndarray,
     eps: float,
     minpts: int,
@@ -205,8 +218,8 @@ def _csr_counts(
     are never counted at all — the csr engine's realisation of the
     dense-box elimination.
 
-    Counting runs on a grid finer than Eps, walked by
-    :meth:`FlatTree.saturating_pairs`: box pairs wholly within Eps of each
+    Counting runs on ``tree``, a grid finer than Eps (:func:`_leaf_trees`),
+    walked by :meth:`FlatTree.saturating_pairs`: box pairs wholly within Eps of each
     other credit their full population without a single distance
     evaluation, at the coarsest tree level that proves it; cells whose
     credit alone reaches MinPts are retired; and only the annulus of
@@ -219,7 +232,6 @@ def _csr_counts(
     n = len(coords)
     if n == 0:
         return np.zeros(0, dtype=np.int64), []
-    tree = _count_tree(coords, eps)
     order = tree.order
     start, count = tree.level_start[-1], tree.level_count[-1]
     n_cells = tree.n_leaf_boxes
@@ -227,9 +239,8 @@ def _csr_counts(
 
     # Group each cell's non-box members contiguously so the row side of
     # every quad is one slice (when densebox is off this is a no-op).
-    cls = in_box[order].astype(np.int64)  # per sorted position: 0 = non-box
-    key = tree.point_leaf[order] * 2 + cls
-    ord2 = order[np.argsort(key, kind="stable")]
+    key = tree.point_leaf[order] * 2 + in_box[order]  # 0 = non-box
+    ord2 = order[stable_order(key, (2 * n_cells - 1).bit_length())]
     cnt2 = np.bincount(key, minlength=2 * n_cells)
     st2 = np.zeros(2 * n_cells, dtype=np.int64)
     np.cumsum(cnt2[:-1], out=st2[1:])
@@ -252,8 +263,8 @@ def _csr_counts(
     # the rest with eps), so classification is bit-identical to the pure
     # float64 path.  Data spread too wide for a useful band (span/eps
     # beyond ~2^15) falls back to float64 throughout.
-    origin = coords.min(axis=0)
-    span = float((coords.max(axis=0) - origin).max())
+    origin = np.array([coords[:, 0].min(), coords[:, 1].min()])
+    span = float(max(coords[:, 0].max() - origin[0], coords[:, 1].max() - origin[1]))
     band = (eps * span + eps2) * 2.0**-18
     use32 = band * 8.0 < eps2
     if use32:
@@ -296,32 +307,33 @@ def _csr_counts(
 
 
 def _csr_core_components(
-    coords: np.ndarray, eps: float, batch_pairs: int
+    coords: np.ndarray,
+    box_tree: FlatTree,
+    core_mask: np.ndarray,
+    eps: float,
+    batch_pairs: int,
 ) -> tuple[np.ndarray, int, list[int]]:
     """Exact eps-connectivity components of core points, vectorised.
 
-    A flattened tree with cells of edge eps/√2 makes every cell a clique
-    (diameter ≤ eps): one chain of edges connects each cell, and only
-    interacting cell *pairs* need distance checks.  Cell pairs whose
-    cells already share a union-find root are dropped before expansion —
-    the vectorised form of the block engine's connected-short-circuit.
-    Returns dense first-appearance component labels, the number of
-    union-find hook rounds, and per-batch evaluated candidate counts.
+    ``box_tree`` is the leaf's eps/√2 dense-box tree at radius Eps
+    (:func:`build_densebox_tree`): every cell is a clique (diameter ≤ eps),
+    so the union-find runs over cells — Wang, Gu & Shun's cell graph — and
+    only interacting cell *pairs* that both hold cores need distance
+    checks.  Cell pairs whose cells already share a union-find root are
+    dropped before expansion — the vectorised form of the block engine's
+    connected-short-circuit.  Returns, per core in index order, the root
+    cell of its component, the number of union-find hook rounds, and
+    per-batch evaluated candidate counts.
     """
-    m = len(coords)
-    ftree = FlatTree(coords, eps / math.sqrt(2.0), radius=eps)
-    order = ftree.order
-    start, count = ftree.level_start[-1], ftree.level_count[-1]
-    xs, ys = coords[order, 0].copy(), coords[order, 1].copy()
+    # Core positions: the cores in tree order, so each cell's are one run.
+    order = box_tree.order
+    cores = order[core_mask[order]]
+    cell = box_tree.point_leaf[cores]
+    count = np.bincount(cell, minlength=box_tree.n_leaf_boxes)
+    start = np.cumsum(count) - count
+    xs, ys = coords[cores, 0], coords[cores, 1]
     eps2 = float(eps) * float(eps)
-
-    # Intra-cell cliques: chain consecutive positions of each cell.  The
-    # union-find runs over tree positions; roots are scattered back to
-    # input order at the end.
-    cell_runs = ftree.point_leaf[order]
-    same = cell_runs[1:] == cell_runs[:-1]
-    pos = np.arange(m, dtype=np.int64)
-    parent, rounds = union_edges(pos.copy(), pos[:-1][same], pos[1:][same])
+    parent, rounds = np.arange(box_tree.n_leaf_boxes), 0
 
     # Cross-cell merges.  Two live optimisations mirror the block
     # engine's short-circuits batch-wise: cell pairs whose cells already
@@ -330,13 +342,13 @@ def _csr_core_components(
     # with a capped sample of member pairs — one witness edge merges the
     # whole cell pair, so full expansion is reserved for pairs that stay
     # disconnected after sampling.
-    a, b = ftree.leaf_pairs()
-    keep = a != b
+    a, b = box_tree.leaf_pairs()
+    keep = (a != b) & (count[a] > 0) & (count[b] > 0)
     a, b = a[keep], b[keep]
     batches: list[int] = []
     cap = 8
     while len(a):
-        live = parent[start[a]] != parent[start[b]]  # position start = cell rep
+        live = parent[a] != parent[b]
         a, b = a[live], b[live]
         if not len(a):
             break
@@ -349,14 +361,12 @@ def _csr_core_components(
             dx = xs[u] - xs[v]
             dy = ys[u] - ys[v]
             within = dx * dx + dy * dy <= eps2
-            parent, extra = union_edges(parent, u[within], v[within])
+            parent, extra = union_edges(parent, cell[u[within]], cell[v[within]])
             rounds += extra
         fully = (na >= count[a]) & (nb >= count[b])
         a, b = a[~fully], b[~fully]
         cap *= 4
-    roots = np.empty(m, dtype=np.int64)
-    roots[order] = parent
-    return first_appearance_labels(roots), rounds, batches
+    return parent[box_tree.point_leaf[core_mask]], rounds, batches
 
 
 def _csr_assign_borders(
@@ -390,19 +400,14 @@ def _csr_assign_borders(
         d2 = dx * dx + dy * dy
         within = d2 <= eps2
         r, c, d2 = r[within], c[within], d2[within]
-        if not len(r):
-            continue
-        # Per-row batch winner by (d², index), then fold into the running
-        # best with the same lexicographic rule.
-        o = np.lexsort((c, d2, r))
-        r, c, d2 = r[o], c[o], d2[o]
-        first = np.empty(len(r), dtype=bool)
-        first[0] = True
-        np.not_equal(r[1:], r[:-1], out=first[1:])
-        r, c, d2 = r[first], c[first], d2[first]
-        upd = (d2 < best_d2[r]) | ((d2 == best_d2[r]) & (c < best_c[r]))
-        best_d2[r[upd]] = d2[upd]
-        best_c[r[upd]] = c[upd]
+        # Fold into the running best by (d², index): the row's least d²
+        # first — a row whose best moves closer forgets its old core —
+        # then the lowest core among those at that d².
+        before = best_d2[r]
+        np.minimum.at(best_d2, r, d2)
+        best_c[r[d2 < before]] = n
+        tie = d2 == best_d2[r]
+        np.minimum.at(best_c, r[tie], c[tie])
     has = np.flatnonzero(best_c < n)
     labels[has] = labels[best_c[has]]
     return batches
@@ -414,20 +419,21 @@ def _cluster_csr(
     minpts: int,
     *,
     device: SimulatedDevice,
+    box_tree: FlatTree,
     densebox: DenseBoxResult,
     in_box: np.ndarray,
     batch_pairs: int,
     stats: MrScanGPUStats,
 ) -> tuple[np.ndarray, np.ndarray, FlatTree]:
     """Whole-leaf vectorised cluster phase: labels pre-remap, core mask and
-    the Eps-cell tree both passes walked."""
+    the Eps-cell tree the border pass walked."""
     coords = points.coords
     n = len(coords)
-    ftree = FlatTree(coords, eps)
+    count_tree, ftree = _leaf_trees(coords, eps)
     nonbox = ~in_box
 
     # --- pass 1: counts up to MinPts for candidate-core rows ------------
-    counts, count_batches = _csr_counts(coords, eps, minpts, in_box, batch_pairs)
+    counts, count_batches = _csr_counts(count_tree, coords, eps, minpts, in_box, batch_pairs)
     core_mask = in_box | (counts >= minpts)
     cand = ftree.interaction_counts()
     ops1 = int(expected_scan_ops(cand[nonbox], core_mask[nonbox], minpts).sum())
@@ -440,7 +446,7 @@ def _cluster_csr(
     core_idx = np.flatnonzero(core_mask)
     if len(core_idx):
         comp, uf_rounds, uf_batches = _csr_core_components(
-            coords[core_idx], eps, batch_pairs
+            coords, box_tree, core_mask, eps, batch_pairs
         )
         labels[core_idx] = comp
         expand_mask = core_mask & nonbox
@@ -562,6 +568,7 @@ def mrscan_gpu(
             eps,
             minpts,
             device=device,
+            box_tree=tree,
             densebox=densebox,
             in_box=in_box,
             batch_pairs=batch_pairs,

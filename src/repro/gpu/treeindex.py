@@ -18,6 +18,12 @@ traversal from the root expands only box pairs whose regions can hold a
 point pair within Eps (``mindist < eps``); at leaf level that reproduces
 the classic 3×3 cell stencil exactly, which is what keeps the csr engine
 byte-identical to the block engine.
+
+A tree over cells ``2**k`` times finer than Eps, with its cell origin on a
+multiple of ``2**k``, *contains* the Eps-cell tree: ``x / (eps / 2**k)`` is
+``2**k · (x / eps)`` exactly in binary floating point, so its level ``-k-1``
+boxes are the Eps-cells bit for bit, and :meth:`FlatTree.coarsened` reads
+them off without sorting again.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from ..sorting import stable_order
 
 __all__ = ["FlatTree"]
 
@@ -80,8 +87,10 @@ class FlatTree:
     Arrays (all levels are sorted by Morton key; level 0 is the root)
     -----------------------------------------------------------------
     ``order``
-        Permutation of ``0..n-1`` sorting points by leaf Morton key
-        (stable, so within-cell order is input order).
+        Permutation of ``0..n-1`` sorting points by leaf Morton key, then
+        by input order.  A :meth:`coarsened` view shares it, so within one
+        of *its* cells the order is the Morton order of the finer cells,
+        then input order.
     ``level_keys[l]``
         Sorted unique Morton keys of the non-empty boxes at level ``l``.
     ``level_start[l]`` / ``level_count[l]``
@@ -92,9 +101,20 @@ class FlatTree:
         contiguous).
     ``point_leaf``
         Leaf-box index of every point, in original point order.
+
+    ``align_levels`` floors the cell origin to a multiple of
+    ``2**align_levels`` and keeps at least ``align_levels + 1`` levels below
+    the root, so that :meth:`coarsened` can drop that many levels.
     """
 
-    def __init__(self, coords: np.ndarray, cell: float, *, radius: float | None = None) -> None:
+    def __init__(
+        self,
+        coords: np.ndarray,
+        cell: float,
+        *,
+        radius: float | None = None,
+        align_levels: int = 0,
+    ) -> None:
         if cell <= 0:
             raise ConfigError(f"cell width must be positive, got {cell}")
         if radius is not None and radius <= 0:
@@ -125,10 +145,13 @@ class FlatTree:
         # Morton domain is offset to the dataset minimum (keys are local to
         # this tree; geometry stays global through ``cell_origin``).
         cells = np.floor(coords / self.cell_width).astype(np.int64)
-        self.cell_origin = cells.min(axis=0)
+        # One reduction per column: numpy's axis-0 reduction of an (n, 2)
+        # array is ~20x slower.
+        origin = np.array([cells[:, 0].min(), cells[:, 1].min()])
+        self.cell_origin = origin >> align_levels << align_levels
         u = cells - self.cell_origin  # non-negative per-axis cell offsets
         span = int(u.max()) if n else 0
-        bits = max(1, int(span).bit_length())
+        bits = max(1 + align_levels, int(span).bit_length())
         if bits > _MAX_AXIS_BITS:
             raise ConfigError(
                 f"cell width {cell} is too small for the coordinate span: "
@@ -137,9 +160,8 @@ class FlatTree:
         self.leaf_bits = bits  # tree depth: leaf boxes are one cell wide
         leaf_keys = morton_encode(u[:, 0].astype(np.uint64), u[:, 1].astype(np.uint64))
 
-        # Stable sort: each leaf box is a contiguous run of ``order`` and
-        # within-box point order is original input order.
-        self.order = np.argsort(leaf_keys, kind="stable").astype(np.int64)
+        # Each leaf box is a contiguous run of ``order``, in input order.
+        self.order = stable_order(leaf_keys, 2 * bits)
         sorted_keys = leaf_keys[self.order]
 
         # Leaf level from the sorted keys, coarser levels by shifting out
@@ -221,6 +243,39 @@ class FlatTree:
         """Original point indices of one leaf box (input order)."""
         s = int(self.level_start[-1][box])
         return self.order[s : s + int(self.level_count[-1][box])]
+
+    def coarsened(self, levels: int) -> FlatTree:
+        """The same points over cells ``2**levels`` times wider, as a view.
+
+        The view is this tree's top ``n_levels - levels`` levels and its
+        ``order``; only ``point_leaf`` is derived anew.  It equals a tree
+        built at the wider cell from scratch (same cells in the global
+        frame, same per-cell members) when this one was built with
+        ``align_levels >= levels`` and a cell width whose ``2**levels``
+        multiple is the wider width exactly.
+        """
+        keep = self.n_levels - levels
+        if keep < 2 or (self.cell_origin % 2**levels).any():
+            raise ConfigError(f"tree was not built to drop {levels} levels")
+        view = object.__new__(FlatTree)
+        view.cell_width = self.cell_width * 2**levels
+        view.radius = self.radius
+        view.n_points = self.n_points
+        view.order = self.order
+        view.cell_origin = self.cell_origin >> levels
+        view.leaf_bits = self.leaf_bits - levels
+        view.n_levels = keep
+        view.level_keys = self.level_keys[:keep]
+        view.level_start = self.level_start[:keep]
+        view.level_count = self.level_count[:keep]
+        view.child_start = self.child_start[: keep - 1]
+        view.child_end = self.child_end[: keep - 1]
+        view._level_cells = self._level_cells[:keep]
+        view._leaf_pairs = None
+        # Fine leaf -> the coarse leaf whose slice of ``order`` holds it.
+        fine_to_coarse = np.searchsorted(view.level_start[-1], self.level_start[-1], side="right")
+        view.point_leaf = (fine_to_coarse - 1)[self.point_leaf]
+        return view
 
     # ------------------------------------------------------------------ #
     # Dual traversal

@@ -22,7 +22,6 @@ hold it to.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -33,6 +32,7 @@ from ..errors import MergeError
 from ..gpu.kernels import iter_class_pairs
 from ..gpu.treeindex import FlatTree
 from ..points import NOISE, PointSet
+from ..sorting import lex_order, packed_key
 from .representatives import select_representatives_batch
 
 __all__ = ["LeafSummary", "summarize_leaf", "cell_bounds"]
@@ -184,13 +184,9 @@ def row_ranks(rows: np.ndarray) -> np.ndarray:
     ``lexsort``."""
     if not len(rows):
         return np.empty(0, dtype=np.int64)
-    lo = rows.min(axis=0).tolist()
-    size = [hi - low + 1 for hi, low in zip(rows.max(axis=0).tolist(), lo)]
-    if math.prod(size) < 2**62:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for column, low, n in zip(rows.T, lo, size):
-            key = key * n + (column - low)
-        return np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
+    packed = packed_key(rows.T)
+    if packed is not None:
+        return np.unique(packed[0], return_inverse=True)[1].astype(np.int64, copy=False)
     order = np.lexsort(rows.T[::-1])
     ranks = np.empty(len(rows), dtype=np.int64)
     ranks[order] = np.cumsum(run_flags(*rows[order].T)) - 1
@@ -287,7 +283,7 @@ def _owner_table(
     is_owned[owned_rank] = True
     keep = is_owned[noncore_rank]
     rows, row_rank = noncore[keep], noncore_rank[keep]
-    order = np.lexsort((ids[rows], row_rank))
+    order = lex_order(row_rank, ids[rows])
     lens = np.bincount(row_rank, minlength=len(rank))[owned_rank]
     return owned[first], lens, ids[rows[order]]
 
@@ -308,8 +304,9 @@ def summarize_leaf(
     ``labels``/``core_mask`` are the GPU DBSCAN output over that view;
     ``owned_cells`` (any iterable of cells) are the cells of the leaf's
     partition (not shadow).
-    Pass ``tree`` to reuse the ``FlatTree(points.coords, eps)`` the cluster
-    engine already built (``GPUClusterResult.tree``).
+    Pass ``tree`` to reuse the Eps-cell tree the cluster engine already
+    built (``GPUClusterResult.tree``); any tree with the Eps-cells of
+    ``FlatTree(points.coords, eps)`` as leaves, in any order, will do.
     A cluster is its core points: a label no core point carries gets no
     row, and core points labelled ``NOISE`` belong to none.
     """
@@ -338,7 +335,7 @@ def summarize_leaf(
     # Sort by (cluster, cell), cores before claims, then point index: runs
     # of equal (cluster, cell) are the cell rows, runs of equal cluster the
     # clusters.  Repeated claims land next to each other.
-    order = np.lexsort((point, is_claim, cy, cx, label))
+    order = lex_order(label, cx, cy, is_claim, point)
     order = order[run_starts(label[order], point[order])]
     point, label, is_claim, cx, cy = (
         rows[order] for rows in (point, label, is_claim, cx, cy)

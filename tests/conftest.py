@@ -15,9 +15,10 @@ from repro.points import PointSet
 
 # Tier-1 draws the same hypothesis examples on every checkout, so a red run
 # reproduces from the commit alone; the nightly fuzz job (MRSCAN_FUZZ=1)
-# keeps the random draws.
-settings.register_profile("tier1", derandomize=True)
-settings.register_profile("fuzz", derandomize=False)
+# keeps the random draws.  Neither has a wall-clock deadline: an example
+# that spawns a worker pool is slow for reasons that are not the code's.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("fuzz", derandomize=False, deadline=None)
 settings.load_profile("fuzz" if os.environ.get("MRSCAN_FUZZ") == "1" else "tier1")
 
 # The merge oracle also writes the older summary blob layouts, which the

@@ -33,9 +33,11 @@ def test_sdss_end_to_end(small_sdss):
     assert_exact_dbscan(small_sdss, 0.00015, 5, res.labels, res.core_mask)
 
 
-def test_one_eps_cell_tree_per_leaf(small_twitter, monkeypatch):
-    """The leaf's Eps-cell ``FlatTree`` is built once — by the cluster
-    engine — and handed to the summariser."""
+def test_two_tree_sorts_per_leaf(small_twitter, monkeypatch):
+    """A leaf sorts its points into two ``FlatTree``s: the eps/√2 box tree
+    (dense boxes, core components) and the eps/8 counting tree, whose
+    coarsened view is the Eps-cell tree the borders and the summariser
+    walk."""
     from repro.gpu.treeindex import FlatTree
 
     eps, built = 0.1, []
@@ -47,7 +49,8 @@ def test_one_eps_cell_tree_per_leaf(small_twitter, monkeypatch):
 
     monkeypatch.setattr(FlatTree, "__init__", counting_init)
     res = mrscan(small_twitter, eps, 10, n_leaves=5, transport="local")
-    assert built.count(eps) == res.n_leaves == 5
+    assert res.n_leaves == 5 and len(built) <= 2 * res.n_leaves
+    assert eps not in built  # the Eps-cell tree is never sorted on its own
 
 
 def test_no_kdtree_on_the_leaf_path():

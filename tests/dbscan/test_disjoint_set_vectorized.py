@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dbscan.disjoint_set import (
     DisjointSet,
@@ -124,4 +125,26 @@ def test_first_appearance_numbering():
     roots, _ = vectorized_union(n, a, b)
     np.testing.assert_array_equal(
         first_appearance_labels(roots), _oracle_labels(n, a, b)
+    )
+
+
+def _unique_first_appearance(values: np.ndarray) -> np.ndarray:
+    """The ``np.unique`` body ``first_appearance_labels`` had before it
+    became one packed-key sort."""
+    _, first_idx, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(len(first_idx), dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(first_idx), dtype=np.int64)
+    return rank[inverse]
+
+
+@given(
+    values=st.lists(st.integers(0, 40), min_size=1, max_size=200),
+    scale=st.sampled_from([1, 7, 2**40, -3, 2**56]),
+)
+def test_first_appearance_labels_match_the_unique_oracle(values, scale):
+    """Roots below the length (the engine's case), sparse and negative
+    values, and ranges too wide to pack."""
+    values = np.array(values, dtype=np.int64) * scale
+    np.testing.assert_array_equal(
+        first_appearance_labels(values), _unique_first_appearance(values)
     )

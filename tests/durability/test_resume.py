@@ -102,10 +102,12 @@ def test_crash_mid_cluster_resumes_without_reclustering_done_leaves(
             raise RuntimeError("injected driver crash mid-cluster")
         return real_leaf(task)
 
+    # The patch lives in this process only: pool workers would run the
+    # real leaf, so the crashing run is pinned to the local transport.
     monkeypatch.setattr(pipeline_mod, "_cluster_leaf", dying_leaf)
     with pytest.raises(Exception):
         _run(points, run_dir=tmp_path, max_retries=0, failover=False,
-             backoff_base=0.0)
+             backoff_base=0.0, transport="local")
     monkeypatch.setattr(pipeline_mod, "_cluster_leaf", real_leaf)
 
     crashed_types = _journal_types(tmp_path)

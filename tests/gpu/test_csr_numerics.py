@@ -30,6 +30,12 @@ def _grid_counts(coords: np.ndarray, eps: float) -> np.ndarray:
     return GridIndex(PointSet.from_coords(coords), eps).count_neighbors()
 
 
+def _counts(coords, eps, minpts, in_box, batch_pairs):
+    """Pass-1 evidence on the counting tree the engine itself builds."""
+    tree, _ = _mod._leaf_trees(coords, eps)
+    return _mod._csr_counts(tree, coords, eps, minpts, in_box, batch_pairs)
+
+
 def _assert_core_mask_exact(coords: np.ndarray, eps: float, minpts: int) -> np.ndarray:
     """csr core mask (densebox on and off) and the pass-1 evidence itself
     against the float64 grid counts; returns those counts."""
@@ -41,7 +47,7 @@ def _assert_core_mask_exact(coords: np.ndarray, eps: float, minpts: int) -> np.n
         np.testing.assert_array_equal(res.core_mask, want >= minpts)
     no_box = np.zeros(len(coords), dtype=bool)
     for batch_pairs in (257, 4_194_304):
-        got, _ = _mod._csr_counts(coords, eps, minpts, no_box, batch_pairs)
+        got, _ = _counts(coords, eps, minpts, no_box, batch_pairs)
         low = want < minpts
         np.testing.assert_array_equal(got[low], want[low])  # exact below MinPts
         assert np.all(got[~low] >= minpts) and np.all(got <= want)  # a lower bound above
@@ -146,7 +152,7 @@ def test_lattice_of_accumulated_steps(eps, offset):
     d2 = (coords[:, None, :] - coords[None, :, :]) ** 2
     brute = np.count_nonzero(d2[..., 0] + d2[..., 1] <= eps * eps, axis=1)
     np.testing.assert_array_equal(counts, brute)
-    got, _ = _mod._csr_counts(coords, eps, len(coords) + 1, np.zeros(len(coords), bool), 4096)
+    got, _ = _counts(coords, eps, len(coords) + 1, np.zeros(len(coords), bool), 4096)
     np.testing.assert_array_equal(got, brute)  # never saturating: exact everywhere
 
 
@@ -177,16 +183,19 @@ def test_pairs_at_eps_and_one_ulp_either_side(eps):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("ratio, divisor", [(1e3, 6), (6e7, 3), (1.2e8, 1)])
+@pytest.mark.parametrize("ratio, divisor", [(1e3, 8), (5e7, 4), (1e8, 2), (1.6e8, 1)])
 def test_core_mask_exact_on_every_count_grid_divisor(ratio, divisor):
-    """A span too wide for eps/6 cells in the 28-bit Morton budget falls
-    back to eps/3, then eps; counting is exact on each."""
+    """A span too wide for eps/8 cells in the 28-bit Morton budget falls
+    back to eps/4, eps/2, then eps; counting is exact on each, and the
+    Eps-cell tree is the counting tree's view at every step."""
     rng = np.random.default_rng(divisor)
     eps = 0.05
     near = _blobs(rng, 300, 3, 0.5, 0.04)
     coords = np.vstack([near, near[:150] + np.array([ratio * eps, 0.0])])
-    tree = _mod._count_tree(coords, eps)
+    tree, eps_tree = _mod._leaf_trees(coords, eps)
     assert tree.cell_width == eps / divisor and tree.radius == eps
+    assert eps_tree.cell_width == eps_tree.radius == eps and eps_tree.order is tree.order
+    assert tree.n_levels - eps_tree.n_levels == divisor.bit_length() - 1
     counts = _assert_core_mask_exact(coords, eps, 5)
     assert (counts >= 5).any() and (counts < 5).any()
 
@@ -195,10 +204,11 @@ def test_no_full_test_can_tie_at_any_level():
     """A box pair ``(a - 1, b - 1)`` boxes apart at a level ``k`` above the
     leaves is *full* iff ``a^2 + b^2 <= D^2 / 4^k`` (``D`` the divisor, in
     units of the level's edge).  No integer pair sits on that boundary —
-    ``a^2 + b^2 = 36 / 4^k`` has no solution with ``a, b >= 1`` — and the
-    nearest miss is far outside float rounding, so the float comparison in
-    ``saturating_pairs`` always lands on the side exact arithmetic would."""
-    for divisor in (6, 3, 1):
+    64, 16, 4 and 1 are not sums of two positive squares, and neither is
+    any ``D^2 / 4^k`` below them — and the nearest miss is far outside
+    float rounding, so the float comparison in ``saturating_pairs`` always
+    lands on the side exact arithmetic would."""
+    for divisor in (8, 4, 2, 1):
         for k in range(0, 8):
             bound = Fraction(divisor * divisor, 4**k)
             table = [

@@ -4,6 +4,8 @@ The tree is the csr engine's spatial index; these properties are what the
 engine's byte-identical-labels guarantee rests on:
 
 * every point lives in exactly one leaf box at every level;
+* the Eps-cell view of the eps/8 counting tree is, cell for cell, the
+  tree built at Eps from scratch;
 * the dual traversal's leaf pairs equal the brute-force set of box pairs
   within the interaction radius (mindist prune is exact, never lossy);
 * the saturating traversal's credit plus the annulus it hands back is the
@@ -14,6 +16,8 @@ engine's byte-identical-labels guarantee rests on:
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -159,11 +163,113 @@ def test_point_leaf_is_consistent():
 
 
 def test_stable_order_within_cells():
-    """Within a leaf box, points keep input order (stable argsort)."""
+    """Within a leaf box, points keep input order (stable sort)."""
     coords = np.array([[0.05, 0.05], [0.02, 0.02], [0.08, 0.01], [5.0, 5.0]])
     tree = FlatTree(coords, 1.0)
     box = tree.point_leaf[0]
     np.testing.assert_array_equal(tree.leaf_members(int(box)), [0, 1, 2])
+
+
+def test_coarsened_view_orders_by_fine_morton_then_input():
+    """A coarsened view's cell lists its points by finer cell (Morton
+    order), then by input order."""
+    coords = np.array([[0.9, 0.9], [0.1, 0.1], [0.6, 0.1], [0.2, 0.2], [0.1, 0.6]])
+    view = FlatTree(coords, 0.5, align_levels=1).coarsened(1)
+    assert view.n_leaf_boxes == 1
+    np.testing.assert_array_equal(view.leaf_members(0), [1, 3, 2, 4, 0])
+
+
+# ---------------------------------------------------------------------- #
+# The Eps-cell tree as a view of the eps/8 counting tree
+# ---------------------------------------------------------------------- #
+
+_leaf_trees = importlib.import_module("repro.gpu.mrscan_gpu")._leaf_trees
+
+
+def _in_global_cells(tree: FlatTree):
+    """A tree's leaf level in the global cell frame: the cell of every
+    point, the population of every cell, and the interacting cell pairs."""
+    bx, by = tree.box_cells(tree.n_levels - 1)
+    cells = list(zip((bx + tree.cell_origin[0]).tolist(), (by + tree.cell_origin[1]).tolist()))
+    point_cell = np.array(cells, dtype=np.int64)[tree.point_leaf]
+    population = dict(zip(cells, tree.level_count[-1].tolist()))
+    members = {cells[box]: sorted(tree.leaf_members(box).tolist()) for box in range(len(cells))}
+    a, b = tree.leaf_pairs()
+    pairs = {tuple(sorted((cells[i], cells[j]))) for i, j in zip(a.tolist(), b.tolist())}
+    return point_cell, population, members, pairs
+
+
+def _assert_eps_view(coords: np.ndarray, eps: float, divisor: int = 8) -> None:
+    tree, view = _leaf_trees(coords, eps)
+    assert tree.cell_width == eps / divisor and view.order is tree.order
+    want = FlatTree(coords, eps)
+    assert view.cell_width == view.radius == eps
+    assert set(vars(view)) == set(vars(want))
+    got_cells, got_pop, got_members, got_pairs = _in_global_cells(view)
+    want_cells, want_pop, want_members, want_pairs = _in_global_cells(want)
+    np.testing.assert_array_equal(got_cells, want_cells)
+    np.testing.assert_array_equal(got_cells, np.floor(coords / eps).astype(np.int64))
+    assert got_pop == want_pop and got_members == want_members
+    assert got_pairs == want_pairs
+    np.testing.assert_array_equal(view.interaction_counts(), want.interaction_counts())
+
+
+@pytest.mark.parametrize("offset", [1e6, -3e7, 1e8, 1e9])
+def test_eps_view_under_large_offsets(offset):
+    rng = np.random.default_rng(int(abs(offset)) % 997)
+    coords = _coords(rng, 600, "clustered") + np.array([offset, -offset / 3.0])
+    _assert_eps_view(coords, 0.125)
+    _assert_eps_view(coords, 0.1)
+
+
+@pytest.mark.parametrize("ratio", [2**15 - 40, 2**15 + 40])
+def test_eps_view_either_side_of_the_float32_cutover(ratio):
+    rng = np.random.default_rng(ratio)
+    eps = 0.01
+    near = _coords(rng, 300, "clustered") * 0.1
+    coords = np.vstack([near, near[:100] + np.array([ratio * eps, 0.0])])
+    _assert_eps_view(coords, eps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.3, 0.25])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_eps_view_on_accumulated_step_lattices(eps, offset):
+    """Spacing eps by repeated addition: coordinates sit ulps either side
+    of the Eps-cell edges."""
+    axis = np.cumsum(np.full(12, eps)) + offset
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    _assert_eps_view(np.column_stack([gx.ravel(), gy.ravel()]), eps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.07])
+def test_eps_view_one_ulp_below_a_cell_edge(eps):
+    """``x / eps`` one ulp below an integer ``k``: the point is in cell
+    ``k - 1`` of both grids, never ``k`` of one and ``k - 1`` of the other."""
+    k = np.arange(1.0, 400.0)
+    q = np.nextafter(k, 0.0)
+    x = q * eps
+    below = x / eps == q  # keep the quotients that really are one ulp below
+    k, x = k[below], x[below]
+    assert len(x) > 50
+    np.testing.assert_array_equal(np.floor(x / eps), k - 1)
+    _assert_eps_view(np.column_stack([x, x[::-1]]), eps)
+
+
+@pytest.mark.parametrize("ratio, divisor", [(1e3, 8), (5e7, 4), (1e8, 2), (1.6e8, 1)])
+def test_eps_view_on_every_fallback_divisor(ratio, divisor):
+    rng = np.random.default_rng(divisor)
+    eps = 0.05
+    near = _coords(rng, 200, "clustered") * 0.1
+    coords = np.vstack([near, near[:50] + np.array([ratio * eps, 0.0])])
+    _assert_eps_view(coords, eps, divisor)
+
+
+def test_coarsened_needs_an_aligned_tree():
+    coords = np.array([[0.35, 0.35], [2.0, 2.0]])
+    with pytest.raises(ConfigError, match="drop 3 levels"):
+        FlatTree(coords, 0.1).coarsened(3)  # origin cell 3 is no multiple of 8
+    with pytest.raises(ConfigError, match="drop 3 levels"):
+        FlatTree(np.zeros((2, 2)), 0.1).coarsened(3)  # too shallow
 
 
 # ---------------------------------------------------------------------- #
