@@ -351,12 +351,6 @@ class Network:
             else max(len(nodes) - 1, self.topology.depth())
         )
         round_index = 0
-        # Only forward the token when one exists: test doubles (and older
-        # third-party transports) implement ``run_batch(fn, tasks, *,
-        # timeout=None)`` without the ``cancel`` kwarg.
-        run_kwargs: dict[str, Any] = {}
-        if self._cancel is not None:
-            run_kwargs["cancel"] = self._cancel
         while pending:
             if self._cancel is not None:
                 self._cancel.check()
@@ -369,7 +363,7 @@ class Network:
                     (fn, payloads[i], spec.as_dict() if spec else None, policy.leaf_timeout)
                 )
             markers = self.transport.run_batch(
-                _guarded_apply, batch, timeout=policy.leaf_timeout, **run_kwargs
+                _guarded_apply, batch, timeout=policy.leaf_timeout, cancel=self._cancel
             )
             still_pending: list[int] = []
             exhausted: list[tuple[int, str, str, str]] = []

@@ -21,27 +21,16 @@ sequence id followed by a pickle; ``HEARTBEAT`` is empty and flows
 agent→coordinator on a fixed interval; ``SHUTDOWN`` asks the agent to
 exit cleanly.
 
-Robustness model (mirrors :func:`~repro.mrnet.transport.run_batch_healing`)
----------------------------------------------------------------------------
-* **Liveness** — a connection whose last frame (result *or* heartbeat)
-  is older than ``heartbeat_interval × HEARTBEAT_MISS_LIMIT`` is declared
-  dead mid-round; its in-flight task is re-dispatched to another worker.
-* **Deadlines** — ``run_batch(timeout=...)`` fills still-pending slots
-  with :data:`~repro.mrnet.transport.TIMED_OUT` after the deadline (plus
-  the shared grace); the connection executing an abandoned task is closed
-  (and its self-spawned agent killed) so a hung task cannot poison later
-  batches — the agent reconnects or is respawned fresh.
-* **Reconnect** — agents reconnect with exponential backoff + jitter;
-  the coordinator treats a reconnecting worker as a new connection and
-  counts it in ``tcp.reconnects``.
-* **Quarantine** — a task that loses its connection
-  :data:`~repro.mrnet.transport.POISON_TASK_DEATHS` times is presumed to
-  be killing workers and runs in-process in the driver (with the same
-  :class:`~repro.errors.PoisonTaskWarning` the pool transports emit).
-* **Graceful degradation** — when no worker is connected and none can
-  come back (spawn budget exhausted, or external-agent mode with nothing
-  dialing in for ``connect_wait`` seconds), remaining tasks run
-  in-process so a run *always* completes.
+Healing
+-------
+Batches run through :func:`~repro.mrnet.transport.run_batch_healing`, the
+engine every worker-backed transport shares; this module is only its
+channel.  A worker is *lost* when its connection closes or goes silent
+for ``heartbeat_interval × HEARTBEAT_MISS_LIMIT`` (heartbeats flow even
+while a task runs); a self-spawned agent that exits is respawned;
+*abandoning* a task closes its connection and kills its self-spawned
+agent, so a hung task cannot poison later batches.  Agents reconnect
+with exponential backoff + jitter, counted in ``tcp.reconnects``.
 
 Deterministic network faults
 ----------------------------
@@ -62,10 +51,11 @@ runs need no second terminal.  Set ``MRSCAN_TCP_SPAWN=0`` and
 multi-host mode); ``MRSCAN_TCP_WAIT`` bounds how long a batch waits for
 the first one.
 
-Telemetry lands on ``tcp.*``: byte/frame counters both ways, round-trip
-percentiles (``tcp.rtt_seconds``, a :class:`~repro.telemetry.metrics.Quantile`),
-reconnects, missed heartbeats, re-dispatches, quarantines, respawns,
-injected fault counts, and in-process fallback tasks.
+Wire telemetry lands on ``tcp.*``: byte/frame counters both ways,
+round-trip percentiles (``tcp.rtt_seconds``, a
+:class:`~repro.telemetry.metrics.Quantile`), reconnects, missed
+heartbeats and injected fault counts; healing counters are the engine's
+``runtime.*``.
 """
 
 from __future__ import annotations
@@ -82,21 +72,14 @@ import sys
 import threading
 import time
 import uuid
-import warnings
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from ..errors import FrameError, PoisonTaskWarning, TransportError
+from ..errors import FrameError, TransportError
 from ..resilience.faults import NET_FAULT_KINDS
 from ..telemetry.metrics import NOOP_METRICS
 from ..telemetry.tracer import NOOP_TRACER
-from .transport import (
-    POISON_TASK_DEATHS,
-    TIMED_OUT,
-    TIMEOUT_GRACE,
-    track_open_pool,
-    untrack_pool,
-)
+from .transport import run_batch_healing, track_open_pool, untrack_pool
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -144,9 +127,6 @@ CONNECT_WAIT_SECONDS = 10.0
 #: An injected ``drop`` loses the send; the task is re-dispatched after
 #: this long (the stand-in for a sender-side retransmit timer).
 DROP_RESEND_SECONDS = 0.05
-
-#: Seconds between poll iterations in the dispatch loop.
-POLL_SECONDS = 0.01
 
 #: Agent reconnect backoff: ``base * 2^attempt`` capped, plus jitter.
 RECONNECT_BASE_SECONDS = 0.05
@@ -272,17 +252,13 @@ class _Conn:
             pass
 
 
-class _Pending:
-    """Batch slot placeholder: no result yet."""
-
-    __slots__ = ()
-
-
-_PENDING = _Pending()
-
-
 class TcpTransport:
     """Dispatch MRNet node work to worker agents over TCP sockets.
+
+    The transport is the healing engine's channel: ``send`` frames a task
+    to an idle live connection (applying any planned network fault),
+    ``poll`` harvests RESULT/ERROR frames, ``lost`` reaps dead or silent
+    connections, ``respawn`` restarts exited self-spawned agents.
 
     Parameters
     ----------
@@ -305,6 +281,8 @@ class TcpTransport:
         non-empty fingerprint is rejected at handshake (both sides
         empty/absent always match).
     """
+
+    backend = "tcp"
 
     def __init__(
         self,
@@ -348,9 +326,13 @@ class TcpTransport:
         self._results: dict[int, tuple[int, bytes]] = {}
         self._next_seq = 0
         self._agents: list[subprocess.Popen | None] = []
+        # Per-batch channel state: seq -> (task index, send time), the
+        # injected-drop resend times, and tasks whose fault was applied.
+        self._inflight: dict[int, tuple[int, float]] = {}
+        self._dropped_until: dict[int, float] = {}
+        self._faulted: set[int] = set()
         self.closed = False
-        #: Counter attributes shared with the pool transports so callers
-        #: (and tests) can probe healing activity uniformly.
+        #: Self-healing activity (see :func:`run_batch_healing`).
         self.pool_respawns = 0
         self.quarantined_tasks = 0
 
@@ -521,7 +503,7 @@ class TcpTransport:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
-    # Dispatch
+    # Dispatch: the healing engine's channel
     # ------------------------------------------------------------------ #
 
     def run_batch(
@@ -537,10 +519,11 @@ class TcpTransport:
         if self.closed:
             raise TransportError("tcp transport is closed")
         self._ensure_listening()
+        self._inflight, self._dropped_until, self._faulted = {}, {}, set()
         with self.tracer.span(
             "transport.batch", cat="transport", n_tasks=len(tasks), backend="tcp"
         ):
-            return self._run_batch(fn, tasks, timeout, cancel)
+            return run_batch_healing(self, fn, tasks, timeout=timeout, cancel=cancel)
 
     @staticmethod
     def _net_fault(task: Any) -> dict[str, Any] | None:
@@ -555,287 +538,147 @@ class TcpTransport:
             return task[2]
         return None
 
-    def _run_batch(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        timeout: float | None,
-        cancel: Any = None,
-    ) -> list[Any]:
-        n = len(tasks)
-        results: list[Any] = [_PENDING] * n
-        deaths = [0] * n
-        queue: list[int] = list(range(n))
-        task_of: dict[int, int] = {}  # seq -> task index
-        seq_of: dict[int, int] = {}  # task index -> seq
-        sent_at: dict[int, float] = {}
-        dropped_until: dict[int, float] = {}
-        consumed_faults: set[int] = set()
-        deadline = None if timeout is None else time.monotonic() + timeout + TIMEOUT_GRACE
-        respawn_budget = 2 * self.n_workers + 4
-        respawns = 0
-        done = 0
-        last_capacity = time.monotonic()
-
-        def _finish(i: int, value: Any) -> None:
-            nonlocal done
-            if results[i] is _PENDING:
-                results[i] = value
-                done += 1
-
-        def _quarantine(i: int) -> None:
-            self.quarantined_tasks += 1
-            self._count("tcp.quarantined_tasks")
-            if self.metrics.enabled:
-                self.metrics.counter("runtime.poison_tasks").inc()
+    def send(self, i: int, fn: Callable[[Any], Any], task: Any) -> bool:
+        now = time.monotonic()
+        if self._dropped_until.get(i, 0.0) > now:
+            return False
+        with self._lock:
+            conn = next(
+                (c for c in self._conns if c.alive and c.busy_seq is None), None
+            )
+        if conn is None:
+            return False
+        spec = self._net_fault(task)
+        if spec is not None and i not in self._faulted:
+            # A planned network fault applies once per task per batch.
+            self._faulted.add(i)
+            kind = spec["kind"]
+            self._count(f"tcp.injected.{kind}")
             self.tracer.instant(
-                "pool.quarantine", cat="transport", backend="tcp", task_index=i
+                "fault", cat="transport", backend="tcp", kind=kind, task_index=i
             )
-            warnings.warn(
-                f"task {i} lost its worker connection {deaths[i]} time(s); "
-                "quarantined to in-process execution in the driver",
-                PoisonTaskWarning,
-                stacklevel=4,
-            )
-            _finish(i, fn(tasks[i]))
-
-        while done < n:
-            if cancel is not None and cancel.cancelled:
-                # Abandon everything still outstanding: shed connections
-                # stuck on cancelled work (their agents respawn fresh) and
-                # unwind — the caller rolls back, nothing is delivered.
-                with self._lock:
-                    stuck = [
-                        c for c in self._conns
-                        if c.busy_seq is not None and c.busy_seq in task_of
-                    ]
-                for conn in stuck:
-                    self._abandon_conn(conn)
-                cancel.check()  # raises with the token's reason
-            now = time.monotonic()
-            progressed = False
-
-            # Harvest delivered results (and late results for abandoned
-            # sequences, which free their connection but are discarded).
-            raised: BaseException | None = None
+            if kind == "disconnect":
+                # Sever the link instead of sending; the agent reconnects
+                # with backoff and the task goes to the next idle worker.
+                conn.close()
+                return False
+            if kind == "drop":
+                # The send is lost in flight; resend after the
+                # retransmit window.
+                self._dropped_until[i] = now + DROP_RESEND_SECONDS
+                return False
+            # netdelay: a slow link — stall the send.
+            time.sleep(float(spec.get("delay_seconds", 0.0)))
+        try:
+            blob = pickle.dumps((fn, task), protocol=_PICKLE_PROTO)
+        except Exception as exc:
+            raise TransportError(f"tcp transport cannot pickle task {i}: {exc}") from exc
+        with self._lock:
+            self._next_seq += 1
+            seq = self._next_seq
+            # Register before sending: a fast worker can answer before
+            # this thread resumes, and the reader must find the connection
+            # already marked busy — otherwise the busy flag set after the
+            # fact would never be cleared and the connection would idle
+            # out of rotation.
+            conn.busy_seq = seq
+            self._inflight[seq] = (i, time.monotonic())
+        try:
+            nbytes = conn.send(TASK, _SEQ.pack(seq) + blob)
+        except (OSError, FrameError):
             with self._lock:
-                drained = list(self._results.items())
-                self._results.clear()
-            # Results for sequences no batch is waiting on (work abandoned
-            # by an earlier deadline) freed their connection in the reader
-            # and are discarded here.
-            arrived = [(seq, r) for seq, r in drained if seq in task_of]
-            for seq, (ftype, blob) in arrived:
-                i = task_of.pop(seq)
-                seq_of.pop(i, None)
-                t_sent = sent_at.pop(seq, None)
-                if t_sent is not None and self.metrics.enabled:
-                    self.metrics.quantile("tcp.rtt_seconds").observe(now - t_sent)
-                progressed = True
-                if ftype == RESULT:
-                    _finish(i, pickle.loads(blob))
-                    continue
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:
-                    exc = TransportError("worker reported an unpicklable error")
-                if not isinstance(exc, BaseException):
-                    exc = TransportError(f"worker reported error: {exc!r}")
-                raised = exc
-            if raised is not None:
-                raise raised
+                del self._inflight[seq]
+            conn.close()
+            return False
+        if self.metrics.enabled:
+            self.metrics.counter("tcp.bytes_sent").inc(nbytes)
+            self.metrics.counter("tcp.frames_sent").inc()
+        return True
 
-            # Declare silent connections dead (missed heartbeats).
-            with self._lock:
-                conns = list(self._conns)
-            for conn in conns:
-                if conn.alive and (
-                    now - conn.last_seen
-                    > self.heartbeat_interval * HEARTBEAT_MISS_LIMIT
-                ):
-                    self._count("tcp.heartbeats_missed")
-                    logger.warning(
-                        "worker %s silent for %.2fs; declaring it dead",
-                        conn.worker_id, now - conn.last_seen,
-                    )
-                    conn.close()
-
-            # Reap dead connections: re-dispatch (or quarantine) their
-            # in-flight tasks, prune them from the table.
-            to_quarantine: list[int] = []
-            with self._lock:
-                for conn in self._conns:
-                    if conn.alive:
-                        continue
-                    seq = conn.busy_seq
-                    conn.busy_seq = None
-                    if seq is None or seq not in task_of:
-                        continue
-                    i = task_of.pop(seq)
-                    seq_of.pop(i, None)
-                    sent_at.pop(seq, None)
-                    deaths[i] += 1
-                    self._count("tcp.redispatched_tasks")
-                    logger.warning(
-                        "lost connection to %s mid-task; re-dispatching task %d "
-                        "(death %d)",
-                        conn.worker_id, i, deaths[i],
-                    )
-                    if deaths[i] >= POISON_TASK_DEATHS:
-                        to_quarantine.append(i)
-                    else:
-                        queue.append(i)
-                self._conns = [c for c in self._conns if c.alive]
-            for i in to_quarantine:
-                _quarantine(i)
-                progressed = True
-
-            # Respawn self-spawned agents that died (budgeted per batch).
-            if self._spawn:
-                for idx, proc in enumerate(self._agents):
-                    if proc is None or proc.poll() is None:
-                        continue
-                    respawns += 1
-                    self.pool_respawns += 1
-                    if respawns > respawn_budget:
-                        raise TransportError(
-                            f"tcp worker agents died {respawns} times in one "
-                            f"batch ({n} tasks); giving up"
-                        )
-                    self._count("tcp.agent_respawns")
-                    self.tracer.instant(
-                        "pool.respawn", cat="transport", backend="tcp", agent=idx
-                    )
-                    self._agents[idx] = self._spawn_agent(idx)
-
-            # Re-queue tasks whose injected drop timer expired.
-            for i, t in list(dropped_until.items()):
-                if now >= t:
-                    del dropped_until[i]
-                    queue.append(i)
-
-            # Dispatch queued tasks to idle live connections, applying any
-            # planned network fault at the framing layer (once per task).
-            with self._lock:
-                idle = [c for c in self._conns if c.alive and c.busy_seq is None]
-            for conn in idle:
-                if not queue:
-                    break
-                i = queue.pop(0)
-                spec = self._net_fault(tasks[i])
-                if spec is not None and i not in consumed_faults:
-                    consumed_faults.add(i)
-                    kind = spec["kind"]
-                    self._count(f"tcp.injected.{kind}")
-                    self.tracer.instant(
-                        "fault", cat="transport", backend="tcp", kind=kind,
-                        task_index=i,
-                    )
-                    if kind == "disconnect":
-                        # Sever the link instead of sending; the agent
-                        # reconnects with backoff, the task re-queues.
-                        conn.close()
-                        queue.append(i)
-                        continue
-                    if kind == "drop":
-                        # The send is lost in flight; re-dispatch after
-                        # the retransmit window.
-                        dropped_until[i] = now + DROP_RESEND_SECONDS
-                        continue
-                    # netdelay: a slow link — stall the send.
-                    time.sleep(float(spec.get("delay_seconds", 0.0)))
-                try:
-                    blob = pickle.dumps((fn, tasks[i]), protocol=_PICKLE_PROTO)
-                except Exception as exc:
-                    raise TransportError(
-                        f"tcp transport cannot pickle task {i}: {exc}"
-                    ) from exc
-                with self._lock:
-                    self._next_seq += 1
-                    seq = self._next_seq
-                    # Register before sending: a fast worker can answer
-                    # before this thread resumes, and the reader must find
-                    # the connection already marked busy — otherwise the
-                    # busy flag set after the fact would never be cleared
-                    # and the connection would idle out of rotation.
-                    conn.busy_seq = seq
-                    task_of[seq] = i
-                    seq_of[i] = seq
-                    sent_at[seq] = time.monotonic()
-                try:
-                    nbytes = conn.send(TASK, _SEQ.pack(seq) + blob)
-                except (OSError, FrameError):
-                    with self._lock:
-                        if conn.busy_seq == seq:
-                            conn.busy_seq = None
-                        task_of.pop(seq, None)
-                        seq_of.pop(i, None)
-                        sent_at.pop(seq, None)
-                    conn.close()
-                    queue.append(i)
-                    continue
-                if self.metrics.enabled:
-                    self.metrics.counter("tcp.bytes_sent").inc(nbytes)
-                    self.metrics.counter("tcp.frames_sent").inc()
-                progressed = True
-
-            if done >= n:
-                break
-
-            # Deadline: fill still-pending slots with TIMED_OUT and shed
-            # the connections executing abandoned work.
-            if deadline is not None and now >= deadline:
-                abandoned = set(queue) | set(dropped_until) | set(task_of.values())
-                for i in abandoned:
-                    _finish(i, TIMED_OUT)
-                with self._lock:
-                    stuck = [
-                        c for c in self._conns
-                        if c.busy_seq is not None and c.busy_seq in task_of
-                    ]
-                for conn in stuck:
-                    self._abandon_conn(conn)
-                break
-
-            # Graceful degradation: no worker connected and none on the
-            # way — run what's left in-process so the run completes.
-            with self._lock:
-                any_live = any(c.alive for c in self._conns)
-            spawn_pending = self._spawn and any(
-                p is not None and p.poll() is None for p in self._agents
-            )
-            if any_live or spawn_pending:
-                last_capacity = now
-            elif (queue or dropped_until) and now - last_capacity > self.connect_wait:
-                leftovers = sorted(set(queue) | set(dropped_until))
-                queue.clear()
-                dropped_until.clear()
-                warnings.warn(
-                    f"no tcp workers available for {self.connect_wait:.1f}s; "
-                    f"running {len(leftovers)} task(s) in-process in the driver",
-                    PoisonTaskWarning,
-                    stacklevel=3,
-                )
-                for i in leftovers:
-                    self._count("tcp.fallback_tasks")
-                    _finish(i, fn(tasks[i]))
+    def poll(self) -> Iterator[tuple[int, bool, Any]]:
+        with self._lock:
+            drained, self._results = self._results, {}
+        now = time.monotonic()
+        for seq, (ftype, blob) in drained.items():
+            # A sequence no longer in flight belongs to work abandoned
+            # earlier: its result freed the connection and is dropped.
+            if seq not in self._inflight:
                 continue
+            i, t_sent = self._inflight.pop(seq)
+            if self.metrics.enabled:
+                self.metrics.quantile("tcp.rtt_seconds").observe(now - t_sent)
+            if ftype == RESULT:
+                yield i, True, pickle.loads(blob)
+                continue
+            try:
+                exc = pickle.loads(blob)
+            except Exception:
+                exc = TransportError("worker reported an unpicklable error")
+            if not isinstance(exc, BaseException):
+                exc = TransportError(f"worker reported error: {exc!r}")
+            yield i, False, exc
 
-            if not progressed:
-                with self._cond:
-                    self._cond.wait(POLL_SECONDS)
-        return results
+    def lost(self) -> list[int]:
+        now = time.monotonic()
+        silence = self.heartbeat_interval * HEARTBEAT_MISS_LIMIT
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            if conn.alive and now - conn.last_seen > silence:
+                self._count("tcp.heartbeats_missed")
+                logger.warning(
+                    "worker %s silent for %.2fs; declaring it dead",
+                    conn.worker_id, now - conn.last_seen,
+                )
+                conn.close()
+        with self._lock:
+            dead = [c for c in self._conns if not c.alive]
+            self._conns = [c for c in self._conns if c.alive]
+        return [
+            self._inflight.pop(c.busy_seq)[0]
+            for c in dead
+            if c.busy_seq in self._inflight
+        ]
 
-    def _abandon_conn(self, conn: _Conn) -> None:
-        """Shed a connection stuck on abandoned (timed-out) work: close it
-        and, for a self-spawned agent, kill the process so the respawn
-        path brings up a fresh one — the closest analogue of terminating
-        a hung pool worker."""
-        conn.close()
-        if conn.agent_index is not None and conn.agent_index < len(self._agents):
-            proc = self._agents[conn.agent_index]
-            if proc is not None and proc.poll() is None:
-                proc.kill()
+    def respawn(self) -> int:
+        if not self._spawn:
+            return 0
+        exited = [
+            idx for idx, proc in enumerate(self._agents)
+            if proc is not None and proc.poll() is not None
+        ]
+        for idx in exited:
+            self._agents[idx] = self._spawn_agent(idx)
+        return len(exited)
+
+    def abandon(self, indices: Sequence[int]) -> None:
+        """Shed the connections running abandoned work: close each and,
+        for a self-spawned agent, kill the process so the respawn path
+        brings up a fresh one — the closest analogue of terminating a
+        hung pool worker."""
+        wanted = set(indices)
+        seqs = {seq for seq, (i, _) in self._inflight.items() if i in wanted}
+        with self._lock:
+            stuck = [c for c in self._conns if c.busy_seq in seqs]
+        for conn in stuck:
+            conn.close()
+            if conn.agent_index is not None and conn.agent_index < len(self._agents):
+                proc = self._agents[conn.agent_index]
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+
+    def has_capacity(self) -> bool:
+        with self._lock:
+            if any(c.alive for c in self._conns):
+                return True
+        return self._spawn and any(
+            p is not None and p.poll() is None for p in self._agents
+        )
+
+    def wait(self, timeout: float) -> None:
+        with self._cond:
+            if not self._results:  # a result that landed since poll() ends the wait
+                self._cond.wait(timeout)
 
     def _count(self, name: str) -> None:
         if self.metrics.enabled:

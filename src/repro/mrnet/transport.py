@@ -8,36 +8,24 @@ decides *how*: :class:`LocalTransport` runs tasks sequentially in-process
 process-per-node when real process isolation matters (failure injection,
 pickling discipline, genuinely parallel hosts).
 
-Timeouts
---------
-``run_batch`` accepts an optional per-task ``timeout`` (seconds).  The
-process transport enforces it *preemptively*: a worker that has not
-delivered its result within the deadline (plus a small grace period, so
-cooperative in-worker detection wins when the work does finish) has its
-slot filled with the :data:`TIMED_OUT` sentinel instead of blocking the
-batch forever.  The abandoned worker keeps running until it finishes —
-``multiprocessing.Pool`` cannot kill one member — so its eventual result
-is discarded; the Network turns the sentinel into a
-:class:`~repro.errors.LeafTimeoutError` and applies its retry policy.
-The local transport runs everything on the calling thread and cannot
-preempt; it relies on the Network's cooperative post-work deadline check.
+One healing engine
+------------------
+Every batch that leaves the driver — on the pool transports and on
+:class:`~repro.mrnet.tcp.TcpTransport` — runs through
+:func:`run_batch_healing`, the only owner of per-task policy: result
+slots, worker-death counts, poison-task quarantine, the respawn budget,
+preemptive deadlines, cancellation and the in-process fallback.  A
+backend only implements a small *channel*: ``send(i, fn, task) -> bool``
+(False: not sent yet, try again later), ``poll()`` yielding
+``(i, ok, value)``, ``lost()`` (in-flight indices whose worker died),
+``respawn()`` (workers brought back), ``abandon(indices)``,
+``has_capacity()`` and ``wait(timeout)``.  A task's own exception
+(``ok`` False) is re-raised unchanged on every transport; a task that
+cannot be shipped, or a pool that breaks, is a ``TransportError``.
 
-Self-healing
-------------
-A SIGKILLed or OOM-killed pool worker is a different failure from a task
-that *raises*: the result for whatever it was running never arrives, and
-a naive ``pool.map`` blocks forever.  Both pool transports therefore run
-every batch through :func:`run_batch_healing`, which polls result
-handles instead of blocking on them and watches the pool's worker
-processes.  When a worker dies mid-round the engine terminates and
-respawns the whole pool (:meth:`ShmTransport._ensure_pool` re-attaches
-the current arena segments on the way up), then re-dispatches every task
-whose result was lost.  A task that witnesses
-:data:`POISON_TASK_DEATHS` pool deaths while outstanding is presumed to
-be *killing* the workers and is quarantined: it runs in-process in the
-driver, with a :class:`~repro.errors.PoisonTaskWarning` so the
-degradation is visible.  Respawns are budgeted per batch; a pool that
-keeps dying faster than the budget raises ``TransportError``.
+The local transport runs everything on the calling thread: it cannot
+preempt a task or lose a worker, so it needs none of this and relies on
+the Network's cooperative post-work deadline check.
 """
 
 from __future__ import annotations
@@ -48,9 +36,9 @@ import multiprocessing as mp
 import time
 import warnings
 import weakref
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
-from ..errors import OperationCancelledError, PoisonTaskWarning, TransportError
+from ..errors import PoisonTaskWarning, TransportError
 from ..telemetry.metrics import NOOP_METRICS
 from ..telemetry.tracer import NOOP_TRACER
 
@@ -67,17 +55,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Extra seconds past ``timeout`` before the process transport gives up on
-#: a worker — lets a worker that finishes just past the deadline report a
+#: Extra seconds past ``timeout`` before the engine gives up on a worker —
+#: lets a worker that finishes just past the deadline report a
 #: cooperative (and more informative) timeout itself.
 TIMEOUT_GRACE = 0.25
 
-#: Longest the healing batch loop waits on a result handle between its
+#: Longest the healing engine waits on its channel between its
 #: worker-death, deadline and cancel checks.
-POOL_POLL_SECONDS = 0.02
+POLL_SECONDS = 0.02
 
-#: Pool deaths a task may witness while outstanding before it is presumed
-#: poisonous and quarantined to in-process execution.
+#: Worker deaths a task may witness while outstanding before it is
+#: presumed poisonous and quarantined to in-process execution.
 POISON_TASK_DEATHS = 2
 
 
@@ -194,134 +182,153 @@ class LocalTransport:
         pass
 
 
-def _invoke(args: tuple[Callable[[Any], Any], Any]) -> Any:
-    fn, task = args
-    return fn(task)
-
-
-class _Unset:
-    """Batch slot placeholder: no result yet."""
-
-    __slots__ = ()
-
-
-_UNSET = _Unset()
+def _count(channel: Any, name: str, n: int = 1) -> None:
+    if channel.metrics.enabled:
+        channel.metrics.counter(name).inc(n)
 
 
 def run_batch_healing(
-    transport: Any,
+    channel: Any,
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     *,
-    timeout: float | None,
-    backend: str,
+    timeout: float | None = None,
     cancel: Any = None,
 ) -> list[Any]:
-    """Dispatch a batch on ``transport``'s pool, surviving worker death.
+    """Run ``fn`` over ``tasks`` on ``channel``'s workers, surviving
+    worker death; results come back in task order.
 
-    The shared engine behind :meth:`ProcessTransport.run_batch` and
-    :meth:`ShmTransport.run_batch`.  ``transport`` must expose
-    ``_ensure_pool()`` (lazy pool, records ``_known_pids``),
-    ``_respawn_pool()``, ``n_workers``, ``_abandoned``,
-    ``pool_respawns``/``quarantined_tasks`` counters, and
-    ``tracer``/``metrics``.
+    ``channel`` implements the methods listed in the module docstring and
+    carries ``backend``, ``n_workers``, ``connect_wait``, ``tracer``,
+    ``metrics`` and the ``pool_respawns`` / ``quarantined_tasks`` counters
+    this function advances.  The policy:
 
-    Tasks are dispatched individually (``apply_async``) and their handles
-    polled, never blocked on: a handle whose worker was SIGKILLed simply
-    never becomes ready, and blocking would hang the batch forever.  See
-    the module docstring for the full healing policy.
-
-    ``cancel`` (a :class:`~repro.resilience.CancelToken`) is polled each
-    loop iteration: a cancelled batch abandons its in-flight handles (the
-    workers finish into the void, exactly like a preempted timeout — the
-    transport is flagged ``_abandoned`` so a later ``close()`` terminates
-    rather than joins) and raises
-    :class:`~repro.errors.OperationCancelledError`.
+    * a task whose worker died is re-queued; once it has witnessed
+      :data:`POISON_TASK_DEATHS` deaths it is presumed to be *killing* its
+      workers and runs in-process in the driver instead, with a
+      :class:`~repro.errors.PoisonTaskWarning`;
+    * respawns are budgeted at ``2 * n_workers + 4`` per batch — a
+      backend that keeps dying faster than that is not going to heal, and
+      the batch raises ``TransportError``;
+    * past ``timeout`` (plus :data:`TIMEOUT_GRACE`) every outstanding slot
+      holds :data:`TIMED_OUT` and the in-flight work is abandoned;
+    * ``cancel`` is polled every iteration: in-flight work is abandoned
+      and :class:`~repro.errors.OperationCancelledError` raised;
+    * when no worker is up, nor coming, for ``connect_wait`` seconds, the
+      queued tasks run in-process so the batch always completes.
     """
-    pool = transport._ensure_pool()
+    backend = channel.backend
     n = len(tasks)
-    results: list[Any] = [_UNSET] * n
+    results: list[Any] = [None] * n
     deaths = [0] * n
-    pending: dict[int, Any] = {}
+    queue = list(range(n))
+    in_flight: set[int] = set()
     deadline = None if timeout is None else time.monotonic() + timeout + TIMEOUT_GRACE
-    # A pool that dies more often than every worker twice (plus slack) in
-    # one batch is not going to heal — something environmental is wrong.
-    respawn_budget = 2 * transport.n_workers + 4
+    respawn_budget = 2 * channel.n_workers + 4
     respawns = 0
-
-    def _dispatch(i: int) -> None:
-        pending[i] = pool.apply_async(_invoke, ((fn, tasks[i]),))
-
-    def _quarantine(i: int) -> None:
-        transport.quarantined_tasks += 1
-        if transport.metrics.enabled:
-            transport.metrics.counter("runtime.poison_tasks").inc()
-        transport.tracer.instant(
-            "pool.quarantine", cat="transport", backend=backend, task_index=i
-        )
-        warnings.warn(
-            f"task {i} killed {deaths[i]} pool worker(s); quarantined to "
-            f"in-process execution in the driver",
-            PoisonTaskWarning,
-            stacklevel=3,
-        )
-        results[i] = _invoke((fn, tasks[i]))
+    last_capacity = time.monotonic()
 
     if cancel is not None:
         cancel.check()
-    for i in range(n):
-        _dispatch(i)
-    while pending:
+    while queue or in_flight:
         if cancel is not None and cancel.cancelled:
-            # Abandon everything still in flight: the workers will finish
-            # into the void and their results be discarded.  The pool may
-            # hold a hung task, so mark it terminate-on-close.
-            pending.clear()
-            transport._abandoned = True
+            channel.abandon(sorted(in_flight))
             cancel.check()  # raises with the token's reason
+        waiting = []
+        for i in queue:
+            if channel.send(i, fn, tasks[i]):
+                in_flight.add(i)
+            else:
+                waiting.append(i)
+        queue = waiting
+        # Only a result or a loss can let more work go out at once; after
+        # a send there is nothing to do but wait for its answer.
         progressed = False
-        for i in sorted(pending):
-            handle = pending[i]
-            if handle.ready():
-                del pending[i]
-                results[i] = handle.get()
-                progressed = True
-        if not pending:
+        for i, ok, value in channel.poll():
+            if not ok:
+                raise value
+            in_flight.discard(i)
+            results[i] = value
+            progressed = True
+        if not (queue or in_flight):
             break
-        if _pool_damaged(pool, transport._known_pids):
-            victims = sorted(pending)
-            pending.clear()
-            respawns += 1
+
+        lost = channel.lost()
+        revived = channel.respawn()
+        if revived:
+            respawns += revived
+            channel.pool_respawns += revived
+            _count(channel, "runtime.pool_respawns", revived)
+            channel.tracer.instant(
+                "pool.respawn", cat="transport", backend=backend, workers=revived
+            )
             if respawns > respawn_budget:
                 raise TransportError(
-                    f"{backend} pool died {respawns} times in one batch "
+                    f"{backend} workers died {respawns} times in one batch "
                     f"({n} tasks); giving up"
                 )
+        if lost:
             logger.warning(
-                "%s pool lost worker(s) mid-batch (%d task(s) in flight); "
-                "respawning (%d/%d)",
-                backend, len(victims), respawns, respawn_budget,
+                "%s lost %d task(s) with their worker(s); re-dispatching "
+                "(respawns %d/%d)",
+                backend, len(lost), respawns, respawn_budget,
             )
-            pool = transport._respawn_pool(backend)
-            for i in victims:
-                deaths[i] += 1
-                if deaths[i] >= POISON_TASK_DEATHS:
-                    _quarantine(i)
-                else:
-                    _dispatch(i)
-            continue
-        if deadline is not None and time.monotonic() >= deadline:
-            for i in sorted(pending):
-                results[i] = TIMED_OUT
-            pending.clear()
-            transport._abandoned = True
+            progressed = True
+        for i in lost:
+            in_flight.discard(i)
+            deaths[i] += 1
+            if deaths[i] < POISON_TASK_DEATHS:
+                queue.append(i)
+                _count(channel, "runtime.redispatched_tasks")
+                continue
+            channel.quarantined_tasks += 1
+            _count(channel, "runtime.poison_tasks")
+            channel.tracer.instant(
+                "pool.quarantine", cat="transport", backend=backend, task_index=i
+            )
+            warnings.warn(
+                f"task {i} lost its {backend} worker {deaths[i]} time(s); "
+                "quarantined to in-process execution in the driver",
+                PoisonTaskWarning,
+                stacklevel=3,
+            )
+            results[i] = fn(tasks[i])
+        if not (queue or in_flight):
             break
+
+        now = time.monotonic()
+        if deadline is not None and now >= deadline:
+            for i in queue + sorted(in_flight):
+                results[i] = TIMED_OUT
+            channel.abandon(sorted(in_flight))
+            break
+        if channel.has_capacity():
+            last_capacity = now
+        elif queue and now - last_capacity > channel.connect_wait:
+            warnings.warn(
+                f"no {backend} workers available for {channel.connect_wait:.1f}s; "
+                f"running {len(queue)} task(s) in-process in the driver",
+                PoisonTaskWarning,
+                stacklevel=3,
+            )
+            _count(channel, "runtime.fallback_tasks", len(queue))
+            for i in queue:
+                results[i] = fn(tasks[i])
+            queue = []
+            continue
         if not progressed:
-            # Sleep on the oldest handle, not on the clock: the batch
-            # returns when its last result lands, and the timeout keeps
-            # the checks above on their cadence when nothing does.
-            pending[min(pending)].wait(POOL_POLL_SECONDS)
+            channel.wait(POLL_SECONDS)
     return results
+
+
+def _invoke(args: tuple[Callable[[Any], Any], Any]) -> tuple[str, Any]:
+    """Pool-worker body: tell the task's own exception apart from a
+    failure to ship the task or its result (which the pool raises)."""
+    fn, task = args
+    try:
+        return "ok", fn(task)
+    except Exception as exc:
+        return "err", exc
 
 
 def _pool_damaged(pool: Any, known_pids: set[int]) -> bool:
@@ -340,12 +347,22 @@ def _pool_damaged(pool: Any, known_pids: set[int]) -> bool:
 
 
 class ProcessTransport:
-    """Execute batches on a multiprocessing pool.
+    """Execute batches on a lazily spawned multiprocessing pool.
 
-    ``fn`` and every task must be picklable.  The pool is created lazily
-    and sized to ``n_workers`` (default: CPU count).  ``close()`` must be
-    called (or use as a context manager) to reap workers.
+    ``fn`` and every task must be picklable.  The pool is sized to
+    ``n_workers`` (default: CPU count) and is the healing engine's
+    channel: tasks go out one ``apply_async`` each, and their handles are
+    polled, never blocked on — a handle whose worker was SIGKILLed never
+    becomes ready.  A dead worker costs the whole pool: it is terminated
+    and respawned, and every task it held is reported lost.  ``close()``
+    reaps the workers; a later batch spawns a fresh pool.
     """
+
+    backend = "process"
+    #: Set by subclasses that refuse work after ``close()``.
+    closed = False
+    #: A pool always has capacity, so the engine never falls back.
+    connect_wait = 0.0
 
     def __init__(
         self, n_workers: int | None = None, *, tracer=None, metrics=None
@@ -353,40 +370,39 @@ class ProcessTransport:
         if n_workers is not None and n_workers < 1:
             raise TransportError("n_workers must be >= 1")
         self.n_workers = n_workers or mp.cpu_count()
-        self.tracer = tracer or NOOP_TRACER
+        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        # is-None check, not truthiness: a fresh Metrics registry is empty
+        # and __len__ == 0 would read as falsy.
         self.metrics = metrics if metrics is not None else NOOP_METRICS
         self._pool: mp.pool.Pool | None = None
         self._abandoned = False  # a worker missed a deadline and may hang
         self._known_pids: set[int] = set()
+        self._pending: dict[int, Any] = {}  # task index -> result handle
         #: Self-healing activity (see :func:`run_batch_healing`).
         self.pool_respawns = 0
         self.quarantined_tasks = 0
 
+    def _pool_kwargs(self) -> dict[str, Any]:
+        """Extra ``Pool`` arguments, read at every (re)spawn."""
+        return {}
+
     def _ensure_pool(self) -> "mp.pool.Pool":
         if self._pool is None:
             with self.tracer.span(
-                "transport.pool_start", cat="transport", n_workers=self.n_workers
+                "transport.pool_start", cat="transport",
+                n_workers=self.n_workers, backend=self.backend,
             ):
-                self._pool = mp.get_context("spawn").Pool(self.n_workers)
+                try:
+                    self._pool = mp.get_context("spawn").Pool(
+                        self.n_workers, **self._pool_kwargs()
+                    )
+                except OSError as exc:
+                    raise TransportError(
+                        f"{self.backend} pool cannot start: {exc}"
+                    ) from exc
             self._known_pids = {p.pid for p in self._pool._pool}
             track_open_pool(self)
         return self._pool
-
-    def _respawn_pool(self, backend: str = "process") -> "mp.pool.Pool":
-        """Terminate the damaged pool and spawn a fresh one."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            untrack_pool(self)
-        self.pool_respawns += 1
-        if self.metrics.enabled:
-            self.metrics.counter("runtime.pool_respawns").inc()
-        self.tracer.instant(
-            "pool.respawn", cat="transport", backend=backend,
-            n_workers=self.n_workers,
-        )
-        return self._ensure_pool()
 
     def run_batch(
         self,
@@ -398,41 +414,94 @@ class ProcessTransport:
     ) -> list[Any]:
         if not tasks:
             return []
-        try:
-            with self.tracer.span(
-                "transport.batch", cat="transport", n_tasks=len(tasks), backend="process"
-            ):
-                return run_batch_healing(
-                    self, fn, tasks, timeout=timeout, backend="process",
-                    cancel=cancel,
-                )
-        except (TransportError, OperationCancelledError):
-            raise
-        except Exception as exc:  # pool failure or unpicklable payloads
-            raise TransportError(f"process transport batch failed: {exc}") from exc
+        if self.closed:
+            raise TransportError(f"{self.backend} transport is closed")
+        with self.tracer.span(
+            "transport.batch", cat="transport", n_tasks=len(tasks), backend=self.backend
+        ):
+            if self.metrics.enabled:
+                self.metrics.counter("runtime.batches").inc()
+                self.metrics.counter("runtime.tasks_dispatched").inc(len(tasks))
+            self._ensure_pool()
+            self._pending = {}
+            return run_batch_healing(self, fn, tasks, timeout=timeout, cancel=cancel)
 
-    def close(self) -> None:
-        """Reap the pool (idempotent — safe to call any number of times,
-        including after a preempted-timeout batch)."""
+    # -- healing channel ------------------------------------------------ #
+
+    def send(self, i: int, fn: Callable[[Any], Any], task: Any) -> bool:
+        self._pending[i] = self._pool.apply_async(_invoke, ((fn, task),))
+        return True
+
+    def poll(self) -> Iterator[tuple[int, bool, Any]]:
+        for i in [i for i, handle in self._pending.items() if handle.ready()]:
+            try:
+                status, value = self._pending.pop(i).get()
+            except Exception as exc:  # the task or its result did not pickle
+                raise TransportError(
+                    f"{self.backend} transport cannot run task {i}: {exc}"
+                ) from exc
+            yield i, status == "ok", value
+
+    def lost(self) -> list[int]:
+        if not _pool_damaged(self._pool, self._known_pids):
+            return []
+        lost = list(self._pending)
+        self._pending.clear()
+        self._terminate()
+        return lost
+
+    def respawn(self) -> int:
         if self._pool is not None:
-            # A pool with an abandoned (possibly hung) worker cannot be
-            # joined without risking a deadlock — terminate it instead.
-            if self._abandoned:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._abandoned = False
-            untrack_pool(self)
+            return 0
+        self._ensure_pool()  # shm workers re-attach the current segments
+        return 1
 
-    def _reap(self) -> None:
-        """atexit path: terminate unconditionally — never join a possibly
-        hung abandoned worker at interpreter shutdown."""
+    def abandon(self, indices: Sequence[int]) -> None:
+        # The abandoned workers finish into the void; the pool may hold a
+        # hung task, so close() must terminate rather than join it.
+        for i in indices:
+            self._pending.pop(i, None)
+        self._abandoned = True
+
+    def has_capacity(self) -> bool:
+        return True
+
+    def wait(self, timeout: float) -> None:
+        # Sleep on the oldest handle, not on the clock: the batch returns
+        # when its last result lands, and the timeout keeps the engine's
+        # checks on their cadence when nothing does.
+        if self._pending:
+            self._pending[min(self._pending)].wait(timeout)
+
+    # -- lifecycle ------------------------------------------------------ #
+
+    def _terminate(self) -> None:
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+            untrack_pool(self)
+
+    def close(self) -> None:
+        """Reap the pool (idempotent — safe to call any number of times,
+        including after a preempted-timeout batch)."""
+        if self._pool is None:
+            return
+        # A pool with an abandoned (possibly hung) worker cannot be
+        # joined without risking a deadlock — terminate it instead.
+        if self._abandoned:
+            self._pool.terminate()
+        else:
+            self._pool.close()
+        self._pool.join()
+        self._pool = None
+        self._abandoned = False
+        untrack_pool(self)
+
+    def _reap(self) -> None:
+        """atexit path: terminate unconditionally — never join a possibly
+        hung abandoned worker at interpreter shutdown."""
+        self._terminate()
 
     def __enter__(self) -> "ProcessTransport":
         return self

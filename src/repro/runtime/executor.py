@@ -1,26 +1,20 @@
 """The persistent shared-memory executor: :class:`ShmTransport`.
 
 This is the zero-copy counterpart of
-:class:`~repro.mrnet.transport.ProcessTransport`: the same ``Transport``
-protocol (so :class:`~repro.mrnet.network.Network` retries, preemptive
-timeouts, and failover work unchanged), but
+:class:`~repro.mrnet.transport.ProcessTransport` — a subclass sharing its
+spawn pool and its channel into the healing engine
+(:func:`~repro.mrnet.transport.run_batch_healing`), so
+:class:`~repro.mrnet.network.Network` retries, preemptive timeouts,
+failover and worker-death recovery work unchanged — but
 
 * the spawn pool is **persistent and warm** — workers are initialized
   once with :func:`repro.runtime.worker.init_worker`, pre-attach the
-  arena, and keep a reusable simulated device between batches;
+  arena (a respawned pool re-attaches its *current* segment list), and
+  keep a reusable simulated device between batches;
 * tasks are expected to carry :class:`~repro.runtime.arena.ShmArrayRef`
   / :class:`~repro.runtime.arena.PointSetRef` handles staged through
   :meth:`stage_array` / :meth:`stage_pointset`, so a batch pickles
-  kilobytes of refs instead of the partitions themselves;
-* dispatch is **self-healing**: every batch runs through
-  :func:`repro.mrnet.transport.run_batch_healing`, which polls result
-  handles (so a SIGKILLed worker cannot hang the batch), respawns the
-  pool on worker death — the fresh workers re-attach the arena's
-  *current* segment list — re-dispatches lost tasks, and quarantines
-  poison tasks to in-process execution.  With a per-task deadline a
-  straggler is preempted with the
-  :data:`~repro.mrnet.transport.TIMED_OUT` sentinel, exactly like the
-  pickling transport.
+  kilobytes of refs instead of the partitions themselves.
 
 Closing the transport closes the pool *and* the arena it owns (unlinking
 every staged segment); an ``atexit`` guard covers abandoned instances so
@@ -34,24 +28,12 @@ instead (process-transport semantics) and the run continues.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
-from ..errors import (
-    ArenaFullError,
-    ConfigError,
-    OperationCancelledError,
-    TransportError,
-)
-from ..mrnet.transport import (
-    LocalTransport,
-    ProcessTransport,
-    run_batch_healing,
-    track_open_pool,
-    untrack_pool,
-)
+from ..errors import ArenaFullError, ConfigError, TransportError
+from ..mrnet.transport import LocalTransport, ProcessTransport
 from ..points import PointSet
 from ..telemetry.metrics import NOOP_METRICS
 from ..telemetry.tracer import NOOP_TRACER
@@ -73,8 +55,14 @@ logger = logging.getLogger(__name__)
 TRANSPORT_NAMES = ("local", "process", "shm", "tcp")
 
 
-class ShmTransport:
+class ShmTransport(ProcessTransport):
     """Persistent spawn-pool transport over a shared-memory arena.
+
+    :class:`~repro.mrnet.transport.ProcessTransport`'s pool and healing
+    channel plus three things: the staging arena, the
+    :func:`~repro.runtime.worker.init_worker` initializer that pre-attaches
+    it, and its teardown.  Unlike the pickling pool, a closed
+    ``ShmTransport`` refuses further work.
 
     Parameters
     ----------
@@ -88,6 +76,8 @@ class ShmTransport:
         feed the ``runtime.*`` instruments.
     """
 
+    backend = "shm"
+
     def __init__(
         self,
         n_workers: int | None = None,
@@ -97,23 +87,10 @@ class ShmTransport:
         arena: ShmArena | None = None,
         block_bytes: int = DEFAULT_BLOCK_BYTES,
     ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise TransportError("n_workers must be >= 1")
-        self.n_workers = n_workers or mp.cpu_count()
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # is-None check, not truthiness: a fresh Metrics registry is empty
-        # and __len__ == 0 would read as falsy.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
+        super().__init__(n_workers, tracer=tracer, metrics=metrics)
         self._arena = arena
         self._owns_arena = arena is None
         self._block_bytes = int(block_bytes)
-        self._pool: mp.pool.Pool | None = None
-        self._abandoned = False  # a worker missed a deadline and may hang
-        self._known_pids: set[int] = set()
-        self.closed = False
-        #: Self-healing activity (see repro.mrnet.transport.run_batch_healing).
-        self.pool_respawns = 0
-        self.quarantined_tasks = 0
         #: Set once staging has degraded to pickling on ArenaFullError.
         self.stage_degraded = False
 
@@ -158,106 +135,28 @@ class ShmTransport:
             )
 
     # ------------------------------------------------------------------ #
-    # Transport protocol
+    # Pool and lifecycle
     # ------------------------------------------------------------------ #
 
-    def _ensure_pool(self) -> "mp.pool.Pool":
-        if self.closed:
-            raise TransportError("transport is closed")
-        if self._pool is None:
-            # The segment list is captured *now* — a pool respawned after
-            # a worker death therefore re-attaches everything staged so
-            # far, not just what existed at first spawn.
-            segments = tuple(self._arena.segment_names) if self._arena else ()
-            with self.tracer.span(
-                "transport.pool_start",
-                cat="transport",
-                n_workers=self.n_workers,
-                backend="shm",
-            ):
-                self._pool = mp.get_context("spawn").Pool(
-                    self.n_workers,
-                    initializer=init_worker,
-                    initargs=(segments,),
-                )
-            self._known_pids = {p.pid for p in self._pool._pool}
-            track_open_pool(self)
-        return self._pool
-
-    def _respawn_pool(self, backend: str = "shm") -> "mp.pool.Pool":
-        """Terminate the damaged pool and spawn a fresh one (workers
-        re-attach the arena's current segments via the initializer)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            untrack_pool(self)
-        self.pool_respawns += 1
-        if self.metrics.enabled:
-            self.metrics.counter("runtime.pool_respawns").inc()
-        self.tracer.instant(
-            "pool.respawn", cat="transport", backend=backend,
-            n_workers=self.n_workers,
-        )
-        return self._ensure_pool()
-
-    def run_batch(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        timeout: float | None = None,
-        cancel: Any = None,
-    ) -> list[Any]:
-        if not tasks:
-            return []
-        try:
-            with self.tracer.span(
-                "transport.batch", cat="transport", n_tasks=len(tasks), backend="shm"
-            ):
-                if self.metrics.enabled:
-                    self.metrics.counter("runtime.batches").inc()
-                    self.metrics.counter("runtime.tasks_dispatched").inc(len(tasks))
-                return run_batch_healing(
-                    self, fn, tasks, timeout=timeout, backend="shm",
-                    cancel=cancel,
-                )
-        except (TransportError, OperationCancelledError):
-            raise
-        except Exception as exc:  # pool failure or unpicklable payloads
-            raise TransportError(f"shm transport batch failed: {exc}") from exc
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+    def _pool_kwargs(self) -> dict[str, Any]:
+        # The segment list is captured at every (re)spawn — a pool
+        # respawned after a worker death therefore re-attaches everything
+        # staged so far, not just what existed at first spawn.
+        segments = tuple(self._arena.segment_names) if self._arena else ()
+        return {"initializer": init_worker, "initargs": (segments,)}
 
     def close(self) -> None:
         """Reap the pool and unlink the owned arena (idempotent)."""
-        if self.closed:
-            return
         self.closed = True
-        if self._pool is not None:
-            if self._abandoned:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._abandoned = False
-            untrack_pool(self)
+        super().close()
         if self._arena is not None and self._owns_arena:
             self._arena.close()
 
     def _reap(self) -> None:
         """atexit path: terminate unconditionally (never join a possibly
         hung worker at interpreter shutdown)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        self.closed = True
-        if self._arena is not None and self._owns_arena:
-            self._arena.close()
+        super()._reap()
+        self.close()
 
     def recycle_arena(self) -> int:
         """Replace the owned arena with a fresh empty one; returns the
@@ -288,12 +187,6 @@ class ShmTransport:
             "arena.recycle", cat="transport", released_bytes=released
         )
         return released
-
-    def __enter__(self) -> "ShmTransport":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class BorrowedTransport:

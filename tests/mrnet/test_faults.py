@@ -160,7 +160,7 @@ def test_pipeline_surfaces_leaf_failure(blobs_with_noise):
     # Inject through a wrapper network is not exposed by run_pipeline, so
     # simulate at the transport layer: a transport that raises.
     class BrokenTransport:
-        def run_batch(self, fn, tasks, *, timeout=None):
+        def run_batch(self, fn, tasks, *, timeout=None, cancel=None):
             raise TransportError("leaf process died")
 
         def close(self):

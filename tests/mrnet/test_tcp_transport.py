@@ -113,8 +113,8 @@ def test_sigkilled_agent_tasks_redispatched():
         t._agents[0].kill()  # SIGKILL one agent mid-round
         worker.join(timeout=30.0)
         assert box["out"] == [None] * 4
-    assert metrics.counter("tcp.redispatched_tasks").value >= 1
-    assert metrics.counter("tcp.agent_respawns").value >= 1
+    assert metrics.counter("runtime.redispatched_tasks").value >= 1
+    assert metrics.counter("runtime.pool_respawns").value >= 1
 
 
 def test_kill_fault_quarantines_after_repeated_deaths(transport):

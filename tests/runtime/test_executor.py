@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import time
 
@@ -12,7 +14,7 @@ from repro.errors import ConfigError, TransportError
 from repro.mrnet import LocalTransport, Network, ProcessTransport, SumFilter, Topology
 from repro.mrnet.transport import TIMED_OUT, _open_pools
 from repro.points import PointSet
-from repro.runtime import ShmTransport, as_pointset, make_transport
+from repro.runtime import TRANSPORT_NAMES, ShmTransport, as_pointset, make_transport
 from repro.runtime.worker import worker_state
 
 pytestmark = pytest.mark.slow  # every test here may spawn a real pool
@@ -67,6 +69,19 @@ def test_unpicklable_payload_is_transport_error():
     with ShmTransport(n_workers=1) as transport:
         with pytest.raises(TransportError):
             transport.run_batch(_double, [lambda: 1])
+
+
+@pytest.mark.parametrize("name", TRANSPORT_NAMES)
+def test_one_error_contract(name):
+    """A task's own exception is re-raised unchanged on every transport;
+    a task that cannot be shipped to a worker is a TransportError."""
+    with contextlib.closing(make_transport(name, n_workers=1)) as transport:
+        with pytest.raises(ValueError, match="math domain error"):
+            transport.run_batch(math.sqrt, [4.0, -1.0])
+        if name != "local":  # nothing is pickled in-process
+            with pytest.raises(TransportError):
+                transport.run_batch(_double, [lambda: 1])
+        assert transport.run_batch(math.sqrt, [4.0]) == [2.0]
 
 
 def test_rejects_bad_workers():

@@ -22,7 +22,7 @@ from repro.core import mrscan
 from repro.mrnet import ProcessTransport
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import ShmTransport
+from repro.runtime import SEGMENT_PREFIX, ShmTransport
 
 pytestmark = pytest.mark.slow  # every test here spawns a real pool
 
@@ -51,7 +51,7 @@ def _die_in_workers_forever(value):
 
 def _shm_segments():
     try:
-        return {name for name in os.listdir("/dev/shm") if "psm" in name}
+        return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
     except FileNotFoundError:  # non-Linux
         return set()
 

@@ -147,7 +147,7 @@ class _ClosableTransport:
         self.closes = 0
         self.fail_on_batch = fail_on_batch
 
-    def run_batch(self, fn, tasks, *, timeout=None):
+    def run_batch(self, fn, tasks, *, timeout=None, cancel=None):
         self.batches += 1
         if self.fail_on_batch is not None and self.batches >= self.fail_on_batch:
             raise TransportError("simulated node crash")
