@@ -174,7 +174,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             algorithm=cfg.leaf_algorithm,
             n_points=len(view),
         ) as leaf_span:
-            eps_tree = None  # the csr engine's Eps-cell tree, when it built one
+            claims = None  # the border pass's claims, when mrscan_gpu ran
             if cfg.leaf_algorithm == "cuda-dclust":
                 from ..gpu.cuda_dclust import cuda_dclust
                 from ..gpu.mrscan_gpu import MrScanGPUStats
@@ -219,11 +219,11 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                             tid=task.leaf_id,
                             memory_chunks=chunks,
                         )
-                labels, core_mask, stats, eps_tree = (
+                labels, core_mask, stats, claims = (
                     result.labels,
                     result.core_mask,
                     result.stats,
-                    result.tree,
+                    result.claims,
                 )
             leaf_span.set(
                 n_core=stats.n_core,
@@ -240,7 +240,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                 core_mask,
                 cfg.eps,
                 set(task.owned_cells),
-                tree=eps_tree,
+                claims=claims,
             )
     finally:
         # Never leak device allocations, whatever path exits the leaf —

@@ -3,74 +3,42 @@
 The numerical work of the clustering algorithms is vectorised numpy (the
 "lanes"), but each primitive here also *accounts* for what the equivalent
 CUDA kernel would do: how many candidate distances each thread evaluates,
-how many blocks a bulk launch covers.  The accounting is what makes the
-reproduced GPU-time figures (Fig 9c, Fig 10) derive from real operation
-counts instead of Python wall-clock.  Pass 1 is charged from each point's
-candidate count and core flag alone (:func:`expected_scan_ops`): the csr
-engine stops counting at MinPts, so nothing here asks for a core point's
-exact neighbour count.
+how many candidate pairs each batched launch covers.  The accounting is
+what makes the reproduced GPU-time figures (Fig 9c, Fig 10) derive from
+real operation counts instead of Python wall-clock.  Pass 1 is charged
+from each point's candidate count and core flag alone
+(:func:`expected_scan_ops`): the csr engine stops counting at MinPts, so
+nothing here asks for a core point's exact neighbour count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dbscan.grid_index import GridIndex
 from ..sorting import stable_order
-from .device import SimulatedDevice
 from .treeindex import FlatTree
 
 __all__ = [
-    "candidate_counts",
     "DISK_STENCIL_RATIO",
     "expected_scan_ops",
-    "bulk_launches",
-    "charge_pass",
     "DEFAULT_BATCH_PAIRS",
     "MIN_BATCH_PAIRS",
     "iter_position_batches",
     "iter_class_pairs",
-    "NeighborPairs",
-    "neighbor_pairs",
-    "CSRNeighborhoods",
-    "csr_neighborhoods",
+    "walk_claims",
 ]
 
-#: Candidate point-pairs evaluated per batched kernel "launch".  4M pairs
-#: is a few hundred MB of transient arrays — the same scratch budget the
-#: block engine's GridIndex scan uses.
+#: Candidate point-pairs evaluated per batched kernel "launch".  A batch
+#: of 4M pairs holds its index pairs, gathered coordinates and d² — a few
+#: hundred MB of transient arrays, the fixed scratch buffer one
+#: grid-stride launch works over.
 DEFAULT_BATCH_PAIRS = 4_194_304
 
 #: Floor for the batch size when ``memory_chunks`` shrinks it (the OOM
 #: degradation path divides the default by the chunk count).
 MIN_BATCH_PAIRS = 65_536
-
-
-def candidate_counts(index: GridIndex) -> np.ndarray:
-    """Per-point candidate-set size: points in the 3×3 Eps-cell stencil.
-
-    This is the number of distance evaluations a *full* neighbor scan of
-    each point performs with the grid index (the KD-tree visits a similar
-    candidate set; the grid stencil is the cleaner closed form).
-    """
-    n = len(index.points)
-    counts = np.zeros(n, dtype=np.int64)
-    cell_counts = index.cell_counts()
-    stencil: dict[tuple[int, int], int] = {}
-    for (cx, cy) in cell_counts:
-        total = 0
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                total += cell_counts.get((cx + dx, cy + dy), 0)
-        stencil[(cx, cy)] = total
-    for cell in cell_counts:
-        members = index.cell_members(cell)
-        counts[members] = stencil[cell]
-    return counts
-
 
 #: Ratio of the Eps-disk area to the 3×3 stencil area: the expected share
 #: of a point's candidates that are true neighbors.
@@ -95,31 +63,6 @@ def expected_scan_ops(
     c = np.asarray(candidates, dtype=np.float64)
     k = np.maximum(DISK_STENCIL_RATIO * c, 1.0)
     return np.where(is_core, np.minimum(c * minpts / (k + 1.0), c), c)
-
-
-def bulk_launches(n_seeds: int, n_blocks: int) -> int:
-    """Number of kernel launches to cover ``n_seeds`` one-per-block.
-
-    "The next input seed point for DBSCAN is determined by the parameters
-    of the CUDA kernel call", so seeds are covered in waves of
-    ``n_blocks`` launches issued in bulk with no intervening copies.
-    """
-    if n_seeds <= 0:
-        return 0
-    return -(-n_seeds // n_blocks)  # ceil division
-
-
-def charge_pass(
-    device: SimulatedDevice, *, n_seeds: int, distance_ops: int
-) -> None:
-    """Record one bulk clustering pass on the device."""
-    launches = bulk_launches(n_seeds, device.config.n_blocks)
-    for _ in range(min(launches, 1)):
-        # A single aggregated launch record keeps stats cheap; the launch
-        # *count* still reflects the wave structure.
-        device.launch(blocks=max(n_seeds, 1), distance_ops=int(distance_ops))
-    if launches > 1:
-        device.stats.kernel_launches += launches - 1
 
 
 def iter_position_batches(
@@ -272,126 +215,38 @@ def iter_class_pairs(
         yield ord3[u], ord3[v]
 
 
-@dataclass
-class NeighborPairs:
-    """All ordered eps-neighbor pairs of a point set, batch-accounted.
-
-    ``(rows[i], cols[i])`` means ``cols[i]`` is within Eps of ``rows[i]``
-    (closed ball, self included once as ``(i, i)``).  ``batch_candidates``
-    records how many candidate pairs each simulated kernel batch
-    evaluated — the per-batch occupancy the device accounting charges.
-    """
-
-    n_points: int
-    rows: np.ndarray
-    cols: np.ndarray
-    batch_candidates: list[int] = field(default_factory=list)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batch_candidates)
-
-    @property
-    def n_candidates(self) -> int:
-        return int(sum(self.batch_candidates))
-
-    def neighbor_counts(self) -> np.ndarray:
-        """Per-point neighbor count (self included), like GridIndex."""
-        return np.bincount(self.rows, minlength=self.n_points)
-
-
-def neighbor_pairs(
+def walk_claims(
+    tree: FlatTree,
     coords: np.ndarray,
+    core_mask: np.ndarray,
     eps: float,
     *,
-    tree: FlatTree | None = None,
     batch_pairs: int = DEFAULT_BATCH_PAIRS,
-) -> NeighborPairs:
-    """Compute every eps-neighbor pair in a handful of vectorised passes.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every ``(non-core point, core point)`` pair within Eps: a leaf's
+    one walk of non-core rows × core columns.
 
-    The tree's dual traversal yields interacting leaf-box pairs; each
-    unordered box pair is expanded once (diagonal boxes upper-triangle
-    only) and the surviving pairs are mirrored, so every candidate
-    distance is evaluated exactly once — half the work of the per-cell
-    3×3 stencil scan, with no python loop over cells.
+    The pairs are §3.2.2's claims ("all of that point's neighbors are
+    marked as being members of the cluster"): the border pass labels each
+    claimed point from its nearest claimer, and
+    :func:`repro.merge.summarize_leaf` keeps them all.  ``tree`` is any
+    tree whose leaf boxes are the Eps-cells of ``coords``; the test is
+    ``dx*dx + dy*dy <= eps*eps`` in float64 on the original coordinates.
+
+    Returns ``(claims, d2, batch_candidates)``: the ``(m, 2)`` index
+    pairs, their d², and the candidate count of every evaluated batch.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    n = len(coords)
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return NeighborPairs(0, empty, empty, [])
-    if tree is None:
-        tree = FlatTree(coords, eps)
-    a, b = tree.leaf_pairs()
-    start, count = tree.level_start[-1], tree.level_count[-1]
-    order = tree.order
-    eps2 = float(eps) * float(eps)
     x, y = coords[:, 0], coords[:, 1]
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    batch_candidates: list[int] = []
-    for u, v in iter_position_batches(
-        start[a], count[a], start[b], count[b], a == b, batch_pairs=batch_pairs
-    ):
-        batch_candidates.append(len(u))
-        r, c = order[u], order[v]
-        dx = x[r] - x[c]
-        dy = y[r] - y[c]
-        within = dx * dx + dy * dy <= eps2
-        r, c = r[within], c[within]
-        mirror = r != c
-        rows_parts.append(np.concatenate((r, c[mirror])))
-        cols_parts.append(np.concatenate((c, r[mirror])))
-    rows = np.concatenate(rows_parts) if rows_parts else empty
-    cols = np.concatenate(cols_parts) if cols_parts else empty
-    return NeighborPairs(n, rows, cols, batch_candidates)
-
-
-@dataclass
-class CSRNeighborhoods:
-    """Whole-leaf eps-neighbor lists in CSR layout.
-
-    Row ``i``'s neighbors (self included) are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending — the layout a
-    real GPU kernel would hand to the expansion pass.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    n_batches: int = 0
-    n_candidates: int = 0
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def row(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-
-def csr_neighborhoods(
-    coords: np.ndarray,
-    eps: float,
-    *,
-    tree: FlatTree | None = None,
-    batch_pairs: int = DEFAULT_BATCH_PAIRS,
-) -> CSRNeighborhoods:
-    """Materialised CSR eps-neighborhoods (row-sorted), built batch-wise.
-
-    This is the conformance-facing form of :func:`neighbor_pairs`; the
-    cluster engine itself consumes the pair batches in a streaming
-    fashion and never materialises the full adjacency for large leaves.
-    """
-    pairs = neighbor_pairs(coords, eps, tree=tree, batch_pairs=batch_pairs)
-    n = pairs.n_points
-    counts = pairs.neighbor_counts()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    pack = pairs.rows * np.int64(max(n, 1)) + pairs.cols
-    pack.sort()
-    indices = pack % np.int64(max(n, 1))
-    return CSRNeighborhoods(
-        indptr=indptr,
-        indices=indices,
-        n_batches=pairs.n_batches,
-        n_candidates=pairs.n_candidates,
-    )
+    eps2 = float(eps) * float(eps)
+    noncore = ~core_mask
+    pairs, dists, batches = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)], []
+    if noncore.any() and core_mask.any():
+        for r, c in iter_class_pairs(tree, noncore, core_mask, batch_pairs=batch_pairs):
+            batches.append(len(r))
+            dx = x[r] - x[c]
+            dy = y[r] - y[c]
+            d2 = dx * dx + dy * dy
+            within = d2 <= eps2
+            pairs.append(np.stack((r[within], c[within]), axis=1))
+            dists.append(d2[within])
+    return np.concatenate(pairs), np.concatenate(dists), batches

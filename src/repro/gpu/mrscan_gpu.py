@@ -24,35 +24,32 @@ The extensions over CUDA-DClust:
    on quality" (borders of box-only cores left as noise) is not paid, and
    labels do not depend on which cells a leaf happens to see as boxes.
 
-Two **cluster engines** implement the passes; the pipeline always runs
-``csr``, and ``block`` is reachable only through ``mrscan_gpu``'s
-``engine=`` keyword:
+The passes run as **whole-leaf vectorised kernels** (the ``csr``
+engine): a flattened Morton tree (`repro.gpu.treeindex`) yields
+interacting Eps-cell pairs, batched position expansion evaluates
+candidate distances in a handful of numpy passes (`repro.gpu.kernels`),
+and core collisions are resolved with data-parallel union-find
+(`repro.dbscan.disjoint_set`) — the tree-based formulation of Prokopenko
+et al. (*Fast tree-based algorithms for DBSCAN on GPUs*).  Pass 1 really
+does stop at MinPts: a saturating dual traversal of an eps/8 tree credits
+whole box pairs inside Eps, retires cells whose credit reaches MinPts,
+and evaluates distances only around the rows still open — so a core
+point's count is a lower bound, never its exact neighbourhood size.  A
+leaf sorts its points twice: the eps/√2 dense-box tree also yields the
+core components, and the Eps-cell tree is the eps/8 tree with its three
+finest levels dropped.  Pass 2's border step is the leaf's one walk of
+non-core rows × core columns (:func:`repro.gpu.kernels.walk_claims`): it
+labels each border point from its nearest core and hands every
+within-Eps ``(non-core, core)`` pair on as ``GPUClusterResult.claims``,
+the multi-membership :func:`repro.merge.summarize_leaf` summarises.
 
-``block``
-    The original per-cell python expansion loop over the Eps grid —
-    retained as the differential oracle the conformance tests compare
-    against.
-``csr``
-    Whole-leaf vectorised kernels (the default): a flattened Morton tree
-    (`repro.gpu.treeindex`) yields interacting Eps-cell pairs, batched
-    position expansion evaluates candidate distances in a handful of
-    numpy passes (`repro.gpu.kernels`), and core collisions are resolved
-    with data-parallel union-find (`repro.dbscan.disjoint_set`) — the
-    tree-based formulation of Prokopenko et al. (*Fast tree-based
-    algorithms for DBSCAN on GPUs*).  Its pass 1 really does stop at
-    MinPts: a saturating dual traversal of an eps/8 tree credits whole
-    box pairs inside Eps, retires cells whose credit reaches MinPts, and
-    evaluates distances only around the rows still open — so a core
-    point's count is a lower bound, never its exact neighbourhood size.
-    A leaf sorts its points twice: the eps/√2 dense-box tree also yields
-    the core components, and the Eps-cell tree is the eps/8 tree with
-    its three finest levels dropped.
-
-Both engines produce byte-identical labels, core masks, and modeled
+The per-cell python expansion loop these kernels replaced lives on in
+``tests/gpu/block_reference.py`` as the differential oracle.  The two
+produce byte-identical labels, core masks, claims and modeled
 pass-1/pass-2 operation counts (the pass-1 model charges a core row from
-its candidate count alone, which both engines know exactly); they differ
-only in launch/occupancy accounting (the csr engine launches per batch)
-and wall-clock speed.
+its candidate count alone, which both know exactly); they differ only in
+launch/occupancy accounting (this engine launches per batch) and
+wall-clock speed.
 """
 
 from __future__ import annotations
@@ -62,8 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dbscan.disjoint_set import first_appearance_labels, union_edges
-from ..dbscan.grid_index import GridIndex
-from ..dbscan.reference import assign_border_points, core_components
 from ..errors import ConfigError
 from ..points import NOISE, PointSet
 from ..sorting import stable_order
@@ -72,11 +67,9 @@ from .device import SimulatedDevice
 from .kernels import (
     DEFAULT_BATCH_PAIRS,
     MIN_BATCH_PAIRS,
-    candidate_counts,
-    charge_pass,
     expected_scan_ops,
-    iter_class_pairs,
     iter_position_batches,
+    walk_claims,
 )
 from .treeindex import FlatTree
 
@@ -99,7 +92,7 @@ class MrScanGPUStats:
     kernel_launches: int = 0
     sync_round_trips: int = 0
     memory_chunks: int = 1
-    engine: str = "block"
+    engine: str = "csr"
     csr_batches: int = 0
     device: dict[str, int] = field(default_factory=dict)
 
@@ -117,17 +110,17 @@ class GPUClusterResult:
     """Labels + provenance from one leaf's GPU clustering.
 
     ``labels`` are local cluster ids (``NOISE`` = -1) over the leaf's
-    partition-plus-shadow points, in input order.  ``tree`` is the
-    Eps-cell tree the csr engine walked over them (a view of its counting
-    tree; ``None`` under ``block``), for :func:`repro.merge.summarize_leaf`
-    to reuse.
+    partition-plus-shadow points, in input order.  ``claims`` are the
+    ``(non-core point, core point)`` index pairs within Eps that the
+    border pass found, in no particular order, for
+    :func:`repro.merge.summarize_leaf` to summarise without walking again.
     """
 
     labels: np.ndarray
     core_mask: np.ndarray
     densebox: DenseBoxResult
     stats: MrScanGPUStats
-    tree: FlatTree | None = None
+    claims: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     @property
     def n_clusters(self) -> int:
@@ -152,8 +145,8 @@ def _charge_batches(
     """One launch per batch, splitting modeled ops proportionally.
 
     Cumulative integer rounding guarantees the per-launch shares sum to
-    exactly ``distance_ops``, so both engines report identical pass
-    totals while the csr engine keeps per-batch launch granularity.
+    exactly ``distance_ops``, so the pass totals are the modelled ones
+    while launches keep per-batch granularity.
     """
     total = sum(batch_candidates)
     if total <= 0:
@@ -320,10 +313,11 @@ def _csr_core_components(
     so the union-find runs over cells — Wang, Gu & Shun's cell graph — and
     only interacting cell *pairs* that both hold cores need distance
     checks.  Cell pairs whose cells already share a union-find root are
-    dropped before expansion — the vectorised form of the block engine's
-    connected-short-circuit.  Returns, per core in index order, the root
-    cell of its component, the number of union-find hook rounds, and
-    per-batch evaluated candidate counts.
+    dropped before expansion — the vectorised form of the ``connected``
+    short-circuit in :func:`repro.dbscan.reference.core_components`.
+    Returns, per core in index order, the root cell of its component, the
+    number of union-find hook rounds, and per-batch evaluated candidate
+    counts.
     """
     # Core positions: the cores in tree order, so each cell's are one run.
     order = box_tree.order
@@ -335,8 +329,8 @@ def _csr_core_components(
     eps2 = float(eps) * float(eps)
     parent, rounds = np.arange(box_tree.n_leaf_boxes), 0
 
-    # Cross-cell merges.  Two live optimisations mirror the block
-    # engine's short-circuits batch-wise: cell pairs whose cells already
+    # Cross-cell merges.  Two live optimisations mirror the per-cell
+    # loop's short-circuits batch-wise: cell pairs whose cells already
     # share a root are dropped before expansion (connectivity transits
     # through earlier merges), and each surviving pair is first probed
     # with a capped sample of member pairs — one witness edge merges the
@@ -369,48 +363,22 @@ def _csr_core_components(
     return parent[box_tree.point_leaf[core_mask]], rounds, batches
 
 
-def _csr_assign_borders(
-    coords: np.ndarray,
-    ftree: FlatTree,
-    labels: np.ndarray,
-    core_mask: np.ndarray,
-    eps: float,
-    batch_pairs: int,
-) -> list[int]:
-    """Attach border points to their nearest core, vectorised.
+def _assign_borders(labels: np.ndarray, claims: np.ndarray, d2: np.ndarray) -> None:
+    """Give each claimed non-core point its nearest claiming core's label.
 
-    Reproduces ``assign_border_points`` exactly: a border point takes the
-    label of the core within Eps minimising ``(d², index)`` — the same
-    nearest-with-lowest-index-tiebreak the block engine's per-cell argmin
-    applies.
+    Reproduces ``assign_border_points`` exactly: the core minimising
+    ``(d², index)`` wins — the nearest-with-lowest-index tiebreak of the
+    per-cell argmin the block oracle applies.
     """
-    n = len(coords)
-    border = ~core_mask
-    if not border.any():
-        return []
-    x, y = coords[:, 0], coords[:, 1]
-    eps2 = float(eps) * float(eps)
+    n = len(labels)
+    r, c = claims[:, 0], claims[:, 1]
     best_d2 = np.full(n, np.inf)
+    np.minimum.at(best_d2, r, d2)
+    tie = d2 == best_d2[r]
     best_c = np.full(n, n, dtype=np.int64)  # n = "no core within Eps" sentinel
-    batches: list[int] = []
-    for r, c in iter_class_pairs(ftree, border, core_mask, batch_pairs=batch_pairs):
-        batches.append(len(r))
-        dx = x[r] - x[c]
-        dy = y[r] - y[c]
-        d2 = dx * dx + dy * dy
-        within = d2 <= eps2
-        r, c, d2 = r[within], c[within], d2[within]
-        # Fold into the running best by (d², index): the row's least d²
-        # first — a row whose best moves closer forgets its old core —
-        # then the lowest core among those at that d².
-        before = best_d2[r]
-        np.minimum.at(best_d2, r, d2)
-        best_c[r[d2 < before]] = n
-        tie = d2 == best_d2[r]
-        np.minimum.at(best_c, r[tie], c[tie])
+    np.minimum.at(best_c, r[tie], c[tie])
     has = np.flatnonzero(best_c < n)
     labels[has] = labels[best_c[has]]
-    return batches
 
 
 def _cluster_csr(
@@ -424,9 +392,9 @@ def _cluster_csr(
     in_box: np.ndarray,
     batch_pairs: int,
     stats: MrScanGPUStats,
-) -> tuple[np.ndarray, np.ndarray, FlatTree]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whole-leaf vectorised cluster phase: labels pre-remap, core mask and
-    the Eps-cell tree the border pass walked."""
+    the border pass's claims."""
     coords = points.coords
     n = len(coords)
     count_tree, ftree = _leaf_trees(coords, eps)
@@ -443,6 +411,7 @@ def _cluster_csr(
 
     # --- pass 2: union-find collision resolution + border claims --------
     labels = np.full(n, NOISE, dtype=np.int64)
+    claims = np.empty((0, 2), dtype=np.int64)
     core_idx = np.flatnonzero(core_mask)
     if len(core_idx):
         comp, uf_rounds, uf_batches = _csr_core_components(
@@ -458,13 +427,14 @@ def _cluster_csr(
         for _ in range(uf_rounds):
             device.launch(blocks=_batch_blocks(device, len(core_idx)))
 
-        border_batches = _csr_assign_borders(
-            coords, ftree, labels, core_mask, eps, batch_pairs
+        claims, d2, border_batches = walk_claims(
+            ftree, coords, core_mask, eps, batch_pairs=batch_pairs
         )
+        _assign_borders(labels, claims, d2)
         stats.csr_batches += len(border_batches)
         for m in border_batches:
             device.launch(blocks=_batch_blocks(device, m))
-    return labels, core_mask, ftree
+    return labels, core_mask, claims
 
 
 def mrscan_gpu(
@@ -475,7 +445,6 @@ def mrscan_gpu(
     device: SimulatedDevice | None = None,
     use_densebox: bool = True,
     memory_chunks: int = 1,
-    engine: str = "csr",
 ) -> GPUClusterResult:
     """Cluster one partition with Mr. Scan's GPU DBSCAN.
 
@@ -492,15 +461,9 @@ def mrscan_gpu(
         Stream the per-point device buffers in this many slices instead of
         resident all at once — graceful degradation for partitions that do
         not fit device memory whole.  Each extra chunk costs additional
-        transfers and synchronous round trips (and shrinks the csr
-        engine's pair-batch scratch); the arithmetic (and the labels) are
+        transfers and synchronous round trips (and shrinks the
+        pair-batch scratch); the arithmetic (and the labels) are
         bit-identical regardless of chunking.
-    engine:
-        Cluster-phase implementation: ``"csr"`` (vectorised whole-leaf
-        kernels, the default and the only one the pipeline runs) or
-        ``"block"`` (the per-cell python loop, kept as the differential
-        oracle for tests).  Both engines produce byte-identical labels
-        and pass-op totals.
     """
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
@@ -508,13 +471,9 @@ def mrscan_gpu(
         raise ConfigError(f"minpts must be >= 1, got {minpts}")
     if memory_chunks < 1:
         raise ConfigError(f"memory_chunks must be >= 1, got {memory_chunks}")
-    if engine not in ("block", "csr"):
-        raise ConfigError(
-            f"unknown cluster engine {engine!r}; expected 'block' or 'csr'"
-        )
     device = device or SimulatedDevice()
     n = len(points)
-    stats = MrScanGPUStats(n_points=n, memory_chunks=int(memory_chunks), engine=engine)
+    stats = MrScanGPUStats(n_points=n, memory_chunks=int(memory_chunks))
     if n == 0:
         empty = DenseBoxResult(box_id=np.empty(0, dtype=np.int64), n_boxes=0, n_subdivisions=0)
         return GPUClusterResult(
@@ -542,14 +501,13 @@ def mrscan_gpu(
         if c < k - 1:
             device.free("points")
             device.free("state")
-    # The csr engine's pair-batch scratch shrinks with the chunk count —
-    # the same OOM-degradation dial the per-point buffers follow — and is
-    # further clamped to half the device memory still free, so a small
-    # device runs more, smaller batches instead of failing to allocate.
+    # The pair-batch scratch shrinks with the chunk count — the same
+    # OOM-degradation dial the per-point buffers follow — and is further
+    # clamped to half the device memory still free, so a small device
+    # runs more, smaller batches instead of failing to allocate.
     batch_pairs = max(MIN_BATCH_PAIRS, DEFAULT_BATCH_PAIRS // k)
-    if engine == "csr":
-        batch_pairs = max(256, min(batch_pairs, device.free_bytes // 32))
-        device.alloc("csr", 16 * batch_pairs)
+    batch_pairs = max(256, min(batch_pairs, device.free_bytes // 32))
+    device.alloc("csr", 16 * batch_pairs)
 
     if use_densebox:
         densebox = find_dense_boxes(points, eps, minpts, tree=tree)
@@ -561,50 +519,20 @@ def mrscan_gpu(
     stats.n_boxes = densebox.n_boxes
     stats.n_eliminated = densebox.n_eliminated
 
-    ftree = None
-    if engine == "csr":
-        labels, core_mask, ftree = _cluster_csr(
-            points,
-            eps,
-            minpts,
-            device=device,
-            box_tree=tree,
-            densebox=densebox,
-            in_box=in_box,
-            batch_pairs=batch_pairs,
-            stats=stats,
-        )
-    else:
-        # --- pass 1: core classification with MinPts-capped scans --------
-        index = GridIndex(points, eps)
-        counts = index.count_neighbors()
-        core_mask = counts >= minpts
-        # Dense-box members are provably core (>= MinPts mutual neighbors).
-        assert not np.any(in_box & ~core_mask), "dense box produced a non-core member"
-
-        cand = candidate_counts(index)
-        nonbox = ~in_box
-        ops1 = int(expected_scan_ops(cand[nonbox], core_mask[nonbox], minpts).sum())
-        stats.pass1_ops = ops1
-        charge_pass(device, n_seeds=int(nonbox.sum()), distance_ops=ops1)
-
-        # --- pass 2: expand core points, collisions rectified on the CPU -
-        labels = np.full(n, NOISE, dtype=np.int64)
-        core_idx = np.flatnonzero(core_mask)
-        if len(core_idx):
-            comp = core_components(points.coords[core_idx], eps)
-            labels[core_idx] = comp
-            # Expansion cost: full candidate scan per expanded (non-box)
-            # core, plus one box-adjacency probe per dense box.
-            expand_mask = core_mask & nonbox
-            ops2 = int(cand[expand_mask].sum()) + densebox.n_boxes * max(minpts, 8)
-            stats.pass2_ops = ops2
-            charge_pass(device, n_seeds=int(expand_mask.sum()), distance_ops=ops2)
-            assign_border_points(index, labels, core_mask)
+    labels, core_mask, claims = _cluster_csr(
+        points,
+        eps,
+        minpts,
+        device=device,
+        box_tree=tree,
+        densebox=densebox,
+        in_box=in_box,
+        batch_pairs=batch_pairs,
+        stats=stats,
+    )
 
     # --- device->host copy of the clustered result (chunked to match) ---
-    if engine == "csr":
-        device.free("csr")
+    device.free("csr")
     for nbytes in _chunk_sizes(9 * n, k):
         device.d2h(nbytes)
     device.free_all()
@@ -617,5 +545,5 @@ def mrscan_gpu(
     stats.sync_round_trips = device.stats.sync_points
     stats.device = device.stats.as_dict()
     return GPUClusterResult(
-        labels=labels, core_mask=core_mask, densebox=densebox, stats=stats, tree=ftree
+        labels=labels, core_mask=core_mask, densebox=densebox, stats=stats, claims=claims
     )

@@ -1,23 +1,22 @@
 """Level-ordered flattened spatial tree over one leaf's points.
 
-The csr cluster engine (``repro.gpu.mrscan_gpu`` with
-``engine="csr"``) needs the whole Eps-neighbor structure of a partition in
-a handful of vectorised passes instead of a per-cell python loop.  The
-index that makes that possible is a *flattened quadtree* in the
-array-of-levels layout GPU tree codes use (sumpy's level-ordered tree
-construction is the idiom; Prokopenko et al.'s tree-based DBSCAN is the
-algorithm): every level is a sorted array of Morton-coded boxes, each box
-a contiguous slice of one globally sorted point permutation, and
-parent→child links are plain ``searchsorted`` ranges — no pointers, no
-recursion, nothing per-node.
+The cluster engine (``repro.gpu.mrscan_gpu``) needs the whole
+Eps-neighbor structure of a partition in a handful of vectorised passes
+instead of a per-cell python loop.  The index that makes that possible
+is a *flattened quadtree* in the array-of-levels layout GPU tree codes
+use (sumpy's level-ordered tree construction is the idiom; Prokopenko et
+al.'s tree-based DBSCAN is the algorithm): every level is a sorted array
+of Morton-coded boxes, each box a contiguous slice of one globally sorted
+point permutation, and parent→child links are plain ``searchsorted``
+ranges — no pointers, no recursion, nothing per-node.
 
-Geometry is anchored to the same global Eps-grid as
-:class:`repro.dbscan.GridIndex` (``floor(coord / eps)``), so the *leaf*
-level of this tree is exactly the set of non-empty Eps-cells.  A dual
-traversal from the root expands only box pairs whose regions can hold a
-point pair within Eps (``mindist < eps``); at leaf level that reproduces
-the classic 3×3 cell stencil exactly, which is what keeps the csr engine
-byte-identical to the block engine.
+Geometry is anchored to the same global Eps-grid as the reference
+DBSCAN's grid index (``floor(coord / eps)``), so the *leaf* level of this
+tree is exactly the set of non-empty Eps-cells.  A dual traversal from
+the root expands only box pairs whose regions can hold a point pair
+within Eps (``mindist < eps``); at leaf level that reproduces
+the classic 3×3 cell stencil exactly, which is what keeps the engine
+byte-identical to the per-cell oracle in ``tests/gpu/block_reference.py``.
 
 A tree over cells ``2**k`` times finer than Eps, with its cell origin on a
 multiple of ``2**k``, *contains* the Eps-cell tree: ``x / (eps / 2**k)`` is
@@ -141,7 +140,7 @@ class FlatTree:
             self._level_cells: list[tuple[np.ndarray, np.ndarray]] = []
             return
 
-        # Same global cell frame as GridIndex: floor(coord / eps).  The
+        # Same global cell frame as the grid index: floor(coord / eps).  The
         # Morton domain is offset to the dataset minimum (keys are local to
         # this tree; geometry stays global through ``cell_origin``).
         cells = np.floor(coords / self.cell_width).astype(np.int64)
@@ -397,11 +396,11 @@ class FlatTree:
     def interaction_counts(self) -> np.ndarray:
         """Per-point candidate-set size under the leaf interaction lists.
 
-        With the default ``radius == cell_width == eps`` this equals
-        :func:`repro.gpu.kernels.candidate_counts` (points in the 3×3
-        Eps-cell stencil) because leaf boxes are Eps-cells and the mindist
-        prune keeps exactly the Chebyshev-adjacent pairs — the closed form
-        the SIMT cost accounting charges per thread.
+        With the default ``radius == cell_width == eps`` this is the
+        number of points in each point's 3×3 Eps-cell stencil, because
+        leaf boxes are Eps-cells and the mindist prune keeps exactly the
+        Chebyshev-adjacent pairs — the closed form the SIMT cost
+        accounting charges per thread.
         """
         if self.n_levels == 0:
             return np.empty(0, dtype=np.int64)

@@ -12,9 +12,10 @@ which is what bounds merge traffic ("a small, bounded number of
 representative points per cluster", §1).
 
 A summary is sixteen columns, in memory and on the wire (DESIGN.md §2b).
-:func:`summarize_leaf` builds them as whole-leaf segment passes: one
-Eps-stencil pair expansion for the non-core claims, one sort of cores and
-claims by ``(cluster, cell)``, eight segmented argmins for all the
+:func:`summarize_leaf` builds them as whole-leaf segment passes over the
+non-core claims the cluster engine's border pass already found
+(``GPUClusterResult.claims``): one sort of cores and claims by
+``(cluster, cell)``, eight segmented argmins for all the
 representatives.  The per-cell loop it replaced lives on in
 ``tests/merge/merge_reference.py`` as the oracle the differential tests
 hold it to.
@@ -29,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from ..errors import MergeError
-from ..gpu.kernels import iter_class_pairs
+from ..gpu.kernels import walk_claims
 from ..gpu.treeindex import FlatTree
 from ..points import NOISE, PointSet
 from ..sorting import lex_order, packed_key
@@ -229,39 +230,6 @@ def any_within(a_first, a_count, a_xy, b_first, b_count, b_xy, eps2: float) -> n
 # ----------------------------------------------------------------------- #
 
 
-def _noncore_claims(
-    coords: np.ndarray, labels: np.ndarray, core_mask: np.ndarray, eps: float, tree: FlatTree
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(cluster label, non-core point index)`` claim pairs of a leaf.
-
-    A cluster *claims* every non-core point within Eps of one of its core
-    points — the multi-membership the paper's expansion pass creates
-    ("all of that point's neighbors are marked as being members of the
-    cluster", §3.2.2), even though the output label picks one cluster.
-    The merge rules need the full claim sets: a border point shared by a
-    local cluster and a remote one is evidence the type-2 rule differences
-    against, and it must not vanish because the point's output label chose
-    a different adjacent cluster.
-
-    One pair expansion over the leaf's Eps-cell ``tree``: non-core rows
-    against clustered-core columns.  A pair recurs once per claiming core;
-    the caller's sort drops the repeats.
-    """
-    clustered_core = core_mask & (labels != NOISE)
-    x, y = coords[:, 0], coords[:, 1]
-    eps2 = eps * eps
-    claim_labels, claim_points = [], []
-    for r, c in iter_class_pairs(tree, ~core_mask, clustered_core):
-        dx = x[r] - x[c]
-        dy = y[r] - y[c]
-        within = dx * dx + dy * dy <= eps2
-        claim_labels.append(labels[c[within]])
-        claim_points.append(r[within])
-    if not claim_points:
-        return np.empty(0, dtype=labels.dtype), np.empty(0, dtype=np.int64)
-    return np.concatenate(claim_labels), np.concatenate(claim_points)
-
-
 def _owner_table(
     cells: np.ndarray, ids: np.ndarray, core_mask: np.ndarray, owned_cells
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,7 +264,7 @@ def summarize_leaf(
     eps: float,
     owned_cells,
     *,
-    tree: FlatTree | None = None,
+    claims: np.ndarray | None = None,
 ) -> LeafSummary:
     """Build the upstream summary from one leaf's clustering output.
 
@@ -304,11 +272,18 @@ def summarize_leaf(
     ``labels``/``core_mask`` are the GPU DBSCAN output over that view;
     ``owned_cells`` (any iterable of cells) are the cells of the leaf's
     partition (not shadow).
-    Pass ``tree`` to reuse the Eps-cell tree the cluster engine already
-    built (``GPUClusterResult.tree``); any tree with the Eps-cells of
-    ``FlatTree(points.coords, eps)`` as leaves, in any order, will do.
-    A cluster is its core points: a label no core point carries gets no
-    row, and core points labelled ``NOISE`` belong to none.
+
+    A cluster is its core points, and it *claims* every non-core point
+    within Eps of one of them — the multi-membership the paper's
+    expansion pass creates (§3.2.2), even though the output label picks
+    one cluster.  The merge rules need the full claim sets: a border
+    point shared by a local cluster and a remote one is evidence the
+    type-2 rule differences against.  ``claims`` are those
+    ``(non-core point, core point)`` index pairs, in any order — the
+    cluster engine's ``GPUClusterResult.claims``; without them the same
+    walk (:func:`repro.gpu.kernels.walk_claims`) runs here.  A label no
+    core point carries gets no row, and core points labelled ``NOISE``
+    belong to none, so their claims are dropped.
     """
     labels = np.asarray(labels)
     core_mask = np.asarray(core_mask, dtype=bool)
@@ -324,11 +299,11 @@ def summarize_leaf(
 
     # One row per (cluster, member): the cluster's cores, then its claims.
     cores = np.flatnonzero(core_mask & (labels != NOISE))
-    if tree is None:
-        tree = FlatTree(coords, eps)
-    claim_labels, claim_points = _noncore_claims(coords, labels, core_mask, eps, tree)
-    point = np.concatenate((cores, claim_points))
-    label = np.concatenate((labels[cores], claim_labels))
+    if claims is None:
+        claims = walk_claims(FlatTree(coords, eps), coords, core_mask, eps)[0]
+    claims = claims[labels[claims[:, 1]] != NOISE]
+    point = np.concatenate((cores, claims[:, 0]))
+    label = np.concatenate((labels[cores], labels[claims[:, 1]]))
     is_claim = np.arange(len(point)) >= len(cores)
     cx, cy = cells[point, 0], cells[point, 1]
 

@@ -36,8 +36,8 @@ def test_sdss_end_to_end(small_sdss):
 def test_two_tree_sorts_per_leaf(small_twitter, monkeypatch):
     """A leaf sorts its points into two ``FlatTree``s: the eps/√2 box tree
     (dense boxes, core components) and the eps/8 counting tree, whose
-    coarsened view is the Eps-cell tree the borders and the summariser
-    walk."""
+    coarsened view is the Eps-cell tree the border pass walks; the
+    summariser reuses that walk's claims and sorts nothing."""
     from repro.gpu.treeindex import FlatTree
 
     eps, built = 0.1, []
@@ -51,6 +51,40 @@ def test_two_tree_sorts_per_leaf(small_twitter, monkeypatch):
     res = mrscan(small_twitter, eps, 10, n_leaves=5, transport="local")
     assert res.n_leaves == 5 and len(built) <= 2 * res.n_leaves
     assert eps not in built  # the Eps-cell tree is never sorted on its own
+
+
+def test_one_noncore_walk_per_leaf(small_twitter, monkeypatch):
+    """The border pass is the only walk of non-core rows × core columns:
+    one ``iter_class_pairs`` sweep per leaf, labelling the borders and
+    carrying the claims ``summarize_leaf`` needs, at the batch size the
+    leaf allocated — a device too small for the default scratch shrinks
+    the claims' batches too."""
+    import repro.gpu.kernels as kernels_mod
+    from repro.gpu.device import DeviceConfig, SimulatedDevice
+
+    walks, scratch = [], []
+    sweep, alloc = kernels_mod.iter_class_pairs, SimulatedDevice.alloc
+
+    def counting_sweep(tree, row_mask, col_mask, *, batch_pairs=kernels_mod.DEFAULT_BATCH_PAIRS):
+        walks.append(batch_pairs)
+        return sweep(tree, row_mask, col_mask, batch_pairs=batch_pairs)
+
+    def recording_alloc(self, name, nbytes):
+        if name == "csr":
+            scratch.append(nbytes // 16)
+        return alloc(self, name, nbytes)
+
+    monkeypatch.setattr(kernels_mod, "iter_class_pairs", counting_sweep)
+    monkeypatch.setattr(SimulatedDevice, "alloc", recording_alloc)
+    res = mrscan(small_twitter, 0.1, 10, n_leaves=5, transport="local")
+    assert res.n_leaves == 5 and len(walks) == 5
+
+    walks.clear()
+    scratch.clear()
+    tiny = DeviceConfig(memory_bytes=2_000_000)
+    mrscan(small_twitter, 0.1, 10, n_leaves=5, transport="local", device=tiny)
+    assert len(walks) == 5 and walks == scratch
+    assert max(walks) < kernels_mod.DEFAULT_BATCH_PAIRS
 
 
 def test_no_kdtree_on_the_leaf_path():

@@ -1,10 +1,10 @@
 """Cluster-engine conformance: csr must be byte-identical to block.
 
-The csr engine replaces the block engine's per-cell python loops with
-batched vectorised kernels, but the contract is stronger than "same
-clustering": labels, core masks and the modeled operation counts must be
-*byte-identical*.  The pipeline only ever runs csr; block is the
-differential oracle, reachable through ``mrscan_gpu(engine="block")``.
+``mrscan_gpu`` runs the passes as batched vectorised kernels (csr); the
+per-cell python loops they replaced are the differential oracle,
+``block_reference.block_mrscan_gpu``.  The contract is stronger than
+"same clustering": labels, core masks, the border pass's claims and the
+modeled operation counts must be *byte-identical*.
 
 Three layers of evidence:
 
@@ -19,14 +19,15 @@ Three layers of evidence:
 
 from __future__ import annotations
 
-from functools import partial
+import inspect
 
 import numpy as np
 import pytest
+from block_reference import block_mrscan_gpu
+from merge_reference import reference_noncore_claims
 
 import repro.core.pipeline as pipeline_mod
 from repro.core.pipeline import run_pipeline
-from repro.errors import ConfigError
 from repro.gpu.device import DeviceConfig, SimulatedDevice
 from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.partition import GridHistogram, form_partitions, partition_points
@@ -54,9 +55,16 @@ def _random_points(rng: np.random.Generator, n: int, mode: int) -> PointSet:
     return PointSet.from_coords(coords)
 
 
+def _claim_set(res) -> np.ndarray:
+    return np.unique(res.claims, axis=0)
+
+
 def _assert_identical(res_block, res_csr) -> None:
     np.testing.assert_array_equal(res_block.labels, res_csr.labels)
     np.testing.assert_array_equal(res_block.core_mask, res_csr.core_mask)
+    # Every within-Eps (non-core, core) pair, once each, in any order.
+    assert len(_claim_set(res_csr)) == len(res_csr.claims)
+    np.testing.assert_array_equal(_claim_set(res_block), _claim_set(res_csr))
     # The modeled SIMT cost accounting is engine-invariant: csr batches
     # differently but must charge the same algorithmic work.
     assert res_block.stats.pass1_ops == res_csr.stats.pass1_ops
@@ -68,7 +76,7 @@ def _assert_identical(res_block, res_csr) -> None:
 
 @pytest.mark.parametrize("trial", range(20))
 def test_direct_parity_randomized(trial):
-    """mrscan_gpu(engine=csr) == mrscan_gpu(engine=block), bit for bit."""
+    """mrscan_gpu == block_mrscan_gpu, bit for bit."""
     rng = np.random.default_rng(1000 + trial)
     points = _random_points(rng, int(rng.integers(50, 900)), trial % 4)
     eps = float(rng.uniform(0.05, 0.4))
@@ -83,8 +91,8 @@ def test_direct_parity_randomized(trial):
         eps = float(rng.uniform(0.03, 0.12))
         minpts = int(rng.integers(2, 5))
         use_densebox = False
-    res_block = mrscan_gpu(points, eps, minpts, engine="block", use_densebox=use_densebox)
-    res_csr = mrscan_gpu(points, eps, minpts, engine="csr", use_densebox=use_densebox)
+    res_block = block_mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
+    res_csr = mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
     _assert_identical(res_block, res_csr)
     assert res_block.stats.engine == "block"
     assert res_csr.stats.engine == "csr"
@@ -97,8 +105,8 @@ def test_direct_parity_under_memory_chunking(memory_chunks):
     """The OOM-degradation path (smaller batches) cannot change labels."""
     rng = np.random.default_rng(7)
     points = _random_points(rng, 600, 1)
-    res_block = mrscan_gpu(points, 0.15, 5, engine="block", memory_chunks=memory_chunks)
-    res_csr = mrscan_gpu(points, 0.15, 5, engine="csr", memory_chunks=memory_chunks)
+    res_block = block_mrscan_gpu(points, 0.15, 5, memory_chunks=memory_chunks)
+    res_csr = mrscan_gpu(points, 0.15, 5, memory_chunks=memory_chunks)
     _assert_identical(res_block, res_csr)
     assert res_csr.stats.memory_chunks == memory_chunks
 
@@ -108,8 +116,8 @@ def test_csr_runs_on_tiny_device():
     rng = np.random.default_rng(11)
     points = _random_points(rng, 400, 0)
     tiny = SimulatedDevice(DeviceConfig(memory_bytes=200_000))
-    res = mrscan_gpu(points, 0.2, 4, device=tiny, engine="csr")
-    ref = mrscan_gpu(points, 0.2, 4, engine="block")
+    res = mrscan_gpu(points, 0.2, 4, device=tiny)
+    ref = block_mrscan_gpu(points, 0.2, 4)
     np.testing.assert_array_equal(res.labels, ref.labels)
 
 
@@ -119,8 +127,8 @@ def test_direct_parity_degenerate_sizes(n):
     if n == 0:
         return  # mrscan_gpu requires points; pipeline guards empty input
     points = PointSet.from_coords(coords)
-    res_block = mrscan_gpu(points, 0.1, 2, engine="block")
-    res_csr = mrscan_gpu(points, 0.1, 2, engine="csr")
+    res_block = block_mrscan_gpu(points, 0.1, 2)
+    res_csr = mrscan_gpu(points, 0.1, 2)
     _assert_identical(res_block, res_csr)
 
 
@@ -129,20 +137,9 @@ def test_direct_parity_degenerate_sizes(n):
 # ---------------------------------------------------------------------- #
 
 
-def test_engine_resolution_chain(monkeypatch):
-    """Explicit keyword, else csr — the environment is not consulted."""
-    points = _random_points(np.random.default_rng(3), 200, 1)
-    assert mrscan_gpu(points, 0.15, 4).stats.engine == "csr"
-    assert mrscan_gpu(points, 0.15, 4, engine="block").stats.engine == "block"
-    monkeypatch.setenv("MRSCAN_CLUSTER_ENGINE", "block")
-    assert mrscan_gpu(points, 0.15, 4).stats.engine == "csr"
-
-
-def test_unknown_engine_rejected():
-    points = _random_points(np.random.default_rng(3), 50, 0)
-    for engine in ("simd", None):  # None is not "look it up somewhere"
-        with pytest.raises(ConfigError, match="unknown cluster engine"):
-            mrscan_gpu(points, 0.15, 4, engine=engine)
+def test_no_engine_keyword():
+    """One engine in the library: the block oracle lives in the tests."""
+    assert "engine" not in inspect.signature(mrscan_gpu).parameters
 
 
 # ---------------------------------------------------------------------- #
@@ -164,12 +161,47 @@ def test_fuzz_corpus_parity(seed):
         if len(view) == 0:
             continue
         res_block, res_csr = (
-            mrscan_gpu(
-                view, case.eps, case.minpts, engine=e, use_densebox=case.use_densebox
-            )
-            for e in ("block", "csr")
+            engine(view, case.eps, case.minpts, use_densebox=case.use_densebox)
+            for engine in (block_mrscan_gpu, mrscan_gpu)
         )
         _assert_identical(res_block, res_csr)
+
+
+def _claims_by_label(res) -> dict[int, list[int]]:
+    """The carried claims as ``reference_noncore_claims`` reports them."""
+    claims: dict[int, set[int]] = {}
+    for row, core in res.claims.tolist():
+        claims.setdefault(int(res.labels[core]), set()).add(row)
+    return {label: sorted(rows) for label, rows in claims.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carried_claims_match_reference(seed):
+    """The claims ``mrscan_gpu`` hands to ``summarize_leaf`` are the
+    per-cell loop's claim sets: every fuzz-corpus leaf view plus a
+    duplicate-heavy set, dense box on and off, on the default device and
+    on one small enough to split the border pass into many batches."""
+    case = generate_case(seed, max_points=700)
+    points = case.points()
+    plan = form_partitions(
+        GridHistogram.from_points(points, case.eps), case.n_leaves, case.minpts
+    )
+    views = [own.concat(shadow) for own, shadow in partition_points(points, plan)]
+    views.append(_random_points(np.random.default_rng(seed), 300, 3))
+    for view in filter(len, views):
+        want = None
+        for use_densebox in (True, False):
+            for memory_chunks in (1, 4):
+                for device in (None, SimulatedDevice(DeviceConfig(memory_bytes=200_000))):
+                    res = mrscan_gpu(
+                        view, case.eps, case.minpts, device=device,
+                        use_densebox=use_densebox, memory_chunks=memory_chunks,
+                    )
+                    if want is None:
+                        want = reference_noncore_claims(
+                            view, res.labels, res.core_mask, case.eps
+                        )
+                    assert _claims_by_label(res) == want
 
 
 def _case_labels(case, **overrides):
@@ -181,7 +213,7 @@ def _block_oracle_labels(case, monkeypatch):
     """The pipeline's labels with every leaf clustered by the block
     oracle — in-process, so the patched name is the one the leaves call."""
     with monkeypatch.context() as oracle:
-        oracle.setattr(pipeline_mod, "mrscan_gpu", partial(mrscan_gpu, engine="block"))
+        oracle.setattr(pipeline_mod, "mrscan_gpu", block_mrscan_gpu)
         result = run_pipeline(
             case.points(), case.config(validate="off", transport="local")
         )

@@ -43,7 +43,7 @@ def _assert_core_mask_exact(coords: np.ndarray, eps: float, minpts: int) -> np.n
     want = _grid_counts(coords, eps)
     points = PointSet.from_coords(coords)
     for use_densebox in (False, True):
-        res = mrscan_gpu(points, eps, minpts, engine="csr", use_densebox=use_densebox)
+        res = mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
         np.testing.assert_array_equal(res.core_mask, want >= minpts)
     no_box = np.zeros(len(coords), dtype=bool)
     for batch_pairs in (257, 4_194_304):

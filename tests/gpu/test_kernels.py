@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+from block_reference import bulk_launches, candidate_counts, charge_pass
 
 from repro.dbscan import GridIndex
 from repro.data import uniform_noise
 from repro.gpu import SimulatedDevice
-from repro.gpu.kernels import bulk_launches, candidate_counts, charge_pass, expected_scan_ops
+from repro.gpu.kernels import expected_scan_ops
 from repro.points import PointSet
 
 

@@ -21,11 +21,11 @@ import importlib
 
 import numpy as np
 import pytest
+from block_reference import candidate_counts, csr_neighborhoods, neighbor_pairs
 from hypothesis import given, settings, strategies as st
 
 from repro.dbscan.grid_index import GridIndex
 from repro.errors import ConfigError
-from repro.gpu.kernels import candidate_counts, csr_neighborhoods, neighbor_pairs
 from repro.gpu.treeindex import FlatTree, morton_decode, morton_encode
 from repro.points import PointSet
 

@@ -18,10 +18,22 @@ from merge_reference import as_graph, assert_summaries_identical, reference_summ
 
 from repro.data import generate_sdss, generate_twitter
 from repro.gpu.mrscan_gpu import mrscan_gpu
-from repro.gpu.treeindex import FlatTree
 from repro.merge.summary import summarize_leaf
 from repro.partition.grid import cell_of_coords
 from repro.points import NOISE, PointSet
+
+
+def _brute_force_claims(coords, core_mask, eps):
+    """Every ``(non-core, core)`` index pair within Eps, shuffled."""
+    cores = np.flatnonzero(core_mask)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for rows in np.array_split(np.flatnonzero(~core_mask), max(1, len(coords) // 256)):
+        dx = coords[rows, 0][:, None] - coords[cores, 0]
+        dy = coords[rows, 1][:, None] - coords[cores, 1]
+        r, c = np.nonzero(dx * dx + dy * dy <= eps * eps)
+        parts.append(np.stack((rows[r], cores[c]), axis=1))
+    claims = np.concatenate(parts)
+    return claims[np.random.default_rng(len(claims)).permutation(len(claims))]
 
 
 def _check(points, labels, core_mask, eps, owned, leaf_id=3):
@@ -30,10 +42,10 @@ def _check(points, labels, core_mask, eps, owned, leaf_id=3):
     got = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned)
     want = reference_summarize_leaf(leaf_id, points, labels, core_mask, eps, owned)
     assert_summaries_identical(got, want)
-    # Handed the cluster engine's Eps-cell tree, it builds none of its own
-    # and says the same thing.
-    tree = FlatTree(points.coords, eps)
-    shared = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned, tree=tree)
+    # Handed the claims, in any order and NOISE-labelled cores included,
+    # it walks nothing and says the same thing.
+    claims = _brute_force_claims(points.coords, core_mask, eps)
+    shared = summarize_leaf(leaf_id, points, labels, core_mask, eps, owned, claims=claims)
     assert_summaries_identical(shared, want)
     return as_graph(got)
 
@@ -90,8 +102,8 @@ def test_clustered_leaf_matches_reference(make, eps, minpts):
     owned = set(sorted(_cells(points, eps))[::2])
     summary = _check(points, out.labels, out.core_mask, eps, owned)
     assert summary.n_clusters == out.n_clusters > 1
-    # The tree the engine hands over has already cached its leaf pairs.
-    handed = summarize_leaf(3, points, out.labels, out.core_mask, eps, owned, tree=out.tree)
+    # The claims the engine's border pass hands over.
+    handed = summarize_leaf(3, points, out.labels, out.core_mask, eps, owned, claims=out.claims)
     assert_summaries_identical(handed, summary)
 
 
