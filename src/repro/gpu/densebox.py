@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..points import PointSet
-from .treeindex import FlatTree
+from .treeindex import FlatTree, box_extents
 
 __all__ = [
     "DENSEBOX_DETECTOR",
@@ -110,10 +110,9 @@ def find_dense_boxes(
     box_of_cell = np.full(n_cells, -1, dtype=np.int64)
     dense = np.empty(0, dtype=np.int64)
     if n_cells and (populous := tree.level_count[-1] >= minpts).any():
-        start = tree.level_start[-1]
         x, y = points.coords[tree.order, 0], points.coords[tree.order, 1]
-        dx = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
-        dy = np.maximum.reduceat(y, start) - np.minimum.reduceat(y, start)
+        x0, x1, y0, y1 = box_extents((x, x, y, y), tree.level_start[-1])
+        dx, dy = x1 - x0, y1 - y0
         dense = np.flatnonzero(populous & (dx * dx + dy * dy <= eps * eps))
         box_of_cell[dense] = np.arange(len(dense))
     return DenseBoxResult(

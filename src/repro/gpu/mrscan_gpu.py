@@ -32,16 +32,18 @@ and core collisions are resolved with data-parallel union-find
 (`repro.dbscan.disjoint_set`) — the tree-based formulation of Prokopenko
 et al. (*Fast tree-based algorithms for DBSCAN on GPUs*).  Pass 1 really
 does stop at MinPts: a saturating dual traversal of an eps/8 tree credits
-whole box pairs inside Eps, retires cells whose credit reaches MinPts,
-and evaluates distances only around the rows still open — so a core
-point's count is a lower bound, never its exact neighbourhood size.  A
-leaf sorts its points twice: the eps/√2 dense-box tree also yields the
-core components, and the Eps-cell tree is the eps/8 tree with its three
-finest levels dropped.  Pass 2's border step is the leaf's one walk of
-non-core rows × core columns (:func:`repro.gpu.kernels.walk_claims`): it
-labels each border point from its nearest core and hands every
-within-Eps ``(non-core, core)`` pair on as ``GPUClusterResult.claims``,
-the multi-membership :func:`repro.merge.summarize_leaf` summarises.
+box pairs whose points lie wholly inside Eps of each other, drops those
+wholly outside, retires cells whose credit reaches MinPts, and evaluates
+distances only around the rows still open — so a core point's count is a
+lower bound, never its exact neighbourhood size.  A leaf sorts its points
+twice: the eps/√2 dense-box tree also yields the core components (its
+cell pairs judged by their cores' extents the same way), and the
+Eps-cell tree is the eps/8 tree with its three finest levels dropped.
+Pass 2's border step is the leaf's one walk of non-core rows × core
+columns (:func:`repro.gpu.kernels.walk_claims`): it labels each border
+point from its nearest core and hands every within-Eps ``(non-core,
+core)`` pair on as ``GPUClusterResult.claims``, the multi-membership
+:func:`repro.merge.summarize_leaf` summarises.
 
 The per-cell python expansion loop these kernels replaced lives on in
 ``tests/gpu/block_reference.py`` as the differential oracle.  The two
@@ -71,7 +73,7 @@ from .kernels import (
     iter_position_batches,
     walk_claims,
 )
-from .treeindex import FlatTree
+from .treeindex import FlatTree, box_extents, extent_verdicts
 
 __all__ = [
     "MrScanGPUStats",
@@ -212,12 +214,12 @@ def _csr_counts(
     dense-box elimination.
 
     Counting runs on ``tree``, a grid finer than Eps (:func:`_leaf_trees`),
-    walked by :meth:`FlatTree.saturating_pairs`: box pairs wholly within Eps of each
-    other credit their full population without a single distance
-    evaluation, at the coarsest tree level that proves it; cells whose
-    credit alone reaches MinPts are retired; and only the annulus of
-    partially-covered cells around the remaining rows is expanded
-    point-by-point.
+    walked by :meth:`FlatTree.saturating_pairs`: box pairs whose points
+    lie wholly within Eps of each other credit their full population
+    without a single distance evaluation, at the coarsest tree level that
+    proves it, and pairs wholly beyond Eps are dropped; cells whose credit
+    alone reaches MinPts are retired; and only the annulus of straddling
+    pairs around the remaining rows is expanded point-by-point.
 
     Returns ``(counts, batch_candidates)`` where ``counts`` is that
     evidence on ``~in_box`` rows and zero elsewhere.
@@ -240,13 +242,14 @@ def _csr_counts(
     nb_start, nb_count = st2[0::2], cnt2[0::2]
 
     # Row side: non-box members of pa; column side: all members of pb.
-    credit, pa, pb = tree.saturating_pairs(nb_count > 0, minpts)
+    # Column coords in tree order also give the walk its box extents.
+    xc, yc = coords[order, 0].copy(), coords[order, 1].copy()
+    credit, pa, pb = tree.saturating_pairs(xc, yc, nb_count > 0, minpts)
 
-    # Annulus of partially-covered cell pairs: evaluate point-by-point in
+    # Annulus of straddling cell pairs: evaluate point-by-point in
     # position space (row coords gather sequentially from the class-grouped
     # permutation, column coords from the tree permutation).
     xr, yr = coords[ord2, 0].copy(), coords[ord2, 1].copy()
-    xc, yc = coords[order, 0].copy(), coords[order, 1].copy()
 
     # Distance tests run in float32 on centred coordinates — half the
     # memory traffic of float64 — with candidates inside a conservative
@@ -310,11 +313,12 @@ def _csr_core_components(
 
     ``box_tree`` is the leaf's eps/√2 dense-box tree at radius Eps
     (:func:`build_densebox_tree`): every cell is a clique (diameter ≤ eps),
-    so the union-find runs over cells — Wang, Gu & Shun's cell graph — and
-    only interacting cell *pairs* that both hold cores need distance
-    checks.  Cell pairs whose cells already share a union-find root are
-    dropped before expansion — the vectorised form of the ``connected``
-    short-circuit in :func:`repro.dbscan.reference.core_components`.
+    so the union-find runs over cells — Wang, Gu & Shun's cell graph.
+    Interacting cell pairs that both hold cores are judged by their cores'
+    extents (:func:`extent_verdicts`): *far* pairs are dropped, *full*
+    pairs unioned with no distance test, and only straddling pairs whose
+    cells do not share a root yet are probed — the vectorised form of the
+    ``connected`` short-circuit in :func:`repro.dbscan.reference.core_components`.
     Returns, per core in index order, the root cell of its component, the
     number of union-find hook rounds, and per-batch evaluated candidate
     counts.
@@ -327,20 +331,25 @@ def _csr_core_components(
     start = np.cumsum(count) - count
     xs, ys = coords[cores, 0], coords[cores, 1]
     eps2 = float(eps) * float(eps)
-    parent, rounds = np.arange(box_tree.n_leaf_boxes), 0
+    has = count > 0
+    ext, slot = box_extents((xs, xs, ys, ys), start[has]), np.cumsum(has) - 1
 
-    # Cross-cell merges.  Two live optimisations mirror the per-cell
-    # loop's short-circuits batch-wise: cell pairs whose cells already
-    # share a root are dropped before expansion (connectivity transits
-    # through earlier merges), and each surviving pair is first probed
-    # with a capped sample of member pairs — one witness edge merges the
-    # whole cell pair, so full expansion is reserved for pairs that stay
-    # disconnected after sampling.
     a, b = box_tree.leaf_pairs()
-    keep = (a != b) & (count[a] > 0) & (count[b] > 0)
+    keep = (a != b) & has[a] & has[b]
     a, b = a[keep], b[keep]
+    full, far = extent_verdicts(ext, slot[a], slot[b], eps2)
+    parent, rounds = union_edges(np.arange(box_tree.n_leaf_boxes), a[full], b[full])
+    straddle = ~(full | far)
+    a, b = a[straddle], b[straddle]
+
+    # Straddling merges, mirroring the per-cell loop's short-circuits
+    # batch-wise: pairs whose cells already share a root are dropped
+    # (connectivity transits through earlier merges), and each survivor is
+    # probed with a capped sample of member pairs, 2 per side and 4x more
+    # each round — one witness edge merges the whole cell pair, so full
+    # expansion is reserved for pairs still disconnected after sampling.
     batches: list[int] = []
-    cap = 8
+    cap = 2
     while len(a):
         live = parent[a] != parent[b]
         a, b = a[live], b[live]

@@ -14,9 +14,11 @@ Geometry is anchored to the same global Eps-grid as the reference
 DBSCAN's grid index (``floor(coord / eps)``), so the *leaf* level of this
 tree is exactly the set of non-empty Eps-cells.  A dual traversal from
 the root expands only box pairs whose regions can hold a point pair
-within Eps (``mindist < eps``); at leaf level that reproduces
-the classic 3×3 cell stencil exactly, which is what keeps the engine
-byte-identical to the per-cell oracle in ``tests/gpu/block_reference.py``.
+within Eps (``mindist < eps``); at leaf level that reproduces the classic
+3×3 cell stencil, the per-cell oracle's (``tests/gpu/block_reference.py``).
+The counting walk judges box pairs by their points' tight extents instead
+(Prokopenko et al.'s bounding boxes), which settle "all within Eps" and
+"none within Eps" exactly against the float64 pair test.
 
 A tree over cells ``2**k`` times finer than Eps, with its cell origin on a
 multiple of ``2**k``, *contains* the Eps-cell tree: ``x / (eps / 2**k)`` is
@@ -32,7 +34,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..sorting import stable_order
 
-__all__ = ["FlatTree"]
+__all__ = ["FlatTree", "box_extents", "extent_verdicts"]
 
 #: Morton coding uses 2 bits per level; 28 per axis keeps the interleaved
 #: key comfortably inside int64 and is far beyond any real Eps/span ratio.
@@ -78,6 +80,42 @@ def _exclusive_cumsum(v: np.ndarray) -> np.ndarray:
     out = np.zeros(len(v), dtype=np.int64)
     np.cumsum(v[:-1], out=out[1:])
     return out
+
+
+def box_extents(ext: tuple[np.ndarray, ...], starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tight ``(x0, x1, y0, y1)`` of each run ``starts[i]:starts[i+1]`` of
+    boxes with extents ``ext`` — or of points, passed as ``(x, x, y, y)``."""
+    x0, x1, y0, y1 = ext
+    return (
+        np.minimum.reduceat(x0, starts),
+        np.maximum.reduceat(x1, starts),
+        np.minimum.reduceat(y0, starts),
+        np.maximum.reduceat(y1, starts),
+    )
+
+
+def extent_verdicts(
+    ext: tuple[np.ndarray, ...], a: np.ndarray, b: np.ndarray, r2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(full, far)`` of box pairs ``(a, b)`` from their point extents.
+
+    *full*: every member pair passes the float64 ``dx*dx + dy*dy <= r2``;
+    *far*: none does.  Exact, since rounding is monotone: each member
+    pair's float ``|dx|`` lies between the extents' float gap and span.
+    """
+    x0, x1, y0, y1 = ext
+    span2 = gap2 = 0.0
+    for lo, hi in ((x0, x1), (y0, y1)):  # in place: this is the walk's hot loop
+        la, lb, ha, hb = lo[a], lo[b], hi[a], hi[b]
+        span = np.maximum(ha, hb)
+        span -= np.minimum(la, lb)
+        gap = np.maximum(la, lb, out=la)
+        gap -= np.minimum(ha, hb, out=ha)
+        np.maximum(gap, 0.0, out=gap)  # negative where the extents overlap
+        span *= span
+        gap *= gap
+        span2, gap2 = span2 + span, gap2 + gap
+    return span2 <= r2, gap2 > r2
 
 
 class FlatTree:
@@ -281,10 +319,10 @@ class FlatTree:
     # ------------------------------------------------------------------ #
 
     def _child_pairs(
-        self, lvl: int, a: np.ndarray, b: np.ndarray, r2: float
+        self, lvl: int, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Child pairs (level ``lvl + 1``, ``a <= b``) of box pairs at
-        ``lvl`` whose regions lie strictly within ``sqrt(r2)`` of each other."""
+        """Every child pair (level ``lvl + 1``, ``a <= b``) of box pairs at
+        ``lvl``; the caller prunes them."""
         cs = self.child_start[lvl]
         n_children = self.child_end[lvl] - cs
         # Two-stage repeat expansion (one row per child of ``a``, then that
@@ -299,12 +337,7 @@ class FlatTree:
         ca = row_ca[cand_row]
         cb = (cs[b][row_pair] - _exclusive_cumsum(per_row))[cand_row]
         cb += np.arange(len(cand_row), dtype=np.int64)
-        bx, by = self.box_cells(lvl + 1)
-        edge = self.box_edge(lvl + 1)
-        gapx = (np.abs(bx[ca] - bx[cb]) - 1).clip(min=0) * edge
-        gapy = (np.abs(by[ca] - by[cb]) - 1).clip(min=0) * edge
-        keep = gapx * gapx + gapy * gapy < r2
-        keep &= ca <= cb  # diagonal parents expand to an unordered triangle
+        keep = ca <= cb  # diagonal parents expand to an unordered triangle
         return ca[keep], cb[keep]
 
     def leaf_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -324,24 +357,30 @@ class FlatTree:
         if self._leaf_pairs is None:
             a = b = np.zeros(1 if self.n_levels else 0, dtype=np.int64)  # root pair
             for lvl in range(self.n_levels - 1):
-                a, b = self._child_pairs(lvl, a, b, self.radius * self.radius)
+                a, b = self._child_pairs(lvl, a, b)
+                bx, by = self.box_cells(lvl + 1)
+                edge = self.box_edge(lvl + 1)
+                gapx = (np.abs(bx[a] - bx[b]) - 1).clip(min=0) * edge
+                gapy = (np.abs(by[a] - by[b]) - 1).clip(min=0) * edge
+                keep = gapx * gapx + gapy * gapy < self.radius * self.radius
+                a, b = a[keep], b[keep]
             self._leaf_pairs = (a, b)
         return self._leaf_pairs
 
     def saturating_pairs(
-        self, active: np.ndarray, need: int
+        self, x: np.ndarray, y: np.ndarray, active: np.ndarray, need: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dual traversal for range *counting* that stops at ``need``.
 
-        ``active`` flags the leaf boxes holding rows whose neighbours are
-        being counted.  A box pair whose regions lie wholly within the
-        radius of each other (cells are half-open, so the per-axis
-        ``(|Δ| + 1)·edge`` bound is exact) is *credited* — each side gains
-        the other's population — at the coarsest level that proves it and
-        is never descended; credit is inherited by children.  A box is
-        *done* once it has no active leaf below it or its credit reaches
-        ``need``, and a pair straddling the radius is kept only while
-        either side is not done.
+        ``x``, ``y`` are the coordinates in tree order and ``active`` flags
+        the leaf boxes holding rows whose neighbours are being counted.
+        Box pairs are judged by their points' extents
+        (:func:`extent_verdicts`): a *full* pair is *credited* — each side
+        gains the other's population — at the coarsest level that proves
+        it and is never descended (children inherit credit); a *far* pair
+        is dropped.  A box is *done* once it has no active leaf below it or
+        its credit reaches ``need``, and a straddling pair is kept only
+        while either side is not done.
 
         Returns ``(credit, rows, cols)``: per-leaf-box credit, and the
         directed straddling leaf pairs whose row box is not done.  For
@@ -352,29 +391,21 @@ class FlatTree:
         empty = np.empty(0, dtype=np.int64)
         if self.n_levels == 0:
             return empty, empty, empty
-        # Boxes with an active leaf below them, per level.
+        # Extents of the leaves, then of each parent from its child range;
+        # and the boxes with an active leaf below them, per level.
+        ext = [box_extents((x, x, y, y), self.level_start[-1])]
         live = [np.asarray(active, dtype=bool)]
         for cs in reversed(self.child_start):
+            ext.append(box_extents(ext[-1], cs))
             live.append(np.logical_or.reduceat(live[-1], cs))
+        ext.reverse()
         live.reverse()
         r2 = self.radius * self.radius
-        # ``floor(coord / cell)`` is a float division (a quotient of size q
-        # is off by up to q * 2^-53 cells), so two points exactly ``radius``
-        # apart can land in boxes whose nominal gap *is* ``radius``.
-        # Counting has no stencil to reproduce: the far prune gives way by
-        # that much and leaves the tie to the caller's distance test (the
-        # full test has percents of margin).
-        q = np.abs(self.cell_origin).max() + 2.0**self.leaf_bits
-        far2 = r2 * (1.0 + 2.0**-48 + q * 2.0**-50)
         a = b = np.zeros(1, dtype=np.int64)
         credit = np.zeros(1, dtype=np.int64)
         for lvl in range(self.n_levels):
-            bx, by = self.box_cells(lvl)
-            edge = self.box_edge(lvl)
             cnt = self.level_count[lvl]
-            fx = (np.abs(bx[a] - bx[b]) + 1) * edge
-            fy = (np.abs(by[a] - by[b]) + 1) * edge
-            full = fx * fx + fy * fy <= r2
+            full, far = extent_verdicts(ext[lvl], a, b, r2)
             # Both directions, a diagonal pair once (float weights are
             # exact at these magnitudes).
             fa, fb = a[full], b[full]
@@ -385,11 +416,11 @@ class FlatTree:
                 minlength=len(cnt),
             ).astype(np.int64)
             done = ~live[lvl] | (credit >= need)
-            keep = ~full & ~(done[a] & done[b])
+            keep = ~(full | far | (done[a] & done[b]))
             a, b = a[keep], b[keep]
             if lvl < self.n_levels - 1:
                 credit = np.repeat(credit, self.child_end[lvl] - self.child_start[lvl])
-                a, b = self._child_pairs(lvl, a, b, far2)
+                a, b = self._child_pairs(lvl, a, b)
         fwd, rev = ~done[a], ~done[b] & (a != b)
         return credit, np.concatenate((a[fwd], b[rev])), np.concatenate((b[fwd], a[rev]))
 

@@ -19,6 +19,7 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
 import numpy as np
@@ -33,6 +34,9 @@ from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.partition import GridHistogram, form_partitions, partition_points
 from repro.points import PointSet
 from fuzz_cases import generate_case
+
+# ``repro.gpu`` re-exports the function under the module's name.
+_gpu_mod = importlib.import_module("repro.gpu.mrscan_gpu")
 
 # ---------------------------------------------------------------------- #
 # Direct kernel-level parity
@@ -74,8 +78,23 @@ def _assert_identical(res_block, res_csr) -> None:
     assert res_block.stats.n_eliminated == res_csr.stats.n_eliminated
 
 
+def _record_walk_batches(monkeypatch) -> list[int]:
+    """Wrap the leaf's three walks (counting, core components, border
+    claims); each call appends the length of the batch list it returns."""
+    seen: list[int] = []
+    for name, at in (("_csr_counts", 1), ("_csr_core_components", 2), ("walk_claims", 2)):
+
+        def recorded(*args, _walk=getattr(_gpu_mod, name), _at=at, **kwargs):
+            out = _walk(*args, **kwargs)
+            seen.append(len(out[_at]))
+            return out
+
+        monkeypatch.setattr(_gpu_mod, name, recorded)
+    return seen
+
+
 @pytest.mark.parametrize("trial", range(20))
-def test_direct_parity_randomized(trial):
+def test_direct_parity_randomized(trial, monkeypatch):
     """mrscan_gpu == block_mrscan_gpu, bit for bit."""
     rng = np.random.default_rng(1000 + trial)
     points = _random_points(rng, int(rng.integers(50, 900)), trial % 4)
@@ -92,11 +111,18 @@ def test_direct_parity_randomized(trial):
         minpts = int(rng.integers(2, 5))
         use_densebox = False
     res_block = block_mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
+    walk_batches = _record_walk_batches(monkeypatch)
     res_csr = mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
     _assert_identical(res_block, res_csr)
     assert res_block.stats.engine == "block"
     assert res_csr.stats.engine == "csr"
-    assert res_csr.stats.csr_batches >= 1
+    assert len(walk_batches) == (3 if res_csr.stats.n_core else 1)
+    assert res_csr.stats.csr_batches == sum(walk_batches)
+    # Box pairs settled by their extents evaluate no distance, so a draw
+    # may need no batch at all; a border claim, though, is only ever found
+    # by testing the pair.
+    if len(res_block.claims):
+        assert res_csr.stats.csr_batches >= 1
     assert res_block.stats.csr_batches == 0
 
 

@@ -1,25 +1,33 @@
-"""Adversarial numerics for the csr engine's pass 1.
+"""Adversarial numerics for the csr engine's two passes.
 
-Pass 1 decides core / non-core from cell geometry (bulk credit, far
-prune) plus a centred-float32 distance test whose near-``eps`` band is
+Pass 1 decides core / non-core from box extents (bulk credit, far prune)
+plus a centred-float32 distance test whose near-``eps`` band is
 re-checked in float64.  Every one of those shortcuts must leave the core
 mask *bit-equal* to the pure-float64 ``dx*dx + dy*dy <= eps*eps`` that
 ``GridIndex.count_neighbors`` (the ``block`` engine's pass 1) evaluates:
 large coordinate offsets, span/eps on both sides of the 2^15 float32
 cut-over, duplicate-heavy sets, pairs at exactly ``eps`` and one ulp
 either side, and the counting grid's Morton-budget fallback divisors.
+
+Pass 2's core components judge cell pairs by the same extent rule; on
+the same kind of sets the rule's verdicts must be implied by the float64
+test, and the components must be the reference's.
 """
 
 from __future__ import annotations
 
 import importlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dbscan.disjoint_set import first_appearance_labels, vectorized_union
 from repro.dbscan.grid_index import GridIndex
+from repro.dbscan.reference import core_components
+from repro.gpu.densebox import build_densebox_tree
 from repro.gpu.mrscan_gpu import mrscan_gpu
+from repro.gpu.treeindex import box_extents, extent_verdicts
 from repro.points import PointSet
 
 # ``repro.gpu`` re-exports the function under the module's name.
@@ -99,6 +107,11 @@ def test_core_mask_exact_either_side_of_the_float32_cutover(ratio, want32):
     assert _uses_float32(coords, eps) is want32
     counts = _assert_core_mask_exact(coords, eps, 6)
     assert (counts >= 6).any() and (counts < 6).any()
+    # Box pairs settled by their extents test no distance; a threshold no
+    # row reaches leaves the straddling ones to the (float32) distance test.
+    got, batches = _counts(coords, eps, len(coords) + 1, np.zeros(len(coords), bool), 4096)
+    assert sum(batches) > 100
+    np.testing.assert_array_equal(got, _grid_counts(coords, eps))
 
 
 # ---------------------------------------------------------------------- #
@@ -200,21 +213,103 @@ def test_core_mask_exact_on_every_count_grid_divisor(ratio, divisor):
     assert (counts >= 5).any() and (counts < 5).any()
 
 
-def test_no_full_test_can_tie_at_any_level():
-    """A box pair ``(a - 1, b - 1)`` boxes apart at a level ``k`` above the
-    leaves is *full* iff ``a^2 + b^2 <= D^2 / 4^k`` (``D`` the divisor, in
-    units of the level's edge).  No integer pair sits on that boundary —
-    64, 16, 4 and 1 are not sums of two positive squares, and neither is
-    any ``D^2 / 4^k`` below them — and the nearest miss is far outside
-    float rounding, so the float comparison in ``saturating_pairs`` always
-    lands on the side exact arithmetic would."""
-    for divisor in (8, 4, 2, 1):
-        for k in range(0, 8):
-            bound = Fraction(divisor * divisor, 4**k)
-            table = [
-                Fraction(a * a + b * b)
-                for a in range(1, 2 * divisor + 3)
-                for b in range(1, 2 * divisor + 3)
-            ]
-            assert bound not in table
-            assert min(abs(t - bound) / bound for t in table) > Fraction(1, 100)
+# ---------------------------------------------------------------------- #
+# The extent rule and pass 2's core components
+# ---------------------------------------------------------------------- #
+
+
+def _adversarial(kind: str, eps: float, offset: float, seed: int) -> np.ndarray:
+    """Point sets that sit on the float64 test's tie: every kind puts many
+    pairs at (rounded) distance ``eps``, at ``offset`` from the origin."""
+    rng = np.random.default_rng(seed)
+    ulps = [eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf)]
+    if kind == "lattice":  # accumulated steps of eps, or of the box edge
+        step = eps / np.sqrt(2.0) if seed % 2 else eps
+        axis = np.cumsum(np.full(9, step))
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+    elif kind == "ulp":  # anchor/satellite pairs at eps·(1 ± 2^-52)
+        rows = []
+        for k, d in enumerate(ulps):
+            for j, (ux, uy) in enumerate([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]):
+                x, y = 3.0 * eps * k, 3.0 * eps * j
+                rows += [[x, y], [x + ux * d, y + uy * d]]
+        pts = np.array(rows)
+        pts = np.vstack([pts, pts + rng.choice(ulps) * np.array([1.0, 0.0])])
+    elif kind == "duplicates":  # stacks exactly eps (or an ulp off) apart
+        base = np.cumsum(rng.choice(ulps, size=(6, 2)), axis=0)
+        pts = base[rng.integers(0, len(base), size=60)]
+    elif kind == "collinear":  # steps of eps and an ulp either side
+        x = np.cumsum(rng.choice(ulps + [eps / 2.0], size=60))
+        pts = np.column_stack([x, np.zeros_like(x)])
+        pts = np.vstack([pts, pts[::3] + np.array([0.0, eps])])
+    else:  # wide: two lattices span/eps just below or above 2^15 apart
+        axis = np.cumsum(np.full(6, eps))
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        pts = np.vstack([pts, pts + np.array([(2**15 + rng.choice([-40, 40])) * eps, 0.0])])
+    return pts + offset
+
+
+def _within(coords: np.ndarray, eps: float) -> np.ndarray:
+    """The float64 pair test, every pair."""
+    dx = coords[:, None, 0] - coords[None, :, 0]
+    dy = coords[:, None, 1] - coords[None, :, 1]
+    return dx * dx + dy * dy <= eps * eps
+
+
+_ADVERSARIAL = dict(
+    kind=st.sampled_from(["lattice", "ulp", "duplicates", "collinear", "wide"]),
+    eps=st.sampled_from([0.25, 0.1, 0.3, 0.05]),
+    offset=st.sampled_from([0.0, 1e6, -3e7, 1e9]),
+    seed=st.integers(0, 1000),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_ADVERSARIAL)
+def test_extent_verdicts_are_implied_by_the_pair_test(kind, eps, offset, seed):
+    """*full* means every member pair passes ``dx*dx + dy*dy <= eps*eps``
+    and *far* means none does — for single points (where the two verdicts
+    are the test itself) and for the boxes of both leaf trees at every
+    level."""
+    coords = _adversarial(kind, eps, offset, seed)
+    within = _within(coords, eps)
+    n, x, y = len(coords), coords[:, 0], coords[:, 1]
+    a, b = (ix.ravel() for ix in np.indices((n, n)))
+    full, far = extent_verdicts(box_extents((x, x, y, y), np.arange(n)), a, b, eps * eps)
+    np.testing.assert_array_equal(full, within.ravel())
+    np.testing.assert_array_equal(far, ~within.ravel())
+
+    points = PointSet.from_coords(coords)
+    for tree in (_mod._leaf_trees(coords, eps)[0], build_densebox_tree(points, eps)):
+        x, y = coords[tree.order, 0], coords[tree.order, 1]
+        sorted_within = within[np.ix_(tree.order, tree.order)]
+        for starts in tree.level_start:
+            m = len(starts)
+            every = np.logical_and.reduceat(sorted_within, starts, axis=0)
+            every = np.logical_and.reduceat(every, starts, axis=1).ravel()
+            some = np.logical_or.reduceat(sorted_within, starts, axis=0)
+            some = np.logical_or.reduceat(some, starts, axis=1).ravel()
+            a, b = (ix.ravel() for ix in np.indices((m, m)))
+            full, far = extent_verdicts(box_extents((x, x, y, y), starts), a, b, eps * eps)
+            assert np.all(every[full]) and not np.any(some[far])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_ADVERSARIAL, core_share=st.sampled_from([1.0, 0.7]))
+def test_core_components_match_the_reference(kind, eps, offset, seed, core_share):
+    """The csr components (extent-full unions, extent-far drops, sampled
+    probe of the rest) are the reference's partition and the brute-force
+    eps-graph's, on sets whose pairs tie the test."""
+    coords = _adversarial(kind, eps, offset, seed)
+    core_mask = np.random.default_rng(seed).random(len(coords)) < core_share
+    cores = coords[core_mask]
+    want = first_appearance_labels(core_components(cores, eps))
+    i, j = np.nonzero(_within(cores, eps))
+    brute = first_appearance_labels(vectorized_union(len(cores), i, j)[0])
+    np.testing.assert_array_equal(want, brute)
+    tree = build_densebox_tree(PointSet.from_coords(coords), eps)
+    for batch_pairs in (257, 4_194_304):
+        comp, _, _ = _mod._csr_core_components(coords, tree, core_mask, eps, batch_pairs)
+        np.testing.assert_array_equal(first_appearance_labels(comp), want)

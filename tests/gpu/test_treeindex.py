@@ -10,7 +10,8 @@ engine's byte-identical-labels guarantee rests on:
   within the interaction radius (mindist prune is exact, never lossy);
 * the saturating traversal's credit plus the annulus it hands back is the
   exact neighbour count of every row it did not retire, and a lower bound
-  that reaches the threshold on every row it did;
+  that reaches the threshold on every row it did; it credits a box pair
+  iff the tight extents of its points are wholly within the radius;
 * ``csr_neighborhoods`` equals a brute-force O(n^2) eps-neighborhood
   scan, including on degenerate inputs (duplicates, collinear, empty).
 """
@@ -331,6 +332,11 @@ def test_interaction_counts_match_grid_stencil():
 # ---------------------------------------------------------------------- #
 
 
+def _tree_xy(tree: FlatTree, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates in tree order, as the counting walk takes them."""
+    return coords[tree.order, 0], coords[tree.order, 1]
+
+
 def _brute_counts(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     d = coords[:, None, :] - coords[None, :, :]
     within = d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius
@@ -352,7 +358,7 @@ def test_saturating_pairs_evidence(kind, n, radius, divisor, need, active_share,
     coords = _coords(rng, n, kind)
     tree = FlatTree(coords, radius / divisor, radius=radius)
     active = rng.random(tree.n_leaf_boxes) < active_share
-    credit, rows, cols = tree.saturating_pairs(active, need)
+    credit, rows, cols = tree.saturating_pairs(*_tree_xy(tree, coords), active, need)
     within, brute = _brute_counts(coords, radius)
 
     assert len(credit) == tree.n_leaf_boxes and len(rows) == len(cols)
@@ -379,61 +385,63 @@ def test_saturating_pairs_evidence(kind, n, radius, divisor, need, active_share,
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("divisor", [1, 3, 6])
 def test_saturating_pairs_without_saturation_is_leaf_pairs(kind, divisor):
-    """(iii) With an unreachable threshold and every box active, credited
-    pairs and annulus pairs partition ``leaf_pairs()`` exactly: a leaf pair
-    is credited iff some ancestor pair (itself included) is wholly inside
-    the radius, and handed back iff none is.  The one thing the walk adds
-    is box pairs whose nominal gap *ties* the radius, which ``leaf_pairs``
-    prunes and counting must leave to the distance test."""
+    """(iii) With an unreachable threshold and every box active, a directed
+    leaf pair is credited iff the pair of its ancestors at some level
+    (itself included) is *full* — the span of their points' union is within
+    the radius — and handed back iff no ancestor pair is full or *far*
+    (the gap between their extents beyond the radius).  What is handed
+    back is a subset of the geometric ``leaf_pairs()``."""
     rng = np.random.default_rng(13)
     coords = _coords(rng, 300, kind)
     radius = 0.45
+    r2 = radius * radius
     tree = FlatTree(coords, radius / divisor, radius=radius)
     n_boxes = tree.n_leaf_boxes
-    credit, rows, cols = tree.saturating_pairs(np.ones(n_boxes, dtype=bool), len(coords) + 1)
+    credit, rows, cols = tree.saturating_pairs(
+        *_tree_xy(tree, coords), np.ones(n_boxes, dtype=bool), len(coords) + 1
+    )
 
-    a, b = tree.leaf_pairs()
-    off = a != b
-    directed = set(zip(np.concatenate((a, b[off])).tolist(), np.concatenate((b, a[off])).tolist()))
-    annulus = set(zip(rows.tolist(), cols.tolist()))
+    # Every directed leaf pair's verdict at every level, from the points.
     bx, by = tree.box_cells(tree.n_levels - 1)
-    for p, q in annulus - directed:
-        gx = max(abs(int(bx[p] - bx[q])) - 1, 0) * tree.cell_width
-        gy = max(abs(int(by[p] - by[q])) - 1, 0) * tree.cell_width
-        assert 1.0 <= (gx * gx + gy * gy) / (radius * radius) < 1.0 + 1e-9
-        assert (q, p) in annulus
-    if divisor == 1:  # radius == cell width: axis-aligned ties exist
-        assert annulus - directed
-    annulus &= directed
+    leaf = tree.point_leaf
+    full = np.zeros((n_boxes, n_boxes), dtype=bool)
+    far = np.zeros((n_boxes, n_boxes), dtype=bool)
+    for up in range(tree.n_levels):
+        _, box = np.unique(np.stack((bx >> up, by >> up), axis=1), axis=0, return_inverse=True)
+        box = box.ravel()[leaf]  # ancestor box of every point
+        lo = np.stack([np.full(box.max() + 1, np.inf)] * 2)
+        hi = -lo
+        for axis in (0, 1):
+            np.minimum.at(lo[axis], box, coords[:, axis])
+            np.maximum.at(hi[axis], box, coords[:, axis])
+        anc = np.zeros(n_boxes, dtype=np.int64)
+        anc[leaf] = box
+        p, q = anc[:, None], anc[None, :]
+        span = np.maximum(hi[:, p], hi[:, q]) - np.minimum(lo[:, p], lo[:, q])
+        gap = (np.maximum(lo[:, p], lo[:, q]) - np.minimum(hi[:, p], hi[:, q])).clip(min=0)
+        full |= span[0] ** 2 + span[1] ** 2 <= r2
+        far |= gap[0] ** 2 + gap[1] ** 2 > r2
 
-    def full_at_some_level(p: int, q: int) -> bool:
-        for up in range(tree.n_levels):
-            edge = tree.cell_width * 2**up
-            fx = (abs(int(bx[p] >> up) - int(bx[q] >> up)) + 1) * edge
-            fy = (abs(int(by[p] >> up) - int(by[q] >> up)) + 1) * edge
-            if fx * fx + fy * fy <= radius * radius:
-                return True
-        return False
-
-    want_credit = np.zeros(n_boxes, dtype=np.int64)
     count = tree.level_count[-1]
-    for p, q in directed:
-        covered = full_at_some_level(p, q)
-        assert covered != ((p, q) in annulus)
-        if covered:
-            want_credit[p] += count[q]
-    np.testing.assert_array_equal(credit, want_credit)
+    np.testing.assert_array_equal(credit, (full * count[None, :]).sum(axis=1))
+    annulus = set(zip(rows.tolist(), cols.tolist()))
+    assert annulus == set(zip(*map(np.ndarray.tolist, np.nonzero(~full & ~far))))
+    a, b = tree.leaf_pairs()
+    directed = set(zip(np.concatenate((a, b)).tolist(), np.concatenate((b, a)).tolist()))
+    assert annulus <= directed
+    assert full.any() and annulus
 
 
 def test_saturating_pairs_all_rows_done():
     """(iv) Nothing to count — no active box, or a threshold already met —
     means nothing handed back, whatever the geometry."""
     rng = np.random.default_rng(14)
-    tree = FlatTree(_coords(rng, 400, "clustered"), 0.05, radius=0.3)
+    coords = _coords(rng, 400, "clustered")
+    tree = FlatTree(coords, 0.05, radius=0.3)
     nobody = np.zeros(tree.n_leaf_boxes, dtype=bool)
     everybody = ~nobody
     for active, need in ((nobody, 5), (everybody, 0), (everybody, 1)):
-        credit, rows, cols = tree.saturating_pairs(active, need)
+        credit, rows, cols = tree.saturating_pairs(*_tree_xy(tree, coords), active, need)
         assert len(rows) == len(cols) == 0
         assert len(credit) == tree.n_leaf_boxes
     # need=1: every leaf box is wholly inside the radius of itself here.
@@ -541,5 +549,5 @@ def test_empty_tree_has_the_full_attribute_set():
     np.testing.assert_array_equal(tree.cell_origin, [0, 0])
     bx, by = tree.box_cells(0)
     assert len(bx) == len(by) == 0
-    credit, rows, cols = tree.saturating_pairs(np.zeros(0, dtype=bool), 3)
+    credit, rows, cols = tree.saturating_pairs(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 3)
     assert len(credit) == len(rows) == len(cols) == 0
