@@ -41,6 +41,7 @@ from .grid import CellFrame, GridHistogram, cell_array, cell_of_coords, key_rows
 from .plan import PartitionHints, PartitionPlan, PartitionSpec
 
 __all__ = [
+    "append_points",
     "form_partitions",
     "partition_points",
     "REBALANCE_THRESHOLD_FACTOR",
@@ -333,3 +334,53 @@ def partition_points(
     own = _ids_by_partition(point_cell, np.arange(len(table)), own_parts[order], *sizes)
     shadow = _ids_by_partition(point_cell, shadow_ids[listed], shadow_parts[listed], *sizes)
     return [(points.take(o), points.take(s)) for o, s in zip(own, shadow)]
+
+
+def append_points(
+    partitions: list[tuple[PointSet, PointSet]],
+    batch: PointSet,
+    before: PartitionPlan,
+    after: PartitionPlan,
+) -> list[tuple[PointSet, PointSet]]:
+    """Materialise ``after`` over the resident points plus ``batch`` by
+    appending the batch to ``partitions = partition_points(resident,
+    before)`` instead of re-routing the resident points.
+
+    ``after`` is ``before`` with cells adopted for the batch (appended to
+    the adopters' cell lists) and refreshed shadows.  Precondition: ids
+    ascend in input order and every batch id exceeds every resident id,
+    as the daemon's row-position ids do.  Then the result equals
+    ``partition_points(resident.concat(batch), after)`` byte for byte:
+
+    - own rows are the old own rows, then the batch rows in owned cells
+      (adoption only takes cells empty in ``before``, so the old own rows
+      are still every resident point of the partition's cells);
+    - shadow rows are the old shadow rows merged by id with the resident
+      rows of cells newly in the shadow (shadows only grow; such a cell
+      sits beside an adopted one, and its rows come from its owner's own
+      rows), then the batch rows in shadow cells.
+
+    A partition that gains no rows comes back as the same object.
+    """
+    eps = after.eps
+    pairs = list(zip(before.partitions, after.partitions))
+    adopted = set(chain.from_iterable(new.cells[len(old.cells):] for old, new in pairs))
+    owner = after.cell_owner() if adopted else {}
+    routed = partition_points(batch, after)
+    result = []
+    for partition, (batch_own, batch_shadow), (old, new) in zip(partitions, routed, pairs):
+        moved = new.shadow_cells - old.shadow_cells - adopted
+        if not (moved or len(batch_own) or len(batch_shadow)):
+            result.append(partition)
+            continue
+        own, shadow = partition
+        for pid in sorted({owner[cell] for cell in moved}):
+            donor = partitions[pid][0]
+            cells = cell_of_coords(donor.coords, eps)
+            frame = CellFrame(cells)
+            rows = np.isin(frame.keys(cells), frame.keys(cell_array(moved)))
+            shadow = shadow.concat(donor.take(rows))
+        if moved:
+            shadow = shadow.take(np.argsort(shadow.ids))
+        result.append((own.concat(batch_own), shadow.concat(batch_shadow)))
+    return result

@@ -17,10 +17,13 @@ state:
    sets of every affected partition;
 4. map touched cells to dirty partitions
    (:func:`repro.partition.dirty_partitions`);
-5. re-materialize partitions on the union
-   (:func:`~repro.partition.partitioner.partition_points` is
-   order-stable, so clean partitions come back byte-identical and their
-   cached labels stay aligned);
+5. append the batch to the committed partitions
+   (:func:`~repro.partition.partitioner.append_points`): only the
+   partitions owning or shadowing a batch cell change, clean ones come
+   back as the same objects with their cached labels aligned, and the
+   result equals :func:`~repro.partition.partitioner.partition_points`
+   on the union byte for byte — no ingest re-routes the resident set;
+   dirty specs get their point counts from the appended own rows;
 6. invalidate the dirty leaves' spill checkpoints and run
    :func:`repro.core.pipeline.cluster_merge_sweep` with the clean
    leaves' cached outputs;
@@ -51,7 +54,7 @@ from ..durability.rundir import config_fingerprint, dataset_fingerprint
 from ..errors import ConfigError, FormatError
 from ..partition.dirty import adopt_cells, dirty_partitions, touched_cells_of
 from ..partition.grid import GridHistogram, cell_of_coords
-from ..partition.partitioner import form_partitions, partition_points
+from ..partition.partitioner import append_points, form_partitions, partition_points
 from ..partition.shadow import refresh_shadow
 from ..points import PointSet
 from ..resilience.checkpoint import LeafCheckpointStore
@@ -349,9 +352,12 @@ class ServeState:
             coords=coords,
         )
         points = self.points.concat(batch_internal)
-        # Order-stable re-materialization: clean partitions come back
-        # with identical content and order, keeping cached labels aligned.
-        partitions = partition_points(points, plan)
+        # Append, never re-route: clean partitions come back as the same
+        # objects (their cached labels stay aligned), and internal ids
+        # are row positions, which is the order append_points needs.
+        partitions = append_points(self.partitions, batch_internal, self.plan, plan)
+        for pid in dirty:
+            plan.partitions[pid].point_count = len(partitions[pid][0])
 
         if self.checkpoint_dir is not None and dirty:
             store = LeafCheckpointStore(self.checkpoint_dir)

@@ -7,9 +7,17 @@ cells in forming order, counts, shadow sets, targets, types — and
 boards that force long rebalance chains, with and without rebalancing and
 split hints, with more partitions than cells, a single cell, negative
 cells and offsets up to 1e9 cells.
+
+``append_points`` is held to ``partition_points`` itself: after every
+batch of an ingest stream, appending must give the re-route over the
+concatenation byte for byte, with untouched partitions returned as the
+same objects.
 """
 
 from __future__ import annotations
+
+import copy
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +33,17 @@ from partition_reference import (
     stencil_counts_reference,
 )
 from repro.data import generate_sdss, generate_twitter
-from repro.partition import GridHistogram, PartitionHints, form_partitions, partition_points
+from repro.partition import (
+    GridHistogram,
+    PartitionHints,
+    adopt_cells,
+    append_points,
+    dirty_partitions,
+    form_partitions,
+    partition_points,
+    touched_cells_of,
+)
+from repro.partition.grid import GRID_NEIGHBOR_OFFSETS, cell_of_coords
 from repro.partition.shadow import refresh_shadow, shadow_cells_of
 from repro.perf.workload import ScaledWorkload, leaf_gpu_work
 from repro.points import PointSet
@@ -188,6 +206,143 @@ def test_four_slices_merged_equal_one_histogram_and_the_reference(generate, eps)
     np.testing.assert_array_equal(merged.cells, whole.cells)
     np.testing.assert_array_equal(merged.counts, whole.counts)
     assert _as_dict(whole) == GridHistogramReference.from_points(points, eps).counts
+
+
+# ---------------------------------------------------------------------- #
+# append_points == partition_points over the concatenation
+# ---------------------------------------------------------------------- #
+
+BATCH_KINDS = ("beside", "between", "gap", "far", "uniform", "duplicate", "lattice")
+
+
+def _batch_coords(kind, rng, points, plan, hist, size):
+    """``size`` coordinates of one kind of batch against the resident
+    ``points``: around one resident point (``beside``), across two
+    adjacent cells of different owners (``between``), wholly in empty
+    cells beside resident cells, preferring ones beside two owners
+    (``gap``: adoption widens the adopter's shadow over resident cells),
+    in an isolated far cell, uniformly over the board, repeating resident
+    coordinates, or exactly on cell corners (``lattice``)."""
+    eps = plan.eps
+    anchor = points.coords[rng.integers(len(points))]
+    home = np.floor(anchor / eps)
+    if kind == "beside":
+        return anchor + rng.normal(0, 0.7 * eps, (size, 2))
+    if kind == "far":
+        return (home + 1000 + rng.uniform(0, 1, (size, 2))) * eps
+    if kind == "uniform":
+        lo, hi = points.coords.min(axis=0), points.coords.max(axis=0)
+        return rng.uniform(lo - eps, hi + eps, (size, 2))
+    if kind == "duplicate":
+        picks = points.coords[rng.integers(len(points), size=(size + 1) // 2)]
+        return np.vstack([picks, picks])[:size]
+    if kind == "lattice":
+        return (home + rng.integers(-1, 3, (size, 2))) * eps
+    owner = plan.cell_owner()
+    cells = [tuple(c) for c in hist.cells.tolist()]
+    if kind == "between":
+        pairs = [
+            (c, (c[0] + dx, c[1] + dy)) for c in cells for dx, dy in GRID_NEIGHBOR_OFFSETS
+            if owner.get((c[0] + dx, c[1] + dy), owner[c]) != owner[c]
+        ]
+        if not pairs:
+            return anchor + rng.normal(0, 0.7 * eps, (size, 2))
+        a, b = pairs[rng.integers(len(pairs))]
+        corners = np.array([a, b], dtype=np.float64)[rng.integers(2, size=size)]
+        return (corners + rng.uniform(0, 1, (size, 2))) * eps
+    around = {}  # empty cell -> owners of its resident neighbours
+    for cx, cy in cells:
+        for dx, dy in GRID_NEIGHBOR_OFFSETS:
+            cell = (cx + dx, cy + dy)
+            if cell not in owner:
+                around.setdefault(cell, set()).add(owner[(cx, cy)])
+    gaps = sorted(c for c, o in around.items() if len(o) > 1) or sorted(around)
+    picks = np.array(gaps, dtype=np.float64)[rng.integers(len(gaps), size=min(2, len(gaps)))]
+    return (picks[rng.integers(len(picks), size=size)] + rng.uniform(0, 1, (size, 2))) * eps
+
+
+def _assert_identical(got, want) -> None:
+    assert len(got) == len(want)
+    for pair_got, pair_want in zip(got, want):
+        for g, w in zip(pair_got, pair_want):
+            for name in ("ids", "coords", "weights"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+
+def _append_stream(seed, n, width, clumps, offset, eps, n_parts, batches) -> int:
+    """Ingest ``batches`` as the daemon does — adopt, merge the histogram,
+    refresh the dirty shadows, append — checking each step against the
+    re-route; returns how many partitions took resident rows into a grown
+    shadow (the hard case)."""
+    board = _board(seed, n, width, clumps, offset, eps)
+    # Ascending ids with gaps: the append's precondition, nothing more.
+    points = PointSet(ids=np.arange(n) * 3 + 5, coords=board.coords, weights=board.weights)
+    hist = GridHistogram.from_points(points, eps)
+    plan = form_partitions(hist, n_parts, 2)
+    partitions = partition_points(points, plan)
+    hard = 0
+    for kind, size, batch_seed in batches:
+        rng = np.random.default_rng(batch_seed)
+        coords = _batch_coords(kind, rng, points, plan, hist, size)
+        first = int(points.ids[-1]) + 1
+        batch = PointSet(
+            ids=first + np.arange(size) * 2, coords=coords, weights=rng.uniform(0.5, 2.0, size)
+        )
+        after = copy.deepcopy(plan)
+        owner = after.cell_owner()
+        resident = set(owner)
+        touched = touched_cells_of(cell_of_coords(coords, eps))
+        adopt_cells(after, {c for c in touched if c not in owner}, owner=owner)
+        hist = hist.merge(GridHistogram.from_points(batch, eps))
+        dirty = dirty_partitions(after, touched, owner=owner)
+        for pid in dirty:
+            refresh_shadow(after.partitions[pid], hist)
+
+        got = append_points(partitions, batch, plan, after)
+        points = points.concat(batch)
+        _assert_identical(got, partition_points(points, after))
+        for pid, (old, new) in enumerate(zip(plan.partitions, after.partitions)):
+            if pid not in dirty:
+                assert got[pid] is partitions[pid]
+            hard += bool((new.shadow_cells - old.shadow_cells) & resident)
+        plan, partitions = after, got
+    return hard
+
+
+@pytest.mark.fuzz
+@settings(max_examples=150 if os.environ.get("MRSCAN_FUZZ") == "1" else 25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 400),
+    width=st.integers(1, 14),
+    clumps=st.integers(0, 4),
+    offset=st.sampled_from([0.0, -3.5, 1e9 - 7]),
+    eps=st.sampled_from([0.25, 1.0, 3.0]),
+    n_parts=st.integers(1, 12),
+    batches=st.lists(
+        st.tuples(st.sampled_from(BATCH_KINDS), st.integers(1, 40), st.integers(0, 2**16)),
+        min_size=1, max_size=3,
+    ),
+)
+@example(
+    seed=5, n=300, width=12, clumps=3, offset=0.0, eps=1.0, n_parts=6,
+    batches=[("gap", 20, 1), ("gap", 5, 2), ("between", 30, 3)],
+)
+@example(
+    seed=9, n=200, width=8, clumps=0, offset=-3.5, eps=0.25, n_parts=4,
+    batches=[("far", 3, 4), ("lattice", 25, 5), ("duplicate", 12, 6)],
+)
+def test_append_matches_partition_points(seed, n, width, clumps, offset, eps, n_parts, batches):
+    _append_stream(seed, n, width, clumps, offset, eps, n_parts, batches)
+
+
+def test_append_hard_case_is_exercised():
+    """The first pinned stream really moves resident rows into a shadow
+    that adoption widened."""
+    batches = [("gap", 20, 1), ("gap", 5, 2), ("between", 30, 3)]
+    assert _append_stream(5, 300, 12, 3, 0.0, 1.0, 6, batches) > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -10,6 +10,8 @@ from repro.core.pipeline import mrscan
 from repro.dbscan.labels import clustering_signature
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError
+from repro.partition import partition_points
+from repro.partition.grid import GRID_NEIGHBOR_OFFSETS
 from repro.points import PointSet
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
@@ -43,6 +45,39 @@ def _local_batch(base: PointSet, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     anchor = base.coords[int(rng.integers(0, len(base)))]
     return anchor + rng.normal(0, 0.03, size=(n, 2))
+
+
+def _beside_another_partition(state: ServeState, n: int, seed: int):
+    """``n`` points wholly in one empty cell that adoption gives to a
+    partition whose shadow then grows over another partition's resident
+    cell; returns the points, the adopter and that resident cell."""
+    owner = state.plan.cell_owner()
+    for cx, cy in sorted(
+        (cx + dx, cy + dy) for cx, cy in owner for dx, dy in GRID_NEIGHBOR_OFFSETS
+    ):
+        if (cx, cy) in owner:
+            continue
+        around = [(cx + dx, cy + dy) for dx, dy in GRID_NEIGHBOR_OFFSETS]
+        around = [c for c in around if c in owner]
+        adopter = min(owner[c] for c in around)
+        shadow = state.plan.partitions[adopter].shadow_cells
+        grown = [c for c in around if owner[c] != adopter and c not in shadow]
+        if grown:
+            rng = np.random.default_rng(seed)
+            coords = (np.array([cx, cy]) + rng.uniform(0.1, 0.9, (n, 2))) * state.config.eps
+            return coords, adopter, grown[0]
+    raise AssertionError("no empty cell beside two partitions")
+
+
+def _assert_materialized(state: ServeState) -> None:
+    """The resident partitions are the re-route of the resident points,
+    byte for byte, and every spec counts them."""
+    want = partition_points(state.points, state.plan)
+    for spec, got, ref in zip(state.plan.partitions, state.partitions, want):
+        for g, w in zip(got, ref):
+            for name in ("ids", "coords", "weights"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+        assert (spec.point_count, spec.shadow_count) == tuple(map(len, got))
 
 
 def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
@@ -108,6 +143,12 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
     )
     state.ingest(_local_batch(base, 100, 5))
     state.ingest(_local_batch(base, 100, 6))
+    # Adoption beside another partition's resident cell: the adopter's
+    # shadow takes that cell's resident rows, on replay too.
+    coords, adopter, grown = _beside_another_partition(state, 20, 7)
+    state.ingest(coords)
+    assert grown in state.plan.partitions[adopter].shadow_cells
+    _assert_materialized(state)
     committed = state._snap()
     log.close()
 
@@ -125,7 +166,8 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
     np.testing.assert_array_equal(snap.labels, committed.labels)
     np.testing.assert_array_equal(snap.core_mask, committed.core_mask)
     np.testing.assert_array_equal(snap.external_ids, committed.external_ids)
-    assert resumed.n_ingests == 2
+    assert resumed.n_ingests == 3
+    _assert_materialized(resumed)
     log2.close()
 
 
@@ -146,27 +188,34 @@ def test_reopening_log_without_resume_is_rejected(base, config, transport, tmp_p
 def test_snapshot_equals_a_from_scratch_run(transport):
     """The daemon keeps its bootstrap plan, a fresh run plans the union, so
     their leaves see different eps/√2 cells as dense boxes.  When box
-    members left their borders unclaimed, this draw had the fresh run drop
-    a border the daemon clustered; labels must not depend on the plan."""
+    members left their borders unclaimed, the first draw had the fresh run
+    drop a border the daemon clustered; labels must not depend on the
+    plan.  The second draw lands in an empty cell whose adoption widens a
+    shadow over another partition's resident points."""
     rng = np.random.default_rng(177)
     base = PointSet.from_coords(np.concatenate([
         rng.normal(scale=0.4, size=(150, 2)),
         rng.normal(loc=4.0, scale=0.4, size=(150, 2)),
         rng.uniform(-2, 7, size=(40, 2)),
     ]))
-    batch = base.coords[int(rng.integers(len(base)))] + rng.normal(0, 0.3, size=(40, 2))
+    around_a_point = base.coords[int(rng.integers(len(base)))] + rng.normal(0, 0.3, size=(40, 2))
     config = MrScanConfig(eps=0.4, minpts=5, n_leaves=6)
-    state = ServeState(base, config, transport=borrow_transport(transport))
-    state.ingest(batch)
-    snap = state._snap()
+    for draw in ("around_a_point", "beside_another_partition"):
+        state = ServeState(base, config, transport=borrow_transport(transport))
+        batch = around_a_point
+        if draw == "beside_another_partition":
+            batch = _beside_another_partition(state, 40, 178)[0]
+        state.ingest(batch)
+        _assert_materialized(state)
+        snap = state._snap()
 
-    union = PointSet.from_coords(np.vstack([base.coords, batch]))
-    full = mrscan(union, config.eps, config.minpts, n_leaves=config.n_leaves)
-    report = labels_equivalent(
-        union, config.eps, full.labels, full.core_mask, snap.labels, snap.core_mask
-    )
-    assert report.ok, report.summary()
-    assert clustering_signature(snap.labels) == clustering_signature(full.labels)
+        union = PointSet.from_coords(np.vstack([base.coords, batch]))
+        full = mrscan(union, config.eps, config.minpts, n_leaves=config.n_leaves)
+        report = labels_equivalent(
+            union, config.eps, full.labels, full.core_mask, snap.labels, snap.core_mask
+        )
+        assert report.ok, (draw, report.summary())
+        assert clustering_signature(snap.labels) == clustering_signature(full.labels), draw
 
 
 def test_stray_points_in_empty_cells_are_adopted(base, config, transport):
