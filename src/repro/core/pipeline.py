@@ -301,6 +301,13 @@ def _stage_partitions(transport, partitions, tracer=NOOP_TRACER):
         ]
 
 
+def _rewind(transport) -> None:
+    """End of a run on a transport it does not close: the next run
+    stages into the same shared-memory pages (see ``ShmTransport.rewind``)."""
+    if getattr(transport, "supports_staging", False):
+        transport.rewind()
+
+
 def run_pipeline(
     points: PointSet,
     config: MrScanConfig,
@@ -322,7 +329,8 @@ def run_pipeline(
     ``config.resolved_transport()``.  A transport built here (from a
     name or the config) is owned by this call and closed — pool reaped,
     shared-memory segments unlinked — on every exit path.  A
-    caller-provided transport *object* is never closed here.
+    caller-provided transport *object* is never closed here; its arena
+    is rewound instead, so repeated runs reuse the same pages.
     """
     if telemetry is None:
         telemetry = Telemetry() if config.telemetry else Telemetry.disabled()
@@ -362,6 +370,8 @@ def run_pipeline(
     finally:
         if owns_transport:
             transport.close()
+        else:
+            _rewind(transport)
     if config.auto_tune or config.tune_record:
         # Feed the run back into the profile store so the next plan has
         # one more row of this-machine evidence.  Best-effort only.
@@ -928,8 +938,10 @@ def cluster_merge_sweep(
     leaf's labels must be re-swept against the new assignment.
 
     The caller owns ``transport`` — it is never closed here, so pools and
-    arenas stay warm across calls.  Leaves in ``dirty`` whose spill
-    checkpoints should not satisfy them must be invalidated first
+    arenas stay warm across calls; the arena is rewound once the dirty
+    leaves are clustered, so every call restages into the same pages.
+    Leaves in ``dirty`` whose spill checkpoints should not satisfy them
+    must be invalidated first
     (:meth:`~repro.resilience.checkpoint.LeafCheckpointStore.invalidate`).
 
     ``cancel`` (a :class:`~repro.resilience.CancelToken`) makes the run
@@ -1004,6 +1016,7 @@ def cluster_merge_sweep(
                 )
         finally:
             sub_network.close()
+            _rewind(transport)
         for o in outs:
             tracer.ingest(o.spans)
             fresh[o.leaf_id] = o

@@ -24,6 +24,8 @@ Lifecycle rules
 * Refs outlive nothing: once the creator unlinks, new attaches fail
   (``FileNotFoundError`` → :class:`~repro.errors.TransportError`), while
   already-mapped views stay valid until their process unmaps.
+* Nor do refs outlive :meth:`ShmArena.rewind`, which hands the same
+  pages (and every attachment to them) to the next run's staging.
 
 Segments are named ``mrscan-<pid>-<counter>-<token>`` so tests (and
 operators) can sweep ``/dev/shm`` for leftovers from this package alone.
@@ -282,8 +284,9 @@ class ShmArena:
     """Bump-allocating staging area over one or more shm segments.
 
     ``stage`` copies an array in (the one and only copy the data plane
-    pays) and returns its :class:`ShmArrayRef`.  Blocks are created on
-    demand — ``block_bytes`` at a time, or the exact aligned size for an
+    pays) and returns its :class:`ShmArrayRef`.  Staging walks forward
+    through the existing blocks and creates one only past the last —
+    ``block_bytes`` at a time, or the exact aligned size for an
     oversized array — so no upfront size estimate is needed.
     """
 
@@ -292,6 +295,7 @@ class ShmArena:
             raise TransportError(f"block_bytes must be >= {_ALIGN}")
         self.block_bytes = int(block_bytes)
         self._blocks: list[_Block] = []
+        self._cursor = 0  # index of the block staging bumps into
         self._lock = threading.Lock()
         self.closed = False
         self.bytes_staged = 0
@@ -343,13 +347,13 @@ class ShmArena:
                 segment="", dtype=arr.dtype.str, shape=tuple(arr.shape), offset=0
             )
         with self._lock:
-            block = self._blocks[-1] if self._blocks else None
-            offset = -1
-            if block is not None:
+            while self._cursor < len(self._blocks):
+                block = self._blocks[self._cursor]
                 offset = (block.used + _ALIGN - 1) // _ALIGN * _ALIGN
-                if offset + arr.nbytes > block.size:
-                    block = None
-            if block is None:
+                if offset + arr.nbytes <= block.size:
+                    break
+                self._cursor += 1
+            else:
                 block = self._new_block(arr.nbytes + _ALIGN)
                 offset = 0
             dst = np.ndarray(
@@ -373,6 +377,18 @@ class ShmArena:
             coords=self.stage(points.coords),
             weights=self.stage(points.weights),
         )
+
+    def rewind(self) -> None:
+        """Reuse every block from offset 0; segments stay linked.
+
+        Every ref staged so far will read whatever is staged next, so
+        call this only once none is live — the end of a run, after its
+        last batch (retries and failover resend the same refs).
+        """
+        with self._lock:
+            for block in self._blocks:
+                block.used = 0
+            self._cursor = 0
 
     # -------------------------------------------------------------- #
 

@@ -16,8 +16,10 @@ failover and worker-death recovery work unchanged — but
   :meth:`stage_array` / :meth:`stage_pointset`, so a batch pickles
   kilobytes of refs instead of the partitions themselves.
 
-Closing the transport closes the pool *and* the arena it owns (unlinking
-every staged segment); an ``atexit`` guard covers abandoned instances so
+A run that borrows the transport ends with :meth:`ShmTransport.rewind`,
+so the next run restages into the same pages.  Closing the transport
+closes the pool *and* its arena (unlinking every staged segment); an
+``atexit`` guard covers abandoned instances so
 interrupted runs cannot leak ``/dev/shm`` entries or pool processes.
 When ``/dev/shm`` itself fills up, staging raises
 :class:`~repro.errors.ArenaFullError`; :func:`stage_pointset_safe` turns
@@ -68,9 +70,6 @@ class ShmTransport(ProcessTransport):
     ----------
     n_workers:
         Pool size (default: CPU count).
-    arena:
-        An existing :class:`ShmArena` to stage into; by default the
-        transport creates (and then owns, i.e. unlinks on close) its own.
     metrics:
         Optional :class:`repro.telemetry.Metrics`; staging and dispatch
         feed the ``runtime.*`` instruments.
@@ -84,12 +83,10 @@ class ShmTransport(ProcessTransport):
         *,
         tracer=None,
         metrics=None,
-        arena: ShmArena | None = None,
         block_bytes: int = DEFAULT_BLOCK_BYTES,
     ) -> None:
         super().__init__(n_workers, tracer=tracer, metrics=metrics)
-        self._arena = arena
-        self._owns_arena = arena is None
+        self._arena: ShmArena | None = None
         self._block_bytes = int(block_bytes)
         #: Set once staging has degraded to pickling on ArenaFullError.
         self.stage_degraded = False
@@ -145,11 +142,27 @@ class ShmTransport(ProcessTransport):
         segments = tuple(self._arena.segment_names) if self._arena else ()
         return {"initializer": init_worker, "initargs": (segments,)}
 
+    def rewind(self) -> None:
+        """End of a run: the next run stages into the same pages.
+
+        A pool that abandoned work (a timeout or a cancel) may still run
+        a straggler that reads its staged block — or, with spills on,
+        checkpoints an output computed from it — so that pool is
+        terminated first; the next batch respawns it, re-attaching the
+        current segments.
+        """
+        if self._arena is None:
+            return
+        if self._abandoned:
+            self._terminate()
+            self._abandoned = False
+        self._arena.rewind()
+
     def close(self) -> None:
-        """Reap the pool and unlink the owned arena (idempotent)."""
+        """Reap the pool and unlink the arena (idempotent)."""
         self.closed = True
         super().close()
-        if self._arena is not None and self._owns_arena:
+        if self._arena is not None:
             self._arena.close()
 
     def _reap(self) -> None:
@@ -157,36 +170,6 @@ class ShmTransport(ProcessTransport):
         hung worker at interpreter shutdown)."""
         super()._reap()
         self.close()
-
-    def recycle_arena(self) -> int:
-        """Replace the owned arena with a fresh empty one; returns the
-        number of bytes released.
-
-        A long-lived holder (the serve daemon) stages new leaf inputs on
-        every ingest; the bump allocator never reuses space, so without
-        recycling ``/dev/shm`` grows without bound.  Safe whenever no
-        staged ref is live across the call — the daemon guarantees that
-        between ingests, since leaf tasks never outlive their batch.
-        Workers attach segments on demand per ref, so the warm pool
-        survives; their cached attachments to the unlinked generation
-        are reclaimed when the pool is eventually reaped.  No-op on a
-        borrowed (caller-owned) arena.
-        """
-        if self._arena is None or not self._owns_arena:
-            return 0
-        released = sum(
-            getattr(blk, "size", 0) for blk in getattr(self._arena, "_blocks", ())
-        )
-        self._arena.close()
-        self._arena = None
-        self.stage_degraded = False
-        if self.metrics.enabled:
-            self.metrics.counter("runtime.arena_recycles").inc()
-            self.metrics.gauge("runtime.segments").set(0)
-        self.tracer.instant(
-            "arena.recycle", cat="transport", released_bytes=released
-        )
-        return released
 
 
 class BorrowedTransport:

@@ -111,6 +111,51 @@ def test_stage_pointset_roundtrip(arena):
     assert as_pointset(ps) is ps  # pass-through for real point sets
 
 
+# ------------------------------ rewind -------------------------------- #
+
+
+def test_rewind_reuses_offset_zero_of_block_zero():
+    with ShmArena(block_bytes=4096) as arena:
+        first = arena.stage(np.arange(100, dtype=np.int64))
+        arena.stage(np.ones(480, dtype=np.float64))  # spills into block 1
+        names = arena.segment_names
+        assert len(names) == 2
+        arena.rewind()
+        again = arena.stage(np.full(100, 7, dtype=np.int64))
+        assert (again.segment, again.offset) == (names[0], 0) == (
+            first.segment, first.offset
+        )
+        np.testing.assert_array_equal(again.asarray(), np.full(100, 7))
+        # The same staging sequence again needs no new segment.
+        arena.stage(np.ones(480, dtype=np.float64))
+        assert arena.segment_names == names
+
+
+def test_oversized_array_after_rewind_gets_its_own_block():
+    with ShmArena(block_bytes=4096) as arena:
+        small = arena.stage(np.arange(8, dtype=np.int64))
+        arena.rewind()
+        big = np.arange(10_000, dtype=np.float64)
+        ref = arena.stage(big)
+        assert ref.segment != small.segment and ref.offset == 0
+        assert len(arena.segment_names) == 2
+        np.testing.assert_array_equal(ref.asarray(), big)
+        # After the next rewind the big block is found again, not re-made.
+        arena.rewind()
+        arena.stage(np.arange(8, dtype=np.int64))
+        assert arena.stage(big).segment == ref.segment
+        assert len(arena.segment_names) == 2
+
+
+def test_stage_into_closed_arena_raises_after_rewind():
+    arena = ShmArena()
+    arena.stage(np.arange(4))
+    arena.close()
+    arena.rewind()
+    with pytest.raises(TransportError):
+        arena.stage(np.arange(4))
+
+
 # ------------------------------- refs --------------------------------- #
 
 

@@ -11,7 +11,14 @@ from repro.core import mrscan
 from repro.core.config import MrScanConfig
 from repro.core.pipeline import run_pipeline
 from repro.points import PointSet
-from repro.runtime import BorrowedTransport, ShmTransport, borrow_transport
+from repro.mrnet.topology import Topology
+from repro.resilience import FaultPlan, FaultSpec
+from repro.runtime import (
+    SEGMENT_PREFIX,
+    BorrowedTransport,
+    ShmTransport,
+    borrow_transport,
+)
 from repro.runtime.executor import LocalTransport, make_transport
 
 
@@ -24,9 +31,21 @@ def _blobs(n: int = 800, seed: int = 5) -> PointSet:
 
 def _shm_segments():
     try:
-        return {name for name in os.listdir("/dev/shm") if "psm" in name}
+        return {
+            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
+        }
     except FileNotFoundError:  # non-Linux
         return set()
+
+
+def _own_shm_usage() -> tuple[int, int]:
+    """(segments, allocated bytes) this process holds in ``/dev/shm``."""
+    mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    stats = [
+        os.stat(f"/dev/shm/{name}") for name in _shm_segments()
+        if name.startswith(mine)
+    ]
+    return len(stats), sum(st.st_blocks * 512 for st in stats)
 
 
 def test_close_is_counted_noop():
@@ -95,22 +114,70 @@ def test_string_transport_still_closed_by_pipeline():
 
 
 @pytest.mark.slow
-def test_recycle_arena_releases_and_stays_usable():
+def test_rewind_reuses_segments_and_restaged_refs_resolve():
     points = _blobs()
+    other = PointSet.from_coords(points.coords * 3.0 + 1.0)
     before = _shm_segments()
     with ShmTransport(n_workers=2) as transport:
         ref = transport.stage_pointset(points)
-        assert transport.run_batch(_staged_sum, [ref])  # workers attach
-        released = transport.recycle_arena()
-        assert released > 0
-        # Recycling twice in a row is a no-op the second time.
-        assert transport.recycle_arena() == 0 or transport._arena is None
-        # A fresh arena comes up lazily on the next stage.
-        ref2 = transport.stage_pointset(points)
-        total = transport.run_batch(_staged_sum, [ref2])[0]
-        assert abs(total - float(points.coords.sum())) < 1e-6
+        assert transport.run_batch(_staged_sum, [ref, ref])  # workers attach
+        names = transport.arena.segment_names
+        transport.rewind()
+        ref2 = transport.stage_pointset(other)
+        assert (ref2.coords.segment, ref2.coords.offset) == (
+            ref.coords.segment, ref.coords.offset
+        )
+        assert transport.arena.segment_names == names
+        # The workers' cached attachments now read the restaged bytes.
+        for total in transport.run_batch(_staged_sum, [ref2, ref2]):
+            assert abs(total - float(other.coords.sum())) < 1e-6
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
+
+
+@pytest.mark.slow
+def test_thirty_runs_on_one_pool_stage_into_the_same_pages():
+    """A resident pool's shared memory stops growing after the first run:
+    every run restages into the pages the previous one used."""
+    points = _blobs(3000)
+    expected = mrscan(points, 0.08, 8, n_leaves=4, transport="local").labels
+    # Small blocks, so a run that did not rewind would add segments.
+    with ShmTransport(n_workers=2, block_bytes=1 << 16) as transport:
+        for call in range(1, 31):
+            result = mrscan(points, 0.08, 8, n_leaves=4, transport=transport)
+            assert result.labels.tobytes() == expected.tobytes()
+            if call == 2:
+                after_second = _own_shm_usage()
+        assert after_second[0] > 0
+        assert _own_shm_usage() == after_second
+
+
+@pytest.mark.slow
+def test_timed_out_run_respawns_the_pool_before_the_rewind():
+    """A straggler the timeout abandoned still reads its staged block, so
+    the end-of-run rewind terminates that pool; the next run respawns it
+    and both runs give the local labels."""
+    points = _blobs(3000)
+    expected = mrscan(points, 0.08, 8, n_leaves=4, transport="local").labels
+    config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4)
+    slow_leaf = Topology.paper_style(4, config.fanout).leaves()[0]
+    straggling = MrScanConfig(
+        eps=0.08, minpts=8, n_leaves=4, leaf_timeout=1.0, backoff_base=0.0,
+        fault_plan=FaultPlan(faults=(
+            FaultSpec(node=slow_leaf, phase="cluster", kind="slowdown",
+                      delay_seconds=60.0),
+        )),
+    )
+    with ShmTransport(n_workers=2) as transport:
+        run_pipeline(points, config, transport=transport)
+        first_pids = set(transport._known_pids)
+        timed_out = run_pipeline(points, straggling, transport=transport)
+        assert timed_out.fault_summary["by_kind"].get("timeout", 0) >= 1
+        assert timed_out.labels.tobytes() == expected.tobytes()
+        assert transport._pool is None and not transport._abandoned
+        clean = run_pipeline(points, config, transport=transport)
+        assert clean.labels.tobytes() == expected.tobytes()
+        assert not transport._known_pids & first_pids
 
 
 def _staged_sum(ref):

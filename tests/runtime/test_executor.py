@@ -174,17 +174,6 @@ def test_close_is_idempotent_and_unlinks():
         assert not os.path.exists(f"/dev/shm/{name}")
 
 
-def test_external_arena_not_closed():
-    from repro.runtime import ShmArena
-
-    with ShmArena() as arena:
-        ref = arena.stage(np.arange(10))
-        transport = ShmTransport(n_workers=1, arena=arena)
-        transport.close()
-        # The transport didn't own it: still usable.
-        np.testing.assert_array_equal(ref.asarray(), np.arange(10))
-
-
 def test_atexit_guard_tracks_open_pools():
     transport = ShmTransport(n_workers=1)
     transport.run_batch(_double, [1])

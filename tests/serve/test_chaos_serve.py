@@ -27,7 +27,7 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import PoisonTaskWarning
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import ShmTransport, borrow_transport
+from repro.runtime import SEGMENT_PREFIX, ShmTransport, borrow_transport
 from repro.serve.client import ServeClient, ServeOverloadedError, ServeRequestError
 from repro.serve.server import ServeServer
 from repro.serve.state import ServeState
@@ -38,7 +38,9 @@ pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
 def _shm_segments():
     try:
-        return {name for name in os.listdir("/dev/shm") if "psm" in name}
+        return {
+            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
+        }
     except FileNotFoundError:  # non-Linux
         return set()
 

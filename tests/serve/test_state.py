@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import FormatError
 from repro.partition import partition_points
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS
 from repro.points import PointSet
+from repro.runtime import SEGMENT_PREFIX, ShmTransport
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
 from repro.telemetry import Telemetry
@@ -103,6 +106,35 @@ def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
     gauge = telemetry.metrics.get("serve.dirty_leaf_ratio")
     assert gauge is not None and gauge.value == pytest.approx(outcome.dirty_ratio)
     assert telemetry.metrics.get("serve.ingest_seconds").count == 1
+
+
+def _own_shm_bytes() -> int:
+    """Allocated ``/dev/shm`` bytes of this process's arena segments."""
+    mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    return sum(
+        os.stat(f"/dev/shm/{name}").st_blocks * 512
+        for name in os.listdir("/dev/shm") if name.startswith(mine)
+    )
+
+
+@pytest.mark.slow
+def test_ingests_on_a_borrowed_shm_pool_stop_growing_shared_memory(
+    base, config, transport
+):
+    """Each partial run rewinds the resident arena, so ingests restage
+    into the pages the bootstrap touched (an arena that never rewound
+    would touch fresh pages on every ingest); labels match a local twin."""
+    local = ServeState(base, config, transport=borrow_transport(transport))
+    with ShmTransport(n_workers=2) as shm:
+        state = ServeState(base, config, transport=borrow_transport(shm))
+        for i in range(1, 31):
+            batch = _local_batch(base, 100, 100 + i)
+            state.ingest(batch)
+            local.ingest(batch)
+            if i == 2:
+                after_second = _own_shm_bytes()
+        assert 0 < _own_shm_bytes() <= after_second
+        assert state.snapshot.labels.tobytes() == local.snapshot.labels.tobytes()
 
 
 def test_labels_and_stats_queries(base, config, transport):
