@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.rundir import ResumeState, RunDirectory
 from ..errors import CheckpointError, ConfigError, DeviceMemoryError
 from ..gpu.mrscan_gpu import mrscan_gpu
@@ -27,7 +28,6 @@ from ..mrnet import Network, Topology, Transport
 from ..mrnet.packets import NetworkTrace
 from ..partition.distributed import DistributedPartitioner, RECORD_BYTES
 from ..points import PointSet
-from ..resilience.checkpoint import LeafCheckpointStore
 from ..resilience.faults import FaultLog
 from ..runtime.arena import as_pointset
 from ..runtime.executor import make_transport, stage_pointset_safe
@@ -942,7 +942,7 @@ def cluster_merge_sweep(
     leaves are clustered, so every call restages into the same pages.
     Leaves in ``dirty`` whose spill checkpoints should not satisfy them
     must be invalidated first
-    (:meth:`~repro.resilience.checkpoint.LeafCheckpointStore.invalidate`).
+    (:meth:`~repro.durability.checkpoints.LeafCheckpointStore.invalidate`).
 
     ``cancel`` (a :class:`~repro.resilience.CancelToken`) makes the run
     abandonable: the token is checked between phases and threaded into

@@ -6,11 +6,9 @@ acknowledged.  This module makes that sequence durable with the same
 write-ahead discipline the batch pipeline uses (:mod:`.journal`):
 
 1. the batch's points are written to an **atomic blob**
-   (``batches/batch_<seq>.npz``: tmp + fsync + ``os.replace``, digest in
-   the journal record, mirroring
-   :class:`~repro.durability.checkpoints.PhaseCheckpointStore` — which
-   cannot be reused directly because it is restricted to the three
-   pipeline phase names);
+   (``batches/batch_<seq>.npz``, through the one write path every durable
+   file takes, :func:`~repro.durability.checkpoints.atomic_write`; its
+   digest goes in the journal record);
 2. only after the daemon has *committed* the batch to its in-memory
    state is an ``ingest_done`` record appended (flushed + fsync'd) to
    ``ingest.jsonl``;
@@ -35,13 +33,13 @@ Record schema (documented in docs/INTERNALS.md)::
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import JournalError
+from .checkpoints import CORRUPT_CHECKPOINT_ERRORS, atomic_write
 from .journal import RunJournal
 
 __all__ = ["AckedIngest", "BatchStore", "IngestLog"]
@@ -82,22 +80,20 @@ class BatchStore:
         """Write the blob durably; returns its content digest."""
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
-        path = self._path(seq)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, coords=coords, ids=ids)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        atomic_write(self._path(seq), lambda fh: np.savez(fh, coords=coords, ids=ids))
         return batch_digest(coords, ids)
 
     def load(self, seq: int) -> tuple[np.ndarray, np.ndarray]:
-        with np.load(self._path(seq)) as npz:
-            return npz["coords"], npz["ids"]
+        """Read one blob back; a torn or garbled one is a :class:`JournalError`."""
+        path = self._path(seq)
+        try:
+            with np.load(path) as npz:
+                return npz["coords"], npz["ids"]
+        except CORRUPT_CHECKPOINT_ERRORS as exc:
+            raise JournalError(
+                f"batch blob {path} for acked ingest {seq} is unreadable "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 class IngestLog:

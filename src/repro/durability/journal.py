@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import JournalError
+from .checkpoints import atomic_write
 
 __all__ = ["GENESIS", "JournalRecord", "RunJournal", "replay_journal"]
 
@@ -158,9 +159,7 @@ class RunJournal:
                 self.path.read_text(encoding="utf-8") if self.path.exists() else ""
             )
             if existing != good:
-                tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-                tmp.write_text(good, encoding="utf-8")
-                os.replace(tmp, self.path)
+                atomic_write(self.path, lambda fh: fh.write(good.encode("utf-8")))
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, rtype: str, payload: dict | None = None) -> JournalRecord:

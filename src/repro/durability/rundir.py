@@ -6,7 +6,7 @@ A run started with ``run_dir`` set owns a directory::
         journal.jsonl        write-ahead run journal (repro.durability.journal)
         config.json          human-readable config snapshot + fingerprints
         checkpoints/         phase checkpoints (partition.bin, merge.bin, ...)
-        checkpoints/leaves/  per-leaf spill store (repro.resilience)
+        checkpoints/leaves/  per-leaf spills (leaf_0000.bin, ...)
 
 Fingerprints
 ------------

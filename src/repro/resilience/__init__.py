@@ -13,17 +13,18 @@ recovery machinery such a deployment needs:
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (exponential
   backoff) and :class:`ResiliencePolicy` (retries + per-attempt
   deadlines + failover) consumed by :class:`repro.mrnet.Network`;
-* :mod:`~repro.resilience.checkpoint` — per-leaf spill-file checkpoints
-  (:class:`LeafCheckpointStore`) so a crashed leaf resumes from its
-  saved output instead of re-running the GPU pass;
+* :class:`LeafCheckpointStore` — per-leaf spill files, so a crashed
+  leaf resumes from its saved output instead of re-running the GPU pass
+  (re-exported from :mod:`repro.durability.checkpoints`, the one atomic
+  blob store);
 * :mod:`~repro.resilience.chaos` — :class:`ChaosRunner`, which runs the
   pipeline under seeded fault plans and asserts the recovered labels are
   byte-identical to a fault-free run (imported lazily: it pulls in the
   full pipeline).
 """
 
+from ..durability.checkpoints import CheckpointedLeaf, LeafCheckpointStore
 from .cancel import CancelToken
-from .checkpoint import CheckpointedLeaf, LeafCheckpointStore
 from .faults import (
     CRASH_POINTS,
     FAULT_KINDS,

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..core.config import MrScanConfig
 from ..core.pipeline import cluster_merge_sweep
+from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.ingestlog import IngestLog, batch_digest
 from ..durability.rundir import config_fingerprint, dataset_fingerprint
 from ..errors import ConfigError, FormatError
@@ -57,7 +58,6 @@ from ..partition.grid import GridHistogram, cell_of_coords
 from ..partition.partitioner import append_points, form_partitions, partition_points
 from ..partition.shadow import refresh_shadow
 from ..points import PointSet
-from ..resilience.checkpoint import LeafCheckpointStore
 from ..telemetry import Telemetry
 
 __all__ = ["IngestOutcome", "ServeState"]

@@ -110,3 +110,19 @@ def test_torn_tail_record_is_dropped(tmp_path):
         fh.write('{"type": "ingest_done", "payload": {"seq": 1, "dig')
     with IngestLog(tmp_path) as log:
         assert [a.seq for a in log.acked()] == [0]
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
+def test_torn_blob_is_a_journal_error(tmp_path, keep):
+    """A torn blob under an acked record is the store's error, naming the
+    batch — never a raw ``BadZipFile`` / ``EOFError`` out of ``np.load``."""
+    with IngestLog(tmp_path) as log:
+        coords, ids = _batch(1)
+        digest = log.save_batch(0, coords, ids)
+        log.commit(0, digest=digest, n_points=len(ids),
+                   dirty_leaves=[0], n_touched_cells=1)
+    blob = tmp_path / "batches" / "batch_000000.npz"
+    blob.write_bytes(blob.read_bytes()[: int(blob.stat().st_size * keep)])
+    with IngestLog(tmp_path) as log:
+        with pytest.raises(JournalError, match="batch_000000.npz for acked ingest 0 is unreadable"):
+            log.acked()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,18 @@ def test_clear_removes_everything(tmp_path):
     assert store.clear() == 2 * len(PHASE_NAMES)
     for phase in PHASE_NAMES:
         assert not store.has(phase)
+
+
+def test_manifest_written_by_earlier_builds_still_loads(tmp_path):
+    """Earlier builds wrote phase manifests of exactly these keys, in
+    their own write path; such a checkpoint still restores."""
+    store = PhaseCheckpointStore(tmp_path)
+    store.save("merge", {"table": [3, 1, 2]})
+    blob = (tmp_path / "merge.bin").read_bytes()
+    manifest = {
+        "phase": "merge",
+        "n_bytes": len(blob),
+        "digest": hashlib.sha256(blob).hexdigest(),
+    }
+    (tmp_path / "merge.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    assert store.load("merge") == {"table": [3, 1, 2]}

@@ -8,6 +8,7 @@ leaves behind), then a fresh ``resume=True`` run reconstructs state.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 from dataclasses import fields
@@ -481,3 +482,52 @@ def test_partition_checkpoint_keeps_the_layout_old_run_dirs_hold(tmp_path, monke
     assert resumed.phases_restored == ["partition"]
     assert resumed.labels.tobytes() == baseline.labels.tobytes()
     assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
+
+
+def _write_npz_spill(root, leaf_id):
+    """Rewrite one leaf entry as builds before the one blob store wrote
+    it: ``leaf_NNNN.npz`` (labels, core mask, n_owned and the pickled
+    summary/stats as a byte array) plus a manifest whose digest covers
+    all three."""
+    leaf = LeafCheckpointStore(root).load(leaf_id)
+    blob = pickle.dumps(
+        {"summary": leaf.summary, "stats": leaf.stats}, protocol=pickle.HIGHEST_PROTOCOL
+    )
+    name = root / f"leaf_{leaf_id:04d}"
+    with open(name.with_suffix(".npz"), "wb") as fh:
+        np.savez(
+            fh, labels=leaf.labels, core_mask=leaf.core_mask,
+            n_owned=np.int64(leaf.n_owned), blob=np.frombuffer(blob, dtype=np.uint8),
+        )
+    digest = hashlib.sha256()
+    for part in (leaf.labels.tobytes(), leaf.core_mask.tobytes(), blob):
+        digest.update(part)
+    manifest = {
+        "leaf_id": leaf_id, "n_points": len(leaf.labels),
+        "digest": digest.hexdigest(), "engine": leaf.engine,
+    }
+    name.with_suffix(".json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    name.with_suffix(".bin").unlink()
+
+
+def test_npz_leaf_spills_are_misses_and_reclustered_byte_identically(tmp_path, monkeypatch):
+    """A run dir whose leaf spills are in the npz layout: every one is a
+    miss, each leaf re-clusters, and the labels and core mask are the
+    bytes of a fresh run."""
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+    leaves = tmp_path / "checkpoints" / "leaves"
+    for leaf_id in range(LEAVES):
+        _write_npz_spill(leaves, leaf_id)
+    store = LeafCheckpointStore(leaves)
+    assert not store.has(0)
+    with pytest.raises(CheckpointError, match="no checkpoint"):
+        store.load(0)
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]
+    assert resumed.checkpoint_hits == 0
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
+    assert store.has(0)  # re-spilled in the current layout

@@ -26,12 +26,12 @@ from merge_reference import (
 )
 
 from repro.data import generate_sdss, generate_twitter
+from repro.durability.checkpoints import LeafCheckpointStore, loads_blob
 from repro.errors import CheckpointError, MergeError
 from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.merge import assign_global_ids, merge_summaries
 from repro.merge.summary import LeafSummary, _unpack_summary, summarize_leaf
 from repro.points import NOISE, PointSet
-from repro.resilience.checkpoint import LeafCheckpointStore, loads_blob
 
 
 def _round_trip(summary: LeafSummary, protocol: int = pickle.DEFAULT_PROTOCOL) -> LeafSummary:

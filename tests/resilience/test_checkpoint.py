@@ -33,42 +33,22 @@ def test_roundtrip_is_exact(tmp_path, leaf_output):
     assert ckpt.n_owned == 150
     assert ckpt.summary == leaf_output["summary"]
     assert ckpt.stats == leaf_output["stats"]
-    assert store.hits == 1
-
-
-def test_verify_recovered_equals_fresh(tmp_path, leaf_output):
-    store = LeafCheckpointStore(tmp_path)
-    store.save(0, **leaf_output)
-    assert store.verify(
-        0, labels=leaf_output["labels"], core_mask=leaf_output["core_mask"]
-    )
-    assert not store.verify(
-        0,
-        labels=leaf_output["labels"] + 1,  # a "fresh" run that differs
-        core_mask=leaf_output["core_mask"],
-    )
 
 
 def test_missing_checkpoint_raises(tmp_path):
     store = LeafCheckpointStore(tmp_path)
     with pytest.raises(CheckpointError, match="no checkpoint"):
         store.load(9)
-    assert store.misses == 1
 
 
 def test_corrupt_data_fails_digest(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
     store.save(1, **leaf_output)
-    # Corrupt the artifact: valid npz, wrong contents vs the manifest.
-    data_path = store._data_path(1)
-    with open(data_path, "wb") as fh:
-        np.savez(
-            fh,
-            labels=np.zeros(200, dtype=np.int64),
-            core_mask=np.zeros(200, dtype=bool),
-            n_owned=np.int64(0),
-            blob=np.frombuffer(b"x", dtype=np.uint8),
-        )
+    # Corrupt the artifact: full length, one flipped byte.
+    data = tmp_path / "leaf_0001.bin"
+    blob = bytearray(data.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    data.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="digest mismatch"):
         store.load(1)
 
@@ -76,7 +56,7 @@ def test_corrupt_data_fails_digest(tmp_path, leaf_output):
 def test_truncated_data_is_unreadable_not_fatal(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
     store.save(2, **leaf_output)
-    store._data_path(2).write_bytes(b"not an npz")
+    (tmp_path / "leaf_0002.bin").write_bytes(b"not a pickle")
     with pytest.raises(CheckpointError, match="unreadable"):
         store.load(2)
 
@@ -85,7 +65,7 @@ def test_torn_write_is_a_clean_miss(tmp_path, leaf_output):
     """Manifest written last: data without manifest == no checkpoint."""
     store = LeafCheckpointStore(tmp_path)
     store.save(4, **leaf_output)
-    store._meta_path(4).unlink()  # simulate dying between data and manifest
+    (tmp_path / "leaf_0004.json").unlink()  # simulate dying between data and manifest
     assert not store.has(4)
     with pytest.raises(CheckpointError):
         store.load(4)

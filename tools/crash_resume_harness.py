@@ -31,7 +31,9 @@ mid-ingest on the resumed daemon, which must finish the in-flight
 transaction within its ``--drain-grace``, ack it, and exit 0 — a final
 ``--resume`` proves the drained batch survived.  The gate is the final
 dump being equivalence-equal to a from-scratch in-process run on the
-union.
+union.  Last, ``--resume`` on a copy of the run dir with one acked batch
+blob truncated must exit 2 with an ``error:`` line naming the blob and
+no traceback.
 
 Exit status 0 on success, 1 on any divergence — CI gates on it.
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -307,10 +310,41 @@ def serve_main(args: argparse.Namespace) -> int:
     if not report.ok:
         print(f"FAIL: {report.summary()}", file=sys.stderr)
         return 1
+
+    # 7. Torn-blob leg: on a copy of the run dir, truncate one acked
+    # batch blob.  ``--resume`` must refuse it as a store error (exit 2,
+    # an ``error:`` line naming the blob), not crash with a traceback.
+    torn_dir = workdir / "run-torn"
+    shutil.copytree(run_dir, torn_dir)
+    torn = torn_dir / "batches" / "batch_000001.npz"
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    torn_cmd = _cli(
+        "serve", data, "--eps", args.eps, "--minpts", args.minpts,
+        "--leaves", args.leaves, "--transport", args.transport,
+        "--socket", workdir / "torn.sock", "--run-dir", torn_dir, "--resume",
+    )
+    refused = subprocess.run(
+        torn_cmd, env=env, capture_output=True, text=True,
+        timeout=args.kill_timeout,
+    )
+    errors = [
+        line for line in refused.stderr.splitlines()
+        if line.startswith("error:") and torn.name in line
+    ]
+    if refused.returncode != 2 or not errors or "Traceback" in refused.stderr:
+        print(
+            f"FAIL: resume over a torn batch blob exited {refused.returncode}, "
+            f"want 2 with an error naming {torn.name} and no traceback; "
+            f"stderr:\n{refused.stderr}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"torn blob refused: {errors[0]}")
     print(
         "OK: daemon killed mid-ingest, resumed to last acked state, "
         "drained gracefully under SIGTERM, "
-        f"converged equivalence-equal ({report.summary()})"
+        f"converged equivalence-equal ({report.summary()}); "
+        "a torn batch blob is refused cleanly"
     )
     return 0
 
