@@ -16,6 +16,7 @@ paper-vs-measured tables (they are also written to
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,9 @@ import pytest
 from repro.data import generate_sdss, generate_twitter
 
 OUTPUT_DIR = Path(__file__).parent / "_output"
+
+# The CUDA-DClust baseline the ablations run lives beside the test suite.
+sys.path.append(str(Path(__file__).parent.parent / "tests" / "gpu"))
 
 
 @pytest.fixture(scope="session")

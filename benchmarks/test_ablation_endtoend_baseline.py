@@ -2,13 +2,15 @@
 
 The paper's GPU contribution (§3.2.2–3.2.3) in system context: identical
 clustering, but the baseline pays per-iteration host↔GPU synchronisation
-and gets no dense-box elimination.
+and gets no dense-box elimination.  The baseline leaves are swapped in
+in-process (``cuda_dclust_leaves``), so its runs pin ``transport="local"``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import cuda_dclust_leaves
 
 from repro.core.pipeline import mrscan
 from repro.data import gaussian_blobs, uniform_noise
@@ -28,7 +30,8 @@ def test_pipeline_mrscan_leaves(benchmark, dataset, emit):
     ours = benchmark.pedantic(
         mrscan, args=(dataset, 0.25, 8), kwargs={"n_leaves": 4}, rounds=3, iterations=1
     )
-    base = mrscan(dataset, 0.25, 8, n_leaves=4, leaf_algorithm="cuda-dclust")
+    with cuda_dclust_leaves():
+        base = mrscan(dataset, 0.25, 8, n_leaves=4, transport="local")
     assert clustering_signature(base.labels) == clustering_signature(ours.labels)
 
     ours_rt = max(s.sync_round_trips for s in ours.gpu_stats)
@@ -52,11 +55,12 @@ def test_pipeline_mrscan_leaves(benchmark, dataset, emit):
 
 @pytest.mark.benchmark(group="ablation-endtoend")
 def test_pipeline_cuda_dclust_leaves(benchmark, dataset):
-    base = benchmark.pedantic(
-        mrscan,
-        args=(dataset, 0.25, 8),
-        kwargs={"n_leaves": 4, "leaf_algorithm": "cuda-dclust"},
-        rounds=1,
-        iterations=1,
-    )
+    with cuda_dclust_leaves():
+        base = benchmark.pedantic(
+            mrscan,
+            args=(dataset, 0.25, 8),
+            kwargs={"n_leaves": 4, "transport": "local"},
+            rounds=1,
+            iterations=1,
+        )
     assert base.n_clusters >= 2  # blob centers are random; some may touch

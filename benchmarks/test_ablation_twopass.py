@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import cuda_dclust
 
 from repro.data import gaussian_blobs, uniform_noise
 from repro.dbscan.labels import core_sets_equal
-from repro.gpu import SimulatedDevice, cuda_dclust, mrscan_gpu
+from repro.gpu import SimulatedDevice, mrscan_gpu
 from repro.gpu.device import DeviceConfig
 from repro.points import PointSet
 

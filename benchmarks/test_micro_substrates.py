@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import RegionKDTree
 
-from repro.dbscan import DisjointSet, GridIndex, RegionKDTree, dbscan_reference
+from repro.dbscan import DisjointSet, GridIndex, dbscan_reference
 from repro.merge.summary import summarize_leaf
 from repro.partition.grid import GridHistogram
 

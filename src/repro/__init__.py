@@ -16,7 +16,7 @@ Finer-grained control lives in the subpackages:
 ==================  ====================================================
 ``repro.core``      the pipeline, its configuration and result types
 ``repro.dbscan``    exact reference DBSCAN + spatial indexes
-``repro.gpu``       simulated GPGPU device, CUDA-DClust, dense box
+``repro.gpu``       simulated GPGPU device, two-pass leaf DBSCAN, dense box
 ``repro.partition`` Eps-grid partitioner with shadow regions
 ``repro.mrnet``     tree-based multicast/reduction process network
 ``repro.merge``     representative points + distributed merge rules

@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--partition-nodes", type=int, default=None)
     clu.add_argument("--no-densebox", action="store_true")
     clu.add_argument(
-        "--algorithm", choices=["mrscan", "cuda-dclust"], default="mrscan"
-    )
-    clu.add_argument(
         "--partition-output", choices=["lustre", "network"], default="lustre"
     )
     clu.add_argument("--output", type=Path, default=None, help="labels file (text)")
@@ -505,7 +502,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             fanout=fanout,
             n_partition_nodes=args.partition_nodes,
             use_densebox=not args.no_densebox,
-            leaf_algorithm=args.algorithm,
             partition_output=args.partition_output,
             telemetry=trace_enabled,
             fault_plan=fault_plan,

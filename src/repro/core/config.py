@@ -76,7 +76,6 @@ class MrScanConfig:
     rebalance_partitions: bool = True
     shadow_representatives: bool = False
     partition_output: str = "lustre"  # or "network" (the §6 future-work path)
-    leaf_algorithm: str = "mrscan"  # or "cuda-dclust" (the §3.2.1 baseline)
     device: DeviceConfig = field(default_factory=DeviceConfig)
     materialize_dir: str | None = None
     #: Collect spans/metrics for this run (repro.telemetry).  Off by
@@ -165,11 +164,6 @@ class MrScanConfig:
             )
         if self.partition_output == "network" and self.materialize_dir is not None:
             raise ConfigError("materialize_dir requires the lustre partition output")
-        if self.leaf_algorithm not in ("mrscan", "cuda-dclust"):
-            raise ConfigError(
-                f"leaf_algorithm must be 'mrscan' or 'cuda-dclust', got "
-                f"{self.leaf_algorithm!r}"
-            )
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.backoff_base < 0:

@@ -114,11 +114,8 @@ class _ClusterLeafOutput:
 
 
 def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
-    """Leaf body: GPU DBSCAN over partition+shadow, then summarise.
-
-    ``config.leaf_algorithm`` picks Mr. Scan's two-pass GPU DBSCAN
-    (default) or the CUDA-DClust baseline — the end-to-end ablation of
-    the paper's §3.2.2/§3.2.3 extensions.
+    """Leaf body: Mr. Scan's two-pass GPU DBSCAN over partition+shadow,
+    then summarise.
 
     When ``task.trace`` is set the leaf records into its *own* tracer and
     ships the drained spans back with the result — the worker-safe way to
@@ -135,15 +132,14 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     """
     t_leaf_start = time.perf_counter()
     cfg = task.config
-    engine = "cuda-dclust" if cfg.leaf_algorithm == "cuda-dclust" else "csr"
     store = (
         LeafCheckpointStore(task.checkpoint_dir) if task.checkpoint_dir else None
     )
     if store is not None and store.has(task.leaf_id):
         try:
-            # A checkpoint written by a different leaf engine (cuda-dclust
-            # vs mrscan, or a legacy ``block`` run) must not replay here.
-            ckpt = store.load(task.leaf_id, expected_engine=engine)
+            # A checkpoint written by another leaf engine (a legacy
+            # ``block`` or CUDA-DClust run) must not replay here.
+            ckpt = store.load(task.leaf_id, expected_engine="csr")
         except CheckpointError:
             pass  # corrupt, torn or foreign-engine checkpoint: recompute
         else:
@@ -171,60 +167,33 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             cat="gpu",
             pid=PID_GPU,
             tid=task.leaf_id,
-            algorithm=cfg.leaf_algorithm,
             n_points=len(view),
         ) as leaf_span:
-            claims = None  # the border pass's claims, when mrscan_gpu ran
-            if cfg.leaf_algorithm == "cuda-dclust":
-                from ..gpu.cuda_dclust import cuda_dclust
-                from ..gpu.mrscan_gpu import MrScanGPUStats
-
-                labels, core_mask, base = cuda_dclust(
-                    view, cfg.eps, cfg.minpts, device=device
-                )
-                stats = MrScanGPUStats(
-                    n_points=base.n_points,
-                    n_core=int(core_mask.sum()),
-                    n_boxes=0,
-                    n_eliminated=0,
-                    pass1_ops=0,
-                    pass2_ops=base.distance_ops,
-                    kernel_launches=device.stats.kernel_launches,
-                    sync_round_trips=base.sync_round_trips,
-                    engine=engine,
-                    device=device.stats.as_dict(),
-                )
-            else:
-                chunks = max(1, int(task.memory_chunks))
-                while True:
-                    try:
-                        result = mrscan_gpu(
-                            view,
-                            cfg.eps,
-                            cfg.minpts,
-                            device=device,
-                            use_densebox=cfg.use_densebox,
-                            memory_chunks=chunks,
-                        )
-                        break
-                    except DeviceMemoryError:
-                        if chunks >= MAX_MEMORY_CHUNKS:
-                            raise
-                        chunks *= 2
-                        device.reset()
-                        tracer.instant(
-                            "oom.split",
-                            cat="gpu",
-                            pid=PID_GPU,
-                            tid=task.leaf_id,
-                            memory_chunks=chunks,
-                        )
-                labels, core_mask, stats, claims = (
-                    result.labels,
-                    result.core_mask,
-                    result.stats,
-                    result.claims,
-                )
+            chunks = max(1, int(task.memory_chunks))
+            while True:
+                try:
+                    result = mrscan_gpu(
+                        view,
+                        cfg.eps,
+                        cfg.minpts,
+                        device=device,
+                        use_densebox=cfg.use_densebox,
+                        memory_chunks=chunks,
+                    )
+                    break
+                except DeviceMemoryError:
+                    if chunks >= MAX_MEMORY_CHUNKS:
+                        raise
+                    chunks *= 2
+                    device.reset()
+                    tracer.instant(
+                        "oom.split",
+                        cat="gpu",
+                        pid=PID_GPU,
+                        tid=task.leaf_id,
+                        memory_chunks=chunks,
+                    )
+            labels, core_mask, stats = result.labels, result.core_mask, result.stats
             leaf_span.set(
                 n_core=stats.n_core,
                 distance_ops=stats.total_distance_ops,
@@ -240,7 +209,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                 core_mask,
                 cfg.eps,
                 set(task.owned_cells),
-                claims=claims,
+                claims=result.claims,
             )
     finally:
         # Never leak device allocations, whatever path exits the leaf —
@@ -255,7 +224,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             n_owned=len(task.own),
             summary=summary,
             stats=stats,
-            engine=engine,
+            engine="csr",
         )
     return _ClusterLeafOutput(
         leaf_id=task.leaf_id,
@@ -671,8 +640,7 @@ def _run_phases(
             for out in outputs:
                 tracer.ingest(out.spans)
         logger.info(
-            "cluster: %s over %s (%s leaves); slowest leaf %s distance ops",
-            config.leaf_algorithm,
+            "cluster: %s (%s leaves); slowest leaf %s distance ops",
             topology.describe(),
             config.n_leaves,
             max((o.stats.total_distance_ops for o in outputs), default=0),

@@ -1,13 +1,11 @@
 """CPU clustering substrate: spatial indexes and exact reference DBSCAN.
 
 This package is the stand-in for the paper's single-CPU comparator (they
-used ELKI 0.4.1, §5.1.3) and supplies the index structures the GPU
-algorithms build on: the Eps-cell grid index (partitioning, merge) and the
-region KD-tree (CUDA-DClust neighbor search, dense box).
+used ELKI 0.4.1, §5.1.3) and supplies the Eps-cell grid index the
+partitioner and the merge build on.
 """
 
 from .grid_index import GridIndex
-from .kdtree import RegionKDTree, KDNode
 from .disjoint_set import DisjointSet
 from .labels import canonicalize_labels, core_sets_equal, clustering_signature
 from .nd import GridIndexND, DBSCANResultND, dbscan_nd
@@ -16,8 +14,6 @@ from .reference import dbscan_reference, dbscan_bfs, DBSCANResult
 __all__ = [
     "GridIndex",
     "GridIndexND",
-    "RegionKDTree",
-    "KDNode",
     "DisjointSet",
     "canonicalize_labels",
     "core_sets_equal",

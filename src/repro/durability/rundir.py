@@ -18,10 +18,12 @@ disagree.  Execution knobs — transport, telemetry, validation level,
 retry budgets, fault plans — are deliberately *outside* the fingerprint:
 resuming a crashed ``local`` run under ``--transport shm`` (or with a
 different fault plan) is legal because none of them can change labels.
-A run with dense box on also records which detector labelled it
-(``densebox_detector``): checkpoints written under another detector — or
-before detectors were recorded — are refused by name rather than spliced
-into this build's labels.
+The leaf engine is no knob any more, but the fingerprint still hashes
+it as a constant, so a run dir written under ``block`` or CUDA-DClust
+leaves fails the same check.  A run with dense box on also records which
+detector labelled it (``densebox_detector``): checkpoints written under
+another detector — or before detectors were recorded — are refused by
+name rather than spliced into this build's labels.
 
 Resume state machine
 --------------------
@@ -87,7 +89,6 @@ LABEL_FIELDS = (
     "rebalance_partitions",
     "shadow_representatives",
     "partition_output",
-    "leaf_algorithm",
 )
 
 
@@ -95,11 +96,13 @@ def config_fingerprint(config: MrScanConfig) -> str:
     """sha256 over the label-affecting config fields."""
     payload = {name: getattr(config, name) for name in LABEL_FIELDS}
     payload["partition_nodes"] = config.partition_nodes
-    # Format constants from when the ``block`` engine and the border rule
-    # were selectable: run dirs written under ``csr`` with box cores not
-    # claiming keep their digest; the detector record refuses their
-    # dense-box checkpoints (see ``start``).
+    # Format constants from when the ``block`` engine, the CUDA-DClust
+    # leaf and the border rule were selectable: run dirs written under
+    # ``csr`` Mr. Scan leaves with box cores not claiming keep their
+    # digest; the detector record refuses their dense-box checkpoints
+    # (see ``start``).
     payload["cluster_engine"] = "csr"
+    payload["leaf_algorithm"] = "mrscan"
     payload["claim_box_borders"] = False
     # Partition-split hints change the partition plan (and hence label
     # numbering), so a resume under different hints must refuse.

@@ -10,19 +10,16 @@ the Titan-calibrated cost model in :mod:`repro.perf`, so "GPU time" in the
 reproduced figures derives from the real operation counts of these
 implementations rather than from Python wall-clock.
 
-Two clustering algorithms are provided:
-
-* :func:`cuda_dclust` — the Böhm et al. CIKM'09 baseline Mr. Scan extends:
-  per-block seed expansion with CPU synchronisation (2 memcpys) after
-  every iteration, collision tracking, and chain merging on the host.
-* :func:`mrscan_gpu` — Mr. Scan's extension (§3.2.2–3.2.3): a two-pass
-  structure with exactly one host↔device round trip, MinPts-capped
-  neighbor counting in pass 1, and the dense-box elimination.
+The leaf algorithm is :func:`mrscan_gpu` — Mr. Scan's extension
+(§3.2.2–3.2.3) of the CUDA-DClust baseline: a two-pass structure with
+exactly one host↔device round trip, MinPts-capped neighbor counting in
+pass 1, and the dense-box elimination.  The baseline itself (per-block
+seed expansion with CPU synchronisation after every iteration) lives
+beside the test suite as the §3.2.1 ablation's oracle.
 """
 
 from .device import DeviceConfig, DeviceStats, SimulatedDevice
 from .densebox import DenseBoxResult, find_dense_boxes
-from .cuda_dclust import cuda_dclust, CudaDclustStats
 from .mrscan_gpu import mrscan_gpu, GPUClusterResult, MrScanGPUStats
 
 __all__ = [
@@ -31,8 +28,6 @@ __all__ = [
     "SimulatedDevice",
     "DenseBoxResult",
     "find_dense_boxes",
-    "cuda_dclust",
-    "CudaDclustStats",
     "mrscan_gpu",
     "GPUClusterResult",
     "MrScanGPUStats",

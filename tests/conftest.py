@@ -22,8 +22,10 @@ settings.register_profile("fuzz", derandomize=False, deadline=None)
 settings.load_profile("fuzz" if os.environ.get("MRSCAN_FUZZ") == "1" else "tier1")
 
 # The merge oracle also writes the older summary blob layouts, which the
-# durability tests resume from.
+# durability tests resume from; the CUDA-DClust baseline is the leaf
+# ablations' oracle.
 sys.path.append(str(Path(__file__).parent / "merge"))
+sys.path.append(str(Path(__file__).parent / "gpu"))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import cuda_dclust_leaves
 
 from repro.core import MrScanConfig
 from repro.core.pipeline import run_pipeline
@@ -70,10 +71,11 @@ def test_all_knobs_consistent(dataset):
 
     # The CUDA-DClust baseline assigns borders by first claim rather than
     # nearest core — DBSCAN's documented order freedom — so only cores and
-    # noise must agree exactly.
-    base_leaf = run_pipeline(
-        dataset, _config(leaf_algorithm="cuda-dclust", n_leaves=9, fanout=3)
-    )
+    # noise must agree exactly.  Its leaves are swapped in in-process.
+    with cuda_dclust_leaves():
+        base_leaf = run_pipeline(
+            dataset, _config(n_leaves=9, fanout=3, transport="local")
+        )
     assert core_sets_equal(
         base_leaf.labels, baseline.labels, base_leaf.core_mask, baseline.core_mask
     )

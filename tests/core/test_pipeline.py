@@ -88,15 +88,19 @@ def test_one_noncore_walk_per_leaf(small_twitter, monkeypatch):
 
 
 def test_no_kdtree_on_the_leaf_path():
-    """``RegionKDTree`` serves the CUDA-DClust baseline only."""
+    """The CUDA-DClust baseline and its ``RegionKDTree`` live beside the
+    tests (``cuda_dclust_reference``); no module of the package names them."""
     import repro
 
-    src = Path(repro.__file__).parent
-    leaf_path = [src / "gpu" / "densebox.py", src / "gpu" / "mrscan_gpu.py"]
-    for package in ("core", "merge", "serve"):
-        leaf_path += sorted((src / package).glob("*.py"))
-    assert len(leaf_path) > 10
-    assert [p.name for p in leaf_path if "kdtree" in p.read_text(encoding="utf-8").lower()] == []
+    modules = sorted(Path(repro.__file__).parent.rglob("*.py"))
+    assert len(modules) > 50
+    hits = [
+        (p.name, token)
+        for p in modules
+        for token in ("kdtree", "cuda_dclust")
+        if token in p.read_text(encoding="utf-8").lower()
+    ]
+    assert hits == []
 
 
 def test_empty_input_rejected():

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import RegionKDTree
 from hypothesis import given, settings, strategies as st
 
-from repro.dbscan import GridIndex, RegionKDTree
+from repro.dbscan import GridIndex
 from repro.errors import ConfigError
 from repro.points import PointSet
 

@@ -1,15 +1,16 @@
 """Engine identity gates resume: no cross-engine checkpoint replay.
 
-The pipeline runs one cluster engine (``csr``; ``cuda-dclust`` is the
-other leaf algorithm), but run directories and leaf checkpoints written
-while ``block`` was selectable are still on disks.  Two enforcement
-layers keep them from being spliced into a run:
+The pipeline runs one leaf engine (``csr``), but run directories and
+leaf checkpoints written while ``block`` or the CUDA-DClust baseline was
+selectable are still on disks.  Two enforcement layers keep them from
+being spliced into a run:
 
 * ``LeafCheckpointStore.load(expected_engine=...)`` treats a foreign or
   legacy (engine-less) checkpoint as a miss (``CheckpointError``);
-* the run-directory config fingerprint still hashes the engine name as
-  the constant ``"csr"``, so a ``csr`` run dir resumes and a ``block``
-  one fails up front with ``DurabilityError``.
+* the run-directory config fingerprint still hashes the engine and the
+  leaf algorithm as the constants ``"csr"`` and ``"mrscan"``, so a
+  ``csr`` run dir resumes and a ``block`` or ``cuda-dclust`` one fails up
+  front with ``DurabilityError``.
 """
 
 from __future__ import annotations
@@ -100,14 +101,24 @@ def _run(points, run_dir, *, resume=False, **kw):
 #: (The ``csr`` digest is pinned in test_resume.py.)
 BLOCK_RUN_FINGERPRINT = "d4d3e5e077c9f9cc9f652405355c09766b1715dc5c060865d52a2b0332d1856c"
 
+#: ``config_fingerprint`` of ``_run``'s config with
+#: ``leaf_algorithm="cuda-dclust"``, at the last commit that had the field —
+#: what a run dir with CUDA-DClust leaves holds.
+CUDA_DCLUST_RUN_FINGERPRINT = (
+    "b81ea691ff358b4e1ce611989ea83c75f120c78bdefeb4521639267bec70eab9"
+)
 
-def test_resume_under_different_engine_refused(tmp_path, monkeypatch):
-    """A run dir recorded under ``block`` is refused, not replayed."""
+
+@pytest.mark.parametrize(
+    "recorded",
+    [BLOCK_RUN_FINGERPRINT, CUDA_DCLUST_RUN_FINGERPRINT],
+    ids=["block", "cuda-dclust"],
+)
+def test_resume_under_different_engine_refused(tmp_path, monkeypatch, recorded):
+    """A run dir recorded under another leaf engine is refused, not replayed."""
     points = _points()
-    with monkeypatch.context() as block_era:
-        block_era.setattr(
-            rundir_mod, "config_fingerprint", lambda config: BLOCK_RUN_FINGERPRINT
-        )
+    with monkeypatch.context() as old_engine:
+        old_engine.setattr(rundir_mod, "config_fingerprint", lambda config: recorded)
         _run(points, tmp_path)
     with pytest.raises(DurabilityError, match="different label-affecting"):
         _run(points, tmp_path, resume=True)

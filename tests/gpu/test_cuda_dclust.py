@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from cuda_dclust_reference import cuda_dclust
 from hypothesis import given, settings, strategies as st
 
 from repro.data import gaussian_blobs, uniform_noise
 from repro.dbscan import GridIndex, dbscan_reference
 from repro.dbscan.labels import border_assignment_valid, core_sets_equal
 from repro.errors import ConfigError
-from repro.gpu import SimulatedDevice, cuda_dclust
+from repro.gpu import SimulatedDevice
 from repro.gpu.device import DeviceConfig
 from repro.points import NOISE, PointSet
 

@@ -58,7 +58,7 @@ def test_exactly_two_round_trips(blobs_with_noise):
 
 
 def test_fewer_round_trips_than_cuda_dclust(blobs_with_noise):
-    from repro.gpu import cuda_dclust
+    from cuda_dclust_reference import cuda_dclust
     from repro.gpu.device import DeviceConfig
 
     pts = blobs_with_noise.take(np.arange(400))

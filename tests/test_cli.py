@@ -109,16 +109,12 @@ def test_analyze_json(tmp_path, capsys):
     assert "clusters" in payload and "noise" in payload
 
 
-def test_cluster_algorithm_flag(tmp_path, capsys):
-    data = tmp_path / "pts.bin"
-    main(["generate", "blobs", "300", str(data)])
-    rc = main(
-        [
-            "cluster", str(data), "--eps", "0.5", "--minpts", "5",
-            "--algorithm", "cuda-dclust", "--partition-output", "network",
-        ]
-    )
-    assert rc == 0
+def test_cluster_algorithm_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", str(tmp_path / "pts.bin"), "--eps", "0.5", "--minpts", "5",
+              "--algorithm", "cuda-dclust"])
+    assert exc.value.code == 2
+    assert "--algorithm" in capsys.readouterr().err
 
 
 def test_cluster_verbose_logs(tmp_path, capsys, caplog):

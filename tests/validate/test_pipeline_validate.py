@@ -7,8 +7,11 @@ the paper invariant that broke.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from cuda_dclust_reference import cuda_dclust_leaves
 
 from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
@@ -51,14 +54,16 @@ def test_tier1_config_passes_validation(blobs_with_noise, level, expected_checks
         dict(n_leaves=1),
         dict(n_leaves=8, fanout=4),
         dict(use_densebox=False),
-        dict(leaf_algorithm="cuda-dclust"),
+        dict(leaves=cuda_dclust_leaves, transport="local"),
         dict(partition_output="network"),
     ],
 )
 def test_validation_clean_across_pipeline_variants(blobs_with_noise, kwargs):
-    result = run_pipeline(
-        blobs_with_noise, _config(validate="full", **kwargs)
-    )
+    kwargs = dict(kwargs)
+    with kwargs.pop("leaves", nullcontext)():
+        result = run_pipeline(
+            blobs_with_noise, _config(validate="full", **kwargs)
+        )
     assert result.validation.ok
 
 
