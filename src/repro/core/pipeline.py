@@ -21,7 +21,6 @@ from ..durability.rundir import ResumeState, RunDirectory
 from ..errors import CheckpointError, ConfigError, DeviceMemoryError
 from ..gpu.mrscan_gpu import mrscan_gpu
 from ..io.lustre import IOTrace
-from ..merge.global_ids import assign_global_ids
 from ..merge.merger import MergeFilter
 from ..merge.summary import LeafSummary, summarize_leaf
 from ..mrnet import Network, Topology, Transport
@@ -32,7 +31,7 @@ from ..resilience.faults import FaultLog
 from ..runtime.arena import as_pointset
 from ..runtime.executor import make_transport, stage_pointset_safe
 from ..runtime.worker import acquire_device
-from ..sweep.sweep import combine_core_masks, combine_leaf_outputs, sweep_leaf
+from ..sweep.sweep import LeafCut, SweepGather, cut_leaf, sweep_gather
 from ..telemetry import Telemetry, record_result
 from ..telemetry.tracer import NOOP_TRACER, PID_DRIVER, PID_GPU, PID_TREE, Tracer
 from .config import MrScanConfig
@@ -111,6 +110,10 @@ class _ClusterLeafOutput:
     wall_seconds: float = 0.0
     #: Points the leaf saw (owned + shadow).
     n_points: int = 0
+    #: The sweep's cut of this output, made by the driver on first use
+    #: (:func:`_sweep`); a cached output keeps the partition it was
+    #: clustered from, so its cut stays valid.
+    cut: LeafCut | None = field(default=None, repr=False)
 
 
 def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
@@ -268,6 +271,18 @@ def _stage_partitions(transport, partitions, tracer=NOOP_TRACER):
             )
             for own, shadow in partitions
         ]
+
+
+def _sweep(outputs, partitions, assignment, n_points: int) -> SweepGather:
+    """The sweep (§3.4): cut every leaf output not cut before, then one
+    gather relabels them all."""
+    for out, (own, shadow) in zip(outputs, partitions):
+        if out.cut is None:
+            out.cut = cut_leaf(
+                out.leaf_id, as_pointset(own).ids, as_pointset(shadow).ids,
+                out.labels, out.core_mask,
+            )
+    return sweep_gather([out.cut for out in outputs], assignment, n_points)
 
 
 def _rewind(transport) -> None:
@@ -669,7 +684,7 @@ def _run_phases(
                     "durability.restore", cat="durability", pid=PID_DRIVER,
                     phase="merge",
                 ):
-                    root_summary, assignment = durable.phases.load("merge")
+                    assignment = durable.phases.load("merge")
             except CheckpointError:
                 pass  # corrupt checkpoint: the phase re-runs
             else:
@@ -684,10 +699,9 @@ def _run_phases(
             with timer.phase("merge"), tracer.span(
                 "merge", cat="phase", pid=PID_DRIVER
             ):
-                root_summary, reduce_trace = network.reduce(
+                assignment, reduce_trace = network.reduce(
                     [o.summary for o in outputs], merge_filter, name="merge"
                 )
-                assignment = assign_global_ids(root_summary)
             logger.info(
                 "merge: %d leaf clusters -> %d global clusters (%d bytes up the tree)",
                 sum(o.summary.n_clusters for o in outputs),
@@ -696,14 +710,13 @@ def _run_phases(
             )
         if vctx is not None:
             vctx.assignment = assignment
-            vctx.root_summary = root_summary
             run_phase_checks("merge", vctx, config.validate, vreport, telemetry)
         if durable is not None and not merge_restored:
             with tracer.span(
                 "durability.checkpoint", cat="durability", pid=PID_DRIVER,
                 phase="merge",
             ):
-                durable.phases.save("merge", (root_summary, assignment))
+                durable.phases.save("merge", assignment)
             durable.note(
                 "merge_done",
                 {"n_clusters": assignment.n_clusters,
@@ -712,47 +725,26 @@ def _run_phases(
 
         # ------------------------------ sweep -------------------------- #
         output_io = IOTrace()
-        sweep_leaf_seconds: dict[int, float] = {}
         with timer.phase("sweep"), tracer.span(
             "sweep", cat="phase", pid=PID_DRIVER
         ):
-            assignments, sweep_trace = network.multicast(assignment, name="sweep")
-            sweep_results = []
-            for out, asg, (own, shadow) in zip(
-                outputs, assignments, phase1.partitions
-            ):
-                view = own.concat(shadow)
-                t_leaf = time.perf_counter()
-                res = sweep_leaf(
-                    out.leaf_id,
-                    view,
-                    out.labels,
-                    out.n_owned,
-                    asg.for_leaf(out.leaf_id),
-                    core_mask=out.core_mask,
-                )
-                sweep_leaf_seconds[out.leaf_id] = time.perf_counter() - t_leaf
-                tracer.add_span(
-                    "sweep.leaf",
-                    t_leaf,
-                    t_leaf + sweep_leaf_seconds[out.leaf_id],
-                    cat="sweep",
-                    pid=PID_GPU,
-                    tid=out.leaf_id,
-                    n_owned=out.n_owned,
-                )
-                sweep_results.append(res)
-                if len(res.owned_ids):
+            _, sweep_trace = network.multicast(assignment, name="sweep")
+            t_gather = time.perf_counter()
+            swept = _sweep(outputs, phase1.partitions, assignment, n)
+            gather_seconds = time.perf_counter() - t_gather
+            tracer.add_span(
+                "sweep.gather", t_gather, t_gather + gather_seconds,
+                cat="sweep", pid=PID_DRIVER, n_leaves=len(outputs),
+            )
+            labels, core_mask = swept.labels, swept.core_mask
+            for cut in swept.cuts:
+                if len(cut.owned_ids):
                     output_io.record(
-                        out.leaf_id,
-                        "write",
-                        len(res.owned_ids) * (RECORD_BYTES + 8),
+                        cut.leaf_id, "write", len(cut.owned_ids) * (RECORD_BYTES + 8),
                         sequential=True,
                     )
-            labels = combine_leaf_outputs(sweep_results, n)
-            core_mask = combine_core_masks(sweep_results, n)
         if vctx is not None:
-            vctx.sweep_results = sweep_results
+            vctx.sweep_results = swept.results()
             vctx.labels = labels
             vctx.core_mask = core_mask
             run_phase_checks("sweep", vctx, config.validate, vreport, telemetry)
@@ -795,7 +787,7 @@ def _run_phases(
         partition=phase1.virtual_seconds(),
         cluster=map_virtual_time(map_trace),
         merge=reduce_critical_path(topology, reduce_trace),
-        sweep=max(sweep_leaf_seconds.values(), default=0.0),
+        sweep=gather_seconds,
     )
 
     # Faults from both trees, in phase order, with exact aggregates.
@@ -813,7 +805,7 @@ def _run_phases(
             len(network.dead_nodes),
         )
 
-    n_clusters = int(len(np.unique(labels[labels >= 0])))
+    n_clusters = assignment.n_clusters
     if durable is not None:
         durable.note("run_end", {"n_clusters": n_clusters})
     result = MrScanResult(
@@ -901,9 +893,9 @@ def cluster_merge_sweep(
     in leaf-id order, covering every leaf), cluster only the ``dirty``
     leaves (``None`` = all), reuse ``cached_outputs`` for the rest, then
     run the full merge tree over all summaries and sweep global ids over
-    all leaves.  Merge+sweep always run in full — they are cheap relative
-    to clustering and global ids are not stable across merges, so every
-    leaf's labels must be re-swept against the new assignment.
+    all leaves.  Global ids are not stable across merges, so every leaf's
+    labels are re-swept against the new assignment: one gather, in which
+    a cached output reuses the cut it carries.
 
     The caller owns ``transport`` — it is never closed here, so pools and
     arenas stay warm across calls; the arena is rewound once the dirty
@@ -1005,36 +997,21 @@ def cluster_merge_sweep(
     merge_filter = MergeFilter(config.eps, tracer=tracer)
     try:
         with tracer.span("merge.partial", cat="phase", pid=PID_DRIVER):
-            root_summary, _ = network.reduce(
+            assignment, _ = network.reduce(
                 [o.summary for o in ordered], merge_filter, name="merge"
             )
-            assignment = assign_global_ids(root_summary)
         with tracer.span("sweep.partial", cat="phase", pid=PID_DRIVER):
-            assignments, _ = network.multicast(assignment, name="sweep")
+            network.multicast(assignment, name="sweep")
+            if cancel is not None:
+                cancel.check()
+            swept = _sweep(ordered, partitions, assignment, n_points)
     finally:
         network.close()
 
-    if cancel is not None:
-        cancel.check()
-    sweep_results = []
-    for out, asg, (own, shadow) in zip(ordered, assignments, partitions):
-        view = as_pointset(own).concat(as_pointset(shadow))
-        sweep_results.append(
-            sweep_leaf(
-                out.leaf_id,
-                view,
-                out.labels,
-                out.n_owned,
-                asg.for_leaf(out.leaf_id),
-                core_mask=out.core_mask,
-            )
-        )
-    labels = combine_leaf_outputs(sweep_results, n_points)
-    core_mask = combine_core_masks(sweep_results, n_points)
     return PartialRunResult(
-        labels=labels,
-        core_mask=core_mask,
-        n_clusters=int(len(np.unique(labels[labels >= 0]))),
+        labels=swept.labels,
+        core_mask=swept.core_mask,
+        n_clusters=assignment.n_clusters,
         outputs=outputs,
         reclustered=frozenset(need),
         n_fresh=sum(1 for o in fresh.values() if not o.from_checkpoint),

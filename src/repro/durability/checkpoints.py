@@ -179,8 +179,8 @@ class _BlobStore:
 
 class PhaseCheckpointStore(_BlobStore):
     """One pickled payload per phase in :data:`PHASE_NAMES`: a
-    ``PartitionPhaseResult``, the merge's ``(root_summary,
-    GlobalIdAssignment)`` pair, the sweep's ``(labels, core_mask)``."""
+    ``PartitionPhaseResult``, the merge's ``GlobalIdAssignment``, the
+    sweep's ``(labels, core_mask)``."""
 
     _on_miss = "phase will re-run"
 

@@ -7,13 +7,13 @@ cell by at most **eight representative points** — the core points closest
 to the cell's four corners and four side midpoints — which §3.3.1 (Fig 5)
 proves sufficient: any overlapping core point lies within Eps of at least
 one representative.  Summaries flow up the MRNet tree; every internal node
-runs the merge filter over its children's summaries; the root assigns
-global cluster IDs.
+runs the merge filter over its children's summaries; the root's filter
+yields the global cluster IDs.
 """
 
 from .representatives import select_representatives, representative_targets
 from .summary import LeafSummary, summarize_leaf
-from .merger import merge_summaries, MergeFilter, MergeOutcome
+from .merger import merge_summaries, root_assignment, MergeFilter, MergeOutcome
 from .global_ids import GlobalIdAssignment, assign_global_ids
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "LeafSummary",
     "summarize_leaf",
     "merge_summaries",
+    "root_assignment",
     "MergeFilter",
     "MergeOutcome",
     "GlobalIdAssignment",

@@ -16,8 +16,10 @@ overlap types are evaluated:
    duplicates are removed when summaries combine (the output keeps one
    copy per point).
 
-The filter is associative: internal nodes apply it level by level, and the
-root's application yields the final cluster groups.
+The filter is associative: internal nodes apply it level by level.  The
+root only needs the final cluster groups, to number them (§3.4): it runs
+the rules' first half — candidate pairs, both tests, the union — and
+yields the global-id assignment, never a merged summary.
 
 It runs as array passes over the children's concatenated columns — the
 cell-graph connectivity of Wang, Gu & Shun (PAPERS.md): one sort by cell
@@ -30,18 +32,19 @@ that pass.  The per-cell loop it replaced is the oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..dbscan.disjoint_set import union_edges
 from ..errors import MergeError
+from .global_ids import GlobalIdAssignment
 from .representatives import select_representatives_batch
 from .summary import (
     LeafSummary, any_within, offsets, row_ranks, rows_in, run_flags, run_starts, starts,
 )
 
-__all__ = ["MergeOutcome", "merge_summaries", "MergeFilter"]
+__all__ = ["MergeOutcome", "merge_summaries", "root_assignment", "MergeFilter"]
 
 
 @dataclass
@@ -76,14 +79,22 @@ def _combined_rows(out_cell: np.ndarray, ids: np.ndarray, multi: np.ndarray) -> 
     return order[~repeat]
 
 
-def merge_summaries(
-    summaries: Sequence[LeafSummary], eps: float
-) -> tuple[LeafSummary, MergeOutcome]:
-    """Apply the merge rules across child summaries and combine them."""
-    outcome = MergeOutcome()
-    summaries = [s for s in summaries if s is not None]
-    if not summaries:
-        return LeafSummary.empty(eps), outcome
+class _Groups(NamedTuple):
+    """The groups half's output: the children's rows, concatenated, and
+    every child cluster's group (groups numbered by smallest key)."""
+
+    s: LeafSummary
+    cell: np.ndarray  # cell rank of every cell row
+    owner_cell: np.ndarray  # cell rank of every owned cell
+    row_cluster: np.ndarray  # cluster of every cell row
+    nc_row: np.ndarray  # cell row of every non-core row
+    key_rank: np.ndarray
+    roots: np.ndarray  # key rank of every group's smallest key
+    group: np.ndarray
+
+
+def _groups(summaries: list[LeafSummary], eps: float, outcome: MergeOutcome) -> _Groups:
+    """Candidate pairs, the type-1/type-2 tests, one union-find."""
     for s in summaries:
         if abs(s.eps - eps) > 1e-12:
             raise MergeError(f"summary eps {s.eps} != merge eps {eps}")
@@ -143,7 +154,8 @@ def merge_summaries(
     outcome.n_core_merges = int(core.sum())
     outcome.n_noncore_core_merges = int(noncore.sum())
 
-    # Union over clusters ranked by key: min-root is "smallest key wins".
+    # Union over clusters ranked by key: min-root is "smallest key wins",
+    # so the groups come out numbered in canonical key order.
     joined = core | noncore
     root, _ = union_edges(
         np.arange(len(key_rank)),
@@ -151,12 +163,19 @@ def merge_summaries(
         key_rank[row_cluster[v[joined]]],
     )
     roots, group = np.unique(root[key_rank], return_inverse=True)
-    n_groups = len(roots)
-    outcome.n_output_clusters = n_groups
+    outcome.n_output_clusters = len(roots)
+    return _Groups(s, cell, owner_cell, row_cluster, nc_row, key_rank, roots, group)
+
+
+def _combine(g: _Groups, outcome: MergeOutcome) -> LeafSummary:
+    """One summary of the groups: output cells, representatives
+    re-selected, constituents and the owner table."""
+    s, cell, group = g.s, g.cell, g.group
+    n_rows, n_groups = len(cell), len(g.roots)
 
     # Output cells: one per (group, cell), ascending; a cell that only one
     # cluster of the group has passes through unchanged.
-    row_group = group[row_cluster]
+    row_group = group[g.row_cluster]
     order = np.lexsort((cell, row_group))
     new = run_flags(row_group[order], cell[order])
     out_cell = np.empty(n_rows, dtype=np.int64)
@@ -173,13 +192,13 @@ def merge_summaries(
     seg = run_starts(rep_out[reps[cand]])
     xy = cell_xy[rep_out[reps[cand[seg]]]]
     chosen = select_representatives_batch(
-        s.rep_coords[reps[cand]], seg, np.concatenate((xy * eps, (xy + 1) * eps), axis=1)
+        s.rep_coords[reps[cand]], seg, np.concatenate((xy * s.eps, (xy + 1) * s.eps), axis=1)
     )
     keep = np.ones(len(reps), dtype=bool)
     keep[cand] = False
     keep[cand[chosen.ravel()]] = True
     reps = reps[keep]
-    nc_out = out_cell[nc_row]
+    nc_out = out_cell[g.nc_row]
     noncores = _combined_rows(nc_out, s.noncore_ids, multi)
     outcome.n_duplicate_noncore_removed = len(nc_out) - len(noncores)
 
@@ -191,12 +210,12 @@ def merge_summaries(
     c_group = group[np.concatenate((listed_by, implicit))]
     c_order = np.lexsort((constituents[:, 1], constituents[:, 0], c_group))
 
-    by_owner = np.argsort(owner_cell)
+    by_owner = np.argsort(g.owner_cell)
     owner_lens = s.owner_lens[by_owner]
     owner_rows = np.repeat(starts(s.owner_lens)[by_owner], owner_lens) + offsets(owner_lens)
-    merged = LeafSummary(
-        eps, s.source_leaves,
-        s.keys[np.argsort(key_rank)[roots]],
+    return LeafSummary(
+        s.eps, s.source_leaves,
+        s.keys[np.argsort(g.key_rank)[g.roots]],
         np.bincount(row_group[cell_rows], minlength=n_groups),
         np.bincount(c_group, minlength=n_groups),
         constituents[c_order],
@@ -207,11 +226,39 @@ def merge_summaries(
         s.noncore_ids[noncores], s.noncore_coords[noncores],
         s.owner_cells[by_owner], owner_lens, s.owner_ids[owner_rows],
     )
-    return merged, outcome
+
+
+def merge_summaries(
+    summaries: Sequence[LeafSummary], eps: float
+) -> tuple[LeafSummary, MergeOutcome]:
+    """Apply the merge rules across child summaries and combine them."""
+    outcome = MergeOutcome()
+    summaries = [s for s in summaries if s is not None]
+    if not summaries:
+        return LeafSummary.empty(eps), outcome
+    return _combine(_groups(summaries, eps, outcome), outcome), outcome
+
+
+def root_assignment(
+    summaries: Sequence[LeafSummary], eps: float
+) -> tuple[GlobalIdAssignment, MergeOutcome]:
+    """The root's application: the merge rules' groups, numbered.
+
+    Equal to ``assign_global_ids(merge_summaries(summaries, eps)[0])``
+    without building the merged summary, so
+    ``n_duplicate_noncore_removed`` stays 0.
+    """
+    outcome = MergeOutcome()
+    summaries = [s for s in summaries if s is not None]
+    if not summaries:
+        return GlobalIdAssignment.empty(), outcome
+    g = _groups(summaries, eps, outcome)
+    return GlobalIdAssignment.from_clusters(g.s, g.group, len(g.roots)), outcome
 
 
 class MergeFilter:
-    """MRNet filter wrapper around :func:`merge_summaries`.
+    """MRNet filter wrapper: :func:`merge_summaries` at internal nodes,
+    :func:`root_assignment` at the root.
 
     Collects per-application outcomes on the instance (safe only with the
     local transport; the process transport gets fresh copies, so outcome
@@ -244,6 +291,15 @@ class MergeFilter:
 
     def combine(self, payloads: Sequence[LeafSummary]) -> LeafSummary:
         merged, outcome = merge_summaries(payloads, self.eps)
+        self._record(outcome)
+        return merged
+
+    def root(self, payloads: Sequence[LeafSummary]) -> GlobalIdAssignment:
+        assignment, outcome = root_assignment(payloads, self.eps)
+        self._record(outcome)
+        return assignment
+
+    def _record(self, outcome: MergeOutcome) -> None:
         self.outcomes.append(outcome)
         self.tracer.instant(
             "merge.outcome",
@@ -255,4 +311,3 @@ class MergeFilter:
             n_core_merges=outcome.n_core_merges,
             n_noncore_core_merges=outcome.n_noncore_core_merges,
         )
-        return merged

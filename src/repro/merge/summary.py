@@ -215,7 +215,21 @@ def offsets(counts: np.ndarray) -> np.ndarray:
 def any_within(a_first, a_count, a_xy, b_first, b_count, b_xy, eps2: float) -> np.ndarray:
     """Per pair ``p``: is one of the ``a_count[p]`` rows of ``a_xy`` from
     ``a_first[p]`` within ``sqrt(eps2)`` of one of the ``b_count[p]`` rows
-    of ``b_xy`` from ``b_first[p]``?  Every pair's row product in one pass."""
+    of ``b_xy`` from ``b_first[p]``?
+
+    Pairs that meet mostly do so at their first ``a`` row (representatives
+    of one cell), so that row is tested against all of ``b`` first and the
+    rest of the product only for the pairs it leaves open."""
+    hit = _product_within(a_first, np.minimum(a_count, 1), a_xy, b_first, b_count, b_xy, eps2)
+    rest = np.flatnonzero(~hit & (a_count > 1))
+    hit[rest] = _product_within(
+        a_first[rest] + 1, a_count[rest] - 1, a_xy, b_first[rest], b_count[rest], b_xy, eps2
+    )
+    return hit
+
+
+def _product_within(a_first, a_count, a_xy, b_first, b_count, b_xy, eps2: float) -> np.ndarray:
+    """:func:`any_within` over every pair's whole row product, in one pass."""
     n = a_count * b_count
     pair = np.repeat(np.arange(len(n)), n)
     k = offsets(n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-__all__ = ["Filter", "FunctionFilter", "ListConcatFilter", "SumFilter"]
+__all__ = ["Filter", "CombineAtRoot", "FunctionFilter", "ListConcatFilter", "SumFilter"]
 
 
 @runtime_checkable
@@ -24,13 +24,28 @@ class Filter(Protocol):
     payload to forward upstream.  Implementations must be pure functions
     of their inputs: internal nodes at the same level may run in any order
     or in parallel.
+
+    ``root`` is the same step at the root node, whose output is the
+    collective's result and goes to no parent: a filter may yield there
+    something other than what its internal nodes forward (the merge
+    filter's root yields global ids, not a merged summary).
     """
 
     def combine(self, payloads: Sequence[Any]) -> Any:
         ...
 
+    def root(self, payloads: Sequence[Any]) -> Any:
+        ...
 
-class FunctionFilter:
+
+class CombineAtRoot:
+    """A filter whose root application is an ordinary ``combine``."""
+
+    def root(self, payloads: Sequence[Any]) -> Any:
+        return self.combine(payloads)
+
+
+class FunctionFilter(CombineAtRoot):
     """Wrap a plain function ``f(list_of_payloads) -> payload``.
 
     The function must be defined at module top level to survive pickling
@@ -44,7 +59,7 @@ class FunctionFilter:
         return self.fn(payloads)
 
 
-class ListConcatFilter:
+class ListConcatFilter(CombineAtRoot):
     """Concatenate child lists (order-preserving)."""
 
     def combine(self, payloads: Sequence[Any]) -> list:
@@ -54,7 +69,7 @@ class ListConcatFilter:
         return out
 
 
-class SumFilter:
+class SumFilter(CombineAtRoot):
     """Add child payloads (numbers, numpy arrays, anything with +)."""
 
     def combine(self, payloads: Sequence[Any]):

@@ -583,8 +583,9 @@ class Network:
     ) -> tuple[Any, NetworkTrace]:
         """Reduce leaf payloads to a single root value through ``filt``.
 
-        The filter runs at every node with children (internal nodes and
-        the root), level by level from the bottom; nodes within a level
+        The filter runs at every node with children, level by level from
+        the bottom: ``filt.combine`` at internal nodes, ``filt.root`` at
+        the root, whose output is the result.  Nodes within a level
         are independent and go through the transport as one batch.  A
         failing internal node is retried per the resilience policy and
         finally re-hosted on its nearest live ancestor — the child
@@ -611,8 +612,10 @@ class Network:
                 if self.tracer.enabled:
                     bytes_in[node] = sum(payload_nbytes(p) for p in child_payloads)
                 tasks.append(child_payloads)
+            # The root sits alone on the top level.
+            apply = filt.root if batch_nodes == [topo.root] else filt.combine
             triples, hosts = self._run_tasks(
-                batch_nodes, filt.combine, tasks, phase="reduce", name=name
+                batch_nodes, apply, tasks, phase="reduce", name=name
             )
             for node, host, task, (out, t0, t1) in zip(
                 batch_nodes, hosts, tasks, triples

@@ -5,6 +5,24 @@ reversing the merge operation"; each leaf relabels its points with global
 IDs and writes them to the output file in parallel.
 """
 
-from .sweep import SweepResult, sweep_leaf, combine_leaf_outputs, combine_core_masks
+from .sweep import (
+    LeafCut,
+    SweepGather,
+    SweepResult,
+    combine_core_masks,
+    combine_leaf_outputs,
+    cut_leaf,
+    sweep_gather,
+    sweep_leaf,
+)
 
-__all__ = ["SweepResult", "sweep_leaf", "combine_leaf_outputs", "combine_core_masks"]
+__all__ = [
+    "LeafCut",
+    "SweepGather",
+    "SweepResult",
+    "combine_core_masks",
+    "combine_leaf_outputs",
+    "cut_leaf",
+    "sweep_gather",
+    "sweep_leaf",
+]

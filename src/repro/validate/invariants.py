@@ -150,7 +150,7 @@ class ValidationContext:
     """Everything the checkers may inspect, filled in as phases finish.
 
     The pipeline sets ``phase1`` after partitioning, ``outputs`` after
-    clustering, ``assignment``/``root_summary`` after the merge, and
+    clustering, ``assignment`` after the merge, and
     ``sweep_results``/``labels``/``core_mask`` after the sweep.  Fields
     are duck-typed so unit tests can hand-build minimal stand-ins.
     """
@@ -162,7 +162,6 @@ class ValidationContext:
     phase1: Any = None  # partition.distributed.PartitionPhaseResult
     outputs: list | None = None  # leaf outputs: .leaf_id/.labels/.core_mask/.summary/.n_owned
     assignment: Any = None  # merge.global_ids.GlobalIdAssignment
-    root_summary: Any = None  # merge.summary.LeafSummary at the root
     sweep_results: list | None = None  # sweep.sweep.SweepResult per leaf
     labels: np.ndarray | None = None  # final combined labels
     core_mask: np.ndarray | None = None  # final combined core mask
@@ -703,78 +702,53 @@ def check_representative_coverage(ctx: ValidationContext) -> list[Violation]:
 def check_global_id_bijection(ctx: ValidationContext) -> list[Violation]:
     """Global-ID assignment is a bijection onto merged components.
 
-    * the mapping's keys are exactly the union of the root clusters'
-      constituent keys (total over everything the leaves reported);
-    * constituent sets are disjoint across root clusters;
-    * each root cluster maps to one global ID, distinct clusters to
-      distinct IDs, and the IDs used are exactly ``0..k-1``.
+    * every constituent key maps to one global ID;
+    * the mapping's keys are exactly the clusters the leaves reported
+      (total, so the sweep orphans no point, and nothing spurious);
+    * the IDs used are exactly ``0..n_clusters-1``, numbered in canonical
+      key order: ID ``g``'s smallest key is below ID ``g+1``'s.
     """
     name = "merge.global_id_bijection"
     out: list[Violation] = []
     assignment = ctx.assignment
-    root = ctx.root_summary
-    mapped, mapped_gids = assignment.arrays()
-    n_mapped = len(mapped)
+    keys, gids = assignment.arrays()
+    k = assignment.n_clusters
 
-    # Every root cluster's constituents: its listed ones, or its own key.
-    k = root.n_clusters
-    alone = np.flatnonzero(root.n_constituents == 0)
-    constituents = np.concatenate((root.keys[alone], root.constituent_keys))
-    owner = np.concatenate((alone, np.repeat(np.arange(k), root.n_constituents)))
-    rank = row_ranks(np.concatenate((mapped, constituents)))
-    is_mapped = np.zeros(len(rank), dtype=bool)
-    is_mapped[rank[:n_mapped]] = True
-    gid_of_rank = np.zeros(len(rank), dtype=np.int64)
-    gid_of_rank[rank[:n_mapped]] = mapped_gids
-    c_rank = rank[n_mapped:]
-
-    times = np.bincount(c_rank, minlength=len(rank))
-    if (times > 1).any():
-        overlap = np.unique(constituents[times[c_rank] > 1], axis=0)
+    order = np.lexsort((gids, keys[:, 1], keys[:, 0]))
+    keys, gids = keys[order], gids[order]
+    repeat = ~run_flags(keys[:, 0], keys[:, 1])
+    twice = repeat & (gids != np.roll(gids, 1))
+    if twice.any():
         out.append(
             Violation(
                 name,
                 "merge",
-                f"constituents {[tuple(c) for c in overlap[:3].tolist()]} appear in "
-                "multiple root clusters",
-                {"n_overlap": len(overlap)},
+                f"constituents {[tuple(c) for c in keys[twice][:3].tolist()]} map to "
+                "several global ids",
+                {"n_overlap": int(np.count_nonzero(twice))},
             )
         )
-    # A root cluster must map to exactly one global id.
-    gids = gid_of_rank[c_rank]
-    lo = np.full(k, np.iinfo(np.int64).max)
-    hi = np.full(k, np.iinfo(np.int64).min)
-    np.minimum.at(lo, owner, gids)
-    np.maximum.at(hi, owner, gids)
-    bad = (lo != hi) | (np.bincount(owner[~is_mapped[c_rank]], minlength=k) > 0)
-    for key in root.keys[bad][:MAX_VIOLATIONS_PER_CHECK].tolist():
-        out.append(
-            Violation(
-                name,
-                "merge",
-                f"root cluster {tuple(key)} constituents do not map to exactly one global id",
-                {"cluster": key},
-            )
-        )
+    keys, gids = keys[~repeat], gids[~repeat]
 
-    in_root = np.zeros(len(rank), dtype=bool)
-    in_root[c_rank] = True
-    n_unmapped = int((in_root & ~is_mapped).sum())
-    n_spurious = int((is_mapped & ~in_root).sum())
-    if n_unmapped or n_spurious:
-        out.append(
-            Violation(
-                name,
-                "merge",
-                f"mapping keys diverge from root constituents: "
-                f"{n_unmapped} unmapped, {n_spurious} spurious",
-                {"n_unmapped": n_unmapped, "n_spurious": n_spurious},
-            )
+    if ctx.outputs is not None:
+        reported = np.concatenate(
+            [o.summary.keys for o in ctx.outputs] or [np.empty((0, 2), np.int64)]
         )
-    gid_values = np.unique(lo[~bad])
-    if len(gid_values) != int((~bad).sum()):
-        out.append(Violation(name, "merge", "distinct root clusters share a global id", {}))
-    if len(gid_values) and not np.array_equal(gid_values, np.arange(k)):
+        n_unmapped = int((~rows_in(reported, keys)).sum())
+        n_spurious = int((~rows_in(keys, reported)).sum())
+        if n_unmapped or n_spurious:
+            out.append(
+                Violation(
+                    name,
+                    "merge",
+                    f"mapping keys diverge from the leaves' clusters: "
+                    f"{n_unmapped} unmapped, {n_spurious} spurious",
+                    {"n_unmapped": n_unmapped, "n_spurious": n_spurious},
+                )
+            )
+
+    gid_values = np.unique(gids)
+    if not np.array_equal(gid_values, np.arange(k)):
         out.append(
             Violation(
                 name,
@@ -783,23 +757,13 @@ def check_global_id_bijection(ctx: ValidationContext) -> list[Violation]:
                 {"got": gid_values[:10].tolist()},
             )
         )
-    if assignment.n_clusters != k:
-        out.append(
-            Violation(name, "merge", f"n_clusters {assignment.n_clusters} != root clusters {k}", {})
-        )
-
-    # Every cluster a leaf reported must be reachable through the mapping
-    # (otherwise the sweep would orphan its points).
-    for o in ctx.outputs or []:
-        missing = o.summary.keys[~rows_in(o.summary.keys, mapped)]
-        if len(missing):
+    else:
+        # Keys ascend, so a global id's first row is its smallest key.
+        first = np.unique(gids, return_index=True)[1]
+        if (np.diff(first) < 0).any():
             out.append(
                 Violation(
-                    name,
-                    "merge",
-                    f"leaf {o.leaf_id}: {len(missing)} reported cluster(s) "
-                    "missing from the global-id mapping",
-                    {"leaf": o.leaf_id, "sample": missing[:3].tolist()},
+                    name, "merge", "global ids are not in canonical key order", {}
                 )
             )
     return _cap(out)

@@ -58,7 +58,7 @@ def _crash_before_sweep(monkeypatch, points, run_dir, **kw):
         raise RuntimeError("injected driver crash")
 
     with monkeypatch.context() as crash:
-        crash.setattr(pipeline_mod, "sweep_leaf", boom)
+        crash.setattr(pipeline_mod, "sweep_gather", boom)
         with pytest.raises(RuntimeError, match="injected"):
             _run(points, run_dir=run_dir, **kw)
 

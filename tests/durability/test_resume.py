@@ -8,6 +8,7 @@ leaves behind), then a fresh ``resume=True`` run reconstructs state.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import json
 import pickle
@@ -22,6 +23,8 @@ from repro.core import mrscan
 from repro.core.config import MrScanConfig
 from repro.durability import PhaseCheckpointStore, config_fingerprint, replay_journal
 from repro.errors import CheckpointError, DurabilityError, ValidationError
+from repro.merge import GlobalIdAssignment, merge_summaries
+from repro.merge.global_ids import _unpack_assignment
 from repro.merge.summary import LeafSummary, _unpack_summary
 from repro.partition import PartitionPhaseResult, PartitionPlan, PartitionSpec
 from repro.points import PointSet
@@ -144,10 +147,10 @@ def test_crash_mid_merge_resumes_with_all_leaves_checkpointed(
     points = _points()
     baseline = _run(points)
 
-    def boom(root_summary):
+    def boom(*args, **kwargs):
         raise RuntimeError("injected driver crash mid-merge")
 
-    monkeypatch.setattr(pipeline_mod, "assign_global_ids", boom)
+    monkeypatch.setattr(pipeline_mod, "MergeFilter", boom)
     with pytest.raises(RuntimeError):
         _run(points, run_dir=tmp_path)
     monkeypatch.undo()
@@ -169,7 +172,7 @@ def test_crash_mid_sweep_restores_merge_table(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected driver crash mid-sweep")
 
-    monkeypatch.setattr(pipeline_mod, "sweep_leaf", boom)
+    monkeypatch.setattr(pipeline_mod, "sweep_gather", boom)
     with pytest.raises(RuntimeError):
         _run(points, run_dir=tmp_path)
     monkeypatch.undo()
@@ -190,10 +193,10 @@ def test_corrupt_phase_checkpoint_downgrades_to_rerun(tmp_path, monkeypatch):
     points = _points()
     baseline = _run(points)
 
-    def boom(root_summary):
+    def boom(*args, **kwargs):
         raise RuntimeError("injected crash")
 
-    monkeypatch.setattr(pipeline_mod, "assign_global_ids", boom)
+    monkeypatch.setattr(pipeline_mod, "MergeFilter", boom)
     with pytest.raises(RuntimeError):
         _run(points, run_dir=tmp_path)
     monkeypatch.undo()
@@ -237,10 +240,10 @@ def test_resume_accepts_execution_knob_changes(tmp_path, monkeypatch):
     points = _points()
     baseline = _run(points)
 
-    def boom(root_summary):
+    def boom(*args, **kwargs):
         raise RuntimeError("injected crash")
 
-    monkeypatch.setattr(pipeline_mod, "assign_global_ids", boom)
+    monkeypatch.setattr(pipeline_mod, "MergeFilter", boom)
     with pytest.raises(RuntimeError):
         _run(points, run_dir=tmp_path)
     monkeypatch.undo()
@@ -273,10 +276,10 @@ def test_resume_under_shm_transport_with_active_fault_plan(tmp_path, monkeypatch
     points = _points(n=300)
     baseline = _run(points)
 
-    def boom(root_summary):
+    def boom(*args, **kwargs):
         raise RuntimeError("injected crash after cluster")
 
-    monkeypatch.setattr(pipeline_mod, "assign_global_ids", boom)
+    monkeypatch.setattr(pipeline_mod, "MergeFilter", boom)
     with pytest.raises(RuntimeError):
         _run(points, run_dir=tmp_path)
     monkeypatch.undo()
@@ -347,9 +350,42 @@ class _DamagedSummary:
         return _unpack_summary, (self.columns,)
 
 
+class _DamagedAssignment:
+    """Pickles as ``assignment`` with the last global id missing."""
+
+    def __init__(self, assignment: GlobalIdAssignment) -> None:
+        self.assignment = assignment
+
+    def __reduce__(self):
+        a = self.assignment
+        return _unpack_assignment, (a.keys, a.gids[:-1], a.n_clusters)
+
+
+def _old_merge_checkpoint(monkeypatch, run_dir) -> None:
+    """Rewrite a run dir's merge checkpoint as builds whose root built a
+    merged summary wrote it: ``(root_summary, assignment)``, the
+    assignment pickled as its default dataclass state, a ``mapping`` dict
+    and ``n_clusters``."""
+    leaves = LeafCheckpointStore(run_dir / "checkpoints" / "leaves")
+    root, _ = merge_summaries([leaves.load(i).summary for i in range(LEAVES)], EPS)
+    phases = PhaseCheckpointStore(run_dir / "checkpoints")
+    assignment = phases.load("merge")
+    with monkeypatch.context() as legacy:
+        legacy.setattr(
+            GlobalIdAssignment,
+            "__reduce__",
+            lambda self: (
+                copyreg.__newobj__,
+                (GlobalIdAssignment,),
+                {"mapping": self.mapping, "n_clusters": self.n_clusters},
+            ),
+        )
+        phases.save("merge", (root, assignment))
+
+
 @pytest.mark.parametrize(
     "crash_in, restored",
-    [("sweep_leaf", ["partition", "merge"]), ("assign_global_ids", ["partition"])],
+    [("sweep_gather", ["partition", "merge"]), ("MergeFilter", ["partition"])],
 )
 def test_columnar_run_dir_in_dict_orders_resumes_byte_identically(
     tmp_path, monkeypatch, crash_in, restored
@@ -385,9 +421,17 @@ def test_run_dir_in_the_old_layout_resumes_byte_identically(tmp_path, monkeypatc
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
     points = _points()
     baseline = _run(points)
+    _crash_in(monkeypatch, "sweep_gather", points, tmp_path)
+    leaves = LeafCheckpointStore(tmp_path / "checkpoints" / "leaves")
     with monkeypatch.context() as legacy:
         write_object_graphs(legacy)
-        _crash_in(monkeypatch, "sweep_leaf", points, tmp_path)
+        _old_merge_checkpoint(legacy, tmp_path)
+        for leaf_id in range(LEAVES):
+            leaf = leaves.load(leaf_id)
+            leaves.save(
+                leaf_id, labels=leaf.labels, core_mask=leaf.core_mask, n_owned=leaf.n_owned,
+                summary=leaf.summary, stats=leaf.stats, engine=leaf.engine,
+            )
     ckpt = tmp_path / "checkpoints"
     assert b"_unpack_summary" not in (ckpt / "merge.bin").read_bytes()
     assert b"CellSummary" in (ckpt / "merge.bin").read_bytes()
@@ -404,6 +448,24 @@ def test_run_dir_in_the_old_layout_resumes_byte_identically(tmp_path, monkeypatc
     assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
 
 
+def test_merge_checkpoint_holding_a_root_summary_is_a_miss(tmp_path, monkeypatch):
+    """A merge checkpoint as builds whose root built a merged summary
+    wrote it, ``(root_summary, assignment)``: a miss, and the merge
+    re-runs to the same bytes (the leaf checkpoints still hit)."""
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "sweep_gather", points, tmp_path)
+    _old_merge_checkpoint(monkeypatch, tmp_path)
+    with pytest.raises(CheckpointError, match="unreadable"):
+        PhaseCheckpointStore(tmp_path / "checkpoints").load("merge")
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]  # merge re-ran
+    assert resumed.checkpoint_hits == LEAVES
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
+
+
 def test_old_layout_leaf_checkpoints_are_misses(tmp_path, monkeypatch):
     # The older layouts are written by patching this process's pickler,
     # which pool workers would not see: pin local.
@@ -412,7 +474,7 @@ def test_old_layout_leaf_checkpoints_are_misses(tmp_path, monkeypatch):
     baseline = _run(points)
     with monkeypatch.context() as legacy:
         write_object_graphs(legacy)
-        _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+        _crash_in(monkeypatch, "MergeFilter", points, tmp_path)
     resumed = _run(points, run_dir=tmp_path, resume=True)
     assert resumed.phases_restored == ["partition"]
     assert resumed.checkpoint_hits == 0
@@ -422,7 +484,7 @@ def test_old_layout_leaf_checkpoints_are_misses(tmp_path, monkeypatch):
 def test_leaf_checkpoint_with_inconsistent_columns_is_a_miss(tmp_path, monkeypatch):
     points = _points()
     baseline = _run(points)
-    _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+    _crash_in(monkeypatch, "MergeFilter", points, tmp_path)
     store = LeafCheckpointStore(tmp_path / "checkpoints" / "leaves")
     good = store.load(1)
     store.save(
@@ -441,10 +503,9 @@ def test_leaf_checkpoint_with_inconsistent_columns_is_a_miss(tmp_path, monkeypat
 def test_merge_checkpoint_with_inconsistent_columns_reruns_the_merge(tmp_path, monkeypatch):
     points = _points()
     baseline = _run(points)
-    _crash_in(monkeypatch, "sweep_leaf", points, tmp_path)
+    _crash_in(monkeypatch, "sweep_gather", points, tmp_path)
     phases = PhaseCheckpointStore(tmp_path / "checkpoints")
-    root_summary, assignment = phases.load("merge")
-    phases.save("merge", (_DamagedSummary(root_summary), assignment))
+    phases.save("merge", _DamagedAssignment(phases.load("merge")))
     with pytest.raises(CheckpointError, match="columns disagree"):
         phases.load("merge")
 
@@ -516,7 +577,7 @@ def test_npz_leaf_spills_are_misses_and_reclustered_byte_identically(tmp_path, m
     bytes of a fresh run."""
     points = _points()
     baseline = _run(points)
-    _crash_in(monkeypatch, "assign_global_ids", points, tmp_path)
+    _crash_in(monkeypatch, "MergeFilter", points, tmp_path)
     leaves = tmp_path / "checkpoints" / "leaves"
     for leaf_id in range(LEAVES):
         _write_npz_spill(leaves, leaf_id)

@@ -6,6 +6,9 @@ pairs, up to the root), by both implementations; for each topology they
 must agree per (root key, cell) — the four arrays in value, dtype and
 order, the constituent sets, the owner lists — and on the global-id
 assignment.  Only cluster, cell and owned-cell row order is canonicalised.
+The root filter, which numbers its groups without building the merged
+summary, yields that same assignment on a flat tree and on a fanout-2
+tree.
 
 Flat and staged merges are held to each other only on DBSCAN output
 (``test_merger.py::test_hierarchical_merge_associative``): with the
@@ -34,8 +37,9 @@ from merge_reference import (
 from repro.data import gaussian_blobs, ring_cluster, uniform_noise
 from repro.dbscan import dbscan_reference
 from repro.gpu import mrscan_gpu
-from repro.merge import assign_global_ids, merge_summaries, summarize_leaf
+from repro.merge import MergeFilter, assign_global_ids, merge_summaries, summarize_leaf
 from repro.merge.summary import LeafSummary
+from repro.mrnet import Network, Topology
 from repro.partition import DistributedPartitioner
 from repro.points import PointSet
 
@@ -51,6 +55,24 @@ def _staged(merge, summaries, eps):
             return level[0]
 
 
+class _SummaryAtRoot(MergeFilter):
+    """The merge filter with the root building the merged summary too."""
+
+    def root(self, payloads):
+        return self.combine(payloads)
+
+
+def _check_root(summaries, eps):
+    """On a flat and a fanout-2 tree, the root's assignment is the one
+    the merged summary numbers."""
+    for fanout in (256, 2):
+        network = Network(Topology.paper_style(len(summaries), fanout))
+        assignment, _ = network.reduce(summaries, MergeFilter(eps))
+        merged, _ = network.reduce(summaries, _SummaryAtRoot(eps))
+        assert assignment == assign_global_ids(merged)
+        assert assignment.n_clusters == merged.n_clusters
+
+
 def _check(summaries, eps):
     """Flat and staged, the array merge agrees with the loop; returns the
     flat merge."""
@@ -62,6 +84,8 @@ def _check(summaries, eps):
     )):
         assert_summaries_identical(got, ref, ordered=False)
         assert assign_global_ids(got).mapping == reference_assign_global_ids(ref)
+    if summaries:
+        _check_root(summaries, eps)
     # Groups and repeated non-cores do not depend on order; the loop's
     # pair counters skip pairs already joined, so they can only be lower.
     assert outcome.n_input_clusters == want_outcome.n_input_clusters
@@ -134,6 +158,10 @@ def test_border_claimed_by_two_leaves():
     merged = _check([left, right], 1.0)
     assert merged.n_clusters == 2
     assert merge_summaries([left, right], 1.0)[1].n_duplicate_noncore_removed == 2
+    # The root numbers the groups and builds no merged cell to drop from.
+    root = MergeFilter(1.0)
+    assert root.root([left, right]).n_clusters == 2
+    assert root.outcomes[-1].n_duplicate_noncore_removed == 0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 - 2.0**-52, 1 + 2.0**-52])

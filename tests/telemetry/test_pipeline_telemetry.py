@@ -12,7 +12,7 @@ from repro.core.pipeline import mrscan, run_pipeline
 from repro.errors import MrScanError, TransportError
 from repro.mrnet import Network, SumFilter, Topology
 from repro.telemetry import Telemetry
-from repro.telemetry.tracer import PID_GPU, PID_TREE
+from repro.telemetry.tracer import PID_DRIVER, PID_GPU, PID_TREE
 
 
 @pytest.fixture
@@ -39,7 +39,13 @@ def test_per_leaf_and_per_node_spans(traced_result):
     merge_spans = [s for s in tracer.spans() if s.name == "merge.filter"]
     assert merge_spans and all(s.pid == PID_TREE for s in merge_spans)
     assert all(s.args["n_children"] >= 1 for s in merge_spans)
-    assert {"partition.form", "partition.route", "sweep.leaf"} <= names
+    assert {"partition.form", "partition.route"} <= names
+    # The sweep is one gather in the driver, not a span per leaf, and its
+    # seconds are the virtual sweep time.
+    (gather,) = [s for s in tracer.spans() if s.name == "sweep.gather"]
+    assert "sweep.leaf" not in names
+    assert gather.pid == PID_DRIVER and gather.args["n_leaves"] == 4
+    assert traced_result.virtual_timings.sweep == pytest.approx(gather.dur)
 
 
 def test_gpu_kernel_and_transfer_instants(traced_result):

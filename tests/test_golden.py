@@ -81,6 +81,7 @@ _CONTRACT = {
         make=lambda: generate_twitter(12_000, seed=2013), eps=0.1, minpts=10, n_leaves=6,
         labels="bdf8f74d1931b260559166f916de7f19246801c8",
         core_mask="2fe0103820baa09423e9f96117cd3b89ca5e508d",
+        n_clusters=91,
         merge_bytes=293944,
         leaf_ops=[
             (38184, 37412), (32794, 26437), (37233, 27942),
@@ -91,6 +92,7 @@ _CONTRACT = {
         make=lambda: generate_sdss(8_000, seed=2013), eps=0.00015, minpts=5, n_leaves=4,
         labels="027e2b83b2245fa8c56394d05398d066faf2fa04",
         core_mask="2e84f6a317319a0a0eb69820cd038c536a4bcc1e",
+        n_clusters=679,
         merge_bytes=216096,
         leaf_ops=[(11292, 14068), (11636, 15022), (11236, 15163), (11291, 13962)],
     ),
@@ -102,7 +104,8 @@ _CONTRACT = {
 def test_pipeline_output_contract_golden(fixture, transport):
     """Every transport but ``local`` pickles the summaries — back from the
     leaf tasks, out to the reduce task, back merged — so this also holds
-    their columnar wire form to the same bytes."""
+    their columnar wire form to the same bytes.  The cluster count is the
+    root's assignment's, and it is the number of labels used."""
     want = _CONTRACT[fixture]
     res = mrscan(
         want["make"](), want["eps"], want["minpts"], n_leaves=want["n_leaves"],
@@ -110,6 +113,8 @@ def test_pipeline_output_contract_golden(fixture, transport):
     )
     assert hashlib.sha1(res.labels.tobytes()).hexdigest() == want["labels"]
     assert hashlib.sha1(res.core_mask.tobytes()).hexdigest() == want["core_mask"]
+    assert res.n_clusters == want["n_clusters"]
+    assert len(np.unique(res.labels[res.labels >= 0])) == want["n_clusters"]
     assert res.network_traces["merge_reduce"].total_bytes == want["merge_bytes"]
     assert [(s.pass1_ops, s.pass2_ops) for s in res.gpu_stats] == want["leaf_ops"]
 

@@ -16,6 +16,7 @@ from cuda_dclust_reference import cuda_dclust_leaves
 from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
 from repro.errors import ConfigError, ValidationError
+from repro.merge import GlobalIdAssignment
 
 
 def _config(**overrides) -> MrScanConfig:
@@ -116,15 +117,16 @@ def test_injected_sweep_corruption_is_caught(blobs_with_noise, monkeypatch):
     from repro.core import pipeline as pipeline_mod
 
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    real = pipeline_mod.combine_leaf_outputs
+    real = pipeline_mod.sweep_gather
 
-    def corrupted(results, n):
-        labels = real(results, n)
+    def corrupted(cuts, assignment, n):
+        swept = real(cuts, assignment, n)
+        labels = swept.labels
         idx = int(np.flatnonzero(labels >= 0)[0])
         labels[idx] = labels.max() if labels[idx] != labels.max() else 0
-        return labels
+        return swept
 
-    monkeypatch.setattr(pipeline_mod, "combine_leaf_outputs", corrupted)
+    monkeypatch.setattr(pipeline_mod, "sweep_gather", corrupted)
     with pytest.raises(ValidationError) as exc_info:
         run_pipeline(blobs_with_noise, _config(validate="full"))
     invariants = {v.invariant for v in exc_info.value.violations}
@@ -136,14 +138,13 @@ def test_injected_global_id_gap_is_caught(blobs_with_noise, monkeypatch):
     from repro.core import pipeline as pipeline_mod
 
     monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
-    real = pipeline_mod.assign_global_ids
+    real = pipeline_mod.MergeFilter.root
 
-    def shifted(root_summary):
-        assignment = real(root_summary)
-        assignment.mapping = {k: g + 1 for k, g in assignment.mapping.items()}
-        return assignment
+    def shifted(self, payloads):
+        assignment = real(self, payloads)
+        return GlobalIdAssignment(assignment.keys, assignment.gids + 1, assignment.n_clusters)
 
-    monkeypatch.setattr(pipeline_mod, "assign_global_ids", shifted)
+    monkeypatch.setattr(pipeline_mod.MergeFilter, "root", shifted)
     with pytest.raises(ValidationError) as exc_info:
         run_pipeline(blobs_with_noise, _config(validate="full"))
     invariants = {v.invariant for v in exc_info.value.violations}

@@ -1,0 +1,82 @@
+"""Profile the serve daemon's ingest at a chosen resident size, in process.
+
+Replays ``serve_local``'s stream (``bench/workloads.py``: a blob base, 500
+point batches around fixed anchors, 16 leaves) against a ``ServeState``
+with the WAL and leaf spills on and the ``local`` transport, then prints
+one JSON line of per-ingest medians and quartiles: the whole ingest and
+the traced ``cluster.partial`` / ``merge.partial`` / ``sweep.partial``
+spans that ``cluster_merge_sweep`` records.
+
+    PYTHONPATH=src python tools/serve_profile.py                     # 150k resident
+    PYTHONPATH=src python tools/serve_profile.py --resident 1000000 --batches 16
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import SPECS, serve_base, serve_batches  # noqa: E402
+
+from repro.core import MrScanConfig  # noqa: E402
+from repro.durability import IngestLog  # noqa: E402
+from repro.mrnet import LocalTransport  # noqa: E402
+from repro.serve import ServeState  # noqa: E402
+from repro.telemetry import Telemetry  # noqa: E402
+
+SPANS = ("cluster.partial", "merge.partial", "sweep.partial")
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--resident", type=int, default=150_000, help="base points")
+    parser.add_argument("--batches", type=int, default=16, help="ingests replayed")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    spec = SPECS["serve_local"]
+    spec = replace(spec, n_base=args.resident, n_blobs=max(1, spec.n_blobs * args.resident // spec.n_base))
+    base = serve_base(spec, args.seed)
+    batches = serve_batches(spec, args.seed, base, args.batches / spec.ops_per_second)
+    config = MrScanConfig(eps=spec.eps, minpts=spec.minpts, n_leaves=spec.n_leaves)
+    telemetry = Telemetry()
+    walls: list[float] = []
+    with tempfile.TemporaryDirectory() as run_dir, IngestLog(run_dir) as log:
+        state = ServeState(
+            base, config, transport=LocalTransport(), telemetry=telemetry,
+            ingest_log=log, checkpoint_dir=str(Path(run_dir) / "leaves"),
+        )
+        telemetry.tracer.drain()
+        per_span: dict[str, list[float]] = {name: [] for name in SPANS}
+        for batch in batches:
+            t0 = time.perf_counter()
+            state.ingest(batch)
+            walls.append(time.perf_counter() - t0)
+            spans = telemetry.tracer.drain()
+            for name in SPANS:
+                per_span[name].append(sum(s.dur for s in spans if s.name == name))
+    merge_sweep = [m + s for m, s in zip(per_span["merge.partial"], per_span["sweep.partial"])]
+    print(json.dumps({
+        "resident": args.resident,
+        "ingests": len(walls),
+        "ingest_s": _quartiles(walls),
+        **{f"{name}_s": _quartiles(v) for name, v in per_span.items()},
+        "merge_plus_sweep_s": _quartiles(merge_sweep),
+    }))
+
+
+if __name__ == "__main__":
+    main()
