@@ -181,6 +181,7 @@ def _rebalance(
         first = start
         size = cum[end] - cum[start]
         shadow_count = _run_shadow(start, end, counts, neighbors) if received else int(shadow[pid])
+        deltas: list[int] = []  # deltas[i]: shedding head ``first + i``
         while end - start > 1 and size + shadow_count > threshold:
             head = int(counts[start])
             if size - head < minpts:
@@ -192,9 +193,12 @@ def _rebalance(
                 # the way to partition 0, which has nowhere to shed).
                 # Keep at least half a target of own points instead.
                 break
+            if start - first == len(deltas):
+                hi = min(start + max(len(deltas), 64), end - 1)
+                deltas += _shed_deltas(start, hi, end, counts, neighbors)
             size -= head
+            shadow_count += deltas[start - first]
             start += 1
-            shadow_count += _shed_delta(start - 1, start, end, counts, neighbors)
         received = start > first
         runs[pid] = (start, end)
         runs[pid - 1] = (runs[pid - 1][0], start)
@@ -208,19 +212,25 @@ def _run_shadow(start: int, end: int, counts: np.ndarray, neighbors: np.ndarray)
     return int(counts[rows].sum())
 
 
-def _shed_delta(
-    head: int, start: int, end: int, counts: np.ndarray, neighbors: np.ndarray
-) -> int:
-    """Change of the shadow count of the run ``[start, end)`` that ``head``
-    just left: the head becomes shadow if it touches the run, and each of
-    its neighbors outside the run stops being shadow unless something in
-    the run still touches it."""
-    around = [row for row in neighbors[head].tolist() if row >= 0]
-    delta = int(counts[head]) if any(start <= row < end for row in around) else 0
-    for row in around:
-        if not start <= row < end and not any(start <= r < end for r in neighbors[row].tolist()):
-            delta -= int(counts[row])
-    return delta
+def _shed_deltas(
+    lo: int, hi: int, end: int, counts: np.ndarray, neighbors: np.ndarray
+) -> list[int]:
+    """For each head ``h`` in ``[lo, hi)``, the change of the shadow count
+    of the run ``[h, end)`` when ``h`` leaves it: the head becomes shadow
+    if it touches ``[h + 1, end)``, and each of its neighbors outside that
+    run stops being shadow unless something in the run still touches it.
+    A neighbor listed twice counts twice."""
+    first = np.arange(lo + 1, hi + 1)[:, None]
+    around = neighbors[lo:hi]
+    exists = around >= 0
+    inside = (around >= first) & (around < end)
+    # Absent neighbors (-1) never touch a run: every run starts past 0.
+    second = neighbors[np.where(exists, around, 0)]
+    touches = ((second >= first[:, :, None]) & (second < end)).any(axis=2)
+    leaving = exists & ~inside & ~touches
+    delta = np.where(inside.any(axis=1), counts[lo:hi], 0)
+    delta -= np.where(leaving, counts[around], 0).sum(axis=1)
+    return delta.tolist()
 
 
 def _split_runs(runs: list[Run], counts: np.ndarray, minpts: int, hints: PartitionHints) -> None:

@@ -339,15 +339,13 @@ def whatif_network_partition() -> FigureSeries:
     xs = [points for points, *_ in TABLE1_CONFIGS]
     lustre, network, part_l, part_n = [], [], [], []
     for points, _i, leaves, pnodes in TABLE1_CONFIGS:
-        wl = _twitter_workload(points)
-        st = _twitter_stencils(points)
-        a = simulate_run(wl, leaves, 400, n_partition_nodes=pnodes, stencils=st)
+        a = _twitter_run(points, leaves, 400, pnodes)  # Fig 8's own run
         b = simulate_run(
-            wl,
+            _twitter_workload(points),
             leaves,
             400,
             n_partition_nodes=pnodes,
-            stencils=st,
+            stencils=_twitter_stencils(points),
             partition_mode="network",
         )
         lustre.append(a.total)
