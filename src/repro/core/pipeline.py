@@ -5,6 +5,10 @@ same process organisation as the paper: a flat partitioner tree writes the
 partitions; a second (up to three-level, 256-fanout) tree clusters each
 partition on its leaf's simulated GPGPU, progressively merges cluster
 summaries at the internal nodes, and sweeps global IDs back down.
+
+Cluster, merge and sweep are one runner, :func:`cluster_merge_sweep`,
+which the serve daemon calls for every partial run; each phase boundary
+(restore, run, validate, checkpoint, journal) is one step, ``_phase``.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ import numpy as np
 
 from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.rundir import ResumeState, RunDirectory
-from ..errors import CheckpointError, ConfigError, DeviceMemoryError
+from ..errors import CheckpointError, ConfigError, DeviceMemoryError, ValidationError
 from ..gpu.mrscan_gpu import mrscan_gpu
 from ..io.lustre import IOTrace
 from ..merge.merger import MergeFilter
 from ..merge.summary import LeafSummary, summarize_leaf
 from ..mrnet import Network, Topology, Transport
 from ..mrnet.packets import NetworkTrace
+from ..mrnet.schedule import map_virtual_time, reduce_critical_path
 from ..partition.distributed import DistributedPartitioner, RECORD_BYTES
 from ..points import PointSet
 from ..resilience.faults import FaultLog
@@ -292,6 +297,83 @@ def _rewind(transport) -> None:
         transport.rewind()
 
 
+@dataclass
+class _Run:
+    """One run's context: what every phase boundary reads.
+
+    A batch run fills in the run directory and validation; a daemon's
+    partial run has neither, so its boundaries are a timer and a span.
+    """
+
+    config: MrScanConfig
+    transport: Transport
+    telemetry: Telemetry
+    #: Directory of per-leaf spill checkpoints (None = no spills).
+    checkpoint_dir: str | None = None
+    cancel: object = None  # repro.resilience.CancelToken
+    durable: RunDirectory | None = None
+    state: ResumeState = field(default_factory=ResumeState)
+    #: Phase-boundary invariant checking (repro.validate): the context
+    #: the checkers read, filled in as phases complete, and the report.
+    vctx: object = None
+    vreport: object = None
+    timer: PhaseTimer = field(default_factory=PhaseTimer)
+
+
+def _phase(run: _Run, name: str, body, *, checks, record, saved=None,
+           restorable: bool = False, **span_args):
+    """One phase boundary: restore, run, validate, checkpoint, journal.
+
+    A ``restorable`` phase whose checkpoint loads skips ``body``; else
+    ``body()`` runs under the phase's timer and ``cat="phase"`` span.
+    ``checks(value)`` then fills the validation context and the phase's
+    invariant checks run.  Only after they pass does the checkpoint
+    (``saved(value)``; None = the phase keeps none) land and
+    ``<name>_done`` get journaled with ``record(value)`` — write-ahead:
+    journaled done implies validated.  A restored phase is validated
+    again but neither re-saved nor re-journaled.
+    """
+    tracer = run.telemetry.tracer
+    durable = run.durable
+    if run.cancel is not None:
+        run.cancel.check()
+    restored = False
+    if restorable:
+        try:
+            with tracer.span(
+                "durability.restore", cat="durability", pid=PID_DRIVER, phase=name
+            ):
+                value = durable.phases.load(name)
+        except CheckpointError:
+            pass  # corrupt checkpoint: the phase re-runs
+        else:
+            restored = True
+            run.state.restored.append(name)
+            logger.info("resume: %s restored from checkpoint", name)
+    if not restored:
+        with run.timer.phase(name), tracer.span(
+            name, cat="phase", pid=PID_DRIVER, **span_args
+        ):
+            value = body()
+    if run.vctx is not None:
+        from ..validate.invariants import run_phase_checks
+
+        for key, item in checks(value).items():
+            setattr(run.vctx, key, item)
+        run_phase_checks(name, run.vctx, run.config.validate, run.vreport, run.telemetry)
+    if durable is not None and not restored:
+        if saved is not None:
+            with tracer.span(
+                "durability.checkpoint", cat="durability", pid=PID_DRIVER, phase=name
+            ):
+                durable.phases.save(name, saved(value))
+        durable.note(
+            f"{name}_done",
+            {**record(value), "wall_seconds": run.timer.seconds.get(name, 0.0)},
+        )
+    return value
+
+
 def run_pipeline(
     points: PointSet,
     config: MrScanConfig,
@@ -397,95 +479,44 @@ def _run_pipeline(
     n = len(points)
     points.validate_unique_ids()
     points.validate_finite()
-    tracer = telemetry.tracer
-    # Phase-boundary invariant checking (repro.validate).  The context is
-    # filled in as phases complete; each boundary runs its registered
-    # checkers and raises ValidationError on the first violated invariant.
-    vctx = vreport = None
-    if config.validate != "off":
-        from ..validate.invariants import (
-            ValidationContext,
-            ValidationReport,
-            run_phase_checks,
-        )
-
-        vreport = ValidationReport(level=config.validate)
     # Normalise ids to 0..n-1 (input order); merge/sweep set logic keys on
     # them, and the final labels align with input order.
     internal = PointSet(
         ids=np.arange(n, dtype=np.int64), coords=points.coords, weights=points.weights
     )
-    if vreport is not None:
-        vctx = ValidationContext(
+    run = _Run(config, transport, telemetry, checkpoint_dir=config.checkpoint_dir)
+    if config.validate != "off":
+        # Each phase boundary runs its registered checkers and raises
+        # ValidationError on the first violated invariant.
+        from ..validate.invariants import ValidationContext, ValidationReport
+
+        run.vreport = ValidationReport(level=config.validate)
+        run.vctx = ValidationContext(
             points=internal, eps=config.eps, minpts=config.minpts, config=config
         )
-
-    timer = PhaseTimer()
-    timings = PhaseBreakdown()
-    resilience = config.resilience_policy()
-
     # Durability (repro.durability): open the run directory, replay its
-    # journal, and classify what a resume may skip.  The journal follows
-    # write-ahead discipline throughout: a phase is journaled done only
-    # after its invariant checks passed and its checkpoint is on disk.
-    durable: RunDirectory | None = None
-    state = ResumeState()
-    leaf_checkpoint_dir = config.checkpoint_dir
+    # journal, and classify what a resume may skip.
     if config.run_dir is not None:
-        durable = RunDirectory(config.run_dir)
-        state = durable.start(
+        run.durable = RunDirectory(config.run_dir)
+        run.state = run.durable.start(
             points,
             config,
             resume=config.resume,
             metrics=telemetry.metrics,
-            tracer=tracer,
+            tracer=telemetry.tracer,
         )
-        if leaf_checkpoint_dir is None:
-            leaf_checkpoint_dir = str(durable.leaf_checkpoint_dir)
+        if run.checkpoint_dir is None:
+            run.checkpoint_dir = str(run.durable.leaf_checkpoint_dir)
     try:
-        return _run_phases(
-            points=points,
-            internal=internal,
-            config=config,
-            transport=transport,
-            telemetry=telemetry,
-            tracer=tracer,
-            timer=timer,
-            timings=timings,
-            resilience=resilience,
-            durable=durable,
-            state=state,
-            leaf_checkpoint_dir=leaf_checkpoint_dir,
-            n_dropped_invalid=n_dropped_invalid,
-            vctx=vctx,
-            vreport=vreport,
-        )
+        return _run_phases(run, internal, n_dropped_invalid)
     finally:
-        if durable is not None:
-            durable.close()
+        if run.durable is not None:
+            run.durable.close()
 
 
-def _run_phases(
-    *,
-    points: PointSet,
-    internal: PointSet,
-    config: MrScanConfig,
-    transport: Transport,
-    telemetry: Telemetry,
-    tracer,
-    timer: PhaseTimer,
-    timings: PhaseBreakdown,
-    resilience,
-    durable: RunDirectory | None,
-    state: ResumeState,
-    leaf_checkpoint_dir: str | None,
-    n_dropped_invalid: int,
-    vctx,
-    vreport,
-) -> MrScanResult:
+def _run_phases(run: _Run, internal: PointSet, n_dropped_invalid: int) -> MrScanResult:
+    config, durable, state, telemetry = run.config, run.durable, run.state, run.telemetry
     n = len(internal)
-    if vctx is not None:
-        from ..validate.invariants import run_phase_checks
 
     # A run that already finished (run_end journaled, sweep checkpoint on
     # disk) short-circuits: the persisted labels ARE the result.
@@ -504,7 +535,7 @@ def _run_phases(
                 labels=labels,
                 core_mask=core_mask,
                 n_clusters=int(len(np.unique(labels[labels >= 0]))),
-                timings=timings,
+                timings=PhaseBreakdown(),
                 virtual_timings=VirtualBreakdown(),
                 n_leaves=config.n_leaves,
                 n_partition_nodes=config.partition_nodes,
@@ -517,43 +548,20 @@ def _run_phases(
                 n_dropped_invalid=n_dropped_invalid,
             )
 
-    # ----------------------------- partition --------------------------- #
-    phase1 = None
-    if durable is not None and state.partition_restorable:
-        try:
-            with tracer.span(
-                "durability.restore", cat="durability", pid=PID_DRIVER,
-                phase="partition",
-            ):
-                phase1 = durable.phases.load("partition")
-        except CheckpointError:
-            phase1 = None  # corrupt checkpoint: the phase re-runs
-        else:
-            state.restored.append("partition")
-            logger.info(
-                "resume: partition restored from checkpoint (%d partitions)",
-                phase1.n_partitions,
-            )
-    if phase1 is None:
-        with timer.phase("partition"), tracer.span(
-            "partition", cat="phase", pid=PID_DRIVER, n_points=n
-        ):
-            partitioner = DistributedPartitioner(
-                config.eps,
-                config.minpts,
-                config.partition_nodes,
-                transport=transport,
-                rebalance=config.rebalance_partitions,
-                shadow_representatives=config.shadow_representatives,
-                output_mode=config.partition_output,
-                tracer=tracer,
-                fault_injector=config.fault_plan,
-                resilience=resilience,
-                partition_hints=config.partition_hints,
-            )
-            phase1 = partitioner.run(
-                internal, config.n_leaves, workdir=config.materialize_dir
-            )
+    def partition():
+        phase1 = DistributedPartitioner(
+            config.eps,
+            config.minpts,
+            config.partition_nodes,
+            transport=run.transport,
+            rebalance=config.rebalance_partitions,
+            shadow_representatives=config.shadow_representatives,
+            output_mode=config.partition_output,
+            tracer=telemetry.tracer,
+            fault_injector=config.fault_plan,
+            resilience=config.resilience_policy(),
+            partition_hints=config.partition_hints,
+        ).run(internal, config.n_leaves, workdir=config.materialize_dir)
         logger.info(
             "partition: %d points -> %d partitions via %d nodes (%s output, "
             "imbalance %.2f)",
@@ -563,61 +571,17 @@ def _run_phases(
             config.partition_output,
             phase1.plan.size_imbalance(),
         )
-    if vctx is not None:
-        vctx.phase1 = phase1
-        run_phase_checks("partition", vctx, config.validate, vreport, telemetry)
-    if durable is not None and "partition" not in state.restored:
-        # Checks passed; only now does the checkpoint + journal record
-        # land (write-ahead: journaled done implies validated).
-        with tracer.span(
-            "durability.checkpoint", cat="durability", pid=PID_DRIVER,
-            phase="partition",
-        ):
-            durable.phases.save("partition", phase1)
-        durable.note(
-            "partition_done",
-            {"n_partitions": phase1.n_partitions,
-             "n_partition_nodes": phase1.n_partition_nodes,
-             "wall_seconds": timer.seconds.get("partition", 0.0)},
-        )
+        return phase1
 
-    # ----------------------------- cluster ----------------------------- #
-    # The tree is sized from the plan's actual partition count: split
-    # hints (config.partition_hints) can grow it past config.n_leaves.
-    topology = Topology.paper_style(
-        max(phase1.n_partitions, 1), config.fanout
+    phase1 = _phase(
+        run, "partition", partition,
+        restorable=state.partition_restorable,
+        checks=lambda p: {"phase1": p},
+        saved=lambda p: p,
+        record=lambda p: {"n_partitions": p.n_partitions,
+                          "n_partition_nodes": p.n_partition_nodes},
+        n_points=n,
     )
-    network = Network(
-        topology,
-        transport,
-        tracer=tracer,
-        trace_pid=PID_TREE,
-        fault_injector=config.fault_plan,
-        resilience=resilience,
-    )
-    # Stage the partitions through the transport's data plane when it has
-    # one (repro.runtime): each leaf task then carries ~100-byte refs and
-    # the arrays themselves never ride the task pickles.  Staging
-    # degrades to the point sets themselves on arena exhaustion
-    # (stage_pointset_safe) rather than failing the run.
-    leaf_inputs = _stage_partitions(transport, phase1.partitions, tracer)
-    tasks = [
-        _ClusterLeafTask(
-            leaf_id=pid,
-            own=own,
-            shadow=shadow,
-            owned_cells=frozenset(phase1.plan.partitions[pid].cells),
-            config=config,
-            trace=telemetry.enabled,
-            checkpoint_dir=leaf_checkpoint_dir,
-        )
-        for pid, (own, shadow) in enumerate(leaf_inputs)
-    ]
-    if getattr(transport, "supports_staging", False) and telemetry.enabled:
-        # Traffic the refs keep off the wire for one dispatch round.
-        telemetry.metrics.counter("runtime.bytes_avoided").inc(
-            sum(t.array_nbytes - t.payload_bytes() for t in tasks)
-        )
 
     # Journal each leaf completion as its result lands: a resume knows
     # exactly which leaves finished (their spill checkpoints satisfy them
@@ -636,164 +600,25 @@ def _run_phases(
                 },
             )
 
-    # A crashed phase must still release the transport's worker pools —
-    # everything from here to the end of the sweep runs under one
-    # try/finally so ``network.close()`` is unconditional.
-    try:
-        with timer.phase("cluster"), tracer.span(
-            "cluster", cat="phase", pid=PID_DRIVER, n_leaves=len(tasks)
-        ):
-            outputs, map_trace = network.map_leaves(
-                _cluster_leaf,
-                tasks,
-                name="cluster",
-                recover=_split_on_oom,
-                cost=_ClusterLeafTask.device_cost,
-                capacity=float(config.device.memory_bytes),
-                on_result=on_leaf_result,
-            )
-            for out in outputs:
-                tracer.ingest(out.spans)
-        logger.info(
-            "cluster: %s (%s leaves); slowest leaf %s distance ops",
-            topology.describe(),
-            config.n_leaves,
-            max((o.stats.total_distance_ops for o in outputs), default=0),
-        )
-        if vctx is not None:
-            vctx.outputs = outputs
-            run_phase_checks("cluster", vctx, config.validate, vreport, telemetry)
-        if durable is not None:
-            durable.note(
-                "cluster_done",
-                {
-                    "n_leaves": len(outputs),
-                    "checkpoint_hits": sum(
-                        1 for o in outputs if o.from_checkpoint
-                    ),
-                    "wall_seconds": timer.seconds.get("cluster", 0.0),
-                },
-            )
-
-        # ------------------------------ merge -------------------------- #
-        merge_filter = MergeFilter(config.eps, tracer=tracer)
-        merge_restored = False
-        if durable is not None and state.merge_restorable:
-            try:
-                with tracer.span(
-                    "durability.restore", cat="durability", pid=PID_DRIVER,
-                    phase="merge",
-                ):
-                    assignment = durable.phases.load("merge")
-            except CheckpointError:
-                pass  # corrupt checkpoint: the phase re-runs
-            else:
-                merge_restored = True
-                reduce_trace = NetworkTrace()
-                state.restored.append("merge")
-                logger.info(
-                    "resume: merge restored from checkpoint (%d global clusters)",
-                    assignment.n_clusters,
-                )
-        if not merge_restored:
-            with timer.phase("merge"), tracer.span(
-                "merge", cat="phase", pid=PID_DRIVER
-            ):
-                assignment, reduce_trace = network.reduce(
-                    [o.summary for o in outputs], merge_filter, name="merge"
-                )
-            logger.info(
-                "merge: %d leaf clusters -> %d global clusters (%d bytes up the tree)",
-                sum(o.summary.n_clusters for o in outputs),
-                assignment.n_clusters,
-                reduce_trace.total_bytes,
-            )
-        if vctx is not None:
-            vctx.assignment = assignment
-            run_phase_checks("merge", vctx, config.validate, vreport, telemetry)
-        if durable is not None and not merge_restored:
-            with tracer.span(
-                "durability.checkpoint", cat="durability", pid=PID_DRIVER,
-                phase="merge",
-            ):
-                durable.phases.save("merge", assignment)
-            durable.note(
-                "merge_done",
-                {"n_clusters": assignment.n_clusters,
-                 "wall_seconds": timer.seconds.get("merge", 0.0)},
-            )
-
-        # ------------------------------ sweep -------------------------- #
-        output_io = IOTrace()
-        with timer.phase("sweep"), tracer.span(
-            "sweep", cat="phase", pid=PID_DRIVER
-        ):
-            _, sweep_trace = network.multicast(assignment, name="sweep")
-            t_gather = time.perf_counter()
-            swept = _sweep(outputs, phase1.partitions, assignment, n)
-            gather_seconds = time.perf_counter() - t_gather
-            tracer.add_span(
-                "sweep.gather", t_gather, t_gather + gather_seconds,
-                cat="sweep", pid=PID_DRIVER, n_leaves=len(outputs),
-            )
-            labels, core_mask = swept.labels, swept.core_mask
-            for cut in swept.cuts:
-                if len(cut.owned_ids):
-                    output_io.record(
-                        cut.leaf_id, "write", len(cut.owned_ids) * (RECORD_BYTES + 8),
-                        sequential=True,
-                    )
-        if vctx is not None:
-            vctx.sweep_results = swept.results()
-            vctx.labels = labels
-            vctx.core_mask = core_mask
-            run_phase_checks("sweep", vctx, config.validate, vreport, telemetry)
-        if durable is not None:
-            with tracer.span(
-                "durability.checkpoint", cat="durability", pid=PID_DRIVER,
-                phase="sweep",
-            ):
-                durable.phases.save("sweep", (labels, core_mask))
-            durable.note(
-                "sweep_done",
-                {
-                    "n_points": int(n),
-                    "labels_digest": hashlib.sha256(
-                        np.ascontiguousarray(labels).tobytes()
-                    ).hexdigest(),
-                    "wall_seconds": timer.seconds.get("sweep", 0.0),
-                },
-            )
-    finally:
-        network.close()
+    partial = _cluster_merge_sweep(
+        run, phase1.partitions, phase1.plan, n, on_leaf_result=on_leaf_result
+    )
+    labels, outputs = partial.labels, list(partial.outputs.values())
     logger.info(
         "sweep: wrote %d points (%d noise) in %.3fs wall",
         n,
         int(np.count_nonzero(labels == -1)),
-        timer.seconds.get("sweep", 0.0),
+        run.timer.seconds.get("sweep", 0.0),
     )
-
-    timings.partition = timer.seconds.get("partition", 0.0)
-    timings.cluster = timer.seconds.get("cluster", 0.0)
-    timings.merge = timer.seconds.get("merge", 0.0)
-    timings.sweep = timer.seconds.get("sweep", 0.0)
-
-    # Critical-path ("virtual parallel") phase times from the recorded
-    # per-node compute seconds — what a one-process-per-node deployment
-    # would measure (see repro.mrnet.schedule).
-    from ..mrnet.schedule import map_virtual_time, reduce_critical_path
-
-    virtual = VirtualBreakdown(
-        partition=phase1.virtual_seconds(),
-        cluster=map_virtual_time(map_trace),
-        merge=reduce_critical_path(topology, reduce_trace),
-        sweep=gather_seconds,
-    )
+    timings = PhaseBreakdown(**{
+        name: run.timer.seconds.get(name, 0.0)
+        for name in ("partition", "cluster", "merge", "sweep")
+    })
 
     # Faults from both trees, in phase order, with exact aggregates.
     fault_log = FaultLog()
     fault_log.extend(phase1.fault_events)
-    fault_log.extend(network.fault_log.events)
+    fault_log.extend(partial.faults)
     checkpoint_hits = sum(1 for o in outputs if o.from_checkpoint)
     if fault_log.total or checkpoint_hits:
         logger.info(
@@ -802,26 +627,25 @@ def _run_phases(
             ", ".join(f"{k}={v}" for k, v in sorted(fault_log.by_kind.items()))
             or "none",
             checkpoint_hits,
-            len(network.dead_nodes),
+            partial.n_dead_nodes,
         )
 
-    n_clusters = assignment.n_clusters
     if durable is not None:
-        durable.note("run_end", {"n_clusters": n_clusters})
+        durable.note("run_end", {"n_clusters": partial.n_clusters})
     result = MrScanResult(
         labels=labels,
-        core_mask=core_mask,
-        n_clusters=n_clusters,
+        core_mask=partial.core_mask,
+        n_clusters=partial.n_clusters,
         timings=timings,
-        virtual_timings=virtual,
+        virtual_timings=replace(partial.virtual, partition=phase1.virtual_seconds()),
         # The tree's actual width: split hints can grow it past the
         # configured leaf count.
         n_leaves=max(phase1.n_partitions, 1),
         n_partition_nodes=phase1.n_partition_nodes,
         partition_io=phase1.io_trace,
-        output_io=output_io,
+        output_io=partial.output_io,
         gpu_stats=[o.stats for o in outputs],
-        merge_outcomes=list(merge_filter.outcomes),
+        merge_outcomes=partial.merge_outcomes,
         network_traces={
             "partition_map": phase1.map_trace,
             "partition_reduce": phase1.reduce_trace,
@@ -831,9 +655,7 @@ def _run_phases(
                 if phase1.distribute_trace is not None
                 else {}
             ),
-            "cluster_map": map_trace,
-            "merge_reduce": reduce_trace,
-            "sweep_multicast": sweep_trace,
+            **partial.network_traces,
         },
         leaf_point_counts=[len(own) + len(shadow) for own, shadow in phase1.partitions],
         leaf_wall_seconds={
@@ -843,7 +665,7 @@ def _run_phases(
         faults=fault_log.events,
         fault_summary=fault_log.summary(),
         checkpoint_hits=checkpoint_hits,
-        validation=vreport,
+        validation=run.vreport,
         resumed=state.resumed,
         phases_restored=state.restored,
         run_dir=config.run_dir,
@@ -869,6 +691,16 @@ class PartialRunResult:
     #: Of those, how many actually ran the GPU pass (vs spill-checkpoint
     #: hits) — the provenance the serve tests assert on.
     n_fresh: int
+    #: ``cluster_map`` / ``merge_reduce`` / ``sweep_multicast`` traces.
+    network_traces: dict = field(default_factory=dict)
+    #: Critical-path cluster / merge / sweep seconds (partition is 0).
+    virtual: VirtualBreakdown = field(default_factory=VirtualBreakdown)
+    #: Owned-point writes of the sweep, one sequential write per leaf.
+    output_io: IOTrace = field(default_factory=IOTrace)
+    merge_outcomes: list = field(default_factory=list)
+    #: Fault events of the map tree, then of the merge tree.
+    faults: list = field(default_factory=list)
+    n_dead_nodes: int = 0
 
 
 def cluster_merge_sweep(
@@ -895,11 +727,12 @@ def cluster_merge_sweep(
     run the full merge tree over all summaries and sweep global ids over
     all leaves.  Global ids are not stable across merges, so every leaf's
     labels are re-swept against the new assignment: one gather, in which
-    a cached output reuses the cut it carries.
+    a cached output reuses the cut it carries.  A batch run
+    (:func:`run_pipeline`) runs the same phases after its partition phase.
 
     The caller owns ``transport`` — it is never closed here, so pools and
-    arenas stay warm across calls; the arena is rewound once the dirty
-    leaves are clustered, so every call restages into the same pages.
+    arenas stay warm across calls; the arena is rewound as the call
+    returns or raises, so every call restages into the same pages.
     Leaves in ``dirty`` whose spill checkpoints should not satisfy them
     must be invalidated first
     (:meth:`~repro.durability.checkpoints.LeafCheckpointStore.invalidate`).
@@ -912,11 +745,32 @@ def cluster_merge_sweep(
     spill checkpoints written for dirty leaves must be re-invalidated by
     the caller before the retry (:mod:`repro.serve` does).
     """
-    if telemetry is None:
-        telemetry = Telemetry.disabled()
+    run = _Run(
+        config,
+        transport,
+        telemetry if telemetry is not None else Telemetry.disabled(),
+        checkpoint_dir=checkpoint_dir,
+        cancel=cancel,
+    )
+    try:
+        return _cluster_merge_sweep(
+            run, partitions, plan, n_points,
+            dirty=dirty, cached=cached_outputs, on_leaf_result=on_leaf_result,
+        )
+    finally:
+        _rewind(transport)
+
+
+def _cluster_merge_sweep(
+    run: _Run, partitions, plan, n_points: int, *,
+    dirty=None, cached=None, on_leaf_result=None,
+) -> PartialRunResult:
+    """The cluster, merge and sweep phases of every run (see
+    :func:`cluster_merge_sweep`), each through one :func:`_phase`."""
+    config, transport, telemetry = run.config, run.transport, run.telemetry
     tracer = telemetry.tracer
     n_leaves = len(partitions)
-    cached = dict(cached_outputs or {})
+    cached = dict(cached or {})
     if dirty is None:
         dirty = frozenset(range(n_leaves))
     dirty = frozenset(int(d) for d in dirty)
@@ -927,94 +781,170 @@ def cluster_merge_sweep(
         )
     # A leaf with no cached output must re-cluster whether dirty or not.
     need = sorted(dirty | (set(range(n_leaves)) - set(cached)))
-
     resilience = config.resilience_policy()
-    fresh: dict[int, _ClusterLeafOutput] = {}
-    if cancel is not None:
-        cancel.check()
-    if need:
-        staged = _stage_partitions(
-            transport, [partitions[i] for i in need], tracer
-        )
-        tasks = [
-            _ClusterLeafTask(
-                leaf_id=pid,
-                own=own,
-                shadow=shadow,
-                owned_cells=frozenset(plan.partitions[pid].cells),
-                config=config,
-                trace=telemetry.enabled,
-                checkpoint_dir=checkpoint_dir,
-            )
-            for pid, (own, shadow) in zip(need, staged)
-        ]
-        # The cluster map rides a tree sized to the dirty subset — tasks
-        # carry their real leaf ids, so outputs slot straight back into
-        # the full-tree merge below.
-        sub_network = Network(
-            Topology.paper_style(len(tasks), config.fanout),
+
+    def tree(n_tree_leaves: int) -> Network:
+        return Network(
+            Topology.paper_style(n_tree_leaves, config.fanout),
             transport,
             tracer=tracer,
             trace_pid=PID_TREE,
             fault_injector=config.fault_plan,
             resilience=resilience,
-            cancel=cancel,
+            cancel=run.cancel,
         )
-        try:
-            with tracer.span(
-                "cluster.partial", cat="phase", pid=PID_DRIVER,
-                n_leaves=len(tasks),
-            ):
-                outs, _ = sub_network.map_leaves(
-                    _cluster_leaf,
-                    tasks,
-                    name="cluster",
-                    recover=_split_on_oom,
-                    cost=_ClusterLeafTask.device_cost,
-                    capacity=float(config.device.memory_bytes),
-                    on_result=on_leaf_result,
-                )
-        finally:
-            sub_network.close()
-            _rewind(transport)
-        for o in outs:
-            tracer.ingest(o.spans)
-            fresh[o.leaf_id] = o
 
-    outputs = {**cached, **fresh}
-    ordered = [outputs[i] for i in range(n_leaves)]
+    # ----------------------------- cluster ----------------------------- #
+    # Stage the partitions through the transport's data plane when it has
+    # one (repro.runtime): each leaf task then carries ~100-byte refs and
+    # the arrays themselves never ride the task pickles.
+    staged = _stage_partitions(transport, [partitions[i] for i in need], tracer)
+    tasks = [
+        _ClusterLeafTask(
+            leaf_id=pid,
+            own=own,
+            shadow=shadow,
+            owned_cells=frozenset(plan.partitions[pid].cells),
+            config=config,
+            trace=telemetry.enabled,
+            checkpoint_dir=run.checkpoint_dir,
+        )
+        for pid, (own, shadow) in zip(need, staged)
+    ]
+    if getattr(transport, "supports_staging", False) and telemetry.enabled:
+        # Traffic the refs keep off the wire for one dispatch round.
+        telemetry.metrics.counter("runtime.bytes_avoided").inc(
+            sum(t.array_nbytes - t.payload_bytes() for t in tasks)
+        )
+    # The cluster map rides a tree sized to the leaves it re-clusters
+    # (every leaf in a batch run); tasks carry their real leaf ids, so
+    # outputs slot straight back into the full-tree merge below.
+    map_tree = tree(len(tasks)) if tasks else None
+    traces = {"cluster_map": NetworkTrace()}
 
-    if cancel is not None:
-        cancel.check()
-    network = Network(
-        Topology.paper_style(n_leaves, config.fanout),
-        transport,
-        tracer=tracer,
-        trace_pid=PID_TREE,
-        resilience=resilience,
-        cancel=cancel,
-    )
-    merge_filter = MergeFilter(config.eps, tracer=tracer)
-    try:
-        with tracer.span("merge.partial", cat="phase", pid=PID_DRIVER):
-            assignment, _ = network.reduce(
-                [o.summary for o in ordered], merge_filter, name="merge"
+    def cluster():
+        fresh = {}
+        if tasks:
+            outs, traces["cluster_map"] = map_tree.map_leaves(
+                _cluster_leaf,
+                tasks,
+                name="cluster",
+                recover=_split_on_oom,
+                cost=_ClusterLeafTask.device_cost,
+                capacity=float(config.device.memory_bytes),
+                on_result=on_leaf_result,
             )
-        with tracer.span("sweep.partial", cat="phase", pid=PID_DRIVER):
-            network.multicast(assignment, name="sweep")
-            if cancel is not None:
-                cancel.check()
-            swept = _sweep(ordered, partitions, assignment, n_points)
-    finally:
-        network.close()
+            for o in outs:
+                tracer.ingest(o.spans)
+                fresh[o.leaf_id] = o
+            logger.info(
+                "cluster: %s (%d leaves); slowest leaf %s distance ops",
+                map_tree.topology.describe(),
+                len(tasks),
+                max(o.stats.total_distance_ops for o in outs),
+            )
+        return [fresh[i] if i in fresh else cached[i] for i in range(n_leaves)]
 
+    try:
+        outputs = _phase(
+            run, "cluster", cluster,
+            checks=lambda outs: {"outputs": outs},
+            record=lambda outs: {
+                "n_leaves": len(outs),
+                "checkpoint_hits": sum(1 for o in outs if o.from_checkpoint),
+            },
+            n_leaves=len(tasks),
+        )
+    except ValidationError:
+        # The spills hold the output that failed its checks: a resume
+        # must re-cluster those leaves, not replay them.
+        if run.checkpoint_dir is not None:
+            store = LeafCheckpointStore(run.checkpoint_dir)
+            for pid in need:
+                store.invalidate(pid)
+        raise
+
+    # --------------------------- merge, sweep -------------------------- #
+    merge_filter = MergeFilter(config.eps, tracer=tracer)
+    network = tree(n_leaves)
+    traces["merge_reduce"] = NetworkTrace()
+
+    def merge():
+        assignment, traces["merge_reduce"] = network.reduce(
+            [o.summary for o in outputs], merge_filter, name="merge"
+        )
+        logger.info(
+            "merge: %d leaf clusters -> %d global clusters (%d bytes up the tree)",
+            sum(o.summary.n_clusters for o in outputs),
+            assignment.n_clusters,
+            traces["merge_reduce"].total_bytes,
+        )
+        return assignment
+
+    assignment = _phase(
+        run, "merge", merge,
+        restorable=run.state.merge_restorable,
+        checks=lambda a: {"assignment": a},
+        saved=lambda a: a,
+        record=lambda a: {"n_clusters": a.n_clusters},
+    )
+    gather_seconds = 0.0
+
+    def sweep():
+        nonlocal gather_seconds
+        _, traces["sweep_multicast"] = network.multicast(assignment, name="sweep")
+        if run.cancel is not None:
+            run.cancel.check()
+        t_gather = time.perf_counter()
+        swept = _sweep(outputs, partitions, assignment, n_points)
+        gather_seconds = time.perf_counter() - t_gather
+        tracer.add_span(
+            "sweep.gather", t_gather, t_gather + gather_seconds,
+            cat="sweep", pid=PID_DRIVER, n_leaves=len(outputs),
+        )
+        return swept
+
+    swept = _phase(
+        run, "sweep", sweep,
+        checks=lambda s: {"sweep_results": s.results(), "labels": s.labels,
+                          "core_mask": s.core_mask},
+        saved=lambda s: (s.labels, s.core_mask),
+        record=lambda s: {
+            "n_points": int(n_points),
+            "labels_digest": hashlib.sha256(
+                np.ascontiguousarray(s.labels).tobytes()
+            ).hexdigest(),
+        },
+    )
+
+    output_io = IOTrace()
+    for cut in swept.cuts:
+        if len(cut.owned_ids):
+            output_io.record(
+                cut.leaf_id, "write", len(cut.owned_ids) * (RECORD_BYTES + 8),
+                sequential=True,
+            )
+    trees = [network] if map_tree is None else [map_tree, network]
     return PartialRunResult(
         labels=swept.labels,
         core_mask=swept.core_mask,
         n_clusters=assignment.n_clusters,
-        outputs=outputs,
+        outputs=dict(enumerate(outputs)),
         reclustered=frozenset(need),
-        n_fresh=sum(1 for o in fresh.values() if not o.from_checkpoint),
+        n_fresh=sum(1 for i in need if not outputs[i].from_checkpoint),
+        network_traces=traces,
+        # Critical-path ("virtual parallel") phase times from the
+        # recorded per-node compute seconds — what a one-process-per-node
+        # deployment would measure (see repro.mrnet.schedule).
+        virtual=VirtualBreakdown(
+            cluster=map_virtual_time(traces["cluster_map"]),
+            merge=reduce_critical_path(network.topology, traces["merge_reduce"]),
+            sweep=gather_seconds,
+        ),
+        output_io=output_io,
+        merge_outcomes=list(merge_filter.outcomes),
+        faults=[event for t in trees for event in t.fault_log.events],
+        n_dead_nodes=len(set().union(*(t.dead_nodes for t in trees))),
     )
 
 

@@ -155,9 +155,10 @@ def summary_dict(telemetry: Any) -> dict[str, Any]:
     consumers (``repro.tune.history``) never scrape the human text:
 
     - ``phases``: wall seconds per pipeline phase, from the driver's
-      ``cat="phase"`` spans (``cluster.partial`` rolls up under
-      ``cluster``, etc. — summed, since a serve daemon may run a phase
-      many times in one telemetry lifetime).
+      ``cat="phase"`` spans — summed, since a serve daemon runs
+      ``cluster``, ``merge`` and ``sweep`` once per ingest in one
+      telemetry lifetime; a dotted phase name rolls up under its first
+      component).
     - ``spans``: the full rollup — count / total seconds / mean ms per
       span name.
     - ``metrics``: the metrics registry verbatim (JSON-safe).

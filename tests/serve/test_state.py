@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.config import MrScanConfig
 from repro.core.pipeline import mrscan
 from repro.dbscan.labels import clustering_signature
+from repro.durability.checkpoints import LeafCheckpointStore
 from repro.durability.ingestlog import IngestLog
-from repro.errors import FormatError
+from repro.errors import FormatError, OperationCancelledError, RetryExhaustedError
+from repro.mrnet import LocalTransport, Topology
 from repro.partition import partition_points
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS
 from repro.points import PointSet
+from repro.resilience import CancelToken, FaultPlan, FaultSpec
 from repro.runtime import SEGMENT_PREFIX, ShmTransport
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
@@ -50,10 +57,10 @@ def _local_batch(base: PointSet, n: int, seed: int) -> np.ndarray:
     return anchor + rng.normal(0, 0.03, size=(n, 2))
 
 
-def _beside_another_partition(state: ServeState, n: int, seed: int):
-    """``n`` points wholly in one empty cell that adoption gives to a
-    partition whose shadow then grows over another partition's resident
-    cell; returns the points, the adopter and that resident cell."""
+def _cells_beside_another_partition(state: ServeState):
+    """Empty cells that adoption gives to a partition whose shadow then
+    grows over another partition's resident cell, in cell order: yields
+    the cell, the adopter and that resident cell."""
     owner = state.plan.cell_owner()
     for cx, cy in sorted(
         (cx + dx, cy + dy) for cx, cy in owner for dx, dy in GRID_NEIGHBOR_OFFSETS
@@ -66,9 +73,16 @@ def _beside_another_partition(state: ServeState, n: int, seed: int):
         shadow = state.plan.partitions[adopter].shadow_cells
         grown = [c for c in around if owner[c] != adopter and c not in shadow]
         if grown:
-            rng = np.random.default_rng(seed)
-            coords = (np.array([cx, cy]) + rng.uniform(0.1, 0.9, (n, 2))) * state.config.eps
-            return coords, adopter, grown[0]
+            yield (cx, cy), adopter, grown[0]
+
+
+def _beside_another_partition(state: ServeState, n: int, seed: int):
+    """``n`` points wholly in the first such cell; returns the points, the
+    adopter and the resident cell its shadow grows over."""
+    for cell, adopter, grown in _cells_beside_another_partition(state):
+        rng = np.random.default_rng(seed)
+        coords = (np.array(cell) + rng.uniform(0.1, 0.9, (n, 2))) * state.config.eps
+        return coords, adopter, grown
     raise AssertionError("no empty cell beside two partitions")
 
 
@@ -259,3 +273,138 @@ def test_stray_points_in_empty_cells_are_adopted(base, config, transport):
     assert outcome.n_points == 3
     labels, _ = state.labels_for([len(base), len(base) + 1, len(base) + 2])
     assert len(labels) == 3
+
+
+# --------------------------------------------------------------------- #
+# The daemon's merge tree runs the config's fault plan, as a batch run's
+# does: a fault on its root is retried, and an unrecoverable one fails
+# the ingest without committing it.
+# --------------------------------------------------------------------- #
+
+
+def _root_reduce_fault(config: MrScanConfig, **spec) -> MrScanConfig:
+    """``config`` with a ``reduce`` fault on the root of the daemon's tree."""
+    root = Topology.paper_style(config.n_leaves, config.fanout).root
+    plan = FaultPlan(faults=(FaultSpec(node=root, phase="reduce", **spec),))
+    return replace(config, fault_plan=plan, backoff_base=0.0)
+
+
+def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
+    base, config, transport, tmp_path
+):
+    batch = _local_batch(base, 100, 8)
+    twin = ServeState(base, config, transport=borrow_transport(transport))
+    dirty = set(twin.ingest(batch).dirty_leaves)
+    spills = tmp_path / "leaves"
+    state = ServeState(
+        base, config, transport=borrow_transport(transport), checkpoint_dir=str(spills)
+    )
+    before = state._snap()
+    # The fault joins after bootstrap, whose merge would die on it too.
+    state.config = replace(
+        _root_reduce_fault(config, permanent=True), max_retries=0, failover=False
+    )
+    with pytest.raises(RetryExhaustedError):
+        state.ingest(batch)
+    assert state._snap() is before
+    assert state.n_ingests == 0
+    # Clean leaves keep their bootstrap spills; the dirty leaves' spills,
+    # written over the candidate partitions, stay invalidated.
+    store = LeafCheckpointStore(spills)
+    assert {pid for pid in range(config.n_leaves) if not store.has(pid)} == dirty
+
+
+def test_merge_root_crash_is_retried_to_the_fault_free_labels(base, config, transport):
+    batch = _local_batch(base, 100, 9)
+    twin = ServeState(base, config, transport=borrow_transport(transport))
+    telemetry = Telemetry()
+    state = ServeState(
+        base, config, transport=borrow_transport(transport), telemetry=telemetry
+    )
+    state.config = _root_reduce_fault(config, attempt=0)
+    state.ingest(batch)
+    twin.ingest(batch)
+    faults = [i for i in telemetry.tracer.instants() if i.name == "fault"]
+    assert [(f.args["phase"], f.args["action"]) for f in faults] == [("merge", "retry")]
+    assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
+    assert state._snap().core_mask.tobytes() == twin._snap().core_mask.tobytes()
+
+
+# --------------------------------------------------------------------- #
+# A model of the daemon over ServeState: random
+# interleavings of ingests keep the snapshot equal to a from-scratch run
+# on exactly the acked points, and a refused ingest commits nothing.
+# --------------------------------------------------------------------- #
+
+FUZZ = os.environ.get("MRSCAN_FUZZ") == "1"
+MACHINE_CONFIG = MrScanConfig(eps=0.4, minpts=5, n_leaves=6)
+
+
+def _machine_base() -> np.ndarray:
+    rng = np.random.default_rng(177)
+    return np.concatenate([
+        rng.normal(scale=0.4, size=(180, 2)),
+        rng.normal(loc=4.0, scale=0.4, size=(180, 2)),
+        rng.uniform(-2, 7, size=(40, 2)),
+    ])
+
+
+class ServeStateMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.acked = [_machine_base()]
+        self.state = ServeState(
+            PointSet.from_coords(self.acked[0]), MACHINE_CONFIG, transport=LocalTransport()
+        )
+
+    def _ingest(self, batch: np.ndarray) -> None:
+        self.state.ingest(batch)
+        self.acked.append(batch)
+
+    @rule(seed=st.integers(0, 2**16), n=st.integers(5, 40))
+    def local_batch(self, seed: int, n: int) -> None:
+        rng = np.random.default_rng(seed)
+        resident = self.state.points.coords
+        anchor = resident[int(rng.integers(len(resident)))]
+        self._ingest(anchor + rng.normal(0, 0.3, size=(n, 2)))
+
+    @rule(seed=st.integers(0, 2**16), n=st.integers(5, 40))
+    def scattered_batch(self, seed: int, n: int) -> None:
+        self._ingest(np.random.default_rng(seed).uniform(-2, 7, size=(n, 2)))
+
+    @precondition(lambda self: any(_cells_beside_another_partition(self.state)))
+    @rule(seed=st.integers(0, 2**16), n=st.integers(5, 40))
+    def batch_beside_another_partition(self, seed: int, n: int) -> None:
+        self._ingest(_beside_another_partition(self.state, n, seed)[0])
+
+    @rule(seed=st.integers(0, 2**16))
+    def expired_ingest(self, seed: int) -> None:
+        before = self.state._snap()
+        batch = np.random.default_rng(seed).uniform(-2, 7, size=(20, 2))
+        with pytest.raises(OperationCancelledError):
+            self.state.ingest(batch, cancel=CancelToken(deadline_s=0))
+        assert self.state._snap() is before
+
+    @invariant()
+    def partitions_are_materialized(self) -> None:
+        _assert_materialized(self.state)
+
+    @invariant()
+    def snapshot_equals_a_from_scratch_run(self) -> None:
+        cfg = MACHINE_CONFIG
+        union = PointSet.from_coords(np.vstack(self.acked))
+        snap = self.state._snap()
+        full = mrscan(
+            union, cfg.eps, cfg.minpts, n_leaves=cfg.n_leaves, transport="local"
+        )
+        report = labels_equivalent(
+            union, cfg.eps, full.labels, full.core_mask, snap.labels, snap.core_mask
+        )
+        assert report.ok, report.summary()
+        assert clustering_signature(snap.labels) == clustering_signature(full.labels)
+
+
+TestServeStateMachine = ServeStateMachine.TestCase
+TestServeStateMachine.settings = settings(
+    max_examples=30 if FUZZ else 5, stateful_step_count=20 if FUZZ else 8, deadline=None
+)

@@ -10,7 +10,8 @@ import pytest
 from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
 from repro.errors import MrScanError, TransportError
-from repro.mrnet import Network, SumFilter, Topology
+from repro.mrnet import LocalTransport, Network, SumFilter, Topology
+from repro.serve import ServeState
 from repro.telemetry import Telemetry
 from repro.telemetry.tracer import PID_DRIVER, PID_GPU, PID_TREE
 
@@ -20,10 +21,21 @@ def traced_result(blobs_with_noise):
     return mrscan(blobs_with_noise, 0.25, 8, n_leaves=4, telemetry=True)
 
 
-def test_all_four_phases_have_spans(traced_result):
+def test_all_four_phases_have_spans(traced_result, blobs_with_noise):
     tracer = traced_result.telemetry.tracer
     phases = {s.name for s in tracer.spans() if s.cat == "phase"}
     assert phases == {"partition", "cluster", "merge", "sweep"}
+    # A daemon ingest runs the batch run's cluster, merge and sweep under
+    # the same names; its partition step is an append, not a phase.
+    telemetry = Telemetry()
+    state = ServeState(
+        blobs_with_noise, MrScanConfig(eps=0.25, minpts=8, n_leaves=4),
+        transport=LocalTransport(), telemetry=telemetry,
+    )
+    telemetry.tracer.drain()
+    state.ingest(blobs_with_noise.coords[:20] + 0.01)
+    ingest = {s.name for s in telemetry.tracer.spans() if s.cat == "phase"}
+    assert ingest == phases - {"partition"}
 
 
 def test_per_leaf_and_per_node_spans(traced_result):

@@ -8,6 +8,7 @@ the paper invariant that broke.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from cuda_dclust_reference import cuda_dclust_leaves
 
 from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
+from repro.durability import PhaseCheckpointStore, replay_journal
 from repro.errors import ConfigError, ValidationError
 from repro.merge import GlobalIdAssignment
+from repro.resilience import LeafCheckpointStore
+from repro.validate import assert_resume_equivalent
 
 
 def _config(**overrides) -> MrScanConfig:
@@ -165,3 +169,83 @@ def test_cheap_level_skips_expensive_checker(blobs_with_noise, monkeypatch):
     )
     result = run_pipeline(blobs_with_noise, _config(validate="cheap"))
     assert result.validation.ok  # bound (≤8) still holds; coverage not run
+
+
+# --------------------- write-ahead under validation --------------------- #
+# The same three defects, in forms the ``cheap`` checks see: a production
+# durable run validates at that level.
+
+
+def _every_core_a_representative(mp):
+    from repro.merge import summary as summary_mod
+
+    mp.setattr(
+        summary_mod, "select_representatives_batch",
+        lambda coords, starts, bounds: np.arange(len(coords)),
+    )
+
+
+def _global_id_gap(mp):
+    from repro.core import pipeline as pipeline_mod
+
+    real = pipeline_mod.MergeFilter.root
+
+    def shifted(self, payloads):
+        assignment = real(self, payloads)
+        return GlobalIdAssignment(assignment.keys, assignment.gids + 1, assignment.n_clusters)
+
+    mp.setattr(pipeline_mod.MergeFilter, "root", shifted)
+
+
+def _label_past_the_last_cluster(mp):
+    from repro.core import pipeline as pipeline_mod
+
+    real = pipeline_mod.sweep_gather
+
+    def corrupted(cuts, assignment, n):
+        swept = real(cuts, assignment, n)
+        swept.labels[int(np.flatnonzero(swept.labels >= 0)[0])] = assignment.n_clusters
+        return swept
+
+    mp.setattr(pipeline_mod, "sweep_gather", corrupted)
+
+
+@pytest.mark.parametrize(
+    "phase, defect, invariant, restored",
+    [
+        ("cluster", _every_core_a_representative, "cluster.representative_bound",
+         ["partition"]),
+        ("merge", _global_id_gap, "merge.global_id_bijection", ["partition"]),
+        ("sweep", _label_past_the_last_cluster, "sweep.ownership", ["partition", "merge"]),
+    ],
+)
+def test_a_phase_is_journaled_done_only_once_validated(
+    blobs_with_noise, tmp_path, monkeypatch, phase, defect, invariant, restored
+):
+    """A phase whose checks fail leaves no checkpoint and no
+    ``<phase>_done`` record, so a clean resume re-runs it."""
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "local")
+    config = _config(validate="cheap", run_dir=str(tmp_path))
+    fresh = run_pipeline(blobs_with_noise, _config(validate="cheap"))
+    with monkeypatch.context() as mp:
+        defect(mp)
+        with pytest.raises(ValidationError) as exc_info:
+            run_pipeline(blobs_with_noise, config)
+    assert invariant in {v.invariant for v in exc_info.value.violations}
+
+    phases = ("partition", "cluster", "merge", "sweep")
+    types = [r.type for r in replay_journal(tmp_path / "journal.jsonl")]
+    assert [f"{p}_done" in types for p in phases] == [
+        p in phases[:phases.index(phase)] for p in phases
+    ]
+    checkpoints = tmp_path / "checkpoints"
+    if phase == "cluster":  # its checkpoints are the leaves' spills
+        spills = LeafCheckpointStore(checkpoints / "leaves")
+        assert not any(spills.has(pid) for pid in range(config.n_leaves))
+    else:
+        assert not PhaseCheckpointStore(checkpoints).has(phase)
+
+    resumed = run_pipeline(blobs_with_noise, replace(config, resume=True))
+    assert resumed.phases_restored == restored
+    assert resumed.validation.ok
+    assert_resume_equivalent(fresh, resumed)

@@ -4,8 +4,8 @@ Replays ``serve_local``'s stream (``bench/workloads.py``: a blob base, 500
 point batches around fixed anchors, 16 leaves) against a ``ServeState``
 with the WAL and leaf spills on and the ``local`` transport, then prints
 one JSON line of per-ingest medians and quartiles: the whole ingest and
-the traced ``cluster.partial`` / ``merge.partial`` / ``sweep.partial``
-spans that ``cluster_merge_sweep`` records.
+the traced ``cluster`` / ``merge`` / ``sweep`` phase spans that
+``cluster_merge_sweep`` records (the names a batch run's phases carry).
 
     PYTHONPATH=src python tools/serve_profile.py                     # 150k resident
     PYTHONPATH=src python tools/serve_profile.py --resident 1000000 --batches 16
@@ -32,7 +32,7 @@ from repro.mrnet import LocalTransport  # noqa: E402
 from repro.serve import ServeState  # noqa: E402
 from repro.telemetry import Telemetry  # noqa: E402
 
-SPANS = ("cluster.partial", "merge.partial", "sweep.partial")
+SPANS = ("cluster", "merge", "sweep")
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -68,7 +68,7 @@ def main() -> None:
             spans = telemetry.tracer.drain()
             for name in SPANS:
                 per_span[name].append(sum(s.dur for s in spans if s.name == name))
-    merge_sweep = [m + s for m, s in zip(per_span["merge.partial"], per_span["sweep.partial"])]
+    merge_sweep = [m + s for m, s in zip(per_span["merge"], per_span["sweep"])]
     print(json.dumps({
         "resident": args.resident,
         "ingests": len(walls),
