@@ -23,6 +23,7 @@ import numpy as np
 from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.rundir import ResumeState, RunDirectory
 from ..errors import CheckpointError, ConfigError, DeviceMemoryError, ValidationError
+from ..gpu.append import mrscan_gpu_append
 from ..gpu.mrscan_gpu import mrscan_gpu
 from ..io.lustre import IOTrace
 from ..merge.merger import MergeFilter
@@ -58,12 +59,59 @@ _DEVICE_BYTES_PER_POINT = 33
 
 
 @dataclass
+class _LeafPrior:
+    """A leaf's previous output, as its append path reads it: the ids of
+    the view it was clustered from (own rows, then shadow rows, each
+    ascending) and that output's labels, core mask and claims with d²."""
+
+    own_ids: np.ndarray
+    shadow_ids: np.ndarray
+    labels: np.ndarray
+    core_mask: np.ndarray
+    claims: np.ndarray
+    claim_d2: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.own_ids, self.shadow_ids, self.labels, self.core_mask,
+            self.claims, self.claim_d2,
+        ))
+
+    def rows_in(self, own: PointSet, shadow: PointSet) -> np.ndarray:
+        """Positions of the prior view's rows in the view ``own + shadow``.
+
+        A view only grows, and own and shadow rows each ascend by id, so
+        the prior ids must be a subsequence of the new ones on each side;
+        anything else is a bug upstream, never a reason to re-cluster."""
+        parts = []
+        for old, new, offset in (
+            (self.own_ids, own.ids, 0), (self.shadow_ids, shadow.ids, len(own)),
+        ):
+            if np.array_equal(new[: len(old)], old):  # rows were only appended
+                parts.append(np.arange(offset, offset + len(old)))
+                continue
+            at = np.searchsorted(new, old)
+            if not (
+                np.all(new[1:] > new[:-1])
+                and np.all(at[1:] > at[:-1])
+                and (not len(at) or at[-1] < len(new))
+                and np.array_equal(new[at], old)
+            ):
+                raise AssertionError("a leaf's prior view is not a subsequence of its new view")
+            parts.append(at + offset)
+        return np.concatenate(parts)
+
+
+@dataclass
 class _ClusterLeafTask:
     """Everything one clustering leaf needs (picklable).
 
     ``own``/``shadow`` are the partition's point sets — or, under a
     staging transport (:class:`repro.runtime.ShmTransport`), their
     shared-memory refs, which the leaf materializes as zero-copy views.
+    With ``prior`` set the leaf takes the append path
+    (:func:`repro.gpu.append.mrscan_gpu_append`) from that output.
     """
 
     leaf_id: int
@@ -76,6 +124,10 @@ class _ClusterLeafTask:
     checkpoint_dir: str | None = None
     #: Device-buffer streaming factor (doubled on DeviceMemoryError).
     memory_chunks: int = 1
+    #: Keep the border pass's claims on the output (a daemon's next
+    #: ingest appends to them).
+    keep_state: bool = False
+    prior: _LeafPrior | None = None
 
     def device_cost(self) -> float:
         """Estimated device-memory footprint of this task in bytes."""
@@ -87,7 +139,11 @@ class _ClusterLeafTask:
         """Wire size: refs cost their handles, arrays their bytes."""
         from ..mrnet.packets import payload_nbytes
 
-        return payload_nbytes(self.own) + payload_nbytes(self.shadow) + 64
+        return payload_nbytes(self.own) + payload_nbytes(self.shadow) + self._prior_nbytes + 64
+
+    @property
+    def _prior_nbytes(self) -> int:
+        return self.prior.nbytes if self.prior is not None else 0
 
     @property
     def array_nbytes(self) -> int:
@@ -95,7 +151,7 @@ class _ClusterLeafTask:
         task would cost on the wire without the shm data plane."""
         from ..mrnet.packets import logical_nbytes
 
-        return logical_nbytes(self.own) + logical_nbytes(self.shadow) + 64
+        return logical_nbytes(self.own) + logical_nbytes(self.shadow) + self._prior_nbytes + 64
 
 
 @dataclass
@@ -119,6 +175,24 @@ class _ClusterLeafOutput:
     #: (:func:`_sweep`); a cached output keeps the partition it was
     #: clustered from, so its cut stays valid.
     cut: LeafCut | None = field(default=None, repr=False)
+    #: True when the append path produced this output from the leaf's
+    #: previous one.
+    appended: bool = False
+    #: The state an append reads, kept only by :func:`cluster_merge_sweep`:
+    #: the border pass's claims and their d² (from the leaf), and the ids
+    #: of the view (own, shadow) they index (set by the driver).
+    claims: np.ndarray | None = field(default=None, repr=False)
+    claim_d2: np.ndarray | None = field(default=None, repr=False)
+    view_ids: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    def prior(self) -> _LeafPrior | None:
+        """This output as an append's starting point (None when it kept no
+        state: a batch run's, or one restored from a spill)."""
+        if self.claims is None or self.view_ids is None:
+            return None
+        return _LeafPrior(
+            *self.view_ids, self.labels, self.core_mask, self.claims, self.claim_d2
+        )
 
 
 def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
@@ -167,6 +241,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     own = as_pointset(task.own)
     shadow = as_pointset(task.shadow)
     view = own.concat(shadow)
+    prior = task.prior
     tracer = Tracer() if task.trace else NOOP_TRACER
     device = acquire_device(cfg.device, tracer=tracer, trace_tid=task.leaf_id)
     try:
@@ -177,16 +252,27 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             tid=task.leaf_id,
             n_points=len(view),
         ) as leaf_span:
+            if prior is None:
+                engine, state, n_inserted = mrscan_gpu, {}, len(view)
+            else:
+                old_rows = prior.rows_in(own, shadow)
+                engine, n_inserted = mrscan_gpu_append, len(view) - len(old_rows)
+                state = dict(
+                    old_rows=old_rows, labels=prior.labels, core_mask=prior.core_mask,
+                    claims=prior.claims, claim_d2=prior.claim_d2,
+                )
+            leaf_span.set(mode="full" if prior is None else "append", n_inserted=n_inserted)
             chunks = max(1, int(task.memory_chunks))
             while True:
                 try:
-                    result = mrscan_gpu(
+                    result = engine(
                         view,
                         cfg.eps,
                         cfg.minpts,
                         device=device,
                         use_densebox=cfg.use_densebox,
                         memory_chunks=chunks,
+                        **state,
                     )
                     break
                 except DeviceMemoryError:
@@ -244,6 +330,9 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
         spans=tracer.drain(),
         wall_seconds=time.perf_counter() - t_leaf_start,
         n_points=len(view),
+        appended=prior is not None,
+        claims=result.claims if task.keep_state else None,
+        claim_d2=result.claim_d2 if task.keep_state else None,
     )
 
 
@@ -311,6 +400,8 @@ class _Run:
     #: Directory of per-leaf spill checkpoints (None = no spills).
     checkpoint_dir: str | None = None
     cancel: object = None  # repro.resilience.CancelToken
+    #: Keep every leaf's append state on its output (a daemon's runs).
+    keep_state: bool = False
     durable: RunDirectory | None = None
     state: ResumeState = field(default_factory=ResumeState)
     #: Phase-boundary invariant checking (repro.validate): the context
@@ -691,6 +782,8 @@ class PartialRunResult:
     #: Of those, how many actually ran the GPU pass (vs spill-checkpoint
     #: hits) — the provenance the serve tests assert on.
     n_fresh: int
+    #: Of those, how many took the append path.
+    n_appended: int = 0
     #: ``cluster_map`` / ``merge_reduce`` / ``sweep_multicast`` traces.
     network_traces: dict = field(default_factory=dict)
     #: Critical-path cluster / merge / sweep seconds (partition is 0).
@@ -730,6 +823,14 @@ def cluster_merge_sweep(
     a cached output reuses the cut it carries.  A batch run
     (:func:`run_pipeline`) runs the same phases after its partition phase.
 
+    Outputs made here keep their leaf's append state (claims, and the
+    view's ids).  A dirty leaf whose cached output kept it takes the
+    append path (:func:`repro.gpu.append.mrscan_gpu_append`): its view
+    must be the cached one's plus inserted rows, and the result is what
+    a full pass would return.  Without a cached output, or with one that
+    kept no state (restored from a spill), the leaf is clustered in full.
+    Cached outputs are only read.
+
     The caller owns ``transport`` — it is never closed here, so pools and
     arenas stay warm across calls; the arena is rewound as the call
     returns or raises, so every call restages into the same pages.
@@ -751,6 +852,7 @@ def cluster_merge_sweep(
         telemetry if telemetry is not None else Telemetry.disabled(),
         checkpoint_dir=checkpoint_dir,
         cancel=cancel,
+        keep_state=True,
     )
     try:
         return _cluster_merge_sweep(
@@ -808,6 +910,8 @@ def _cluster_merge_sweep(
             config=config,
             trace=telemetry.enabled,
             checkpoint_dir=run.checkpoint_dir,
+            keep_state=run.keep_state,
+            prior=cached[pid].prior() if pid in dirty and pid in cached else None,
         )
         for pid, (own, shadow) in zip(need, staged)
     ]
@@ -837,6 +941,9 @@ def _cluster_merge_sweep(
             for o in outs:
                 tracer.ingest(o.spans)
                 fresh[o.leaf_id] = o
+                if o.claims is not None:
+                    own, shadow = partitions[o.leaf_id]
+                    o.view_ids = (as_pointset(own).ids, as_pointset(shadow).ids)
             logger.info(
                 "cluster: %s (%d leaves); slowest leaf %s distance ops",
                 map_tree.topology.describe(),
@@ -932,6 +1039,7 @@ def _cluster_merge_sweep(
         outputs=dict(enumerate(outputs)),
         reclustered=frozenset(need),
         n_fresh=sum(1 for i in need if not outputs[i].from_checkpoint),
+        n_appended=sum(1 for i in need if outputs[i].appended),
         network_traces=traces,
         # Critical-path ("virtual parallel") phase times from the
         # recorded per-node compute seconds — what a one-process-per-node

@@ -25,8 +25,11 @@ state:
    on the union byte for byte — no ingest re-routes the resident set;
    dirty specs get their point counts from the appended own rows;
 6. invalidate the dirty leaves' spill checkpoints and run
-   :func:`repro.core.pipeline.cluster_merge_sweep` with the clean
-   leaves' cached outputs;
+   :func:`repro.core.pipeline.cluster_merge_sweep` with every leaf's
+   committed output: clean leaves reuse theirs, and each dirty leaf
+   takes the append path from its own (the engine updates the last
+   output around the inserted rows instead of re-clustering the view);
+   a dirty leaf whose output came from a spill is clustered in full;
 7. commit — swap every reference under the snapshot lock, journal
    ``ingest_done``, bump ``serve.*`` metrics.
 
@@ -364,10 +367,9 @@ class ServeState:
             for pid in dirty:
                 store.invalidate(pid)
 
-        cached = {
-            pid: out for pid, out in self.outputs.items() if pid not in dirty
-        }
         try:
+            # Every committed output: the clean leaves' are reused, the
+            # dirty leaves' are where their append path starts.
             result = cluster_merge_sweep(
                 partitions=partitions,
                 plan=plan,
@@ -375,7 +377,7 @@ class ServeState:
                 config=cfg,
                 transport=self.transport,
                 dirty=dirty,
-                cached_outputs=cached,
+                cached_outputs=self.outputs,
                 telemetry=self.telemetry,
                 checkpoint_dir=self.checkpoint_dir,
                 cancel=cancel,
@@ -433,6 +435,7 @@ class ServeState:
             self.metrics.counter("serve.ingests").inc()
             self.metrics.counter("serve.ingested_points").inc(len(coords))
             self.metrics.counter("serve.reclustered_leaves").inc(len(dirty))
+            self.metrics.counter("serve.appended_leaves").inc(result.n_appended)
             self.metrics.gauge("serve.dirty_leaf_ratio").set(dirty_ratio)
             self.metrics.gauge("serve.points").set(len(points))
             self.metrics.gauge("serve.clusters").set(result.n_clusters)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.config import MrScanConfig
-from repro.core.pipeline import mrscan
+from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, mrscan
 from repro.dbscan.labels import clustering_signature
 from repro.durability.checkpoints import LeafCheckpointStore
 from repro.durability.ingestlog import IngestLog
@@ -97,6 +98,44 @@ def _assert_materialized(state: ServeState) -> None:
         assert (spec.point_count, spec.shadow_count) == tuple(map(len, got))
 
 
+def _outputs_digest(state: ServeState) -> str:
+    """One digest of every committed leaf output's labels, core mask and
+    claims with d²."""
+    digest = hashlib.sha256()
+    for pid in sorted(state.outputs):
+        out = state.outputs[pid]
+        for array in (out.labels, out.core_mask, out.claims, out.claim_d2):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _claim_set(claims: np.ndarray, d2: np.ndarray) -> tuple[bytes, bytes]:
+    order = np.lexsort((claims[:, 1], claims[:, 0]))
+    return claims[order].tobytes(), d2[order].tobytes()
+
+
+def _assert_leaves_equal_a_full_pass(state: ServeState) -> None:
+    """Every leaf output the state holds (appended or not) is a fresh full
+    pass over its current partition: labels, core mask, claims with d²,
+    and the summary's arrays."""
+    for pid, out in state.outputs.items():
+        own, shadow = state.partitions[pid]
+        ref = _cluster_leaf(_ClusterLeafTask(
+            leaf_id=pid, own=own, shadow=shadow,
+            owned_cells=frozenset(state.plan.partitions[pid].cells),
+            config=state.config, keep_state=True,
+        ))
+        assert out.labels.tobytes() == ref.labels.tobytes(), pid
+        assert out.core_mask.tobytes() == ref.core_mask.tobytes(), pid
+        assert _claim_set(out.claims, out.claim_d2) == _claim_set(ref.claims, ref.claim_d2), pid
+        for f in fields(out.summary):
+            got, want = getattr(out.summary, f.name), getattr(ref.summary, f.name)
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == want.tobytes(), (pid, f.name)
+            else:
+                assert got == want, (pid, f.name)
+
+
 def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
     telemetry = Telemetry()
     state = ServeState(
@@ -120,6 +159,61 @@ def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
     gauge = telemetry.metrics.get("serve.dirty_leaf_ratio")
     assert gauge is not None and gauge.value == pytest.approx(outcome.dirty_ratio)
     assert telemetry.metrics.get("serve.ingest_seconds").count == 1
+
+
+def test_dirty_leaves_take_the_append_path(base, config, transport):
+    """Bootstrap clusters every leaf in full; an ingest's dirty leaves are
+    appended to, and the span, the counter and the ack agree."""
+    telemetry = Telemetry()
+    state = ServeState(
+        base, config, transport=borrow_transport(transport), telemetry=telemetry
+    )
+    boot = [s for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
+    assert len(boot) == config.n_leaves
+    assert {s.args["mode"] for s in boot} == {"full"}
+    assert all(s.args["n_inserted"] == s.args["n_points"] for s in boot)
+
+    batch = _local_batch(base, 200, 1)
+    outcome = state.ingest(batch)
+    spans = [s for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
+    assert sorted(s.tid for s in spans) == list(outcome.dirty_leaves)
+    assert {s.args["mode"] for s in spans} == {"append"}
+    # Every batch row lands in one leaf's own rows, and maybe in shadows.
+    assert sum(s.args["n_inserted"] for s in spans) >= len(batch)
+    appended = telemetry.metrics.get("serve.appended_leaves")
+    assert appended.value == outcome.n_reclustered == len(outcome.dirty_leaves)
+    assert telemetry.metrics.get("serve.reclustered_leaves").value == appended.value
+    _assert_leaves_equal_a_full_pass(state)
+
+
+def test_adoption_inserts_resident_rows_mid_shadow(transport):
+    """An adopted cell widens the adopter's shadow over another
+    partition's resident rows, which merge into the shadow by id: the
+    append path sees old rows after inserted ones and still equals a
+    full pass."""
+    state = ServeState(
+        PointSet.from_coords(_machine_base()), MACHINE_CONFIG,
+        transport=borrow_transport(transport),
+    )
+    eps = MACHINE_CONFIG.eps
+    cells = np.floor(state.points.coords / eps).astype(np.int64)
+    for cell, adopter, grown in _cells_beside_another_partition(state):
+        # A cell whose widened shadow takes a resident row with an id
+        # below the adopter's last shadow id.
+        in_grown = np.flatnonzero((cells == grown).all(axis=1))
+        if in_grown.min() < state.partitions[adopter][1].ids.max():
+            break
+    coords = (np.array(cell) + np.random.default_rng(3).uniform(0.1, 0.9, (20, 2))) * eps
+    n_resident = len(state.points)
+    old_shadow = state.partitions[adopter][1].ids
+    state.ingest(coords)
+    new_shadow = state.partitions[adopter][1].ids
+    moved = np.flatnonzero((new_shadow < n_resident) & ~np.isin(new_shadow, old_shadow))
+    kept = np.flatnonzero(np.isin(new_shadow, old_shadow))
+    assert grown in state.plan.partitions[adopter].shadow_cells
+    assert len(moved) and moved.min() < kept.max()
+    assert state.outputs[adopter].appended
+    _assert_leaves_equal_a_full_pass(state)
 
 
 def _own_shm_bytes() -> int:
@@ -300,6 +394,7 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
         base, config, transport=borrow_transport(transport), checkpoint_dir=str(spills)
     )
     before = state._snap()
+    outputs, digest = dict(state.outputs), _outputs_digest(state)
     # The fault joins after bootstrap, whose merge would die on it too.
     state.config = replace(
         _root_reduce_fault(config, permanent=True), max_retries=0, failover=False
@@ -308,10 +403,18 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
         state.ingest(batch)
     assert state._snap() is before
     assert state.n_ingests == 0
+    # The failed run appended to the committed outputs without touching them.
+    assert all(state.outputs[pid] is out for pid, out in outputs.items())
+    assert _outputs_digest(state) == digest
     # Clean leaves keep their bootstrap spills; the dirty leaves' spills,
     # written over the candidate partitions, stay invalidated.
     store = LeafCheckpointStore(spills)
     assert {pid for pid in range(config.n_leaves) if not store.has(pid)} == dirty
+    # The retry appends to the same outputs, and lands where the twin did.
+    state.config = config
+    state.ingest(batch)
+    assert all(state.outputs[pid].appended for pid in dirty)
+    assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
 
 
 def test_merge_root_crash_is_retried_to_the_fault_free_labels(base, config, transport):
@@ -358,8 +461,10 @@ class ServeStateMachine(RuleBasedStateMachine):
         )
 
     def _ingest(self, batch: np.ndarray) -> None:
-        self.state.ingest(batch)
+        outcome = self.state.ingest(batch)
         self.acked.append(batch)
+        # Every output kept its state, so every dirty leaf appends.
+        assert all(self.state.outputs[pid].appended for pid in outcome.dirty_leaves)
 
     @rule(seed=st.integers(0, 2**16), n=st.integers(5, 40))
     def local_batch(self, seed: int, n: int) -> None:
@@ -375,15 +480,27 @@ class ServeStateMachine(RuleBasedStateMachine):
     @precondition(lambda self: any(_cells_beside_another_partition(self.state)))
     @rule(seed=st.integers(0, 2**16), n=st.integers(5, 40))
     def batch_beside_another_partition(self, seed: int, n: int) -> None:
-        self._ingest(_beside_another_partition(self.state, n, seed)[0])
+        coords, adopter, grown = _beside_another_partition(self.state, n, seed)
+        self._ingest(coords)
+        # The adopter's shadow took the resident rows of ``grown``: rows
+        # its append path found inside the shadow, not only at its end.
+        assert grown in self.state.plan.partitions[adopter].shadow_cells
+        assert self.state.outputs[adopter].appended
 
     @rule(seed=st.integers(0, 2**16))
     def expired_ingest(self, seed: int) -> None:
         before = self.state._snap()
+        outputs, digest = dict(self.state.outputs), _outputs_digest(self.state)
         batch = np.random.default_rng(seed).uniform(-2, 7, size=(20, 2))
         with pytest.raises(OperationCancelledError):
             self.state.ingest(batch, cancel=CancelToken(deadline_s=0))
         assert self.state._snap() is before
+        assert all(self.state.outputs[pid] is out for pid, out in outputs.items())
+        assert _outputs_digest(self.state) == digest
+
+    @invariant()
+    def leaf_outputs_equal_a_full_pass(self) -> None:
+        _assert_leaves_equal_a_full_pass(self.state)
 
     @invariant()
     def partitions_are_materialized(self) -> None:

@@ -1,14 +1,19 @@
 """Profile the serve daemon's ingest at a chosen resident size, in process.
 
-Replays ``serve_local``'s stream (``bench/workloads.py``: a blob base, 500
-point batches around fixed anchors, 16 leaves) against a ``ServeState``
+Replays a serve workload's stream (``bench/workloads.py``; ``serve_local``:
+a blob base, 500 point batches around fixed anchors, 16 leaves;
+``serve_scatter``: every batch dirties every leaf) against a ``ServeState``
 with the WAL and leaf spills on and the ``local`` transport, then prints
-one JSON line of per-ingest medians and quartiles: the whole ingest and
-the traced ``cluster`` / ``merge`` / ``sweep`` phase spans that
-``cluster_merge_sweep`` records (the names a batch run's phases carry).
+one JSON line of per-ingest medians and quartiles: the whole ingest, the
+traced ``cluster`` / ``merge`` / ``sweep`` phase spans that
+``cluster_merge_sweep`` records (the names a batch run's phases carry),
+and the ``leaf.cluster`` seconds of each leaf-engine mode (``append``: a
+dirty leaf updated from its last output; ``full``: a whole-view pass),
+summed per ingest and per leaf.
 
     PYTHONPATH=src python tools/serve_profile.py                     # 150k resident
     PYTHONPATH=src python tools/serve_profile.py --resident 1000000 --batches 16
+    PYTHONPATH=src python tools/serve_profile.py --workload serve_scatter
 """
 
 from __future__ import annotations
@@ -45,12 +50,17 @@ def main() -> None:
     parser.add_argument("--resident", type=int, default=150_000, help="base points")
     parser.add_argument("--batches", type=int, default=16, help="ingests replayed")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--workload", choices=("serve_local", "serve_scatter"), default="serve_local"
+    )
     args = parser.parse_args()
 
-    spec = SPECS["serve_local"]
+    spec = SPECS[args.workload]
     spec = replace(spec, n_base=args.resident, n_blobs=max(1, spec.n_blobs * args.resident // spec.n_base))
     base = serve_base(spec, args.seed)
+    # The stream floors at the workload's min_ops; replay exactly --batches.
     batches = serve_batches(spec, args.seed, base, args.batches / spec.ops_per_second)
+    batches = batches[: args.batches]
     config = MrScanConfig(eps=spec.eps, minpts=spec.minpts, n_leaves=spec.n_leaves)
     telemetry = Telemetry()
     walls: list[float] = []
@@ -61,6 +71,9 @@ def main() -> None:
         )
         telemetry.tracer.drain()
         per_span: dict[str, list[float]] = {name: [] for name in SPANS}
+        # leaf.cluster seconds by engine mode, per ingest and per leaf.
+        per_ingest: dict[str, list[float]] = {}
+        per_leaf: dict[str, list[float]] = {}
         for batch in batches:
             t0 = time.perf_counter()
             state.ingest(batch)
@@ -68,13 +81,24 @@ def main() -> None:
             spans = telemetry.tracer.drain()
             for name in SPANS:
                 per_span[name].append(sum(s.dur for s in spans if s.name == name))
+            ingest: dict[str, float] = {}
+            for span in spans:
+                if span.name == "leaf.cluster":
+                    mode = span.args.get("mode", "full")
+                    per_leaf.setdefault(mode, []).append(span.dur)
+                    ingest[mode] = ingest.get(mode, 0.0) + span.dur
+            for mode, seconds in ingest.items():
+                per_ingest.setdefault(mode, []).append(seconds)
     merge_sweep = [m + s for m, s in zip(per_span["merge"], per_span["sweep"])]
     print(json.dumps({
+        "workload": args.workload,
         "resident": args.resident,
         "ingests": len(walls),
         "ingest_s": _quartiles(walls),
         **{f"{name}_s": _quartiles(v) for name, v in per_span.items()},
         "merge_plus_sweep_s": _quartiles(merge_sweep),
+        "leaf_cluster_s_per_ingest": {m: _quartiles(v) for m, v in sorted(per_ingest.items())},
+        "leaf_cluster_s_per_leaf": {m: _quartiles(v) for m, v in sorted(per_leaf.items())},
     }))
 
 
