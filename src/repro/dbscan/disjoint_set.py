@@ -172,13 +172,26 @@ def vectorized_union(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> tuple[
     return union_edges(np.arange(n, dtype=np.int64), edges_a, edges_b)
 
 
-def first_appearance_labels(values: np.ndarray) -> np.ndarray:
+def first_appearance_labels(values: np.ndarray, bound: int | None = None) -> np.ndarray:
     """Dense labels ``0..k-1`` numbered by each integer value's first
-    appearance."""
+    appearance.
+
+    With ``bound``, the values are known to lie in ``0..bound-1`` (union-find
+    roots, say): each one's first position is one ``minimum.at`` into a
+    table of that length, and nothing is sorted but the distinct values.
+    Without it, any integers: a stable sort of the values.
+    """
     values = np.asarray(values)
     n = len(values)
     if not n:
         return np.empty(0, dtype=np.int64)
+    if bound is not None:
+        first = np.full(bound, n)
+        np.minimum.at(first, values, np.arange(n))
+        present = np.flatnonzero(first < n)
+        rank = np.empty(bound, dtype=np.int64)
+        rank[present[np.argsort(first[present])]] = np.arange(len(present))
+        return rank[values]
     packed = packed_key([values])
     order = stable_order(values, 64) if packed is None else stable_order(*packed)
     # Runs of equal values in stable order: each run's head is the value's
@@ -204,4 +217,4 @@ def vectorized_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> n
     relabel pass relies on.
     """
     roots, _ = vectorized_union(n, edges_a, edges_b)
-    return first_appearance_labels(roots)
+    return first_appearance_labels(roots, bound=n)

@@ -143,8 +143,12 @@ def _unique_first_appearance(values: np.ndarray) -> np.ndarray:
 )
 def test_first_appearance_labels_match_the_unique_oracle(values, scale):
     """Roots below the length (the engine's case), sparse and negative
-    values, and ranges too wide to pack."""
+    values, and ranges too wide to pack; the bounded table path on the
+    small non-negative draws."""
     values = np.array(values, dtype=np.int64) * scale
-    np.testing.assert_array_equal(
-        first_appearance_labels(values), _unique_first_appearance(values)
-    )
+    want = _unique_first_appearance(values)
+    np.testing.assert_array_equal(first_appearance_labels(values), want)
+    if scale in (1, 7):  # small non-negative: the table path too
+        np.testing.assert_array_equal(
+            first_appearance_labels(values, bound=int(values.max()) + 1), want
+        )
