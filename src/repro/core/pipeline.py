@@ -62,7 +62,8 @@ _DEVICE_BYTES_PER_POINT = 33
 class _LeafPrior:
     """A leaf's previous output, as its append path reads it: the ids of
     the view it was clustered from (own rows, then shadow rows, each
-    ascending) and that output's labels, core mask and claims with d²."""
+    ascending), that output's labels, core mask and claims with d², and
+    the ids of its summary's representatives."""
 
     own_ids: np.ndarray
     shadow_ids: np.ndarray
@@ -70,12 +71,13 @@ class _LeafPrior:
     core_mask: np.ndarray
     claims: np.ndarray
     claim_d2: np.ndarray
+    rep_ids: np.ndarray
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
             self.own_ids, self.shadow_ids, self.labels, self.core_mask,
-            self.claims, self.claim_d2,
+            self.claims, self.claim_d2, self.rep_ids,
         ))
 
     def rows_in(self, own: PointSet, shadow: PointSet) -> np.ndarray:
@@ -101,6 +103,23 @@ class _LeafPrior:
                 raise AssertionError("a leaf's prior view is not a subsequence of its new view")
             parts.append(at + offset)
         return np.concatenate(parts)
+
+    def candidates(
+        self, own: PointSet, shadow: PointSet, old_rows: np.ndarray, core_mask: np.ndarray
+    ) -> np.ndarray:
+        """Rows of the view ``own + shadow`` that hold every representative
+        of its new ``core_mask``: the last summary's representatives and
+        the rows core now but not before — ``summarize_leaf``'s
+        ``candidates`` after an append."""
+        rep_ids = np.sort(self.rep_ids)  # binary searches run faster on sorted keys
+        at = np.searchsorted(own.ids, rep_ids)
+        in_own = at < len(own)
+        in_own[in_own] = own.ids[at[in_own]] == rep_ids[in_own]
+        is_candidate = core_mask.copy()
+        is_candidate[old_rows] &= ~self.core_mask
+        is_candidate[at[in_own]] = True
+        is_candidate[len(own) + np.searchsorted(shadow.ids, rep_ids[~in_own])] = True
+        return np.flatnonzero(is_candidate)
 
 
 @dataclass
@@ -191,7 +210,8 @@ class _ClusterLeafOutput:
         if self.claims is None or self.view_ids is None:
             return None
         return _LeafPrior(
-            *self.view_ids, self.labels, self.core_mask, self.claims, self.claim_d2
+            *self.view_ids, self.labels, self.core_mask, self.claims, self.claim_d2,
+            self.summary.rep_ids,
         )
 
 
@@ -304,6 +324,8 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                 cfg.eps,
                 set(task.owned_cells),
                 claims=result.claims,
+                candidates=None if prior is None
+                else prior.candidates(own, shadow, old_rows, core_mask),
             )
     finally:
         # Never leak device allocations, whatever path exits the leaf —
@@ -827,24 +849,24 @@ def cluster_merge_sweep(
     view's ids).  A dirty leaf whose cached output kept it takes the
     append path (:func:`repro.gpu.append.mrscan_gpu_append`): its view
     must be the cached one's plus inserted rows, and the result is what
-    a full pass would return.  Without a cached output, or with one that
-    kept no state (restored from a spill), the leaf is clustered in full.
-    Cached outputs are only read.
+    a full pass would return; its summary searches for representatives
+    among the cached summary's and the rows that became core only.
+    Without a cached output, or with one that kept no state (restored
+    from a spill), the leaf is clustered in full.  Cached outputs are
+    only read, so a retried leaf appends again from the same one.
 
     The caller owns ``transport`` — it is never closed here, so pools and
     arenas stay warm across calls; the arena is rewound as the call
     returns or raises, so every call restages into the same pages.
-    Leaves in ``dirty`` whose spill checkpoints should not satisfy them
-    must be invalidated first
-    (:meth:`~repro.durability.checkpoints.LeafCheckpointStore.invalidate`).
+    With ``checkpoint_dir`` set every leaf run here spills its output and
+    a leaf whose spill loads is not run: a spill there must describe the
+    leaf's current partition.  The daemon passes one at bootstrap only.
 
     ``cancel`` (a :class:`~repro.resilience.CancelToken`) makes the run
     abandonable: the token is checked between phases and threaded into
     every tree collective, so a cancelled or deadline-expired run raises
     :class:`~repro.errors.OperationCancelledError` without committing
-    anything — the caller's snapshot and journal are untouched, and any
-    spill checkpoints written for dirty leaves must be re-invalidated by
-    the caller before the retry (:mod:`repro.serve` does).
+    anything — the caller's snapshot and journal are untouched.
     """
     run = _Run(
         config,

@@ -12,7 +12,21 @@ are within eps of each other.  Hence if two clusters share a core point in
 a cell, each cluster's representative set contains a point within Eps of
 it — a merge is always detectable from representatives alone.
 
-``tests/merge/test_representatives.py`` checks this lemma property-based.
+A second property lets a leaf whose view only grew re-summarise from its
+last summary (``summarize_leaf(..., candidates=)``).  Each target's
+nearest point over a union of point sets is the nearest point of one of
+the parts, since the union's minimum distance is the least of the parts'
+minima; and when rows keep their relative order, the lowest row among
+the union's nearest points is the lowest of its own part's.  So the
+parts' representatives plus any new points select exactly what all the
+points select.  After an append, the cores of a ``(cluster, cell)`` are
+whole old ``(cluster, cell)`` core sets (an old core stays core,
+clusters only merge, a point never changes cell) plus the rows that
+became core: the old representatives and the new cores hold every new
+representative.
+
+``tests/merge/test_representatives.py`` checks both properties
+property-based.
 
 Two forms select the same points: :func:`select_representatives` for one
 cell (the partitioner's optional shadow thinning, §3.1.3) and

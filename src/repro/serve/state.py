@@ -24,12 +24,12 @@ state:
    result equals :func:`~repro.partition.partitioner.partition_points`
    on the union byte for byte — no ingest re-routes the resident set;
    dirty specs get their point counts from the appended own rows;
-6. invalidate the dirty leaves' spill checkpoints and run
-   :func:`repro.core.pipeline.cluster_merge_sweep` with every leaf's
-   committed output: clean leaves reuse theirs, and each dirty leaf
-   takes the append path from its own (the engine updates the last
-   output around the inserted rows instead of re-clustering the view);
-   a dirty leaf whose output came from a spill is clustered in full;
+6. run :func:`repro.core.pipeline.cluster_merge_sweep` with every
+   leaf's committed output and no spill checkpoints: clean leaves reuse
+   theirs, and each dirty leaf takes the append path from its own (the
+   engine updates the last output around the inserted rows, and the
+   summary searches only the last representatives and the new cores);
+   a retried dirty leaf appends again from the same committed output;
 7. commit — swap every reference under the snapshot lock, journal
    ``ingest_done``, bump ``serve.*`` metrics.
 
@@ -37,7 +37,8 @@ A failure anywhere before step 7 leaves the committed state untouched
 (the next ingest simply starts from it again), which is what makes a
 worker ``kill`` fault or an OOM mid-re-cluster safe: the self-healing
 pool retries inside step 6, and if the run ultimately fails the ingest
-is rejected without poisoning the resident state.
+is rejected without poisoning the resident state.  Only bootstrap spills
+leaf checkpoints (``checkpoint_dir``), and it clears them first.
 """
 
 from __future__ import annotations
@@ -362,37 +363,21 @@ class ServeState:
         for pid in dirty:
             plan.partitions[pid].point_count = len(partitions[pid][0])
 
-        if self.checkpoint_dir is not None and dirty:
-            store = LeafCheckpointStore(self.checkpoint_dir)
-            for pid in dirty:
-                store.invalidate(pid)
-
-        try:
-            # Every committed output: the clean leaves' are reused, the
-            # dirty leaves' are where their append path starts.
-            result = cluster_merge_sweep(
-                partitions=partitions,
-                plan=plan,
-                n_points=len(points),
-                config=cfg,
-                transport=self.transport,
-                dirty=dirty,
-                cached_outputs=self.outputs,
-                telemetry=self.telemetry,
-                checkpoint_dir=self.checkpoint_dir,
-                cancel=cancel,
-            )
-        except BaseException:
-            # The aborted run may have spilled checkpoints for dirty
-            # leaves clustered over the *candidate* partitions.  The
-            # committed state is untouched, but a later ingest dirtying
-            # the same leaf must not be satisfied by them — re-invalidate
-            # before unwinding.
-            if self.checkpoint_dir is not None and dirty:
-                store = LeafCheckpointStore(self.checkpoint_dir)
-                for pid in dirty:
-                    store.invalidate(pid)
-            raise
+        # Every committed output: the clean leaves' are reused, the dirty
+        # leaves' are where their append path starts.  No spills: a
+        # retried dirty leaf appends again from its committed output.
+        result = cluster_merge_sweep(
+            partitions=partitions,
+            plan=plan,
+            n_points=len(points),
+            config=cfg,
+            transport=self.transport,
+            dirty=dirty,
+            cached_outputs=self.outputs,
+            telemetry=self.telemetry,
+            checkpoint_dir=None,
+            cancel=cancel,
+        )
 
         delay = float(os.environ.get(INGEST_DELAY_ENV, "0") or 0)
         if delay > 0:

@@ -4,14 +4,17 @@
 its view plus inserted rows; the contract is byte equality with
 :func:`repro.gpu.mrscan_gpu` on the new view — labels, core mask, and the
 claim set with d².  Each draw is a chain of one to five insertions at
-random view positions, each step appending to the previous step's output.
-Tier 1 runs the pinned examples (one per adversarial shape) and five
-derandomized draws; ``MRSCAN_FUZZ=1 pytest -m fuzz`` runs 150.
+random view positions, each step appending to the previous step's output;
+each step's summary, searched for representatives among the last
+summary's and the rows that became core, equals the full search's column
+for column.  Tier 1 runs the pinned examples (one per adversarial shape)
+and five derandomized draws; ``MRSCAN_FUZZ=1 pytest -m fuzz`` runs 150.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.gpu import mrscan_gpu
 from repro.gpu.append import mrscan_gpu_append
 from repro.gpu.densebox import densebox_edge
+from repro.merge.summary import summarize_leaf
 from repro.points import PointSet
 
 pytestmark = pytest.mark.fuzz
@@ -28,7 +32,10 @@ fuzz_settings = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow],
 )
 
-SHAPES = ("blobs", "cell_edges", "eps_apart", "duplicates", "promote", "bridge", "far")
+SHAPES = (
+    "blobs", "cell_edges", "eps_apart", "duplicates", "promote", "bridge", "far",
+    "merge_in_cell", "tie", "claims_only",
+)
 
 
 def _claim_set(claims: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,6 +62,19 @@ def _base(shape: str, rng, eps: float, minpts: int) -> np.ndarray:
         # Two clumps 1.8 eps apart: core points between them join them.
         clump = rng.normal(0, 0.01 * eps, size=(max(minpts, 2), 2))
         return np.concatenate((clump, clump + [1.8 * eps, 0.0], blobs + 10 * eps))
+    if shape == "merge_in_cell":
+        # Two clumps in opposite corners of one Eps cell, 1.36 eps apart.
+        clump = rng.uniform(0.01 * eps, 0.03 * eps, size=(max(minpts, 2), 2))
+        return np.concatenate((clump, clump + 0.95 * eps, blobs + 10 * eps))
+    if shape == "tie":
+        # Every third point twice: old rows that tie each other.
+        return np.concatenate((blobs, blobs[::3]))
+    if shape == "claims_only":
+        # A clump, a core 0.5 eps ahead of it and a border 0.9 eps ahead of
+        # that, alone in the next Eps cell along x.
+        clump = [0.1 * eps, 0.5 * eps] + rng.normal(0, 0.01 * eps, size=(max(minpts - 1, 1), 2))
+        ahead = [[0.6 * eps, 0.5 * eps], [1.5 * eps, 0.5 * eps]]
+        return np.concatenate((clump, ahead, blobs + 10 * eps))
     return blobs
 
 
@@ -76,7 +96,53 @@ def _batch(shape: str, step: int, rng, eps: float, minpts: int, view: np.ndarray
         return [0.9 * eps, 0.0] + rng.normal(0, 0.01 * eps, size=(minpts, 2))
     if shape == "far" and step == 0:
         return np.array([[1000.0 * eps, -1000.0 * eps]])
+    if shape == "merge_in_cell" and step == 0:
+        # Cores in the middle of the cell join the two clumps.
+        return 0.5 * eps + rng.uniform(-0.02 * eps, 0.02 * eps, size=(max(minpts, 2), 2))
+    if shape == "tie":
+        # A copy of every row at step 0, so every old representative ties.
+        return view.copy() if step == 0 else view[rng.integers(0, len(view), size=k)]
+    if shape == "claims_only" and step == 0:
+        # A noise point beside the border: its cell still holds no core.
+        return np.array([[1.9 * eps, 0.5 * eps]])
     return rng.normal(0, 2 * eps, size=(k, 2)) + rng.choice([0.0, 6 * eps], size=(k, 1))
+
+
+def _insert(shape: str, rng, n_old: int, n: int) -> np.ndarray:
+    """Rows of the new view that the old view's rows land on, ascending.
+    A ``tie`` batch leads the view, as resident rows that adoption
+    merges into a shadow can: its copies come before what they copy."""
+    if shape == "tie":
+        return np.arange(n - n_old, n)
+    return np.sort(rng.choice(n, size=n_old, replace=False))
+
+
+def _owned(points: PointSet, eps: float) -> set:
+    """Every other row's Eps cell: owned cells with and without non-core rows."""
+    return {tuple(c) for c in np.floor(points.coords[::2] / eps).astype(np.int64)}
+
+
+def _summary(points: PointSet, result, eps: float, candidates=None):
+    return summarize_leaf(
+        0, points, result.labels, result.core_mask, eps, _owned(points, eps),
+        claims=result.claims, candidates=candidates,
+    )
+
+
+def _candidates(old_summary, order: np.ndarray, old_core: np.ndarray, core: np.ndarray):
+    """The last summary's representatives (ids are view rows here) and the
+    rows core now but not before."""
+    was_core = np.zeros(len(core), dtype=bool)
+    was_core[order] = old_core
+    return np.union1d(order[old_summary.rep_ids], np.flatnonzero(core & ~was_core))
+
+
+def _assert_same_summary(got, want) -> None:
+    for f, g, w in zip(fields(got), got.columns(), want.columns()):
+        if isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
+        else:
+            assert g == w, f.name
 
 
 def _assert_equal(got, want) -> None:
@@ -103,15 +169,19 @@ def _assert_equal(got, want) -> None:
 @example(seed=4, shape="promote", eps=0.25, minpts=6, steps=2, use_densebox=True)
 @example(seed=5, shape="bridge", eps=0.25, minpts=4, steps=2, use_densebox=True)
 @example(seed=6, shape="far", eps=1.0, minpts=2, steps=2, use_densebox=True)
+@example(seed=7, shape="merge_in_cell", eps=0.25, minpts=4, steps=2, use_densebox=True)
+@example(seed=8, shape="tie", eps=0.3, minpts=3, steps=3, use_densebox=False)
+@example(seed=9, shape="claims_only", eps=0.25, minpts=5, steps=2, use_densebox=True)
 def test_append_chain_equals_a_full_pass(seed, shape, eps, minpts, steps, use_densebox):
     rng = np.random.default_rng(seed)
     view = _base(shape, rng, eps, minpts)
     prior = mrscan_gpu(PointSet.from_coords(view), eps, minpts)
+    summary = _summary(PointSet.from_coords(view), prior, eps)
     for step in range(steps):
         batch = np.asarray(_batch(shape, step, rng, eps, minpts, view), dtype=np.float64)
         # The batch's rows land at random positions of the new view.
         n = len(view) + len(batch)
-        order = np.sort(rng.choice(n, size=len(view), replace=False))
+        order = _insert(shape, rng, len(view), n)
         inserted = np.ones(n, dtype=bool)
         inserted[order] = False
         new_view = np.empty((n, 2))
@@ -125,31 +195,58 @@ def test_append_chain_equals_a_full_pass(seed, shape, eps, minpts, steps, use_de
         )
         want = mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
         _assert_equal(got, want)
+        candidates = _candidates(summary, order, prior.core_mask, got.core_mask)
+        summary = _summary(points, got, eps, candidates)
+        _assert_same_summary(summary, _summary(points, want, eps))
         view, prior = new_view, got
 
 
 def test_the_pinned_shapes_do_what_they_say():
-    """The promote and bridge draws really promote a border and join two
-    components, and the far draw inserts a noise point."""
+    """The promote draw promotes a border to a representative, the bridge
+    and merge-in-cell draws join two components (the latter inside one
+    Eps cell), the far draw inserts a noise point, the tie draw's leading
+    copies displace every representative they tie, and the claims-only
+    draw keeps a cell of the cluster with claims but no core."""
     eps, minpts = 0.25, 4
+    # Row minpts is the promote draw's border point (after minpts - 1
+    # clump rows and the core), and the merge draws' second clump's first.
     for shape, check in (
-        # Row minpts is the border point (after minpts - 1 clump rows and the core).
-        ("promote", lambda old, new: not old.core_mask[minpts] and new.core_mask[minpts]),
-        ("bridge", lambda old, new: (
-            old.labels[0] != old.labels[minpts] and new.labels[0] == new.labels[minpts]
+        ("promote", lambda old, new, old_summary, summary, at: (
+            not old.core_mask[minpts] and new.core_mask[at[minpts]]
+            and at[minpts] in summary.rep_ids
         )),
-        ("far", lambda old, new: new.labels[-1] == -1),
+        ("bridge", lambda old, new, old_summary, summary, at: (
+            old.labels[0] != old.labels[minpts] and new.labels[at[0]] == new.labels[at[minpts]]
+        )),
+        ("merge_in_cell", lambda old, new, old_summary, summary, at: (
+            old.labels[0] != old.labels[minpts] and new.labels[at[0]] == new.labels[at[minpts]]
+        )),
+        ("far", lambda old, new, old_summary, summary, at: new.labels[-1] == -1),
+        ("tie", lambda old, new, old_summary, summary, at: (
+            len(summary.rep_ids) >= len(old_summary.rep_ids) > 0
+            and not np.isin(summary.rep_ids, at).any()
+        )),
+        ("claims_only", lambda old, new, old_summary, summary, at: all(
+            ((s.n_rep == 0) & (s.n_noncore > 0)).any() for s in (old_summary, summary)
+        )),
     ):
         rng = np.random.default_rng(7)
         view = _base(shape, rng, eps, minpts)
         old = mrscan_gpu(PointSet.from_coords(view), eps, minpts)
-        grown = np.concatenate((view, _batch(shape, 0, rng, eps, minpts, view)))
+        batch = np.asarray(_batch(shape, 0, rng, eps, minpts, view), dtype=np.float64)
+        n = len(view) + len(batch)
+        at = _insert(shape, rng, len(view), n) if shape == "tie" else np.arange(len(view))
+        grown = np.empty((n, 2))
+        grown[at] = view
+        grown[np.setdiff1d(np.arange(n), at)] = batch
+        points = PointSet.from_coords(grown)
         new = mrscan_gpu_append(
-            PointSet.from_coords(grown), eps, minpts, old_rows=np.arange(len(view)),
-            labels=old.labels, core_mask=old.core_mask, claims=old.claims,
-            claim_d2=old.claim_d2,
+            points, eps, minpts, old_rows=at, labels=old.labels, core_mask=old.core_mask,
+            claims=old.claims, claim_d2=old.claim_d2,
         )
-        assert check(old, new), shape
+        old_summary = _summary(PointSet.from_coords(view), old, eps)
+        summary = _summary(points, new, eps)
+        assert check(old, new, old_summary, summary, at), shape
 
 
 def test_prior_arrays_are_only_read():

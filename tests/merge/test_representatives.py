@@ -109,6 +109,48 @@ def test_property_batch_equals_scalar_per_segment(seed, sizes, eps, lattice):
         assert np.array_equal(np.unique(row) - s, want)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parts=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    n_new=st.integers(0, 10),
+    eps=st.sampled_from([0.5, 1e-3, 7.0]),
+    lattice=st.booleans(),
+    tie_before=st.booleans(),
+)
+def test_property_union_representatives_come_from_the_parts(
+    seed, parts, n_new, eps, lattice, tie_before
+):
+    """Each target's nearest point over a union is the nearest of one part,
+    and the lowest row among equals is the lowest of its part: selecting
+    over the parts' representatives plus the new points picks exactly what
+    selecting over every point picks.  A new copy of one representative
+    sits right before or right after it, so it ties that representative
+    at every target."""
+    rng = np.random.default_rng(seed)
+    cell = rng.integers(-4, 5, size=2)
+    bounds = np.concatenate((cell * eps, (cell + 1) * eps))[None]
+    n = sum(parts) + n_new
+    unit = rng.integers(0, 5, size=(n, 2)) / 4 if lattice else rng.random((n, 2))
+    coords = (cell + unit) * eps
+    # Part of every row (-1: new), shuffled into one view.
+    part = np.concatenate((np.repeat(np.arange(len(parts)), parts), np.full(n_new, -1)))
+    shuffle = rng.permutation(len(part))
+    coords, part = coords[shuffle], part[shuffle]
+
+    def reps_of(rows: np.ndarray) -> np.ndarray:
+        return rows[select_representatives_batch(coords[rows], [0], bounds)[0]]
+
+    reps = np.concatenate([reps_of(np.flatnonzero(part == p)) for p in range(len(parts))])
+    tied = int(rng.choice(reps))
+    at = tied if tie_before else tied + 1
+    coords = np.insert(coords, at, coords[tied], axis=0)
+    part = np.insert(part, at, -1)
+    reps = reps + (reps >= at)  # the rows after the copy moved down one
+    candidates = np.union1d(reps, np.flatnonzero(part == -1))
+    assert np.array_equal(reps_of(candidates), reps_of(np.arange(len(part))))
+
+
 def test_batch_selection_degenerate_inputs():
     none = select_representatives_batch(np.empty((0, 2)), [], np.empty((0, 4)))
     assert none.shape == (0, N_REPRESENTATIVES)

@@ -15,7 +15,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.config import MrScanConfig
 from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, mrscan
 from repro.dbscan.labels import clustering_signature
-from repro.durability.checkpoints import LeafCheckpointStore
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError, OperationCancelledError, RetryExhaustedError
 from repro.mrnet import LocalTransport, Topology
@@ -107,6 +106,11 @@ def _outputs_digest(state: ServeState) -> str:
         for array in (out.labels, out.core_mask, out.claims, out.claim_d2):
             digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
+
+
+def _spill_bytes(root) -> dict[str, bytes]:
+    """Every file of a leaf spill store, by name."""
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
 
 
 def _claim_set(claims: np.ndarray, d2: np.ndarray) -> tuple[bytes, bytes]:
@@ -395,6 +399,8 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
     )
     before = state._snap()
     outputs, digest = dict(state.outputs), _outputs_digest(state)
+    booted = _spill_bytes(spills)
+    assert len(booted) == 2 * config.n_leaves  # a blob and a manifest per leaf
     # The fault joins after bootstrap, whose merge would die on it too.
     state.config = replace(
         _root_reduce_fault(config, permanent=True), max_retries=0, failover=False
@@ -406,15 +412,46 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
     # The failed run appended to the committed outputs without touching them.
     assert all(state.outputs[pid] is out for pid, out in outputs.items())
     assert _outputs_digest(state) == digest
-    # Clean leaves keep their bootstrap spills; the dirty leaves' spills,
-    # written over the candidate partitions, stay invalidated.
-    store = LeafCheckpointStore(spills)
-    assert {pid for pid in range(config.n_leaves) if not store.has(pid)} == dirty
+    # An ingest never spills: the store is as bootstrap wrote it.
+    assert _spill_bytes(spills) == booted
     # The retry appends to the same outputs, and lands where the twin did.
     state.config = config
     state.ingest(batch)
     assert all(state.outputs[pid].appended for pid in dirty)
     assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
+    assert _spill_bytes(spills) == booted
+
+
+def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
+    base, config, transport, tmp_path
+):
+    """With spills on, a dirty leaf that crashes after its work is retried
+    from its committed output, not replayed from a spill: it appends
+    again, counts as re-clustered, and the labels are the fault-free
+    twin's."""
+    batch = _local_batch(base, 100, 10)
+    twin = ServeState(base, config, transport=borrow_transport(transport))
+    want = twin.ingest(batch)
+    telemetry = Telemetry()
+    state = ServeState(
+        base, config, transport=borrow_transport(transport), telemetry=telemetry,
+        checkpoint_dir=str(tmp_path / "leaves"),
+    )
+    # The ingest's map tree has one leaf node per dirty leaf, in leaf order.
+    node = Topology.paper_style(len(want.dirty_leaves), config.fanout).leaves()[0]
+    plan = FaultPlan(faults=(FaultSpec(node=node, phase="cluster", point="after"),))
+    state.config = replace(config, fault_plan=plan, backoff_base=0.0)
+    telemetry.tracer.drain()
+    got = state.ingest(batch)
+    faults = [i for i in telemetry.tracer.instants() if i.name == "fault"]
+    assert [(f.args["phase"], f.args["action"]) for f in faults] == [("cluster", "retry")]
+    modes = [s.args["mode"] for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
+    assert modes == ["append"] * len(want.dirty_leaves)
+    assert got.dirty_leaves == want.dirty_leaves
+    assert got.n_reclustered == want.n_reclustered == len(want.dirty_leaves)
+    assert all(state.outputs[pid].appended for pid in got.dirty_leaves)
+    assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
+    assert state._snap().core_mask.tobytes() == twin._snap().core_mask.tobytes()
 
 
 def test_merge_root_crash_is_retried_to_the_fault_free_labels(base, config, transport):

@@ -7,9 +7,10 @@ with the WAL and leaf spills on and the ``local`` transport, then prints
 one JSON line of per-ingest medians and quartiles: the whole ingest, the
 traced ``cluster`` / ``merge`` / ``sweep`` phase spans that
 ``cluster_merge_sweep`` records (the names a batch run's phases carry),
-and the ``leaf.cluster`` seconds of each leaf-engine mode (``append``: a
+the ``leaf.cluster`` seconds of each leaf-engine mode (``append``: a
 dirty leaf updated from its last output; ``full``: a whole-view pass),
-summed per ingest and per leaf.
+summed per ingest and per leaf, and the ``leaf.summarize`` seconds beside
+them, per ingest and per leaf.
 
     PYTHONPATH=src python tools/serve_profile.py                     # 150k resident
     PYTHONPATH=src python tools/serve_profile.py --resident 1000000 --batches 16
@@ -74,6 +75,8 @@ def main() -> None:
         # leaf.cluster seconds by engine mode, per ingest and per leaf.
         per_ingest: dict[str, list[float]] = {}
         per_leaf: dict[str, list[float]] = {}
+        summarize_per_ingest: list[float] = []
+        summarize_per_leaf: list[float] = []
         for batch in batches:
             t0 = time.perf_counter()
             state.ingest(batch)
@@ -89,6 +92,9 @@ def main() -> None:
                     ingest[mode] = ingest.get(mode, 0.0) + span.dur
             for mode, seconds in ingest.items():
                 per_ingest.setdefault(mode, []).append(seconds)
+            summarize = [span.dur for span in spans if span.name == "leaf.summarize"]
+            summarize_per_leaf.extend(summarize)
+            summarize_per_ingest.append(sum(summarize))
     merge_sweep = [m + s for m, s in zip(per_span["merge"], per_span["sweep"])]
     print(json.dumps({
         "workload": args.workload,
@@ -99,6 +105,8 @@ def main() -> None:
         "merge_plus_sweep_s": _quartiles(merge_sweep),
         "leaf_cluster_s_per_ingest": {m: _quartiles(v) for m, v in sorted(per_ingest.items())},
         "leaf_cluster_s_per_leaf": {m: _quartiles(v) for m, v in sorted(per_leaf.items())},
+        "leaf_summarize_s_per_ingest": _quartiles(summarize_per_ingest),
+        "leaf_summarize_s_per_leaf": _quartiles(summarize_per_leaf),
     }))
 
 
