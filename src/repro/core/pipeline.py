@@ -24,6 +24,7 @@ from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.rundir import ResumeState, RunDirectory
 from ..errors import CheckpointError, ConfigError, DeviceMemoryError, ValidationError
 from ..gpu.append import mrscan_gpu_append
+from ..gpu.densebox import CellIndex
 from ..gpu.mrscan_gpu import mrscan_gpu
 from ..io.lustre import IOTrace
 from ..merge.merger import MergeFilter
@@ -62,8 +63,8 @@ _DEVICE_BYTES_PER_POINT = 33
 class _LeafPrior:
     """A leaf's previous output, as its append path reads it: the ids of
     the view it was clustered from (own rows, then shadow rows, each
-    ascending), that output's labels, core mask and claims with d², and
-    the ids of its summary's representatives."""
+    ascending), that output's labels, core mask, claims with d² and cell
+    index, and the ids of its summary's representatives."""
 
     own_ids: np.ndarray
     shadow_ids: np.ndarray
@@ -71,11 +72,12 @@ class _LeafPrior:
     core_mask: np.ndarray
     claims: np.ndarray
     claim_d2: np.ndarray
+    index: CellIndex
     rep_ids: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (
+        return self.index.nbytes + sum(a.nbytes for a in (
             self.own_ids, self.shadow_ids, self.labels, self.core_mask,
             self.claims, self.claim_d2, self.rep_ids,
         ))
@@ -198,10 +200,12 @@ class _ClusterLeafOutput:
     #: previous one.
     appended: bool = False
     #: The state an append reads, kept only by :func:`cluster_merge_sweep`:
-    #: the border pass's claims and their d² (from the leaf), and the ids
-    #: of the view (own, shadow) they index (set by the driver).
+    #: the border pass's claims and their d² and the view's cell index
+    #: (from the leaf), and the ids of the view (own, shadow) they index
+    #: (set by the driver).
     claims: np.ndarray | None = field(default=None, repr=False)
     claim_d2: np.ndarray | None = field(default=None, repr=False)
+    index: CellIndex | None = field(default=None, repr=False)
     view_ids: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def prior(self) -> _LeafPrior | None:
@@ -211,7 +215,7 @@ class _ClusterLeafOutput:
             return None
         return _LeafPrior(
             *self.view_ids, self.labels, self.core_mask, self.claims, self.claim_d2,
-            self.summary.rep_ids,
+            self.index, self.summary.rep_ids,
         )
 
 
@@ -273,13 +277,14 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
             n_points=len(view),
         ) as leaf_span:
             if prior is None:
-                engine, state, n_inserted = mrscan_gpu, {}, len(view)
+                engine, n_inserted = mrscan_gpu, len(view)
+                state = {"keep_index": True} if task.keep_state else {}
             else:
                 old_rows = prior.rows_in(own, shadow)
                 engine, n_inserted = mrscan_gpu_append, len(view) - len(old_rows)
                 state = dict(
                     old_rows=old_rows, labels=prior.labels, core_mask=prior.core_mask,
-                    claims=prior.claims, claim_d2=prior.claim_d2,
+                    claims=prior.claims, claim_d2=prior.claim_d2, index=prior.index,
                 )
             leaf_span.set(mode="full" if prior is None else "append", n_inserted=n_inserted)
             chunks = max(1, int(task.memory_chunks))
@@ -313,6 +318,10 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
                 distance_ops=stats.total_distance_ops,
                 kernel_launches=stats.kernel_launches,
             )
+            if prior is not None:
+                leaf_span.set(
+                    cells_read=result.densebox.n_subdivisions, rows_read=result.rows_read
+                )
         with tracer.span(
             "leaf.summarize", cat="gpu", pid=PID_GPU, tid=task.leaf_id
         ):
@@ -355,6 +364,7 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
         appended=prior is not None,
         claims=result.claims if task.keep_state else None,
         claim_d2=result.claim_d2 if task.keep_state else None,
+        index=result.index if task.keep_state else None,
     )
 
 

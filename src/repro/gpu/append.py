@@ -5,25 +5,29 @@ The serve daemon's dirty leaf sees its previous view plus *inserted* rows
 Points only arrive, so an old core stays core and components only merge.
 :func:`mrscan_gpu_append` takes the leaf's previous output and returns what
 :func:`~repro.gpu.mrscan_gpu.mrscan_gpu` over the new view returns — core
-mask, labels, and claim set with d², byte for byte — doing work only around
-the inserted rows:
+mask, labels, and claim set with d², byte for byte — reading only the
+dense-box cells (edge eps/√2) around the inserted rows.  The leaf keeps
+its :class:`~repro.gpu.densebox.CellIndex` beside its output: the view's
+rows grouped by cell, each cell's core count and lowest core row.  The
+append grows that index by the inserted rows (no row of the view is
+sorted, unless an insert leaves the index's key frame and it is built
+afresh) and looks cells up by key:
 
 1. **Rows whose core flag can change** are the inserted rows and the old
-   non-core rows within two dense-box cells (edge eps/√2) of one: a
-   float64 pair within Eps lies at most two cells apart.  The
-   **sub-view** is every row within two cells of those, so it holds
-   each one's whole Eps-neighbourhood.  Its rows are grouped by cell
-   (:class:`_CellIndex`), the same global cells the full pass's dense-box
-   tree has.
+   non-core rows within two cells of one (a float64 pair within Eps lies
+   at most two cells apart); only cells that hold a non-core row are read.
 2. **Core flags.**  A candidate in a dense box (``find_dense_boxes``'
-   test on its cell) is core without a count; the rest are counted
-   exactly over their two-cell stencil with the engines' float64 test.
+   test, on the candidates' cells only) is core without a count; the rest
+   are counted exactly over their two-cell stencil with the engines'
+   float64 test.
 3. **Components.**  Old cores keep their component.  The union-find runs
-   over the sub-view's cells plus the old components, each cell joined
-   to its old cores' component, so a new core joins the cores of its
-   cell with no distance test; only the cell pairs of
-   :meth:`FlatTree.leaf_pairs`' stencil that hold a new core are judged,
-   by the full pass's own :func:`~repro.gpu.mrscan_gpu._join_cells`.
+   over the cells that hold a new core and the core-holding cells of
+   their :meth:`FlatTree.leaf_pairs` stencil, plus the old components
+   those cells hold, each such cell joined to its old component through
+   its lowest core row (a cell is a clique).  Cell pairs whose cells
+   already share a root are dropped, and only the rest are judged, over
+   their cells' cores, by the full pass's own
+   :func:`~repro.gpu.mrscan_gpu._join_cells`.
 4. **Claims** are the old claims whose row stayed non-core, plus every
    pair the full pass's Eps-cell walk would find that holds a new core or
    an inserted row.  Borders and the numbering then come from
@@ -34,22 +38,23 @@ the inserted rows:
 
 The result's ``stats`` count the work the append did: ``pass1_ops`` and
 ``pass2_ops`` are the distances it evaluated (counting; components and
-claims), launches, batches and transfers are those of its sub-view, and
-``n_points`` and ``n_core`` describe the whole view.  ``densebox`` holds
-the dense boxes of the sub-view, indexed over the whole view.
+claims), a launch per batch and per union-find round, one host→device copy
+of the inserted rows and the index's cell table, one device→host copy of
+the rows it read; ``n_points`` and ``n_core`` describe the whole view.
+``densebox`` holds the dense boxes among the candidates' cells, indexed
+over the whole view, and its ``n_subdivisions`` counts the cells read;
+``rows_read`` counts their rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from functools import lru_cache
 
 import numpy as np
 
-from ..dbscan.disjoint_set import union_edges
 from ..errors import ConfigError
 from ..points import NOISE, PointSet
-from ..sorting import stable_order
-from .densebox import DenseBoxResult, densebox_edge
+from .densebox import CELL_REACH, CellIndex, DenseBoxResult, densebox_edge
 from .device import SimulatedDevice
 from .kernels import iter_position_batches
 from .mrscan_gpu import (
@@ -64,92 +69,23 @@ from .mrscan_gpu import (
     _stage,
     _unstage,
 )
-from .treeindex import _MAX_AXIS_BITS, box_extents
+from .treeindex import box_extents
 
 __all__ = ["mrscan_gpu_append"]
 
-#: Dense-box cells (edge eps/√2) between the two points of a float64 pair
-#: within Eps, at most: ``floor(coord / edge)`` keeps a gap of up to √2
-#: edges within two cells.
-_REACH = 2
+_SPAN = np.arange(-CELL_REACH, CELL_REACH + 1)
+_DX, _DY = (d.ravel() for d in np.meshgrid(_SPAN, _SPAN, indexing="ij"))
 
 
-def _near(cx: np.ndarray, cy: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """Mask of the cells ``(cx, cy)`` within :data:`_REACH` cells (per
-    axis) of a cell ``(ax, ay)``: the latter's stencils packed as keys
-    over their bounding box, and one key lookup per cell."""
-    lo_x, lo_y = int(ax.min()) - _REACH, int(ay.min()) - _REACH
-    w, h = int(ax.max()) + _REACH - lo_x + 1, int(ay.max()) + _REACH - lo_y + 1
-    rx, ry = cx - lo_x, cy - lo_y
-    # One unsigned test per axis: a negative offset wraps past the box.
-    inside = np.flatnonzero((rx.view(np.uint64) < w) & (ry.view(np.uint64) < h))
-    stencils = ((ax - lo_x) * h + (ay - lo_y))[:, None] + _stencil(h)
-    mask = np.zeros(len(cx), dtype=bool)
-    mask[inside] = np.isin(rx[inside] * h + ry[inside], stencils.ravel())
-    return mask
-
-
-def _stencil(h: int) -> np.ndarray:
-    """Key offsets of the cells within :data:`_REACH` cells (per axis) of
-    a cell, for keys packed as ``x * h + y``."""
-    span = np.arange(-_REACH, _REACH + 1)
-    return (span[:, None] * h + span[None, :]).ravel()
-
-
-class _CellIndex:
-    """Rows grouped by their cell ``(cx, cy)``: ``order`` sorts them by
-    cell, and cell ``i`` (of sorted packed ``keys``) is the run
-    ``order[start[i]:start[i] + count[i]]``; ``cell`` is each row's."""
-
-    def __init__(self, cx: np.ndarray, cy: np.ndarray) -> None:
-        x0, y0 = int(cx.min(initial=0)) - _REACH, int(cy.min(initial=0)) - _REACH
-        self.h = int(cy.max(initial=0)) - y0 + _REACH + 1  # stencil offsets never wrap
-        self.key = key = (cx - x0) * self.h + (cy - y0)
-        self.order = stable_order(key, int(key.max(initial=0)).bit_length())
-        ranked = key[self.order]
-        head = np.flatnonzero(np.diff(ranked, prepend=-1))
-        self.keys, self.start = ranked[head], head
-        self.count = np.diff(head, append=len(ranked))
-        self.cell = np.empty(len(key), dtype=np.int64)
-        self.cell[self.order] = np.repeat(np.arange(len(head)), self.count)
-
-    def _find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cell index of each probed key, and whether it exists."""
-        at = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
-        return at, self.keys[at] == probe
-
-    def near_pairs(
-        self, coords: np.ndarray, rows: np.ndarray, batch_pairs: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every row within :data:`_REACH` cells of each of ``rows``, in
-        batches of ``(u, col, d2)``: ``u`` indexes ``rows``, and ``d2`` is
-        the float64 ``dx*dx + dy*dy`` of row minus column, the engines'
-        expression.  A direct stencil: the handful of rows an append asks
-        about would not repay building a tree."""
-        offsets = _stencil(self.h)
-        at, hit = self._find((self.key[rows][:, None] + offsets).ravel())
-        for u, v in iter_position_batches(
-            np.repeat(np.arange(len(rows)), len(offsets)), np.ones(len(at), dtype=np.int64),
-            self.start[at], np.where(hit, self.count[at], 0), batch_pairs=batch_pairs,
-        ):
-            a, b = rows[u], self.order[v]
-            dx = coords[a, 0] - coords[b, 0]
-            dy = coords[a, 1] - coords[b, 1]
-            yield u, b, dx * dx + dy * dy
-
-    def pairs(self, cells: np.ndarray, edge: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each of ``cells`` against every cell within its interaction
-        stencil: :meth:`FlatTree.leaf_pairs`' test — the gap between the
-        two cells, ``(|Δ| - 1)`` edges per axis, under ``radius`` — over
-        cells of ``edge``, within :data:`_REACH` cells."""
-        span = np.arange(-_REACH, _REACH + 1)
-        gap = (np.abs(span) - 1).clip(min=0) * edge
-        dx, dy = np.meshgrid(span, span, indexing="ij")
-        gx, gy = np.meshgrid(gap, gap, indexing="ij")
-        near = (gx * gx + gy * gy < radius * radius) & ((dx != 0) | (dy != 0))
-        offsets = (dx * self.h + dy)[near]
-        at, hit = self._find((self.keys[cells][:, None] + offsets).ravel())
-        return np.repeat(cells, len(offsets))[hit], at[hit]
+@lru_cache(maxsize=64)
+def _pair_offsets(edge: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cell offsets of :meth:`FlatTree.leaf_pairs`' stencil, the cell
+    itself left out: the gap between two cells, ``(|Δ| - 1)`` edges per
+    axis, under ``radius``."""
+    gx = (np.abs(_DX) - 1).clip(min=0) * edge
+    gy = (np.abs(_DY) - 1).clip(min=0) * edge
+    near = (gx * gx + gy * gy < radius * radius) & ((_DX != 0) | (_DY != 0))
+    return _DX[near], _DY[near]
 
 
 def mrscan_gpu_append(
@@ -162,6 +98,7 @@ def mrscan_gpu_append(
     core_mask: np.ndarray,
     claims: np.ndarray,
     claim_d2: np.ndarray,
+    index: CellIndex,
     device: SimulatedDevice | None = None,
     use_densebox: bool = True,
     memory_chunks: int = 1,
@@ -170,9 +107,11 @@ def mrscan_gpu_append(
 
     ``labels``, ``core_mask``, ``claims`` and ``claim_d2`` are a previous
     result over the old view (:func:`~repro.gpu.mrscan_gpu.mrscan_gpu` or
-    this function); ``old_rows[i]`` is the position in ``points`` of the old
-    view's row ``i``.  Every other row is inserted.  The previous arrays are
-    only read.  ``use_densebox`` and ``memory_chunks`` act as in
+    this function), and ``index`` that result's cell index;
+    ``old_rows[i]`` is the position in ``points`` of the old
+    view's row ``i``, ascending.  Every other row is inserted.  The
+    previous arrays and index are only read; the result carries the new
+    view's index.  ``use_densebox`` and ``memory_chunks`` act as in
     ``mrscan_gpu``; neither changes the result.
     """
     if eps <= 0:
@@ -191,125 +130,159 @@ def mrscan_gpu_append(
     inserted[old_rows] = False
     core = np.zeros(n, dtype=bool)
     core[old_rows] = core_mask
-    # Old components, by their old labels: the union-find's seeds.
-    n_comp = int(labels.max(initial=NOISE)) + 1
-    seed = np.full(n, -1, dtype=np.int64)
-    seed[old_rows[core_mask]] = labels[core_mask]
-    claims = old_rows[claims]
+    ins = np.flatnonzero(inserted)
+    cells = index.grown(old_rows, ins, coords[ins])
+    if cells is None:  # an insert beyond the index's key frame
+        cells = CellIndex.build(coords, densebox_edge(eps), core)
+    batch_pairs = _stage(device, coords[ins], 16 * len(cells.keys), memory_chunks)
+    start, count = cells.start, cells.count
+    block = cells.offsets(_DX, _DY)
+    read = np.zeros(len(cells.keys), dtype=bool)
 
-    # Rows whose core flag can change, and the sub-view around them.
-    cand, rows = inserted, np.empty(0, dtype=np.int64)
-    edge = densebox_edge(eps)
-    cx = np.floor(coords[:, 0] / edge).astype(np.int64)
-    cy = np.floor(coords[:, 1] / edge).astype(np.int64)
-    # A view the full pass's dense-box tree cannot key, refused alike.
-    span = max(int(np.ptp(cx)), int(np.ptp(cy))) if n else 0
-    if span.bit_length() > _MAX_AXIS_BITS:
-        raise ConfigError(f"cell width {edge} is too small for the coordinate span")
-    if inserted.any():
-        ins, was_border = np.flatnonzero(inserted), old_rows[~core_mask]
-        cand = inserted.copy()
-        cand[was_border[_near(cx[was_border], cy[was_border], cx[ins], cy[ins])]] = True
-        rows = np.flatnonzero(_near(cx, cy, cx[cand], cy[cand]))
-    sc, s_cx, s_cy = coords[rows], cx[rows], cy[rows]
-    s_cand, s_core = cand[rows], core[rows]
+    def gather(which: np.ndarray) -> np.ndarray:
+        read[which] = True
+        return cells.gather(which)
 
-    # The sub-view's dense-box cells: its rows sorted by cell, one run each.
-    cells = _CellIndex(s_cx, s_cy)
-    n_cells = len(cells.keys)
-    batch_pairs = _stage(device, sc, 16 * n_cells, memory_chunks)
-    in_box = np.zeros(len(rows), dtype=bool)
+    def near_pairs(rows: np.ndarray):
+        """Every row within two cells of each of ``rows``, in batches of
+        ``(u, col, d2)``: ``u`` indexes ``rows``, and ``d2`` is the float64
+        ``dx*dx + dy*dy`` of row minus column, the engines' expression."""
+        i, at = cells.stencil(cells.locate(coords[rows]), block)
+        read[at] = True
+        for u, v in iter_position_batches(
+            i, np.ones(len(i), dtype=np.int64), start[at], count[at], batch_pairs=batch_pairs
+        ):
+            a, b = rows[u], cells.order[v]
+            dx = coords[a, 0] - coords[b, 0]
+            dy = coords[a, 1] - coords[b, 1]
+            yield u, b, dx * dx + dy * dy
+
+    def noncore_near(which: np.ndarray, is_core: np.ndarray, n_core: np.ndarray) -> np.ndarray:
+        """The non-core rows within two cells of the cells ``which``."""
+        near = np.unique(cells.stencil(np.unique(which), block)[1])
+        rows = gather(near[n_core[near] < count[near]])
+        return rows[~is_core[rows]]
+
+    # --- candidates: inserted rows, and old non-core rows beside one ----
+    cand = np.union1d(ins, noncore_near(cells.locate(coords[ins]), core, cells.n_core))
+    cand_cell = cells.locate(coords[cand])
     box_id = np.full(n, -1, dtype=np.int64)
-    if use_densebox and len(rows):
-        # find_dense_boxes' test: MinPts members whose extent is within Eps.
-        x, y = sc[cells.order, 0], sc[cells.order, 1]
-        x0, x1, y0, y1 = box_extents((x, x, y, y), cells.start)
-        dx, dy = x1 - x0, y1 - y0
-        dense = (cells.count >= minpts) & (dx * dx + dy * dy <= eps * eps)
-        box_of_cell = np.cumsum(dense) - 1
-        box_of_cell[~dense] = -1
-        in_box = dense[cells.cell]
-        box_id[rows] = box_of_cell[cells.cell]
-    new = s_cand & in_box
-    stats.n_boxes = len(np.unique(box_id[rows[new]]))
-    stats.n_eliminated = int(new.sum())
+    in_box = np.zeros(len(cand), dtype=bool)
+    if use_densebox and len(cand):
+        # find_dense_boxes' test on the candidates' cells: MinPts members
+        # whose extent is within Eps.
+        populous = np.unique(cand_cell)
+        populous = populous[count[populous] >= minpts]
+        if len(populous):
+            rows = gather(populous)
+            x, y = coords[rows, 0], coords[rows, 1]
+            x0, x1, y0, y1 = box_extents(
+                (x, x, y, y), np.cumsum(count[populous]) - count[populous]
+            )
+            dx, dy = x1 - x0, y1 - y0
+            dense = populous[dx * dx + dy * dy <= eps * eps]
+            in_box = np.isin(cand_cell, dense)
+            box_id[gather(dense)] = np.repeat(np.arange(len(dense)), count[dense])
+            stats.n_boxes = len(dense)
+    new = in_box.copy()
+    stats.n_eliminated = int(in_box.sum())
 
     # --- core flags: the candidates no dense box settles, counted -------
     eps2 = float(eps) * float(eps)
-    recount = np.flatnonzero(s_cand & ~in_box)
+    recount = np.flatnonzero(~in_box)
     if len(recount):
         counts = np.zeros(len(recount), dtype=np.int64)
         count_batches = []
-        for u, _, d2 in cells.near_pairs(sc, recount, batch_pairs):
+        for u, _, d2 in near_pairs(cand[recount]):
             count_batches.append(len(u))
             counts += np.bincount(u[d2 <= eps2], minlength=len(recount))
         new[recount[counts >= minpts]] = True
         stats.pass1_ops = sum(count_batches)
         stats.csr_batches += len(count_batches)
         _charge_batches(device, count_batches, stats.pass1_ops)
-    s_core = s_core | new
+    new_rows, new_cell = cand[new], cand_cell[new]
+    is_core = core.copy()
+    is_core[new_rows] = True
+    n_core = cells.n_core + np.bincount(new_cell, minlength=len(cells.keys))
 
     # --- components: new cores unioned into the old ones ----------------
-    # Union-find nodes: the sub-view's cells, then the old components.  A
-    # cell starts joined to its old cores' component (one per cell: a cell
-    # is a clique), so only cell pairs holding a new core are judged.
-    parent = np.arange(n_cells + n_comp)
-    new_root = np.empty(0, dtype=np.int64)
-    if new.any():
-        s_seed = seed[rows]
-        cores = cells.order[s_core[cells.order]]  # grouped by cell
-        ccell, cseed = cells.cell[cores], s_seed[cores]
-        old = cseed >= 0
-        run = np.flatnonzero(np.diff(ccell[old] * n_comp + cseed[old], prepend=-1))
-        parent, uf_rounds = union_edges(parent, ccell[old][run], n_cells + cseed[old][run])
-        a, b = cells.pairs(np.unique(cells.cell[new]), edge, eps)
-        parent, rounds, uf_batches = _join_cells(sc[cores], ccell, parent, a, b, eps, batch_pairs)
-        uf_rounds += rounds
-        new_root = parent[cells.cell[new]]
+    # Union-find nodes: the cells holding a new core and the core-holding
+    # cells of their pair stencil, then the old components those hold.
+    # Each cell starts joined to its old cores' component, so only cell
+    # pairs still apart after that are judged.
+    n_comp = int(labels.max(initial=NOISE)) + 1
+    comp = np.arange(n_comp + 1)
+    comp[-1] = NOISE  # so that comp[NOISE] is NOISE
+    out = np.full(n, NOISE, dtype=np.int64)
+    if len(new_rows):
+        grown_cells = np.unique(new_cell)
+        i, b = cells.stencil(grown_cells, cells.offsets(*_pair_offsets(cells.edge, eps)))
+        held = n_core[b] > 0
+        a, b = grown_cells[i[held]], b[held]
+        nodes = np.union1d(grown_cells, b)
+        seeded = nodes[cells.core_row[nodes] >= 0]
+        old_core = np.searchsorted(old_rows, cells.core_row[seeded])
+        touched, seed = np.unique(labels[old_core], return_inverse=True)
+        m = len(nodes)
+        # A seeded cell hangs off its component's node: a compressed forest.
+        parent = np.arange(m + len(touched))
+        parent[np.searchsorted(nodes, seeded)] = m + seed
+        a, b = np.searchsorted(nodes, a), np.searchsorted(nodes, b)
+        live = parent[a] != parent[b]
+        a, b = a[live], b[live]
+        judged = np.union1d(a, b)
+        rows = gather(nodes[judged])
+        node = np.repeat(judged, count[nodes[judged]])
+        held = is_core[rows]
+        parent, uf_rounds, uf_batches = _join_cells(
+            coords[rows[held]], node[held], parent, a, b, eps, batch_pairs
+        )
         stats.pass2_ops = sum(uf_batches)
         stats.csr_batches += len(uf_batches)
         _charge_batches(device, uf_batches, stats.pass2_ops)
         for _ in range(uf_rounds):
-            device.launch(blocks=_batch_blocks(device, len(cores)))
-    out_core = core.copy()
-    out_core[rows[new]] = True
-    out = np.full(n, NOISE, dtype=np.int64)
-    out[old_rows[core_mask]] = parent[n_cells + labels[core_mask]]
-    out[rows[new]] = new_root
+            device.launch(blocks=_batch_blocks(device, int(held.sum())))
+        comp[touched] = n_comp + parent[m:]
+    # An old border takes its cluster's new label too, but it keeps its
+    # claims, so the border step below gives it its label again.
+    out[old_rows] = comp[labels]
+    if len(new_rows):
+        out[new_rows] = n_comp + parent[np.searchsorted(nodes, new_cell)]
 
     # --- claims: the old ones still standing, and the fresh ones --------
     # A fresh claim has an inserted row or a new core.  The full pass
     # walks its Eps-cell tree, whose stencil is the 3×3 Eps-cells, so a
     # fresh pair is one within Eps and one Eps-cell apart at most.
-    claim_rows = ~s_core & inserted[rows]
-    if new.any():
-        nc = np.flatnonzero(~s_core)
-        claim_rows[nc[_near(s_cx[nc], s_cy[nc], s_cx[new], s_cy[new])]] = True
-    keep = ~out_core[claims[:, 0]]
+    claims = old_rows[claims]
+    keep = ~is_core[claims[:, 0]]
     claims, claim_d2 = [claims[keep]], [claim_d2[keep]]
-    claim_rows = np.flatnonzero(claim_rows)
-    if len(claim_rows) and s_core.any():
-        ex, ey = np.floor(sc[:, 0] / eps), np.floor(sc[:, 1] / eps)
-        for u, b, d2 in cells.near_pairs(sc, claim_rows, batch_pairs):
-            a = claim_rows[u]
-            r, c = rows[a], rows[b]
-            fresh = (
-                (d2 <= eps2) & s_core[b] & (inserted[r] | ~core[c])
-                & (np.abs(ex[a] - ex[b]) <= 1) & (np.abs(ey[a] - ey[b]) <= 1)
-            )
-            claims.append(np.stack((r[fresh], c[fresh]), axis=1))
-            claim_d2.append(d2[fresh])
+    claim_rows = ins[~is_core[ins]]
+    if len(new_rows):
+        claim_rows = np.union1d(claim_rows, noncore_near(new_cell, is_core, n_core))
+    if len(claim_rows) and is_core.any():
+        for u, c, d2 in near_pairs(claim_rows):
+            r = claim_rows[u]
+            fresh = np.flatnonzero((d2 <= eps2) & is_core[c] & (inserted[r] | ~core[c]))
+            r, c, d2 = r[fresh], c[fresh], d2[fresh]
+            ex = np.floor(coords[r] / eps) - np.floor(coords[c] / eps)
+            adjacent = (np.abs(ex) <= 1).all(axis=1)
+            claims.append(np.stack((r[adjacent], c[adjacent]), axis=1))
+            claim_d2.append(d2[adjacent])
             stats.pass2_ops += len(u)
             stats.csr_batches += 1
             device.launch(blocks=_batch_blocks(device, len(u)))
     claims, claim_d2 = np.concatenate(claims), np.concatenate(claim_d2)
     _assign_borders(out, claims, claim_d2)
-    _unstage(device, len(rows), memory_chunks)
+    rows_read = int(count[read].sum())
+    _unstage(device, rows_read, memory_chunks)
 
     _canonical_remap(out)
-    _finish_stats(stats, device, out_core)
-    densebox = DenseBoxResult(box_id=box_id, n_boxes=stats.n_boxes, n_subdivisions=n_cells)
+    _finish_stats(stats, device, is_core)
+    densebox = DenseBoxResult(
+        box_id=box_id, n_boxes=stats.n_boxes, n_subdivisions=int(read.sum())
+    )
     return GPUClusterResult(
-        labels=out, core_mask=out_core, densebox=densebox, stats=stats,
-        claims=claims, claim_d2=claim_d2,
+        labels=out, core_mask=is_core, densebox=densebox, stats=stats,
+        claims=claims, claim_d2=claim_d2, index=cells.with_cores(new_rows, new_cell),
+        rows_read=rows_read,
     )

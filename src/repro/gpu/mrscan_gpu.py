@@ -64,7 +64,13 @@ from ..dbscan.disjoint_set import first_appearance_labels, union_edges
 from ..errors import ConfigError
 from ..points import NOISE, PointSet
 from ..sorting import stable_order
-from .densebox import DenseBoxResult, build_densebox_tree, find_dense_boxes
+from .densebox import (
+    CellIndex,
+    DenseBoxResult,
+    build_densebox_tree,
+    densebox_edge,
+    find_dense_boxes,
+)
 from .device import SimulatedDevice
 from .kernels import (
     DEFAULT_BATCH_PAIRS,
@@ -87,7 +93,7 @@ class MrScanGPUStats:
 
     A full pass charges pass 1 and pass 2 by the candidate model below;
     an append (:func:`repro.gpu.append.mrscan_gpu_append`) charges the
-    distances it evaluated on its sub-view."""
+    distances it evaluated in the cells it read."""
 
     n_points: int = 0
     n_core: int = 0
@@ -120,7 +126,11 @@ class GPUClusterResult:
     ``(non-core point, core point)`` index pairs within Eps that the
     border pass found, in no particular order, for
     :func:`repro.merge.summarize_leaf` to summarise without walking again;
-    ``claim_d2`` holds their squared distances, row for row.
+    ``claim_d2`` holds their squared distances, row for row.  ``index``
+    is the view's :class:`~repro.gpu.densebox.CellIndex` with this
+    result's core flags, when asked for (a full pass's ``keep_index``; an
+    append always returns it), and ``rows_read`` the rows an append
+    gathered from it (the cells are ``densebox.n_subdivisions``).
     """
 
     labels: np.ndarray
@@ -129,6 +139,8 @@ class GPUClusterResult:
     stats: MrScanGPUStats
     claims: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
     claim_d2: np.ndarray = field(default_factory=lambda: np.empty(0))
+    index: CellIndex | None = None
+    rows_read: int = 0
 
     @property
     def n_clusters(self) -> int:
@@ -532,6 +544,7 @@ def mrscan_gpu(
     device: SimulatedDevice | None = None,
     use_densebox: bool = True,
     memory_chunks: int = 1,
+    keep_index: bool = False,
 ) -> GPUClusterResult:
     """Cluster one partition with Mr. Scan's GPU DBSCAN.
 
@@ -551,6 +564,10 @@ def mrscan_gpu(
         transfers and synchronous round trips (and shrinks the
         pair-batch scratch); the arithmetic (and the labels) are
         bit-identical regardless of chunking.
+    keep_index:
+        Also return the view's cell index (``GPUClusterResult.index``),
+        re-keyed from the dense-box tree's cells: what an append
+        (:func:`repro.gpu.append.mrscan_gpu_append`) grows next.
     """
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
@@ -563,11 +580,14 @@ def mrscan_gpu(
     stats = MrScanGPUStats(n_points=n, memory_chunks=int(memory_chunks))
     if n == 0:
         empty = DenseBoxResult(box_id=np.empty(0, dtype=np.int64), n_boxes=0, n_subdivisions=0)
+        core_mask = np.empty(0, dtype=bool)
         return GPUClusterResult(
             labels=np.empty(0, dtype=np.int64),
-            core_mask=np.empty(0, dtype=bool),
+            core_mask=core_mask,
             densebox=empty,
             stats=stats,
+            index=CellIndex.build(points.coords, densebox_edge(eps), core_mask)
+            if keep_index else None,
         )
 
     tree = build_densebox_tree(points, eps, minpts)
@@ -604,4 +624,5 @@ def mrscan_gpu(
     return GPUClusterResult(
         labels=labels, core_mask=core_mask, densebox=densebox, stats=stats,
         claims=claims, claim_d2=d2,
+        index=CellIndex.from_tree(tree, core_mask) if keep_index else None,
     )

@@ -13,8 +13,9 @@ modelled pass-1/pass-2 operation counts byte-identical.
 
 ``neighbor_pairs`` / ``csr_neighborhoods`` materialise every eps-neighbor
 pair of a leaf from a ``FlatTree``; the tree's property tests check them
-against brute force.  It is not a test module, and nothing under ``src/``
-imports it.
+against brute force.  ``assert_fresh_cell_index`` holds a leaf's carried
+``CellIndex`` to its definition, built from scratch with ``np.unique``.
+It is not a test module, and nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import numpy as np
 
 from repro.dbscan.grid_index import GridIndex
 from repro.dbscan.reference import assign_border_points, core_components
-from repro.gpu.densebox import DenseBoxResult, build_densebox_tree, find_dense_boxes
+from repro.gpu.densebox import (
+    CELL_REACH,
+    DenseBoxResult,
+    build_densebox_tree,
+    densebox_edge,
+    find_dense_boxes,
+)
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernels import DEFAULT_BATCH_PAIRS, expected_scan_ops, iter_position_batches
 from repro.gpu.mrscan_gpu import GPUClusterResult, MrScanGPUStats, _canonical_remap, _chunk_sizes
@@ -324,3 +331,37 @@ def csr_neighborhoods(
         n_batches=pairs.n_batches,
         n_candidates=pairs.n_candidates,
     )
+
+
+# ---------------------------------------------------------------------- #
+# Cell index
+# ---------------------------------------------------------------------- #
+
+
+def assert_fresh_cell_index(index, coords: np.ndarray, eps: float, core_mask: np.ndarray) -> None:
+    """``index`` (a ``CellIndex``) is what its definition gives for the
+    view ``coords`` with core flags ``core_mask``: the dense-box cells in
+    row-major order, each one's rows ascending, row and core counts and
+    lowest core row — and its frame keeps every cell a stencil's reach
+    inside, and its row order takes 4 B a row."""
+    cells = np.floor(coords / densebox_edge(eps)).astype(np.int64)
+    want_cells, cell = np.unique(cells, axis=0, return_inverse=True)
+    cell = cell.ravel()
+    n_cells = len(want_cells)
+    count = np.bincount(cell, minlength=n_cells)
+    core_row = np.full(n_cells, len(coords))
+    np.minimum.at(core_row, cell[core_mask], np.flatnonzero(core_mask))
+    core_row[core_row == len(coords)] = -1
+
+    (x0, y0), (w, h) = index.origin, index.shape
+    ux, uy = index.keys // h, index.keys % h
+    assert np.all(np.diff(index.keys) > 0)
+    assert np.all((ux >= CELL_REACH) & (ux < w - CELL_REACH))
+    assert np.all((uy >= CELL_REACH) & (uy < h - CELL_REACH))
+    assert np.array_equal(np.stack((ux + x0, uy + y0), axis=1), want_cells.reshape(-1, 2))
+    assert index.order.dtype == np.int32
+    assert np.array_equal(index.order, np.argsort(cell, kind="stable"))
+    assert np.array_equal(index.count, count)
+    assert np.array_equal(index.start, np.cumsum(count) - count)
+    assert np.array_equal(index.n_core, np.bincount(cell[core_mask], minlength=n_cells))
+    assert np.array_equal(index.core_row, core_row)

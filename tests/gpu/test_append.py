@@ -4,11 +4,12 @@
 its view plus inserted rows; the contract is byte equality with
 :func:`repro.gpu.mrscan_gpu` on the new view — labels, core mask, and the
 claim set with d².  Each draw is a chain of one to five insertions at
-random view positions, each step appending to the previous step's output;
-each step's summary, searched for representatives among the last
-summary's and the rows that became core, equals the full search's column
-for column.  Tier 1 runs the pinned examples (one per adversarial shape)
-and five derandomized draws; ``MRSCAN_FUZZ=1 pytest -m fuzz`` runs 150.
+random view positions, each step appending to the previous step's output and growing its cell
+index; after each step the index equals one built from scratch, and the
+summary, searched for representatives among the last summary's and the
+rows that became core, equals the full search's column for column.  Tier
+1 runs the pinned examples (one per adversarial shape) and five
+derandomized draws; ``MRSCAN_FUZZ=1 pytest -m fuzz`` runs 150.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from block_reference import assert_fresh_cell_index
 from repro.gpu import mrscan_gpu
 from repro.gpu.append import mrscan_gpu_append
 from repro.gpu.densebox import densebox_edge
@@ -34,7 +36,7 @@ fuzz_settings = settings(
 
 SHAPES = (
     "blobs", "cell_edges", "eps_apart", "duplicates", "promote", "bridge", "far",
-    "merge_in_cell", "tie", "claims_only",
+    "merge_in_cell", "tie", "claims_only", "adopt", "densify", "straddle", "lone",
 )
 
 
@@ -75,6 +77,17 @@ def _base(shape: str, rng, eps: float, minpts: int) -> np.ndarray:
         clump = [0.1 * eps, 0.5 * eps] + rng.normal(0, 0.01 * eps, size=(max(minpts - 1, 1), 2))
         ahead = [[0.6 * eps, 0.5 * eps], [1.5 * eps, 0.5 * eps]]
         return np.concatenate((clump, ahead, blobs + 10 * eps))
+    if shape == "densify":
+        # minpts - 1 rows inside one dense-box cell, nothing else near.
+        inside = rng.uniform(0.2, 0.8, size=(max(minpts - 1, 1), 2)) * densebox_edge(eps)
+        return np.concatenate((inside, blobs + 10 * eps))
+    if shape == "straddle":
+        # Two clumps 1.9 eps apart along x, two dense-box cells apart.
+        clump = [0.1 * eps, 0.35 * eps] + rng.normal(0, 0.005 * eps, size=(max(minpts, 2), 2))
+        return np.concatenate((clump, clump + [1.9 * eps, 0.0], blobs + 10 * eps))
+    if shape == "lone":
+        # One row alone in its cell.
+        return np.concatenate(([[0.3 * eps, 0.3 * eps]], blobs + 10 * eps))
     return blobs
 
 
@@ -105,15 +118,32 @@ def _batch(shape: str, step: int, rng, eps: float, minpts: int, view: np.ndarray
     if shape == "claims_only" and step == 0:
         # A noise point beside the border: its cell still holds no core.
         return np.array([[1.9 * eps, 0.5 * eps]])
+    if shape == "adopt" and step == 0:
+        # Copies, a hair apart, of rows on both sides of the view's middle.
+        return view[rng.integers(0, len(view), size=k)] + rng.normal(0, 1e-3 * eps, size=(k, 2))
+    if shape == "densify" and step == 0:
+        # The rows that make the cell dense.
+        return rng.uniform(0.2, 0.8, size=(2, 2)) * densebox_edge(eps)
+    if shape == "straddle" and step == 0:
+        # A core clump between them, each end within Eps of one clump only.
+        x = np.linspace(0.75, 1.35, max(minpts, 2)) * eps
+        return np.stack((x, np.full(len(x), 0.35 * eps)), axis=1)
+    if shape == "lone" and step == 0:
+        # Neighbours in the next cell along x: the lone row becomes core.
+        return [1.0 * eps, 0.3 * eps] + rng.normal(0, 0.005 * eps, size=(max(minpts - 1, 1), 2))
     return rng.normal(0, 2 * eps, size=(k, 2)) + rng.choice([0.0, 6 * eps], size=(k, 1))
 
 
 def _insert(shape: str, rng, n_old: int, n: int) -> np.ndarray:
     """Rows of the new view that the old view's rows land on, ascending.
-    A ``tie`` batch leads the view, as resident rows that adoption
-    merges into a shadow can: its copies come before what they copy."""
+    A ``tie`` batch leads the view and an ``adopt`` batch sits in its
+    middle, as resident rows that adoption merges into a shadow can: a
+    copy comes before, or between, what it copies."""
     if shape == "tie":
         return np.arange(n - n_old, n)
+    if shape == "adopt":
+        half = n_old // 2
+        return np.concatenate((np.arange(half), np.arange(n - n_old + half, n)))
     return np.sort(rng.choice(n, size=n_old, replace=False))
 
 
@@ -172,10 +202,15 @@ def _assert_equal(got, want) -> None:
 @example(seed=7, shape="merge_in_cell", eps=0.25, minpts=4, steps=2, use_densebox=True)
 @example(seed=8, shape="tie", eps=0.3, minpts=3, steps=3, use_densebox=False)
 @example(seed=9, shape="claims_only", eps=0.25, minpts=5, steps=2, use_densebox=True)
+@example(seed=10, shape="adopt", eps=0.25, minpts=4, steps=2, use_densebox=True)
+@example(seed=11, shape="densify", eps=0.3, minpts=5, steps=2, use_densebox=True)
+@example(seed=12, shape="straddle", eps=1.0, minpts=4, steps=2, use_densebox=True)
+@example(seed=13, shape="lone", eps=0.25, minpts=4, steps=2, use_densebox=False)
 def test_append_chain_equals_a_full_pass(seed, shape, eps, minpts, steps, use_densebox):
     rng = np.random.default_rng(seed)
     view = _base(shape, rng, eps, minpts)
-    prior = mrscan_gpu(PointSet.from_coords(view), eps, minpts)
+    prior = mrscan_gpu(PointSet.from_coords(view), eps, minpts, keep_index=True)
+    assert_fresh_cell_index(prior.index, view, eps, prior.core_mask)
     summary = _summary(PointSet.from_coords(view), prior, eps)
     for step in range(steps):
         batch = np.asarray(_batch(shape, step, rng, eps, minpts, view), dtype=np.float64)
@@ -191,14 +226,39 @@ def test_append_chain_equals_a_full_pass(seed, shape, eps, minpts, steps, use_de
         got = mrscan_gpu_append(
             points, eps, minpts, old_rows=order, labels=prior.labels,
             core_mask=prior.core_mask, claims=prior.claims, claim_d2=prior.claim_d2,
-            use_densebox=use_densebox,
+            index=prior.index, use_densebox=use_densebox,
         )
         want = mrscan_gpu(points, eps, minpts, use_densebox=use_densebox)
         _assert_equal(got, want)
+        assert_fresh_cell_index(got.index, new_view, eps, got.core_mask)
         candidates = _candidates(summary, order, prior.core_mask, got.core_mask)
         summary = _summary(points, got, eps, candidates)
         _assert_same_summary(summary, _summary(points, want, eps))
         view, prior = new_view, got
+
+
+def _grow(shape: str, eps: float, minpts: int, seed: int = 7):
+    """One append of a shape's first batch: the old view's full pass,
+    the grown view's append, and where the old rows landed."""
+    rng = np.random.default_rng(seed)
+    view = _base(shape, rng, eps, minpts)
+    old = mrscan_gpu(PointSet.from_coords(view), eps, minpts, keep_index=True)
+    batch = np.asarray(_batch(shape, 0, rng, eps, minpts, view), dtype=np.float64)
+    n = len(view) + len(batch)
+    at = _insert(shape, rng, len(view), n) if shape in ("tie", "adopt") else np.arange(len(view))
+    grown = np.empty((n, 2))
+    grown[at] = view
+    grown[np.setdiff1d(np.arange(n), at)] = batch
+    points = PointSet.from_coords(grown)
+    new = mrscan_gpu_append(
+        points, eps, minpts, old_rows=at, labels=old.labels, core_mask=old.core_mask,
+        claims=old.claims, claim_d2=old.claim_d2, index=old.index,
+    )
+    return view, old, points, new, at
+
+
+def _cell_of(index, xy) -> int:
+    return int(index.locate(np.asarray(xy, dtype=np.float64).reshape(1, 2))[0])
 
 
 def test_the_pinned_shapes_do_what_they_say():
@@ -230,45 +290,81 @@ def test_the_pinned_shapes_do_what_they_say():
             ((s.n_rep == 0) & (s.n_noncore > 0)).any() for s in (old_summary, summary)
         )),
     ):
-        rng = np.random.default_rng(7)
-        view = _base(shape, rng, eps, minpts)
-        old = mrscan_gpu(PointSet.from_coords(view), eps, minpts)
-        batch = np.asarray(_batch(shape, 0, rng, eps, minpts, view), dtype=np.float64)
-        n = len(view) + len(batch)
-        at = _insert(shape, rng, len(view), n) if shape == "tie" else np.arange(len(view))
-        grown = np.empty((n, 2))
-        grown[at] = view
-        grown[np.setdiff1d(np.arange(n), at)] = batch
-        points = PointSet.from_coords(grown)
-        new = mrscan_gpu_append(
-            points, eps, minpts, old_rows=at, labels=old.labels, core_mask=old.core_mask,
-            claims=old.claims, claim_d2=old.claim_d2,
-        )
+        view, old, points, new, at = _grow(shape, eps, minpts)
         old_summary = _summary(PointSet.from_coords(view), old, eps)
         summary = _summary(points, new, eps)
         assert check(old, new, old_summary, summary, at), shape
 
 
+def test_the_index_shapes_do_what_they_say():
+    """The far draw's insert leaves the key frame (the index is built
+    afresh), the adopt draw puts inserted rows between old rows of one
+    cell, the densify draw's cell becomes a dense box only through its
+    inserts, the straddle draw's new cores join two old components
+    through cell pairs that are neither wholly within Eps nor beyond it,
+    and the lone draw makes a core in a cell that held none.  ~0.05 s."""
+    view, old, points, new, at = _grow("far", 1.0, 2)
+    inserted = np.setdiff1d(np.arange(len(points)), at)
+    assert old.index.grown(at, inserted, points.coords[inserted]) is None
+
+    view, old, points, new, at = _grow("adopt", 0.25, 4)
+    is_new = np.ones(len(points), dtype=bool)
+    is_new[at] = False
+    runs = np.split(new.index.order, new.index.start[1:])
+    assert any(
+        is_new[run].any() and not is_new[run[0]] and not is_new[run[-1]] for run in runs
+    )
+
+    eps, minpts = 0.3, 5
+    view, old, points, new, at = _grow("densify", eps, minpts)
+    cell, was = _cell_of(new.index, view[0]), _cell_of(old.index, view[0])
+    assert old.index.count[was] < minpts <= new.index.count[cell]
+    assert not old.core_mask[0] and new.core_mask[at[0]] and new.densebox.box_id[at[0]] >= 0
+
+    eps, minpts = 1.0, 4
+    view, old, points, new, at = _grow("straddle", eps, minpts)
+    batch = np.setdiff1d(np.arange(len(points)), at)
+    for clump in (0, minpts):
+        d = np.hypot(*(points.coords[batch] - view[clump]).T)
+        assert d.min() <= eps < d.max()
+        assert new.core_mask[batch].all()
+        assert _cell_of(new.index, view[clump]) != _cell_of(new.index, points.coords[batch[0]])
+    assert old.labels[0] != old.labels[minpts] and new.labels[at[0]] == new.labels[at[minpts]]
+
+    eps, minpts = 0.25, 4
+    view, old, points, new, at = _grow("lone", eps, minpts)
+    was = _cell_of(old.index, view[0])
+    assert old.index.count[was] == 1 and old.index.core_row[was] == -1
+    assert new.core_mask[at[0]] and new.index.core_row[_cell_of(new.index, view[0])] == at[0]
+
+
 def test_prior_arrays_are_only_read():
     rng = np.random.default_rng(11)
     view = rng.normal(0, 0.5, size=(300, 2))
-    prior = mrscan_gpu(PointSet.from_coords(view), 0.2, 5)
-    copies = [a.copy() for a in (prior.labels, prior.core_mask, prior.claims, prior.claim_d2)]
-    grown = np.concatenate((view, rng.normal(0, 0.5, size=(40, 2))))
+    prior = mrscan_gpu(PointSet.from_coords(view), 0.2, 5, keep_index=True)
+    arrays = [prior.labels, prior.core_mask, prior.claims, prior.claim_d2] + [
+        getattr(prior.index, f.name) for f in fields(prior.index)
+        if isinstance(getattr(prior.index, f.name), np.ndarray)
+    ]
+    copies = [a.copy() for a in arrays]
+    grown = np.concatenate((view[:150], rng.normal(0, 0.5, size=(40, 2)), view[150:]))
+    old_rows = np.concatenate((np.arange(150), np.arange(190, 340)))
     mrscan_gpu_append(
-        PointSet.from_coords(grown), 0.2, 5, old_rows=np.arange(300), labels=prior.labels,
+        PointSet.from_coords(grown), 0.2, 5, old_rows=old_rows, labels=prior.labels,
         core_mask=prior.core_mask, claims=prior.claims, claim_d2=prior.claim_d2,
+        index=prior.index,
     )
-    for before, after in zip(copies, (prior.labels, prior.core_mask, prior.claims, prior.claim_d2)):
+    for before, after in zip(copies, arrays):
         assert before.tobytes() == after.tobytes()
 
 
-def test_stats_count_the_sub_view_work():
+def test_stats_count_the_cells_read():
     """An append's stats describe the whole view (points, cores) but charge
-    only the distances it evaluated, far fewer than a full pass's model."""
+    only the distances it evaluated, far fewer than a full pass's model,
+    and it reads a few of the view's cells and rows."""
     rng = np.random.default_rng(12)
     view = rng.normal(0, 1.0, size=(4000, 2))
-    prior = mrscan_gpu(PointSet.from_coords(view), 0.1, 5)
+    prior = mrscan_gpu(PointSet.from_coords(view), 0.1, 5, keep_index=True)
     # One row in the dense middle (a dense box settles it), two on the
     # sparse rim (counted).
     grown = np.concatenate((view, [[0.0, 0.0], [2.5, 0.0], [2.55, 0.0]]))
@@ -276,12 +372,15 @@ def test_stats_count_the_sub_view_work():
     got = mrscan_gpu_append(
         points, 0.1, 5, old_rows=np.arange(4000), labels=prior.labels,
         core_mask=prior.core_mask, claims=prior.claims, claim_d2=prior.claim_d2,
+        index=prior.index,
     )
     full = mrscan_gpu(points, 0.1, 5)
     assert got.stats.n_points == full.stats.n_points == 4003
     assert got.stats.n_core == full.stats.n_core
     assert 0 < got.stats.total_distance_ops < full.stats.total_distance_ops / 20
     assert got.stats.sync_round_trips == full.stats.sync_round_trips == 2
+    assert 0 < got.densebox.n_subdivisions < len(got.index.keys) / 20
+    assert 0 < got.rows_read < len(points) / 20
 
 
 def test_a_view_too_wide_to_key_is_refused_alike():
@@ -290,7 +389,7 @@ def test_a_view_too_wide_to_key_is_refused_alike():
     from repro.errors import ConfigError
 
     view = np.random.default_rng(13).normal(0, 0.5, size=(50, 2))
-    prior = mrscan_gpu(PointSet.from_coords(view), 0.2, 4)
+    prior = mrscan_gpu(PointSet.from_coords(view), 0.2, 4, keep_index=True)
     grown = PointSet.from_coords(np.concatenate((view, [[1e9, 0.0]])))
     with pytest.raises(ConfigError):
         mrscan_gpu(grown, 0.2, 4)
@@ -298,4 +397,5 @@ def test_a_view_too_wide_to_key_is_refused_alike():
         mrscan_gpu_append(
             grown, 0.2, 4, old_rows=np.arange(50), labels=prior.labels,
             core_mask=prior.core_mask, claims=prior.claims, claim_d2=prior.claim_d2,
+            index=prior.index,
         )

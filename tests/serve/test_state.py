@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from block_reference import assert_fresh_cell_index
 from repro.core.config import MrScanConfig
 from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, mrscan
 from repro.dbscan.labels import clustering_signature
+from repro.gpu.densebox import CellIndex
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError, OperationCancelledError, RetryExhaustedError
 from repro.mrnet import LocalTransport, Topology
@@ -121,9 +124,12 @@ def _claim_set(claims: np.ndarray, d2: np.ndarray) -> tuple[bytes, bytes]:
 def _assert_leaves_equal_a_full_pass(state: ServeState) -> None:
     """Every leaf output the state holds (appended or not) is a fresh full
     pass over its current partition: labels, core mask, claims with d²,
-    and the summary's arrays."""
+    the summary's arrays, and a cell index built from scratch."""
     for pid, out in state.outputs.items():
         own, shadow = state.partitions[pid]
+        assert_fresh_cell_index(
+            out.index, own.concat(shadow).coords, state.config.eps, out.core_mask
+        )
         ref = _cluster_leaf(_ClusterLeafTask(
             leaf_id=pid, own=own, shadow=shadow,
             owned_cells=frozenset(state.plan.partitions[pid].cells),
@@ -138,6 +144,14 @@ def _assert_leaves_equal_a_full_pass(state: ServeState) -> None:
                 assert got.tobytes() == want.tobytes(), (pid, f.name)
             else:
                 assert got == want, (pid, f.name)
+
+
+def _index_digest(index: CellIndex) -> str:
+    digest = hashlib.sha256()
+    for f in fields(index):
+        value = getattr(index, f.name)
+        digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return digest.hexdigest()
 
 
 def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
@@ -427,8 +441,9 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
 ):
     """With spills on, a dirty leaf that crashes after its work is retried
     from its committed output, not replayed from a spill: it appends
-    again, counts as re-clustered, and the labels are the fault-free
-    twin's."""
+    again from the committed cell index, which the failed attempt left
+    byte for byte as it was, counts as re-clustered, and the labels are
+    the fault-free twin's."""
     batch = _local_batch(base, 100, 10)
     twin = ServeState(base, config, transport=borrow_transport(transport))
     want = twin.ingest(batch)
@@ -441,12 +456,26 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
     node = Topology.paper_style(len(want.dirty_leaves), config.fanout).leaves()[0]
     plan = FaultPlan(faults=(FaultSpec(node=node, phase="cluster", point="after"),))
     state.config = replace(config, fault_plan=plan, backoff_base=0.0)
+    crashed = want.dirty_leaves[0]
+    committed = state.outputs[crashed].index
+    before = _index_digest(committed)
+    seen = []
+    real_grown = CellIndex.grown
+
+    def grown(index, *args):
+        seen.append((index is committed, _index_digest(index)))
+        return real_grown(index, *args)
+
     telemetry.tracer.drain()
-    got = state.ingest(batch)
+    with patch.object(CellIndex, "grown", grown):
+        got = state.ingest(batch)
     faults = [i for i in telemetry.tracer.instants() if i.name == "fault"]
     assert [(f.args["phase"], f.args["action"]) for f in faults] == [("cluster", "retry")]
     modes = [s.args["mode"] for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
     assert modes == ["append"] * len(want.dirty_leaves)
+    # The crashed leaf grew the committed index twice, the same both times.
+    assert seen.count((True, before)) == 2
+    assert _index_digest(committed) == before
     assert got.dirty_leaves == want.dirty_leaves
     assert got.n_reclustered == want.n_reclustered == len(want.dirty_leaves)
     assert all(state.outputs[pid].appended for pid in got.dirty_leaves)

@@ -9,8 +9,9 @@ traced ``cluster`` / ``merge`` / ``sweep`` phase spans that
 ``cluster_merge_sweep`` records (the names a batch run's phases carry),
 the ``leaf.cluster`` seconds of each leaf-engine mode (``append``: a
 dirty leaf updated from its last output; ``full``: a whole-view pass),
-summed per ingest and per leaf, and the ``leaf.summarize`` seconds beside
-them, per ingest and per leaf.
+summed per ingest and per leaf, the cells and rows an appending leaf
+read from its cell index (``cells_read`` / ``rows_read``, per leaf), and
+the ``leaf.summarize`` seconds beside them, per ingest and per leaf.
 
     PYTHONPATH=src python tools/serve_profile.py                     # 150k resident
     PYTHONPATH=src python tools/serve_profile.py --resident 1000000 --batches 16
@@ -75,6 +76,7 @@ def main() -> None:
         # leaf.cluster seconds by engine mode, per ingest and per leaf.
         per_ingest: dict[str, list[float]] = {}
         per_leaf: dict[str, list[float]] = {}
+        reads: dict[str, list[float]] = {"cells_read": [], "rows_read": []}
         summarize_per_ingest: list[float] = []
         summarize_per_leaf: list[float] = []
         for batch in batches:
@@ -90,6 +92,9 @@ def main() -> None:
                     mode = span.args.get("mode", "full")
                     per_leaf.setdefault(mode, []).append(span.dur)
                     ingest[mode] = ingest.get(mode, 0.0) + span.dur
+                    for name, values in reads.items():
+                        if name in span.args:
+                            values.append(span.args[name])
             for mode, seconds in ingest.items():
                 per_ingest.setdefault(mode, []).append(seconds)
             summarize = [span.dur for span in spans if span.name == "leaf.summarize"]
@@ -105,6 +110,7 @@ def main() -> None:
         "merge_plus_sweep_s": _quartiles(merge_sweep),
         "leaf_cluster_s_per_ingest": {m: _quartiles(v) for m, v in sorted(per_ingest.items())},
         "leaf_cluster_s_per_leaf": {m: _quartiles(v) for m, v in sorted(per_leaf.items())},
+        **{f"{name}_per_leaf": _quartiles(v) for name, v in reads.items() if v},
         "leaf_summarize_s_per_ingest": _quartiles(summarize_per_ingest),
         "leaf_summarize_s_per_leaf": _quartiles(summarize_per_leaf),
     }))
