@@ -8,7 +8,6 @@ Subcommands
 ``serve``     long-lived clustering daemon with incremental batch ingest
 ``worker``    TCP worker agent: dial a coordinator and execute leaf tasks
 ``simulate``  reproduce a paper figure through the performance model
-``tune``      recommend transport/topology/partition config from history
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record telemetry and write the machine-readable summary "
         "(mrscan-telemetry-summary/1: per-phase walls, span stats, "
-        "metrics) as JSON — the tune planner's file-based evidence",
+        "metrics) as JSON",
     )
     clu.add_argument(
         "--faults",
@@ -160,37 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker-pool size for the process/shm transports "
         "(default: CPU count)",
-    )
-    clu.add_argument(
-        "--auto-tune",
-        action="store_true",
-        help="let the tune planner (repro.tune) fill the label-neutral "
-        "knobs left unset (--transport/--workers) from "
-        "calibrated run history; labels are unaffected by construction",
-    )
-    clu.add_argument(
-        "--tune-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="tune profile-store directory (default: $MRSCAN_TUNE_DIR, "
-        "then ~/.mrscan/profiles)",
-    )
-    clu.add_argument(
-        "--tune-record",
-        action="store_true",
-        help="record this run's tune profile to the store even without "
-        "--auto-tune (history-building)",
-    )
-    clu.add_argument(
-        "--tune-plan",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="apply a plan written by `mrscan tune --apply`: fills unset "
-        "execution knobs AND applies the advisory topology (leaf count, "
-        "fanout, partition split hints) — advisory knobs renumber "
-        "labels, so this is opt-in, never automatic",
     )
 
     ana = sub.add_parser("analyze", help="per-cluster statistics of a clustering")
@@ -335,53 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--json", action="store_true")
 
-    tun = sub.add_parser(
-        "tune",
-        help="recommend a configuration for a dataset from calibrated "
-        "run history (repro.tune)",
-    )
-    tun.add_argument("input", type=Path, help="point file to plan for")
-    tun.add_argument("--eps", type=float, required=True)
-    tun.add_argument("--minpts", type=int, required=True)
-    tun.add_argument(
-        "--leaves", type=int, default=8, help="current leaf count (default 8)"
-    )
-    tun.add_argument("--fanout", type=int, default=256)
-    tun.add_argument(
-        "--tune-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="profile-store directory (default: $MRSCAN_TUNE_DIR, then "
-        "~/.mrscan/profiles); priors are used when it is empty",
-    )
-    tun.add_argument(
-        "--allow-tcp",
-        action="store_true",
-        help="include the tcp transport in the candidate space",
-    )
-    tun.add_argument(
-        "--skew-factor",
-        type=float,
-        default=2.0,
-        metavar="K",
-        help="suggest splitting the recorded slowest leaf when its wall "
-        "exceeds K x the median leaf wall (default 2.0)",
-    )
-    tun.add_argument(
-        "--apply",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the full plan (mrscan-tune-plan/1 JSON) for "
-        "`mrscan cluster --tune-plan`",
-    )
-    tun.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the evidence behind each recommendation",
-    )
-    tun.add_argument("--json", action="store_true", help="print the plan as JSON")
     return parser
 
 
@@ -460,46 +381,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         or args.trace_summary_json
     )
 
-    n_leaves = args.leaves
-    fanout = args.fanout
-    transport = args.transport
-    workers = args.workers
-    partition_hints = None
-    if args.tune_plan is not None:
-        from .errors import TuneError
-        from .partition.plan import PartitionHints
-        from .tune import TunePlan
-
-        try:
-            tplan = TunePlan.load(args.tune_plan)
-        except (OSError, ValueError, TuneError) as exc:
-            print(f"error: --tune-plan {args.tune_plan}: {exc}", file=sys.stderr)
-            return 2
-        # Plan fills only the execution knobs the command line left
-        # unset; its advisory topology (label-affecting) always applies
-        # — that is what --tune-plan opts into.
-        if transport is None:
-            transport = tplan.apply.get("transport")
-            if workers is None:
-                workers = tplan.apply.get("transport_workers")
-        n_leaves = int(tplan.advise.get("n_leaves", n_leaves))
-        fanout = int(tplan.advise.get("fanout", fanout))
-        hints_doc = tplan.advise.get("partition_hints")
-        if hints_doc:
-            partition_hints = PartitionHints.from_dict(hints_doc)
-        print(
-            f"tune plan applied: transport={transport or 'local'} "
-            f"leaves={n_leaves} fanout={fanout}"
-            + (" + partition split hints" if partition_hints else "")
-        )
-
     try:
         result = mrscan(
             points,
             args.eps,
             args.minpts,
-            n_leaves=n_leaves,
-            fanout=fanout,
+            n_leaves=args.leaves,
+            fanout=args.fanout,
             n_partition_nodes=args.partition_nodes,
             use_densebox=not args.no_densebox,
             partition_output=args.partition_output,
@@ -511,15 +399,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
             ),
             validate=args.validate,
-            transport=transport,
-            transport_workers=workers,
+            transport=args.transport,
+            transport_workers=args.workers,
             run_dir=(str(args.run_dir) if args.run_dir is not None else None),
             resume=args.resume,
             drop_invalid=args.drop_invalid,
-            partition_hints=partition_hints,
-            auto_tune=args.auto_tune,
-            tune_dir=(str(args.tune_dir) if args.tune_dir is not None else None),
-            tune_record=args.tune_record,
         )
     except DurabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -783,49 +667,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from .tune import ProfileStore, fingerprint_workload, plan
-
-    points = _load_points(args.input)
-    store = ProfileStore(args.tune_dir)
-    fp = fingerprint_workload(points, args.eps)
-    tplan = plan(
-        fp,
-        store,
-        n_leaves=args.leaves,
-        fanout=args.fanout,
-        allow_tcp=args.allow_tcp,
-        skew_factor=args.skew_factor,
-    )
-    if args.json:
-        print(tplan.to_json(), end="")
-    else:
-        apply = tplan.apply
-        workers = apply["transport_workers"]
-        print(
-            f"recommended: --transport {apply['transport']}"
-            + (f" --workers {workers}" if workers is not None else "")
-        )
-        advise = tplan.advise
-        print(
-            f"advisory (label-renumbering, apply via --tune-plan): "
-            f"--leaves {advise['n_leaves']} --fanout {advise['fanout']}"
-            + (
-                " + split partitions "
-                + ",".join(sorted(advise["partition_hints"]["split"]))
-                if advise.get("partition_hints")
-                else ""
-            )
-        )
-        if args.explain:
-            for line in tplan.explain:
-                print(f"  {line}")
-    if args.apply is not None:
-        args.apply.write_text(tplan.to_json(), encoding="utf-8")
-        print(f"plan written to {args.apply} (use: mrscan cluster --tune-plan)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -836,7 +677,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "worker": _cmd_worker,
         "simulate": _cmd_simulate,
-        "tune": _cmd_tune,
     }
     return handlers[args.command](args)
 

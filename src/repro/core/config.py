@@ -127,24 +127,6 @@ class MrScanConfig:
     #: Strip NaN/Inf input rows (with a count on the result) instead of
     #: rejecting them with DataValidationError.
     drop_invalid: bool = False
-    #: Advisory partition-split hints from the tune planner
-    #: (:class:`repro.partition.PartitionHints`): the forming root cuts
-    #: the named partitions' Eps-cell runs after rebalancing.  Hints are
-    #: label-affecting (they change the partition plan), so they join the
-    #: resume fingerprint and are only ever applied explicitly — never by
-    #: ``auto_tune``.
-    partition_hints: object | None = None
-    #: Let the tune planner (repro.tune) fill the *label-neutral*
-    #: execution knobs this config leaves unset — transport,
-    #: transport_workers — from calibrated history before the run starts.
-    #: Labels are unaffected by construction.
-    auto_tune: bool = False
-    #: Profile-store directory for auto_tune (None = ``MRSCAN_TUNE_DIR``
-    #: env var, then ``~/.mrscan/profiles``).
-    tune_dir: str | None = None
-    #: Record a tune profile to the store after every successful run,
-    #: even without ``auto_tune`` — history-building without planning.
-    tune_record: bool = False
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -190,14 +172,6 @@ class MrScanConfig:
             raise ConfigError("transport_workers must be >= 1")
         if self.resume and self.run_dir is None:
             raise ConfigError("resume requires run_dir")
-        if self.partition_hints is not None:
-            from ..partition.plan import PartitionHints
-
-            if not isinstance(self.partition_hints, PartitionHints):
-                raise ConfigError(
-                    f"partition_hints must be a PartitionHints, got "
-                    f"{type(self.partition_hints)!r}"
-                )
 
     def resolved_transport(self) -> str:
         """The transport name this run executes under: the explicit

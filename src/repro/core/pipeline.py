@@ -187,8 +187,8 @@ class _ClusterLeafOutput:
     #: True when the output was recovered from a spill checkpoint (the
     #: GPU clustering pass did not run).
     from_checkpoint: bool = False
-    #: Leaf wall-clock seconds (checkpoint lookup included) — the signal
-    #: the tune planner's skew rebalancer keys on.
+    #: Leaf wall-clock seconds (checkpoint lookup included), journalled
+    #: as ``leaf_done.wall_seconds``.
     wall_seconds: float = 0.0
     #: Points the leaf saw (owned + shadow).
     n_points: int = 0
@@ -523,27 +523,6 @@ def run_pipeline(
     """
     if telemetry is None:
         telemetry = Telemetry() if config.telemetry else Telemetry.disabled()
-    transport_name = transport if isinstance(transport, str) else None
-    tune_store = None
-    if config.auto_tune and transport is None:
-        # Planner fills only unset label-neutral knobs (transport, pool
-        # size) from recorded history; a tune failure must never fail
-        # the run it was trying to speed up.
-        try:
-            from ..tune.history import ProfileStore
-            from ..tune.planner import auto_tune_config
-
-            tune_store = ProfileStore(config.tune_dir)
-            config, tune_plan = auto_tune_config(config, points, store=tune_store)
-            logger.info(
-                "auto-tune: %s (%d history profile(s))",
-                config.resolved_transport(),
-                tune_plan.model_info.get("history_rows", 0),
-            )
-        except Exception:  # noqa: BLE001 - advisory subsystem, never fatal
-            logger.warning("auto-tune failed; running with config as given",
-                           exc_info=True)
-            tune_store = None
     owns_transport = transport is None or isinstance(transport, str)
     if owns_transport:
         transport = make_transport(
@@ -561,24 +540,6 @@ def run_pipeline(
             transport.close()
         else:
             _rewind(transport)
-    if config.auto_tune or config.tune_record:
-        # Feed the run back into the profile store so the next plan has
-        # one more row of this-machine evidence.  Best-effort only.
-        try:
-            from ..tune.history import ProfileStore, profile_from_result
-
-            if tune_store is None:
-                tune_store = ProfileStore(config.tune_dir)
-            # A transport passed by name overrides config.transport for
-            # the run; the profile must record what actually executed.
-            profiled = (
-                replace(config, transport=transport_name)
-                if transport_name is not None and config.transport is None
-                else config
-            )
-            tune_store.append(profile_from_result(result, profiled, points=points))
-        except Exception:  # noqa: BLE001 - advisory subsystem, never fatal
-            logger.warning("tune profile recording failed", exc_info=True)
     return result
 
 
@@ -683,7 +644,6 @@ def _run_phases(run: _Run, internal: PointSet, n_dropped_invalid: int) -> MrScan
             tracer=telemetry.tracer,
             fault_injector=config.fault_plan,
             resilience=config.resilience_policy(),
-            partition_hints=config.partition_hints,
         ).run(internal, config.n_leaves, workdir=config.materialize_dir)
         logger.info(
             "partition: %d points -> %d partitions via %d nodes (%s output, "
@@ -761,8 +721,6 @@ def _run_phases(run: _Run, internal: PointSet, n_dropped_invalid: int) -> MrScan
         n_clusters=partial.n_clusters,
         timings=timings,
         virtual_timings=replace(partial.virtual, partition=phase1.virtual_seconds()),
-        # The tree's actual width: split hints can grow it past the
-        # configured leaf count.
         n_leaves=max(phase1.n_partitions, 1),
         n_partition_nodes=phase1.n_partition_nodes,
         partition_io=phase1.io_trace,
@@ -781,9 +739,6 @@ def _run_phases(run: _Run, internal: PointSet, n_dropped_invalid: int) -> MrScan
             **partial.network_traces,
         },
         leaf_point_counts=[len(own) + len(shadow) for own, shadow in phase1.partitions],
-        leaf_wall_seconds={
-            o.leaf_id: float(o.wall_seconds) for o in outputs
-        },
         telemetry=telemetry,
         faults=fault_log.events,
         fault_summary=fault_log.summary(),

@@ -104,9 +104,6 @@ class MrScanResult:
     merge_outcomes: list[MergeOutcome] = field(default_factory=list)
     network_traces: dict[str, NetworkTrace] = field(default_factory=dict)
     leaf_point_counts: list[int] = field(default_factory=list)
-    #: Wall seconds per cluster leaf, by leaf id (what the tune planner's
-    #: skew rebalancer keys on; empty on fully-restored resumes).
-    leaf_wall_seconds: dict[int, float] = field(default_factory=dict)
     #: The run's telemetry bundle (spans + metrics); the shared no-op
     #: bundle when the run was not instrumented.
     telemetry: Telemetry | None = None

@@ -104,11 +104,6 @@ def config_fingerprint(config: MrScanConfig) -> str:
     payload["cluster_engine"] = "csr"
     payload["leaf_algorithm"] = "mrscan"
     payload["claim_box_borders"] = False
-    # Partition-split hints change the partition plan (and hence label
-    # numbering), so a resume under different hints must refuse.
-    hints = getattr(config, "partition_hints", None)
-    if hints is not None:
-        payload["partition_hints"] = hints.as_dict()
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 

@@ -27,8 +27,7 @@ Hierarchy::
     ├── OperationCancelledError
     │   └── DeadlineExceededError
     ├── ValidationError
-    ├── SimulationError
-    └── TuneError
+    └── SimulationError
 
 The resilience layer (:mod:`repro.resilience`) raises
 :class:`LeafTimeoutError` when a node exceeds its per-attempt deadline,
@@ -160,7 +159,3 @@ class ValidationError(MrScanError):
 
 class SimulationError(MrScanError):
     """Performance-model simulation cannot proceed."""
-
-
-class TuneError(MrScanError):
-    """The tune planner cannot produce or apply a plan (repro.tune)."""

@@ -9,14 +9,14 @@ distributes across nodes — the grid histogram is the only global state.
 """
 
 from .grid import GridHistogram
-from .plan import PartitionHints, PartitionPlan, PartitionSpec
+from .plan import PartitionPlan, PartitionSpec
 from .partitioner import append_points, form_partitions, partition_points
 from .shadow import refresh_shadow, shadow_cells_of
 from .dirty import adopt_cells, dirty_partitions, touched_cells_of
 from .distributed import DistributedPartitioner, PartitionPhaseResult
 
 __all__ = [
-    "GridHistogram", "PartitionHints", "PartitionPlan", "PartitionSpec",
+    "GridHistogram", "PartitionPlan", "PartitionSpec",
     "append_points", "form_partitions", "partition_points", "shadow_cells_of", "refresh_shadow",
     "adopt_cells", "dirty_partitions", "touched_cells_of",
     "DistributedPartitioner", "PartitionPhaseResult",

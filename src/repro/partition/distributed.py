@@ -137,7 +137,6 @@ class DistributedPartitioner:
         tracer=None,
         fault_injector=None,
         resilience=None,
-        partition_hints=None,
     ) -> None:
         if n_partition_nodes < 1:
             raise PartitionError("need at least one partitioner node")
@@ -161,9 +160,6 @@ class DistributedPartitioner:
         #: phase surface on ``PartitionPhaseResult.fault_events``.
         self.fault_injector = fault_injector
         self.resilience = resilience
-        #: Optional tune-planner split hints (repro.tune): applied by the
-        #: forming root after rebalancing; may grow the partition count.
-        self.partition_hints = partition_hints
 
     # ------------------------------------------------------------------ #
 
@@ -272,7 +268,6 @@ class DistributedPartitioner:
                     n_partitions,
                     self.minpts,
                     rebalance=self.rebalance,
-                    hints=self.partition_hints,
                 )
             root_form_seconds = time.perf_counter() - t0
 
@@ -303,8 +298,6 @@ class DistributedPartitioner:
         distribute = NetworkTrace() if self.output_mode == "network" else None
         partitions: list[tuple[PointSet, PointSet]] = []
         saved = 0
-        # Split hints can grow the plan past the requested count — walk
-        # the plan's actual partitions, not the request.
         for pid in range(len(plan.partitions)):
             own_parts = []
             shadow_parts = []

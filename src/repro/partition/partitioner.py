@@ -25,8 +25,8 @@ The algorithm works purely on the Eps-grid histogram:
 Every partition is a *run*: a half-open range of histogram rows, which
 are already in column-major order.  Forming cuts the cumulative count at
 each partition's target (one binary search per partition), rebalancing
-and split hints only move run boundaries, and the shadows of all
-partitions come from one ``(cells, 8)`` table of neighbor rows.
+only moves run boundaries, and the shadows of all partitions come from
+one ``(cells, 8)`` table of neighbor rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import PartitionError
 from ..points import PointSet
 from .grid import CellFrame, GridHistogram, cell_array, cell_of_coords, key_rows
-from .plan import PartitionHints, PartitionPlan, PartitionSpec
+from .plan import PartitionPlan, PartitionSpec
 
 __all__ = [
     "append_points",
@@ -61,7 +61,6 @@ def form_partitions(
     *,
     rebalance: bool = True,
     threshold_factor: float = REBALANCE_THRESHOLD_FACTOR,
-    hints: PartitionHints | None = None,
 ) -> PartitionPlan:
     """Form ``n_partitions`` partitions from a grid histogram.
 
@@ -83,8 +82,6 @@ def form_partitions(
     final_target = 0.0
     if rebalance:
         final_target = _rebalance(runs, cum, histogram.counts, neighbors, minpts, threshold_factor)
-    if hints is not None:
-        _split_runs(runs, histogram.counts, minpts, hints)
 
     part, rows, shadow_sums = _shadows(runs, neighbors, histogram.counts)
     shadow_rows = np.split(rows, np.cumsum(np.bincount(part, minlength=len(runs)))[:-1])
@@ -231,57 +228,6 @@ def _shed_deltas(
     delta = np.where(inside.any(axis=1), counts[lo:hi], 0)
     delta -= np.where(leaving, counts[around], 0).sum(axis=1)
     return delta.tolist()
-
-
-def _split_runs(runs: list[Run], counts: np.ndarray, minpts: int, hints: PartitionHints) -> None:
-    """Apply tune-planner split hints to the formed runs (in place).
-
-    Each hinted partition's run is cut into chunks balanced by cumulative
-    point count; the first chunk keeps the partition's id and the rest
-    append to the plan (the partition count grows).  Infeasible splits
-    degrade: the chunk count drops until every chunk holds at least MinPts
-    points and one cell, and a partition that cannot split at all is left
-    alone.
-    """
-    for pid, k in sorted(hints.split_map().items()):
-        if not 0 <= pid < len(runs):
-            continue
-        start, end = runs[pid]
-        cuts = _split_cuts(counts[start:end].tolist(), minpts, k)
-        if cuts is None:
-            continue
-        bounds = [start, *(start + cut for cut in cuts), end]
-        runs[pid] = (bounds[0], bounds[1])
-        runs.extend(zip(bounds[1:-1], bounds[2:]))
-
-
-def _split_cuts(counts: list[int], minpts: int, k: int) -> list[int] | None:
-    """Offsets cutting a run's cells into <= k point-balanced chunks, each
-    with >= MinPts points; None when no split (k >= 2) is feasible."""
-    total, n = sum(counts), len(counts)
-    k = min(k, n, total // max(minpts, 1))
-    while k >= 2:
-        target = total / k
-        cuts: list[int] = []
-        acc = 0  # points in the open chunk; reaching MinPts >= 1 means it has a cell
-        for i, count in enumerate(counts):
-            chunks_left = k - len(cuts)
-            # ``n - i`` cells are still to place, this one included.
-            if (
-                chunks_left > 1
-                and acc >= max(target, float(minpts))
-                and n - i >= chunks_left - 1
-            ):
-                cuts.append(i)
-                acc = 0
-            acc += count
-        bounds = [0, *cuts, n]
-        if len(cuts) == k - 1 and all(
-            sum(counts[a:b]) >= minpts for a, b in zip(bounds, bounds[1:])
-        ):
-            return cuts
-        k -= 1
-    return None
 
 
 def _ids_by_partition(

@@ -14,53 +14,9 @@ from dataclasses import dataclass, field
 
 from ..errors import PartitionError
 
-__all__ = ["PartitionSpec", "PartitionPlan", "PartitionHints"]
+__all__ = ["PartitionSpec", "PartitionPlan"]
 
 Cell = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PartitionHints:
-    """Advisory partition-splitting directives for the forming root.
-
-    Produced by the tune planner's skew rebalancer
-    (:func:`repro.tune.planner.suggest_partition_hints`): ``split`` maps a
-    partition id (in forming order) to the number of contiguous chunks
-    its Eps-cell run should be cut into.  Splits are applied *after* the
-    paper's Fig-2 rebalancing and respect its invariants — a chunk never
-    drops below MinPts points — so an infeasible split degrades (fewer
-    chunks, or none) rather than producing an invalid plan.  Splitting
-    changes the partition count and hence label numbering, which is why
-    hints join the label fingerprint (a resume under different hints
-    refuses) and are never auto-applied by ``--auto-tune``.
-    """
-
-    split: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        for pid, k in self.split:
-            if pid < 0:
-                raise PartitionError(f"split partition id must be >= 0, got {pid}")
-            if k < 2:
-                raise PartitionError(f"split chunk count must be >= 2, got {k}")
-
-    @classmethod
-    def splitting(cls, split: dict[int, int]) -> "PartitionHints":
-        """Build from a ``{partition_id: n_chunks}`` mapping."""
-        return cls(split=tuple(sorted((int(p), int(k)) for p, k in split.items())))
-
-    def split_map(self) -> dict[int, int]:
-        return dict(self.split)
-
-    def as_dict(self) -> dict:
-        """Canonical JSON-safe form (fingerprints, plan files)."""
-        return {"split": {str(pid): int(k) for pid, k in sorted(self.split)}}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PartitionHints":
-        return cls.splitting(
-            {int(pid): int(k) for pid, k in dict(payload.get("split", {})).items()}
-        )
 
 
 @dataclass

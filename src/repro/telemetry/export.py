@@ -152,7 +152,7 @@ def summary_dict(telemetry: Any) -> dict[str, Any]:
     """Machine-readable run summary (schema ``mrscan-telemetry-summary/1``).
 
     The structured sibling of :func:`summary_table`, built so downstream
-    consumers (``repro.tune.history``) never scrape the human text:
+    consumers never scrape the human text:
 
     - ``phases``: wall seconds per pipeline phase, from the driver's
       ``cat="phase"`` spans — summed, since a serve daemon runs

@@ -3,9 +3,9 @@
 ``partition_points_reference`` is the per-cell-dict ``partition_points``
 from before its grouping pass.  Everything else is the partition phase as
 it was before it became array passes: the ``GridHistogram`` that was a
-``dict[(x, y), count]``, forming / rebalancing / split hints walking cell
-tuples, shadows as Python set algebra, and the paper-scale workload law
-reading that dict.  The arrays in ``repro.partition`` must reproduce these
+``dict[(x, y), count]``, forming and rebalancing walking cell tuples,
+shadows as Python set algebra, and the paper-scale workload law reading
+that dict.  The arrays in ``repro.partition`` must reproduce these
 plans field by field and ``repro.perf.workload`` these values exactly.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigError, PartitionError
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS, cell_of_coords
-from repro.partition.plan import PartitionHints, PartitionPlan, PartitionSpec
+from repro.partition.plan import PartitionPlan, PartitionSpec
 from repro.perf.workload import LeafWork, _vector_cell_work
 from repro.points import PointSet
 
@@ -109,7 +109,7 @@ def add_shadow_regions_reference(plan: PartitionPlan, histogram: GridHistogramRe
 
 
 # ---------------------------------------------------------------------- #
-# Forming, rebalancing, split hints
+# Forming, rebalancing
 # ---------------------------------------------------------------------- #
 
 
@@ -120,7 +120,6 @@ def form_partitions_reference(
     *,
     rebalance: bool = True,
     threshold_factor: float = REBALANCE_THRESHOLD_FACTOR,
-    hints: PartitionHints | None = None,
 ) -> PartitionPlan:
     if n_partitions < 1:
         raise PartitionError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -154,72 +153,7 @@ def form_partitions_reference(
     add_shadow_regions_reference(plan, histogram)
     if rebalance:
         _rebalance_reference(plan, histogram, minpts, threshold_factor)
-    if hints is not None:
-        apply_partition_hints_reference(plan, histogram, minpts, hints)
     return plan
-
-
-def apply_partition_hints_reference(
-    plan: PartitionPlan,
-    histogram: GridHistogramReference,
-    minpts: int,
-    hints: PartitionHints,
-) -> None:
-    split_any = False
-    for pid, k in sorted(hints.split_map().items()):
-        if not 0 <= pid < len(plan.partitions):
-            continue
-        spec = plan.partitions[pid]
-        chunks = _split_spec_cells_reference(spec, histogram, minpts, k)
-        if chunks is None:
-            continue
-        split_any = True
-        head, *rest = chunks
-        spec.cells = head
-        spec.point_count = sum(histogram.count(c) for c in head)
-        for cells in rest:
-            plan.partitions.append(
-                PartitionSpec(
-                    partition_id=len(plan.partitions),
-                    cells=cells,
-                    point_count=sum(histogram.count(c) for c in cells),
-                )
-            )
-    if split_any:
-        add_shadow_regions_reference(plan, histogram)
-
-
-def _split_spec_cells_reference(
-    spec: PartitionSpec, histogram: GridHistogramReference, minpts: int, k: int
-) -> list[list[Cell]] | None:
-    counts = [histogram.count(c) for c in spec.cells]
-    total = sum(counts)
-    k = min(k, len(spec.cells), total // max(minpts, 1))
-    while k >= 2:
-        target = total / k
-        chunks: list[list[Cell]] = []
-        acc: list[Cell] = []
-        acc_count = 0
-        for cell, count in zip(spec.cells, counts):
-            remaining_chunks = k - len(chunks)
-            remaining_cells = len(spec.cells) - sum(len(c) for c in chunks) - len(acc)
-            if (
-                acc
-                and remaining_chunks > 1
-                and acc_count >= max(target, float(minpts))
-                and remaining_cells >= remaining_chunks - 1
-            ):
-                chunks.append(acc)
-                acc, acc_count = [], 0
-            acc.append(cell)
-            acc_count += count
-        chunks.append(acc)
-        if len(chunks) == k and all(
-            sum(histogram.count(c) for c in chunk) >= minpts for chunk in chunks
-        ):
-            return chunks
-        k -= 1
-    return None
 
 
 def _rebalance_reference(

@@ -4,9 +4,9 @@
 step became an array operation.  Plans must match it field by field —
 cells in forming order, counts, shadow sets, targets, types — and
 ``partition_points`` must route the same ids in the same order, on clumpy
-boards that force long rebalance chains, with and without rebalancing and
-split hints, with more partitions than cells, a single cell, negative
-cells and offsets up to 1e9 cells.
+boards that force long rebalance chains, with and without rebalancing,
+with more partitions than cells, a single cell, negative cells and
+offsets up to 1e9 cells.
 
 ``append_points`` is held to ``partition_points`` itself: after every
 batch of an ingest stream, appending must give the re-route over the
@@ -35,7 +35,6 @@ from partition_reference import (
 from repro.data import generate_sdss, generate_twitter
 from repro.partition import (
     GridHistogram,
-    PartitionHints,
     adopt_cells,
     append_points,
     dirty_partitions,
@@ -107,27 +106,21 @@ def _assert_same_routing(points, plan) -> None:
     minpts=st.integers(1, 8),
     rebalance=st.booleans(),
     threshold_factor=st.sampled_from([1.0, 1.075, 1.4]),
-    split=st.dictionaries(st.integers(0, 12), st.integers(2, 4), max_size=3),
 )
 # Receive-then-shed: partition 1 takes cells from partition 2 and must
 # then shed towards partition 0 from its *refreshed* shadow — starting
 # from its formed shadow moves one cell too few.
 @example(
     seed=47, n=100, width=9, clumps=3, offset=0.0, eps=1.0, n_parts=3, minpts=3,
-    rebalance=True, threshold_factor=1.075, split={},
+    rebalance=True, threshold_factor=1.075,
 )
-# A single cell; more partitions than cells; split hints naming the
-# chunks an earlier split appended.
+# A single cell; more partitions than cells.
 @example(
     seed=1, n=50, width=1, clumps=0, offset=-1e6, eps=0.25, n_parts=5, minpts=3,
-    rebalance=True, threshold_factor=1.075, split={0: 2},
-)
-@example(
-    seed=2, n=300, width=6, clumps=2, offset=1e9 - 7, eps=3.0, n_parts=4, minpts=2,
-    rebalance=True, threshold_factor=1.075, split={0: 3, 4: 2, 5: 2},
+    rebalance=True, threshold_factor=1.075,
 )
 def test_plan_and_routing_match_the_reference(
-    seed, n, width, clumps, offset, eps, n_parts, minpts, rebalance, threshold_factor, split
+    seed, n, width, clumps, offset, eps, n_parts, minpts, rebalance, threshold_factor
 ):
     points = _board(seed, n, width, clumps, offset, eps)
     hist = GridHistogram.from_points(points, eps)
@@ -135,11 +128,7 @@ def test_plan_and_routing_match_the_reference(
     assert _as_dict(hist) == ref.counts
     assert hist.cells.tolist() == [list(c) for c in ref.column_major_cells()]
 
-    kwargs = dict(
-        rebalance=rebalance,
-        threshold_factor=threshold_factor,
-        hints=PartitionHints.splitting(split) if split else None,
-    )
+    kwargs = dict(rebalance=rebalance, threshold_factor=threshold_factor)
     plan = form_partitions(hist, n_parts, minpts, **kwargs)
     _assert_same_plan(plan, form_partitions_reference(ref, n_parts, minpts, **kwargs))
     _assert_same_routing(points, plan)

@@ -15,7 +15,6 @@ import pytest
 from repro.errors import TransportError
 from repro.points import PointSet
 from repro.runtime import (
-    SEGMENT_PREFIX,
     PointSetRef,
     ShmArena,
     ShmArrayRef,
@@ -23,12 +22,6 @@ from repro.runtime import (
     as_pointset,
 )
 from repro.runtime.arena import REF_WIRE_BYTES, _cleanup_live_arenas
-
-
-def _shm_entries() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # non-Linux fallback: trust the registry
-        return active_segment_names()
-    return [f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)]
 
 
 @pytest.fixture

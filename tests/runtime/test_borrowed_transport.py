@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,12 @@ from repro.points import PointSet
 from repro.mrnet.topology import Topology
 from repro.resilience import FaultPlan, FaultSpec
 from repro.runtime import (
-    SEGMENT_PREFIX,
     BorrowedTransport,
     ShmTransport,
     borrow_transport,
 )
 from repro.runtime.executor import LocalTransport, make_transport
+from shm_segments import own_segments, own_usage
 
 
 def _blobs(n: int = 800, seed: int = 5) -> PointSet:
@@ -27,25 +25,6 @@ def _blobs(n: int = 800, seed: int = 5) -> PointSet:
     centers = rng.uniform(-2, 2, size=(4, 2))
     which = rng.integers(0, 4, size=n)
     return PointSet.from_coords(centers[which] + rng.normal(0, 0.08, size=(n, 2)))
-
-
-def _shm_segments():
-    try:
-        return {
-            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
-        }
-    except FileNotFoundError:  # non-Linux
-        return set()
-
-
-def _own_shm_usage() -> tuple[int, int]:
-    """(segments, allocated bytes) this process holds in ``/dev/shm``."""
-    mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
-    stats = [
-        os.stat(f"/dev/shm/{name}") for name in _shm_segments()
-        if name.startswith(mine)
-    ]
-    return len(stats), sum(st.st_blocks * 512 for st in stats)
 
 
 def test_close_is_counted_noop():
@@ -105,11 +84,11 @@ def test_borrowed_shm_transport_survives_run_pipeline():
 def test_string_transport_still_closed_by_pipeline():
     """Passing a transport *name* keeps the old semantics: the run owns
     and reaps it — no shm segments survive."""
-    before = _shm_segments()
+    before = own_segments()
     points = _blobs()
     result = mrscan(points, 0.08, 8, n_leaves=4, transport="shm")
     assert result.n_clusters > 0
-    leaked = _shm_segments() - before
+    leaked = own_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
 
 
@@ -117,7 +96,7 @@ def test_string_transport_still_closed_by_pipeline():
 def test_rewind_reuses_segments_and_restaged_refs_resolve():
     points = _blobs()
     other = PointSet.from_coords(points.coords * 3.0 + 1.0)
-    before = _shm_segments()
+    before = own_segments()
     with ShmTransport(n_workers=2) as transport:
         ref = transport.stage_pointset(points)
         assert transport.run_batch(_staged_sum, [ref, ref])  # workers attach
@@ -131,7 +110,7 @@ def test_rewind_reuses_segments_and_restaged_refs_resolve():
         # The workers' cached attachments now read the restaged bytes.
         for total in transport.run_batch(_staged_sum, [ref2, ref2]):
             assert abs(total - float(other.coords.sum())) < 1e-6
-    leaked = _shm_segments() - before
+    leaked = own_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
 
 
@@ -147,9 +126,9 @@ def test_thirty_runs_on_one_pool_stage_into_the_same_pages():
             result = mrscan(points, 0.08, 8, n_leaves=4, transport=transport)
             assert result.labels.tobytes() == expected.tobytes()
             if call == 2:
-                after_second = _own_shm_usage()
+                after_second = own_usage()
         assert after_second[0] > 0
-        assert _own_shm_usage() == after_second
+        assert own_usage() == after_second
 
 
 @pytest.mark.slow

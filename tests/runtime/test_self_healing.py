@@ -22,7 +22,8 @@ from repro.core import mrscan
 from repro.mrnet import ProcessTransport
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import SEGMENT_PREFIX, ShmTransport
+from repro.runtime import ShmTransport
+from shm_segments import own_segments
 
 pytestmark = pytest.mark.slow  # every test here spawns a real pool
 
@@ -47,13 +48,6 @@ def _die_in_workers_forever(value):
     if mp.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value
-
-
-def _shm_segments():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
-    except FileNotFoundError:  # non-Linux
-        return set()
 
 
 @pytest.mark.parametrize("transport_cls", [ShmTransport, ProcessTransport])
@@ -112,14 +106,14 @@ def _sum_staged_after_death(arg):
 
 
 def test_no_dev_shm_leaks_after_healing(tmp_path):
-    before = _shm_segments()
+    before = own_segments()
     rng = np.random.default_rng(1)
     points = PointSet.from_coords(rng.random((200, 2)))
     flag = str(tmp_path / "died-once")
     with ShmTransport(n_workers=2) as transport:
         transport.stage_pointset(points)
         transport.run_batch(_die_once_then_square, [(flag, 4)])
-    assert _shm_segments() <= before
+    assert own_segments() <= before
 
 
 def _blob_points(n=400, seed=7):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
 import socket
 import threading
 import time
@@ -27,22 +26,14 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import PoisonTaskWarning
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import SEGMENT_PREFIX, ShmTransport, borrow_transport
+from repro.runtime import ShmTransport, borrow_transport
 from repro.serve.client import ServeClient, ServeOverloadedError, ServeRequestError
 from repro.serve.server import ServeServer
 from repro.serve.state import ServeState
 from repro.validate.equivalence import labels_equivalent
+from shm_segments import own_segments
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
-
-
-def _shm_segments():
-    try:
-        return {
-            name for name in os.listdir("/dev/shm") if name.startswith(SEGMENT_PREFIX)
-        }
-    except FileNotFoundError:  # non-Linux
-        return set()
 
 
 def _base(n: int = 4000, seed: int = 3) -> PointSet:
@@ -61,7 +52,7 @@ def _local_batch(base: PointSet, n: int, seed: int) -> np.ndarray:
 def test_worker_kill_during_incremental_recluster_heals():
     base = _base()
     clean = MrScanConfig(eps=0.08, minpts=8, n_leaves=8, transport="shm")
-    before = _shm_segments()
+    before = own_segments()
     with ShmTransport(n_workers=2) as transport:
         state = ServeState(base, clean, transport=borrow_transport(transport))
         # Fault only the ingest path: arm the kill AFTER bootstrap so the
@@ -86,7 +77,7 @@ def test_worker_kill_during_incremental_recluster_heals():
         assert not transport.stage_degraded
         labels, _ = state.labels_for([0, len(base), len(base) + 150])
         assert len(labels) == 3
-    leaked = _shm_segments() - before
+    leaked = own_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
 
 

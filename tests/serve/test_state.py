@@ -25,11 +25,12 @@ from repro.partition import partition_points
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS
 from repro.points import PointSet
 from repro.resilience import CancelToken, FaultPlan, FaultSpec
-from repro.runtime import SEGMENT_PREFIX, ShmTransport
+from repro.runtime import ShmTransport
 from repro.runtime.executor import borrow_transport, make_transport
 from repro.serve.state import ServeState
 from repro.telemetry import Telemetry
 from repro.validate import labels_equivalent
+from shm_segments import own_usage
 
 
 @pytest.fixture
@@ -234,15 +235,6 @@ def test_adoption_inserts_resident_rows_mid_shadow(transport):
     _assert_leaves_equal_a_full_pass(state)
 
 
-def _own_shm_bytes() -> int:
-    """Allocated ``/dev/shm`` bytes of this process's arena segments."""
-    mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
-    return sum(
-        os.stat(f"/dev/shm/{name}").st_blocks * 512
-        for name in os.listdir("/dev/shm") if name.startswith(mine)
-    )
-
-
 @pytest.mark.slow
 def test_ingests_on_a_borrowed_shm_pool_stop_growing_shared_memory(
     base, config, transport
@@ -258,8 +250,8 @@ def test_ingests_on_a_borrowed_shm_pool_stop_growing_shared_memory(
             state.ingest(batch)
             local.ingest(batch)
             if i == 2:
-                after_second = _own_shm_bytes()
-        assert 0 < _own_shm_bytes() <= after_second
+                after_second = own_usage()[1]
+        assert 0 < own_usage()[1] <= after_second
         assert state.snapshot.labels.tobytes() == local.snapshot.labels.tobytes()
 
 

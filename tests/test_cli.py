@@ -180,11 +180,11 @@ def test_analyze_missing_point_id(tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-def test_subcommand_set_is_exactly_the_eight():
+def test_subcommand_set_is_exactly_the_seven():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(sub.choices) == {
         "generate", "cluster", "analyze", "quality",
-        "serve", "worker", "simulate", "tune",
+        "serve", "worker", "simulate",
     }
 
 
@@ -192,6 +192,23 @@ def test_fuzz_subcommand_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["fuzz"])
     assert exc.value.code == 2
+
+
+_CLUSTER = ["cluster", "pts.bin", "--eps", "0.5", "--minpts", "5"]
+
+
+@pytest.mark.parametrize("removed, argv", [
+    ("tune", ["tune", "pts.bin", "--eps", "0.5", "--minpts", "5"]),
+    ("--auto-tune", [*_CLUSTER, "--auto-tune"]),
+    ("--tune-plan", [*_CLUSTER, "--tune-plan", "plan.json"]),
+    ("--tune-record", [*_CLUSTER, "--tune-record"]),
+    ("--tune-dir", [*_CLUSTER, "--tune-dir", "profiles"]),
+])
+def test_tuner_subcommand_and_flags_are_gone(removed, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert removed in capsys.readouterr().err
 
 
 def test_cluster_engine_flag_is_gone(tmp_path, capsys):
