@@ -3,7 +3,7 @@
 
 The paper notes its partitioning "can be extended to an arbitrary
 dimension" (§3.1.2).  This example uses the repository's d-dimensional
-DBSCAN (`repro.dbscan.dbscan_nd`) on synthetic *3-D* data: geolocated
+DBSCAN (`dbscan_nd.py` beside it) on synthetic *3-D* data: geolocated
 tweets with a time axis, where an "event" is a burst of activity compact
 in both space and time — the kind of analysis (flu outbreaks, rainfall
 nowcasting) the paper's §4.1 motivates.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbscan import dbscan_nd
+from dbscan_nd import dbscan_nd
 from repro.points import NOISE
 
 RNG = np.random.default_rng(2012)

@@ -45,7 +45,7 @@ from .config import MrScanConfig
 from .result import MrScanResult, PhaseBreakdown, VirtualBreakdown
 from .timing import PhaseTimer
 
-__all__ = ["PartialRunResult", "cluster_merge_sweep", "mrscan", "run_pipeline"]
+__all__ = ["LeafState", "PartialRunResult", "cluster_merge_sweep", "mrscan", "run_pipeline"]
 
 logger = logging.getLogger("repro.pipeline")
 
@@ -60,33 +60,80 @@ _DEVICE_BYTES_PER_POINT = 33
 
 
 @dataclass
-class _LeafPrior:
-    """A leaf's previous output, as its append path reads it: the ids of
-    the view it was clustered from (own rows, then shadow rows, each
-    ascending), that output's labels, core mask, claims with d² and cell
-    index, and the ids of its summary's representatives."""
+class LeafState:
+    """What a leaf keeps for its next append: its output's labels, core
+    mask and border claims with d², its view's cell index, the ids of its
+    summary's representatives, and the ids of the view it was clustered
+    from (own rows, then shadow rows, each ascending).
 
-    own_ids: np.ndarray
-    shadow_ids: np.ndarray
+    :meth:`full` runs a full pass and :meth:`append` an append from this
+    state; each ends with the leaf's summary and returns the next state.
+    The view ids are attached by the driver from the partition it
+    dispatched (:func:`_cluster_merge_sweep`): a worker never ships them
+    back and a spill never holds them, as under ``shm`` they are arena
+    views.
+    """
+
     labels: np.ndarray
     core_mask: np.ndarray
     claims: np.ndarray
     claim_d2: np.ndarray
     index: CellIndex
     rep_ids: np.ndarray
+    own_ids: np.ndarray | None = field(default=None, repr=False)
+    shadow_ids: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def nbytes(self) -> int:
-        return self.index.nbytes + sum(a.nbytes for a in (
-            self.own_ids, self.shadow_ids, self.labels, self.core_mask,
-            self.claims, self.claim_d2, self.rep_ids,
-        ))
+    @classmethod
+    def full(cls, leaf: _LeafRun, *, keep: bool):
+        """A full pass (``mrscan_gpu``) over the leaf's view, then its
+        summary: ``(result, summary, state)``, the state None without
+        ``keep`` (the engine then builds no cell index)."""
+        with leaf.span("leaf.cluster", n_points=len(leaf.view), mode="full",
+                       n_inserted=len(leaf.view)) as span:
+            # Only a kept state asks for the index, so a batch run's
+            # leaves call ``mrscan_gpu`` as the test oracles stand in for it.
+            result = (leaf.cluster(span, mrscan_gpu, keep_index=True) if keep
+                      else leaf.cluster(span, mrscan_gpu))
+        with leaf.span("leaf.summarize"):
+            summary = leaf.summarize(result)
+        return result, summary, cls._of(result, summary) if keep else None
 
-    def rows_in(self, own: PointSet, shadow: PointSet) -> np.ndarray:
-        """Positions of the prior view's rows in the view ``own + shadow``.
+    def append(self, leaf: _LeafRun):
+        """:meth:`full`'s result for the leaf's grown view, from this
+        state (``mrscan_gpu_append``); the summary searches for
+        representatives among this state's and the new cores only."""
+        own, shadow = leaf.own, leaf.shadow
+        with leaf.span("leaf.cluster", n_points=len(leaf.view)) as span:
+            old_rows = self._rows_in(own, shadow)
+            span.set(mode="append", n_inserted=len(leaf.view) - len(old_rows))
+            result = leaf.cluster(
+                span, mrscan_gpu_append, old_rows=old_rows, labels=self.labels,
+                core_mask=self.core_mask, claims=self.claims, claim_d2=self.claim_d2,
+                index=self.index,
+            )
+            span.set(cells_read=result.densebox.n_subdivisions, rows_read=result.rows_read)
+        with leaf.span("leaf.summarize"):
+            summary = leaf.summarize(
+                result, self._candidates(own, shadow, old_rows, result.core_mask)
+            )
+        return result, summary, self._of(result, summary)
+
+    @classmethod
+    def _of(cls, result, summary: LeafSummary) -> LeafState:
+        return cls(result.labels, result.core_mask, result.claims, result.claim_d2,
+                   result.index, summary.rep_ids)
+
+    def payload_bytes(self) -> int:
+        """Wire size of the arrays an append task ships."""
+        arrays = (self.own_ids, self.shadow_ids, self.labels, self.core_mask,
+                  self.claims, self.claim_d2, self.rep_ids)
+        return self.index.nbytes + sum(a.nbytes for a in arrays if a is not None)
+
+    def _rows_in(self, own: PointSet, shadow: PointSet) -> np.ndarray:
+        """Positions of this state's view rows in the view ``own + shadow``.
 
         A view only grows, and own and shadow rows each ascend by id, so
-        the prior ids must be a subsequence of the new ones on each side;
+        the old ids must be a subsequence of the new ones on each side;
         anything else is a bug upstream, never a reason to re-cluster."""
         parts = []
         for old, new, offset in (
@@ -106,12 +153,12 @@ class _LeafPrior:
             parts.append(at + offset)
         return np.concatenate(parts)
 
-    def candidates(
+    def _candidates(
         self, own: PointSet, shadow: PointSet, old_rows: np.ndarray, core_mask: np.ndarray
     ) -> np.ndarray:
         """Rows of the view ``own + shadow`` that hold every representative
-        of its new ``core_mask``: the last summary's representatives and
-        the rows core now but not before — ``summarize_leaf``'s
+        of its new ``core_mask``: this state's representatives and the
+        rows core now but not before — ``summarize_leaf``'s
         ``candidates`` after an append."""
         rep_ids = np.sort(self.rep_ids)  # binary searches run faster on sorted keys
         at = np.searchsorted(own.ids, rep_ids)
@@ -131,8 +178,8 @@ class _ClusterLeafTask:
     ``own``/``shadow`` are the partition's point sets — or, under a
     staging transport (:class:`repro.runtime.ShmTransport`), their
     shared-memory refs, which the leaf materializes as zero-copy views.
-    With ``prior`` set the leaf takes the append path
-    (:func:`repro.gpu.append.mrscan_gpu_append`) from that output.
+    With ``prior`` set the leaf appends from that state
+    (:meth:`LeafState.append`).
     """
 
     leaf_id: int
@@ -145,10 +192,10 @@ class _ClusterLeafTask:
     checkpoint_dir: str | None = None
     #: Device-buffer streaming factor (doubled on DeviceMemoryError).
     memory_chunks: int = 1
-    #: Keep the border pass's claims on the output (a daemon's next
-    #: ingest appends to them).
+    #: Keep the leaf's :class:`LeafState` on the output (a daemon's next
+    #: ingest appends from it).
     keep_state: bool = False
-    prior: _LeafPrior | None = None
+    prior: LeafState | None = None
 
     def device_cost(self) -> float:
         """Estimated device-memory footprint of this task in bytes."""
@@ -160,11 +207,7 @@ class _ClusterLeafTask:
         """Wire size: refs cost their handles, arrays their bytes."""
         from ..mrnet.packets import payload_nbytes
 
-        return payload_nbytes(self.own) + payload_nbytes(self.shadow) + self._prior_nbytes + 64
-
-    @property
-    def _prior_nbytes(self) -> int:
-        return self.prior.nbytes if self.prior is not None else 0
+        return sum(payload_nbytes(p) for p in (self.own, self.shadow, self.prior)) + 64
 
     @property
     def array_nbytes(self) -> int:
@@ -172,7 +215,7 @@ class _ClusterLeafTask:
         task would cost on the wire without the shm data plane."""
         from ..mrnet.packets import logical_nbytes
 
-        return logical_nbytes(self.own) + logical_nbytes(self.shadow) + self._prior_nbytes + 64
+        return sum(logical_nbytes(p) for p in (self.own, self.shadow, self.prior)) + 64
 
 
 @dataclass
@@ -199,29 +242,68 @@ class _ClusterLeafOutput:
     #: True when the append path produced this output from the leaf's
     #: previous one.
     appended: bool = False
-    #: The state an append reads, kept only by :func:`cluster_merge_sweep`:
-    #: the border pass's claims and their d² and the view's cell index
-    #: (from the leaf), and the ids of the view (own, shadow) they index
-    #: (set by the driver).
-    claims: np.ndarray | None = field(default=None, repr=False)
-    claim_d2: np.ndarray | None = field(default=None, repr=False)
-    index: CellIndex | None = field(default=None, repr=False)
-    view_ids: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    #: What the leaf's next append starts from, kept only by
+    #: :func:`cluster_merge_sweep`'s runs.
+    state: LeafState | None = field(default=None, repr=False)
 
-    def prior(self) -> _LeafPrior | None:
-        """This output as an append's starting point (None when it kept no
-        state: a batch run's, or one restored from a spill)."""
-        if self.claims is None or self.view_ids is None:
-            return None
-        return _LeafPrior(
-            *self.view_ids, self.labels, self.core_mask, self.claims, self.claim_d2,
-            self.index, self.summary.rep_ids,
+
+@dataclass
+class _LeafRun:
+    """One leaf's pass over its view ``own + shadow`` on ``device``: the
+    steps :class:`LeafState` takes, each under a span of ``tracer``."""
+
+    task: _ClusterLeafTask
+    own: PointSet
+    shadow: PointSet
+    view: PointSet
+    device: object
+    tracer: Tracer
+
+    def span(self, name: str, **args):
+        return self.tracer.span(name, cat="gpu", pid=PID_GPU, tid=self.task.leaf_id, **args)
+
+    def cluster(self, span, engine, **state):
+        """``engine`` over the view; a ``DeviceMemoryError`` resets the
+        device and re-runs with the partition streamed in twice as many
+        memory chunks (identical labels, more transfers), up to
+        :data:`MAX_MEMORY_CHUNKS`."""
+        cfg = self.task.config
+        chunks = max(1, int(self.task.memory_chunks))
+        while True:
+            try:
+                result = engine(
+                    self.view, cfg.eps, cfg.minpts, device=self.device,
+                    use_densebox=cfg.use_densebox, memory_chunks=chunks, **state,
+                )
+                break
+            except DeviceMemoryError:
+                if chunks >= MAX_MEMORY_CHUNKS:
+                    raise
+                chunks *= 2
+                self.device.reset()
+                self.tracer.instant(
+                    "oom.split", cat="gpu", pid=PID_GPU, tid=self.task.leaf_id,
+                    memory_chunks=chunks,
+                )
+        stats = result.stats
+        span.set(
+            n_core=stats.n_core,
+            distance_ops=stats.total_distance_ops,
+            kernel_launches=stats.kernel_launches,
+        )
+        return result
+
+    def summarize(self, result, candidates: np.ndarray | None = None) -> LeafSummary:
+        task = self.task
+        return summarize_leaf(
+            task.leaf_id, self.view, result.labels, result.core_mask, task.config.eps,
+            set(task.owned_cells), claims=result.claims, candidates=candidates,
         )
 
 
 def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     """Leaf body: Mr. Scan's two-pass GPU DBSCAN over partition+shadow,
-    then summarise.
+    then summarise — a full pass, or an append from ``task.prior``.
 
     When ``task.trace`` is set the leaf records into its *own* tracer and
     ships the drained spans back with the result — the worker-safe way to
@@ -230,14 +312,11 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     Resilience: with ``task.checkpoint_dir`` set the leaf first looks for
     a valid spill checkpoint (a retried or failed-over leaf resumes
     without re-clustering — a corrupt checkpoint is treated as a miss);
-    its fresh output is checkpointed before returning.  A
-    ``DeviceMemoryError`` mid-run degrades gracefully: the device is
-    reset and the run retried with the partition streamed in twice as
-    many memory chunks (identical labels, more transfers), up to
-    :data:`MAX_MEMORY_CHUNKS`.
+    its fresh output, with its state, is spilled before returning.  A
+    ``DeviceMemoryError`` mid-run degrades gracefully
+    (:meth:`_LeafRun.cluster`).
     """
     t_leaf_start = time.perf_counter()
-    cfg = task.config
     store = (
         LeafCheckpointStore(task.checkpoint_dir) if task.checkpoint_dir else None
     )
@@ -245,127 +324,47 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
         try:
             # A checkpoint written by another leaf engine (a legacy
             # ``block`` or CUDA-DClust run) must not replay here.
-            ckpt = store.load(task.leaf_id, expected_engine="csr")
+            out = store.load(task.leaf_id, expected_engine="csr")
         except CheckpointError:
-            pass  # corrupt, torn or foreign-engine checkpoint: recompute
+            pass  # corrupt, torn, foreign-engine or older-layout checkpoint: recompute
         else:
-            return _ClusterLeafOutput(
-                leaf_id=task.leaf_id,
-                labels=ckpt.labels,
-                core_mask=ckpt.core_mask,
-                stats=ckpt.stats,
-                summary=ckpt.summary,
-                n_owned=ckpt.n_owned,
-                from_checkpoint=True,
+            return replace(
+                out, from_checkpoint=True, appended=False,
                 wall_seconds=time.perf_counter() - t_leaf_start,
-                n_points=len(task.own) + len(task.shadow),
             )
     # Under the shm data plane own/shadow arrive as refs; materialize
     # them as zero-copy views over the worker's attached segments.
     own = as_pointset(task.own)
     shadow = as_pointset(task.shadow)
-    view = own.concat(shadow)
-    prior = task.prior
     tracer = Tracer() if task.trace else NOOP_TRACER
-    device = acquire_device(cfg.device, tracer=tracer, trace_tid=task.leaf_id)
+    device = acquire_device(task.config.device, tracer=tracer, trace_tid=task.leaf_id)
+    leaf = _LeafRun(task, own, shadow, own.concat(shadow), device, tracer)
     try:
-        with tracer.span(
-            "leaf.cluster",
-            cat="gpu",
-            pid=PID_GPU,
-            tid=task.leaf_id,
-            n_points=len(view),
-        ) as leaf_span:
-            if prior is None:
-                engine, n_inserted = mrscan_gpu, len(view)
-                state = {"keep_index": True} if task.keep_state else {}
-            else:
-                old_rows = prior.rows_in(own, shadow)
-                engine, n_inserted = mrscan_gpu_append, len(view) - len(old_rows)
-                state = dict(
-                    old_rows=old_rows, labels=prior.labels, core_mask=prior.core_mask,
-                    claims=prior.claims, claim_d2=prior.claim_d2, index=prior.index,
-                )
-            leaf_span.set(mode="full" if prior is None else "append", n_inserted=n_inserted)
-            chunks = max(1, int(task.memory_chunks))
-            while True:
-                try:
-                    result = engine(
-                        view,
-                        cfg.eps,
-                        cfg.minpts,
-                        device=device,
-                        use_densebox=cfg.use_densebox,
-                        memory_chunks=chunks,
-                        **state,
-                    )
-                    break
-                except DeviceMemoryError:
-                    if chunks >= MAX_MEMORY_CHUNKS:
-                        raise
-                    chunks *= 2
-                    device.reset()
-                    tracer.instant(
-                        "oom.split",
-                        cat="gpu",
-                        pid=PID_GPU,
-                        tid=task.leaf_id,
-                        memory_chunks=chunks,
-                    )
-            labels, core_mask, stats = result.labels, result.core_mask, result.stats
-            leaf_span.set(
-                n_core=stats.n_core,
-                distance_ops=stats.total_distance_ops,
-                kernel_launches=stats.kernel_launches,
-            )
-            if prior is not None:
-                leaf_span.set(
-                    cells_read=result.densebox.n_subdivisions, rows_read=result.rows_read
-                )
-        with tracer.span(
-            "leaf.summarize", cat="gpu", pid=PID_GPU, tid=task.leaf_id
-        ):
-            summary = summarize_leaf(
-                task.leaf_id,
-                view,
-                labels,
-                core_mask,
-                cfg.eps,
-                set(task.owned_cells),
-                claims=result.claims,
-                candidates=None if prior is None
-                else prior.candidates(own, shadow, old_rows, core_mask),
-            )
+        if task.prior is None:
+            result, summary, state = LeafState.full(leaf, keep=task.keep_state)
+        else:
+            result, summary, state = task.prior.append(leaf)
     finally:
         # Never leak device allocations, whatever path exits the leaf —
         # a retried leaf reuses a fresh device, but an injected crash
         # "after" the work would otherwise leave buffers accounted.
         device.free_all()
-    if store is not None:
-        store.save(
-            task.leaf_id,
-            labels=labels,
-            core_mask=core_mask,
-            n_owned=len(task.own),
-            summary=summary,
-            stats=stats,
-            engine="csr",
-        )
-    return _ClusterLeafOutput(
+    out = _ClusterLeafOutput(
         leaf_id=task.leaf_id,
-        labels=labels,
-        core_mask=core_mask,
-        stats=stats,
+        labels=result.labels,
+        core_mask=result.core_mask,
+        stats=result.stats,
         summary=summary,
-        n_owned=len(task.own),
-        spans=tracer.drain(),
-        wall_seconds=time.perf_counter() - t_leaf_start,
-        n_points=len(view),
-        appended=prior is not None,
-        claims=result.claims if task.keep_state else None,
-        claim_d2=result.claim_d2 if task.keep_state else None,
-        index=result.index if task.keep_state else None,
+        n_owned=len(own),
+        n_points=len(leaf.view),
+        appended=task.prior is not None,
+        state=state,
     )
+    if store is not None:
+        store.save(task.leaf_id, out, engine="csr")
+    out.spans = tracer.drain()
+    out.wall_seconds = time.perf_counter() - t_leaf_start
+    return out
 
 
 def _split_on_oom(task: _ClusterLeafTask, message: str):
@@ -810,22 +809,22 @@ def cluster_merge_sweep(
     a cached output reuses the cut it carries.  A batch run
     (:func:`run_pipeline`) runs the same phases after its partition phase.
 
-    Outputs made here keep their leaf's append state (claims, and the
-    view's ids).  A dirty leaf whose cached output kept it takes the
-    append path (:func:`repro.gpu.append.mrscan_gpu_append`): its view
-    must be the cached one's plus inserted rows, and the result is what
-    a full pass would return; its summary searches for representatives
-    among the cached summary's and the rows that became core only.
-    Without a cached output, or with one that kept no state (restored
-    from a spill), the leaf is clustered in full.  Cached outputs are
-    only read, so a retried leaf appends again from the same one.
+    Outputs made here keep their leaf's :class:`LeafState`, spilled ones
+    too.  A dirty leaf with a cached output appends from its state
+    (:meth:`LeafState.append`): its view must be the cached one's plus
+    inserted rows, and the result is what a full pass would return; its
+    summary searches for representatives among the cached summary's and
+    the rows that became core only.  A leaf without a cached output is
+    clustered in full.  Cached outputs are only read, so a retried leaf
+    appends again from the same one.
 
     The caller owns ``transport`` — it is never closed here, so pools and
     arenas stay warm across calls; the arena is rewound as the call
     returns or raises, so every call restages into the same pages.
-    With ``checkpoint_dir`` set every leaf run here spills its output and
-    a leaf whose spill loads is not run: a spill there must describe the
-    leaf's current partition.  The daemon passes one at bootstrap only.
+    With ``checkpoint_dir`` set every leaf run here spills its output with
+    its state and a leaf whose spill loads is not run, its output
+    appending like a live one: a spill there must describe the leaf's
+    current partition.  The daemon passes one at bootstrap only.
 
     ``cancel`` (a :class:`~repro.resilience.CancelToken`) makes the run
     abandonable: the token is checked between phases and threaded into
@@ -898,7 +897,7 @@ def _cluster_merge_sweep(
             trace=telemetry.enabled,
             checkpoint_dir=run.checkpoint_dir,
             keep_state=run.keep_state,
-            prior=cached[pid].prior() if pid in dirty and pid in cached else None,
+            prior=cached[pid].state if pid in dirty and pid in cached else None,
         )
         for pid, (own, shadow) in zip(need, staged)
     ]
@@ -928,9 +927,10 @@ def _cluster_merge_sweep(
             for o in outs:
                 tracer.ingest(o.spans)
                 fresh[o.leaf_id] = o
-                if o.claims is not None:
+                if o.state is not None:
                     own, shadow = partitions[o.leaf_id]
-                    o.view_ids = (as_pointset(own).ids, as_pointset(shadow).ids)
+                    o.state.own_ids = as_pointset(own).ids
+                    o.state.shadow_ids = as_pointset(shadow).ids
             logger.info(
                 "cluster: %s (%d leaves); slowest leaf %s distance ops",
                 map_tree.topology.describe(),

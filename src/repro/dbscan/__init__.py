@@ -8,19 +8,15 @@ partitioner and the merge build on.
 from .grid_index import GridIndex
 from .disjoint_set import DisjointSet
 from .labels import canonicalize_labels, core_sets_equal, clustering_signature
-from .nd import GridIndexND, DBSCANResultND, dbscan_nd
 from .reference import dbscan_reference, dbscan_bfs, DBSCANResult
 
 __all__ = [
     "GridIndex",
-    "GridIndexND",
     "DisjointSet",
     "canonicalize_labels",
     "core_sets_equal",
     "clustering_signature",
     "dbscan_reference",
     "dbscan_bfs",
-    "dbscan_nd",
     "DBSCANResult",
-    "DBSCANResultND",
 ]

@@ -1,10 +1,11 @@
 """One atomic blob store: every durable file the system writes.
 
 A clustering leaf is the expensive unit of work in Mr. Scan — re-running
-one after a crash wastes a full GPU DBSCAN pass — so its output is
-spilled the moment it is produced; the other three phase boundaries
-(partition plan, merge table, sweep output) are checkpointed once each,
-after their phase validates.  Both are the same thing on disk::
+one after a crash wastes a full GPU DBSCAN pass — so its output, with
+the state its next append starts from, is spilled the moment it is
+produced; the other three phase boundaries (partition plan, merge
+table, sweep output) are checkpointed once each, after their phase
+validates.  Both are the same thing on disk::
 
     <name>.bin     the pickled payload
     <name>.json    {"n_bytes", "digest" (sha256 of the .bin), caller fields}
@@ -32,17 +33,13 @@ import logging
 import os
 import pickle
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable
-
-import numpy as np
 
 from ..errors import CheckpointError, MergeError
 
 __all__ = [
     "CORRUPT_CHECKPOINT_ERRORS",
-    "CheckpointedLeaf",
     "LeafCheckpointStore",
     "PHASE_NAMES",
     "PhaseCheckpointStore",
@@ -209,25 +206,12 @@ class PhaseCheckpointStore(_BlobStore):
         return sum(self._unlink(phase) for phase in PHASE_NAMES)
 
 
-@dataclass
-class CheckpointedLeaf:
-    """One leaf's cluster output, as spilled and recovered."""
-
-    leaf_id: int
-    labels: np.ndarray
-    core_mask: np.ndarray
-    n_owned: int
-    summary: Any
-    stats: Any
-    #: Cluster engine that produced the output (``None`` when the writer
-    #: recorded none).
-    engine: str | None = None
-
-
 class LeafCheckpointStore(_BlobStore):
-    """Per-leaf spill files: ``leaf_%04d`` entries, each one pickled
-    :class:`CheckpointedLeaf`.  Several worker processes may share the
-    store; each leaf writes only its own entry."""
+    """Per-leaf spill files: ``leaf_%04d`` entries, each one pickled leaf
+    output (``repro.core.pipeline._ClusterLeafOutput``) with the
+    ``LeafState`` its next append starts from, if its run kept one.
+    Several worker processes may share the store; each leaf writes only
+    its own entry."""
 
     _on_miss = "re-clustering"
 
@@ -238,37 +222,25 @@ class LeafCheckpointStore(_BlobStore):
     def has(self, leaf_id: int) -> bool:
         return self._has(self._name(leaf_id))
 
-    def save(
-        self,
-        leaf_id: int,
-        *,
-        labels: np.ndarray,
-        core_mask: np.ndarray,
-        n_owned: int,
-        summary: Any,
-        stats: Any,
-        engine: str | None = None,
-    ) -> Path:
-        """Persist one leaf's output atomically; returns the data path.
+    def save(self, leaf_id: int, output: Any, *, engine: str | None = None) -> Path:
+        """Persist one leaf's output as given (the leaf spills it before
+        its spans are attached); returns the data path.
 
         ``engine`` records which cluster engine produced the output so a
         later run under a different engine refuses to replay it (see
         :meth:`load`).
         """
-        leaf = CheckpointedLeaf(
-            int(leaf_id), labels, core_mask, int(n_owned), summary, stats, engine
-        )
-        return self._save(self._name(leaf_id), leaf, leaf_id=int(leaf_id), engine=engine)
+        return self._save(self._name(leaf_id), output, leaf_id=int(leaf_id), engine=engine)
 
-    def load(
-        self, leaf_id: int, *, expected_engine: str | None = None
-    ) -> CheckpointedLeaf:
+    def load(self, leaf_id: int, *, expected_engine: str | None = None) -> Any:
         """Recover one leaf's output (:class:`CheckpointError` on a miss).
 
         With ``expected_engine`` set, a checkpoint recorded under any
         other engine — including one that recorded none — is a miss:
         replaying a foreign engine's output would silently skip the
-        engine this run was asked to exercise.
+        engine this run was asked to exercise.  A spill in an older
+        layout names a class this build no longer has, so it is a miss
+        too (:func:`loads_blob`).
         """
         expect = {} if expected_engine is None else {"engine": expected_engine}
         return self._load(self._name(leaf_id), f"leaf {leaf_id}", **expect)

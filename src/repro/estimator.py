@@ -65,7 +65,7 @@ class MrScanClusterer:
         if X.ndim != 2 or X.shape[1] != 2:
             raise ConfigError(
                 f"the distributed pipeline is 2-D; got shape {X.shape} "
-                "(use repro.dbscan.dbscan_nd for other dimensions)"
+                "(examples/dbscan_nd.py clusters other dimensions)"
             )
         points = PointSet.from_coords(X)
         result = mrscan(

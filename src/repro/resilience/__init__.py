@@ -23,7 +23,7 @@ recovery machinery such a deployment needs:
   full pipeline).
 """
 
-from ..durability.checkpoints import CheckpointedLeaf, LeafCheckpointStore
+from ..durability.checkpoints import LeafCheckpointStore
 from .cancel import CancelToken
 from .faults import (
     CRASH_POINTS,
@@ -51,7 +51,6 @@ __all__ = [
     "as_injector",
     "RetryPolicy",
     "ResiliencePolicy",
-    "CheckpointedLeaf",
     "LeafCheckpointStore",
     "ChaosOutcome",
     "ChaosRunner",

@@ -26,10 +26,11 @@ state:
    dirty specs get their point counts from the appended own rows;
 6. run :func:`repro.core.pipeline.cluster_merge_sweep` with every
    leaf's committed output and no spill checkpoints: clean leaves reuse
-   theirs, and each dirty leaf takes the append path from its own (the
-   engine updates the last output around the inserted rows, and the
-   summary searches only the last representatives and the new cores);
-   a retried dirty leaf appends again from the same committed output;
+   theirs, and each dirty leaf appends from its own's
+   :class:`~repro.core.pipeline.LeafState` (the engine updates the last
+   output around the inserted rows, and the summary searches only the
+   last representatives and the new cores); a retried dirty leaf
+   appends again from the same committed output;
 7. commit — swap every reference under the snapshot lock, journal
    ``ingest_done``, bump ``serve.*`` metrics.
 
@@ -38,7 +39,9 @@ A failure anywhere before step 7 leaves the committed state untouched
 worker ``kill`` fault or an OOM mid-re-cluster safe: the self-healing
 pool retries inside step 6, and if the run ultimately fails the ingest
 is rejected without poisoning the resident state.  Only bootstrap spills
-leaf checkpoints (``checkpoint_dir``), and it clears them first.
+leaf checkpoints (``checkpoint_dir``), and it clears them first.  A spill
+keeps the leaf's state, so a bootstrap leaf restored from one (retried
+or failed over) appends at the next ingest like a live one.
 """
 
 from __future__ import annotations

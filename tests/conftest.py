@@ -26,6 +26,8 @@ settings.load_profile("fuzz" if os.environ.get("MRSCAN_FUZZ") == "1" else "tier1
 # ablations' oracle.
 sys.path.append(str(Path(__file__).parent / "merge"))
 sys.path.append(str(Path(__file__).parent / "gpu"))
+# d-dimensional DBSCAN lives beside the example that uses it.
+sys.path.append(str(Path(__file__).parents[1] / "examples"))
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbscan import dbscan_nd, dbscan_reference
+from dbscan_nd import GridIndexND, dbscan_nd
+from repro.dbscan import dbscan_reference
 from repro.dbscan.labels import core_sets_equal
-from repro.dbscan.nd import GridIndexND
 from repro.errors import ConfigError
 from repro.points import NOISE, PointSet
 

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.pipeline import _ClusterLeafOutput
 from repro.durability import BatchStore, PhaseCheckpointStore, RunJournal, replay_journal
 from repro.errors import CheckpointError, JournalError
 from repro.resilience import LeafCheckpointStore
@@ -29,10 +30,10 @@ def _load_phase(root):
 
 
 def _save_leaf(root, version):
-    LeafCheckpointStore(root).save(
-        0, labels=np.full(5, version), core_mask=np.ones(5, bool), n_owned=5,
+    LeafCheckpointStore(root).save(0, _ClusterLeafOutput(
+        leaf_id=0, labels=np.full(5, version), core_mask=np.ones(5, bool), n_owned=5,
         summary=None, stats=None,
-    )
+    ))
 
 
 def _load_leaf(root):

@@ -6,7 +6,8 @@ selectable are still on disks.  Two enforcement layers keep them from
 being spliced into a run:
 
 * ``LeafCheckpointStore.load(expected_engine=...)`` treats a foreign or
-  legacy (engine-less) checkpoint as a miss (``CheckpointError``);
+  legacy (engine-less) checkpoint as a miss (``CheckpointError``): the
+  engine is a manifest field;
 * the run-directory config fingerprint still hashes the engine and the
   leaf algorithm as the constants ``"csr"`` and ``"mrscan"``, so a
   ``csr`` run dir resumes and a ``block`` or ``cuda-dclust`` one fails up
@@ -15,11 +16,14 @@ being spliced into a run:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import repro.durability.rundir as rundir_mod
 from repro.core import mrscan
+from repro.core.pipeline import _ClusterLeafOutput
 from repro.errors import CheckpointError, DurabilityError
 from repro.points import PointSet
 from repro.resilience import LeafCheckpointStore
@@ -27,13 +31,19 @@ from repro.resilience import LeafCheckpointStore
 
 @pytest.fixture
 def leaf_output(rng):
-    return {
-        "labels": rng.integers(-1, 5, size=100).astype(np.int64),
-        "core_mask": rng.random(100) > 0.5,
-        "n_owned": 80,
-        "summary": {"n_clusters": 5},
-        "stats": {"kernel_launches": 3},
-    }
+    return _ClusterLeafOutput(
+        leaf_id=0,
+        labels=rng.integers(-1, 5, size=100).astype(np.int64),
+        core_mask=rng.random(100) > 0.5,
+        n_owned=80,
+        summary={"n_clusters": 5},
+        stats={"kernel_launches": 3},
+    )
+
+
+def _engine(root, leaf_id: int):
+    """The engine a leaf spill's manifest records."""
+    return json.loads((root / f"leaf_{leaf_id:04d}.json").read_text())["engine"]
 
 
 # ---------------------------------------------------------------------- #
@@ -43,27 +53,29 @@ def leaf_output(rng):
 
 def test_save_records_engine(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
-    store.save(0, engine="csr", **leaf_output)
-    ckpt = store.load(0)
-    assert ckpt.engine == "csr"
+    store.save(0, leaf_output, engine="csr")
+    assert _engine(tmp_path, 0) == "csr"
+    ckpt = store.load(0, expected_engine="csr")
+    np.testing.assert_array_equal(ckpt.labels, leaf_output.labels)
 
 
 def test_foreign_engine_checkpoint_is_a_miss(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
-    store.save(0, engine="block", **leaf_output)
+    store.save(0, leaf_output, engine="block")
     with pytest.raises(CheckpointError, match="engine 'block', not 'csr'"):
         store.load(0, expected_engine="csr")
     # The right engine still replays it.
     ckpt = store.load(0, expected_engine="block")
-    np.testing.assert_array_equal(ckpt.labels, leaf_output["labels"])
+    np.testing.assert_array_equal(ckpt.labels, leaf_output.labels)
 
 
 def test_legacy_checkpoint_rejected_when_engine_expected(tmp_path, leaf_output):
     """Checkpoints written before engines were recorded never replay
     into an engine-pinned run (conservative: recompute, don't guess)."""
     store = LeafCheckpointStore(tmp_path)
-    store.save(0, **leaf_output)  # legacy writer: no engine recorded
-    assert store.load(0).engine is None
+    store.save(0, leaf_output)  # legacy writer: no engine recorded
+    assert _engine(tmp_path, 0) is None
+    np.testing.assert_array_equal(store.load(0).labels, leaf_output.labels)
     with pytest.raises(CheckpointError, match="engine None"):
         store.load(0, expected_engine="csr")
     with pytest.raises(CheckpointError, match="engine None"):
@@ -72,10 +84,11 @@ def test_legacy_checkpoint_rejected_when_engine_expected(tmp_path, leaf_output):
 
 def test_load_without_expectation_accepts_any_engine(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
-    store.save(0, engine="csr", **leaf_output)
-    store.save(1, engine="block", **leaf_output)
-    assert store.load(0).engine == "csr"
-    assert store.load(1).engine == "block"
+    store.save(0, leaf_output, engine="csr")
+    store.save(1, leaf_output, engine="block")
+    assert (_engine(tmp_path, 0), _engine(tmp_path, 1)) == ("csr", "block")
+    for leaf_id in (0, 1):
+        np.testing.assert_array_equal(store.load(leaf_id).labels, leaf_output.labels)
 
 
 # ---------------------------------------------------------------------- #

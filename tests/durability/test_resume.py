@@ -12,13 +12,14 @@ import copyreg
 import hashlib
 import json
 import pickle
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 from merge_reference import write_dict_orders, write_object_graphs
 
 import repro.core.pipeline as pipeline_mod
+import repro.durability.checkpoints as checkpoints_mod
 from repro.core import mrscan
 from repro.core.config import MrScanConfig
 from repro.durability import PhaseCheckpointStore, config_fingerprint, replay_journal
@@ -427,11 +428,7 @@ def test_run_dir_in_the_old_layout_resumes_byte_identically(tmp_path, monkeypatc
         write_object_graphs(legacy)
         _old_merge_checkpoint(legacy, tmp_path)
         for leaf_id in range(LEAVES):
-            leaf = leaves.load(leaf_id)
-            leaves.save(
-                leaf_id, labels=leaf.labels, core_mask=leaf.core_mask, n_owned=leaf.n_owned,
-                summary=leaf.summary, stats=leaf.stats, engine=leaf.engine,
-            )
+            leaves.save(leaf_id, leaves.load(leaf_id), engine="csr")
     ckpt = tmp_path / "checkpoints"
     assert b"_unpack_summary" not in (ckpt / "merge.bin").read_bytes()
     assert b"CellSummary" in (ckpt / "merge.bin").read_bytes()
@@ -487,10 +484,7 @@ def test_leaf_checkpoint_with_inconsistent_columns_is_a_miss(tmp_path, monkeypat
     _crash_in(monkeypatch, "MergeFilter", points, tmp_path)
     store = LeafCheckpointStore(tmp_path / "checkpoints" / "leaves")
     good = store.load(1)
-    store.save(
-        1, labels=good.labels, core_mask=good.core_mask, n_owned=good.n_owned,
-        summary=_DamagedSummary(good.summary), stats=good.stats, engine=good.engine,
-    )
+    store.save(1, replace(good, summary=_DamagedSummary(good.summary)), engine="csr")
     with pytest.raises(CheckpointError, match="columns disagree"):
         store.load(1)  # the digest is fine: only the columns are not
 
@@ -551,6 +545,7 @@ def _write_npz_spill(root, leaf_id):
     summary/stats as a byte array) plus a manifest whose digest covers
     all three."""
     leaf = LeafCheckpointStore(root).load(leaf_id)
+    engine = json.loads((root / f"leaf_{leaf_id:04d}.json").read_text())["engine"]
     blob = pickle.dumps(
         {"summary": leaf.summary, "stats": leaf.stats}, protocol=pickle.HIGHEST_PROTOCOL
     )
@@ -565,7 +560,7 @@ def _write_npz_spill(root, leaf_id):
         digest.update(part)
     manifest = {
         "leaf_id": leaf_id, "n_points": len(leaf.labels),
-        "digest": digest.hexdigest(), "engine": leaf.engine,
+        "digest": digest.hexdigest(), "engine": engine,
     }
     name.with_suffix(".json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     name.with_suffix(".bin").unlink()
@@ -592,3 +587,53 @@ def test_npz_leaf_spills_are_misses_and_reclustered_byte_identically(tmp_path, m
     assert resumed.labels.tobytes() == baseline.labels.tobytes()
     assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()
     assert store.has(0)  # re-spilled in the current layout
+
+
+@dataclass
+class CheckpointedLeaf:
+    """A leaf spill as builds before the leaf state wrote it: the output
+    without the state an append starts from."""
+
+    leaf_id: int
+    labels: np.ndarray
+    core_mask: np.ndarray
+    n_owned: int
+    summary: object
+    stats: object
+    engine: str | None = None
+
+
+def _write_checkpointed_leaf_spill(monkeypatch, root, leaf_id):
+    """Rewrite one leaf entry as a ``CheckpointedLeaf`` of
+    ``repro.durability.checkpoints``, the class those builds pickled."""
+    store = LeafCheckpointStore(root)
+    leaf = store.load(leaf_id)
+    old = CheckpointedLeaf(
+        leaf_id, leaf.labels, leaf.core_mask, leaf.n_owned, leaf.summary, leaf.stats, "csr"
+    )
+    with monkeypatch.context() as legacy:
+        legacy.setattr(CheckpointedLeaf, "__module__", checkpoints_mod.__name__)
+        legacy.setattr(checkpoints_mod, "CheckpointedLeaf", CheckpointedLeaf, raising=False)
+        store.save(leaf_id, old, engine="csr")
+
+
+def test_leaf_spills_without_append_state_are_misses(tmp_path, monkeypatch):
+    """A run dir whose leaf spills are ``CheckpointedLeaf`` entries, which
+    carry no append state: every one is a miss, each leaf re-clusters,
+    and the run resumes to the bytes of a fresh run."""
+    points = _points()
+    baseline = _run(points)
+    _crash_in(monkeypatch, "MergeFilter", points, tmp_path)
+    leaves = tmp_path / "checkpoints" / "leaves"
+    for leaf_id in range(LEAVES):
+        _write_checkpointed_leaf_spill(monkeypatch, leaves, leaf_id)
+    assert b"CheckpointedLeaf" in (leaves / "leaf_0000.bin").read_bytes()
+    with pytest.raises(CheckpointError, match="unreadable"):
+        LeafCheckpointStore(leaves).load(0)
+
+    resumed = _run(points, run_dir=tmp_path, resume=True)
+    assert resumed.phases_restored == ["partition"]
+    assert resumed.checkpoint_hits == 0
+    assert_resume_equivalent(baseline, resumed)
+    assert resumed.labels.tobytes() == baseline.labels.tobytes()
+    assert resumed.core_mask.tobytes() == baseline.core_mask.tobytes()

@@ -25,6 +25,7 @@ from merge_reference import (
     write_object_graphs,
 )
 
+from repro.core.pipeline import _ClusterLeafOutput
 from repro.data import generate_sdss, generate_twitter
 from repro.durability.checkpoints import LeafCheckpointStore, loads_blob
 from repro.errors import CheckpointError, MergeError
@@ -282,7 +283,9 @@ def test_old_object_graph_layout_is_an_unpickling_error(monkeypatch, tmp_path):
     store = LeafCheckpointStore(tmp_path)
     with monkeypatch.context() as legacy:
         write_object_graphs(legacy)
-        store.save(0, labels=np.zeros(3), core_mask=np.zeros(3, bool), n_owned=3,
-                   summary=leaves[0], stats=None)
+        store.save(0, _ClusterLeafOutput(
+            leaf_id=0, labels=np.zeros(3), core_mask=np.zeros(3, bool), n_owned=3,
+            summary=leaves[0], stats=None,
+        ))
     with pytest.raises(CheckpointError, match="unreadable"):
         store.load(0)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import mrscan
+from repro.core.pipeline import _ClusterLeafOutput
 from repro.durability.checkpoints import (
     CORRUPT_CHECKPOINT_ERRORS,
     LeafCheckpointStore,
@@ -30,11 +31,14 @@ def _save_one(store, leaf_id=3, n=50):
     core = rng.random(n) < 0.5
     store.save(
         leaf_id,
-        labels=labels,
-        core_mask=core,
-        n_owned=n - 10,
-        summary={"leaf": leaf_id},
-        stats={"ops": 123},
+        _ClusterLeafOutput(
+            leaf_id=leaf_id,
+            labels=labels,
+            core_mask=core,
+            n_owned=n - 10,
+            summary={"leaf": leaf_id},
+            stats={"ops": 123},
+        ),
     )
     return labels, core
 

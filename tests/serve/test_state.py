@@ -15,9 +15,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from block_reference import assert_fresh_cell_index
 from repro.core.config import MrScanConfig
-from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, mrscan
+from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, cluster_merge_sweep, mrscan
 from repro.dbscan.labels import clustering_signature
 from repro.gpu.densebox import CellIndex
+from repro.durability.checkpoints import LeafCheckpointStore
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError, OperationCancelledError, RetryExhaustedError
 from repro.mrnet import LocalTransport, Topology
@@ -107,7 +108,7 @@ def _outputs_digest(state: ServeState) -> str:
     digest = hashlib.sha256()
     for pid in sorted(state.outputs):
         out = state.outputs[pid]
-        for array in (out.labels, out.core_mask, out.claims, out.claim_d2):
+        for array in (out.labels, out.core_mask, out.state.claims, out.state.claim_d2):
             digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 
@@ -129,7 +130,7 @@ def _assert_leaves_equal_a_full_pass(state: ServeState) -> None:
     for pid, out in state.outputs.items():
         own, shadow = state.partitions[pid]
         assert_fresh_cell_index(
-            out.index, own.concat(shadow).coords, state.config.eps, out.core_mask
+            out.state.index, own.concat(shadow).coords, state.config.eps, out.core_mask
         )
         ref = _cluster_leaf(_ClusterLeafTask(
             leaf_id=pid, own=own, shadow=shadow,
@@ -138,7 +139,8 @@ def _assert_leaves_equal_a_full_pass(state: ServeState) -> None:
         ))
         assert out.labels.tobytes() == ref.labels.tobytes(), pid
         assert out.core_mask.tobytes() == ref.core_mask.tobytes(), pid
-        assert _claim_set(out.claims, out.claim_d2) == _claim_set(ref.claims, ref.claim_d2), pid
+        got, want = out.state, ref.state
+        assert _claim_set(got.claims, got.claim_d2) == _claim_set(want.claims, want.claim_d2), pid
         for f in fields(out.summary):
             got, want = getattr(out.summary, f.name), getattr(ref.summary, f.name)
             if isinstance(got, np.ndarray):
@@ -203,6 +205,52 @@ def test_dirty_leaves_take_the_append_path(base, config, transport):
     assert appended.value == outcome.n_reclustered == len(outcome.dirty_leaves)
     assert telemetry.metrics.get("serve.reclustered_leaves").value == appended.value
     _assert_leaves_equal_a_full_pass(state)
+
+
+def test_a_leaf_restored_from_a_spill_appends_like_a_live_one(base, config, tmp_path):
+    """Bootstrap spills every leaf with its state, and a second run over
+    the same store restores them all.  An ingest from the restored
+    outputs appends every dirty leaf, none takes a full pass, and every
+    leaf output ends byte for byte where a twin's does that ingests from
+    its live outputs.  The transport is ``MRSCAN_TRANSPORT``'s."""
+    transport = make_transport(os.environ.get("MRSCAN_TRANSPORT", "local"), n_workers=2)
+    try:
+        spills = tmp_path / "leaves"
+        telemetry = Telemetry()
+        state = ServeState(
+            base, config, transport=borrow_transport(transport), telemetry=telemetry,
+            checkpoint_dir=str(spills),
+        )
+        twin = ServeState(base, config, transport=borrow_transport(transport))
+        restored = cluster_merge_sweep(
+            partitions=state.partitions, plan=state.plan, n_points=len(state.points),
+            config=config, transport=transport, checkpoint_dir=str(spills),
+        )
+        assert all(out.from_checkpoint for out in restored.outputs.values())
+        assert restored.n_fresh == 0
+        # A spill keeps the state but not the view's ids.
+        assert LeafCheckpointStore(spills).load(0).state.own_ids is None
+        state.outputs = restored.outputs
+
+        telemetry.tracer.drain()
+        batch = _local_batch(base, 200, 1)
+        outcome = state.ingest(batch)
+        assert twin.ingest(batch).dirty_leaves == outcome.dirty_leaves
+        modes = [s.args["mode"] for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
+        assert modes == ["append"] * len(outcome.dirty_leaves)
+        assert telemetry.metrics.get("serve.appended_leaves").value == len(outcome.dirty_leaves)
+        assert _outputs_digest(state) == _outputs_digest(twin)
+        for pid in range(config.n_leaves):
+            got, want = state.outputs[pid], twin.outputs[pid]
+            assert _index_digest(got.state.index) == _index_digest(want.state.index), pid
+            for f in fields(got.summary):
+                a, b = getattr(got.summary, f.name), getattr(want.summary, f.name)
+                assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+        assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
+        assert state._snap().core_mask.tobytes() == twin._snap().core_mask.tobytes()
+        _assert_leaves_equal_a_full_pass(state)
+    finally:
+        transport.close()
 
 
 def test_adoption_inserts_resident_rows_mid_shadow(transport):
@@ -449,7 +497,7 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
     plan = FaultPlan(faults=(FaultSpec(node=node, phase="cluster", point="after"),))
     state.config = replace(config, fault_plan=plan, backoff_base=0.0)
     crashed = want.dirty_leaves[0]
-    committed = state.outputs[crashed].index
+    committed = state.outputs[crashed].state.index
     before = _index_digest(committed)
     seen = []
     real_grown = CellIndex.grown
