@@ -26,6 +26,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime.executor import TRANSPORT_NAMES
+
     parser = argparse.ArgumentParser(
         prog="mrscan",
         description="Mr. Scan (SC'13) reproduction: tree-distributed GPU DBSCAN",
@@ -106,21 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
         "with LeafTimeoutError and is retried (default: none)",
     )
     clu.add_argument(
-        "--checkpoint-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="checkpoint each leaf's clustering output so retried or "
-        "failed-over leaves resume without re-clustering",
-    )
-    clu.add_argument(
         "--run-dir",
         type=Path,
         default=None,
         metavar="DIR",
         help="durable-run directory (repro.durability): write-ahead "
-        "journal + phase checkpoints; a crashed run restarts with "
-        "--resume and re-executes only unfinished work",
+        "journal, phase checkpoints and leaf spills (a retried or "
+        "failed-over leaf resumes without re-clustering); a crashed run "
+        "restarts with --resume and re-executes only unfinished work",
     )
     clu.add_argument(
         "--resume",
@@ -144,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     clu.add_argument(
         "--transport",
-        choices=["local", "process", "shm", "tcp"],
+        choices=TRANSPORT_NAMES,
         default=None,
         help="execution backend for both MRNet trees (repro.runtime): "
-        "'local' runs in-process, 'process' pickles into a pool, 'shm' "
-        "ships shared-memory refs to a persistent pool, 'tcp' dispatches "
+        "'local' runs in-process, 'shm' ships shared-memory refs to a "
+        "persistent pool, 'tcp' dispatches "
         "to socket-connected worker agents (default: $MRSCAN_TRANSPORT, "
         "then local)",
     )
@@ -157,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker-pool size for the process/shm transports "
-        "(default: CPU count)",
+        help="worker count for the shm/tcp transports (default: CPU count)",
     )
 
     ana = sub.add_parser("analyze", help="per-cluster statistics of a clustering")
@@ -194,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ephemeral, printed at startup)",
     )
     srv.add_argument(
-        "--transport", choices=["local", "process", "shm", "tcp"], default=None,
+        "--transport", choices=TRANSPORT_NAMES, default=None,
         help="resident execution backend (default: $MRSCAN_TRANSPORT, "
         "then local); pool and arenas stay warm across ingests",
     )
@@ -395,9 +389,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             max_retries=args.max_retries,
             leaf_timeout=args.leaf_timeout,
-            checkpoint_dir=(
-                str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
-            ),
             validate=args.validate,
             transport=args.transport,
             transport_workers=args.workers,

@@ -15,6 +15,7 @@ from ..gpu.device import DeviceConfig
 from ..mrnet.topology import PAPER_FANOUT
 from ..resilience.faults import FaultPlan
 from ..resilience.policy import ResiliencePolicy, RetryPolicy
+from ..runtime.executor import TRANSPORT_NAMES
 
 __all__ = ["MrScanConfig", "table1_partition_nodes", "TABLE1_CONFIGS"]
 
@@ -97,27 +98,25 @@ class MrScanConfig:
     #: Re-host a dead node's work (leaf -> surviving sibling, internal ->
     #: live ancestor) instead of aborting once retries are exhausted.
     failover: bool = True
-    #: Directory for per-leaf output checkpoints; a retried or failed-over
-    #: leaf resumes from its spill file instead of re-clustering.
-    checkpoint_dir: str | None = None
     #: Runtime invariant checking at phase boundaries (repro.validate):
     #: ``off`` (default) pays nothing, ``cheap`` runs the O(n) bookkeeping
     #: checks, ``full`` adds the geometric re-verifications (shadow
     #: Eps-completeness, Fig-5 representative coverage, sweep recombination).
     validate: str = "off"
-    #: Execution backend for both MRNet trees (repro.runtime): ``local``
-    #: (sequential in-process), ``process`` (pickling multiprocessing
-    #: pool), or ``shm`` (persistent zero-copy shared-memory executor).
-    #: ``None`` defers to the ``MRSCAN_TRANSPORT`` environment variable
-    #: and then to ``local``.  Ignored when ``run_pipeline`` is handed an
-    #: explicit transport object.
+    #: Execution backend for both MRNet trees, one of
+    #: :data:`~repro.runtime.TRANSPORT_NAMES`: ``local`` (sequential
+    #: in-process), ``shm`` (persistent zero-copy spawn pool) or ``tcp``
+    #: (socket-framed worker agents).  ``None`` defers to the
+    #: ``MRSCAN_TRANSPORT`` environment variable and then to ``local``.
+    #: Ignored when ``run_pipeline`` is handed an explicit transport object.
     transport: str | None = None
-    #: Worker-pool size for the process/shm transports (None = CPU count).
+    #: Worker count for the shm/tcp transports (None = CPU count).
     transport_workers: int | None = None
     #: Durable-run directory (repro.durability): write-ahead journal +
-    #: phase checkpoints live here, and ``checkpoint_dir`` defaults to its
-    #: ``checkpoints/leaves`` subdirectory.  None = no durability (and no
-    #: journal/checkpoint overhead).
+    #: phase checkpoints live here, and leaf spills in its
+    #: ``checkpoints/leaves`` subdirectory (a retried or failed-over leaf
+    #: resumes from its spill instead of re-clustering).  None = no
+    #: durability (and no journal/checkpoint/spill overhead).
     run_dir: str | None = None
     #: Resume a crashed run from ``run_dir``: restore completed phases
     #: from their checkpoints and re-execute only unfinished work.
@@ -161,12 +160,9 @@ class MrScanConfig:
                 f"validate must be 'off', 'cheap' or 'full', got "
                 f"{self.validate!r}"
             )
-        if self.transport is not None and self.transport not in (
-            "local", "process", "shm", "tcp",
-        ):
+        if self.transport is not None and self.transport not in TRANSPORT_NAMES:
             raise ConfigError(
-                f"transport must be 'local', 'process', 'shm' or 'tcp', got "
-                f"{self.transport!r}"
+                f"transport must be one of {TRANSPORT_NAMES}, got {self.transport!r}"
             )
         if self.transport_workers is not None and self.transport_workers < 1:
             raise ConfigError("transport_workers must be >= 1")
@@ -181,10 +177,9 @@ class MrScanConfig:
             return self.transport
         env = os.environ.get("MRSCAN_TRANSPORT", "").strip().lower()
         if env:
-            if env not in ("local", "process", "shm", "tcp"):
+            if env not in TRANSPORT_NAMES:
                 raise ConfigError(
-                    f"MRSCAN_TRANSPORT must be 'local', 'process', 'shm' or "
-                    f"'tcp', got {env!r}"
+                    f"MRSCAN_TRANSPORT must be one of {TRANSPORT_NAMES}, got {env!r}"
                 )
             return env
         return "local"

@@ -309,11 +309,11 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     ships the drained spans back with the result — the worker-safe way to
     trace leaves that may run in another process.
 
-    Resilience: with ``task.checkpoint_dir`` set the leaf first looks for
-    a valid spill checkpoint (a retried or failed-over leaf resumes
-    without re-clustering — a corrupt checkpoint is treated as a miss);
-    its fresh output, with its state, is spilled before returning.  A
-    ``DeviceMemoryError`` mid-run degrades gracefully
+    Resilience: with ``task.checkpoint_dir`` set (a batch run with a run
+    directory) the leaf first looks for a valid spill checkpoint (a
+    retried or failed-over leaf resumes without re-clustering — a corrupt
+    checkpoint is treated as a miss); its fresh output is spilled before
+    returning.  A ``DeviceMemoryError`` mid-run degrades gracefully
     (:meth:`_LeafRun.cluster`).
     """
     t_leaf_start = time.perf_counter()
@@ -428,8 +428,6 @@ class _Run:
     config: MrScanConfig
     transport: Transport
     telemetry: Telemetry
-    #: Directory of per-leaf spill checkpoints (None = no spills).
-    checkpoint_dir: str | None = None
     cancel: object = None  # repro.resilience.CancelToken
     #: Keep every leaf's append state on its output (a daemon's runs).
     keep_state: bool = False
@@ -440,6 +438,14 @@ class _Run:
     vctx: object = None
     vreport: object = None
     timer: PhaseTimer = field(default_factory=PhaseTimer)
+
+    @property
+    def checkpoint_dir(self) -> str | None:
+        """Where leaves spill: the run directory's ``checkpoints/leaves``
+        (None without a run directory — no spills)."""
+        if self.durable is None:
+            return None
+        return str(self.durable.leaf_checkpoint_dir)
 
 
 def _phase(run: _Run, name: str, body, *, checks, record, saved=None,
@@ -512,13 +518,14 @@ def run_pipeline(
     fed from the run's stat objects — is attached to the result.
 
     ``transport`` supplies the execution backend for both MRNet trees:
-    a transport object, a name (``"local"``/``"process"``/``"shm"``, see
-    :mod:`repro.runtime`), or None to build one from
-    ``config.resolved_transport()``.  A transport built here (from a
-    name or the config) is owned by this call and closed — pool reaped,
-    shared-memory segments unlinked — on every exit path.  A
-    caller-provided transport *object* is never closed here; its arena
-    is rewound instead, so repeated runs reuse the same pages.
+    a transport object, a name (one of
+    :data:`~repro.runtime.TRANSPORT_NAMES`: ``"local"``/``"shm"``/``"tcp"``),
+    or None to build one from ``config.resolved_transport()``.  A
+    transport built here (from a name or the config) is owned by this
+    call and closed — pool reaped, shared-memory segments unlinked — on
+    every exit path.  A caller-provided transport *object* is never
+    closed here; its arena is rewound instead, so repeated runs reuse
+    the same pages.
     """
     if telemetry is None:
         telemetry = Telemetry() if config.telemetry else Telemetry.disabled()
@@ -567,7 +574,7 @@ def _run_pipeline(
     internal = PointSet(
         ids=np.arange(n, dtype=np.int64), coords=points.coords, weights=points.weights
     )
-    run = _Run(config, transport, telemetry, checkpoint_dir=config.checkpoint_dir)
+    run = _Run(config, transport, telemetry)
     if config.validate != "off":
         # Each phase boundary runs its registered checkers and raises
         # ValidationError on the first violated invariant.
@@ -588,8 +595,6 @@ def _run_pipeline(
             metrics=telemetry.metrics,
             tracer=telemetry.tracer,
         )
-        if run.checkpoint_dir is None:
-            run.checkpoint_dir = str(run.durable.leaf_checkpoint_dir)
     try:
         return _run_phases(run, internal, n_dropped_invalid)
     finally:
@@ -792,7 +797,6 @@ def cluster_merge_sweep(
     dirty=None,
     cached_outputs: dict[int, _ClusterLeafOutput] | None = None,
     telemetry: Telemetry | None = None,
-    checkpoint_dir: str | None = None,
     on_leaf_result=None,
     cancel=None,
 ) -> PartialRunResult:
@@ -809,8 +813,8 @@ def cluster_merge_sweep(
     a cached output reuses the cut it carries.  A batch run
     (:func:`run_pipeline`) runs the same phases after its partition phase.
 
-    Outputs made here keep their leaf's :class:`LeafState`, spilled ones
-    too.  A dirty leaf with a cached output appends from its state
+    Outputs made here keep their leaf's :class:`LeafState`.  A dirty leaf
+    with a cached output appends from its state
     (:meth:`LeafState.append`): its view must be the cached one's plus
     inserted rows, and the result is what a full pass would return; its
     summary searches for representatives among the cached summary's and
@@ -821,10 +825,8 @@ def cluster_merge_sweep(
     The caller owns ``transport`` — it is never closed here, so pools and
     arenas stay warm across calls; the arena is rewound as the call
     returns or raises, so every call restages into the same pages.
-    With ``checkpoint_dir`` set every leaf run here spills its output with
-    its state and a leaf whose spill loads is not run, its output
-    appending like a live one: a spill there must describe the leaf's
-    current partition.  The daemon passes one at bootstrap only.
+    Nothing here spills: a retried leaf runs again (a dirty one appends
+    again from the same cached output).
 
     ``cancel`` (a :class:`~repro.resilience.CancelToken`) makes the run
     abandonable: the token is checked between phases and threaded into
@@ -836,7 +838,6 @@ def cluster_merge_sweep(
         config,
         transport,
         telemetry if telemetry is not None else Telemetry.disabled(),
-        checkpoint_dir=checkpoint_dir,
         cancel=cancel,
         keep_state=True,
     )
@@ -1063,8 +1064,8 @@ def mrscan(
     ``telemetry=True`` records spans and metrics for the run (see
     :mod:`repro.telemetry`; the bundle lands on ``result.telemetry``), or
     pass a pre-built :class:`~repro.telemetry.Telemetry` to record into.
-    ``transport`` takes a backend name (``local``/``process``/``shm``) or
-    a pre-built transport object.  Additional keyword arguments go to
+    ``transport`` takes a backend name (``local``/``shm``/``tcp``) or a
+    pre-built transport object.  Additional keyword arguments go to
     :class:`MrScanConfig` (``fanout``, ``use_densebox``,
     ``n_partition_nodes``, ...).
     """

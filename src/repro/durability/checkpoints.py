@@ -207,11 +207,10 @@ class PhaseCheckpointStore(_BlobStore):
 
 
 class LeafCheckpointStore(_BlobStore):
-    """Per-leaf spill files: ``leaf_%04d`` entries, each one pickled leaf
-    output (``repro.core.pipeline._ClusterLeafOutput``) with the
-    ``LeafState`` its next append starts from, if its run kept one.
-    Several worker processes may share the store; each leaf writes only
-    its own entry."""
+    """Per-leaf spill files of a batch run directory: ``leaf_%04d``
+    entries, each one pickled leaf output
+    (``repro.core.pipeline._ClusterLeafOutput``).  Several worker
+    processes may share the store; each leaf writes only its own entry."""
 
     _on_miss = "re-clustering"
 
@@ -249,16 +248,6 @@ class LeafCheckpointStore(_BlobStore):
         """Discard one leaf's checkpoint (e.g. its partition went dirty);
         returns whether a checkpoint existed."""
         return self._unlink(self._name(leaf_id)) == 2
-
-    def clear(self) -> int:
-        """Delete all checkpoints; returns the number of leaves cleared."""
-        n = 0
-        for meta in self.root.glob("leaf_*.json"):
-            meta.unlink()
-            n += 1
-        for data in self.root.glob("leaf_*.bin"):
-            data.unlink()
-        return n
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("leaf_*.json"))

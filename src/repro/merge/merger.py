@@ -261,7 +261,7 @@ class MergeFilter:
     :func:`root_assignment` at the root.
 
     Collects per-application outcomes on the instance (safe only with the
-    local transport; the process transport gets fresh copies, so outcome
+    local transport; the shm and tcp workers get fresh copies, so outcome
     collection is a local-transport observability feature, not state the
     algorithm depends on).
 
@@ -269,7 +269,7 @@ class MergeFilter:
     application carrying the outcome counters — the per-node *span* for
     the same application is recorded by ``Network.reduce``, which knows
     the node id this filter cannot see.  Like outcome collection, the
-    tracer is a local-transport feature: pickling the filter (process
+    tracer is a local-transport feature: pickling the filter (shm or tcp
     transport) drops it to the no-op, since events recorded in a worker's
     copy could never reach the parent's tracer anyway.
     """

@@ -14,8 +14,10 @@ This package reimplements that model:
   (upstream filter application level by level), ``multicast`` (downstream
   distribution), all recording per-edge packet/byte traffic;
 * transports — ``LocalTransport`` executes node work sequentially and
-  deterministically in-process; ``ProcessTransport`` fans node work out to
-  a multiprocessing pool (one Python process per tree node is the honest
+  deterministically in-process; ``TcpTransport`` ships it to
+  socket-framed worker agents, the multi-host boundary; the third,
+  :class:`repro.runtime.ShmTransport`, fans it out to a warm spawn pool
+  over shared memory (one Python process per tree node is the honest
   analogue of MRNet's process-per-node, but a bounded pool keeps this
   usable on small hosts).
 """
@@ -30,7 +32,7 @@ from .filters import (
 )
 from .network import Network
 from .tcp import TcpTransport, run_worker_agent
-from .transport import LocalTransport, ProcessTransport, Transport
+from .transport import LocalTransport, Transport
 
 __all__ = [
     "Topology",
@@ -43,7 +45,6 @@ __all__ = [
     "Network",
     "Transport",
     "LocalTransport",
-    "ProcessTransport",
     "TcpTransport",
     "run_worker_agent",
 ]

@@ -14,9 +14,9 @@ three collective operations Mr. Scan is built from:
     intermediate processes until they reach the root", §3).
 
 ``multicast``
-    Distribute a root payload down to all leaves, optionally splitting it
-    per child (partition boundaries; global cluster IDs in the sweep,
-    "with each level of the tree reversing the merge operation", §3.4).
+    Replicate a root payload down to all leaves (partition boundaries;
+    global cluster IDs in the sweep, "with each level of the tree
+    reversing the merge operation", §3.4).
 
 Every operation returns ``(result, NetworkTrace)``; traces capture packet
 counts, byte volumes, and per-node filter compute seconds for the perf
@@ -28,16 +28,19 @@ Fault tolerance
 ---------------
 Node work runs under the attached :class:`~repro.resilience.ResiliencePolicy`:
 
-* a :class:`~repro.resilience.FaultInjector` (or legacy callable) is
-  polled per ``(node, phase, attempt)`` and its fault — crash, straggler
-  slowdown, or device OOM — is applied around the node's work;
+* a :class:`~repro.resilience.FaultPlan` is looked up per ``(node,
+  phase, attempt)`` and its fault — crash, straggler slowdown, or device
+  OOM — is applied around the node's work;
 * a failed attempt is retried with exponential backoff up to the policy's
-  retry budget, each attempt bounded by ``leaf_timeout`` (preemptive
-  under :class:`ProcessTransport`, cooperative post-work otherwise);
+  retry budget, each attempt bounded by ``leaf_timeout`` (preemptive on
+  the pool and TCP transports, cooperative post-work under
+  :class:`LocalTransport`);
 * a node that exhausts its budget is declared **dead** and, when failover
   is enabled, its work is *re-hosted*: a leaf task moves to the
   least-loaded surviving sibling (subject to an optional capacity check),
   an internal node's filter work is adopted by its nearest live ancestor.
+  A task moves at most once per other node in its batch (at least the
+  tree's depth), an inline multicast node at most the tree's depth.
   Payload routing never changes — only which process executes — so the
   collective's result is invariant under any recoverable fault schedule;
 * every fault and recovery action lands in :attr:`Network.fault_log` (a
@@ -57,13 +60,14 @@ import time
 from typing import Any, Callable, Sequence
 
 from ..errors import (
+    ConfigError,
     DeviceMemoryError,
     LeafTimeoutError,
     RetryExhaustedError,
     TopologyError,
     TransportError,
 )
-from ..resilience.faults import NET_FAULT_KINDS, FaultEvent, FaultLog, as_injector
+from ..resilience.faults import NET_FAULT_KINDS, FaultEvent, FaultLog, FaultPlan
 from ..resilience.policy import ResiliencePolicy
 from ..telemetry.tracer import NOOP_TRACER, PID_TREE
 from .filters import Filter
@@ -171,18 +175,13 @@ class Network:
     Parameters
     ----------
     fault_injector:
-        Optional fault source: a :class:`~repro.resilience.FaultPlan`, a
-        :class:`~repro.resilience.FaultInjector`, or a legacy callable
-        ``(node_id, phase) -> bool`` (True = simulated crash).
-    retries:
-        Legacy knob: how many times a failed node is re-attempted before
-        the phase aborts.  Building a :class:`Network` with ``retries``
-        alone gets the seed-era fail-fast policy (no backoff sleeps, no
-        failover); pass ``resilience`` for the full behaviour.
+        Optional :class:`~repro.resilience.FaultPlan` of faults to
+        inject, looked up per ``(node, phase, attempt)``.
     resilience:
         A :class:`~repro.resilience.ResiliencePolicy` (retry/backoff
-        budget, per-attempt deadline, failover).  Takes precedence over
-        ``retries``.
+        budget, per-attempt deadline, failover).  Without one the network
+        fails fast (:meth:`~repro.resilience.ResiliencePolicy.fail_fast`):
+        no retries, no failover.
     tracer:
         Optional :class:`repro.telemetry.Tracer`; per-node compute spans
         land on pid ``trace_pid`` with the node id as tid.
@@ -200,31 +199,25 @@ class Network:
         topology: Topology,
         transport: Transport | None = None,
         *,
-        fault_injector=None,
-        retries: int | None = None,
+        fault_injector: FaultPlan | None = None,
         resilience: ResiliencePolicy | None = None,
         tracer=None,
         trace_pid: int = PID_TREE,
-        close_transport: bool | None = None,
         cancel=None,
     ) -> None:
-        if retries is not None and retries < 0:
-            raise TopologyError("retries must be >= 0")
+        if fault_injector is not None and not isinstance(fault_injector, FaultPlan):
+            raise ConfigError(
+                f"fault_injector must be a FaultPlan or None, got "
+                f"{type(fault_injector)!r}"
+            )
         self.topology = topology
         self.tracer = tracer or NOOP_TRACER
         self.trace_pid = trace_pid
+        # The transport is the caller's: a persistent executor shared
+        # across phases and trees, closed by its owner.
         self.transport = transport or LocalTransport(tracer=self.tracer)
-        #: Whether :meth:`close` reaps the transport.  Default: only a
-        #: transport this network created itself — a caller-provided one
-        #: (a persistent executor shared across phases and trees) stays
-        #: open, its owner closes it.  Pass ``close_transport=True`` to
-        #: hand ownership over explicitly.
-        self._close_transport = (
-            transport is None if close_transport is None else bool(close_transport)
-        )
-        self.injector = as_injector(fault_injector)
-        self.resilience = resilience or ResiliencePolicy.fail_fast(retries or 0)
-        self.retries = self.resilience.retry.max_retries
+        self.fault_plan = fault_injector
+        self.resilience = resilience or ResiliencePolicy.fail_fast()
         self.fault_log = FaultLog()
         #: Nodes declared permanently dead (retry budget exhausted).
         self.dead_nodes: set[int] = set()
@@ -345,11 +338,7 @@ class Network:
         if cost is not None and phase == "map":
             for i in pending:
                 base_load[host[i]] = float(cost(payloads[i]))
-        max_failovers = (
-            policy.max_failovers
-            if policy.max_failovers is not None
-            else max(len(nodes) - 1, self.topology.depth())
-        )
+        max_failovers = max(len(nodes) - 1, self.topology.depth())
         round_index = 0
         while pending:
             if self._cancel is not None:
@@ -357,8 +346,8 @@ class Network:
             batch = []
             for i in pending:
                 spec = None
-                if self.injector is not None:
-                    spec = self.injector.check(host[i], phase, name, attempt[i])
+                if self.fault_plan is not None:
+                    spec = self.fault_plan.lookup(host[i], phase, name, attempt[i])
                 batch.append(
                     (fn, payloads[i], spec.as_dict() if spec else None, policy.leaf_timeout)
                 )
@@ -467,22 +456,18 @@ class Network:
     def _survive(self, node: int, *, phase: str, name: str) -> None:
         """Retry/backoff/failover loop for nodes whose phase work executes
         inline (multicast routing) — only the fault poll matters."""
-        if self.injector is None:
+        if self.fault_plan is None:
             return
         policy = self.resilience
         host = self.host_of(node)
         attempt = 0
         failovers = 0
         round_index = 0
-        max_failovers = (
-            policy.max_failovers
-            if policy.max_failovers is not None
-            else self.topology.depth()
-        )
+        max_failovers = self.topology.depth()
         while True:
             if self._cancel is not None:
                 self._cancel.check()
-            spec = self.injector.check(host, phase, name, attempt)
+            spec = self.fault_plan.lookup(host, phase, name, attempt)
             if spec is None:
                 return
             if spec.kind == "slowdown":
@@ -639,18 +624,10 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def multicast(
-        self,
-        root_payload: Any,
-        split: Callable[[Any, int], Sequence[Any]] | None = None,
-        *,
-        name: str = "multicast",
+        self, root_payload: Any, *, name: str = "multicast"
     ) -> tuple[list[Any], NetworkTrace]:
-        """Send a payload from the root down to every leaf.
-
-        ``split(payload, n_children)`` produces per-child payloads at each
-        node (defaults to replication — a true multicast).  Returns the
-        payloads arriving at the leaves, in leaf order.
-        """
+        """Replicate a payload from the root down to every leaf; returns
+        the payloads arriving at the leaves, in leaf order."""
         topo = self.topology
         trace = NetworkTrace()
         value: dict[int, Any] = {topo.root: root_payload}
@@ -661,17 +638,9 @@ class Network:
                     continue
                 self._survive(node, phase="multicast", name=name)
                 payload = value[node]
-                if split is None:
-                    parts: Sequence[Any] = [payload] * len(kids)
-                else:
-                    parts = split(payload, len(kids))
-                    if len(parts) != len(kids):
-                        raise TopologyError(
-                            f"split produced {len(parts)} parts for {len(kids)} children"
-                        )
-                for child, part in zip(kids, parts):
-                    trace.record(node, child, "multicast", part)
-                    value[child] = part
+                for child in kids:
+                    trace.record(node, child, "multicast", payload)
+                    value[child] = payload
                 self.tracer.instant(
                     f"{name}.send",
                     cat="mrnet",
@@ -680,9 +649,3 @@ class Network:
                     n_children=len(kids),
                 )
         return [value[leaf] for leaf in self._leaves], trace
-
-    def close(self) -> None:
-        """Release the transport's resources (worker pools) — unless the
-        transport is caller-owned (see ``close_transport``)."""
-        if self._close_transport:
-            self.transport.close()

@@ -1,17 +1,18 @@
 """Execution backends for MRNet node work.
 
 The :class:`Network` decides *what* runs at each tree node; a transport
-decides *how*: :class:`LocalTransport` runs tasks sequentially in-process
-(deterministic, zero overhead — the default for tests and benches), while
-:class:`ProcessTransport` executes each batch through a
-``multiprocessing`` pool, which is the honest stand-in for MRNet's
-process-per-node when real process isolation matters (failure injection,
-pickling discipline, genuinely parallel hosts).
+decides *how*.  There are three: :class:`LocalTransport` runs tasks
+sequentially in-process (deterministic, zero overhead — the default for
+tests and benches); :class:`~repro.runtime.ShmTransport` runs each batch
+on a warm spawn pool over a shared-memory arena, the stand-in for
+MRNet's process-per-node on one host; and
+:class:`~repro.mrnet.tcp.TcpTransport` runs it on socket-framed worker
+agents, the multi-host boundary.
 
 One healing engine
 ------------------
-Every batch that leaves the driver — on the pool transports and on
-:class:`~repro.mrnet.tcp.TcpTransport` — runs through
+Every batch that leaves the driver — on the pool and on the TCP
+agents — runs through
 :func:`run_batch_healing`, the only owner of per-task policy: result
 slots, worker-death counts, poison-task quarantine, the respawn budget,
 preemptive deadlines, cancellation and the in-process fallback.  A
@@ -32,20 +33,17 @@ from __future__ import annotations
 
 import atexit
 import logging
-import multiprocessing as mp
 import time
 import warnings
 import weakref
-from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from ..errors import PoisonTaskWarning, TransportError
-from ..telemetry.metrics import NOOP_METRICS
 from ..telemetry.tracer import NOOP_TRACER
 
 __all__ = [
     "Transport",
     "LocalTransport",
-    "ProcessTransport",
     "TIMED_OUT",
     "track_open_pool",
     "untrack_pool",
@@ -319,192 +317,3 @@ def run_batch_healing(
         if not progressed:
             channel.wait(POLL_SECONDS)
     return results
-
-
-def _invoke(args: tuple[Callable[[Any], Any], Any]) -> tuple[str, Any]:
-    """Pool-worker body: tell the task's own exception apart from a
-    failure to ship the task or its result (which the pool raises)."""
-    fn, task = args
-    try:
-        return "ok", fn(task)
-    except Exception as exc:
-        return "err", exc
-
-
-def _pool_damaged(pool: Any, known_pids: set[int]) -> bool:
-    """Has any pool worker died since the pool (re)started?
-
-    Two signals, because ``Pool``'s maintainer thread races us: a worker
-    process whose ``exitcode`` is set has died and not yet been reaped,
-    and a changed pid set means the maintainer already replaced a dead
-    worker (whose in-flight task is still lost — replacements only pick
-    up *queued* work).
-    """
-    procs = list(pool._pool)
-    if any(p.exitcode is not None for p in procs):
-        return True
-    return {p.pid for p in procs} != known_pids
-
-
-class ProcessTransport:
-    """Execute batches on a lazily spawned multiprocessing pool.
-
-    ``fn`` and every task must be picklable.  The pool is sized to
-    ``n_workers`` (default: CPU count) and is the healing engine's
-    channel: tasks go out one ``apply_async`` each, and their handles are
-    polled, never blocked on — a handle whose worker was SIGKILLed never
-    becomes ready.  A dead worker costs the whole pool: it is terminated
-    and respawned, and every task it held is reported lost.  ``close()``
-    reaps the workers; a later batch spawns a fresh pool.
-    """
-
-    backend = "process"
-    #: Set by subclasses that refuse work after ``close()``.
-    closed = False
-    #: A pool always has capacity, so the engine never falls back.
-    connect_wait = 0.0
-
-    def __init__(
-        self, n_workers: int | None = None, *, tracer=None, metrics=None
-    ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise TransportError("n_workers must be >= 1")
-        self.n_workers = n_workers or mp.cpu_count()
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # is-None check, not truthiness: a fresh Metrics registry is empty
-        # and __len__ == 0 would read as falsy.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._pool: mp.pool.Pool | None = None
-        self._abandoned = False  # a worker missed a deadline and may hang
-        self._known_pids: set[int] = set()
-        self._pending: dict[int, Any] = {}  # task index -> result handle
-        #: Self-healing activity (see :func:`run_batch_healing`).
-        self.pool_respawns = 0
-        self.quarantined_tasks = 0
-
-    def _pool_kwargs(self) -> dict[str, Any]:
-        """Extra ``Pool`` arguments, read at every (re)spawn."""
-        return {}
-
-    def _ensure_pool(self) -> "mp.pool.Pool":
-        if self._pool is None:
-            with self.tracer.span(
-                "transport.pool_start", cat="transport",
-                n_workers=self.n_workers, backend=self.backend,
-            ):
-                try:
-                    self._pool = mp.get_context("spawn").Pool(
-                        self.n_workers, **self._pool_kwargs()
-                    )
-                except OSError as exc:
-                    raise TransportError(
-                        f"{self.backend} pool cannot start: {exc}"
-                    ) from exc
-            self._known_pids = {p.pid for p in self._pool._pool}
-            track_open_pool(self)
-        return self._pool
-
-    def run_batch(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        timeout: float | None = None,
-        cancel: Any = None,
-    ) -> list[Any]:
-        if not tasks:
-            return []
-        if self.closed:
-            raise TransportError(f"{self.backend} transport is closed")
-        with self.tracer.span(
-            "transport.batch", cat="transport", n_tasks=len(tasks), backend=self.backend
-        ):
-            if self.metrics.enabled:
-                self.metrics.counter("runtime.batches").inc()
-                self.metrics.counter("runtime.tasks_dispatched").inc(len(tasks))
-            self._ensure_pool()
-            self._pending = {}
-            return run_batch_healing(self, fn, tasks, timeout=timeout, cancel=cancel)
-
-    # -- healing channel ------------------------------------------------ #
-
-    def send(self, i: int, fn: Callable[[Any], Any], task: Any) -> bool:
-        self._pending[i] = self._pool.apply_async(_invoke, ((fn, task),))
-        return True
-
-    def poll(self) -> Iterator[tuple[int, bool, Any]]:
-        for i in [i for i, handle in self._pending.items() if handle.ready()]:
-            try:
-                status, value = self._pending.pop(i).get()
-            except Exception as exc:  # the task or its result did not pickle
-                raise TransportError(
-                    f"{self.backend} transport cannot run task {i}: {exc}"
-                ) from exc
-            yield i, status == "ok", value
-
-    def lost(self) -> list[int]:
-        if not _pool_damaged(self._pool, self._known_pids):
-            return []
-        lost = list(self._pending)
-        self._pending.clear()
-        self._terminate()
-        return lost
-
-    def respawn(self) -> int:
-        if self._pool is not None:
-            return 0
-        self._ensure_pool()  # shm workers re-attach the current segments
-        return 1
-
-    def abandon(self, indices: Sequence[int]) -> None:
-        # The abandoned workers finish into the void; the pool may hold a
-        # hung task, so close() must terminate rather than join it.
-        for i in indices:
-            self._pending.pop(i, None)
-        self._abandoned = True
-
-    def has_capacity(self) -> bool:
-        return True
-
-    def wait(self, timeout: float) -> None:
-        # Sleep on the oldest handle, not on the clock: the batch returns
-        # when its last result lands, and the timeout keeps the engine's
-        # checks on their cadence when nothing does.
-        if self._pending:
-            self._pending[min(self._pending)].wait(timeout)
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def _terminate(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            untrack_pool(self)
-
-    def close(self) -> None:
-        """Reap the pool (idempotent — safe to call any number of times,
-        including after a preempted-timeout batch)."""
-        if self._pool is None:
-            return
-        # A pool with an abandoned (possibly hung) worker cannot be
-        # joined without risking a deadlock — terminate it instead.
-        if self._abandoned:
-            self._pool.terminate()
-        else:
-            self._pool.close()
-        self._pool.join()
-        self._pool = None
-        self._abandoned = False
-        untrack_pool(self)
-
-    def _reap(self) -> None:
-        """atexit path: terminate unconditionally — never join a possibly
-        hung abandoned worker at interpreter shutdown."""
-        self._terminate()
-
-    def __enter__(self) -> "ProcessTransport":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

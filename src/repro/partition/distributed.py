@@ -220,80 +220,77 @@ class DistributedPartitioner:
             fault_injector=self.fault_injector,
             resilience=self.resilience,
         )
-        try:
-            # 1. Each leaf reads its contiguous slice of the input file.
-            for leaf, lp in enumerate(leaf_points):
-                io.record(leaf, "read", len(lp) * RECORD_BYTES, sequential=True)
+        # 1. Each leaf reads its contiguous slice of the input file.
+        for leaf, lp in enumerate(leaf_points):
+            io.record(leaf, "read", len(lp) * RECORD_BYTES, sequential=True)
 
-            # 2. Local histograms, reduced to the root.  Under a staging
-            #    transport the slices go into shared memory once and the
-            #    tasks carry refs — the dataset is never pickled.  Arena
-            #    exhaustion degrades to pickling the point sets instead
-            #    of failing the run (stage_pointset_safe).
-            payloads = leaf_points
-            if getattr(self.transport, "supports_staging", False):
-                from ..runtime.executor import stage_pointset_safe
+        # 2. Local histograms, reduced to the root.  Under a staging
+        #    transport the slices go into shared memory once and the
+        #    tasks carry refs — the dataset is never pickled.  Arena
+        #    exhaustion degrades to pickling the point sets instead
+        #    of failing the run (stage_pointset_safe).
+        payloads = leaf_points
+        if getattr(self.transport, "supports_staging", False):
+            from ..runtime.executor import stage_pointset_safe
 
-                with tracer.span(
-                    "runtime.stage",
-                    cat="runtime",
-                    pid=PID_PARTITION,
-                    n_pointsets=len(leaf_points),
-                ):
-                    payloads = [
-                        stage_pointset_safe(self.transport, lp)
-                        for lp in leaf_points
-                    ]
-            tasks = [_LeafHistogramTask(points=p, eps=self.eps) for p in payloads]
-            histograms, map_trace = network.map_leaves(
-                _leaf_histogram, tasks, name="partition.histogram"
-            )
-            histogram, reduce_trace = network.reduce(
-                histograms,
-                FunctionFilter(_merge_histograms),
-                name="partition.histogram",
-            )
-
-            # 3. Root forms partitions serially (§3.1.2).
-            t0 = time.perf_counter()
             with tracer.span(
-                "partition.form",
+                "runtime.stage",
+                cat="runtime",
+                pid=PID_PARTITION,
+                n_pointsets=len(leaf_points),
+            ):
+                payloads = [
+                    stage_pointset_safe(self.transport, lp)
+                    for lp in leaf_points
+                ]
+        tasks = [_LeafHistogramTask(points=p, eps=self.eps) for p in payloads]
+        histograms, map_trace = network.map_leaves(
+            _leaf_histogram, tasks, name="partition.histogram"
+        )
+        histogram, reduce_trace = network.reduce(
+            histograms,
+            FunctionFilter(_merge_histograms),
+            name="partition.histogram",
+        )
+
+        # 3. Root forms partitions serially (§3.1.2).
+        t0 = time.perf_counter()
+        with tracer.span(
+            "partition.form",
+            cat="partition",
+            pid=PID_PARTITION,
+            tid=0,
+            n_partitions=n_partitions,
+        ):
+            plan = form_partitions(
+                histogram,
+                n_partitions,
+                self.minpts,
+                rebalance=self.rebalance,
+            )
+        root_form_seconds = time.perf_counter() - t0
+
+        # 4. Boundaries broadcast back to the leaves.
+        plans, multicast_trace = network.multicast(plan, name="partition.plan")
+
+        # 5. Leaves emit their contributions: either offset writes to the
+        #    shared partition file (the paper's path) or messages straight
+        #    to the clustering leaves (the §6 future-work path).
+        contributions = []
+        route_seconds: dict[int, float] = {}
+        for leaf, (lp, p) in enumerate(zip(leaf_points, plans)):
+            t0 = time.perf_counter()
+            contributions.append(partition_points(lp, p))
+            route_seconds[leaf] = time.perf_counter() - t0
+            tracer.add_span(
+                "partition.route",
+                t0,
+                t0 + route_seconds[leaf],
                 cat="partition",
                 pid=PID_PARTITION,
-                tid=0,
-                n_partitions=n_partitions,
-            ):
-                plan = form_partitions(
-                    histogram,
-                    n_partitions,
-                    self.minpts,
-                    rebalance=self.rebalance,
-                )
-            root_form_seconds = time.perf_counter() - t0
-
-            # 4. Boundaries broadcast back to the leaves.
-            plans, multicast_trace = network.multicast(plan, name="partition.plan")
-
-            # 5. Leaves emit their contributions: either offset writes to the
-            #    shared partition file (the paper's path) or messages straight
-            #    to the clustering leaves (the §6 future-work path).
-            contributions = []
-            route_seconds: dict[int, float] = {}
-            for leaf, (lp, p) in enumerate(zip(leaf_points, plans)):
-                t0 = time.perf_counter()
-                contributions.append(partition_points(lp, p))
-                route_seconds[leaf] = time.perf_counter() - t0
-                tracer.add_span(
-                    "partition.route",
-                    t0,
-                    t0 + route_seconds[leaf],
-                    cat="partition",
-                    pid=PID_PARTITION,
-                    tid=leaf,
-                    n_points=len(lp),
-                )
-        finally:
-            network.close()
+                tid=leaf,
+                n_points=len(lp),
+            )
         fault_events = network.fault_log.events
         distribute = NetworkTrace() if self.output_mode == "network" else None
         partitions: list[tuple[PointSet, PointSet]] = []

@@ -7,16 +7,16 @@ recovery machinery such a deployment needs:
 
 * :mod:`~repro.resilience.faults` — a structured, serializable fault
   model (:class:`FaultPlan` of typed :class:`FaultSpec`\\ s; crash /
-  straggler-slowdown / device-OOM), the :class:`FaultInjector` poll
-  point, and the capped :class:`FaultLog` of observed
+  straggler-slowdown / device-OOM / kill, and the network kinds the TCP
+  transport injects) and the capped :class:`FaultLog` of observed
   :class:`FaultEvent`\\ s;
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (exponential
   backoff) and :class:`ResiliencePolicy` (retries + per-attempt
   deadlines + failover) consumed by :class:`repro.mrnet.Network`;
-* :class:`LeafCheckpointStore` — per-leaf spill files, so a crashed
-  leaf resumes from its saved output instead of re-running the GPU pass
-  (re-exported from :mod:`repro.durability.checkpoints`, the one atomic
-  blob store);
+* :class:`LeafCheckpointStore` — per-leaf spill files in a batch run
+  directory (``checkpoints/leaves``), so a crashed leaf resumes from its
+  saved output instead of re-running the GPU pass (re-exported from
+  :mod:`repro.durability.checkpoints`, the one atomic blob store);
 * :mod:`~repro.resilience.chaos` — :class:`ChaosRunner`, which runs the
   pipeline under seeded fault plans and asserts the recovered labels are
   byte-identical to a fault-free run (imported lazily: it pulls in the
@@ -30,11 +30,9 @@ from .faults import (
     FAULT_KINDS,
     NET_FAULT_KINDS,
     FaultEvent,
-    FaultInjector,
     FaultLog,
     FaultPlan,
     FaultSpec,
-    as_injector,
 )
 from .policy import ResiliencePolicy, RetryPolicy
 
@@ -45,10 +43,8 @@ __all__ = [
     "CRASH_POINTS",
     "FaultSpec",
     "FaultPlan",
-    "FaultInjector",
     "FaultEvent",
     "FaultLog",
-    "as_injector",
     "RetryPolicy",
     "ResiliencePolicy",
     "LeafCheckpointStore",

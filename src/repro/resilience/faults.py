@@ -1,10 +1,9 @@
 """Structured fault model: what fails, where, when, and how.
 
 Titan-scale runs (8,192 GPGPU nodes, §5) make node failure a statistical
-certainty, and MRNet's answer is restarting tool processes.  The seed
-reproduction modelled that with a bare ``fault_injector`` callable and a
-flat retry count; this module replaces it with a *plan* of typed faults so
-chaos runs are reproducible and serializable:
+certainty, and MRNet's answer is restarting tool processes.  This module
+models it with a *plan* of typed faults, so chaos runs are reproducible
+and serializable:
 
 * :class:`FaultSpec` — one fault: ``(node, phase, attempt)`` plus a kind
   (``crash``, ``slowdown``, ``oom``, ``kill``), a crash point
@@ -18,9 +17,10 @@ chaos runs are reproducible and serializable:
   down — it downgrades to a no-op, so the same plan is safe everywhere.
 * :class:`FaultPlan` — an ordered set of specs, JSON round-trippable, with
   a :meth:`FaultPlan.seeded` generator for reproducible random chaos.
-* :class:`FaultInjector` — the poll point the :class:`~repro.mrnet.Network`
-  consults per ``(node, phase, attempt)``.  Legacy bare callables
-  ``(node, phase) -> bool`` are adapted transparently.
+  :meth:`FaultPlan.lookup` is the poll point the
+  :class:`~repro.mrnet.Network` consults per ``(node, phase, attempt)``;
+  it is pure with respect to the plan (the caller's retry loop supplies
+  the attempt), so one plan serves both MRNet trees of a run.
 * :class:`FaultEvent` / :class:`FaultLog` — what actually happened during
   a run: every observed fault and the recovery action taken, in a capped
   log whose per-kind totals are never lost to the cap.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import ConfigError
 
@@ -41,10 +41,8 @@ __all__ = [
     "CRASH_POINTS",
     "FaultSpec",
     "FaultPlan",
-    "FaultInjector",
     "FaultEvent",
     "FaultLog",
-    "as_injector",
 ]
 
 #: Supported fault kinds: a process crash, a straggler delay, a device
@@ -214,54 +212,6 @@ class FaultPlan:
             by_kind[f.kind] = by_kind.get(f.kind, 0) + 1
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items())) or "empty"
         return f"FaultPlan(seed={self.seed}, {len(self.faults)} fault(s): {kinds})"
-
-
-class FaultInjector:
-    """The Network's poll point: which fault (if any) hits this attempt.
-
-    Wraps a :class:`FaultPlan`; :meth:`check` is pure with respect to the
-    plan (attempt indices are supplied by the caller's retry loop), so one
-    injector can safely serve both MRNet trees of a run.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-
-    def check(self, node: int, phase: str, name: str, attempt: int) -> FaultSpec | None:
-        return self.plan.lookup(node, phase, name, attempt)
-
-
-class _LegacyInjector(FaultInjector):
-    """Adapter for the seed-era bare callable ``(node, phase) -> bool``.
-
-    The callable keeps its own attempt state (e.g. "crash only the first
-    poll"); every True poll is presented to the Network as a pre-work
-    crash, which reproduces the old `_poll_faults` observable behaviour:
-    crashed attempts never run the node's work, and the work runs exactly
-    once after the final successful poll.
-    """
-
-    def __init__(self, fn: Callable[[int, str], bool]) -> None:
-        super().__init__(FaultPlan())
-        self._fn = fn
-
-    def check(self, node: int, phase: str, name: str, attempt: int) -> FaultSpec | None:
-        if self._fn(node, phase):
-            return FaultSpec(node=node, phase=phase, kind="crash", attempt=attempt)
-        return None
-
-
-def as_injector(obj: Any) -> FaultInjector | None:
-    """Coerce None / FaultInjector / FaultPlan / legacy callable."""
-    if obj is None or isinstance(obj, FaultInjector):
-        return obj
-    if isinstance(obj, FaultPlan):
-        return FaultInjector(obj)
-    if callable(obj):
-        return _LegacyInjector(obj)
-    raise ConfigError(
-        f"fault_injector must be a FaultPlan, FaultInjector, or callable, got {type(obj)!r}"
-    )
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ and governs every collective phase:
 * **deadlines** — ``leaf_timeout`` bounds one attempt's work; a straggler
   exceeding it fails that attempt with
   :class:`~repro.errors.LeafTimeoutError` instead of blocking the
-  pipeline forever (preemptively under ``ProcessTransport``,
-  cooperatively — detected after the work returns — under the in-process
-  ``LocalTransport``);
+  pipeline forever (preemptively on the ``shm`` pool and the ``tcp``
+  agents, cooperatively — detected after the work returns — under the
+  in-process ``LocalTransport``);
 * **failover** — a node whose retry budget is exhausted is declared dead:
   a leaf's task is re-hosted on the least-loaded surviving sibling
   (subject to a device-capacity check), an internal node's filter work is
-  adopted by its nearest live ancestor.  Routing and payloads never
+  adopted by its nearest live ancestor (how often one task may move is
+  the :class:`~repro.mrnet.Network`'s rule).  Routing and payloads never
   change — only which process *executes* the work — so recovery is
   exactly-once per partition and the clustering output is invariant.
 """
@@ -57,22 +58,17 @@ class RetryPolicy:
 class ResiliencePolicy:
     """Everything a Network needs to survive faults.
 
-    ``failover`` enables re-hosting after retry exhaustion;
-    ``max_failovers`` bounds how many times one task may move (defaults
-    to every other node once).  ``leaf_timeout`` is seconds per attempt,
-    ``None`` disables deadlines.
+    ``failover`` enables re-hosting after retry exhaustion.
+    ``leaf_timeout`` is seconds per attempt, ``None`` disables deadlines.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     leaf_timeout: float | None = None
     failover: bool = True
-    max_failovers: int | None = None
 
     def __post_init__(self) -> None:
         if self.leaf_timeout is not None and self.leaf_timeout <= 0:
             raise ConfigError("leaf_timeout must be positive (or None)")
-        if self.max_failovers is not None and self.max_failovers < 0:
-            raise ConfigError("max_failovers must be >= 0")
 
     @classmethod
     def fail_fast(cls, retries: int = 0) -> "ResiliencePolicy":

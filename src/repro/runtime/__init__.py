@@ -1,10 +1,9 @@
 """repro.runtime — the shared-memory zero-copy data plane.
 
 The paper's MRNet tree moves partitions between real processes over the
-network; this reproduction's default transports either stay in-process
-(``local``) or pickle every partition into a fresh pool
-(:class:`~repro.mrnet.transport.ProcessTransport`).  ``repro.runtime``
-adds the third option: a **data plane** that stages the dataset and
+network; this reproduction either stays in-process (``local``), ships
+pickled tasks to socket-framed agents (``tcp``), or — ``repro.runtime`` —
+runs on one host over a **data plane** that stages the dataset and
 per-partition slices once into a :class:`ShmArena`
 (``multiprocessing.shared_memory``), ships ~100-byte
 :class:`ShmArrayRef` / :class:`PointSetRef` handles instead of arrays,
@@ -18,9 +17,10 @@ Layers:
   (``unlink`` on close, ``atexit`` sweep for chaos-killed runs);
 * :mod:`~repro.runtime.worker` — warm per-worker state
   (:func:`acquire_device`, pre-attached segments);
-* :mod:`~repro.runtime.executor` — :class:`ShmTransport` implementing
-  the :class:`~repro.mrnet.transport.Transport` protocol, so Network
-  retries, preemptive timeouts and failover work unchanged.
+* :mod:`~repro.runtime.executor` — :class:`ShmTransport`, the spawn
+  pool implementing the :class:`~repro.mrnet.transport.Transport`
+  protocol, so Network retries, preemptive timeouts and failover work
+  unchanged; :data:`TRANSPORT_NAMES` and :func:`make_transport`.
 """
 
 from .arena import (

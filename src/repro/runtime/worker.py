@@ -12,11 +12,21 @@ The driver process has no worker state (:func:`worker_state` returns
 ``None`` there), so :func:`acquire_device` transparently degrades to a
 fresh device — leaf bodies call it unconditionally and behave
 identically under every transport.
+
+A worker exits as soon as the driver that spawned it dies.  A worker
+busy on a task when its driver is SIGKILLed would otherwise live on
+until the task ends (for good, if it hangs), and with it the driver's
+``resource_tracker`` pipe, whose end-of-file is what makes the tracker
+unlink the arena segments the dead driver never could.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing as mp
+import os
+import threading
+from multiprocessing.connection import wait
 from typing import Sequence
 
 from ..gpu.device import DeviceConfig, SimulatedDevice
@@ -56,13 +66,24 @@ def worker_state() -> WorkerState | None:
     return _state
 
 
+def _exit_with(parent: mp.process.BaseProcess) -> None:
+    wait([parent.sentinel])
+    os._exit(0)
+
+
 def init_worker(segment_names: Sequence[str] = ()) -> None:
-    """Pool initializer: build the warm state, pre-attach the arena."""
+    """Pool initializer: build the warm state, pre-attach the arena, and
+    watch the driver (the worker exits when it dies)."""
     global _state
     _state = WorkerState()
     for name in segment_names:
         attach_segment(name)
     atexit.register(detach_all)
+    parent = mp.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent,), name="driver-watch", daemon=True
+        ).start()
 
 
 def acquire_device(

@@ -184,21 +184,16 @@ class ServeServer:
             )
         self._transport = transport
         self.ingest_log = None
-        checkpoint_dir = config.checkpoint_dir
         if run_dir is not None:
-            run_dir = Path(run_dir)
             self.ingest_log = IngestLog(
-                run_dir, metrics=self.telemetry.metrics
+                Path(run_dir), metrics=self.telemetry.metrics
             )
-            if checkpoint_dir is None:
-                checkpoint_dir = str(run_dir / "leaves")
         self.state = ServeState(
             base,
             config,
             transport=borrow_transport(self._transport),
             telemetry=self.telemetry,
             ingest_log=self.ingest_log,
-            checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
         self._ingest_lock = asyncio.Lock()

@@ -25,8 +25,8 @@ state:
    on the union byte for byte — no ingest re-routes the resident set;
    dirty specs get their point counts from the appended own rows;
 6. run :func:`repro.core.pipeline.cluster_merge_sweep` with every
-   leaf's committed output and no spill checkpoints: clean leaves reuse
-   theirs, and each dirty leaf appends from its own's
+   leaf's committed output: clean leaves reuse theirs, and each dirty
+   leaf appends from its own's
    :class:`~repro.core.pipeline.LeafState` (the engine updates the last
    output around the inserted rows, and the summary searches only the
    last representatives and the new cores); a retried dirty leaf
@@ -38,10 +38,9 @@ A failure anywhere before step 7 leaves the committed state untouched
 (the next ingest simply starts from it again), which is what makes a
 worker ``kill`` fault or an OOM mid-re-cluster safe: the self-healing
 pool retries inside step 6, and if the run ultimately fails the ingest
-is rejected without poisoning the resident state.  Only bootstrap spills
-leaf checkpoints (``checkpoint_dir``), and it clears them first.  A spill
-keeps the leaf's state, so a bootstrap leaf restored from one (retried
-or failed over) appends at the next ingest like a live one.
+is rejected without poisoning the resident state.  Nothing here spills
+leaf checkpoints: a retried bootstrap leaf re-clusters, with the same
+output, so the only durable state is the ingest log.
 """
 
 from __future__ import annotations
@@ -50,13 +49,12 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core.config import MrScanConfig
 from ..core.pipeline import cluster_merge_sweep
-from ..durability.checkpoints import LeafCheckpointStore
 from ..durability.ingestlog import IngestLog, batch_digest
 from ..durability.rundir import config_fingerprint, dataset_fingerprint
 from ..errors import ConfigError, FormatError
@@ -142,7 +140,6 @@ class ServeState:
         transport,
         telemetry: Telemetry | None = None,
         ingest_log: IngestLog | None = None,
-        checkpoint_dir: str | None = None,
         resume: bool = False,
     ) -> None:
         if len(base) == 0:
@@ -152,7 +149,6 @@ class ServeState:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.metrics = self.telemetry.metrics
         self.ingest_log = ingest_log
-        self.checkpoint_dir = checkpoint_dir
         self._snapshot_lock = threading.Lock()
         self._ingest_lock = threading.Lock()
         self.n_ingests = 0
@@ -179,13 +175,6 @@ class ServeState:
                     "ingest log already holds a serving session; pass "
                     "--resume to replay it or use a fresh --run-dir"
                 )
-
-        if self.checkpoint_dir is not None:
-            # Leaf spill checkpoints are an intra-session retry/failover
-            # cache, not cross-session state: a previous daemon's final
-            # leaves do not match the base-only partitions bootstrap is
-            # about to cluster, so stale hits here would corrupt them.
-            LeafCheckpointStore(self.checkpoint_dir).clear()
 
         self._bootstrap(base)
 
@@ -227,7 +216,6 @@ class ServeState:
             transport=self.transport,
             dirty=None,  # everything: the initial full cluster
             telemetry=self.telemetry,
-            checkpoint_dir=self.checkpoint_dir,
         )
         self.points = points
         self.external_ids = external_ids
@@ -378,7 +366,6 @@ class ServeState:
             dirty=dirty,
             cached_outputs=self.outputs,
             telemetry=self.telemetry,
-            checkpoint_dir=None,
             cancel=cancel,
         )
 

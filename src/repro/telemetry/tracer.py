@@ -14,11 +14,12 @@ Design constraints, in order:
    branch on an ``enabled`` flag at call sites.
 2. **Thread/worker safety.**  Appends are guarded by a lock and the open
    span stack is thread-local, so concurrent tree nodes can record freely.
-   Work executed in *other processes* (``ProcessTransport`` leaves) records
-   into a local ``Tracer`` and ships the drained records back with its
-   result; the parent merges them with :meth:`Tracer.ingest`.  On Linux
-   ``time.perf_counter`` is CLOCK_MONOTONIC, shared across processes, so
-   the merged timelines align.
+   Work executed in *other processes* (leaves on the ``shm`` pool or the
+   ``tcp`` agents) records into a local ``Tracer`` and ships the drained
+   records back with its result; the parent merges them with
+   :meth:`Tracer.ingest`.  On Linux ``time.perf_counter`` is
+   CLOCK_MONOTONIC, shared across processes, so the merged timelines
+   align.
 3. **Logical tracks.**  Records carry a ``pid``/``tid`` pair naming the
    *simulated* process (driver, partitioner tree, clustering tree, GPU
    leaf) rather than host threads — the timeline should look like the

@@ -12,8 +12,9 @@ from repro.core.pipeline import run_pipeline
 from repro.data import generate_twitter
 from repro.dbscan import dbscan_reference
 from repro.dbscan.labels import clustering_signature, core_sets_equal
-from repro.mrnet import LocalTransport, ProcessTransport
+from repro.mrnet import LocalTransport
 from repro.points import NOISE
+from repro.runtime import ShmTransport
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,9 @@ def test_deep_tree_network_output_matches_reference(dataset, reference):
 
 
 def test_process_transport_identical_to_local(dataset):
+    """The spawn-pool transport reproduces the in-process run."""
     local = run_pipeline(dataset, _config(), transport=LocalTransport())
-    with ProcessTransport(n_workers=2) as t:
+    with ShmTransport(n_workers=2) as t:
         proc = run_pipeline(dataset, _config(), transport=t)
     assert np.array_equal(local.labels, proc.labels)
     assert np.array_equal(local.core_mask, proc.core_mask)

@@ -13,8 +13,8 @@ from repro.core import MrScanConfig, mrscan, run_pipeline
 from repro.data import gaussian_blobs, generate_sdss, generate_twitter, uniform_noise
 from repro.dbscan import dbscan_reference
 from repro.errors import ConfigError
-from repro.mrnet import ProcessTransport
 from repro.points import NOISE, PointSet
+from repro.runtime import ShmTransport
 
 
 def test_blobs_multiple_leaf_counts(blobs_with_noise):
@@ -172,7 +172,8 @@ def test_run_pipeline_with_explicit_config(blobs_with_noise):
 
 
 def test_process_transport_end_to_end(blobs_with_noise):
-    with ProcessTransport(n_workers=2) as transport:
+    """The whole pipeline on the spawn-pool transport."""
+    with ShmTransport(n_workers=2) as transport:
         res = mrscan(blobs_with_noise, 0.25, 8, n_leaves=4, transport=transport)
     assert_exact_dbscan(blobs_with_noise, 0.25, 8, res.labels, res.core_mask)
 

@@ -164,7 +164,6 @@ def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypat
             log = IngestLog(tmp_path / "run")
             written = ServeState(
                 base, config, transport=borrow_transport(transport), ingest_log=log,
-                checkpoint_dir=str(tmp_path / "run" / "leaves"),
             )
             for batch in batches:
                 written.ingest(batch)
@@ -173,7 +172,7 @@ def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypat
         log = IngestLog(tmp_path / "run")
         resumed = ServeState(
             base, config, transport=borrow_transport(transport), ingest_log=log,
-            checkpoint_dir=str(tmp_path / "run" / "leaves"), resume=True,
+            resume=True,
         )
         log.close()
         straight = ServeState(base, config, transport=borrow_transport(transport))

@@ -33,6 +33,7 @@ from repro.gpu.device import DeviceConfig, SimulatedDevice
 from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.partition import GridHistogram, form_partitions, partition_points
 from repro.points import PointSet
+from repro.runtime import TRANSPORT_NAMES
 from fuzz_cases import generate_case
 
 # ``repro.gpu`` re-exports the function under the module's name.
@@ -247,7 +248,7 @@ def _block_oracle_labels(case, monkeypatch):
     return result.labels
 
 
-@pytest.mark.parametrize("transport", ["local", "process", "shm", "tcp"])
+@pytest.mark.parametrize("transport", TRANSPORT_NAMES)
 def test_parity_across_transports(transport, monkeypatch):
     """One fuzz case, every transport: csr matches the block baseline."""
     case = generate_case(42, max_points=500, fault_fraction=0.0)

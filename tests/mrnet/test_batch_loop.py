@@ -18,10 +18,10 @@ from repro.errors import OperationCancelledError, PoisonTaskWarning, TransportEr
 from repro.mrnet.transport import (
     POISON_TASK_DEATHS,
     TIMED_OUT,
-    ProcessTransport,
     run_batch_healing,
 )
 from repro.resilience import CancelToken
+from repro.runtime import ShmTransport
 from repro.telemetry.metrics import Metrics
 from repro.telemetry.tracer import NOOP_TRACER
 
@@ -145,7 +145,7 @@ def test_pool_channel_waits_on_its_oldest_handle():
         def wait(self, timeout=None) -> None:
             self.wait_timeouts.append(timeout)
 
-    pool = ProcessTransport(n_workers=1)  # no pool is spawned here
+    pool = ShmTransport(n_workers=1)  # no pool is spawned here
     handles = {i: _Handle() for i in (3, 1, 2)}
     pool._pending = dict(handles)
     pool.wait(0.5)

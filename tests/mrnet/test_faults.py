@@ -3,9 +3,7 @@
 MRNet tools must cope with process failures; we simulate crashes via the
 Network's fault injector and verify (a) clean error propagation with no
 partial state leaking, (b) recovery when retries model MRNet restarting
-the process, and (c) the structured FaultPlan/FaultLog surfaces.  The
-legacy bare-callable injector ``(node, phase) -> bool`` keeps working
-through the adapter.
+the process, and (c) the structured FaultPlan/FaultLog surfaces.
 """
 
 from __future__ import annotations
@@ -17,32 +15,19 @@ from repro.mrnet import Network, SumFilter, Topology
 from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy, RetryPolicy
 
 
-class CrashOnce:
+def crash_once(node: int, phase: str) -> FaultPlan:
     """Fail a specific node's first attempt in a given phase."""
-
-    def __init__(self, node: int, phase: str) -> None:
-        self.node = node
-        self.phase = phase
-        self.fired = False
-
-    def __call__(self, node: int, phase: str) -> bool:
-        if node == self.node and phase == self.phase and not self.fired:
-            self.fired = True
-            return True
-        return False
+    return FaultPlan(faults=(FaultSpec(node=node, phase=phase),))
 
 
-class AlwaysCrash:
-    def __init__(self, node: int) -> None:
-        self.node = node
-
-    def __call__(self, node: int, phase: str) -> bool:
-        return node == self.node
+def always_crash(node: int) -> FaultPlan:
+    """Fail every attempt of a node, in every phase."""
+    return FaultPlan(faults=(FaultSpec(node=node, permanent=True),))
 
 
 def test_leaf_crash_fails_map():
     topo = Topology.flat(4)
-    net = Network(topo, fault_injector=AlwaysCrash(topo.leaves()[2]))
+    net = Network(topo, fault_injector=always_crash(topo.leaves()[2]))
     with pytest.raises(TransportError, match="failed during map"):
         net.map_leaves(lambda x: x, [1, 2, 3, 4])
 
@@ -50,21 +35,21 @@ def test_leaf_crash_fails_map():
 def test_internal_crash_fails_reduce():
     topo = Topology.from_fanouts([2, 2])
     internal = topo.internal_nodes()[0]
-    net = Network(topo, fault_injector=AlwaysCrash(internal))
+    net = Network(topo, fault_injector=always_crash(internal))
     with pytest.raises(TransportError, match="failed during reduce"):
         net.reduce([1, 2, 3, 4], SumFilter())
 
 
 def test_root_crash_fails_multicast():
-    net = Network(Topology.flat(3), fault_injector=AlwaysCrash(0))
+    net = Network(Topology.flat(3), fault_injector=always_crash(0))
     with pytest.raises(TransportError, match="failed during multicast"):
         net.multicast("x")
 
 
 def test_retry_recovers_single_crash():
     topo = Topology.flat(4)
-    injector = CrashOnce(topo.leaves()[0], "map")
-    net = Network(topo, fault_injector=injector, retries=1)
+    injector = crash_once(topo.leaves()[0], "map")
+    net = Network(topo, fault_injector=injector, resilience=ResiliencePolicy.fail_fast(1))
     results, _ = net.map_leaves(lambda x: x * 2, [1, 2, 3, 4])
     assert results == [2, 4, 6, 8]
     assert len(net.fault_log) == 1
@@ -74,16 +59,20 @@ def test_retry_recovers_single_crash():
 
 def test_retry_budget_exhausted():
     topo = Topology.flat(2)
-    net = Network(topo, fault_injector=AlwaysCrash(topo.leaves()[0]), retries=2)
+    net = Network(
+        topo,
+        fault_injector=always_crash(topo.leaves()[0]),
+        resilience=ResiliencePolicy.fail_fast(2),
+    )
     with pytest.raises(RetryExhaustedError, match="3 attempt"):
         net.map_leaves(lambda x: x, [1, 2])
 
 
 def test_negative_retries_rejected():
-    from repro.errors import TopologyError
+    from repro.errors import ConfigError
 
-    with pytest.raises(TopologyError):
-        Network(Topology.flat(2), retries=-1)
+    with pytest.raises(ConfigError):
+        ResiliencePolicy.fail_fast(-1)
 
 
 def test_crashed_attempts_never_run_node_work():
@@ -95,8 +84,8 @@ def test_crashed_attempts_never_run_node_work():
     executed payloads is deterministic, not the interleaving.)
     """
     topo = Topology.flat(3)
-    injector = CrashOnce(topo.leaves()[1], "map")
-    net = Network(topo, fault_injector=injector, retries=2)
+    injector = crash_once(topo.leaves()[1], "map")
+    net = Network(topo, fault_injector=injector, resilience=ResiliencePolicy.fail_fast(2))
     calls: list[int] = []
 
     def work(x):
@@ -111,21 +100,14 @@ def test_crashed_attempts_never_run_node_work():
 
 def test_fault_log_counts_every_crashed_attempt():
     """Each crashed attempt lands in fault_log with its attempt index."""
-
-    class CrashTwice:
-        def __init__(self, node: int) -> None:
-            self.node = node
-            self.crashes = 0
-
-        def __call__(self, node: int, phase: str) -> bool:
-            if node == self.node and self.crashes < 2:
-                self.crashes += 1
-                return True
-            return False
-
     topo = Topology.flat(2)
     target = topo.leaves()[0]
-    net = Network(topo, fault_injector=CrashTwice(target), retries=2)
+    crash_twice = FaultPlan(
+        faults=(FaultSpec(node=target, attempt=0), FaultSpec(node=target, attempt=1))
+    )
+    net = Network(
+        topo, fault_injector=crash_twice, resilience=ResiliencePolicy.fail_fast(2)
+    )
     results, _ = net.map_leaves(lambda x: x, [1, 2])
     assert results == [1, 2]
     assert net.fault_log.total == 2
@@ -143,7 +125,11 @@ def test_no_injector_no_overhead():
 def test_reduce_retry_recovers_and_result_correct():
     topo = Topology.from_fanouts([2, 3])
     internal = topo.internal_nodes()[1]
-    net = Network(topo, fault_injector=CrashOnce(internal, "reduce"), retries=1)
+    net = Network(
+        topo,
+        fault_injector=crash_once(internal, "reduce"),
+        resilience=ResiliencePolicy.fail_fast(1),
+    )
     total, _ = net.reduce([1] * 6, SumFilter())
     assert total == 6
     assert any(

@@ -10,12 +10,12 @@ from repro.mrnet import (
     ListConcatFilter,
     LocalTransport,
     Network,
-    ProcessTransport,
     SumFilter,
     Topology,
 )
 from repro.mrnet.filters import FunctionFilter
 from repro.mrnet.packets import NetworkTrace, Packet, payload_nbytes
+from repro.runtime import ShmTransport
 
 
 def _double(x):
@@ -74,23 +74,6 @@ def test_multicast_broadcast():
     assert trace.n_packets == 6  # 2 root->internal + 4 internal->leaf
 
 
-def test_multicast_split():
-    topo = Topology.flat(4)
-    net = Network(topo)
-
-    def split(payload, n_children):
-        return [payload + i for i in range(n_children)]
-
-    leaf_vals, _ = net.multicast(100, split=split)
-    assert leaf_vals == [100, 101, 102, 103]
-
-
-def test_multicast_bad_split():
-    net = Network(Topology.flat(3))
-    with pytest.raises(TopologyError):
-        net.multicast(0, split=lambda payload, n: [payload])
-
-
 def test_reduce_multicast_roundtrip():
     """reduce + multicast is the merge/sweep shape: root sees the combined
     value, every leaf then receives it."""
@@ -108,8 +91,11 @@ def test_function_filter():
     assert out == 9
 
 
+# The pool transport (one spawn process per worker) under the collectives.
+
+
 def test_process_transport_map_and_reduce():
-    with ProcessTransport(n_workers=2) as transport:
+    with ShmTransport(n_workers=2) as transport:
         net = Network(Topology.flat(4), transport)
         results, _ = net.map_leaves(_double, [1, 2, 3, 4])
         assert results == [2, 4, 6, 8]
@@ -119,11 +105,11 @@ def test_process_transport_map_and_reduce():
 
 def test_process_transport_rejects_bad_workers():
     with pytest.raises(TransportError):
-        ProcessTransport(n_workers=0)
+        ShmTransport(n_workers=0)
 
 
 def test_process_transport_unpicklable_payload():
-    with ProcessTransport(n_workers=1) as transport:
+    with ShmTransport(n_workers=1) as transport:
         net = Network(Topology.flat(2), transport)
         with pytest.raises(TransportError):
             net.map_leaves(_double, [lambda: 1, lambda: 2])

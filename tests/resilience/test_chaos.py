@@ -136,7 +136,7 @@ def test_checkpointed_leaf_does_not_recluster(
     # paper_style(4, fanout=2): internal nodes 1-2, leaves 3-6.
     config = _config(
         n_leaves=4,
-        checkpoint_dir=str(tmp_path / "ckpt"),
+        run_dir=str(tmp_path / "run"),
         fault_plan=FaultPlan(
             faults=(FaultSpec(node=3, phase="cluster", point="after"),)
         ),
@@ -160,7 +160,7 @@ def test_checkpoint_recovery_matches_fresh_labels(blobs_with_noise, tmp_path):
     recovered = run_pipeline(
         blobs_with_noise,
         _config(
-            n_leaves=4, checkpoint_dir=str(tmp_path / "ckpt"), fault_plan=plan
+            n_leaves=4, run_dir=str(tmp_path / "run"), fault_plan=plan
         ),
     )
     assert np.array_equal(recovered.labels, fresh.labels)

@@ -80,7 +80,7 @@ def test_checkpoint_resume_passes_full_validation(blobs_with_noise, tmp_path):
     )
     config = _config(
         n_leaves=4,
-        checkpoint_dir=str(tmp_path / "ckpt"),
+        run_dir=str(tmp_path / "run"),
         fault_plan=plan,
     )
     result = run_pipeline(blobs_with_noise, config)

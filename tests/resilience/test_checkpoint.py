@@ -107,15 +107,6 @@ def test_torn_write_is_a_clean_miss(tmp_path, leaf_output):
         store.load(4)
 
 
-def test_clear_removes_everything(tmp_path, leaf_output):
-    store = LeafCheckpointStore(tmp_path)
-    for leaf in (0, 1, 2):
-        store.save(leaf, leaf_output)
-    assert store.clear() == 3
-    assert len(store) == 0
-    assert not store.has(0)
-
-
 def test_overwrite_updates_in_place(tmp_path, leaf_output):
     store = LeafCheckpointStore(tmp_path)
     store.save(5, leaf_output)

@@ -20,6 +20,7 @@ from repro.core.pipeline import _ClusterLeafOutput
 from repro.durability.checkpoints import (
     CORRUPT_CHECKPOINT_ERRORS,
     LeafCheckpointStore,
+    PhaseCheckpointStore,
 )
 from repro.errors import CheckpointError
 from repro.points import PointSet
@@ -107,12 +108,14 @@ def test_pipeline_reclusters_through_truncated_checkpoint(tmp_path):
     points = PointSet.from_coords(
         centers[which] + rng.normal(0.0, 0.08, size=(400, 2))
     )
-    ckpt = tmp_path / "leaves"
-    baseline = mrscan(points, 0.15, 5, n_leaves=4, checkpoint_dir=str(ckpt))
+    run = tmp_path / "run"
+    baseline = mrscan(points, 0.15, 5, n_leaves=4, run_dir=str(run))
     assert baseline.checkpoint_hits == 0
-    # Truncate one leaf's artifact, then re-run against the same store.
-    victim = sorted(ckpt.glob("leaf_*.bin"))[0]
+    # Drop the phase checkpoints so a resume re-runs every phase, and
+    # truncate one leaf's spill: the cluster phase then reads the store.
+    PhaseCheckpointStore(run / "checkpoints").clear()
+    victim = sorted((run / "checkpoints" / "leaves").glob("leaf_*.bin"))[0]
     victim.write_bytes(victim.read_bytes()[:64])
-    rerun = mrscan(points, 0.15, 5, n_leaves=4, checkpoint_dir=str(ckpt))
+    rerun = mrscan(points, 0.15, 5, n_leaves=4, run_dir=str(run), resume=True)
     assert rerun.checkpoint_hits == 3  # three intact leaves recovered
     np.testing.assert_array_equal(rerun.labels, baseline.labels)

@@ -1,4 +1,4 @@
-"""The structured fault model: specs, plans, injectors, logs."""
+"""The structured fault model: specs, plans, logs."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ from repro.resilience import (
     FAULT_KINDS,
     NET_FAULT_KINDS,
     FaultEvent,
-    FaultInjector,
     FaultLog,
     FaultPlan,
     FaultSpec,
-    as_injector,
 )
 
 
@@ -133,22 +131,6 @@ def test_lookup_first_match_wins():
     )
     assert plan.lookup(1, "map", "m", 0).kind == "crash"
     assert plan.lookup(1, "map", "m", 1) is None
-
-
-# ----------------------------- injectors ------------------------------- #
-
-
-def test_as_injector_coercions():
-    plan = FaultPlan(faults=(FaultSpec(node=1),))
-    assert as_injector(None) is None
-    inj = as_injector(plan)
-    assert isinstance(inj, FaultInjector)
-    assert as_injector(inj) is inj
-    legacy = as_injector(lambda node, phase: node == 7)
-    assert legacy.check(7, "map", "m", 0) is not None
-    assert legacy.check(6, "map", "m", 0) is None
-    with pytest.raises(ConfigError):
-        as_injector(42)
 
 
 # ------------------------------ FaultLog ------------------------------- #

@@ -1,5 +1,5 @@
 """Retry/backoff schedules, per-attempt deadlines, and failover at the
-Network layer — including the preemptive ProcessTransport timeout path."""
+Network layer — including the preemptive timeout path of the spawn pool."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ import time
 import pytest
 
 from repro.errors import ConfigError, LeafTimeoutError, RetryExhaustedError
-from repro.mrnet import Network, ProcessTransport, SumFilter, Topology
+from repro.mrnet import Network, SumFilter, Topology
 from repro.mrnet.transport import TIMED_OUT
 from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy, RetryPolicy
+from repro.runtime import ShmTransport
 
 
 # ----------------------------- policies -------------------------------- #
@@ -32,8 +33,6 @@ def test_policy_validation():
         RetryPolicy(backoff_factor=0.5)
     with pytest.raises(ConfigError):
         ResiliencePolicy(leaf_timeout=0)
-    with pytest.raises(ConfigError):
-        ResiliencePolicy(max_failovers=-1)
 
 
 def test_fail_fast_matches_seed_contract():
@@ -147,7 +146,7 @@ def test_process_transport_preempts_hung_worker():
     """A genuinely hung worker is preempted by the pool deadline: the
     batch returns TIMED_OUT for its slot instead of blocking forever,
     and the Network surfaces LeafTimeoutError."""
-    transport = ProcessTransport(n_workers=2)
+    transport = ShmTransport(n_workers=2)
     try:
         # Warm the spawn pool so worker startup doesn't eat the deadline.
         assert transport.run_batch(_slow_then_fast, ["fast", "fast"]) == ["fast", "fast"]
@@ -161,7 +160,7 @@ def test_process_transport_preempts_hung_worker():
 @pytest.mark.slow
 def test_network_turns_preempted_worker_into_timeout_error():
     topo = Topology.flat(2)
-    transport = ProcessTransport(n_workers=2)
+    transport = ShmTransport(n_workers=2)
     net = Network(
         topo,
         transport=transport,
@@ -176,7 +175,6 @@ def test_network_turns_preempted_worker_into_timeout_error():
             net.map_leaves(_slow_then_fast, ["slow", "fast"])
         assert net.fault_log.by_kind["timeout"] >= 1
     finally:
-        net.close()  # leaves a caller-owned transport open
         transport.close()
 
 

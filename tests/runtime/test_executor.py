@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, TransportError
-from repro.mrnet import LocalTransport, Network, ProcessTransport, SumFilter, Topology
+from repro.mrnet import LocalTransport, Network, SumFilter, Topology
 from repro.mrnet.transport import TIMED_OUT, _open_pools
 from repro.points import PointSet
 from repro.runtime import TRANSPORT_NAMES, ShmTransport, as_pointset, make_transport
@@ -183,7 +183,8 @@ def test_atexit_guard_tracks_open_pools():
 
 
 def test_process_transport_guard_and_double_close():
-    transport = ProcessTransport(n_workers=1)
+    """The pool transport deregisters from the atexit guard on close."""
+    transport = ShmTransport(n_workers=1)
     assert transport.run_batch(_double, [2, 3]) == [4, 6]
     assert transport in _open_pools
     transport.close()
@@ -192,7 +193,8 @@ def test_process_transport_guard_and_double_close():
 
 
 def test_process_transport_close_after_timeout():
-    transport = ProcessTransport(n_workers=2)
+    """A deadline missed on a cold pool: close() still terminates."""
+    transport = ShmTransport(n_workers=2)
     try:
         results = transport.run_batch(
             _sleep_then_echo, [0.0, 30.0], timeout=0.3
@@ -205,27 +207,12 @@ def test_process_transport_close_after_timeout():
     transport.close()
 
 
-def test_process_transport_respawns_after_close():
-    """ProcessTransport's pool is lazy: using it again after close()
-    spawns a fresh pool (and re-registers the atexit guard)."""
-    transport = ProcessTransport(n_workers=1)
-    with transport:
-        assert transport.run_batch(_double, [1]) == [2]
-    assert transport not in _open_pools
-    assert transport.run_batch(_double, [3]) == [6]
-    assert transport in _open_pools
-    transport.close()
-
-
 # ------------------------- make_transport ----------------------------- #
 
 
 def test_make_transport_names():
     t = make_transport("local")
     assert isinstance(t, LocalTransport)
-    t = make_transport("process", n_workers=1)
-    assert isinstance(t, ProcessTransport)
-    t.close()
     t = make_transport("shm", n_workers=1)
     assert isinstance(t, ShmTransport)
     t.close()
@@ -234,3 +221,5 @@ def test_make_transport_names():
 def test_make_transport_unknown_name():
     with pytest.raises(ConfigError):
         make_transport("carrier-pigeon")
+    with pytest.raises(ConfigError, match="'local', 'shm', 'tcp'"):
+        make_transport("process")

@@ -13,13 +13,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import PoisonTaskWarning
 from repro.core import mrscan
-from repro.mrnet import ProcessTransport
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
 from repro.runtime import ShmTransport
@@ -50,7 +52,7 @@ def _die_in_workers_forever(value):
     return value * value
 
 
-@pytest.mark.parametrize("transport_cls", [ShmTransport, ProcessTransport])
+@pytest.mark.parametrize("transport_cls", [ShmTransport])
 def test_worker_sigkill_mid_round_respawns_and_completes(tmp_path, transport_cls):
     flag = str(tmp_path / "died-once")
     tasks = [(flag, v) for v in range(6)]
@@ -67,7 +69,7 @@ def test_worker_sigkill_mid_round_respawns_and_completes(tmp_path, transport_cls
         assert new_pids != warm_pids
 
 
-@pytest.mark.parametrize("transport_cls", [ShmTransport, ProcessTransport])
+@pytest.mark.parametrize("transport_cls", [ShmTransport])
 def test_poison_task_is_quarantined_with_warning(transport_cls):
     with transport_cls(n_workers=2) as transport:
         with pytest.warns(PoisonTaskWarning):
@@ -114,6 +116,51 @@ def test_no_dev_shm_leaks_after_healing(tmp_path):
         transport.stage_pointset(points)
         transport.run_batch(_die_once_then_square, [(flag, 4)])
     assert own_segments() <= before
+
+
+def _touch_then_sleep(flag):
+    """Tell the test the task started, then stay busy."""
+    open(flag, "w").close()
+    time.sleep(120)
+
+
+_KILLED_DRIVER = """
+import sys
+import numpy as np
+from repro.runtime import ShmTransport
+from test_self_healing import _touch_then_sleep
+transport = ShmTransport(n_workers=1)
+transport.stage_array(np.arange(10))
+print(transport.arena.segment_names[0], flush=True)
+transport.run_batch(_touch_then_sleep, [sys.argv[1]])
+"""
+
+
+def test_sigkilled_driver_leaves_no_segment_behind(tmp_path):
+    """A driver SIGKILLed while its worker is busy: the worker exits with
+    it, so the driver's resource tracker, which unlinks what the driver
+    staged once every holder of its pipe is gone, does so at once rather
+    than after the task (or never, for a hung one)."""
+    flag = tmp_path / "task-started"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_DRIVER, str(flag)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        segment = f"/dev/shm/{driver.stdout.readline().strip()}"
+        deadline = time.monotonic() + 60
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert flag.exists() and os.path.exists(segment)
+    finally:
+        driver.kill()
+        driver.wait()
+        driver.stdout.close()
+    deadline = time.monotonic() + 30
+    while os.path.exists(segment) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not os.path.exists(segment)
 
 
 def _blob_points(n=400, seed=7):

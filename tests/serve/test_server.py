@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import threading
@@ -27,11 +28,10 @@ def base() -> PointSet:
     )
 
 
-@pytest.fixture
-def daemon(base, tmp_path):
-    """A live daemon on a unix socket, torn down after the test."""
+@contextlib.contextmanager
+def _serving(base, socket_path, **server_kwargs):
+    """A live daemon on a unix socket, torn down on exit."""
     config = MrScanConfig(eps=0.08, minpts=8, n_leaves=8)
-    socket_path = tmp_path / "serve.sock"
     loop = asyncio.new_event_loop()
     box: dict = {}
     started = threading.Event()
@@ -40,7 +40,7 @@ def daemon(base, tmp_path):
         asyncio.set_event_loop(loop)
 
         async def _main() -> None:
-            server = ServeServer(base, config, socket_path=socket_path)
+            server = ServeServer(base, config, socket_path=socket_path, **server_kwargs)
             box["server"] = server
             await server.start()
             started.set()
@@ -52,16 +52,24 @@ def daemon(base, tmp_path):
     thread = threading.Thread(target=_run, daemon=True)
     thread.start()
     assert started.wait(timeout=300), "daemon failed to start"
-    yield socket_path
-    # Ensure teardown even if the test never sent shutdown.  If it did,
-    # the connect fails fast (or the dying server EOFs us) — either way
-    # the attempt is harmless and bounded.
     try:
-        with ServeClient(socket_path=socket_path, timeout=10) as c:
-            c.shutdown()
-    except Exception:
-        pass
-    thread.join(timeout=60)
+        yield socket_path
+    finally:
+        # Ensure teardown even if the test never sent shutdown.  If it
+        # did, the connect fails fast (or the dying server EOFs us) —
+        # either way the attempt is harmless and bounded.
+        try:
+            with ServeClient(socket_path=socket_path, timeout=10) as c:
+                c.shutdown()
+        except Exception:
+            pass
+        thread.join(timeout=60)
+
+
+@pytest.fixture
+def daemon(base, tmp_path):
+    with _serving(base, tmp_path / "serve.sock") as socket_path:
+        yield socket_path
 
 
 def _batch(base: PointSet, n: int, seed: int) -> list:
@@ -86,6 +94,29 @@ def test_ingest_query_shutdown_roundtrip(base, daemon):
         dump = c.dump()
         assert len(dump["ids"]) == len(dump["labels"]) == len(base) + 150
         c.shutdown()
+
+
+def test_daemon_run_dir_holds_only_its_wal(base, tmp_path):
+    """Bootstrap and two acked ingests leave the ingest journal and the
+    batch blobs in the run dir, nothing else (no leaf spills), and a
+    resume from it gives the same labels and core flags."""
+    run_dir = tmp_path / "run"
+    with _serving(base, tmp_path / "serve.sock", run_dir=run_dir) as sock:
+        with ServeClient(socket_path=sock) as c:
+            for seed in range(2):
+                c.ingest(_batch(base, 50, seed))
+            acked = c.dump()
+            c.shutdown()
+    files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*"))
+    assert files == [
+        "batches", "batches/batch_000000.npz", "batches/batch_000001.npz",
+        "ingest.jsonl",
+    ]
+    with _serving(base, tmp_path / "resumed.sock", run_dir=run_dir, resume=True) as sock:
+        with ServeClient(socket_path=sock) as c:
+            assert c.stats()["n_ingests"] == 2
+            assert c.dump() == acked
+            c.shutdown()
 
 
 def test_concurrent_clients(base, daemon):

@@ -15,10 +15,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from block_reference import assert_fresh_cell_index
 from repro.core.config import MrScanConfig
-from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, cluster_merge_sweep, mrscan
+from repro.core.pipeline import _ClusterLeafTask, _cluster_leaf, mrscan
 from repro.dbscan.labels import clustering_signature
 from repro.gpu.densebox import CellIndex
-from repro.durability.checkpoints import LeafCheckpointStore
 from repro.durability.ingestlog import IngestLog
 from repro.errors import FormatError, OperationCancelledError, RetryExhaustedError
 from repro.mrnet import LocalTransport, Topology
@@ -113,11 +112,6 @@ def _outputs_digest(state: ServeState) -> str:
     return digest.hexdigest()
 
 
-def _spill_bytes(root) -> dict[str, bytes]:
-    """Every file of a leaf spill store, by name."""
-    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
-
-
 def _claim_set(claims: np.ndarray, d2: np.ndarray) -> tuple[bytes, bytes]:
     order = np.lexsort((claims[:, 1], claims[:, 0]))
     return claims[order].tobytes(), d2[order].tobytes()
@@ -207,52 +201,6 @@ def test_dirty_leaves_take_the_append_path(base, config, transport):
     _assert_leaves_equal_a_full_pass(state)
 
 
-def test_a_leaf_restored_from_a_spill_appends_like_a_live_one(base, config, tmp_path):
-    """Bootstrap spills every leaf with its state, and a second run over
-    the same store restores them all.  An ingest from the restored
-    outputs appends every dirty leaf, none takes a full pass, and every
-    leaf output ends byte for byte where a twin's does that ingests from
-    its live outputs.  The transport is ``MRSCAN_TRANSPORT``'s."""
-    transport = make_transport(os.environ.get("MRSCAN_TRANSPORT", "local"), n_workers=2)
-    try:
-        spills = tmp_path / "leaves"
-        telemetry = Telemetry()
-        state = ServeState(
-            base, config, transport=borrow_transport(transport), telemetry=telemetry,
-            checkpoint_dir=str(spills),
-        )
-        twin = ServeState(base, config, transport=borrow_transport(transport))
-        restored = cluster_merge_sweep(
-            partitions=state.partitions, plan=state.plan, n_points=len(state.points),
-            config=config, transport=transport, checkpoint_dir=str(spills),
-        )
-        assert all(out.from_checkpoint for out in restored.outputs.values())
-        assert restored.n_fresh == 0
-        # A spill keeps the state but not the view's ids.
-        assert LeafCheckpointStore(spills).load(0).state.own_ids is None
-        state.outputs = restored.outputs
-
-        telemetry.tracer.drain()
-        batch = _local_batch(base, 200, 1)
-        outcome = state.ingest(batch)
-        assert twin.ingest(batch).dirty_leaves == outcome.dirty_leaves
-        modes = [s.args["mode"] for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
-        assert modes == ["append"] * len(outcome.dirty_leaves)
-        assert telemetry.metrics.get("serve.appended_leaves").value == len(outcome.dirty_leaves)
-        assert _outputs_digest(state) == _outputs_digest(twin)
-        for pid in range(config.n_leaves):
-            got, want = state.outputs[pid], twin.outputs[pid]
-            assert _index_digest(got.state.index) == _index_digest(want.state.index), pid
-            for f in fields(got.summary):
-                a, b = getattr(got.summary, f.name), getattr(want.summary, f.name)
-                assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
-        assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
-        assert state._snap().core_mask.tobytes() == twin._snap().core_mask.tobytes()
-        _assert_leaves_equal_a_full_pass(state)
-    finally:
-        transport.close()
-
-
 def test_adoption_inserts_resident_rows_mid_shadow(transport):
     """An adopted cell widens the adopter's shadow over another
     partition's resident rows, which merge into the shadow by id: the
@@ -337,7 +285,6 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
         config,
         transport=borrow_transport(transport),
         ingest_log=log,
-        checkpoint_dir=str(tmp_path / "run" / "leaves"),
     )
     state.ingest(_local_batch(base, 100, 5))
     state.ingest(_local_batch(base, 100, 6))
@@ -357,7 +304,6 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
         config,
         transport=borrow_transport(transport),
         ingest_log=log2,
-        checkpoint_dir=str(tmp_path / "run" / "leaves"),
         resume=True,
     )
     snap = resumed._snap()
@@ -442,19 +388,14 @@ def _root_reduce_fault(config: MrScanConfig, **spec) -> MrScanConfig:
 
 
 def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
-    base, config, transport, tmp_path
+    base, config, transport
 ):
     batch = _local_batch(base, 100, 8)
     twin = ServeState(base, config, transport=borrow_transport(transport))
     dirty = set(twin.ingest(batch).dirty_leaves)
-    spills = tmp_path / "leaves"
-    state = ServeState(
-        base, config, transport=borrow_transport(transport), checkpoint_dir=str(spills)
-    )
+    state = ServeState(base, config, transport=borrow_transport(transport))
     before = state._snap()
     outputs, digest = dict(state.outputs), _outputs_digest(state)
-    booted = _spill_bytes(spills)
-    assert len(booted) == 2 * config.n_leaves  # a blob and a manifest per leaf
     # The fault joins after bootstrap, whose merge would die on it too.
     state.config = replace(
         _root_reduce_fault(config, permanent=True), max_retries=0, failover=False
@@ -466,21 +407,18 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
     # The failed run appended to the committed outputs without touching them.
     assert all(state.outputs[pid] is out for pid, out in outputs.items())
     assert _outputs_digest(state) == digest
-    # An ingest never spills: the store is as bootstrap wrote it.
-    assert _spill_bytes(spills) == booted
     # The retry appends to the same outputs, and lands where the twin did.
     state.config = config
     state.ingest(batch)
     assert all(state.outputs[pid].appended for pid in dirty)
     assert state._snap().labels.tobytes() == twin._snap().labels.tobytes()
-    assert _spill_bytes(spills) == booted
 
 
 def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
-    base, config, transport, tmp_path
+    base, config, transport
 ):
-    """With spills on, a dirty leaf that crashes after its work is retried
-    from its committed output, not replayed from a spill: it appends
+    """A dirty leaf that crashes after its work is retried from its
+    committed output: it appends
     again from the committed cell index, which the failed attempt left
     byte for byte as it was, counts as re-clustered, and the labels are
     the fault-free twin's."""
@@ -490,7 +428,6 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
     telemetry = Telemetry()
     state = ServeState(
         base, config, transport=borrow_transport(transport), telemetry=telemetry,
-        checkpoint_dir=str(tmp_path / "leaves"),
     )
     # The ingest's map tree has one leaf node per dirty leaf, in leaf order.
     node = Topology.paper_style(len(want.dirty_leaves), config.fanout).leaves()[0]

@@ -11,6 +11,7 @@ from repro.core import MrScanConfig
 from repro.core.pipeline import mrscan, run_pipeline
 from repro.errors import MrScanError, TransportError
 from repro.mrnet import LocalTransport, Network, SumFilter, Topology
+from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 from repro.serve import ServeState
 from repro.telemetry import Telemetry
 from repro.telemetry.tracer import PID_DRIVER, PID_GPU, PID_TREE
@@ -109,24 +110,12 @@ def test_explicit_telemetry_object_is_recorded_into(blobs_with_noise):
 
 def test_telemetry_under_fault_injection_records_fault_instants():
     """Crashed attempts leave 'fault' instants; recovery still traces."""
-
-    class CrashOnce:
-        def __init__(self, node: int) -> None:
-            self.node = node
-            self.fired = False
-
-        def __call__(self, node: int, phase: str) -> bool:
-            if node == self.node and not self.fired:
-                self.fired = True
-                return True
-            return False
-
     topo = Topology.flat(4)
     telemetry = Telemetry()
     net = Network(
         topo,
-        fault_injector=CrashOnce(topo.leaves()[1]),
-        retries=1,
+        fault_injector=FaultPlan(faults=(FaultSpec(node=topo.leaves()[1]),)),
+        resilience=ResiliencePolicy.fail_fast(1),
         tracer=telemetry.tracer,
     )
     results, _ = net.map_leaves(lambda x: x + 1, [1, 2, 3, 4])
@@ -143,8 +132,9 @@ def test_exhausted_retries_trace_every_attempt():
     telemetry = Telemetry()
     net = Network(
         Topology.flat(2),
-        fault_injector=lambda node, phase: node == 0,  # root runs the filter
-        retries=2,
+        # The root runs the filter.
+        fault_injector=FaultPlan(faults=(FaultSpec(node=0, permanent=True),)),
+        resilience=ResiliencePolicy.fail_fast(2),
         tracer=telemetry.tracer,
     )
     with pytest.raises(TransportError):

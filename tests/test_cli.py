@@ -237,3 +237,41 @@ def test_cluster_engine_env_var_is_not_read(monkeypatch):
     got = mrscan(points, 0.2, 5, n_leaves=3)
     assert [s.engine for s in got.gpu_stats] == ["csr"] * 3
     assert got.labels.tobytes() == want.labels.tobytes()
+
+
+_SERVE = ["serve", "pts.bin", "--eps", "0.5", "--minpts", "5"]
+
+
+@pytest.mark.parametrize("removed, argv", [
+    ("process", [*_CLUSTER, "--transport", "process"]),
+    ("process", [*_SERVE, "--transport", "process"]),
+    ("--checkpoint-dir", [*_CLUSTER, "--checkpoint-dir", "x"]),
+])
+def test_process_transport_and_checkpoint_dir_flag_are_gone(removed, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert removed in capsys.readouterr().err
+
+
+def test_process_transport_env_var_names_the_three(monkeypatch):
+    from repro.core.config import MrScanConfig
+    from repro.errors import ConfigError
+
+    monkeypatch.setenv("MRSCAN_TRANSPORT", "process")
+    config = MrScanConfig(eps=0.5, minpts=5, n_leaves=2)
+    with pytest.raises(ConfigError, match="'local', 'shm', 'tcp'"):
+        config.resolved_transport()
+
+
+def test_removed_keywords_raise():
+    from repro.core.config import MrScanConfig
+    from repro.errors import ConfigError
+    from repro.mrnet import Network, Topology
+
+    with pytest.raises(TypeError):
+        MrScanConfig(eps=0.5, minpts=5, n_leaves=2, checkpoint_dir="x")
+    with pytest.raises(TypeError):
+        Network(Topology.flat(2), retries=1)
+    with pytest.raises(ConfigError):
+        Network(Topology.flat(2), fault_injector=lambda n, p: False)

@@ -17,6 +17,7 @@ from repro.core.pipeline import mrscan
 from repro.data import generate_sdss, generate_twitter
 from repro.partition import form_partitions
 from repro.partition.grid import GridHistogram
+from repro.runtime import TRANSPORT_NAMES
 
 
 def test_twitter_generator_golden():
@@ -99,7 +100,7 @@ _CONTRACT = {
 }
 
 
-@pytest.mark.parametrize("transport", ["local", "process", "shm", "tcp"])
+@pytest.mark.parametrize("transport", TRANSPORT_NAMES)
 @pytest.mark.parametrize("fixture", sorted(_CONTRACT))
 def test_pipeline_output_contract_golden(fixture, transport):
     """Every transport but ``local`` pickles the summaries — back from the

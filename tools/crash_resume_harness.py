@@ -61,6 +61,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.durability import replay_journal  # noqa: E402
+from repro.runtime.executor import TRANSPORT_NAMES  # noqa: E402
 
 
 def _cli(*args: str) -> list[str]:
@@ -357,7 +358,7 @@ def main() -> int:
     ap.add_argument("--minpts", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
-        "--transport", choices=["local", "process", "shm", "tcp"],
+        "--transport", choices=TRANSPORT_NAMES,
         default="local",
         help="transport for BOTH the crashed and the resumed run",
     )

@@ -69,7 +69,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as run_dir, IngestLog(run_dir) as log:
         state = ServeState(
             base, config, transport=LocalTransport(), telemetry=telemetry,
-            ingest_log=log, checkpoint_dir=str(Path(run_dir) / "leaves"),
+            ingest_log=log,
         )
         telemetry.tracer.drain()
         per_span: dict[str, list[float]] = {name: [] for name in SPANS}
