@@ -43,6 +43,7 @@ from ..telemetry import Telemetry, record_result
 from ..telemetry.tracer import NOOP_TRACER, PID_DRIVER, PID_GPU, PID_TREE, Tracer
 from .config import MrScanConfig
 from .result import MrScanResult, PhaseBreakdown, VirtualBreakdown
+from .sizing import BYTES_PER_POINT
 from .timing import PhaseTimer
 
 __all__ = ["LeafState", "PartialRunResult", "cluster_merge_sweep", "mrscan", "run_pipeline"]
@@ -53,10 +54,6 @@ logger = logging.getLogger("repro.pipeline")
 #: Cap on OOM-degradation splitting: beyond this many chunks the
 #: partition genuinely does not fit and the leaf fails for real.
 MAX_MEMORY_CHUNKS = 256
-
-#: Rough per-point device footprint in bytes (coords + labels/flags/queue
-#: state) — the cost model leaf failover uses to respect device capacity.
-_DEVICE_BYTES_PER_POINT = 33
 
 
 @dataclass
@@ -190,18 +187,15 @@ class _ClusterLeafTask:
     trace: bool = False
     #: Directory of per-leaf spill checkpoints (None = no checkpointing).
     checkpoint_dir: str | None = None
-    #: Device-buffer streaming factor (doubled on DeviceMemoryError).
-    memory_chunks: int = 1
     #: Keep the leaf's :class:`LeafState` on the output (a daemon's next
     #: ingest appends from it).
     keep_state: bool = False
     prior: LeafState | None = None
 
     def device_cost(self) -> float:
-        """Estimated device-memory footprint of this task in bytes."""
-        return float(
-            (len(self.own) + len(self.shadow)) * _DEVICE_BYTES_PER_POINT
-        ) / max(self.memory_chunks, 1)
+        """Estimated device-memory footprint of this task in bytes (the
+        model :func:`~repro.core.sizing.minimum_leaves` plans with)."""
+        return float((len(self.own) + len(self.shadow)) * BYTES_PER_POINT)
 
     def payload_bytes(self) -> int:
         """Wire size: refs cost their handles, arrays their bytes."""
@@ -263,12 +257,13 @@ class _LeafRun:
         return self.tracer.span(name, cat="gpu", pid=PID_GPU, tid=self.task.leaf_id, **args)
 
     def cluster(self, span, engine, **state):
-        """``engine`` over the view; a ``DeviceMemoryError`` resets the
-        device and re-runs with the partition streamed in twice as many
-        memory chunks (identical labels, more transfers), up to
-        :data:`MAX_MEMORY_CHUNKS`."""
+        """``engine`` over the view.  The one place a leaf survives device
+        OOM: a ``DeviceMemoryError`` resets the device and re-runs with
+        the partition streamed in twice as many memory chunks (identical
+        labels, more transfers), up to :data:`MAX_MEMORY_CHUNKS`; past
+        that the error fails the attempt, which the network retries."""
         cfg = self.task.config
-        chunks = max(1, int(self.task.memory_chunks))
+        chunks = 1
         while True:
             try:
                 result = engine(
@@ -365,15 +360,6 @@ def _cluster_leaf(task: _ClusterLeafTask) -> _ClusterLeafOutput:
     out.spans = tracer.drain()
     out.wall_seconds = time.perf_counter() - t_leaf_start
     return out
-
-
-def _split_on_oom(task: _ClusterLeafTask, message: str):
-    """OOM recovery hook: re-run the leaf with the partition streamed
-    in twice as many device-memory chunks (labels are unchanged)."""
-    new_chunks = max(1, task.memory_chunks) * 2
-    if new_chunks > MAX_MEMORY_CHUNKS:
-        return None
-    return replace(task, memory_chunks=new_chunks)
 
 
 def _stage_partitions(transport, partitions, tracer=NOOP_TRACER):
@@ -920,7 +906,6 @@ def _cluster_merge_sweep(
                 _cluster_leaf,
                 tasks,
                 name="cluster",
-                recover=_split_on_oom,
                 cost=_ClusterLeafTask.device_cost,
                 capacity=float(config.device.memory_bytes),
                 on_result=on_leaf_result,

@@ -22,6 +22,8 @@ __all__ = ["leaf_memory_bytes", "minimum_leaves"]
 #: state) + ~6 for the dense-box tree (32 per node of every level; data
 #: with many points per eps/√2 cell stays under that, sparse data on a
 #: deep tree — one point per cell, SDSS-like — can reach several times it).
+#: Leaf failover prices an adopted task with it too
+#: (``core.pipeline._ClusterLeafTask.device_cost``).
 BYTES_PER_POINT: float = 39.0
 
 

@@ -16,7 +16,11 @@ three collective operations Mr. Scan is built from:
 ``multicast``
     Replicate a root payload down to all leaves (partition boundaries;
     global cluster IDs in the sweep, "with each level of the tree
-    reversing the merge operation", §3.4).
+    reversing the merge operation", §3.4).  Each level's forwarding runs
+    through the same engine as a reduce level, in the driver on a private
+    :class:`LocalTransport`: forwarding needs no worker, so no payload is
+    pickled, and a multicast node's faults act as a reduce node's do
+    under ``local``.
 
 Every operation returns ``(result, NetworkTrace)``; traces capture packet
 counts, byte volumes, and per-node filter compute seconds for the perf
@@ -39,8 +43,7 @@ Node work runs under the attached :class:`~repro.resilience.ResiliencePolicy`:
   is enabled, its work is *re-hosted*: a leaf task moves to the
   least-loaded surviving sibling (subject to an optional capacity check),
   an internal node's filter work is adopted by its nearest live ancestor.
-  A task moves at most once per other node in its batch (at least the
-  tree's depth), an inline multicast node at most the tree's depth.
+  A task fails over at most ``max(batch size - 1, tree depth)`` times.
   Payload routing never changes — only which process executes — so the
   collective's result is invariant under any recoverable fault schedule;
 * every fault and recovery action lands in :attr:`Network.fault_log` (a
@@ -169,6 +172,11 @@ def _guarded_apply(
         )
 
 
+def _forward(payload: Any) -> Any:
+    """A multicast node's work: pass its payload on unchanged."""
+    return payload
+
+
 class Network:
     """An instantiated process tree ready to run collective phases.
 
@@ -216,6 +224,8 @@ class Network:
         # The transport is the caller's: a persistent executor shared
         # across phases and trees, closed by its owner.
         self.transport = transport or LocalTransport(tracer=self.tracer)
+        #: Where multicast forwarding runs: in the driver, untraced.
+        self._inline = LocalTransport()
         self.fault_plan = fault_injector
         self.resilience = resilience or ResiliencePolicy.fail_fast()
         self.fault_log = FaultLog()
@@ -259,10 +269,6 @@ class Network:
             action=action,
             attempt=attempt,
         )
-
-    def _mark_dead(self, node: int, host: int) -> None:
-        self.dead_nodes.add(node)
-        self._hosts[node] = host
 
     def _live_ancestor(self, node: int) -> int | None:
         """Nearest live proper ancestor of ``node`` (None if all dead)."""
@@ -309,25 +315,24 @@ class Network:
         *,
         phase: str,
         name: str,
-        recover: Callable[[Any, str], Any] | None = None,
         cost: Callable[[Any], float] | None = None,
         capacity: float | None = None,
         on_result: Callable[[int, Any], None] | None = None,
     ) -> tuple[list[tuple[Any, float, float]], list[int]]:
         """Execute ``payloads[i]`` for logical node ``nodes[i]`` under the
         resilience policy.  Returns ``(timing triples, executing hosts)``
-        in input order.
+        in input order.  Multicast forwarding runs in the driver, every
+        other phase on the network's transport.
 
-        ``recover(payload, message) -> new payload | None`` is consulted
-        on device-OOM failures — the pipeline uses it to split the leaf's
-        partition before re-execution.  ``cost``/``capacity`` guard leaf
-        failover placement (a sibling must fit the adopted partition in
-        device memory).  ``on_result(i, out)`` fires the moment task ``i``
-        delivers its result — *during* the round, not after the phase —
-        so a durability journal can record completions a crash later in
-        the same round would otherwise lose.
+        ``cost``/``capacity`` guard leaf failover placement (a sibling
+        must fit the adopted partition in device memory).
+        ``on_result(i, out)`` fires the moment task ``i`` delivers its
+        result — *during* the round, not after the phase — so a
+        durability journal can record completions a crash later in the
+        same round would otherwise lose.
         """
         policy = self.resilience
+        transport = self._inline if phase == "multicast" else self.transport
         n = len(payloads)
         pending = list(range(n))
         host = {i: self.host_of(nodes[i]) for i in pending}
@@ -351,7 +356,7 @@ class Network:
                 batch.append(
                     (fn, payloads[i], spec.as_dict() if spec else None, policy.leaf_timeout)
                 )
-            markers = self.transport.run_batch(
+            markers = transport.run_batch(
                 _guarded_apply, batch, timeout=policy.leaf_timeout, cancel=self._cancel
             )
             still_pending: list[int] = []
@@ -380,17 +385,6 @@ class Network:
                     continue
                 _, etype, message, category, _t0, _t1 = marker
                 kind = {"oom": "oom", "timeout": "timeout"}.get(category, "crash")
-                if category == "oom" and recover is not None:
-                    replacement = recover(payloads[i], message)
-                    if replacement is not None:
-                        payloads[i] = replacement
-                        self._record_fault(
-                            host[i], phase, name, attempt[i], kind, "recovered",
-                            detail=f"{etype}: {message}",
-                        )
-                        attempt[i] += 1
-                        still_pending.append(i)
-                        continue
                 self._record_fault(
                     host[i], phase, name, attempt[i], kind, "retry",
                     detail=f"{etype}: {message}",
@@ -420,7 +414,7 @@ class Network:
                     else:
                         target = self._live_ancestor(host[i])
                 if target is not None:
-                    self._mark_dead(host[i], target)
+                    self._hosts[host[i]] = target  # already in dead_nodes
                     self._record_fault(
                         host[i], phase, name, attempt[i] - 1, kind, "failover",
                         detail=f"re-hosted on node {target}",
@@ -453,58 +447,6 @@ class Network:
                     self._sleep(delay)
         return [results[i] for i in range(n)], [host[i] for i in range(n)]
 
-    def _survive(self, node: int, *, phase: str, name: str) -> None:
-        """Retry/backoff/failover loop for nodes whose phase work executes
-        inline (multicast routing) — only the fault poll matters."""
-        if self.fault_plan is None:
-            return
-        policy = self.resilience
-        host = self.host_of(node)
-        attempt = 0
-        failovers = 0
-        round_index = 0
-        max_failovers = self.topology.depth()
-        while True:
-            if self._cancel is not None:
-                self._cancel.check()
-            spec = self.fault_plan.lookup(host, phase, name, attempt)
-            if spec is None:
-                return
-            if spec.kind == "slowdown":
-                self._record_fault(
-                    host, phase, name, attempt, "slowdown", "delayed",
-                    detail=f"{spec.delay_seconds:.3f}s",
-                )
-                self._sleep(spec.delay_seconds)
-                return
-            self._record_fault(host, phase, name, attempt, spec.kind, "retry")
-            attempt += 1
-            if attempt > policy.retry.max_retries:
-                target = (
-                    self._live_ancestor(host)
-                    if policy.failover and failovers < max_failovers
-                    else None
-                )
-                if target is not None:
-                    self._mark_dead(host, target)
-                    self._record_fault(
-                        host, phase, name, attempt - 1, spec.kind, "failover",
-                        detail=f"re-hosted on node {target}",
-                    )
-                    host = target
-                    attempt = 0
-                    failovers += 1
-                    continue
-                self._record_fault(host, phase, name, attempt - 1, spec.kind, "abort")
-                raise RetryExhaustedError(
-                    f"node {host} failed during {phase} "
-                    f"({attempt} attempt(s), {policy.retry.max_retries} retr(ies))"
-                )
-            delay = policy.retry.backoff_seconds(round_index)
-            round_index += 1
-            if delay > 0:
-                self._sleep(delay)
-
     # ------------------------------------------------------------------ #
     # Leaf computation
     # ------------------------------------------------------------------ #
@@ -515,17 +457,15 @@ class Network:
         inputs: Sequence[Any],
         *,
         name: str = "map",
-        recover: Callable[[Any, str], Any] | None = None,
         cost: Callable[[Any], float] | None = None,
         capacity: float | None = None,
         on_result: Callable[[int, Any], None] | None = None,
     ) -> tuple[list[Any], NetworkTrace]:
         """Apply ``fn`` to one input per leaf; results in leaf order.
 
-        ``recover``/``cost``/``capacity``/``on_result`` feed the
-        resilience engine: OOM recovery rewrites, capacity-aware failover
-        placement, and per-leaf completion callbacks (see
-        :meth:`_run_tasks`).
+        ``cost``/``capacity``/``on_result`` feed the resilience engine:
+        capacity-aware failover placement and per-leaf completion
+        callbacks (see :meth:`_run_tasks`).
         """
         if len(inputs) != len(self._leaves):
             raise TopologyError(
@@ -538,7 +478,6 @@ class Network:
             list(inputs),
             phase="map",
             name=name,
-            recover=recover,
             cost=cost,
             capacity=capacity,
             on_result=on_result,
@@ -627,17 +566,24 @@ class Network:
         self, root_payload: Any, *, name: str = "multicast"
     ) -> tuple[list[Any], NetworkTrace]:
         """Replicate a payload from the root down to every leaf; returns
-        the payloads arriving at the leaves, in leaf order."""
+        the payloads arriving at the leaves, in leaf order.
+
+        The senders of a level forward as one batch of the engine, so a
+        failing node is retried and finally re-hosted on its nearest
+        live ancestor, as in :meth:`reduce`."""
         topo = self.topology
         trace = NetworkTrace()
         value: dict[int, Any] = {topo.root: root_payload}
         for level_nodes in topo.levels():
-            for node in level_nodes:
+            senders = [n for n in level_nodes if topo.children[n]]
+            if not senders:
+                continue
+            payloads = [value[n] for n in senders]
+            _, hosts = self._run_tasks(
+                senders, _forward, payloads, phase="multicast", name=name
+            )
+            for node, host, payload in zip(senders, hosts, payloads):
                 kids = topo.children[node]
-                if not kids:
-                    continue
-                self._survive(node, phase="multicast", name=name)
-                payload = value[node]
                 for child in kids:
                     trace.record(node, child, "multicast", payload)
                     value[child] = payload
@@ -645,7 +591,7 @@ class Network:
                     f"{name}.send",
                     cat="mrnet",
                     pid=self.trace_pid,
-                    tid=self.host_of(node),
+                    tid=host,
                     n_children=len(kids),
                 )
         return [value[leaf] for leaf in self._leaves], trace

@@ -110,13 +110,3 @@ class NetworkTrace:
     def bytes_into(self, node: int) -> int:
         """Bytes received by one node."""
         return sum(p.nbytes for p in self.packets if p.dst == node)
-
-    def bytes_out_of(self, node: int) -> int:
-        return sum(p.nbytes for p in self.packets if p.src == node)
-
-    def merged(self, other: "NetworkTrace") -> "NetworkTrace":
-        out = NetworkTrace(packets=self.packets + other.packets)
-        out.node_compute_seconds = dict(self.node_compute_seconds)
-        for node, sec in other.node_compute_seconds.items():
-            out.node_compute_seconds[node] = out.node_compute_seconds.get(node, 0.0) + sec
-        return out

@@ -4,7 +4,8 @@ The in-process transports execute every tree node on one host, so a
 phase's *wall* time is the **sum** of all node computations.  On the real
 machine the paper ran, nodes execute concurrently and a phase takes its
 **critical path**: the slowest leaf for a map, the heaviest
-root-to-leaf compute/transfer chain for a reduce or multicast.
+leaf-to-root compute/transfer chain for a reduce.  (A multicast only
+forwards; the sweep's virtual time is its gather's seconds.)
 
 These functions reconstruct that parallel time from a phase's
 :class:`~repro.mrnet.packets.NetworkTrace` — per-node compute seconds are
@@ -21,7 +22,7 @@ from ..errors import TopologyError
 from .packets import NetworkTrace
 from .topology import Topology
 
-__all__ = ["map_virtual_time", "reduce_critical_path", "multicast_critical_path"]
+__all__ = ["map_virtual_time", "reduce_critical_path"]
 
 
 def map_virtual_time(trace: NetworkTrace) -> float:
@@ -63,24 +64,3 @@ def reduce_critical_path(
     if topology.root not in finish:
         raise TopologyError("reduce critical path: root unreachable")
     return finish[topology.root]
-
-
-def multicast_critical_path(
-    topology: Topology, trace: NetworkTrace, *, link_bandwidth: float = 0.0
-) -> float:
-    """Parallel time of a downstream multicast (deepest arrival)."""
-    outbound: dict[tuple[int, int], int] = {}
-    for p in trace.packets:
-        key = (p.src, p.dst)
-        outbound[key] = outbound.get(key, 0) + p.nbytes
-
-    arrive: dict[int, float] = {topology.root: 0.0}
-    worst = 0.0
-    for level in topology.levels():
-        for node in level:
-            base = arrive.get(node, 0.0)
-            for child in topology.children[node]:
-                t = base + _link_seconds(outbound.get((node, child), 0), link_bandwidth)
-                arrive[child] = t
-                worst = max(worst, t)
-    return worst

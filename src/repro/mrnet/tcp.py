@@ -46,7 +46,10 @@ Agent modes
 -----------
 By default the transport self-spawns ``n_workers`` agent subprocesses
 (``python -m repro worker --connect ...``) on localhost — single-machine
-runs need no second terminal.  Set ``MRSCAN_TCP_SPAWN=0`` and
+runs need no second terminal.  A self-spawned agent (worker id
+``spawn-<i>-<coordinator pid>``) exits within
+:data:`PARENT_POLL_SECONDS` of its coordinator's death instead of
+spending its reconnect budget.  Set ``MRSCAN_TCP_SPAWN=0`` and
 ``MRSCAN_TCP_PORT=<port>`` to listen for external agents instead (the
 multi-host mode); ``MRSCAN_TCP_WAIT`` bounds how long a batch waits for
 the first one.
@@ -136,6 +139,8 @@ RECONNECT_JITTER = 0.25
 #: capped backoff — enough for a coordinator restart, finite so orphaned
 #: agents exit instead of spinning forever).
 DEFAULT_MAX_RECONNECTS = 60
+#: How often a self-spawned agent checks that its coordinator is alive.
+PARENT_POLL_SECONDS = 0.1
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
@@ -763,6 +768,27 @@ def _backoff_sleep(attempt: int) -> None:
     time.sleep(delay * (1.0 + RECONNECT_JITTER * random.random()))
 
 
+def _watch_spawner(worker_id: str) -> None:
+    """Exit with the coordinator that spawned this agent.
+
+    ``TcpTransport._spawn_agent`` names its agents
+    ``spawn-<i>-<coordinator pid>`` and is their parent; once the parent
+    is gone (the agent was re-parented) there is no run left to heal, so
+    the agent ends at once.  Any other worker id is an external agent,
+    which keeps its reconnect budget."""
+    prefix, _, pid = worker_id.rpartition("-")
+    if not (prefix.startswith("spawn-") and pid.isdigit()):
+        return
+    spawner = int(pid)
+
+    def watch() -> None:
+        while os.getppid() == spawner:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(2)
+
+    threading.Thread(target=watch, name="mrscan-spawner-watch", daemon=True).start()
+
+
 def _serve_agent_connection(
     sock: socket.socket, worker_id: str, fingerprint: str, reconnects: int
 ) -> int | None:
@@ -853,7 +879,8 @@ def run_worker_agent(
     """The ``mrscan worker`` main loop: dial the coordinator, execute
     framed tasks, reconnect with exponential backoff + jitter when the
     connection drops.  Exit codes: 0 clean shutdown, 1 rejected at
-    handshake, 2 reconnect budget exhausted."""
+    handshake, 2 reconnect budget exhausted or (a self-spawned agent)
+    coordinator gone."""
     # Mark this process as a TCP agent so injected ``kill`` faults know a
     # real SIGKILL is safe here (the coordinator survives and recovers).
     os.environ["MRSCAN_TCP_AGENT"] = "1"
@@ -865,6 +892,7 @@ def run_worker_agent(
     port = int(port_text)
     worker_id = worker_id or f"worker-{socket.gethostname()}-{os.getpid()}"
     fingerprint = fingerprint or os.environ.get("MRSCAN_TCP_FINGERPRINT", "")
+    _watch_spawner(worker_id)
     reconnects = 0
     while True:
         try:

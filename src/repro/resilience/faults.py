@@ -219,10 +219,10 @@ class FaultEvent:
     """One observed fault (or recovery action) during a run.
 
     ``action`` is what the resilience layer did about it: ``retry`` (the
-    attempt will be re-run after backoff), ``failover`` (the node was
-    declared dead and its work re-hosted), ``recovered`` (an OOM retried
-    with a split partition), or ``abort`` (budgets exhausted, the phase
-    raised).
+    attempt will be re-run after backoff), ``delayed`` (an injected
+    slowdown the attempt absorbed), ``failover`` (the node was declared
+    dead and its work re-hosted), or ``abort`` (budgets exhausted, the
+    phase raised).
     """
 
     node: int

@@ -34,18 +34,10 @@ from .arena import (
     attach_segment,
     detach_all,
 )
-from .executor import (
-    TRANSPORT_NAMES,
-    BorrowedTransport,
-    ShmTransport,
-    borrow_transport,
-    make_transport,
-)
+from .executor import TRANSPORT_NAMES, ShmTransport, make_transport
 from .worker import WorkerState, acquire_device, init_worker, worker_state
 
 __all__ = [
-    "BorrowedTransport",
-    "borrow_transport",
     "SEGMENT_PREFIX",
     "PointSetRef",
     "ShmArena",

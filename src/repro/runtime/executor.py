@@ -15,7 +15,7 @@ shared-memory arena:
   :meth:`~ShmTransport.stage_array` / :meth:`~ShmTransport.stage_pointset`,
   so a batch pickles kilobytes of refs instead of the partitions.
 
-A run that borrows the transport ends with :meth:`ShmTransport.rewind`,
+A run handed the transport ends with :meth:`ShmTransport.rewind`,
 so the next run restages into the same pages.  Closing the transport
 closes the pool *and* its arena (unlinking every staged segment); an
 ``atexit`` guard covers abandoned instances so interrupted runs cannot
@@ -47,9 +47,7 @@ from .arena import DEFAULT_BLOCK_BYTES, PointSetRef, ShmArena, ShmArrayRef
 from .worker import init_worker
 
 __all__ = [
-    "BorrowedTransport",
     "ShmTransport",
-    "borrow_transport",
     "make_transport",
     "stage_pointset_safe",
     "TRANSPORT_NAMES",
@@ -330,59 +328,6 @@ class ShmTransport:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class BorrowedTransport:
-    """A non-owning view of a transport: ``close()`` is a counted no-op.
-
-    ``run_pipeline`` historically assumed every transport it was handed
-    died with the run — callers like the serve daemon instead *lend*
-    their resident transport to each partial run and keep the pool and
-    arena warm afterwards.  This wrapper makes the loan explicit: every
-    attribute read/write is forwarded to the wrapped transport (so
-    degrade flags like ``stage_degraded`` set through the borrow reach
-    the owner), but ``close()`` only increments :attr:`close_calls` —
-    neither the pool is reaped nor the arena unlinked, and the atexit
-    sweep keeps tracking the *owner*, never the borrow.
-    """
-
-    _OWN = frozenset({"_inner", "close_calls"})
-
-    def __init__(self, inner: Any) -> None:
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "close_calls", 0)
-
-    @property
-    def inner(self) -> Any:
-        return self._inner
-
-    def close(self) -> None:
-        object.__setattr__(self, "close_calls", self.close_calls + 1)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(object.__getattribute__(self, "_inner"), name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(object.__getattribute__(self, "_inner"), name, value)
-
-    def __enter__(self) -> "BorrowedTransport":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"BorrowedTransport({self._inner!r}, close_calls={self.close_calls})"
-
-
-def borrow_transport(transport: Any) -> BorrowedTransport:
-    """Lend ``transport`` to a run without ceding ownership."""
-    if isinstance(transport, BorrowedTransport):
-        return transport
-    return BorrowedTransport(transport)
 
 
 def stage_pointset_safe(transport: Any, points: PointSet) -> Any:

@@ -35,11 +35,10 @@ Overload protection (see :mod:`repro.serve.overload`):
   ``drain_grace`` seconds (then cancels it), and exits 0 with the
   journal consistent.
 
-The daemon holds one resident transport for its whole life and lends it
-to every partial run via :func:`~repro.runtime.borrow_transport` — the
-run-scoped ``close()`` calls inside the pipeline become no-ops and the
-pool/arena stay warm.  ``close()`` here is the single place the real
-transport dies.
+The daemon holds one resident transport for its whole life and hands it
+to every partial run; :func:`~repro.core.pipeline.cluster_merge_sweep`
+never closes a transport it is given, so the pool and arena stay warm.
+``close()`` here is the single place the transport dies.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from ..errors import (
 )
 from ..points import PointSet
 from ..resilience import CancelToken
-from ..runtime.executor import borrow_transport, make_transport
+from ..runtime.executor import make_transport
 from ..telemetry import Telemetry
 from .overload import AdmissionController, CircuitBreaker
 from .protocol import (
@@ -191,7 +190,7 @@ class ServeServer:
         self.state = ServeState(
             base,
             config,
-            transport=borrow_transport(self._transport),
+            transport=self._transport,
             telemetry=self.telemetry,
             ingest_log=self.ingest_log,
             resume=resume,

@@ -125,9 +125,9 @@ class ServeState:
     config:
         Pipeline parameters.  ``config.n_leaves`` fixes the leaf count.
     transport:
-        A caller-owned transport lent to every partial run (wrap a
-        resident :class:`~repro.runtime.ShmTransport` with
-        :func:`~repro.runtime.borrow_transport`); never closed here.
+        A caller-owned transport (say a resident
+        :class:`~repro.runtime.ShmTransport`) handed to every partial
+        run; neither this class nor the run closes it.
     ingest_log:
         Optional :class:`~repro.durability.IngestLog` for WAL durability.
     """

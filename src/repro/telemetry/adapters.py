@@ -92,7 +92,7 @@ def record_fault_events(metrics: Any, events: Iterable[Any]) -> None:
 
     One counter per fault kind (``resilience.faults.crash`` ...) and per
     recovery action (``resilience.actions.retry`` / ``failover`` /
-    ``recovered`` / ``delayed`` / ``abort``).
+    ``delayed`` / ``abort``).
     """
     for event in events:
         metrics.counter(f"resilience.faults.{event.kind}").inc(1)

@@ -29,7 +29,7 @@ from repro.durability.journal import RunJournal
 from repro.errors import DurabilityError
 from repro.gpu.densebox import DENSEBOX_DETECTOR, DenseBoxResult
 from repro.points import PointSet
-from repro.runtime.executor import borrow_transport, make_transport
+from repro.runtime.executor import make_transport
 from repro.serve.state import ServeState
 
 mrscan_gpu_mod = sys.modules["repro.gpu.mrscan_gpu"]  # the package re-exports the function under this name
@@ -163,7 +163,7 @@ def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypat
             )
             log = IngestLog(tmp_path / "run")
             written = ServeState(
-                base, config, transport=borrow_transport(transport), ingest_log=log,
+                base, config, transport=transport, ingest_log=log,
             )
             for batch in batches:
                 written.ingest(batch)
@@ -171,11 +171,11 @@ def test_serve_resume_reclusters_a_wal_from_another_detector(tmp_path, monkeypat
 
         log = IngestLog(tmp_path / "run")
         resumed = ServeState(
-            base, config, transport=borrow_transport(transport), ingest_log=log,
+            base, config, transport=transport, ingest_log=log,
             resume=True,
         )
         log.close()
-        straight = ServeState(base, config, transport=borrow_transport(transport))
+        straight = ServeState(base, config, transport=transport)
         for batch in batches:
             straight.ingest(batch)
     finally:

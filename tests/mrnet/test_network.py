@@ -145,6 +145,3 @@ def test_trace_aggregates():
     assert t.n_packets == 2
     assert t.total_bytes == 48
     assert t.bytes_into(0) == 48
-    assert t.bytes_out_of(1) == 32
-    merged = t.merged(NetworkTrace())
-    assert merged.n_packets == 2

@@ -6,11 +6,7 @@ import pytest
 
 from repro.mrnet import Network, SumFilter, Topology
 from repro.mrnet.packets import NetworkTrace, Packet
-from repro.mrnet.schedule import (
-    map_virtual_time,
-    multicast_critical_path,
-    reduce_critical_path,
-)
+from repro.mrnet.schedule import map_virtual_time, reduce_critical_path
 
 
 def _trace(computes: dict[int, float], packets=()) -> NetworkTrace:
@@ -43,19 +39,6 @@ def test_reduce_link_bandwidth_adds_transfer():
     trace = _trace({0: 0.0}, packets=[(1, 0, 1000), (2, 0, 4000)])
     t = reduce_critical_path(topo, trace, link_bandwidth=1000.0)
     assert t == pytest.approx(4.0)  # the 4000-byte child dominates
-
-
-def test_multicast_flat_zero_without_links():
-    topo = Topology.flat(4)
-    assert multicast_critical_path(topo, _trace({})) == 0.0
-
-
-def test_multicast_with_links():
-    topo = Topology.from_fanouts([2, 2])
-    packets = [(0, 1, 100), (0, 2, 300), (1, 3, 50), (1, 4, 50), (2, 5, 700), (2, 6, 10)]
-    t = multicast_critical_path(topo, _trace({}, packets), link_bandwidth=100.0)
-    # deepest arrival: root->2 (3s) + 2->5 (7s)
-    assert t == pytest.approx(10.0)
 
 
 def test_real_reduce_critical_path_below_wall_sum():

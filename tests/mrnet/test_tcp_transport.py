@@ -221,6 +221,43 @@ def test_agent_gives_up_after_reconnect_budget():
     assert "gave up" in proc.stderr
 
 
+_COORDINATOR = """
+import sys, time
+from repro.mrnet.tcp import TcpTransport
+t = TcpTransport(2, connect_wait=30.0)
+t.run_batch(abs, [-1, -2, -3, -4])
+print(*(a.pid for a in t._agents), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_self_spawned_agents_exit_with_a_sigkilled_coordinator():
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        agents = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(agents) == 2 and all(_running(pid) for pid in agents)
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while any(_running(pid) for pid in agents) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in agents if _running(pid)]
+
+
 # ----------------------- pipeline + chaos parity ---------------------- #
 
 

@@ -1,4 +1,4 @@
-"""BorrowedTransport: lending a resident transport without ceding ownership."""
+"""A caller's transport handed to runs: the runs use it and never close it."""
 
 from __future__ import annotations
 
@@ -7,16 +7,15 @@ import pytest
 
 from repro.core import mrscan
 from repro.core.config import MrScanConfig
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import cluster_merge_sweep, run_pipeline
+from repro.partition.grid import GridHistogram
+from repro.partition.partitioner import form_partitions, partition_points
 from repro.points import PointSet
 from repro.mrnet.topology import Topology
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import (
-    BorrowedTransport,
-    ShmTransport,
-    borrow_transport,
-)
-from repro.runtime.executor import LocalTransport, make_transport
+from repro.runtime import ShmTransport
+from repro.runtime.executor import LocalTransport
+from repro.serve.state import ServeState
 from shm_segments import own_segments, own_usage
 
 
@@ -27,56 +26,42 @@ def _blobs(n: int = 800, seed: int = 5) -> PointSet:
     return PointSet.from_coords(centers[which] + rng.normal(0, 0.08, size=(n, 2)))
 
 
-def test_close_is_counted_noop():
-    inner = make_transport("local")
-    try:
-        borrowed = borrow_transport(inner)
-        borrowed.close()
-        borrowed.close()
-        assert borrowed.close_calls == 2
-        # The inner transport is untouched and still usable.
-        assert inner.run_batch(len, [[1, 2], [3]]) == [2, 1]
-    finally:
-        inner.close()
+class _CountingClose(LocalTransport):
+    def __init__(self) -> None:
+        super().__init__()
+        self.closes = 0
+
+    def close(self) -> None:
+        self.closes += 1
 
 
-def test_borrow_is_idempotent():
-    inner = make_transport("local")
-    try:
-        b1 = borrow_transport(inner)
-        b2 = borrow_transport(b1)
-        assert b2 is b1
-        assert b1.inner is inner
-    finally:
-        inner.close()
-
-
-def test_attribute_writes_reach_owner():
-    inner = make_transport("local")
-    try:
-        borrowed = BorrowedTransport(inner)
-        borrowed.stage_degraded = True
-        assert inner.stage_degraded is True
-        inner.stage_degraded = False
-        assert borrowed.stage_degraded is False
-    finally:
-        inner.close()
+def test_runs_never_close_a_transport_they_are_handed():
+    points = _blobs(400)
+    config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4)
+    transport = _CountingClose()
+    run_pipeline(points, config, transport=transport)
+    plan = form_partitions(
+        GridHistogram.from_points(points, config.eps), config.n_leaves, config.minpts
+    )
+    cluster_merge_sweep(
+        partitions=partition_points(points, plan), plan=plan,
+        n_points=len(points), config=config, transport=transport,
+    )
+    state = ServeState(points, config, transport=transport)
+    state.ingest(_blobs(50, seed=6).coords)
+    assert transport.closes == 0
 
 
 @pytest.mark.slow
 def test_borrowed_shm_transport_survives_run_pipeline():
-    """run_pipeline close()s the transport it is handed; a borrow keeps
-    the pool and arena alive so a second run reuses both."""
+    """run_pipeline leaves the pool and arena of a transport it is handed
+    alive, so a second run reuses both."""
     points = _blobs()
     config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4, transport="shm")
     with ShmTransport(n_workers=2) as transport:
-        borrowed = borrow_transport(transport)
-        first = run_pipeline(points, config, transport=borrowed)
+        first = run_pipeline(points, config, transport=transport)
         assert transport._pool is not None  # pool not reaped by the run
-        # Even a stray close() on the borrow cannot reap the owner.
-        borrowed.close()
-        assert borrowed.close_calls == 1
-        second = run_pipeline(points, config, transport=borrowed)
+        second = run_pipeline(points, config, transport=transport)
         np.testing.assert_array_equal(first.labels, second.labels)
 
 
@@ -166,10 +151,9 @@ def _staged_sum(ref):
 def test_local_transport_borrow_in_pipeline():
     points = _blobs(400)
     config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4)
-    inner = LocalTransport()
-    borrowed = borrow_transport(inner)
-    result = run_pipeline(points, config, transport=borrowed)
+    transport = LocalTransport()
+    result = run_pipeline(points, config, transport=transport)
     assert result.n_clusters > 0
-    # A second run on the same borrow works: nothing was reaped.
-    again = run_pipeline(points, config, transport=borrowed)
+    # A second run on the same transport works: nothing was reaped.
+    again = run_pipeline(points, config, transport=transport)
     np.testing.assert_array_equal(result.labels, again.labels)

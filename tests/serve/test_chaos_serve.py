@@ -26,7 +26,7 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import PoisonTaskWarning
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
-from repro.runtime import ShmTransport, borrow_transport
+from repro.runtime import ShmTransport
 from repro.serve.client import ServeClient, ServeOverloadedError, ServeRequestError
 from repro.serve.server import ServeServer
 from repro.serve.state import ServeState
@@ -54,7 +54,7 @@ def test_worker_kill_during_incremental_recluster_heals():
     clean = MrScanConfig(eps=0.08, minpts=8, n_leaves=8, transport="shm")
     before = own_segments()
     with ShmTransport(n_workers=2) as transport:
-        state = ServeState(base, clean, transport=borrow_transport(transport))
+        state = ServeState(base, clean, transport=transport)
         # Fault only the ingest path: arm the kill AFTER bootstrap so the
         # resident pool is warm when the worker dies.
         state.config = dataclasses.replace(

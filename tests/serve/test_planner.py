@@ -10,7 +10,7 @@ from repro.partition.dirty import adopt_cells, dirty_partitions, touched_cells_o
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS, GridHistogram, cell_of_coords
 from repro.partition.partitioner import form_partitions
 from repro.points import PointSet
-from repro.runtime.executor import borrow_transport, make_transport
+from repro.runtime.executor import make_transport
 from repro.serve.state import ServeState
 from repro.validate.equivalence import labels_equivalent
 from fuzz_cases import generate_case
@@ -92,7 +92,7 @@ def test_incremental_labels_match_from_scratch_on_union(seed):
         state = ServeState(
             base,
             case.config(validate="off", fault_plan=None),
-            transport=borrow_transport(transport),
+            transport=transport,
         )
         state.ingest(batch)
         union = PointSet(

@@ -26,7 +26,7 @@ from repro.partition.grid import GRID_NEIGHBOR_OFFSETS
 from repro.points import PointSet
 from repro.resilience import CancelToken, FaultPlan, FaultSpec
 from repro.runtime import ShmTransport
-from repro.runtime.executor import borrow_transport, make_transport
+from repro.runtime.executor import make_transport
 from repro.serve.state import ServeState
 from repro.telemetry import Telemetry
 from repro.validate import labels_equivalent
@@ -154,7 +154,7 @@ def _index_digest(index: CellIndex) -> str:
 def test_ingest_reclusters_only_dirty_leaves(base, config, transport):
     telemetry = Telemetry()
     state = ServeState(
-        base, config, transport=borrow_transport(transport), telemetry=telemetry
+        base, config, transport=transport, telemetry=telemetry
     )
     before = dict(state.outputs)
     outcome = state.ingest(_local_batch(base, 200, 1))
@@ -181,7 +181,7 @@ def test_dirty_leaves_take_the_append_path(base, config, transport):
     appended to, and the span, the counter and the ack agree."""
     telemetry = Telemetry()
     state = ServeState(
-        base, config, transport=borrow_transport(transport), telemetry=telemetry
+        base, config, transport=transport, telemetry=telemetry
     )
     boot = [s for s in telemetry.tracer.drain() if s.name == "leaf.cluster"]
     assert len(boot) == config.n_leaves
@@ -208,7 +208,7 @@ def test_adoption_inserts_resident_rows_mid_shadow(transport):
     full pass."""
     state = ServeState(
         PointSet.from_coords(_machine_base()), MACHINE_CONFIG,
-        transport=borrow_transport(transport),
+        transport=transport,
     )
     eps = MACHINE_CONFIG.eps
     cells = np.floor(state.points.coords / eps).astype(np.int64)
@@ -238,9 +238,9 @@ def test_ingests_on_a_borrowed_shm_pool_stop_growing_shared_memory(
     """Each partial run rewinds the resident arena, so ingests restage
     into the pages the bootstrap touched (an arena that never rewound
     would touch fresh pages on every ingest); labels match a local twin."""
-    local = ServeState(base, config, transport=borrow_transport(transport))
+    local = ServeState(base, config, transport=transport)
     with ShmTransport(n_workers=2) as shm:
-        state = ServeState(base, config, transport=borrow_transport(shm))
+        state = ServeState(base, config, transport=shm)
         for i in range(1, 31):
             batch = _local_batch(base, 100, 100 + i)
             state.ingest(batch)
@@ -252,7 +252,7 @@ def test_ingests_on_a_borrowed_shm_pool_stop_growing_shared_memory(
 
 
 def test_labels_and_stats_queries(base, config, transport):
-    state = ServeState(base, config, transport=borrow_transport(transport))
+    state = ServeState(base, config, transport=transport)
     outcome = state.ingest(_local_batch(base, 50, 2))
     labels, core = state.labels_for([0, 1, len(base)])
     assert len(labels) == len(core) == 3
@@ -264,7 +264,7 @@ def test_labels_and_stats_queries(base, config, transport):
 
 
 def test_failed_ingest_leaves_state_committed(base, config, transport):
-    state = ServeState(base, config, transport=borrow_transport(transport))
+    state = ServeState(base, config, transport=transport)
     snap_before = state._snap()
     n_before = len(state.points)
     # Re-using a resident external id must reject the batch ...
@@ -283,7 +283,7 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
     state = ServeState(
         base,
         config,
-        transport=borrow_transport(transport),
+        transport=transport,
         ingest_log=log,
     )
     state.ingest(_local_batch(base, 100, 5))
@@ -302,7 +302,7 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
     resumed = ServeState(
         base,
         config,
-        transport=borrow_transport(transport),
+        transport=transport,
         ingest_log=log2,
         resume=True,
     )
@@ -317,14 +317,14 @@ def test_ingest_log_resume_restores_acked_state(base, config, transport, tmp_pat
 
 def test_reopening_log_without_resume_is_rejected(base, config, transport, tmp_path):
     log = IngestLog(tmp_path / "run")
-    ServeState(base, config, transport=borrow_transport(transport), ingest_log=log)
+    ServeState(base, config, transport=transport, ingest_log=log)
     log.close()
     from repro.errors import ConfigError
 
     log2 = IngestLog(tmp_path / "run")
     with pytest.raises(ConfigError):
         ServeState(
-            base, config, transport=borrow_transport(transport), ingest_log=log2
+            base, config, transport=transport, ingest_log=log2
         )
     log2.close()
 
@@ -345,7 +345,7 @@ def test_snapshot_equals_a_from_scratch_run(transport):
     around_a_point = base.coords[int(rng.integers(len(base)))] + rng.normal(0, 0.3, size=(40, 2))
     config = MrScanConfig(eps=0.4, minpts=5, n_leaves=6)
     for draw in ("around_a_point", "beside_another_partition"):
-        state = ServeState(base, config, transport=borrow_transport(transport))
+        state = ServeState(base, config, transport=transport)
         batch = around_a_point
         if draw == "beside_another_partition":
             batch = _beside_another_partition(state, 40, 178)[0]
@@ -365,7 +365,7 @@ def test_snapshot_equals_a_from_scratch_run(transport):
 def test_stray_points_in_empty_cells_are_adopted(base, config, transport):
     """A batch landing wholly in cells that were empty at plan time still
     ingests (cell adoption) and the points are queryable afterwards."""
-    state = ServeState(base, config, transport=borrow_transport(transport))
+    state = ServeState(base, config, transport=transport)
     far = np.array([[500.0, 500.0], [500.01, 500.01], [500.02, 500.0]])
     outcome = state.ingest(far)
     assert outcome.n_points == 3
@@ -391,9 +391,9 @@ def test_dead_merge_root_fails_the_ingest_and_commits_nothing(
     base, config, transport
 ):
     batch = _local_batch(base, 100, 8)
-    twin = ServeState(base, config, transport=borrow_transport(transport))
+    twin = ServeState(base, config, transport=transport)
     dirty = set(twin.ingest(batch).dirty_leaves)
-    state = ServeState(base, config, transport=borrow_transport(transport))
+    state = ServeState(base, config, transport=transport)
     before = state._snap()
     outputs, digest = dict(state.outputs), _outputs_digest(state)
     # The fault joins after bootstrap, whose merge would die on it too.
@@ -423,11 +423,11 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
     byte for byte as it was, counts as re-clustered, and the labels are
     the fault-free twin's."""
     batch = _local_batch(base, 100, 10)
-    twin = ServeState(base, config, transport=borrow_transport(transport))
+    twin = ServeState(base, config, transport=transport)
     want = twin.ingest(batch)
     telemetry = Telemetry()
     state = ServeState(
-        base, config, transport=borrow_transport(transport), telemetry=telemetry,
+        base, config, transport=transport, telemetry=telemetry,
     )
     # The ingest's map tree has one leaf node per dirty leaf, in leaf order.
     node = Topology.paper_style(len(want.dirty_leaves), config.fanout).leaves()[0]
@@ -462,10 +462,10 @@ def test_a_dirty_leaf_crashing_after_its_work_is_retried_by_appending(
 
 def test_merge_root_crash_is_retried_to_the_fault_free_labels(base, config, transport):
     batch = _local_batch(base, 100, 9)
-    twin = ServeState(base, config, transport=borrow_transport(transport))
+    twin = ServeState(base, config, transport=transport)
     telemetry = Telemetry()
     state = ServeState(
-        base, config, transport=borrow_transport(transport), telemetry=telemetry
+        base, config, transport=transport, telemetry=telemetry
     )
     state.config = _root_reduce_fault(config, attempt=0)
     state.ingest(batch)
