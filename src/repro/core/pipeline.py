@@ -292,7 +292,7 @@ class _LeafRun:
         task = self.task
         return summarize_leaf(
             task.leaf_id, self.view, result.labels, result.core_mask, task.config.eps,
-            set(task.owned_cells), claims=result.claims, candidates=candidates,
+            task.owned_cells, claims=result.claims, candidates=candidates,
         )
 
 

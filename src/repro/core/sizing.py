@@ -3,10 +3,10 @@
 The paper's strong-scaling experiment starts "at the number of leaf nodes
 that had sufficient memory to support their partition size" (§4) — 256
 leaves for 6.5 B points on 6 GB K20s.  These helpers answer the same
-question for the simulated device, using the same allocation layout
-:func:`repro.gpu.mrscan_gpu` actually makes (input coordinates, box-tree
-nodes, per-point state), so a plan that passes here will not trip
-:class:`repro.errors.DeviceMemoryError` at run time.
+question for the simulated device from the allocation layout
+:func:`repro.gpu.mrscan_gpu` makes.  Its 39 B/point is a floor (50k-point
+leaves took 42 to 218), so a plan that passes here can still meet
+:class:`repro.errors.DeviceMemoryError`; the leaf then re-chunks.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from ..gpu.device import DeviceConfig
 
 __all__ = ["leaf_memory_bytes", "minimum_leaves"]
 
-#: Device bytes per resident point: 16 (coords) + 17 (labels/flags/queue
-#: state) + ~6 for the dense-box tree (32 per node of every level; data
-#: with many points per eps/√2 cell stays under that, sparse data on a
-#: deep tree — one point per cell, SDSS-like — can reach several times it).
-#: Leaf failover prices an adopted task with it too
+#: Device bytes per resident point, a floor: 16 (coords) + 17 (labels,
+#: flags, queue) + ~6 for the box tree, whose 32 B per node of every level
+#: measured 9-185 B/point on 50k-point leaves (42-218 in all, sparse data
+#: the most).  Failover prices an adopted task with it too
 #: (``core.pipeline._ClusterLeafTask.device_cost``).
 BYTES_PER_POINT: float = 39.0
 

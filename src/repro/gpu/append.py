@@ -66,10 +66,10 @@ from .mrscan_gpu import (
     _charge_batches,
     _finish_stats,
     _join_cells,
+    _run_extents,
     _stage,
     _unstage,
 )
-from .treeindex import box_extents
 
 __all__ = ["mrscan_gpu_append"]
 
@@ -174,11 +174,7 @@ def mrscan_gpu_append(
         populous = np.unique(cand_cell)
         populous = populous[count[populous] >= minpts]
         if len(populous):
-            rows = gather(populous)
-            x, y = coords[rows, 0], coords[rows, 1]
-            x0, x1, y0, y1 = box_extents(
-                (x, x, y, y), np.cumsum(count[populous]) - count[populous]
-            )
+            x0, x1, y0, y1 = _run_extents(coords, gather(populous), count[populous])
             dx, dy = x1 - x0, y1 - y0
             dense = populous[dx * dx + dy * dy <= eps * eps]
             in_box = np.isin(cand_cell, dense)
@@ -232,10 +228,12 @@ def mrscan_gpu_append(
         a, b = a[live], b[live]
         judged = np.union1d(a, b)
         rows = gather(nodes[judged])
-        node = np.repeat(judged, count[nodes[judged]])
         held = is_core[rows]
+        rows = rows[held]
+        n_held = np.bincount(np.repeat(judged, count[nodes[judged]])[held], minlength=m)
         parent, uf_rounds, uf_batches = _join_cells(
-            coords[rows[held]], node[held], parent, a, b, eps, batch_pairs
+            coords, rows, np.cumsum(n_held) - n_held, n_held,
+            _run_extents(coords, rows, n_held), parent, a, b, eps, batch_pairs,
         )
         stats.pass2_ops = sum(uf_batches)
         stats.csr_batches += len(uf_batches)

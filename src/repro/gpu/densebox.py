@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..points import PointSet
 from ..sorting import stable_order
-from .treeindex import _MAX_AXIS_BITS, FlatTree, box_extents
+from .treeindex import _MAX_AXIS_BITS, FlatTree, _exclusive_cumsum, runs
 
 __all__ = [
     "CELL_REACH",
@@ -119,8 +119,7 @@ def find_dense_boxes(
     box_of_cell = np.full(n_cells, -1, dtype=np.int64)
     dense = np.empty(0, dtype=np.int64)
     if n_cells and (populous := tree.level_count[-1] >= minpts).any():
-        x, y = points.coords[tree.order, 0], points.coords[tree.order, 1]
-        x0, x1, y0, y1 = box_extents((x, x, y, y), tree.level_start[-1])
+        x0, x1, y0, y1 = tree.leaf_extents(points.coords)
         dx, dy = x1 - x0, y1 - y0
         dense = np.flatnonzero(populous & (dx * dx + dy * dy <= eps * eps))
         box_of_cell[dense] = np.arange(len(dense))
@@ -144,10 +143,6 @@ def _frame(lo: int, hi: int) -> tuple[int, int]:
     span = hi - lo
     margin = max(CELL_REACH, min(span + 1, ((1 << _MAX_AXIS_BITS) - span - 1) // 2))
     return lo - margin, span + 1 + 2 * margin
-
-
-def _exclusive_cumsum(v: np.ndarray) -> np.ndarray:
-    return np.cumsum(v) - v
 
 
 @dataclass
@@ -236,8 +231,7 @@ class CellIndex:
         key = (cx - x0) * h + (cy - y0)
         by_key = np.argsort(key)  # the cells, not the rows
         count = tree.level_count[-1][by_key]
-        at = np.repeat(tree.level_start[-1][by_key] - _exclusive_cumsum(count), count)
-        at += np.arange(tree.n_points)
+        at = runs(tree.level_start[-1][by_key], count)
         return cls._from_runs(
             tree.cell_width, (x0, y0), (w, h), key[by_key], count, tree.order[at], core,
         )
@@ -262,10 +256,7 @@ class CellIndex:
 
     def gather(self, cells: np.ndarray) -> np.ndarray:
         """The rows of ``cells``, cell by cell."""
-        count = self.count[cells]
-        at = np.repeat(self.start[cells] - _exclusive_cumsum(count), count)
-        at += np.arange(len(at))
-        return self.order[at]
+        return self.order[runs(self.start[cells], self.count[cells])]
 
     def grown(self, old_rows: np.ndarray, rows: np.ndarray, xy: np.ndarray) -> CellIndex | None:
         """This index over a grown view, where old row ``i`` became

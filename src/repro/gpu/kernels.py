@@ -17,8 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..sorting import stable_order
-from .treeindex import FlatTree
+from .treeindex import FlatTree, runs
 
 __all__ = [
     "DISK_STENCIL_RATIO",
@@ -186,33 +185,32 @@ def iter_class_pairs(
     Rows are the points of ``row_mask``, columns those of ``col_mask``
     (where a point is in both, it is a column); a pair is a candidate when
     the two points' leaf boxes interact, i.e. the 3×3 Eps-cell stencil for
-    a tree built with the default radius.  Within each leaf box the two
-    classes are grouped contiguously, so every interacting box pair is one
-    rows×columns quad for :func:`iter_position_batches`; points of neither
-    class are never expanded.  Yields original point indices.
+    a tree built with the default radius.  Each class is the tree's
+    ``order`` filtered, so every interacting box pair is one rows×columns
+    quad for :func:`iter_position_batches`; columns come only from boxes
+    that meet a row box.  Yields original point indices.
     """
     n_boxes = tree.n_leaf_boxes
     order = tree.order
-    # Three classes per box: 0 rows, 1 columns, 2 everything else.
-    cls = np.full(tree.n_points, 2, dtype=np.int64)
-    cls[row_mask] = 0
-    cls[col_mask] = 1
-    key = tree.point_leaf[order] * 3 + cls[order]
-    ord3 = order[stable_order(key, (3 * n_boxes - 1).bit_length())]
-    cnt3 = np.bincount(key, minlength=3 * n_boxes)
-    st3 = np.zeros(3 * n_boxes, dtype=np.int64)
-    np.cumsum(cnt3[:-1], out=st3[1:])
-    r_start, r_count = st3[0::3], cnt3[0::3]
-    c_start, c_count = st3[1::3], cnt3[1::3]
+    rows = order[row_mask[order] & ~col_mask[order]]
+    r_count = np.bincount(tree.point_leaf[rows], minlength=n_boxes)
 
     a, b = tree.leaf_pairs()
     off = a != b
     qa = np.concatenate((a, b[off]))
     qb = np.concatenate((b, a[off]))
+    boxes = np.flatnonzero(np.bincount(qb[r_count[qa] > 0], minlength=n_boxes))
+    size = tree.level_count[-1][boxes]
+    cols = order[runs(tree.level_start[-1][boxes], size)]
+    held = col_mask[cols]
+    cols = cols[held]
+    c_count = np.bincount(np.repeat(boxes, size)[held], minlength=n_boxes)
+    r_start = np.cumsum(r_count) - r_count
+    c_start = np.cumsum(c_count) - c_count
     for u, v in iter_position_batches(
         r_start[qa], r_count[qa], c_start[qb], c_count[qb], batch_pairs=batch_pairs
     ):
-        yield ord3[u], ord3[v]
+        yield rows[u], cols[v]
 
 
 def walk_claims(

@@ -63,7 +63,6 @@ import numpy as np
 from ..dbscan.disjoint_set import first_appearance_labels, union_edges
 from ..errors import ConfigError
 from ..points import NOISE, PointSet
-from ..sorting import stable_order
 from .densebox import (
     CellIndex,
     DenseBoxResult,
@@ -79,7 +78,7 @@ from .kernels import (
     iter_position_batches,
     walk_claims,
 )
-from .treeindex import FlatTree, box_extents, extent_verdicts
+from .treeindex import FlatTree, box_extents, extent_verdicts, runs
 
 __all__ = [
     "MrScanGPUStats",
@@ -252,27 +251,24 @@ def _csr_counts(
         return np.zeros(0, dtype=np.int64), []
     order = tree.order
     start, count = tree.level_start[-1], tree.level_count[-1]
-    n_cells = tree.n_leaf_boxes
     eps2 = float(eps) * float(eps)
 
-    # Group each cell's non-box members contiguously so the row side of
-    # every quad is one slice (when densebox is off this is a no-op).
-    key = tree.point_leaf[order] * 2 + in_box[order]  # 0 = non-box
-    ord2 = order[stable_order(key, (2 * n_cells - 1).bit_length())]
-    cnt2 = np.bincount(key, minlength=2 * n_cells)
-    st2 = np.zeros(2 * n_cells, dtype=np.int64)
-    np.cumsum(cnt2[:-1], out=st2[1:])
-    nb_start, nb_count = st2[0::2], cnt2[0::2]
+    # The rows: the non-box points in tree order, so each cell's are one
+    # slice of ``rows``; every per-row buffer below is sized by them.
+    rows = order[~in_box[order]]
+    rows_leaf = tree.point_leaf[rows]
+    nb_count = np.bincount(rows_leaf, minlength=tree.n_leaf_boxes)
+    nb_start = np.cumsum(nb_count) - nb_count
 
     # Row side: non-box members of pa; column side: all members of pb.
     # Column coords in tree order also give the walk its box extents.
-    xc, yc = coords[order, 0].copy(), coords[order, 1].copy()
+    xc, yc = coords[:, 0][order], coords[:, 1][order]
     credit, pa, pb = tree.saturating_pairs(xc, yc, nb_count > 0, minpts)
 
     # Annulus of straddling cell pairs: evaluate point-by-point in
-    # position space (row coords gather sequentially from the class-grouped
-    # permutation, column coords from the tree permutation).
-    xr, yr = coords[ord2, 0].copy(), coords[ord2, 1].copy()
+    # position space (row coords gather from ``rows``, column coords from
+    # the tree permutation).
+    xr, yr = coords[:, 0][rows], coords[:, 1][rows]
 
     # Distance tests run in float32 on centred coordinates — half the
     # memory traffic of float64 — with candidates inside a conservative
@@ -294,7 +290,7 @@ def _csr_counts(
         t_lo = np.float32(eps2 - 2.0 * band)
         t_hi = np.float32(eps2 + 2.0 * band)
 
-    counts_pos = np.zeros(n, dtype=np.int64)
+    counts_pos = credit[rows_leaf]
     batches: list[int] = []
     for u, v in iter_position_batches(
         nb_start[pa], nb_count[pa], start[pb], count[pb], batch_pairs=batch_pairs
@@ -316,12 +312,10 @@ def _csr_counts(
             dx = xr[u] - xc[v]
             dy = yr[u] - yc[v]
             within = dx * dx + dy * dy <= eps2
-        counts_pos += np.bincount(u[within], minlength=n)
+        counts_pos += np.bincount(u[within], minlength=len(rows))
 
     counts = np.zeros(n, dtype=np.int64)
-    counts[ord2] = counts_pos
-    nb_ids = np.flatnonzero(~in_box)
-    counts[nb_ids] += credit[tree.point_leaf[nb_ids]]
+    counts[rows] = counts_pos
     return counts, batches
 
 
@@ -338,23 +332,43 @@ def _csr_core_components(
     (:func:`build_densebox_tree`): every cell is a clique (diameter ≤ eps),
     so the union-find runs over cells — Wang, Gu & Shun's cell graph — and
     the tree's leaf pairs are the cell pairs :func:`_join_cells` judges.
-    Returns, per core in index order, the root cell of its component, the
-    number of union-find hook rounds, and per-batch evaluated candidate
-    counts.
+    An all-core cell is its run of the tree's order and its leaf extent;
+    only cells holding a non-core row gather their cores.  Returns, per
+    core in index order, the root cell of its component, the number of
+    union-find hook rounds, and per-batch evaluated candidate counts.
     """
-    # Core positions: the cores in tree order, so each cell's are one run.
     order = box_tree.order
-    cores = order[core_mask[order]]
+    start, count = box_tree.level_start[-1], box_tree.level_count[-1]
+    n_core = count - np.bincount(box_tree.point_leaf[~core_mask], minlength=len(count))
+    # A mixed cell's cores go first in its run of (a copy of) ``order``.
+    mixed = np.flatnonzero((n_core > 0) & (n_core < count))
+    at = runs(start[mixed], count[mixed])
+    cores = order[at[core_mask[order[at]]]]
+    rows = order.copy()
+    rows[runs(start[mixed], n_core[mixed])] = cores
+    ext = np.array(box_tree.leaf_extents(coords))
+    ext[:, mixed] = _run_extents(coords, cores, n_core[mixed])
     parent, rounds, batches = _join_cells(
-        coords[cores], box_tree.point_leaf[cores], np.arange(box_tree.n_leaf_boxes),
-        *box_tree.leaf_pairs(), eps, batch_pairs,
+        coords, rows, start, n_core, ext, np.arange(len(count)), *box_tree.leaf_pairs(),
+        eps, batch_pairs,
     )
     return parent[box_tree.point_leaf[core_mask]], rounds, batches
 
 
+def _run_extents(coords: np.ndarray, rows: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Tight ``(x0, x1, y0, y1)`` of each run of ``count[i]`` of ``rows`` (0 if empty)."""
+    x, y = coords[:, 0][rows], coords[:, 1][rows]
+    ext = np.zeros((4, len(count)))
+    ext[:, count > 0] = box_extents((x, x, y, y), (np.cumsum(count) - count)[count > 0])
+    return ext
+
+
 def _join_cells(
-    xy: np.ndarray,
-    cell: np.ndarray,
+    coords: np.ndarray,
+    rows: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+    ext: np.ndarray,
     parent: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
@@ -363,26 +377,20 @@ def _join_cells(
 ) -> tuple[np.ndarray, int, list[int]]:
     """Union the cells of cell pairs ``(a, b)`` that hold a core edge.
 
-    ``xy`` are core coordinates grouped by ``cell`` (ascending), and
-    ``parent`` a compressed union-find over at least the cells.  Pairs
-    that both hold cores are judged by their cores' extents
-    (:func:`extent_verdicts`): *far* pairs are dropped, *full* pairs
-    unioned with no distance test, and only straddling pairs whose cells
-    do not share a root yet are probed — the vectorised form of the
+    Cell ``i`` holds the ``count[i]`` cores ``rows[start[i]:]``, of tight
+    extent ``ext[:, i]``, and ``parent`` is a compressed union-find over
+    at least the cells.  Pairs that both hold cores are judged by those
+    extents (:func:`extent_verdicts`): *far* pairs are dropped, *full*
+    pairs unioned with no distance test, and only straddling pairs whose
+    cells do not share a root yet are probed — the vectorised form of the
     ``connected`` short-circuit in :func:`repro.dbscan.reference.core_components`.
     Returns the new ``parent``, the hook rounds and per-batch evaluated
     candidate counts.
     """
-    count = np.bincount(cell, minlength=len(parent))
-    start = np.cumsum(count) - count
-    xs, ys = xy[:, 0], xy[:, 1]
     eps2 = float(eps) * float(eps)
-    has = count > 0
-    ext, slot = box_extents((xs, xs, ys, ys), start[has]), np.cumsum(has) - 1
-
-    keep = (a != b) & has[a] & has[b]
+    keep = (a != b) & (count[a] > 0) & (count[b] > 0)
     a, b = a[keep], b[keep]
-    full, far = extent_verdicts(ext, slot[a], slot[b], eps2)
+    full, far = extent_verdicts(ext, a, b, eps2)
     parent, rounds = union_edges(parent, a[full], b[full])
     straddle = ~(full | far)
     a, b = a[straddle], b[straddle]
@@ -400,10 +408,13 @@ def _join_cells(
         a, b = a[live], b[live]
         if not len(a):
             break
-        na = np.minimum(count[a], cap)
-        nb = np.minimum(count[b], cap)
+        side, k = np.concatenate((a, b)), len(a)
+        take = np.minimum(count[side], cap)
+        first = np.cumsum(take) - take
+        sample = rows[runs(start[side], take)]
+        xs, ys, cell = coords[:, 0][sample], coords[:, 1][sample], np.repeat(side, take)
         for u, v in iter_position_batches(
-            start[a], na, start[b], nb, batch_pairs=batch_pairs
+            first[:k], take[:k], first[k:], take[k:], batch_pairs=batch_pairs
         ):
             batches.append(len(u))
             dx = xs[u] - xs[v]
@@ -411,7 +422,7 @@ def _join_cells(
             within = dx * dx + dy * dy <= eps2
             parent, extra = union_edges(parent, cell[u[within]], cell[v[within]])
             rounds += extra
-        fully = (na >= count[a]) & (nb >= count[b])
+        fully = (take[:k] >= count[a]) & (take[k:] >= count[b])
         a, b = a[~fully], b[~fully]
         cap *= 4
     return parent, rounds, batches
@@ -595,12 +606,8 @@ def mrscan_gpu(
         device, points.coords, 32 * sum(len(keys) for keys in tree.level_keys), memory_chunks
     )
 
-    if use_densebox:
-        densebox = find_dense_boxes(points, eps, minpts, tree=tree)
-    else:
-        densebox = DenseBoxResult(
-            box_id=np.full(n, -1, dtype=np.int64), n_boxes=0, n_subdivisions=tree.n_leaf_boxes
-        )
+    # Without dense box, a box would need more points than the view has.
+    densebox = find_dense_boxes(points, eps, minpts if use_densebox else n + 1, tree=tree)
     in_box = densebox.box_id >= 0
     stats.n_boxes = densebox.n_boxes
     stats.n_eliminated = densebox.n_eliminated

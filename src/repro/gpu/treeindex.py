@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..sorting import stable_order
 
-__all__ = ["FlatTree", "box_extents", "extent_verdicts"]
+__all__ = ["FlatTree", "box_extents", "extent_verdicts", "runs"]
 
 #: Morton coding uses 2 bits per level; 28 per axis keeps the interleaved
 #: key comfortably inside int64 and is far beyond any real Eps/span ratio.
@@ -77,9 +77,14 @@ def morton_decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exclusive_cumsum(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(v), dtype=np.int64)
-    np.cumsum(v[:-1], out=out[1:])
-    return out
+    return np.cumsum(v, dtype=np.int64) - v
+
+
+def runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions ``start[i]..start[i] + count[i] - 1``, run after run."""
+    at = np.repeat(start - _exclusive_cumsum(count), count)
+    at += np.arange(len(at), dtype=at.dtype)
+    return at
 
 
 def box_extents(ext: tuple[np.ndarray, ...], starts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -171,6 +176,7 @@ class FlatTree:
         self.child_start: list[np.ndarray] = []
         self.child_end: list[np.ndarray] = []
         self._leaf_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._leaf_extents: tuple[np.ndarray, ...] | None = None
         if n == 0:  # no levels at all, but every attribute a caller may read
             self.order = self.point_leaf = np.empty(0, dtype=np.int64)
             self.cell_origin = np.zeros(2, dtype=np.int64)
@@ -308,7 +314,7 @@ class FlatTree:
         view.child_start = self.child_start[: keep - 1]
         view.child_end = self.child_end[: keep - 1]
         view._level_cells = self._level_cells[:keep]
-        view._leaf_pairs = None
+        view._leaf_pairs = view._leaf_extents = None
         # Fine leaf -> the coarse leaf whose slice of ``order`` holds it.
         fine_to_coarse = np.searchsorted(view.level_start[-1], self.level_start[-1], side="right")
         view.point_leaf = (fine_to_coarse - 1)[self.point_leaf]
@@ -325,18 +331,13 @@ class FlatTree:
         ``lvl``; the caller prunes them."""
         cs = self.child_start[lvl]
         n_children = self.child_end[lvl] - cs
-        # Two-stage repeat expansion (one row per child of ``a``, then that
-        # row against every child of ``b``): no integer division, and the
-        # cumulative offsets are folded in before the large gathers.
+        # Two-stage run expansion (one row per child of ``a``, then that
+        # row against every child of ``b``): no integer division.
         na = n_children[a]
         row_pair = np.repeat(np.arange(len(a), dtype=np.int64), na)
-        row_ca = (cs[a] - _exclusive_cumsum(na))[row_pair]
-        row_ca += np.arange(len(row_pair), dtype=np.int64)
         per_row = n_children[b][row_pair]
-        cand_row = np.repeat(np.arange(len(row_pair), dtype=np.int64), per_row)
-        ca = row_ca[cand_row]
-        cb = (cs[b][row_pair] - _exclusive_cumsum(per_row))[cand_row]
-        cb += np.arange(len(cand_row), dtype=np.int64)
+        ca = np.repeat(runs(cs[a], na), per_row)
+        cb = runs(cs[b][row_pair], per_row)
         keep = ca <= cb  # diagonal parents expand to an unordered triangle
         return ca[keep], cb[keep]
 
@@ -366,6 +367,13 @@ class FlatTree:
                 a, b = a[keep], b[keep]
             self._leaf_pairs = (a, b)
         return self._leaf_pairs
+
+    def leaf_extents(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Tight ``(x0, x1, y0, y1)`` of each leaf box of the tree's ``coords``; computed once."""
+        if self._leaf_extents is None:
+            x, y = coords[:, 0][self.order], coords[:, 1][self.order]
+            self._leaf_extents = box_extents((x, x, y, y), self.level_start[-1])
+        return self._leaf_extents
 
     def saturating_pairs(
         self, x: np.ndarray, y: np.ndarray, active: np.ndarray, need: int

@@ -30,9 +30,10 @@ property-based.
 
 Two forms select the same points: :func:`select_representatives` for one
 cell (the partitioner's optional shadow thinning, §3.1.3) and
-:func:`select_representatives_batch` for many segments in eight passes —
-every ``(cluster, cell)`` of a leaf, or every merged cell of a merge-tree
-node.
+:func:`select_representatives_batch` for many segments at once — every
+``(cluster, cell)`` of a leaf, or every merged cell of a merge-tree node.
+It squares each axis's three target offsets (min, max, mid) once, then
+takes each target's first row at its segment's minimum.
 """
 
 from __future__ import annotations
@@ -131,16 +132,18 @@ def select_representatives_batch(
     chosen = np.empty((m, N_REPRESENTATIVES), dtype=np.int64)
     if m == 0:
         return chosen
-    segment = np.repeat(np.arange(m), sizes)
-    targets = representative_targets(tuple(bounds.T))
-    rows = np.arange(n, dtype=np.int64)
-    x, y = coords[:, 0], coords[:, 1]
-    for t in range(N_REPRESENTATIVES):
-        dx = x - targets[t, 0][segment]
-        dy = y - targets[t, 1][segment]
-        d2 = dx * dx + dy * dy
+    # A target's x is its cell's (0) xmin, (1) xmax or (2) mid-x, and its
+    # y likewise: each axis's three squared offsets are computed once.
+    xmin, ymin, xmax, ymax = bounds.T
+    offsets = [
+        [np.square(values - np.repeat(at, sizes)) for at in (lo, hi, 0.5 * (lo + hi))]
+        for values, lo, hi in ((coords[:, 0], xmin, xmax), (coords[:, 1], ymin, ymax))
+    ]
+    # representative_targets' order: SW, SE, NW, NE, S, N, W, E.
+    for t, (i, j) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (1, 2))):
+        d2 = offsets[0][i] + offsets[1][j]
         nearest = np.minimum.reduceat(d2, starts)
-        chosen[:, t] = np.minimum.reduceat(
-            np.where(d2 == nearest[segment], rows, n), starts
-        )
+        # Every segment holds its minimum, so its first hit is its lowest row.
+        hit = np.flatnonzero(d2 == np.repeat(nearest, sizes))
+        chosen[:, t] = hit[np.searchsorted(hit, starts)]
     return chosen

@@ -14,9 +14,10 @@ representative points per cluster", §1).
 A summary is sixteen columns, in memory and on the wire (DESIGN.md §2b).
 :func:`summarize_leaf` builds them as whole-leaf segment passes over the
 non-core claims the cluster engine's border pass already found
-(``GPUClusterResult.claims``): one sort of cores and claims by
-``(cluster, cell)``, eight segmented argmins for all the
-representatives.  The per-cell loop it replaced lives on in
+(``GPUClusterResult.claims``): the cores sorted by ``(cluster, cell)``
+alone, the few claims grouped and de-duplicated on their own, the
+segments the union of both, and one segmented min per representative
+target.  The per-cell loop it replaced lives on in
 ``tests/merge/merge_reference.py`` as the oracle the differential tests
 hold it to.
 """
@@ -319,56 +320,59 @@ def summarize_leaf(
     coords, ids = points.coords, points.ids
     cells = np.floor(coords / eps).astype(np.int64)
 
-    # One row per (cluster, member): the cluster's cores, then its claims.
+    # The cores by (cluster, cell): they arrive ascending, so the stable
+    # sort keeps each segment's cores ascending too.
     if candidates is None:
         cores = np.flatnonzero(core_mask & (labels != NOISE))
     else:
         cores = candidates[labels[candidates] != NOISE]
+    key = labels[cores], cells[cores, 0], cells[cores, 1]
+    order = lex_order(*key)
+    cores, core_key = cores[order], [column[order] for column in key]
+    core_starts = run_starts(*core_key)
+
+    # The claims by (cluster, cell, point), each (cluster, point) once.
     if claims is None:
         claims = walk_claims(FlatTree(coords, eps), coords, core_mask, eps)[0]
-    claims = claims[labels[claims[:, 1]] != NOISE]
-    point = np.concatenate((cores, claims[:, 0]))
-    label = np.concatenate((labels[cores], labels[claims[:, 1]]))
-    is_claim = np.arange(len(point)) >= len(cores)
-    cx, cy = cells[point, 0], cells[point, 1]
+    claim_label = labels[claims[:, 1]]
+    claimed = claims[claim_label != NOISE, 0]
+    key = claim_label[claim_label != NOISE], cells[claimed, 0], cells[claimed, 1]
+    order = lex_order(*key, claimed)
+    order = order[run_starts(key[0][order], claimed[order])]
+    claimed, claim_key = claimed[order], [column[order] for column in key]
+    claim_starts = run_starts(*claim_key)
 
-    # Sort by (cluster, cell), cores before claims, then point index: runs
-    # of equal (cluster, cell) are the cell rows, runs of equal cluster the
-    # clusters.  Repeated claims land next to each other.
-    order = lex_order(label, cx, cy, is_claim, point)
-    order = order[run_starts(label[order], point[order])]
-    point, label, is_claim, cx, cy = (
-        rows[order] for rows in (point, label, is_claim, cx, cy)
-    )
-    seg_starts = run_starts(label, cx, cy)
-    n_segs = len(seg_starts)
-    segment = np.cumsum(np.bincount(seg_starts, minlength=len(point))) - 1
+    # The segments are the (cluster, cell)s of either, in order: runs of
+    # equal cluster are the clusters.
+    heads = np.stack([
+        np.concatenate((c[core_starts], k[claim_starts])) for c, k in zip(core_key, claim_key)
+    ], axis=1)
+    seg_rank = row_ranks(heads)
+    seg_key = heads[np.unique(seg_rank, return_index=True)[1]]
+    n_segs = len(seg_key)
+    core_seg, claim_seg = seg_rank[: len(core_starts)], seg_rank[len(core_starts) :]
 
     # Representatives of every segment that has a core point.  Within a
     # segment rows ascend by point index, so "lowest row wins ties" is the
     # per-cell argmin's "lowest index wins".
-    core_rows = np.flatnonzero(~is_claim)
-    rep_starts = run_starts(segment[core_rows])
-    first = core_rows[rep_starts]
-    rep_cells = np.stack((cx[first], cy[first]), axis=1)
+    rep_cells = heads[: len(core_starts), 1:]
     bounds = np.concatenate((rep_cells * eps, (rep_cells + 1) * eps), axis=1)
-    chosen = select_representatives_batch(coords[point[core_rows]], rep_starts, bounds)
-    is_rep = np.zeros(len(core_rows), dtype=bool)
+    chosen = select_representatives_batch(np.take(coords, cores, axis=0), core_starts, bounds)
+    is_rep = np.zeros(len(cores), dtype=bool)
     is_rep[chosen.ravel()] = True
-    rep_rows = core_rows[is_rep]
-    claim_rows = np.flatnonzero(is_claim)
+    n_rep, n_noncore = np.zeros(n_segs, dtype=np.int64), np.zeros(n_segs, dtype=np.int64)
+    n_rep[core_seg] = np.add.reduceat(is_rep, core_starts)
+    n_noncore[claim_seg] = np.diff(np.append(claim_starts, len(claimed)))
+    rep_rows = cores[is_rep]
 
-    cluster_starts = seg_starts[run_starts(label[seg_starts])]
+    cluster_starts = run_starts(seg_key[:, 0])
     n_clusters = len(cluster_starts)
     return LeafSummary(
         eps, (int(leaf_id),),
-        np.stack((np.full(n_clusters, leaf_id, dtype=np.int64), label[cluster_starts]), axis=1),
-        np.diff(np.append(segment[cluster_starts], n_segs)),
+        np.column_stack((np.full(n_clusters, leaf_id, dtype=np.int64), seg_key[cluster_starts, 0])),
+        np.diff(np.append(cluster_starts, n_segs)),
         np.zeros(n_clusters, dtype=np.int64), np.empty((0, 2), dtype=np.int64),
-        np.stack((cx[seg_starts], cy[seg_starts]), axis=1),
-        np.bincount(segment[rep_rows], minlength=n_segs),
-        np.bincount(segment[claim_rows], minlength=n_segs),
-        ids[point[rep_rows]], coords[point[rep_rows]],
-        ids[point[claim_rows]], coords[point[claim_rows]],
+        seg_key[:, 1:].copy(), n_rep, n_noncore,
+        ids[rep_rows], coords[rep_rows], ids[claimed], coords[claimed],
         *_owner_table(cells, ids, core_mask, owned_cells),
     )

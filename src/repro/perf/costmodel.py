@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import SimulationError
 
 __all__ = ["TitanCostModel"]
@@ -205,9 +203,3 @@ class TitanCostModel:
         t_down = (depth - 1) * per_level
         t_write = n_points * record_bytes / self.output_bandwidth_total
         return t_down + t_write
-
-
-def _validate_positive(**kwargs: float) -> None:  # pragma: no cover - helper
-    for name, value in kwargs.items():
-        if value <= 0:
-            raise SimulationError(f"{name} must be positive")

@@ -473,9 +473,9 @@ class ServeState:
         """The full labelling (external ids, labels, core flags)."""
         snap = self._snap()
         return {
-            "ids": [int(e) for e in snap.external_ids],
-            "labels": [int(v) for v in snap.labels[: len(snap.external_ids)]],
-            "core": [bool(v) for v in snap.core_mask[: len(snap.external_ids)]],
+            "ids": snap.external_ids.tolist(),
+            "labels": snap.labels[: len(snap.external_ids)].tolist(),
+            "core": snap.core_mask[: len(snap.external_ids)].tolist(),
         }
 
     def stats(self) -> dict:

@@ -34,6 +34,7 @@ from repro.gpu.mrscan_gpu import mrscan_gpu
 from repro.partition import GridHistogram, form_partitions, partition_points
 from repro.points import PointSet
 from repro.runtime import TRANSPORT_NAMES
+from dense_leaf import EPS, MINPTS, dense_blob_leaf, mixed_box_leaf
 from fuzz_cases import generate_case
 
 # ``repro.gpu`` re-exports the function under the module's name.
@@ -157,6 +158,42 @@ def test_direct_parity_degenerate_sizes(n):
     res_block = block_mrscan_gpu(points, 0.1, 2)
     res_csr = mrscan_gpu(points, 0.1, 2)
     _assert_identical(res_block, res_csr)
+
+
+# The two hand-built dense leaves (``dense_leaf``): the counters are the
+# parent engine's, pinned, so a pass that regroups its rows must model the
+# same work, batch for batch.
+_DENSE_PINS = {
+    dense_blob_leaf: dict(
+        pass1_ops=629, pass2_ops=442, kernel_launches=4, csr_batches=2,
+        n_core=1401, n_boxes=5, n_eliminated=1400, sync_round_trips=2,
+    ),
+    mixed_box_leaf: dict(
+        pass1_ops=1575, pass2_ops=2129, kernel_launches=6, csr_batches=3,
+        n_core=2631, n_boxes=8, n_eliminated=2600, sync_round_trips=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("make", list(_DENSE_PINS), ids=lambda make: make.__name__)
+def test_dense_leaf_parity_and_counters(make):
+    """A leaf with 98-99 % of its rows in dense boxes and box cells that
+    hold a core and a non-core row (``dense_leaf``): labels, core mask,
+    claims and their d² against the block oracle, and the stats pinned.
+    Probing a mixed cell's non-core row breaks ``mixed_box_leaf``'s labels;
+    judging it by all its rows' extent adds a batch to ``dense_blob_leaf``.
+    ~0.1 s each."""
+    points = make()
+    res_block = block_mrscan_gpu(points, EPS, MINPTS)
+    res_csr = mrscan_gpu(points, EPS, MINPTS)
+    _assert_identical(res_block, res_csr)
+    assert res_csr.stats.n_eliminated >= 0.95 * len(points)
+    order = np.lexsort(res_csr.claims.T[::-1])
+    r, c = res_csr.claims[order].T
+    d = points.coords[r] - points.coords[c]
+    np.testing.assert_array_equal(res_csr.claim_d2[order], d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    stats = res_csr.stats
+    assert {name: getattr(stats, name) for name in _DENSE_PINS[make]} == _DENSE_PINS[make]
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ import pickle
 
 import numpy as np
 import pytest
+from dense_leaf import EPS, MINPTS, dense_blob_leaf, mixed_box_leaf
 from hypothesis import given, settings, strategies as st
 from merge_reference import as_graph, assert_summaries_identical, reference_summarize_leaf
 
@@ -105,6 +106,35 @@ def test_clustered_leaf_matches_reference(make, eps, minpts):
     # The claims the engine's border pass hands over.
     handed = summarize_leaf(3, points, out.labels, out.core_mask, eps, owned, claims=out.claims)
     assert_summaries_identical(handed, summary)
+
+
+@pytest.mark.parametrize("make", [dense_blob_leaf, mixed_box_leaf], ids=lambda m: m.__name__)
+def test_dense_box_leaf_matches_reference(make):
+    """A leaf with 98-99 % of its rows in dense boxes, where one Eps-cell
+    holds two clusters' cores and a border's claiming cores all sit in
+    the next cell (a claims-only segment): the full search and the
+    ``candidates=`` search, both handed the engine's claims, against the
+    per-cell loop.  ~0.1 s."""
+    points = make()
+    out = mrscan_gpu(points, EPS, MINPTS)
+    assert out.stats.n_eliminated >= 0.95 * len(points)
+    owned = _cells(points, EPS)
+    summary = _check(points, out.labels, out.core_mask, EPS, owned)
+    cells = [cs for cluster in summary.clusters.values() for cs in cluster.cells.items()]
+    assert sum(cell == (0, 0) and len(cs.rep_ids) > 0 for cell, cs in cells) == 2
+    assert any(
+        cell == (2, 0) and not len(cs.rep_ids) and len(cs.noncore_ids) for cell, cs in cells
+    )
+
+    want = reference_summarize_leaf(3, points, out.labels, out.core_mask, EPS, owned)
+    reps = np.concatenate([cs.rep_ids for _, cs in cells])  # ids are the rows
+    others = np.flatnonzero(out.core_mask)[::3]
+    for candidates in (np.union1d(reps, others), np.unique(reps)):
+        narrowed = summarize_leaf(
+            3, points, out.labels, out.core_mask, EPS, owned,
+            claims=out.claims, candidates=candidates,
+        )
+        assert_summaries_identical(narrowed, want)
 
 
 # ------------------------- pinned adversarial cases -------------------- #
