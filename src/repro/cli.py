@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=TRANSPORT_NAMES,
         default=None,
         help="execution backend for both MRNet trees (repro.runtime): "
-        "'local' runs in-process, 'shm' ships shared-memory refs to a "
-        "persistent pool, 'tcp' dispatches "
+        "'local' runs in-process, 'shm' ships shared-memory refs to "
+        "localhost worker agents, 'tcp' dispatches "
         "to socket-connected worker agents (default: $MRSCAN_TRANSPORT, "
         "then local)",
     )
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--transport", choices=TRANSPORT_NAMES, default=None,
         help="resident execution backend (default: $MRSCAN_TRANSPORT, "
-        "then local); pool and arenas stay warm across ingests",
+        "then local); agents and arenas stay warm across ingests",
     )
     srv.add_argument("--workers", type=int, default=None, metavar="N")
     srv.add_argument(

@@ -75,7 +75,6 @@ class MrScanConfig:
     fanout: int = PAPER_FANOUT
     use_densebox: bool = True
     rebalance_partitions: bool = True
-    shadow_representatives: bool = False
     partition_output: str = "lustre"  # or "network" (the §6 future-work path)
     device: DeviceConfig = field(default_factory=DeviceConfig)
     materialize_dir: str | None = None
@@ -105,8 +104,8 @@ class MrScanConfig:
     validate: str = "off"
     #: Execution backend for both MRNet trees, one of
     #: :data:`~repro.runtime.TRANSPORT_NAMES`: ``local`` (sequential
-    #: in-process), ``shm`` (persistent zero-copy spawn pool) or ``tcp``
-    #: (socket-framed worker agents).  ``None`` defers to the
+    #: in-process), ``shm`` (localhost worker agents over a zero-copy
+    #: arena) or ``tcp`` (socket-framed worker agents).  ``None`` defers to the
     #: ``MRSCAN_TRANSPORT`` environment variable and then to ``local``.
     #: Ignored when ``run_pipeline`` is handed an explicit transport object.
     transport: str | None = None

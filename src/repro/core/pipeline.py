@@ -508,7 +508,7 @@ def run_pipeline(
     :data:`~repro.runtime.TRANSPORT_NAMES`: ``"local"``/``"shm"``/``"tcp"``),
     or None to build one from ``config.resolved_transport()``.  A
     transport built here (from a name or the config) is owned by this
-    call and closed — pool reaped, shared-memory segments unlinked — on
+    call and closed — agents stopped, shared-memory segments unlinked — on
     every exit path.  A caller-provided transport *object* is never
     closed here; its arena is rewound instead, so repeated runs reuse
     the same pages.
@@ -629,7 +629,6 @@ def _run_phases(run: _Run, internal: PointSet, n_dropped_invalid: int) -> MrScan
             config.partition_nodes,
             transport=run.transport,
             rebalance=config.rebalance_partitions,
-            shadow_representatives=config.shadow_representatives,
             output_mode=config.partition_output,
             tracer=telemetry.tracer,
             fault_injector=config.fault_plan,
@@ -808,7 +807,7 @@ def cluster_merge_sweep(
     clustered in full.  Cached outputs are only read, so a retried leaf
     appends again from the same one.
 
-    The caller owns ``transport`` — it is never closed here, so pools and
+    The caller owns ``transport`` — it is never closed here, so agents and
     arenas stay warm across calls; the arena is rewound as the call
     returns or raises, so every call restages into the same pages.
     Nothing here spills: a retried leaf runs again (a dirty one appends

@@ -8,7 +8,7 @@ partitioner and the merge build on.
 from .grid_index import GridIndex
 from .disjoint_set import DisjointSet
 from .labels import canonicalize_labels, core_sets_equal, clustering_signature
-from .reference import dbscan_reference, dbscan_bfs, DBSCANResult
+from .reference import dbscan_reference, DBSCANResult
 
 __all__ = [
     "GridIndex",
@@ -17,6 +17,5 @@ __all__ = [
     "core_sets_equal",
     "clustering_signature",
     "dbscan_reference",
-    "dbscan_bfs",
     "DBSCANResult",
 ]

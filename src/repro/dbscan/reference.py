@@ -1,26 +1,20 @@
 """Exact single-CPU DBSCAN — the paper's quality comparator.
 
-Two implementations of the Ester et al. algorithm:
-
-``dbscan_bfs``
-    The literal textbook formulation: pick an unvisited point, expand its
-    Eps-neighborhood breadth-first.  Unambiguously correct, O(n · query),
-    used as ground truth for everything else at small n.
-
-``dbscan_reference``
-    A vectorised formulation producing the identical clustering (up to
-    border-point tie-breaks, which DBSCAN leaves unspecified): core points
-    via the Eps-grid neighbor count, core connectivity via union-find over
-    a fine grid of edge ``eps / sqrt(2)`` (all points in a fine cell are
-    mutually within eps, so one union covers them; cross-cell components
-    join when any core pair is within eps), borders assigned to their
-    nearest core neighbor.  This is the implementation the Fig 11 quality
-    benchmark uses as the ELKI stand-in — it is exact, not approximate.
+``dbscan_reference`` is a vectorised formulation of the Ester et al.
+algorithm, producing the textbook clustering (up to border-point
+tie-breaks, which DBSCAN leaves unspecified): core points via the
+Eps-grid neighbor count, core connectivity via union-find over a fine
+grid of edge ``eps / sqrt(2)`` (all points in a fine cell are mutually
+within eps, so one union covers them; cross-cell components join when
+any core pair is within eps), borders assigned to their nearest core
+neighbor.  This is the implementation the Fig 11 quality benchmark uses
+as the ELKI stand-in — it is exact, not approximate.  The literal
+breadth-first formulation it is held to lives beside its test
+(``tests/dbscan/bfs_reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +26,6 @@ from .grid_index import GridIndex
 
 __all__ = [
     "DBSCANResult",
-    "dbscan_bfs",
     "dbscan_reference",
     "core_components",
     "assign_border_points",
@@ -70,53 +63,6 @@ def _validate(eps: float, minpts: int) -> None:
         raise ConfigError(f"eps must be positive, got {eps}")
     if minpts < 1:
         raise ConfigError(f"minpts must be >= 1, got {minpts}")
-
-
-def dbscan_bfs(points: PointSet, eps: float, minpts: int) -> DBSCANResult:
-    """Textbook DBSCAN (Ester et al. 1996), breadth-first expansion.
-
-    The Eps-neighborhood includes the query point itself, so a point is
-    core when ``len(neighbors) >= minpts`` with itself counted — the
-    convention every module in this package shares.
-    """
-    _validate(eps, minpts)
-    n = len(points)
-    index = GridIndex(points, eps)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core_mask = np.zeros(n, dtype=bool)
-    visited = np.zeros(n, dtype=bool)
-    next_cluster = 0
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        neigh = index.neighbors_of(seed)
-        if len(neigh) < minpts:
-            continue  # stays noise unless some cluster later claims it
-        cluster = next_cluster
-        next_cluster += 1
-        core_mask[seed] = True
-        labels[seed] = cluster
-        queue = deque(int(j) for j in neigh if j != seed)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border or about-to-expand core
-            if visited[j]:
-                continue
-            visited[j] = True
-            jn = index.neighbors_of(j)
-            if len(jn) >= minpts:
-                core_mask[j] = True
-                labels[j] = cluster
-                for k in jn:
-                    k = int(k)
-                    if labels[k] == NOISE or not visited[k]:
-                        if labels[k] == NOISE:
-                            labels[k] = cluster
-                        if not visited[k]:
-                            queue.append(k)
-    return DBSCANResult(labels=labels, core_mask=core_mask)
 
 
 # --------------------------------------------------------------------- #

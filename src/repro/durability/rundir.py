@@ -87,7 +87,6 @@ LABEL_FIELDS = (
     "fanout",
     "use_densebox",
     "rebalance_partitions",
-    "shadow_representatives",
     "partition_output",
 )
 
@@ -97,13 +96,14 @@ def config_fingerprint(config: MrScanConfig) -> str:
     payload = {name: getattr(config, name) for name in LABEL_FIELDS}
     payload["partition_nodes"] = config.partition_nodes
     # Format constants from when the ``block`` engine, the CUDA-DClust
-    # leaf and the border rule were selectable: run dirs written under
-    # ``csr`` Mr. Scan leaves with box cores not claiming keep their
-    # digest; the detector record refuses their dense-box checkpoints
-    # (see ``start``).
+    # leaf, the border rule and shadow thinning were selectable: run dirs
+    # written under ``csr`` Mr. Scan leaves with box cores not claiming
+    # and full shadows keep their digest; the detector record refuses
+    # their dense-box checkpoints (see ``start``).
     payload["cluster_engine"] = "csr"
     payload["leaf_algorithm"] = "mrscan"
     payload["claim_box_borders"] = False
+    payload["shadow_representatives"] = False
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 

@@ -139,7 +139,7 @@ class DeadlineExceededError(OperationCancelledError):
 
 
 class PoisonTaskWarning(UserWarning):
-    """A task that repeatedly killed pool workers was quarantined and run
+    """A task that repeatedly killed its workers was quarantined and run
     in-process in the driver instead."""
 
 

@@ -16,10 +16,10 @@ This package reimplements that model:
 * transports — ``LocalTransport`` executes node work sequentially and
   deterministically in-process; ``TcpTransport`` ships it to
   socket-framed worker agents, the multi-host boundary; the third,
-  :class:`repro.runtime.ShmTransport`, fans it out to a warm spawn pool
+  :class:`repro.runtime.ShmTransport`, runs the same agents on one host
   over shared memory (one Python process per tree node is the honest
-  analogue of MRNet's process-per-node, but a bounded pool keeps this
-  usable on small hosts).
+  analogue of MRNet's process-per-node, but a bounded set of agents
+  keeps this usable on small hosts).
 """
 
 from .topology import Topology

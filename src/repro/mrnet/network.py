@@ -116,24 +116,20 @@ def _guarded_apply(
                 # Hard death: SIGKILL the hosting worker so the transport's
                 # self-healing path (respawn + re-dispatch + poison-task
                 # quarantine) is what recovers, not this in-band marker.
-                # Safe only where the driver survives: multiprocessing pool
-                # workers and TCP worker agents (which set MRSCAN_TCP_AGENT).
-                # In the driver process (local transport) a real SIGKILL
-                # would end the run itself, so the fault downgrades to a
-                # no-op there — the work below runs normally.
-                import multiprocessing as _mp
+                # Safe only where the driver survives: in a worker agent
+                # (which sets MRSCAN_TCP_AGENT).  In the driver process
+                # (local transport, or a task quarantined there) a real
+                # SIGKILL would end the run itself, so the fault
+                # downgrades to a no-op — the work below runs normally.
                 import os as _os
 
-                if (
-                    _mp.parent_process() is not None
-                    or _os.environ.get("MRSCAN_TCP_AGENT")
-                ):
+                if _os.environ.get("MRSCAN_TCP_AGENT"):
                     import signal as _signal
 
                     _os.kill(_os.getpid(), _signal.SIGKILL)
             elif kind in NET_FAULT_KINDS:
-                # Network faults are injected at the TCP framing layer by
-                # the transport (repro.mrnet.tcp), which owns the recovery
+                # Network faults are injected at the framing layer by the
+                # agent transports (repro.mrnet.tcp), which own the recovery
                 # — in-band they are no-ops, so the same seeded plan is
                 # safe under every transport.
                 pass

@@ -1,12 +1,15 @@
-"""TCP transport: the fault-tolerant network boundary for multi-host trees.
+"""TCP transport: the one worker runtime, and the multi-host boundary.
 
 Mr. Scan runs its MRNet reduction tree over real sockets across up to
-8,192 Titan nodes (§2, §4); every other transport here is confined to one
-machine.  This module is the scale-out boundary: a coordinator-side
-:class:`TcpTransport` implementing the :class:`~repro.mrnet.transport.Transport`
-protocol, plus :func:`run_worker_agent` — the ``mrscan worker`` process
-that connects in (possibly from another host), handshakes, and executes
-leaf tasks shipped as length-prefixed framed messages.
+8,192 Titan nodes (§2, §4).  This module is that process tree: a
+coordinator-side :class:`TcpTransport` implementing the
+:class:`~repro.mrnet.transport.Transport` protocol, plus
+:func:`run_worker_agent` — the ``mrscan worker`` process that connects
+in (possibly from another host), handshakes, and executes leaf tasks
+shipped as length-prefixed framed messages.  The ``shm`` transport
+(:class:`repro.runtime.ShmTransport`) is this runtime on localhost plus
+a shared-memory arena, so every task that leaves the driver runs in an
+agent.
 
 Wire protocol
 -------------
@@ -282,9 +285,9 @@ class TcpTransport:
         Seconds a batch tolerates having *no* worker connection before
         degrading to in-process execution (``MRSCAN_TCP_WAIT``).
     fingerprint:
-        Optional config fingerprint; an agent presenting a *different*
-        non-empty fingerprint is rejected at handshake (both sides
-        empty/absent always match).
+        Optional config fingerprint (default ``MRSCAN_TCP_FINGERPRINT``);
+        an agent presenting a *different* non-empty fingerprint is
+        rejected at handshake (both sides empty/absent always match).
     """
 
     backend = "tcp"
@@ -317,7 +320,9 @@ class TcpTransport:
                 os.environ.get("MRSCAN_TCP_WAIT", "") or CONNECT_WAIT_SECONDS
             )
         self.connect_wait = float(connect_wait)
-        self.fingerprint = fingerprint or os.environ.get("MRSCAN_TCP_FINGERPRINT", "")
+        if fingerprint is None:
+            fingerprint = os.environ.get("MRSCAN_TCP_FINGERPRINT", "")
+        self.fingerprint = fingerprint
         self.heartbeat_interval = float(heartbeat_interval)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.metrics = metrics if metrics is not None else NOOP_METRICS
@@ -355,7 +360,8 @@ class TcpTransport:
         except OSError as exc:
             listener.close()
             raise TransportError(
-                f"tcp transport cannot listen on {self.host}:{self.port}: {exc}"
+                f"{self.backend} transport cannot listen on "
+                f"{self.host}:{self.port}: {exc}"
             ) from exc
         listener.listen(128)
         listener.settimeout(0.2)
@@ -522,12 +528,16 @@ class TcpTransport:
         if not tasks:
             return []
         if self.closed:
-            raise TransportError("tcp transport is closed")
+            raise TransportError(f"{self.backend} transport is closed")
         self._ensure_listening()
         self._inflight, self._dropped_until, self._faulted = {}, {}, set()
         with self.tracer.span(
-            "transport.batch", cat="transport", n_tasks=len(tasks), backend="tcp"
+            "transport.batch", cat="transport", n_tasks=len(tasks),
+            backend=self.backend,
         ):
+            if self.metrics.enabled:
+                self.metrics.counter("runtime.batches").inc()
+                self.metrics.counter("runtime.tasks_dispatched").inc(len(tasks))
             return run_batch_healing(self, fn, tasks, timeout=timeout, cancel=cancel)
 
     @staticmethod
@@ -560,7 +570,8 @@ class TcpTransport:
             kind = spec["kind"]
             self._count(f"tcp.injected.{kind}")
             self.tracer.instant(
-                "fault", cat="transport", backend="tcp", kind=kind, task_index=i
+                "fault", cat="transport", backend=self.backend, kind=kind,
+                task_index=i,
             )
             if kind == "disconnect":
                 # Sever the link instead of sending; the agent reconnects
@@ -577,7 +588,9 @@ class TcpTransport:
         try:
             blob = pickle.dumps((fn, task), protocol=_PICKLE_PROTO)
         except Exception as exc:
-            raise TransportError(f"tcp transport cannot pickle task {i}: {exc}") from exc
+            raise TransportError(
+                f"{self.backend} transport cannot pickle task {i}: {exc}"
+            ) from exc
         with self._lock:
             self._next_seq += 1
             seq = self._next_seq
@@ -658,9 +671,9 @@ class TcpTransport:
 
     def abandon(self, indices: Sequence[int]) -> None:
         """Shed the connections running abandoned work: close each and,
-        for a self-spawned agent, kill the process so the respawn path
-        brings up a fresh one — the closest analogue of terminating a
-        hung pool worker."""
+        for a self-spawned agent, kill the process and wait for it to
+        exit, so no straggler outlives the batch (nor reads a block the
+        next run restages) and the respawn path brings up a fresh one."""
         wanted = set(indices)
         seqs = {seq for seq, (i, _) in self._inflight.items() if i in wanted}
         with self._lock:
@@ -671,6 +684,7 @@ class TcpTransport:
                 proc = self._agents[conn.agent_index]
                 if proc is not None and proc.poll() is None:
                     proc.kill()
+                    proc.wait()
 
     def has_capacity(self) -> bool:
         with self._lock:
@@ -881,9 +895,13 @@ def run_worker_agent(
     connection drops.  Exit codes: 0 clean shutdown, 1 rejected at
     handshake, 2 reconnect budget exhausted or (a self-spawned agent)
     coordinator gone."""
-    # Mark this process as a TCP agent so injected ``kill`` faults know a
-    # real SIGKILL is safe here (the coordinator survives and recovers).
+    # Mark this process as an agent so injected ``kill`` faults know a
+    # real SIGKILL is safe here (the coordinator survives and recovers),
+    # and keep warm leaf-task state between tasks.
     os.environ["MRSCAN_TCP_AGENT"] = "1"
+    from ..runtime.worker import install_worker_state
+
+    install_worker_state()
     host, _, port_text = address.rpartition(":")
     if not host or not port_text.isdigit():
         raise TransportError(

@@ -3,15 +3,14 @@
 The :class:`Network` decides *what* runs at each tree node; a transport
 decides *how*.  There are three: :class:`LocalTransport` runs tasks
 sequentially in-process (deterministic, zero overhead — the default for
-tests and benches); :class:`~repro.runtime.ShmTransport` runs each batch
-on a warm spawn pool over a shared-memory arena, the stand-in for
-MRNet's process-per-node on one host; and
-:class:`~repro.mrnet.tcp.TcpTransport` runs it on socket-framed worker
-agents, the multi-host boundary.
+tests and benches); :class:`~repro.mrnet.tcp.TcpTransport` runs each
+batch on socket-framed worker agents, MRNet's process-per-node and the
+multi-host boundary; and :class:`~repro.runtime.ShmTransport` runs it on
+the same agents on one host, over a shared-memory arena.
 
 One healing engine
 ------------------
-Every batch that leaves the driver — on the pool and on the TCP
+Every batch that leaves the driver — on the ``shm`` and ``tcp``
 agents — runs through
 :func:`run_batch_healing`, the only owner of per-task policy: result
 slots, worker-death counts, poison-task quarantine, the respawn budget,
@@ -22,7 +21,7 @@ backend only implements a small *channel*: ``send(i, fn, task) -> bool``
 ``respawn()`` (workers brought back), ``abandon(indices)``,
 ``has_capacity()`` and ``wait(timeout)``.  A task's own exception
 (``ok`` False) is re-raised unchanged on every transport; a task that
-cannot be shipped, or a pool that breaks, is a ``TransportError``.
+cannot be shipped, or workers that keep dying, is a ``TransportError``.
 
 The local transport runs everything on the calling thread: it cannot
 preempt a task or lose a worker, so it needs none of this and relies on
@@ -83,8 +82,8 @@ TIMED_OUT = _TimedOut()
 # atexit pool guard
 #
 # A transport whose owner forgot (or was interrupted before) ``close()``
-# must not leave spawn workers outliving the interpreter.  Every
-# transport registers itself here when its pool starts and deregisters
+# must not leave worker agents outliving the interpreter.  Every
+# transport registers itself here when its agents start and deregisters
 # on close; whatever is left at interpreter exit is terminated — never
 # joined, since an abandoned worker may be hung.
 # --------------------------------------------------------------------- #
@@ -102,7 +101,7 @@ def _reap_open_pools() -> None:  # pragma: no cover - runs at interpreter exit
 
 
 def track_open_pool(transport: Any) -> None:
-    """Register a transport with a live worker pool (``_reap()`` hook)."""
+    """Register a transport with live workers (``_reap()`` hook)."""
     global _guard_installed
     if not _guard_installed:
         atexit.register(_reap_open_pools)

@@ -32,12 +32,10 @@ import numpy as np
 from ..errors import PartitionError
 from ..io.lustre import IOTrace
 from ..io.partition_files import PartitionFileSet
-from ..merge.representatives import select_representatives
-from ..merge.summary import cell_bounds
 from ..mrnet import FunctionFilter, Network, NetworkTrace, Topology, Transport
 from ..points import PointSet
 from ..telemetry.tracer import NOOP_TRACER, PID_PARTITION
-from .grid import GridHistogram, cell_of_coords
+from .grid import GridHistogram
 from .partitioner import form_partitions, partition_points
 from .plan import PartitionPlan
 
@@ -91,7 +89,8 @@ class PartitionPhaseResult:
     map_trace: NetworkTrace
     n_partition_nodes: int
     file_set: PartitionFileSet | None = None
-    n_shadow_points_saved: int = 0  # by the representative optimization
+    # Always 0; kept so partition checkpoints keep their field layout.
+    n_shadow_points_saved: int = 0
     distribute_trace: NetworkTrace | None = None  # network output mode
     root_form_seconds: float = 0.0  # serial plan forming at the root
     route_seconds: dict[int, float] = field(default_factory=dict)  # per leaf
@@ -131,8 +130,6 @@ class DistributedPartitioner:
         *,
         transport: Transport | None = None,
         rebalance: bool = True,
-        shadow_representatives: bool = False,
-        shadow_rep_threshold: int = 64,
         output_mode: str = "lustre",
         tracer=None,
         fault_injector=None,
@@ -148,8 +145,6 @@ class DistributedPartitioner:
         self.n_partition_nodes = int(n_partition_nodes)
         self.transport = transport
         self.rebalance = rebalance
-        self.shadow_representatives = shadow_representatives
-        self.shadow_rep_threshold = int(shadow_rep_threshold)
         #: "lustre" writes partitions to the shared file (§3.1.3, the
         #: paper's implementation); "network" sends each contribution as a
         #: message straight to the owning clustering leaf — the paper's
@@ -294,15 +289,11 @@ class DistributedPartitioner:
         fault_events = network.fault_log.events
         distribute = NetworkTrace() if self.output_mode == "network" else None
         partitions: list[tuple[PointSet, PointSet]] = []
-        saved = 0
         for pid in range(len(plan.partitions)):
             own_parts = []
             shadow_parts = []
             for leaf, contrib in enumerate(contributions):
                 own, shadow = contrib[pid]
-                if self.shadow_representatives and len(shadow):
-                    shadow, leaf_saved = self._thin_shadow(shadow)
-                    saved += leaf_saved
                 for part, parts_list in ((own, own_parts), (shadow, shadow_parts)):
                     if not len(part):
                         continue
@@ -343,34 +334,8 @@ class DistributedPartitioner:
             map_trace=map_trace,
             n_partition_nodes=n_nodes,
             file_set=file_set,
-            n_shadow_points_saved=saved,
             distribute_trace=distribute,
             root_form_seconds=root_form_seconds,
             route_seconds=route_seconds,
             fault_events=fault_events,
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _thin_shadow(self, shadow: PointSet) -> tuple[PointSet, int]:
-        """§3.1.3 optional optimization: per very dense shadow cell, write
-        only geometric representative points instead of the full contents.
-
-        "This optimization drastically reduces the amount of data written
-        to Lustre and local DBSCAN quality is preserved, but it also may
-        cause the merge algorithm to occasionally miss the opportunity to
-        combine clusters" — hence default-off.
-        """
-        cells = cell_of_coords(shadow.coords, self.eps)
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        starts = np.flatnonzero(np.any(np.diff(cells[order], axis=0) != 0, axis=1)) + 1
-        keep: list[np.ndarray] = []
-        saved = 0
-        for idx in np.split(order, starts):
-            if len(idx) > self.shadow_rep_threshold:
-                bounds = cell_bounds(tuple(cells[idx[0]].tolist()), self.eps)
-                rel = select_representatives(shadow.coords[idx], bounds)
-                saved += len(idx) - len(rel)
-                idx = idx[rel]
-            keep.append(idx)
-        return shadow.take(np.sort(np.concatenate(keep))), saved

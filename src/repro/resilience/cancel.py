@@ -12,8 +12,8 @@ not an explicit :meth:`cancel`, fired).
 
 Cancellation is *cooperative*: in-flight worker-side computation is not
 preempted, but its result is abandoned — dispatch loops stop waiting,
-the driver unwinds before any state is committed, and pool workers
-finish into the void.  That is exactly the contract the serve daemon's
+the driver unwinds before any state is committed, and the agents that
+ran the abandoned work are killed.  That is exactly the contract the serve daemon's
 rollback discipline needs: an expired or client-abandoned ingest stops
 consuming the worker pool *now*, while the resident labels and the
 write-ahead ingest log stay consistent (the transaction never reaches

@@ -16,11 +16,14 @@ Lifecycle rules
   killed by ``KeyboardInterrupt`` or a chaos harness cannot leak
   ``/dev/shm`` entries).  Unlink happens before the local unmap, so a
   still-alive numpy view never blocks the name from being released.
-* **Attachers** (pool workers, or the driver reading its own refs back)
-  never unlink.  Attachments are cached per process; pool workers share
-  the driver's ``resource_tracker``, so attaching adds no cleanup state
-  of its own and the tracker doubles as the SIGKILL safety net for
-  segments a killed driver never unlinked.
+  The creator's ``resource_tracker`` registration is the SIGKILL safety
+  net: the tracker unlinks whatever a killed driver left behind.
+* **Attachers** (worker agents, or the driver reading its own refs back)
+  never unlink.  They map a segment with ``shm_open`` + ``mmap``, not
+  ``SharedMemory``, so attaching registers nothing with any
+  ``resource_tracker``: an agent is not a child of the driver's tracker,
+  and one of its own would unlink the driver's live segments when the
+  agent is killed.  Mappings are cached per process.
 * Refs outlive nothing: once the creator unlinks, new attaches fail
   (``FileNotFoundError`` → :class:`~repro.errors.TransportError`), while
   already-mapped views stay valid until their process unmaps.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import mmap
 import os
 import secrets
 import threading
@@ -42,6 +46,7 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
+import _posixshmem
 import numpy as np
 
 from ..errors import ArenaFullError, TransportError
@@ -53,9 +58,7 @@ __all__ = [
     "PointSetRef",
     "as_pointset",
     "attach_segment",
-    "detach_all",
     "active_segment_names",
-    "attach_count",
     "REF_WIRE_BYTES",
     "SEGMENT_PREFIX",
 ]
@@ -79,27 +82,17 @@ DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
 # --------------------------------------------------------------------- #
 
 _attach_lock = threading.Lock()
-_attached: dict[str, shared_memory.SharedMemory] = {}
+_attached: dict[str, memoryview | mmap.mmap] = {}
 _name_counter = itertools.count()
-_n_attaches = 0  # segments newly mapped by this process (telemetry)
 
 
-def _open_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without *new* resource-tracker state.
-
-    Python >= 3.13 supports ``track=False`` directly.  On older versions
-    the attach registers with the ``resource_tracker`` — which is fine
-    here: pool workers inherit the driver's tracker process, so their
-    registration is an idempotent set-add on the name the creator already
-    registered, and the creator's eventual ``unlink()`` retires it
-    exactly once.  (Explicitly unregistering, the usual workaround for
-    *independent* processes, would strip the creator's registration from
-    the shared tracker and forfeit its kill-safety net.)
-    """
+def _map_segment(name: str) -> mmap.mmap:
+    """Map an existing segment read-write, touching no resource tracker."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR)
     try:
-        return shared_memory.SharedMemory(name=name, track=False)  # py >= 3.13
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
 
 
 def _release_fd(seg: shared_memory.SharedMemory) -> None:
@@ -126,42 +119,20 @@ def _release_fd(seg: shared_memory.SharedMemory) -> None:
     seg._mmap = None
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach (or return the cached attachment of) segment ``name``."""
-    global _n_attaches
+def attach_segment(name: str) -> memoryview | mmap.mmap:
+    """The (cached) mapping of segment ``name``: a buffer numpy views
+    can sit on.  The mapping lives as long as any view of it."""
     with _attach_lock:
-        seg = _attached.get(name)
-        if seg is None:
+        buf = _attached.get(name)
+        if buf is None:
             try:
-                seg = _open_untracked(name)
+                buf = _attached[name] = _map_segment(name)
             except FileNotFoundError as exc:
                 raise TransportError(
                     f"shared-memory segment {name!r} is gone — the arena "
                     "that staged this ref was closed (or its creator died)"
                 ) from exc
-            _attached[name] = seg
-            _n_attaches += 1
-        return seg
-
-
-def detach_all() -> int:
-    """Drop every cached attachment (worker shutdown); returns the count.
-
-    Descriptors are closed eagerly; mappings are left to reference
-    counting (see :meth:`ShmArena.close`) so a still-live numpy view in
-    a later atexit hook cannot dangle — the process is exiting anyway.
-    """
-    with _attach_lock:
-        n = len(_attached)
-        for seg in _attached.values():
-            _release_fd(seg)
-        _attached.clear()
-        return n
-
-
-def attach_count() -> int:
-    """Segments this process has newly mapped so far (telemetry)."""
-    return _n_attaches
+        return buf
 
 
 # --------------------------------------------------------------------- #
@@ -198,9 +169,11 @@ class ShmArrayRef:
         """A zero-copy view of the staged array (attaches the segment)."""
         if not self.segment:
             return np.empty(self.shape, dtype=np.dtype(self.dtype))
-        seg = attach_segment(self.segment)
         return np.ndarray(
-            self.shape, dtype=np.dtype(self.dtype), buffer=seg.buf, offset=self.offset
+            self.shape,
+            dtype=np.dtype(self.dtype),
+            buffer=attach_segment(self.segment),
+            offset=self.offset,
         )
 
 
@@ -334,7 +307,7 @@ class ShmArena:
             _created_segments.add(seg.name)
         # Creator-side refs resolve through the same cache as workers.
         with _attach_lock:
-            _attached.setdefault(seg.name, seg)
+            _attached.setdefault(seg.name, seg.buf)
         return block
 
     def stage(self, array: np.ndarray) -> ShmArrayRef:
@@ -416,10 +389,8 @@ class ShmArena:
             with _arena_lock:
                 _created_segments.discard(name)
             with _attach_lock:
-                cached = _attached.pop(name, None)
+                _attached.pop(name, None)
             _release_fd(block.seg)
-            if cached is not None and cached is not block.seg:
-                _release_fd(cached)
         self._blocks = []
         with _arena_lock:
             _live_arenas.discard(self)

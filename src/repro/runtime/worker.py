@@ -1,38 +1,24 @@
-"""Warm per-worker state for the persistent executor.
+"""Warm per-worker state for the worker agents.
 
-A spawn worker pays its import/startup cost once; everything else a leaf
-task needs repeatedly — the attached arena segments and a reusable
-:class:`~repro.gpu.device.SimulatedDevice` per device configuration — is
-kept warm here between batches.  The pool initializer
-(:func:`init_worker`) installs the state and pre-attaches the arena
-segments known at spawn time; segments staged later attach lazily on
-first ref resolution.
+A worker agent (:func:`repro.mrnet.tcp.run_worker_agent`) pays its
+import/startup cost once; the one thing a leaf task needs repeatedly —
+a reusable :class:`~repro.gpu.device.SimulatedDevice` per device
+configuration — is kept warm here between tasks.  The agent installs the
+state (:func:`install_worker_state`) before it dials its coordinator.
+Arena segments attach lazily, on a task's first ref resolution
+(:func:`repro.runtime.arena.attach_segment`).
 
 The driver process has no worker state (:func:`worker_state` returns
 ``None`` there), so :func:`acquire_device` transparently degrades to a
 fresh device — leaf bodies call it unconditionally and behave
 identically under every transport.
-
-A worker exits as soon as the driver that spawned it dies.  A worker
-busy on a task when its driver is SIGKILLed would otherwise live on
-until the task ends (for good, if it hangs), and with it the driver's
-``resource_tracker`` pipe, whose end-of-file is what makes the tracker
-unlink the arena segments the dead driver never could.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing as mp
-import os
-import threading
-from multiprocessing.connection import wait
-from typing import Sequence
-
 from ..gpu.device import DeviceConfig, SimulatedDevice
-from .arena import attach_count, attach_segment, detach_all
 
-__all__ = ["WorkerState", "init_worker", "worker_state", "acquire_device"]
+__all__ = ["WorkerState", "install_worker_state", "worker_state", "acquire_device"]
 
 
 class WorkerState:
@@ -50,40 +36,20 @@ class WorkerState:
             dev = self.devices[config] = SimulatedDevice(config)
         return dev
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "tasks_run": self.tasks_run,
-            "devices_cached": len(self.devices),
-            "segments_attached": attach_count(),
-        }
-
 
 _state: WorkerState | None = None
 
 
 def worker_state() -> WorkerState | None:
-    """This process's warm state (None outside a pool worker)."""
+    """This process's warm state (None outside a worker agent)."""
     return _state
 
 
-def _exit_with(parent: mp.process.BaseProcess) -> None:
-    wait([parent.sentinel])
-    os._exit(0)
-
-
-def init_worker(segment_names: Sequence[str] = ()) -> None:
-    """Pool initializer: build the warm state, pre-attach the arena, and
-    watch the driver (the worker exits when it dies)."""
+def install_worker_state() -> WorkerState:
+    """Make this process a worker: later leaf tasks reuse warm devices."""
     global _state
     _state = WorkerState()
-    for name in segment_names:
-        attach_segment(name)
-    atexit.register(detach_all)
-    parent = mp.parent_process()
-    if parent is not None:
-        threading.Thread(
-            target=_exit_with, args=(parent,), name="driver-watch", daemon=True
-        ).start()
+    return _state
 
 
 def acquire_device(

@@ -4,7 +4,7 @@ Every prior layer of this reproduction runs one *batch*: read a file,
 partition, cluster, merge, sweep, exit.  ``repro.serve`` turns the
 pipeline into a **daemon**: ``mrscan serve`` holds the clustered world
 resident — points, partition plan, per-leaf outputs, the warm
-:class:`~repro.runtime.ShmTransport` pool and its arenas — behind an
+:class:`~repro.runtime.ShmTransport` agents and their arena — behind an
 asyncio socket front end speaking newline-delimited JSON, and accepts
 concurrent point-batch ingests and label/stats queries from many
 clients.

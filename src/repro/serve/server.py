@@ -462,7 +462,7 @@ class ServeServer:
             "closed": bool(getattr(t, "closed", False)),
         }
         conns = getattr(t, "_conns", None)
-        if conns is not None:  # TcpTransport: live worker agents
+        if conns is not None:  # shm and tcp: live worker agents
             info["live_workers"] = sum(1 for c in conns if c.alive)
         return info
 

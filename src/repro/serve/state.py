@@ -37,7 +37,7 @@ state:
 A failure anywhere before step 7 leaves the committed state untouched
 (the next ingest simply starts from it again), which is what makes a
 worker ``kill`` fault or an OOM mid-re-cluster safe: the self-healing
-pool retries inside step 6, and if the run ultimately fails the ingest
+transport retries inside step 6, and if the run ultimately fails the ingest
 is rejected without poisoning the resident state.  Nothing here spills
 leaf checkpoints: a retried bootstrap leaf re-clusters, with the same
 output, so the only durable state is the ingest log.

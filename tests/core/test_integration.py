@@ -100,16 +100,6 @@ def test_cluster_weights_rejects_mismatch():
         res.cluster_weights(np.ones(3))
 
 
-def test_shadow_representatives_quality_stays_high():
-    """The §3.1.3 thinning optimization may miss merges but must keep
-    local quality high on realistic data."""
-    points = generate_twitter(8000, seed=23)
-    ref = dbscan_reference(points, 0.1, 10)
-    res = mrscan(points, 0.1, 10, n_leaves=8, shadow_representatives=True)
-    report = dbdc_quality_score(ref.labels, res.labels)
-    assert report.score >= 0.97
-
-
 def test_single_leaf_degenerate_tree():
     points = gaussian_blobs(500, centers=2, spread=0.2, seed=8)
     res = mrscan(points, 0.5, 5, n_leaves=1, n_partition_nodes=1)

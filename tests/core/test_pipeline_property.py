@@ -58,14 +58,12 @@ def test_property_leaf_count_invariance(seed, n_leaves_a, n_leaves_b):
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 1000), shadow_reps=st.booleans())
-def test_property_all_points_labelled_exactly_once(seed, shadow_reps):
+@given(seed=st.integers(0, 1000))
+def test_property_all_points_labelled_exactly_once(seed):
     """Output covers every input point with exactly one label."""
     rng = np.random.default_rng(seed)
     points = PointSet.from_coords(rng.uniform(0, 6, size=(300, 2)))
-    res = mrscan(
-        points, 0.5, 4, n_leaves=5, shadow_representatives=shadow_reps
-    )
+    res = mrscan(points, 0.5, 4, n_leaves=5)
     assert len(res.labels) == len(points)
     assert res.n_noise + sum(res.cluster_sizes().values()) == len(points)
     assert set(np.unique(res.labels)) <= set(range(res.n_clusters)) | {NOISE}

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbscan import GridIndex, dbscan_bfs, dbscan_reference
+from bfs_reference import dbscan_bfs
+from repro.dbscan import GridIndex, dbscan_reference
 from repro.dbscan.labels import border_assignment_valid, core_sets_equal
 from repro.errors import ConfigError
 from repro.points import NOISE, PointSet

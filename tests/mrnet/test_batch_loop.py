@@ -134,23 +134,25 @@ def test_batch_returns_when_its_last_result_lands(monkeypatch):
     assert channel.wait_timeouts and set(channel.wait_timeouts) == {30.0}
 
 
-def test_pool_channel_waits_on_its_oldest_handle():
-    """The pool's ``wait`` sleeps on the oldest pending handle, so the
-    batch returns when its results land rather than on the clock."""
+def test_agent_channel_wakes_when_a_result_lands():
+    """The agents' ``wait`` sleeps on the result condition, so the batch
+    returns when its results land rather than on the clock; a result
+    that landed since the last poll ends the wait at once."""
+    channel = ShmTransport(n_workers=1)  # no agent is spawned here
 
-    class _Handle:
-        def __init__(self) -> None:
-            self.wait_timeouts: list[float] = []
+    def land_a_result() -> None:
+        with channel._cond:
+            channel._results[1] = (0, b"")
+            channel._cond.notify_all()
 
-        def wait(self, timeout=None) -> None:
-            self.wait_timeouts.append(timeout)
-
-    pool = ShmTransport(n_workers=1)  # no pool is spawned here
-    handles = {i: _Handle() for i in (3, 1, 2)}
-    pool._pending = dict(handles)
-    pool.wait(0.5)
-    assert handles[1].wait_timeouts == [0.5]
-    assert not handles[2].wait_timeouts and not handles[3].wait_timeouts
+    _later(0.05, land_a_result)
+    start = time.monotonic()
+    channel.wait(30.0)
+    assert time.monotonic() - start < 10.0
+    start = time.monotonic()
+    channel.wait(30.0)  # the result is still unpolled
+    assert time.monotonic() - start < 1.0
+    channel.close()
 
 
 def test_never_ready_handle_still_meets_the_deadline():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,9 @@ from repro.mrnet.packets import NetworkTrace, Packet, payload_nbytes
 from repro.runtime import ShmTransport
 
 
-def _double(x):
-    return x * 2
+# A stdlib callable, so shm agents (which import task functions by
+# module path) can run it too.
+_double = partial(operator.mul, 2)
 
 
 def test_map_leaves_order_and_results():
@@ -91,7 +95,7 @@ def test_function_filter():
     assert out == 9
 
 
-# The pool transport (one spawn process per worker) under the collectives.
+# The shm transport (one agent process per worker) under the collectives.
 
 
 def test_process_transport_map_and_reduce():

@@ -80,29 +80,6 @@ def test_more_nodes_than_points_clamps():
     assert result.n_partition_nodes == 2
 
 
-def test_shadow_representatives_reduce_shadow_volume():
-    """The §3.1.3 optional optimization thins very dense shadow cells."""
-    # One very dense cell adjacent to a partition boundary.
-    dense = PointSet.from_coords(
-        np.random.default_rng(0).uniform(0.0, 1.0, size=(2000, 2))
-    )
-    sparse = PointSet.from_coords(
-        np.random.default_rng(1).uniform(1.0, 4.0, size=(200, 2))
-    )
-    ps = dense.concat(sparse)
-    ps = PointSet.from_coords(ps.coords)
-    plain = DistributedPartitioner(1.0, 4, 2).run(ps, 4)
-    thinned = DistributedPartitioner(
-        1.0, 4, 2, shadow_representatives=True, shadow_rep_threshold=16
-    ).run(ps, 4)
-    assert thinned.n_shadow_points_saved > 0
-    plain_shadow = sum(len(s) for _, s in plain.partitions)
-    thin_shadow = sum(len(s) for _, s in thinned.partitions)
-    assert thin_shadow < plain_shadow
-    # Partition (owned) points are untouched.
-    assert sum(len(o) for o, _ in thinned.partitions) == len(ps)
-
-
 def test_rebalance_flag_propagates():
     ps = generate_twitter(5000, seed=5)
     reb = DistributedPartitioner(0.1, 4, 2).run(ps, 8)

@@ -1,5 +1,5 @@
 """Retry/backoff schedules, per-attempt deadlines, and failover at the
-Network layer — including the preemptive timeout path of the spawn pool."""
+Network layer — including the preemptive timeout path of the shm agents."""
 
 from __future__ import annotations
 
@@ -89,13 +89,6 @@ def test_multicast_retry_also_backs_off():
 # --------------------------- deadlines --------------------------------- #
 
 
-def _slow_then_fast(x):
-    """Module-level for pickling: 'slow' hangs well past any deadline."""
-    if x == "slow":
-        time.sleep(5.0)
-    return x
-
-
 def test_cooperative_timeout_under_local_transport():
     """LocalTransport cannot preempt, but the post-work deadline check
     converts a straggler into a LeafTimeoutError + retry."""
@@ -143,16 +136,17 @@ def test_timeout_exhaustion_raises_leaf_timeout_error():
 
 @pytest.mark.slow
 def test_process_transport_preempts_hung_worker():
-    """A genuinely hung worker is preempted by the pool deadline: the
+    """A genuinely hung worker is preempted by the batch deadline: the
     batch returns TIMED_OUT for its slot instead of blocking forever,
     and the Network surfaces LeafTimeoutError."""
     transport = ShmTransport(n_workers=2)
     try:
-        # Warm the spawn pool so worker startup doesn't eat the deadline.
-        assert transport.run_batch(_slow_then_fast, ["fast", "fast"]) == ["fast", "fast"]
-        out = transport.run_batch(_slow_then_fast, ["slow", "fast"], timeout=0.5)
+        # Warm the agents so their startup doesn't eat the deadline.
+        assert transport.run_batch(abs, [-1, -2]) == [1, 2]
+        # time.sleep(5.0) hangs well past the deadline; 0.0 is fast.
+        out = transport.run_batch(time.sleep, [5.0, 0.0], timeout=0.5)
         assert out[0] is TIMED_OUT
-        assert out[1] == "fast"
+        assert out[1] is None
     finally:
         transport.close()
 
@@ -172,7 +166,7 @@ def test_network_turns_preempted_worker_into_timeout_error():
     )
     try:
         with pytest.raises(LeafTimeoutError):
-            net.map_leaves(_slow_then_fast, ["slow", "fast"])
+            net.map_leaves(time.sleep, [5.0, 0.0])
         assert net.fault_log.by_kind["timeout"] >= 1
     finally:
         transport.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -54,14 +56,16 @@ def test_runs_never_close_a_transport_they_are_handed():
 
 @pytest.mark.slow
 def test_borrowed_shm_transport_survives_run_pipeline():
-    """run_pipeline leaves the pool and arena of a transport it is handed
-    alive, so a second run reuses both."""
+    """run_pipeline leaves the agents and arena of a transport it is
+    handed alive, so a second run reuses both."""
     points = _blobs()
     config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4, transport="shm")
     with ShmTransport(n_workers=2) as transport:
         first = run_pipeline(points, config, transport=transport)
-        assert transport._pool is not None  # pool not reaped by the run
+        agents = _live_agents(transport)
+        assert len(agents) == 2  # agents not reaped by the run
         second = run_pipeline(points, config, transport=transport)
+        assert _live_agents(transport) == agents
         np.testing.assert_array_equal(first.labels, second.labels)
 
 
@@ -84,7 +88,7 @@ def test_rewind_reuses_segments_and_restaged_refs_resolve():
     before = own_segments()
     with ShmTransport(n_workers=2) as transport:
         ref = transport.stage_pointset(points)
-        assert transport.run_batch(_staged_sum, [ref, ref])  # workers attach
+        assert _staged_sums(transport, [ref, ref])  # agents attach
         names = transport.arena.segment_names
         transport.rewind()
         ref2 = transport.stage_pointset(other)
@@ -92,8 +96,8 @@ def test_rewind_reuses_segments_and_restaged_refs_resolve():
             ref.coords.segment, ref.coords.offset
         )
         assert transport.arena.segment_names == names
-        # The workers' cached attachments now read the restaged bytes.
-        for total in transport.run_batch(_staged_sum, [ref2, ref2]):
+        # The agents' cached attachments now read the restaged bytes.
+        for total in _staged_sums(transport, [ref2, ref2]):
             assert abs(total - float(other.coords.sum())) < 1e-6
     leaked = own_segments() - before
     assert not leaked, f"leaked shm segments: {leaked}"
@@ -101,8 +105,8 @@ def test_rewind_reuses_segments_and_restaged_refs_resolve():
 
 @pytest.mark.slow
 def test_thirty_runs_on_one_pool_stage_into_the_same_pages():
-    """A resident pool's shared memory stops growing after the first run:
-    every run restages into the pages the previous one used."""
+    """A resident transport's shared memory stops growing after the first
+    run: every run restages into the pages the previous one used."""
     points = _blobs(3000)
     expected = mrscan(points, 0.08, 8, n_leaves=4, transport="local").labels
     # Small blocks, so a run that did not rewind would add segments.
@@ -118,9 +122,10 @@ def test_thirty_runs_on_one_pool_stage_into_the_same_pages():
 
 @pytest.mark.slow
 def test_timed_out_run_respawns_the_pool_before_the_rewind():
-    """A straggler the timeout abandoned still reads its staged block, so
-    the end-of-run rewind terminates that pool; the next run respawns it
-    and both runs give the local labels."""
+    """A straggler the timeout abandoned would still read its staged
+    block, so abandoning it kills its agent and waits for the exit before
+    the end-of-run rewind; the next run respawns the agent and both runs
+    give the local labels."""
     points = _blobs(3000)
     expected = mrscan(points, 0.08, 8, n_leaves=4, transport="local").labels
     config = MrScanConfig(eps=0.08, minpts=8, n_leaves=4)
@@ -134,18 +139,26 @@ def test_timed_out_run_respawns_the_pool_before_the_rewind():
     )
     with ShmTransport(n_workers=2) as transport:
         run_pipeline(points, config, transport=transport)
-        first_pids = set(transport._known_pids)
+        first_pids = _live_agents(transport)
         timed_out = run_pipeline(points, straggling, transport=transport)
         assert timed_out.fault_summary["by_kind"].get("timeout", 0) >= 1
         assert timed_out.labels.tobytes() == expected.tobytes()
-        assert transport._pool is None and not transport._abandoned
+        stragglers = first_pids - _live_agents(transport)
+        assert stragglers  # killed before the run returned
         clean = run_pipeline(points, config, transport=transport)
         assert clean.labels.tobytes() == expected.tobytes()
-        assert not transport._known_pids & first_pids
+        assert not _live_agents(transport) & stragglers
 
 
-def _staged_sum(ref):
-    return float(ref.materialize().coords.sum())
+def _live_agents(transport) -> set[int]:
+    return {p.pid for p in transport._agents if p.poll() is None}
+
+
+def _staged_sums(transport, refs) -> list[float]:
+    """Each ref's coordinate sum, read by an agent (agents import task
+    functions by module path, so the task is a stdlib callable)."""
+    points = transport.run_batch(operator.methodcaller("materialize"), refs)
+    return [float(ps.coords.sum()) for ps in points]
 
 
 def test_local_transport_borrow_in_pipeline():

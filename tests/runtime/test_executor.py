@@ -1,11 +1,17 @@
-"""Tests for ShmTransport, make_transport, and pool lifecycle guards."""
+"""Tests for ShmTransport, make_transport, and agent lifecycle guards.
+
+Agents import task functions by module path, so every task here is a
+builtin or a stdlib callable.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,27 +23,14 @@ from repro.points import PointSet
 from repro.runtime import TRANSPORT_NAMES, ShmTransport, as_pointset, make_transport
 from repro.runtime.worker import worker_state
 
-pytestmark = pytest.mark.slow  # every test here may spawn a real pool
+pytestmark = pytest.mark.slow  # every test here may spawn real agents
+
+_double = partial(operator.mul, 2)
 
 
-def _double(x):
-    return x * 2
-
-
-def _sleep_then_echo(x):
-    time.sleep(x)
-    return x
-
-
-def _pid_and_tasks(_):
-    state = worker_state()
-    return os.getpid(), (state.tasks_run if state else None), (
-        state.stats()["segments_attached"] if state else 0
-    )
-
-
-def _sum_points(task):
-    return float(as_pointset(task).coords.sum())
+def _sums(transport, refs):
+    """Each ref's coordinate sum, read by an agent."""
+    return [float(ps.coords.sum()) for ps in transport.run_batch(as_pointset, refs)]
 
 
 # ------------------------- protocol parity ---------------------------- #
@@ -53,7 +46,7 @@ def test_run_batch_matches_local():
 def test_empty_batch_no_pool():
     with ShmTransport(n_workers=2) as transport:
         assert transport.run_batch(_double, []) == []
-        assert transport._pool is None  # no pool was spawned for nothing
+        assert transport._agents == []  # no agent was spawned for nothing
 
 
 def test_network_collectives_over_shm():
@@ -97,19 +90,19 @@ def test_staged_refs_resolve_in_workers():
     sets = [PointSet.from_coords(rng.normal(size=(200, 2))) for _ in range(6)]
     with ShmTransport(n_workers=2) as transport:
         refs = [transport.stage_pointset(ps) for ps in sets]
-        got = transport.run_batch(_sum_points, refs)
+        got = _sums(transport, refs)
     want = [float(ps.coords.sum()) for ps in sets]
     np.testing.assert_allclose(got, want)
 
 
 def test_late_staged_segments_attach_lazily():
-    """Segments staged after the pool spawned still resolve (workers
-    attach on first ref resolution, not only via the initializer)."""
+    """Segments staged after the agents spawned still resolve (agents
+    attach on first ref resolution)."""
     with ShmTransport(n_workers=2) as transport:
-        transport.run_batch(_double, [1, 2])  # spawn pool, empty arena
+        transport.run_batch(_double, [1, 2])  # spawn agents, empty arena
         ps = PointSet.from_coords(np.ones((50, 2)))
         ref = transport.stage_pointset(ps)
-        assert transport.run_batch(_sum_points, [ref, ref]) == [100.0, 100.0]
+        assert _sums(transport, [ref, ref]) == [100.0, 100.0]
 
 
 def test_stage_after_close_raises():
@@ -121,18 +114,18 @@ def test_stage_after_close_raises():
         transport.run_batch(_double, [1])
 
 
-# ----------------------- persistent warm pool ------------------------- #
+# ---------------------- persistent warm agents ------------------------ #
 
 
 def test_pool_persists_across_batches():
     with ShmTransport(n_workers=2) as transport:
-        first = transport.run_batch(_pid_and_tasks, range(8))
-        pool = transport._pool
-        second = transport.run_batch(_pid_and_tasks, range(8))
-        assert transport._pool is pool  # same pool, not respawned
-    pids = {pid for pid, _, _ in first} | {pid for pid, _, _ in second}
-    assert len(pids) <= 2  # every task ran on one of the two pool workers
-    assert all(tasks is not None for _, tasks, _ in first)  # warm state exists
+        first = transport.run_batch(operator.call, [os.getpid] * 8)
+        agents = {p.pid for p in transport._agents}
+        second = transport.run_batch(operator.call, [os.getpid] * 8)
+        assert {p.pid for p in transport._agents} == agents  # not respawned
+        states = transport.run_batch(operator.call, [worker_state] * 2)
+    assert set(first) | set(second) <= agents  # every task ran on an agent
+    assert all(state is not None for state in states)  # warm state exists
 
 
 def test_worker_state_absent_in_driver():
@@ -145,14 +138,13 @@ def test_worker_state_absent_in_driver():
 def test_timeout_returns_sentinel_and_close_terminates():
     transport = ShmTransport(n_workers=2)
     try:
-        # Warm the pool first: spawn latency must not eat the deadline.
+        # Warm the agents first: spawn latency must not eat the deadline.
         transport.run_batch(_double, [1, 2])
-        results = transport.run_batch(
-            _sleep_then_echo, [0.0, 30.0], timeout=1.5
-        )
-        assert results[0] == 0.0
+        results = transport.run_batch(time.sleep, [0.0, 30.0], timeout=1.5)
+        assert results[0] is None
         assert results[1] is TIMED_OUT
-        assert transport._abandoned
+        # The agent that ran the abandoned task was killed and reaped.
+        assert any(p.poll() is not None for p in transport._agents)
     finally:
         t0 = time.perf_counter()
         transport.close()  # must terminate, not wait out the sleeper
@@ -183,7 +175,7 @@ def test_atexit_guard_tracks_open_pools():
 
 
 def test_process_transport_guard_and_double_close():
-    """The pool transport deregisters from the atexit guard on close."""
+    """The agent transport deregisters from the atexit guard on close."""
     transport = ShmTransport(n_workers=1)
     assert transport.run_batch(_double, [2, 3]) == [4, 6]
     assert transport in _open_pools
@@ -193,12 +185,10 @@ def test_process_transport_guard_and_double_close():
 
 
 def test_process_transport_close_after_timeout():
-    """A deadline missed on a cold pool: close() still terminates."""
+    """A deadline missed by cold agents: close() still terminates."""
     transport = ShmTransport(n_workers=2)
     try:
-        results = transport.run_batch(
-            _sleep_then_echo, [0.0, 30.0], timeout=0.3
-        )
+        results = transport.run_batch(time.sleep, [0.0, 30.0], timeout=0.3)
         assert results[1] is TIMED_OUT
     finally:
         t0 = time.perf_counter()
