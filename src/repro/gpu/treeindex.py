@@ -63,9 +63,27 @@ def _compact_bits(v: np.ndarray) -> np.ndarray:
     return v
 
 
+#: Every 16-bit value with its bits spread to the even positions, and the
+#: same shifted to the odd ones: a Morton key is two gathers per 16 bits.
+_SPREAD_X = _spread_bits(np.arange(1 << 16, dtype=np.uint64))
+_SPREAD_Y = _SPREAD_X << np.uint64(1)
+
+
 def morton_encode(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """Interleave two non-negative integer arrays into Morton keys."""
-    return _spread_bits(ux) | (_spread_bits(uy) << np.uint64(1))
+    """Interleave two non-negative integer arrays (below ``2**32``) into
+    uint64 Morton keys, 16 bits of each axis per table lookup."""
+    ux, uy = np.asarray(ux, dtype=np.int64), np.asarray(uy, dtype=np.int64)
+    if not ux.size or max(int(ux.max()), int(uy.max())) < 1 << 16:
+        keys = _SPREAD_X[ux]
+        keys |= _SPREAD_Y[uy]
+        return keys
+    keys = _SPREAD_X[ux & 0xFFFF]
+    keys |= _SPREAD_Y[uy & 0xFFFF]
+    high = _SPREAD_X[ux >> 16]
+    high |= _SPREAD_Y[uy >> 16]
+    high <<= np.uint64(32)
+    keys |= high
+    return keys
 
 
 def morton_decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +182,6 @@ class FlatTree:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or (len(coords) and coords.shape[1] != 2):
             raise ConfigError(f"coords must be (n, 2), got {coords.shape}")
-        if len(coords) and not np.all(np.isfinite(coords)):
-            raise ConfigError("FlatTree requires finite coordinates")
         self.cell_width = float(cell)
         self.radius = float(cell if radius is None else radius)
         n = len(coords)
@@ -186,22 +202,29 @@ class FlatTree:
 
         # Same global cell frame as the grid index: floor(coord / eps).  The
         # Morton domain is offset to the dataset minimum (keys are local to
-        # this tree; geometry stays global through ``cell_origin``).
-        cells = np.floor(coords / self.cell_width).astype(np.int64)
-        # One reduction per column: numpy's axis-0 reduction of an (n, 2)
-        # array is ~20x slower.
-        origin = np.array([cells[:, 0].min(), cells[:, 1].min()])
-        self.cell_origin = origin >> align_levels << align_levels
-        u = cells - self.cell_origin  # non-negative per-axis cell offsets
-        span = int(u.max()) if n else 0
-        bits = max(1 + align_levels, int(span).bit_length())
+        # this tree; geometry stays global through ``cell_origin``).  The
+        # cells are worked on as one contiguous row per axis: a column of
+        # an (n, 2) array is a strided pass, and numpy's axis-0 reduction
+        # of one is ~20x slower still.
+        u = np.divide(coords.T, self.cell_width, order="C")
+        np.floor(u, out=u)
+        low, high = u.min(axis=1), u.max(axis=1)
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise ConfigError("FlatTree requires finite coordinates")
+        self.cell_origin = low.astype(np.int64) >> align_levels << align_levels
+        span = int((high.astype(np.int64) - self.cell_origin).max())
+        bits = max(1 + align_levels, span.bit_length())
         if bits > _MAX_AXIS_BITS:
             raise ConfigError(
                 f"cell width {cell} is too small for the coordinate span: "
                 f"{span + 1} cells need {bits} bits/axis (max {_MAX_AXIS_BITS})"
             )
         self.leaf_bits = bits  # tree depth: leaf boxes are one cell wide
-        leaf_keys = morton_encode(u[:, 0].astype(np.uint64), u[:, 1].astype(np.uint64))
+        # Non-negative per-axis cell offsets: the integral origin comes off
+        # in float64 (exactly), then one cast.
+        u -= self.cell_origin[:, None]
+        ux, uy = u.astype(np.int64)
+        leaf_keys = morton_encode(ux, uy)
 
         # Each leaf box is a contiguous run of ``order``, in input order.
         self.order = stable_order(leaf_keys, 2 * bits)
@@ -209,7 +232,8 @@ class FlatTree:
 
         # Leaf level from the sorted keys, coarser levels by shifting out
         # 2 bits per step — a Morton prefix is the parent's key, so each
-        # level stays sorted and child runs stay contiguous.
+        # level stays sorted and child runs stay contiguous: a parent's
+        # children are the run of its key in the level below.
         keys, start, count = self._unique_runs(sorted_keys)
         self.level_keys.append(keys)
         self.level_start.append(start)
@@ -223,27 +247,19 @@ class FlatTree:
             # Aggregate child point slices into the parent's slice.
             p_start = self.level_start[-1][box_start]
             p_count = np.add.reduceat(self.level_count[-1], box_start)
+            self.child_start.append(box_start)
+            self.child_end.append(np.append(box_start[1:], len(parent)))
             self.level_keys.append(keys)
             self.level_start.append(p_start)
             self.level_count.append(p_count)
             bx, by = self._level_cells[-1]
             self._level_cells.append((bx[box_start] >> 1, by[box_start] >> 1))
-        self.level_keys.reverse()
-        self.level_start.reverse()
-        self.level_count.reverse()
-        self._level_cells.reverse()
+        for levels in (
+            self.level_keys, self.level_start, self.level_count, self._level_cells,
+            self.child_start, self.child_end,
+        ):
+            levels.reverse()
         self.n_levels = len(self.level_keys)
-
-        # Parent→child ranges: children of box k at level l are the boxes
-        # at level l+1 whose key >> 2 equals k — one searchsorted pair.
-        for lvl in range(self.n_levels - 1):
-            child_parent = self.level_keys[lvl + 1] >> np.uint64(2)
-            self.child_start.append(
-                np.searchsorted(child_parent, self.level_keys[lvl], side="left")
-            )
-            self.child_end.append(
-                np.searchsorted(child_parent, self.level_keys[lvl], side="right")
-            )
 
         # Leaf-box id per point, back in original point order.
         leaf_count = self.level_count[-1]

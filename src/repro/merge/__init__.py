@@ -11,13 +11,12 @@ runs the merge filter over its children's summaries; the root's filter
 yields the global cluster IDs.
 """
 
-from .representatives import select_representatives, representative_targets
+from .representatives import representative_targets
 from .summary import LeafSummary, summarize_leaf
 from .merger import merge_summaries, root_assignment, MergeFilter, MergeOutcome
 from .global_ids import GlobalIdAssignment, assign_global_ids
 
 __all__ = [
-    "select_representatives",
     "representative_targets",
     "LeafSummary",
     "summarize_leaf",

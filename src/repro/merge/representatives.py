@@ -28,12 +28,12 @@ representative.
 ``tests/merge/test_representatives.py`` checks both properties
 property-based.
 
-Two forms select the same points: :func:`select_representatives` for one
-cell (the partitioner's optional shadow thinning, §3.1.3) and
-:func:`select_representatives_batch` for many segments at once — every
-``(cluster, cell)`` of a leaf, or every merged cell of a merge-tree node.
-It squares each axis's three target offsets (min, max, mid) once, then
-takes each target's first row at its segment's minimum.
+:func:`select_representatives_batch` selects them for many segments at
+once — every ``(cluster, cell)`` of a leaf, or every merged cell of a
+merge-tree node.  It squares each axis's three target offsets (min, max,
+mid) once, then takes each target's first row at its segment's minimum.
+The one-cell form it is held to, one argmin per target, lives in
+``tests/merge/merge_reference.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from ..errors import MergeError
 
 __all__ = [
     "representative_targets",
-    "select_representatives",
     "select_representatives_batch",
     "N_REPRESENTATIVES",
 ]
@@ -80,30 +79,6 @@ def representative_targets(
     )
 
 
-def select_representatives(
-    coords: np.ndarray,
-    bounds: tuple[float, float, float, float],
-) -> np.ndarray:
-    """Indices (into ``coords``) of the ≤8 representative points.
-
-    For each of the eight targets, the closest candidate point is chosen;
-    duplicates collapse, so sparse cells may yield fewer than eight.  The
-    returned indices are sorted and unique.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise MergeError(f"coords must be (n, 2), got {coords.shape}")
-    if len(coords) == 0:
-        return np.empty(0, dtype=np.int64)
-    targets = representative_targets(bounds)
-    d2 = (
-        (coords[:, 0][:, None] - targets[:, 0][None, :]) ** 2
-        + (coords[:, 1][:, None] - targets[:, 1][None, :]) ** 2
-    )
-    chosen = np.argmin(d2, axis=0)
-    return np.unique(chosen.astype(np.int64))
-
-
 def select_representatives_batch(
     coords: np.ndarray, starts: np.ndarray, bounds: np.ndarray
 ) -> np.ndarray:
@@ -114,9 +89,9 @@ def select_representatives_batch(
     none empty, and ``bounds[i]`` is its cell's ``(xmin, ymin, xmax,
     ymax)``.  Returns an ``(n_segments, 8)`` array: the row closest to each
     of the segment's eight targets, the lowest row winning ties — the
-    distances, the comparison and the tie-break of
-    :func:`select_representatives`, whose result for one segment is the
-    sorted unique entries of that segment's row (offset by its start).
+    distances, the comparison and the tie-break of the one-cell form (one
+    argmin per target), whose result for one segment is the sorted unique
+    entries of that segment's row (offset by its start).
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:

@@ -246,10 +246,11 @@ def _product_within(a_first, a_count, a_xy, b_first, b_count, b_xy, eps2: float)
 
 
 def _owner_table(
-    cells: np.ndarray, ids: np.ndarray, core_mask: np.ndarray, owned_cells
+    noncore: np.ndarray, noncore_cells: np.ndarray, ids: np.ndarray, owned_cells
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The owned cells, ascending, and the sorted ids of the points the
-    owner found non-core in each: ``(owner_cells, owner_lens, owner_ids)``.
+    owner found non-core in each: ``(owner_cells, owner_lens, owner_ids)``,
+    from the non-core rows and their cells.
 
     Every owned cell gets a row — an *empty* one means "the owner says
     all points here are core", which makes the type-2 difference the full
@@ -258,8 +259,7 @@ def _owner_table(
     cross-boundary merge the property tests caught).
     """
     owned = np.fromiter(chain.from_iterable(owned_cells), np.int64).reshape(-1, 2)
-    noncore = np.flatnonzero(~core_mask)
-    rank = row_ranks(np.concatenate((owned, cells[noncore])))
+    rank = row_ranks(np.concatenate((owned, noncore_cells)))
     owned_rank, first = np.unique(rank[: len(owned)], return_index=True)
     noncore_rank = rank[len(owned) :]
     is_owned = np.zeros(len(rank), dtype=bool)
@@ -318,7 +318,15 @@ def summarize_leaf(
     if not len(points):
         return LeafSummary.empty(eps, (int(leaf_id),))
     coords, ids = points.coords, points.ids
-    cells = np.floor(coords / eps).astype(np.int64)
+    cells = np.floor(coords / eps).astype(np.int64) if candidates is None else None
+
+    def cells_of(rows: np.ndarray) -> np.ndarray:
+        """Eps-cells of ``rows``.  The append path reads those of the
+        candidates, the claimed rows and the non-core rows only, and
+        floors just those."""
+        if cells is not None:
+            return np.take(cells, rows, axis=0)
+        return np.floor(np.take(coords, rows, axis=0) / eps).astype(np.int64)
 
     # The cores by (cluster, cell): they arrive ascending, so the stable
     # sort keeps each segment's cores ascending too.
@@ -326,7 +334,8 @@ def summarize_leaf(
         cores = np.flatnonzero(core_mask & (labels != NOISE))
     else:
         cores = candidates[labels[candidates] != NOISE]
-    key = labels[cores], cells[cores, 0], cells[cores, 1]
+    core_cells = cells_of(cores)
+    key = labels[cores], core_cells[:, 0], core_cells[:, 1]
     order = lex_order(*key)
     cores, core_key = cores[order], [column[order] for column in key]
     core_starts = run_starts(*core_key)
@@ -336,7 +345,8 @@ def summarize_leaf(
         claims = walk_claims(FlatTree(coords, eps), coords, core_mask, eps)[0]
     claim_label = labels[claims[:, 1]]
     claimed = claims[claim_label != NOISE, 0]
-    key = claim_label[claim_label != NOISE], cells[claimed, 0], cells[claimed, 1]
+    claim_cells = cells_of(claimed)
+    key = claim_label[claim_label != NOISE], claim_cells[:, 0], claim_cells[:, 1]
     order = lex_order(*key, claimed)
     order = order[run_starts(key[0][order], claimed[order])]
     claimed, claim_key = claimed[order], [column[order] for column in key]
@@ -365,6 +375,7 @@ def summarize_leaf(
     n_noncore[claim_seg] = np.diff(np.append(claim_starts, len(claimed)))
     rep_rows = cores[is_rep]
 
+    noncore = np.flatnonzero(~core_mask)
     cluster_starts = run_starts(seg_key[:, 0])
     n_clusters = len(cluster_starts)
     return LeafSummary(
@@ -374,5 +385,5 @@ def summarize_leaf(
         np.zeros(n_clusters, dtype=np.int64), np.empty((0, 2), dtype=np.int64),
         seg_key[:, 1:].copy(), n_rep, n_noncore,
         ids[rep_rows], coords[rep_rows], ids[claimed], coords[claimed],
-        *_owner_table(cells, ids, core_mask, owned_cells),
+        *_owner_table(noncore, cells_of(noncore), ids, owned_cells),
     )

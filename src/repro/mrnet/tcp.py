@@ -32,7 +32,10 @@ channel.  A worker is *lost* when its connection closes or goes silent
 for ``heartbeat_interval × HEARTBEAT_MISS_LIMIT`` (heartbeats flow even
 while a task runs); a self-spawned agent that exits is respawned;
 *abandoning* a task closes its connection and kills its self-spawned
-agent, so a hung task cannot poison later batches.  Agents reconnect
+agent, so a hung task cannot poison later batches.  A task send that
+moves no byte for that same silence window (an agent alive but not
+reading: stopped, swapped out) is given up the same way, and the task
+goes back to the queue.  Agents reconnect
 with exponential backoff + jitter, counted in ``tcp.reconnects``.
 
 Deterministic network faults
@@ -71,6 +74,7 @@ import logging
 import os
 import pickle
 import random
+import select
 import socket
 import struct
 import subprocess
@@ -153,15 +157,36 @@ _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 # --------------------------------------------------------------------- #
 
 
-def send_frame(sock: socket.socket, ftype: int, payload: bytes = b"") -> int:
-    """Write one frame; returns the bytes put on the wire."""
+def send_frame(
+    sock: socket.socket, ftype: int, payload: bytes = b"", *, stall: float | None = None
+) -> int:
+    """Write one frame; returns the bytes put on the wire.
+
+    With ``stall``, a send during which no byte leaves for ``stall``
+    seconds raises :class:`TimeoutError` (the frame is then torn: the
+    caller must close the connection).  Each write is ``MSG_DONTWAIT``,
+    so the socket stays in the blocking mode its reader thread expects.
+    """
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
     data = _HEADER.pack(MAGIC, ftype, len(payload)) + payload
-    sock.sendall(data)
+    if stall is None:
+        sock.sendall(data)
+        return len(data)
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[sock.send(view, socket.MSG_DONTWAIT):]
+        except BlockingIOError:  # the socket buffer is full: wait for room
+            writable = select.poll()
+            writable.register(sock, select.POLLOUT)
+            if not writable.poll(stall * 1000):
+                raise TimeoutError(
+                    f"no byte of a {len(data)}-byte frame left in {stall:.2f}s"
+                ) from None
     return len(data)
 
 
@@ -244,9 +269,9 @@ class _Conn:
         #: Index into the transport's spawned-agent table, if self-spawned.
         self.agent_index: int | None = None
 
-    def send(self, ftype: int, payload: bytes = b"") -> int:
+    def send(self, ftype: int, payload: bytes = b"", *, stall: float | None = None) -> int:
         with self.write_lock:
-            return send_frame(self.sock, ftype, payload)
+            return send_frame(self.sock, ftype, payload, stall=stall)
 
     def close(self) -> None:
         self.alive = False
@@ -601,12 +626,24 @@ class TcpTransport:
             # out of rotation.
             conn.busy_seq = seq
             self._inflight[seq] = (i, time.monotonic())
+        silence = self.heartbeat_interval * HEARTBEAT_MISS_LIMIT
         try:
-            nbytes = conn.send(TASK, _SEQ.pack(seq) + blob)
-        except (OSError, FrameError):
+            nbytes = conn.send(TASK, _SEQ.pack(seq) + blob, stall=silence)
+        except (OSError, FrameError) as exc:
+            # The task goes back to the queue.  A worker that took no byte
+            # for a whole silence window is alive but not reading: it is
+            # shed like abandoned work.
             with self._lock:
                 del self._inflight[seq]
-            conn.close()
+            if not isinstance(exc, TimeoutError):
+                conn.close()
+                return False
+            self._count("tcp.send_stalls")
+            logger.warning(
+                "worker %s took no task byte for %.2fs; shedding it",
+                conn.worker_id, silence,
+            )
+            self._shed(conn)
             return False
         if self.metrics.enabled:
             self.metrics.counter("tcp.bytes_sent").inc(nbytes)
@@ -679,12 +716,17 @@ class TcpTransport:
         with self._lock:
             stuck = [c for c in self._conns if c.busy_seq in seqs]
         for conn in stuck:
-            conn.close()
-            if conn.agent_index is not None and conn.agent_index < len(self._agents):
-                proc = self._agents[conn.agent_index]
-                if proc is not None and proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
+            self._shed(conn)
+
+    def _shed(self, conn: _Conn) -> None:
+        """Close a connection and, for a self-spawned agent, kill the
+        process and wait for it to exit."""
+        conn.close()
+        if conn.agent_index is not None and conn.agent_index < len(self._agents):
+            proc = self._agents[conn.agent_index]
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
     def has_capacity(self) -> bool:
         with self._lock:

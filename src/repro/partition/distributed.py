@@ -32,11 +32,13 @@ import numpy as np
 from ..errors import PartitionError
 from ..io.lustre import IOTrace
 from ..io.partition_files import PartitionFileSet
+from ..gpu.treeindex import runs as run_positions
 from ..mrnet import FunctionFilter, Network, NetworkTrace, Topology, Transport
+from ..mrnet.packets import Packet
 from ..points import PointSet
 from ..telemetry.tracer import NOOP_TRACER, PID_PARTITION
 from .grid import GridHistogram
-from .partitioner import form_partitions, partition_points
+from .partitioner import Router, form_partitions, gather
 from .plan import PartitionPlan
 
 __all__ = ["DistributedPartitioner", "PartitionPhaseResult"]
@@ -178,11 +180,16 @@ class DistributedPartitioner:
         n_total = (input_path.stat().st_size - header_len) // RECORD_BYTES
         n_nodes = min(self.n_partition_nodes, max(1, int(n_total)))
         bounds = np.linspace(0, n_total, n_nodes + 1).astype(np.int64)
-        leaf_points = [
+        slices = [
             read_points_binary(input_path, offset=int(s), count=int(e - s))
             for s, e in zip(bounds, bounds[1:])
         ]
-        return self._run_on_slices(leaf_points, n_partitions, workdir=workdir)
+        points = PointSet(
+            ids=np.concatenate([ps.ids for ps in slices]),
+            coords=np.concatenate([ps.coords for ps in slices]),
+            weights=np.concatenate([ps.weights for ps in slices]),
+        )
+        return self._run_on_slices(points, bounds, n_partitions, workdir=workdir)
 
     def run(
         self,
@@ -193,18 +200,27 @@ class DistributedPartitioner:
     ) -> PartitionPhaseResult:
         """Partition an in-memory point set into ``n_partitions`` pieces."""
         n_nodes = min(self.n_partition_nodes, max(1, len(points)))
-        slices = np.array_split(np.arange(len(points)), n_nodes)
-        leaf_points = [points.take(idx) for idx in slices]
-        return self._run_on_slices(leaf_points, n_partitions, workdir=workdir)
+        # np.array_split's slice sizes: the first ``n % n_nodes`` one larger.
+        size, extra = divmod(len(points), n_nodes)
+        bounds = np.arange(n_nodes + 1) * size + np.minimum(np.arange(n_nodes + 1), extra)
+        return self._run_on_slices(points, bounds, n_partitions, workdir=workdir)
 
     def _run_on_slices(
         self,
-        leaf_points: list[PointSet],
+        points: PointSet,
+        bounds: np.ndarray,
         n_partitions: int,
         *,
         workdir: str | Path | None = None,
     ) -> PartitionPhaseResult:
+        """The phase over partitioner leaves that each hold the contiguous
+        rows ``bounds[i]:bounds[i + 1]`` of ``points`` (as views)."""
         io = IOTrace()
+        bounds = [int(b) for b in bounds]
+        leaf_points = [
+            PointSet(points.ids[s:e], points.coords[s:e], points.weights[s:e])
+            for s, e in zip(bounds, bounds[1:])
+        ]
         n_nodes = len(leaf_points)
         tracer = self.tracer
         network = Network(
@@ -268,14 +284,18 @@ class DistributedPartitioner:
         # 4. Boundaries broadcast back to the leaves.
         plans, multicast_trace = network.multicast(plan, name="partition.plan")
 
-        # 5. Leaves emit their contributions: either offset writes to the
-        #    shared partition file (the paper's path) or messages straight
-        #    to the clustering leaves (the §6 future-work path).
-        contributions = []
+        # 5. Leaves route their rows under the plan (one table, built once
+        #    for the plan) and emit their contributions: either offset
+        #    writes to the shared partition file (the paper's path) or
+        #    messages straight to the clustering leaves (the §6
+        #    future-work path).  Each leaf view is then one gather of its
+        #    rows over every leaf, in leaf order: ascending input rows.
+        router = Router(plans[0], len(points))  # every leaf got the same plan
+        routed, sizes = [], []
         route_seconds: dict[int, float] = {}
-        for leaf, (lp, p) in enumerate(zip(leaf_points, plans)):
+        for leaf, (lp, start) in enumerate(zip(leaf_points, bounds)):
             t0 = time.perf_counter()
-            contributions.append(partition_points(lp, p))
+            rows, counts = router.route(lp.coords)
             route_seconds[leaf] = time.perf_counter() - t0
             tracer.add_span(
                 "partition.route",
@@ -286,31 +306,33 @@ class DistributedPartitioner:
                 tid=leaf,
                 n_points=len(lp),
             )
+            rows += start
+            routed.append(rows)
+            sizes.append(counts)
         fault_events = network.fault_log.events
         distribute = NetworkTrace() if self.output_mode == "network" else None
-        partitions: list[tuple[PointSet, PointSet]] = []
+        sizes = np.stack(sizes)  # (leaf, block): own, shadow per partition
         for pid in range(len(plan.partitions)):
-            own_parts = []
-            shadow_parts = []
-            for leaf, contrib in enumerate(contributions):
-                own, shadow = contrib[pid]
-                for part, parts_list in ((own, own_parts), (shadow, shadow_parts)):
-                    if not len(part):
+            for leaf in range(n_nodes):
+                for count in sizes[leaf, 2 * pid : 2 * pid + 2].tolist():
+                    if not count:
                         continue
+                    nbytes = count * RECORD_BYTES
                     if distribute is not None:
                         # src = partitioner leaf, dst = clustering leaf;
                         # the two trees are disjoint process sets, so we
                         # key the destination by partition id.
-                        distribute.record(leaf, pid, "partition-data", part)
-                    else:
-                        io.record(
-                            leaf, "write", len(part) * RECORD_BYTES, sequential=False
+                        distribute.packets.append(
+                            Packet(leaf, pid, "partition-data", nbytes)
                         )
-                    parts_list.append(part)
-            partitions.append((
-                reduce(PointSet.concat, own_parts, PointSet.empty()),
-                reduce(PointSet.concat, shadow_parts, PointSet.empty()),
-            ))
+                    else:
+                        io.record(leaf, "write", nbytes, sequential=False)
+        # Leaf-major blocks -> block-major, leaf order inside each block.
+        first = np.cumsum(sizes.ravel()) - sizes.ravel()
+        rows = np.concatenate(routed)[
+            run_positions(first.reshape(sizes.shape).T.ravel(), sizes.T.ravel())
+        ]
+        partitions = gather(points, rows, sizes.sum(axis=0))
 
         if distribute is None:
             # Root writes the metadata file.

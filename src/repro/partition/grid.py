@@ -7,8 +7,10 @@ reduces per-cell counts to the root.  :class:`GridHistogram` is that
 reduced object: the non-empty cells as one array, already in the
 column-major order the forming algorithm iterates in ("first along the y
 axis, and then along the x axis"), and their counts beside it.  Every
-structure built on it comes from one sort of packed cell keys plus scans
-and binary searches (:class:`CellFrame`).
+structure built on it comes from packed cell keys (:class:`CellFrame`):
+counted and looked up through a dense table over the frame when the frame
+is at most :data:`TABLE_SLOTS_PER_KEY` slots per key, sorted and
+binary-searched otherwise (:class:`CellIndex`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from ..errors import ConfigError, PartitionError
 from ..points import PointSet
 
 __all__ = [
-    "GridHistogram", "CellFrame", "cell_array", "cell_of_coords", "key_rows",
-    "GRID_NEIGHBOR_OFFSETS",
+    "GridHistogram", "CellFrame", "CellIndex", "cell_array", "cell_of_coords",
+    "GRID_NEIGHBOR_OFFSETS", "TABLE_SLOTS_PER_KEY",
 ]
 
 #: The 8-neighborhood used for shadow regions and merge adjacency.
@@ -32,6 +34,13 @@ GRID_NEIGHBOR_OFFSETS: tuple[tuple[int, int], ...] = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
 )
 _STENCIL = np.array(GRID_NEIGHBOR_OFFSETS, dtype=np.int64)
+
+#: A dense table over a cell frame may have this many slots per key it
+#: holds or answers; a wider frame is sorted and binary-searched instead.
+#: A table lookup or count is one gather or scatter where a search is a
+#: binary search per key, and a table of eight int64 slots per key costs
+#: two point records (32 bytes each) per key it serves.
+TABLE_SLOTS_PER_KEY = 8
 
 
 def cell_of_coords(coords: np.ndarray, eps: float) -> np.ndarray:
@@ -43,7 +52,8 @@ def cell_of_coords(coords: np.ndarray, eps: float) -> np.ndarray:
     """
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
-    return np.floor(np.asarray(coords, dtype=np.float64) / eps).astype(np.int64)
+    cells = np.asarray(coords, dtype=np.float64) / eps
+    return np.floor(cells, out=cells).astype(np.int64)
 
 
 def cell_array(cells) -> np.ndarray:
@@ -67,30 +77,74 @@ class CellFrame:
             x, y = cells[:, 0], cells[:, 1]
             self.x0, self.x1 = int(x.min()), int(x.max())
             self.y0, self.y1 = int(y.min()), int(y.max())
-        self.height = self.y1 - self.y0 + 1
-        if (self.x1 - self.x0 + 1) * self.height >= 2**63:
+        self.width, self.height = self.x1 - self.x0 + 1, self.y1 - self.y0 + 1
+        #: Cells in the box: every key is below it.
+        self.size = self.width * self.height
+        if self.size >= 2**63:
             raise PartitionError(
-                f"the Eps grid spans {self.x1 - self.x0 + 1} x {self.height} cells, "
+                f"the Eps grid spans {self.width} x {self.height} cells, "
                 "too many for int64 cell keys"
             )
 
     def keys(self, cells: np.ndarray) -> np.ndarray:
-        x, y = cells[..., 0], cells[..., 1]
-        inside = (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
-        return np.where(inside, (x - self.x0) * self.height + (y - self.y0), -1)
+        x = np.asarray(cells[..., 0] - self.x0, dtype=np.int64)
+        y = np.asarray(cells[..., 1] - self.y0, dtype=np.int64)
+        # Negative offsets wrap to huge unsigned ones: one test per axis.
+        inside = x.view(np.uint64) < self.width
+        inside &= y.view(np.uint64) < self.height
+        x *= self.height
+        x += y
+        x[~inside] = -1
+        return x
 
     def cells(self, keys: np.ndarray) -> np.ndarray:
         x, y = np.divmod(keys, self.height)
         return np.stack((x + self.x0, y + self.y0), axis=-1)
 
 
-def key_rows(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the ascending non-empty key ``table``, -1
-    where the key is absent (every -1 key is)."""
-    if not len(table):
-        return np.full(np.shape(keys), -1, dtype=np.int64)
-    rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-    return np.where(table[rows] == keys, rows, -1)
+class CellIndex:
+    """The row of each of a unique ``(n, 2)`` cell list, looked up by key.
+
+    ``n_lookups`` is how many keys the index will be asked about.  When
+    the cells' frame has at most :data:`TABLE_SLOTS_PER_KEY` slots per
+    key (held or asked about, whichever is more), a lookup is one gather
+    from a dense table of rows over the frame; otherwise it is a binary
+    search of the sorted keys.  Either way :meth:`rows` gives the same
+    answer, so the choice only ever moves time.  ``unique`` is False when
+    a cell is listed twice (the table then holds its last row).
+    """
+
+    def __init__(self, cells: np.ndarray, n_lookups: int = 0) -> None:
+        self.frame = CellFrame(cells)
+        keys = self.frame.keys(cells)
+        n = len(keys)
+        self._table = self._order = self._sorted = None
+        if self.frame.size <= TABLE_SLOTS_PER_KEY * max(n, n_lookups):
+            # One slot per frame cell plus a last one, which a key of -1
+            # (a cell outside the frame) reads.
+            self._table = np.full(self.frame.size + 1, -1, dtype=np.int64)
+            self._table[keys] = np.arange(n)
+            self.unique = np.array_equal(self._table[keys], np.arange(n))
+        else:
+            self._order = np.argsort(keys, kind="stable")
+            self._sorted = keys[self._order]
+            self.unique = not np.any(self._sorted[1:] == self._sorted[:-1])
+
+    @property
+    def by_table(self) -> bool:
+        """Whether lookups gather from the dense table."""
+        return self._table is not None
+
+    def rows(self, cells: np.ndarray) -> np.ndarray:
+        """Row of each queried cell (any shape ``(..., 2)``), -1 where the
+        cell is not listed."""
+        keys = self.frame.keys(cells)
+        if self._table is not None:
+            return self._table[keys]
+        if not len(self._sorted):
+            return np.full(np.shape(keys), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[at] == keys, self._order[at], -1)
 
 
 @dataclass(eq=False)
@@ -124,10 +178,17 @@ class GridHistogram:
         listing weighs its entry of ``counts`` (one when omitted)."""
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
         frame = CellFrame(cells)
-        if counts is None:
-            keys, counts = np.unique(frame.keys(cells), return_counts=True)
-        else:  # sums of point counts: exact in float64
-            keys, inverse = np.unique(frame.keys(cells), return_inverse=True)
+        keys = frame.keys(cells)
+        if frame.size <= TABLE_SLOTS_PER_KEY * len(keys):
+            # Count into one slot per frame cell; sums of point counts
+            # are exact in float64.
+            total = np.bincount(keys, weights=counts, minlength=frame.size)
+            keys = np.flatnonzero(total)
+            counts = total[keys].astype(np.int64)
+        elif counts is None:
+            keys, counts = np.unique(keys, return_counts=True)
+        else:
+            keys, inverse = np.unique(keys, return_inverse=True)
             counts = np.bincount(inverse, weights=counts, minlength=len(keys)).astype(np.int64)
         return cls(eps=eps, cells=frame.cells(keys), counts=counts)
 
@@ -153,17 +214,15 @@ class GridHistogram:
         return len(self.counts)
 
     @cached_property
-    def _table(self) -> tuple[CellFrame, np.ndarray]:
-        """The frame around the cells and their keys, ascending like the
-        rows (built on first lookup; the arrays are never edited)."""
-        frame = CellFrame(self.cells)
-        return frame, frame.keys(self.cells)
+    def _index(self) -> CellIndex:
+        """The rows by cell key, sized for the 8-neighbours of every row
+        (built on first lookup; the arrays are never edited)."""
+        return CellIndex(self.cells, len(_STENCIL) * self.n_cells)
 
     def rows_of(self, cells) -> np.ndarray:
         """Row of each queried cell (array of any shape ``(..., 2)``), -1
         where the cell is empty."""
-        frame, table = self._table
-        return key_rows(table, frame.keys(np.asarray(cells, dtype=np.int64)))
+        return self._index.rows(np.asarray(cells, dtype=np.int64))
 
     def neighbor_rows(self, cells=None) -> np.ndarray:
         """``(n, 8)`` rows of the 8-neighbors of ``cells`` (default: every

@@ -27,6 +27,11 @@ are already in column-major order.  Forming cuts the cumulative count at
 each partition's target (one binary search per partition), rebalancing
 only moves run boundaries, and the shadows of all partitions come from
 one ``(cells, 8)`` table of neighbor rows.
+
+Routing points under a plan (:class:`Router`) is one lookup of each
+point's Eps-cell, then one stable sort of its (partition, role)
+listings; :func:`gather` makes every partition's views from one
+``np.take`` per column.
 """
 
 from __future__ import annotations
@@ -36,13 +41,16 @@ from itertools import chain
 import numpy as np
 
 from ..errors import PartitionError
+from ..gpu.treeindex import runs as run_positions
 from ..points import PointSet
-from .grid import CellFrame, GridHistogram, cell_array, cell_of_coords, key_rows
+from .grid import CellFrame, CellIndex, GridHistogram, cell_array, cell_of_coords
 from .plan import PartitionPlan, PartitionSpec
 
 __all__ = [
+    "Router",
     "append_points",
     "form_partitions",
+    "gather",
     "partition_points",
     "REBALANCE_THRESHOLD_FACTOR",
 ]
@@ -230,23 +238,84 @@ def _shed_deltas(
     return delta.tolist()
 
 
-def _ids_by_partition(
-    point_cell: np.ndarray, cell_ids: np.ndarray, cell_parts: np.ndarray, n_cells: int, n_parts: int
-) -> list[np.ndarray]:
-    """Ascending point ids per partition, from ``(cell, partition)``
-    listings and each point's cell id."""
-    cell_parts = cell_parts[np.argsort(cell_ids, kind="stable")]
-    listed = np.bincount(cell_ids, minlength=n_cells)
-    first = np.cumsum(listed) - listed
-    reps = listed[point_cell]
-    ids = np.repeat(np.arange(len(point_cell), dtype=np.int64), reps)
-    slot = np.repeat(first[point_cell] - (np.cumsum(reps) - reps), reps)
-    slot += np.arange(len(ids), dtype=np.int64)
-    # The narrowest dtype gets numpy's radix sort; stable either way, so
-    # ids stay ascending inside each partition's run.
-    parts = cell_parts[slot].astype(np.min_scalar_type(n_parts))
-    ids = ids[np.argsort(parts, kind="stable")]
-    return np.split(ids, np.cumsum(np.bincount(parts, minlength=n_parts))[:-1])
+class Router:
+    """A plan as a routing table, built once and used for every slice of
+    points routed under it.
+
+    A point's Eps-cell finds the owned cell's row in one lookup
+    (:class:`~repro.partition.grid.CellIndex`: a dense table over the
+    owned cells' frame when ``n_points``, the points the plan will route,
+    bound it; a binary search otherwise).  The row gives the owner, and a
+    CSR over the rows gives the partitions whose shadow holds the cell.
+    """
+
+    def __init__(self, plan: PartitionPlan, n_points: int) -> None:
+        specs = plan.partitions
+        self.eps = plan.eps
+        self.n_partitions = len(specs)
+        own = cell_array(chain.from_iterable(spec.cells for spec in specs))
+        self.index = CellIndex(own, n_points)
+        if not self.index.unique:
+            plan.cell_owner()  # raises, naming the doubly-owned cell
+        # Block ``2p`` holds partition p's own rows, ``2p + 1`` its shadow
+        # rows.  The narrowest dtype gets numpy's radix sort.
+        dtype = np.min_scalar_type(max(2 * len(specs) - 1, 0))
+        blocks = 2 * np.arange(len(specs))
+        self.own_block = np.repeat(blocks, [spec.n_cells for spec in specs]).astype(dtype)
+        # A shadow cell nobody owns holds no point (routing would raise).
+        rows = self.index.rows(cell_array(chain.from_iterable(spec.shadow_cells for spec in specs)))
+        shadow_blocks = np.repeat(blocks + 1, [len(spec.shadow_cells) for spec in specs])
+        listed = rows >= 0
+        rows, shadow_blocks = rows[listed], shadow_blocks[listed]
+        # CSR: owned row r lists its shadow blocks at
+        # ``shadow_block[shadow_start[r]:][:shadow_count[r]]``.
+        count = np.bincount(rows, minlength=len(own))
+        self.shadow_start = np.cumsum(count) - count
+        self.shadow_count = count.astype(np.min_scalar_type(count.max(initial=0)))
+        self.shadow_block = shadow_blocks[np.argsort(rows, kind="stable")].astype(dtype)
+
+    def route(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of ``coords`` in ``2 * n_partitions`` blocks, each
+        ascending: partition 0's own rows, its shadow rows, partition 1's
+        own rows, and so on.  Returns the rows and the block sizes."""
+        n = len(coords)
+        cells = cell_of_coords(coords, self.eps) if n else np.empty((0, 2), np.int64)
+        row = self.index.rows(cells)
+        covered = row >= 0
+        if not np.all(covered):
+            unowned = sorted(set(map(tuple, cells[~covered].tolist())))
+            raise PartitionError(
+                f"{len(unowned)} non-empty cells not covered by the plan, e.g. {unowned[:3]}"
+            )
+        # One (block, point) listing per membership: the owner's for
+        # every point, then the shadow listings of the points with any.
+        reps = self.shadow_count[row]
+        shadowed = np.flatnonzero(reps > 0)  # ~6x faster than on the counts
+        reps = reps[shadowed]
+        block = np.concatenate((
+            self.own_block[row],
+            self.shadow_block[run_positions(self.shadow_start[row[shadowed]], reps)],
+        ))
+        point = np.concatenate((np.arange(n), np.repeat(shadowed, reps)))
+        # Stable: points ascend inside each block.
+        order = np.argsort(block, kind="stable")
+        return point[order], np.bincount(block, minlength=2 * self.n_partitions)
+
+
+def gather(
+    points: PointSet, rows: np.ndarray, sizes: np.ndarray
+) -> list[tuple[PointSet, PointSet]]:
+    """Every partition's ``(points, shadow_points)`` from rows in
+    :meth:`Router.route`'s blocks: one ``np.take`` per column, then each
+    view a slice of the result."""
+    ids = np.take(points.ids, rows)
+    coords = np.take(points.coords, rows, axis=0)
+    weights = np.take(points.weights, rows)
+    ends = np.cumsum(sizes).tolist()
+    views = [
+        PointSet(ids[a:b], coords[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)
+    ]
+    return list(zip(views[0::2], views[1::2]))
 
 
 def partition_points(
@@ -259,37 +328,7 @@ def partition_points(
     points of a neighboring partition — the duplication is the §3.1.1
     correctness mechanism).  Both come out in ascending input order.
     """
-    n = len(points)
-    cells = cell_of_coords(points.coords, plan.eps) if n else np.empty((0, 2), np.int64)
-    specs = plan.partitions
-    pids = np.arange(len(specs))
-    own = cell_array(chain.from_iterable(spec.cells for spec in specs))
-    own_parts = np.repeat(pids, [spec.n_cells for spec in specs])
-    shadow = cell_array(chain.from_iterable(spec.shadow_cells for spec in specs))
-    shadow_parts = np.repeat(pids, [len(spec.shadow_cells) for spec in specs])
-    # The sorted keys of the owned cells are the routing table: each
-    # point and each shadow listing finds its cell's row by one binary
-    # search, and everything after that is per-row tables.
-    frame = CellFrame(own)
-    own_keys = frame.keys(own)
-    order = np.argsort(own_keys, kind="stable")
-    table = own_keys[order]
-    if np.any(table[1:] == table[:-1]):
-        plan.cell_owner()  # raises, naming the doubly-owned cell
-    point_cell = key_rows(table, frame.keys(cells))
-    covered = point_cell >= 0
-    if not np.all(covered):
-        unowned = sorted(set(map(tuple, cells[~covered].tolist())))
-        raise PartitionError(
-            f"{len(unowned)} non-empty cells not covered by the plan, e.g. {unowned[:3]}"
-        )
-    # A shadow cell nobody owns holds no point (it would have raised).
-    shadow_ids = key_rows(table, frame.keys(shadow))
-    listed = shadow_ids >= 0
-    sizes = (len(table), len(specs))
-    own = _ids_by_partition(point_cell, np.arange(len(table)), own_parts[order], *sizes)
-    shadow = _ids_by_partition(point_cell, shadow_ids[listed], shadow_parts[listed], *sizes)
-    return [(points.take(o), points.take(s)) for o, s in zip(own, shadow)]
+    return gather(points, *Router(plan, len(points)).route(points.coords))
 
 
 def append_points(

@@ -97,12 +97,20 @@ class PointSet:
         return len(self) > 0
 
     def take(self, index: np.ndarray) -> "PointSet":
-        """Select a subset by positional index (or boolean mask)."""
+        """Select a subset by positional index (or boolean mask).
+
+        One ``np.take`` per column: for (n, 2) coordinates ``np.take(...,
+        axis=0)`` is several times faster than fancy indexing.
+        """
         index = np.asarray(index)
+        if index.dtype == bool:
+            if index.shape != self.ids.shape:
+                raise IndexError(f"mask of shape {index.shape} for {len(self)} points")
+            index = np.flatnonzero(index)
         return PointSet(
-            ids=self.ids[index],
-            coords=self.coords[index],
-            weights=self.weights[index],
+            ids=np.take(self.ids, index),
+            coords=np.take(self.coords, index, axis=0),
+            weights=np.take(self.weights, index),
         )
 
     def concat(self, other: "PointSet") -> "PointSet":

@@ -310,7 +310,7 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
     * every owned point falls inside one of its partition's cells;
     * no partition shadows a cell it owns.
     """
-    from ..partition.grid import CellFrame, GridHistogram, cell_array, key_rows
+    from ..partition.grid import CellIndex, GridHistogram, cell_array, cell_of_coords
 
     out: list[Violation] = []
     plan = ctx.phase1.plan
@@ -339,18 +339,15 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
                     {"partition": spec.partition_id, "n_overlap": len(overlap)},
                 )
             )
-    # The owned cells' keys, sorted, with the partition that owns each: a
-    # binary search tells any cell's owner (row -1: nobody's).
+    # The owned cells indexed by key, with the partition that owns each:
+    # one lookup tells any cell's owner (row -1: nobody's).
     owned = cell_array(owner)
-    frame = CellFrame(owned)
-    keys = frame.keys(owned)
-    order = np.argsort(keys)
-    owned, table = owned[order], keys[order]
-    table_owner = np.fromiter(owner.values(), dtype=np.int64, count=len(owner))[order]
+    index = CellIndex(owned, ctx.n)
+    row_owner = np.fromiter(owner.values(), dtype=np.int64, count=len(owner))
     nonempty = GridHistogram.from_points(ctx.points, ctx.eps).cells  # sorted
-    rows = key_rows(table, frame.keys(nonempty))
+    rows = index.rows(nonempty)
     missing = nonempty[rows < 0]
-    held = np.zeros(len(table), dtype=bool)
+    held = np.zeros(len(owned), dtype=bool)
     held[rows[rows >= 0]] = True
     spurious = owned[~held]
     if len(missing):
@@ -389,8 +386,8 @@ def check_partition_cover(ctx: ValidationContext) -> list[Violation]:
             )
             continue
         np.add.at(seen, ids, 1)
-        rows = key_rows(table, frame.keys(np.floor(own.coords / ctx.eps).astype(np.int64)))
-        outside = ids[(rows < 0) | (table_owner[rows] != pid)]
+        rows = index.rows(cell_of_coords(own.coords, ctx.eps))
+        outside = ids[(rows < 0) | (row_owner[rows] != pid)]
         if len(outside):
             out.append(
                 Violation(

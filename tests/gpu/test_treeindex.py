@@ -24,10 +24,12 @@ import numpy as np
 import pytest
 from block_reference import candidate_counts, csr_neighborhoods, neighbor_pairs
 from hypothesis import given, settings, strategies as st
+from tree_reference import flat_tree_reference
 
 from repro.dbscan.grid_index import GridIndex
 from repro.errors import ConfigError
-from repro.gpu.treeindex import FlatTree, morton_decode, morton_encode
+from repro.data import generate_sdss
+from repro.gpu.treeindex import FlatTree, _spread_bits, morton_decode, morton_encode
 from repro.points import PointSet
 
 
@@ -70,6 +72,68 @@ def test_morton_orders_by_quadrant():
     px, py = morton_decode(keys >> np.uint64(2))
     np.testing.assert_array_equal(px, ux.astype(np.int64) // 2)
     np.testing.assert_array_equal(py, uy.astype(np.int64) // 2)
+
+
+@pytest.mark.parametrize("high", [0, 2**16 - 1, 2**16, 2**28 - 1])
+def test_morton_keys_are_the_spread_bits(high):
+    """The table encoder equals the shift-and-mask one at the chunk edges
+    (0, 2¹⁶ - 1, 2¹⁶, 2²⁸ - 1, on either axis) and at random values below
+    ``high``, each path: all values under 2¹⁶, or some above."""
+    rng = np.random.default_rng(high)
+    edges = np.array([0, 2**16 - 1, 2**16, 2**28 - 1])
+    edges = edges[edges <= max(high, 1)]
+    ux = np.concatenate((np.repeat(edges, len(edges)), rng.integers(0, high + 1, 500)))
+    uy = np.concatenate((np.tile(edges, len(edges)), rng.integers(0, high + 1, 500)))
+    want = _spread_bits(ux) | (_spread_bits(uy) << np.uint64(1))
+    got = morton_encode(ux, uy)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(morton_encode(ux[:0], uy[:0]), want[:0])
+
+
+def _blob_leaf(n: int) -> np.ndarray:
+    """A dense-box-heavy leaf: 38 blobs of sigma 0.12 in [-4, 4]²."""
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(-4, 4, size=(38, 2))
+    return centres[rng.integers(0, 38, size=n)] + rng.normal(0, 0.12, (n, 2))
+
+
+@pytest.mark.parametrize(
+    "data, eps",
+    [("dense", 0.15), ("sdss", 0.00015)],
+)
+@pytest.mark.parametrize("divisor, align", [(8, 3), (2**0.5, 0), (1, 0)])
+def test_tree_equals_the_spread_bits_build(data, eps, divisor, align):
+    """A tree on table-built keys is the tree the shift-and-mask encoder
+    built, array for array: ``order``, every level's keys, starts and
+    counts, the child ranges and ``point_leaf`` — on the dense blob leaf
+    and on SDSS (whose eps/8 cells span more than 2¹⁶ per axis, the
+    second table chunk)."""
+    coords = _blob_leaf(30_000) if data == "dense" else generate_sdss(20_000, seed=2).coords
+    cell = eps / divisor
+    try:
+        want = flat_tree_reference(coords, cell, align)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            FlatTree(coords, cell, radius=eps, align_levels=align)
+        return
+    got = FlatTree(coords, cell, radius=eps, align_levels=align)
+    np.testing.assert_array_equal(got.order, want.order)
+    np.testing.assert_array_equal(got.cell_origin, want.cell_origin)
+    np.testing.assert_array_equal(got.point_leaf, want.point_leaf)
+    assert got.leaf_bits == want.leaf_bits
+    for name in ("level_keys", "level_start", "level_count", "child_start", "child_end"):
+        levels, ref = getattr(got, name), getattr(want, name)
+        assert len(levels) == len(ref), name
+        for a, b in zip(levels, ref):
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+
+
+def test_sdss_counting_tree_takes_the_second_chunk():
+    """The SDSS case above really spans more than 2¹⁶ cells on an axis."""
+    coords = generate_sdss(20_000, seed=2).coords
+    assert FlatTree(coords, 0.00015 / 8, radius=0.00015, align_levels=3).leaf_bits > 16
 
 
 # ---------------------------------------------------------------------- #

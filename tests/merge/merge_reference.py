@@ -5,7 +5,8 @@ array passes.  This module keeps what that replaced, verbatim: the
 ``CellSummary`` / ``ClusterSummary`` graph, the per-cell
 ``summarize_leaf`` loop (one ``GridIndex`` cell at a time for the non-core
 claims, one ``select_representatives`` call per ``(cluster, cell)``) and
-the per-cell ``merge_summaries`` loop with its dict union-find.
+the per-cell ``merge_summaries`` loop with its dict union-find, and the
+one-cell ``select_representatives`` those loops call.
 ``as_graph`` / ``to_columns`` convert between the two forms, so
 differential tests hold the array passes to the loops field by field.
 
@@ -27,12 +28,40 @@ import repro.merge.summary as summary_mod
 from repro.dbscan.grid_index import GridIndex
 from repro.errors import MergeError
 from repro.merge.merger import MergeOutcome
-from repro.merge.representatives import select_representatives
+from repro.merge.representatives import representative_targets
 from repro.merge.summary import LeafSummary, _unpack_summary, cell_bounds, summarize_leaf
 from repro.points import NOISE, PointSet
 
 Cell = tuple[int, int]
 ClusterKey = tuple[int, int]
+
+
+# ------------------- the one-cell representative form ------------------ #
+
+
+def select_representatives(
+    coords: np.ndarray,
+    bounds: tuple[float, float, float, float],
+) -> np.ndarray:
+    """Indices (into ``coords``) of the ≤8 representative points of one
+    cell — the form ``select_representatives_batch`` is held to.
+
+    For each of the eight targets, the closest candidate point is chosen;
+    duplicates collapse, so sparse cells may yield fewer than eight.  The
+    returned indices are sorted and unique.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise MergeError(f"coords must be (n, 2), got {coords.shape}")
+    if len(coords) == 0:
+        return np.empty(0, dtype=np.int64)
+    targets = representative_targets(bounds)
+    d2 = (
+        (coords[:, 0][:, None] - targets[:, 0][None, :]) ** 2
+        + (coords[:, 1][:, None] - targets[:, 1][None, :]) ** 2
+    )
+    chosen = np.argmin(d2, axis=0)
+    return np.unique(chosen.astype(np.int64))
 
 
 # ------------------------- the object graph ---------------------------- #

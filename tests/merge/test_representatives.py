@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MergeError
+from merge_reference import select_representatives
 from repro.merge.representatives import (
     N_REPRESENTATIVES,
     representative_targets,
-    select_representatives,
     select_representatives_batch,
 )
 

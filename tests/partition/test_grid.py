@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.partition.grid import GRID_NEIGHBOR_OFFSETS, GridHistogram, cell_of_coords
+from repro.partition.grid import (
+    GRID_NEIGHBOR_OFFSETS, CellIndex, GridHistogram, cell_of_coords,
+)
 from repro.points import PointSet
 
 
@@ -113,3 +115,42 @@ def test_payload_bytes_scales_with_cells():
     a = _hist(1.0, {(0, 0): 1})
     b = _hist(1.0, {(i, 0): 1 for i in range(10)})
     assert b.payload_bytes() == 10 * a.payload_bytes()
+
+
+@pytest.mark.parametrize("n_lookups", [0, 10**6], ids=["search", "table"])
+def test_cell_index_lookups_agree(n_lookups):
+    """Both lookups answer alike: listed cells their row (in listing
+    order, not key order), anything else -1 — cells outside the frame,
+    holes inside it, and a 0-d query."""
+    rng = np.random.default_rng(5)
+    cells = np.unique(rng.integers(-50, 50, size=(300, 2)), axis=0)
+    cells = cells[rng.permutation(len(cells))[:200]]
+    index = CellIndex(cells, n_lookups)
+    assert index.by_table is (n_lookups > 0)
+    assert index.unique
+    np.testing.assert_array_equal(index.rows(cells), np.arange(len(cells)))
+    probe = rng.integers(-60, 60, size=(7, 9, 2))
+    listed = {tuple(c): r for r, c in enumerate(cells.tolist())}
+    want = [[listed.get(tuple(c), -1) for c in row] for row in probe.tolist()]
+    assert index.rows(probe).tolist() == want
+    assert int(index.rows(cells[3])) == 3
+    assert not CellIndex(np.vstack((cells, cells[:1])), n_lookups).unique
+
+
+def test_histogram_counts_alike_by_table_and_by_sort():
+    """A frame within the table bound is counted by one scatter; a sparse
+    one (two far clumps) by a sort — same cells, same counts."""
+    rng = np.random.default_rng(6)
+    dense = rng.integers(0, 20, size=(400, 2))
+    sparse = np.vstack((dense, dense[:50] + 10**6))
+    for cells in (dense, sparse):
+        weights = rng.integers(1, 9, size=len(cells))
+        for counts in (None, weights):
+            hist = GridHistogram.from_cells(1.0, cells, counts)
+            want: dict = {}
+            listed = np.ones(len(cells), int) if counts is None else counts
+            for cell, w in zip(map(tuple, cells.tolist()), listed):
+                want[cell] = want.get(cell, 0) + int(w)
+            assert hist.cells.tolist() == [list(c) for c in sorted(want)]
+            assert hist.counts.tolist() == [want[c] for c in sorted(want)]
+            assert hist.counts.dtype == np.int64

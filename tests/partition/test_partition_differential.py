@@ -3,10 +3,11 @@
 ``partition_reference`` holds the partition layer as it was before every
 step became an array operation.  Plans must match it field by field —
 cells in forming order, counts, shadow sets, targets, types — and
-``partition_points`` must route the same ids in the same order, on clumpy
+``partition_points`` must route the same rows in the same order, on clumpy
 boards that force long rebalance chains, with and without rebalancing,
 with more partitions than cells, a single cell, negative cells and
-offsets up to 1e9 cells.
+offsets up to 1e9 cells — through the dense owner table and, with clumps
+10⁶ cells apart, through the binary search.
 
 ``append_points`` is held to ``partition_points`` itself: after every
 batch of an ingest stream, appending must give the re-route over the
@@ -43,18 +44,24 @@ from repro.partition import (
     touched_cells_of,
 )
 from repro.partition.grid import GRID_NEIGHBOR_OFFSETS, cell_of_coords
+from repro.partition.partitioner import Router
 from repro.partition.shadow import refresh_shadow, shadow_cells_of
 from repro.perf.workload import ScaledWorkload, leaf_gpu_work
 from repro.points import PointSet
 
 
-def _board(seed: int, n: int, width: int, clumps: int, offset: float, eps: float) -> PointSet:
+def _board(
+    seed: int, n: int, width: int, clumps: int, offset: float, eps: float, apart: float = 0.0
+) -> PointSet:
     """``n`` points on a ``width``-cell board, a share of them in
     ``clumps`` tight clumps, shifted by ``offset`` cells, in no spatial
-    order, with non-trivial ids and weights."""
+    order, with non-trivial ids and weights.  With ``apart``, every other
+    clump sits that many cells further along both axes: a frame too
+    sparse for a dense table, so routing binary-searches."""
     rng = np.random.default_rng(seed)
     k = n * clumps // (clumps + 1)
     centres = rng.uniform(0, width, size=(max(clumps, 1), 2))
+    centres[1::2] += apart
     clumped = centres[rng.integers(0, max(clumps, 1), size=k)] + rng.normal(0, 0.4, (k, 2))
     spread = rng.uniform(0, width, size=(n - k, 2))
     cells = np.vstack([clumped, spread])[rng.permutation(n)]
@@ -92,6 +99,8 @@ def _assert_same_routing(points, plan) -> None:
     for pair_got, pair_want in zip(got, want):
         for g, w in zip(pair_got, pair_want):
             np.testing.assert_array_equal(g.ids, w.ids)  # same points, same order
+            assert g.coords.tobytes() == w.coords.tobytes()
+            assert g.weights.tobytes() == w.weights.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,7 +131,13 @@ def _assert_same_routing(points, plan) -> None:
 def test_plan_and_routing_match_the_reference(
     seed, n, width, clumps, offset, eps, n_parts, minpts, rebalance, threshold_factor
 ):
-    points = _board(seed, n, width, clumps, offset, eps)
+    _check_plan_and_routing(
+        _board(seed, n, width, clumps, offset, eps), eps, n_parts, minpts, rebalance,
+        threshold_factor,
+    )
+
+
+def _check_plan_and_routing(points, eps, n_parts, minpts, rebalance, threshold_factor):
     hist = GridHistogram.from_points(points, eps)
     ref = GridHistogramReference.from_points(points, eps)
     assert _as_dict(hist) == ref.counts
@@ -137,6 +152,58 @@ def test_plan_and_routing_match_the_reference(
         assert shadow_cells_of(spec.cells, hist) == shadow_cells_of_reference(
             spec.cell_set(), ref
         )
+
+
+_APART = 1e6  # cells between clumps: far past any dense table's bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 400),
+    width=st.integers(1, 14),
+    clumps=st.integers(2, 4),
+    offset=st.sampled_from([0.0, -3.5, -1e9]),
+    eps=st.sampled_from([0.25, 1.0]),
+    n_parts=st.integers(1, 12),
+)
+def test_routing_by_search_matches_the_reference(seed, n, width, clumps, offset, eps, n_parts):
+    """Clumps 10⁶ cells apart: the owned cells' frame is far wider than a
+    dense table may be, so every point finds its owner by binary search."""
+    points = _board(seed, n, width, clumps, offset, eps, apart=_APART)
+    _check_plan_and_routing(points, eps, n_parts, 2, True, 1.075)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=150 if os.environ.get("MRSCAN_FUZZ") == "1" else 25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 2000),
+    width=st.integers(1, 60),
+    clumps=st.integers(0, 6),
+    offset=st.sampled_from([0.0, -3.5, -1e6, 1e9 - 7, -1e9]),
+    eps=st.sampled_from([0.25, 1.0, 3.0]),
+    apart=st.sampled_from([0.0, 30.0, _APART]),
+    n_parts=st.integers(1, 64),
+    minpts=st.integers(1, 8),
+    rebalance=st.booleans(),
+)
+def test_routing_draws_match_the_reference(
+    seed, n, width, clumps, offset, eps, apart, n_parts, minpts, rebalance
+):
+    """Nightly draws over both routing paths, and boards near the bound."""
+    points = _board(seed, n, width, clumps, offset, eps, apart=apart)
+    _check_plan_and_routing(points, eps, n_parts, minpts, rebalance, 1.075)
+
+
+def test_boards_take_both_routing_paths():
+    """The differential boards reach both lookups: a board's frame is a
+    dense table, clumps 10⁶ cells apart are binary-searched."""
+    for apart, by_table in ((0.0, True), (_APART, False)):
+        points = _board(3, 300, 12, 2, -3.5, 1.0, apart=apart)
+        plan = form_partitions(GridHistogram.from_points(points, 1.0), 4, 2)
+        assert Router(plan, len(points)).index.by_table is by_table
+        _assert_same_routing(points, plan)
 
 
 def test_forming_cuts_settle_float_rounding():

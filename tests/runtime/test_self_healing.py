@@ -27,6 +27,7 @@ import pytest
 from repro.core import mrscan
 from repro.errors import PoisonTaskWarning, TransportError
 from repro.mrnet.network import _guarded_apply
+from repro.mrnet.tcp import TcpTransport
 from repro.points import PointSet
 from repro.resilience import FaultPlan, FaultSpec
 from repro.runtime import ShmTransport
@@ -210,6 +211,40 @@ def test_agent_killed_while_reading_a_large_task():
         assert box["out"] == [len(points)]
         assert transport.pool_respawns >= 1
         assert time.monotonic() - t0 < 30.0
+
+
+def test_send_to_a_stopped_agent_is_given_up_and_requeued():
+    """An agent that is alive but never reads (SIGSTOPped) must not hold
+    the batch inside the send of a task bigger than the socket buffers
+    (an 8 MB point set that is not staged, so it rides the pickle).  After
+    ``heartbeat_interval * HEARTBEAT_MISS_LIMIT`` (2 s by default) without
+    a byte leaving, the send closes the connection, kills the agent and
+    re-queues the task, which the respawned agent runs.  Bound: the batch
+    returns within 30 s and the stopped agent is gone.  Costs about 3 s."""
+    points = PointSet.from_coords(np.random.default_rng(4).random((300_000, 2)))
+    with TcpTransport(n_workers=1) as transport:
+        transport.run_batch(abs, [-1])  # the agent is connected and idle
+        agent = transport._agents[0]
+        agent.send_signal(signal.SIGSTOP)
+        box = {}
+        batch = threading.Thread(
+            target=lambda: box.setdefault("out", transport.run_batch(len, [points]))
+        )
+        t0 = time.monotonic()
+        batch.start()
+        try:
+            batch.join(timeout=30.0)
+            elapsed = time.monotonic() - t0
+        finally:
+            if agent.poll() is None:  # the deadline did not fire: unwedge
+                agent.kill()
+                agent.wait()
+            batch.join(timeout=30.0)
+        assert not batch.is_alive(), "batch wedged in the send to a stopped agent"
+        assert elapsed < 30.0
+        assert box["out"] == [len(points)]
+        assert not _running(agent.pid)
+        assert transport.pool_respawns >= 1
 
 
 def test_agents_dying_at_start_up_end_the_batch(monkeypatch):

@@ -57,6 +57,36 @@ def test_take_positional():
     assert list(sub.ids) == [2, 0]
 
 
+@pytest.mark.parametrize(
+    "index",
+    [
+        np.array([7, 0, 3, 3, -1]),  # repeats and a negative index
+        np.arange(10)[::-1],
+        np.empty(0, dtype=np.int64),
+        np.array([True, False] * 5),
+        np.zeros(10, dtype=bool),
+    ],
+    ids=["index", "reversed", "empty", "mask", "empty-mask"],
+)
+def test_take_equals_fancy_indexing(index):
+    """``take`` gathers with ``np.take`` (a mask goes through
+    ``np.flatnonzero``); the columns must be fancy indexing's, byte for
+    byte."""
+    rng = np.random.default_rng(0)
+    ps = PointSet(ids=rng.permutation(10) + 5, coords=rng.random((10, 2)), weights=rng.random(10))
+    sub = ps.take(index)
+    for name in ("ids", "coords", "weights"):
+        got, want = getattr(sub, name), getattr(ps, name)[index]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_take_rejects_a_mask_of_another_length():
+    ps = PointSet.from_coords(np.zeros((3, 2)))
+    with pytest.raises(IndexError):
+        ps.take(np.array([True, False]))
+
+
 def test_concat_preserves_columns():
     a = PointSet.from_coords([[0, 0]], id_offset=0)
     b = PointSet.from_coords([[1, 1]], id_offset=10)
